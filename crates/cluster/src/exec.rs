@@ -12,11 +12,15 @@
 //! the node being emulated (CI boxes are often single-core), in which case
 //! a 2-thread Phoenix run shows no wall-clock speedup at all. The executor
 //! therefore converts measured wall time into total *work*
-//! (`wall × min(threads, machine_cores)` — exact on a single-core machine,
-//! a good approximation for compute-bound phases elsewhere) and divides by
-//! the emulated node's effective parallelism, an Amdahl model calibrated
-//! to the paper's observation that the duo-core SD achieves "a 2X speedup,
-//! which proves the fully utilization of duo-core processor" (§V-B).
+//! (`wall × effective_parallelism(min(threads, machine_cores))`) and
+//! divides by the emulated node's effective parallelism — the *same*
+//! Amdahl curve on both sides, calibrated to the paper's observation that
+//! the duo-core SD achieves "a 2X speedup, which proves the fully
+//! utilization of duo-core processor" (§V-B). With as many physical cores
+//! as emulated workers the two factors cancel and virtual time is the
+//! measured wall over the core speed; the machine's core count is
+//! injectable ([`NodeExecutor::with_machine_cores`]) so the model is
+//! testable at any shape on any host.
 
 use crate::clock::TimeBreakdown;
 use crate::node::NodeSpec;
@@ -47,12 +51,23 @@ pub fn machine_cores() -> usize {
 #[derive(Debug, Clone)]
 pub struct NodeExecutor {
     spec: NodeSpec,
+    machine_cores: usize,
 }
 
 impl NodeExecutor {
     /// An executor for the given node.
     pub fn new(spec: NodeSpec) -> Self {
-        NodeExecutor { spec }
+        NodeExecutor {
+            spec,
+            machine_cores: machine_cores(),
+        }
+    }
+
+    /// Model a machine with `cores` physical cores instead of the one the
+    /// process runs on (builder style).
+    pub fn with_machine_cores(mut self, cores: usize) -> Self {
+        self.machine_cores = cores.max(1);
+        self
     }
 
     /// The node this executor models.
@@ -69,11 +84,12 @@ impl NodeExecutor {
     /// Virtual compute time of a run measured at `wall` with
     /// `workers_used` threads: reconstruct the total work from the
     /// machine's real concurrency, then divide by the emulated node's
-    /// speed and effective parallelism (see the module docs).
+    /// speed and effective parallelism — both through the Amdahl curve
+    /// (see the module docs).
     pub fn virtual_compute(&self, wall: Duration, workers_used: usize) -> Duration {
         debug_assert!(self.spec.core_speed > 0.0);
-        let concurrency = workers_used.max(1).min(machine_cores());
-        let work = wall.as_secs_f64() * concurrency as f64;
+        let concurrency = workers_used.max(1).min(self.machine_cores);
+        let work = wall.as_secs_f64() * effective_parallelism(concurrency);
         Duration::from_secs_f64(work / (effective_parallelism(workers_used) * self.spec.core_speed))
     }
 
@@ -90,7 +106,7 @@ impl NodeExecutor {
     /// [`NodeExecutor::virtual_compute`]), memory model = the node's
     /// memory.
     pub fn phoenix_config(&self) -> PhoenixConfig {
-        let workers = self.spec.cores.min(machine_cores());
+        let workers = self.spec.cores.min(self.machine_cores);
         PhoenixConfig::with_workers(workers).memory(self.spec.memory_model())
     }
 
@@ -157,9 +173,23 @@ mod tests {
         let v1 = e.virtual_compute(wall, 1);
         let v4 = e.virtual_compute(wall, 4);
         assert!(v4 <= v1);
-        if machine_cores() == 1 {
-            let expect = wall.as_secs_f64() / effective_parallelism(4);
-            assert!((v4.as_secs_f64() - expect).abs() < 1e-9);
+        let single = e.clone().with_machine_cores(1);
+        let expect = wall.as_secs_f64() / effective_parallelism(4);
+        assert!((single.virtual_compute(wall, 4).as_secs_f64() - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn virtual_time_is_the_measured_wall_when_the_machine_has_the_cores() {
+        // Enough physical cores for every emulated worker: the wall time
+        // already contains the speedup, so the Amdahl factors cancel.
+        let wall = Duration::from_millis(80);
+        for machine in [2, 4, 8, 64] {
+            let e = NodeExecutor::new(NodeSpec::paper_host(NodeId(0), 8 << 20))
+                .with_machine_cores(machine);
+            for workers in 1..=machine.min(8) {
+                let v = e.virtual_compute(wall, workers);
+                assert!((v.as_secs_f64() - wall.as_secs_f64()).abs() < 1e-9);
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 //! `magic` is one byte: `b'Q'` for a request frame, `b'S'` for a response
 //! frame. The checksum is FNV-1a over the body.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::time::Duration;
 
 /// Magic byte of a request frame.
@@ -163,48 +163,75 @@ impl Frame {
 
     /// Encode the frame to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        let magic = match &self.body {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Length of [`Frame::encode`]'s output, without encoding. Decoding
+    /// is strict (no trailing body bytes), so for a decoded frame this is
+    /// exactly the byte count the decoder consumed.
+    pub fn encoded_len(&self) -> usize {
+        let body = match &self.body {
             FrameBody::Request {
                 params,
                 expires_unix_ms,
             } => {
-                body.put_u64_le(self.id);
-                body.put_u32_le(params.len() as u32);
+                let params: usize = params.iter().map(|p| 4 + p.len()).sum();
+                8 + 4 + params + if *expires_unix_ms != 0 { 8 } else { 0 }
+            }
+            FrameBody::Response { payload, .. } => {
+                8 + 1 + 4 + payload.len() + if self.batch != 0 { 8 } else { 0 }
+            }
+        };
+        5 + body + 4
+    }
+
+    /// Append the frame's wire bytes to `out` (the batch writer encodes a
+    /// whole batch into one buffer this way).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.push(match self.body {
+            FrameBody::Request { .. } => MAGIC_REQUEST,
+            FrameBody::Response { .. } => MAGIC_RESPONSE,
+        });
+        out.put_u32_le(0); // body length, patched below
+        out.put_u64_le(self.id);
+        match &self.body {
+            FrameBody::Request {
+                params,
+                expires_unix_ms,
+            } => {
+                out.put_u32_le(params.len() as u32);
                 for p in params {
-                    body.put_u32_le(p.len() as u32);
-                    body.put_slice(p.as_bytes());
+                    out.put_u32_le(p.len() as u32);
+                    out.put_slice(p.as_bytes());
                 }
                 // Deadline trailer only when set: deadline-free requests
                 // encode byte-identically to the legacy format.
                 if *expires_unix_ms != 0 {
-                    body.put_u64_le(*expires_unix_ms);
+                    out.put_u64_le(*expires_unix_ms);
                 }
-                MAGIC_REQUEST
             }
             FrameBody::Response { status, payload } => {
-                body.put_u64_le(self.id);
-                body.put_u8(match status {
+                out.put_u8(match status {
                     Status::Ok => 0,
                     Status::Error => 1,
                     Status::Overloaded => 2,
                 });
-                body.put_u32_le(payload.len() as u32);
-                body.put_slice(payload);
+                out.put_u32_le(payload.len() as u32);
+                out.put_slice(payload);
                 // Batch-framing trailer only when stamped: unbatched
                 // responses encode byte-identically to the legacy format.
                 if self.batch != 0 {
-                    body.put_u64_le(self.batch);
+                    out.put_u64_le(self.batch);
                 }
-                MAGIC_RESPONSE
             }
-        };
-        let mut out = Vec::with_capacity(body.len() + 9);
-        out.push(magic);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        out
+        }
+        let body_len = (out.len() - start - 5) as u32;
+        out[start + 1..start + 5].copy_from_slice(&body_len.to_le_bytes());
+        let checksum = fnv1a(&out[start + 5..]);
+        out.put_u32_le(checksum);
     }
 }
 
@@ -514,6 +541,51 @@ fn next_complete_frame(data: &[u8], from: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire format is a contract with logs already on disk: these
+    /// bytes were computed independently of this encoder and must never
+    /// change for unbatched frames.
+    #[test]
+    fn unbatched_encodings_are_pinned_to_golden_bytes() {
+        let id = 0x0102_0304_0506_0708;
+        let params = || vec!["ab".to_string(), "c".to_string()];
+        for (frame, golden) in [
+            (
+                Frame::request(id, params()),
+                "51170000000807060504030201020000000200000061620100000063d8b6e83c",
+            ),
+            (
+                Frame::request_with_deadline(id, params(), 0x11_2233_4455),
+                "511f0000000807060504030201020000000200000061620100000063554433221100000025387d9a",
+            ),
+            (
+                Frame::response_ok(id, b"ok".to_vec()),
+                "530f000000080706050403020100020000006f6b876f3142",
+            ),
+            (
+                Frame::response_err(id, "boom"),
+                "531100000008070605040302010104000000626f6f6dbb29977a",
+            ),
+        ] {
+            let bytes = frame.encode();
+            assert_eq!(hex(&bytes), golden, "{frame:?}");
+            assert_eq!(frame.encoded_len(), bytes.len());
+            let mut appended = vec![0xaa];
+            frame.encode_into(&mut appended);
+            assert_eq!(
+                appended[1..],
+                bytes[..],
+                "encode_into appends, checksums its own body"
+            );
+        }
+        let batched = Frame::response_ok(id, b"ok".to_vec()).in_batch(1, 0);
+        assert_eq!(batched.encoded_len(), batched.encode().len());
+    }
 
     #[test]
     fn request_roundtrip() {

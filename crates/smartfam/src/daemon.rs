@@ -416,7 +416,11 @@ impl Drop for DaemonHandle {
 }
 
 struct LogState {
+    /// The daemon's one read cursor on this log.
     log: LogFile,
+    /// The held append handle every response to this log goes through,
+    /// shared with the dispatch workers.
+    writer: Arc<LogFile>,
     /// Request frames already answered (or dispatched).
     handled: HashSet<u64>,
 }
@@ -429,6 +433,67 @@ type ReplayBarrier = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
 /// One worker bucket entry in the batched dispatch pool: the request's
 /// index within its chunk, the module to run, and its parameters.
 type BucketedRun = (usize, Arc<dyn ProcessingModule>, Vec<String>);
+
+/// What [`DaemonCtx::gate`] decided about one dequeued request.
+enum Gated {
+    /// Run the module.
+    Run(Arc<dyn ProcessingModule>),
+    /// Answer with this frame instead of running anything.
+    Reject(Frame),
+    /// An injected crash fired: the daemon is stopping, answer nothing.
+    Crash,
+}
+
+/// Invoke a module. A panicking module must neither kill the daemon nor
+/// leave the host waiting forever: the panic becomes an error result.
+fn run_module(module: &dyn ProcessingModule, params: &[String]) -> Result<Vec<u8>, String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| module.invoke(params))) {
+        Ok(Ok(payload)) => Ok(payload),
+        Ok(Err(e)) => Err(e.message),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "module panicked".into());
+            Err(format!("module panicked: {msg}"))
+        }
+    }
+}
+
+/// Book one finished invocation — counters, module health, the
+/// `sd.complete` event — and build its response frame. The caller appends
+/// the frame *after* this returns, so a host can never observe a
+/// completion whose daemon-side trace record is still pending (the
+/// determinism argument of DESIGN.md §12).
+fn complete(
+    health: &Mutex<HashMap<String, ModuleHealth>>,
+    stats: &StatsInner,
+    trace: &(Tracer, TrackId),
+    threshold: u32,
+    name: &str,
+    id: u64,
+    result: Result<Vec<u8>, String>,
+) -> Frame {
+    let failed = result.is_err();
+    let counter = if failed {
+        &stats.module_errors
+    } else {
+        &stats.ok
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    note_result(health, stats, trace, name, failed, threshold);
+    let status = if failed { "error" } else { "ok" };
+    trace.0.event(
+        trace.1,
+        EVENT_SD_COMPLETE,
+        &[("module", name), ("status", status)],
+    );
+    match result {
+        Ok(payload) => Frame::response_ok(id, payload),
+        Err(message) => Frame::response_err(id, &message),
+    }
+}
 
 /// One admitted-but-not-yet-dispatched request. The frame itself already
 /// sits in the log file; this is just the dispatch ticket.
@@ -627,6 +692,20 @@ impl DaemonCtx {
             .map(|rep| MirrorSet::for_log(path, rep.group_size))
     }
 
+    /// The held append handle of a log a request was read from —
+    /// `process_log` attached it before admitting anything from `path`.
+    fn writer_for(&self, path: &Path) -> Arc<LogFile> {
+        Arc::clone(&self.logs[path].writer)
+    }
+
+    /// Answer on `path` (and its mirrors) without running anything.
+    fn respond(&self, path: &Path, response: &Frame) {
+        let _ = self.writer_for(path).append(response);
+        if let Some(mirrors) = self.mirrors_for(path) {
+            mirrors.append(response);
+        }
+    }
+
     /// Poll one module log and run every not-yet-handled request through
     /// admission.
     fn process_log(&mut self, path: &Path, replay: bool) {
@@ -635,16 +714,23 @@ impl DaemonCtx {
             .volatile_event(self.trace.1, EVENT_SD_POLL, &[]);
         let state = match self.logs.entry(path.to_path_buf()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => match LogFile::attach_at_start(path) {
-                Ok(log) => v.insert(LogState {
-                    log: log.with_faults(self.config.injector.clone(), LogRole::Daemon),
-                    handled: HashSet::new(),
-                }),
-                // Unreadable log file (permissions, vanished between the
-                // watch event and now): skip this round; the next event on
-                // the file retries the attach.
-                Err(_) => return,
-            },
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let attach = || {
+                    LogFile::attach_at_start(path)
+                        .map(|log| log.with_faults(self.config.injector.clone(), LogRole::Daemon))
+                };
+                match (attach(), attach()) {
+                    (Ok(log), Ok(writer)) => v.insert(LogState {
+                        log,
+                        writer: Arc::new(writer),
+                        handled: HashSet::new(),
+                    }),
+                    // Unreadable log file (permissions, vanished between
+                    // the watch event and now): skip this round; the next
+                    // event on the file retries the attach.
+                    _ => return,
+                }
+            }
         };
         // Recovering poll: provably-corrupt bytes (a host's torn write
         // that was later retried, or silent NFS corruption) are skipped
@@ -732,14 +818,8 @@ impl DaemonCtx {
             self.trace
                 .0
                 .event(self.trace.1, EVENT_SD_SHED, &[("module", &req.name)]);
-            if let Ok(writer) = LogFile::attach_at_start(&req.path) {
-                let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
-                let response = Frame::response_overloaded(req.id, self.config.shed_retry_after);
-                let _ = writer.append(&response);
-                if let Some(mirrors) = self.mirrors_for(&req.path) {
-                    mirrors.append(&response);
-                }
-            }
+            let response = Frame::response_overloaded(req.id, self.config.shed_retry_after);
+            self.respond(&req.path, &response);
         }
     }
 
@@ -763,95 +843,68 @@ impl DaemonCtx {
         }
     }
 
-    /// Run one admitted request: deadline check, quarantine check,
-    /// registry lookup, injected faults, then the module itself (on a
-    /// worker thread when `dispatch_parallel`).
-    fn dispatch(&mut self, req: QueuedRequest) {
-        let QueuedRequest {
-            path,
-            name,
-            id,
-            params,
-            expires_unix_ms,
-        } = req;
-        let Ok(writer) = LogFile::attach_at_start(&path) else {
-            // Cannot open a writer to respond on: count the failure and
-            // let the host's timeout surface it.
-            self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
-        let mirrors = self.mirrors_for(&path);
-        let respond = |response: &Frame| {
-            let _ = writer.append(response);
-            if let Some(m) = &mirrors {
-                m.append(response);
-            }
+    /// The per-request checks both dispatch paths apply, in this order:
+    /// deadline, quarantine, registry lookup, the `sd.dispatch` event,
+    /// injected dispatch faults. One decision stream, so lockstep and
+    /// batched mode count, trace and refuse identically.
+    fn gate(&self, req: &QueuedRequest) -> Gated {
+        let (name, id) = (req.name.as_str(), req.id);
+        let event = |event: &'static str, attrs: &[(&'static str, &str)]| {
+            self.trace.0.event(self.trace.1, event, attrs)
         };
         // Deadline check at dequeue: the caller has already given up, so
         // the request is dropped — counted, answered, never executed.
-        if expires_unix_ms != 0 && wall_clock_ms() >= expires_unix_ms {
+        if req.expires_unix_ms != 0 && wall_clock_ms() >= req.expires_unix_ms {
             self.stats.expired.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_EXPIRED, &[("module", &name)]);
-            respond(&Frame::response_err(
+            event(EVENT_SD_EXPIRED, &[("module", name)]);
+            return Gated::Reject(Frame::response_err(
                 id,
                 "deadline expired before dispatch; request dropped",
             ));
-            return;
         }
         // Poison-module quarantine: refuse fast with a distinguishable
         // message so the host fails over instead of waiting out its
         // deadline.
-        if self.health.lock().get(&name).is_some_and(|h| h.quarantined) {
+        if self.health.lock().get(name).is_some_and(|h| h.quarantined) {
             self.stats
                 .quarantine_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            self.trace.0.event(
-                self.trace.1,
-                EVENT_SD_QUARANTINE_REJECTED,
-                &[("module", &name)],
-            );
-            respond(&Frame::response_err(
+            event(EVENT_SD_QUARANTINE_REJECTED, &[("module", name)]);
+            return Gated::Reject(Frame::response_err(
                 id,
                 &format!(
                     "module {name:?} {QUARANTINE_TOKEN} {} consecutive failures",
                     self.config.quarantine_threshold
                 ),
             ));
-            return;
         }
-        let Some(module) = self.registry.get(&name) else {
+        let Some(module) = self.registry.get(name) else {
             self.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_UNKNOWN_MODULE, &[("module", &name)]);
-            respond(&Frame::response_err(
+            event(EVENT_SD_UNKNOWN_MODULE, &[("module", name)]);
+            return Gated::Reject(Frame::response_err(
                 id,
                 &format!("no module registered under {name:?}"),
             ));
-            return;
         };
-        self.trace
-            .0
-            .event(self.trace.1, EVENT_SD_DISPATCH, &[("module", &name)]);
-        // Injected dispatch faults: crash (exit the daemon loop without
-        // answering) or a forced module failure.
+        event(EVENT_SD_DISPATCH, &[("module", name)]);
+        // Injected dispatch faults: crash (stop the daemon loop without
+        // answering — in batched mode nothing of the batch commits, so
+        // the whole chunk is replayed next incarnation) or a forced
+        // module failure.
         match self.config.injector.on_dispatch() {
             Some(DispatchFault::CrashBefore) => {
                 self.stop.store(true, Ordering::Relaxed);
-                return;
+                Gated::Crash
             }
             Some(DispatchFault::CrashAfter) => {
                 // Execute the module, then die before the response is
                 // written — the worst crash window for replay
                 // idempotency.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    module.invoke(&params)
+                    module.invoke(&req.params)
                 }));
                 self.stop.store(true, Ordering::Relaxed);
-                return;
+                Gated::Crash
             }
             Some(DispatchFault::Fail) => {
                 self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
@@ -859,20 +912,34 @@ impl DaemonCtx {
                     &self.health,
                     &self.stats,
                     &self.trace,
-                    &name,
+                    name,
                     true,
                     self.config.quarantine_threshold,
                 );
-                self.trace.0.event(
-                    self.trace.1,
-                    EVENT_SD_COMPLETE,
-                    &[("module", &name), ("status", "error")],
-                );
-                respond(&Frame::response_err(id, "injected module failure"));
-                return;
+                event(EVENT_SD_COMPLETE, &[("module", name), ("status", "error")]);
+                Gated::Reject(Frame::response_err(id, "injected module failure"))
             }
-            None => {}
+            None => Gated::Run(module),
         }
+    }
+
+    /// Run one admitted request: the [`DaemonCtx::gate`] checks, then the
+    /// module itself (on a worker thread when `dispatch_parallel`).
+    fn dispatch(&mut self, req: QueuedRequest) {
+        let module = match self.gate(&req) {
+            Gated::Run(module) => module,
+            Gated::Crash => return,
+            Gated::Reject(response) => return self.respond(&req.path, &response),
+        };
+        let QueuedRequest {
+            path,
+            name,
+            id,
+            params,
+            ..
+        } = req;
+        let writer = self.writer_for(&path);
+        let mirrors = self.mirrors_for(&path);
         let stats = Arc::clone(&self.stats);
         let health = Arc::clone(&self.health);
         let in_flight = Arc::clone(&self.in_flight);
@@ -880,43 +947,8 @@ impl DaemonCtx {
         let trace = self.trace.clone();
         in_flight.fetch_add(1, Ordering::Relaxed);
         let run = move || {
-            // A panicking module must neither kill the daemon (sequential
-            // dispatch) nor leave the host waiting forever: convert the
-            // panic into an error response.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| module.invoke(&params)));
-            let failed = !matches!(outcome, Ok(Ok(_)));
-            let response = match outcome {
-                Ok(Ok(payload)) => {
-                    stats.ok.fetch_add(1, Ordering::Relaxed);
-                    Frame::response_ok(id, payload)
-                }
-                Ok(Err(e)) => {
-                    stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    Frame::response_err(id, &e.message)
-                }
-                Err(panic) => {
-                    stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "module panicked".into());
-                    Frame::response_err(id, &format!("module panicked: {msg}"))
-                }
-            };
-            note_result(&health, &stats, &trace, &name, failed, threshold);
-            // Emitted BEFORE the response append so the host can never
-            // observe a completion whose daemon-side trace record is still
-            // pending (the determinism argument of DESIGN.md §12).
-            trace.0.event(
-                trace.1,
-                EVENT_SD_COMPLETE,
-                &[
-                    ("module", &name),
-                    ("status", if failed { "error" } else { "ok" }),
-                ],
-            );
+            let result = run_module(module.as_ref(), &params);
+            let response = complete(&health, &stats, &trace, threshold, &name, id, result);
             let _ = writer.append(&response);
             if let Some(m) = &mirrors {
                 m.append(&response);
@@ -945,12 +977,10 @@ impl DaemonCtx {
     /// byte-identical traces regardless of worker timing.
     fn execute_batch(&mut self, cfg: BatchConfig, chunk: Vec<QueuedRequest>) {
         struct Planned {
-            path: PathBuf,
-            name: String,
-            id: u64,
-            /// `Some` until the worker pool runs it; pre-check rejects
-            /// go straight to `frame`.
-            run: Option<(Arc<dyn ProcessingModule>, Vec<String>)>,
+            req: QueuedRequest,
+            /// `Some` until the worker pool runs it; gate rejects go
+            /// straight to `frame`.
+            run: Option<Arc<dyn ProcessingModule>>,
             frame: Option<Frame>,
         }
         self.batch_seq += 1;
@@ -964,112 +994,16 @@ impl DaemonCtx {
             size as u64,
             &[("size", &size.to_string())],
         );
-        // Phase 1 (serial, batch order): the same per-request checks the
-        // lockstep path applies — deadline, quarantine, registry lookup,
-        // injected dispatch faults.
+        // Phase 1 (serial, batch order): the same per-request gate the
+        // lockstep path applies.
         let mut planned: Vec<Planned> = Vec::with_capacity(size);
         for req in chunk {
-            let QueuedRequest {
-                path,
-                name,
-                id,
-                params,
-                expires_unix_ms,
-            } = req;
-            let mut p = Planned {
-                path,
-                name,
-                id,
-                run: None,
-                frame: None,
+            let (run, frame) = match self.gate(&req) {
+                Gated::Run(module) => (Some(module), None),
+                Gated::Reject(frame) => (None, Some(frame)),
+                Gated::Crash => return,
             };
-            if expires_unix_ms != 0 && wall_clock_ms() >= expires_unix_ms {
-                self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                self.trace
-                    .0
-                    .event(self.trace.1, EVENT_SD_EXPIRED, &[("module", &p.name)]);
-                p.frame = Some(Frame::response_err(
-                    p.id,
-                    "deadline expired before dispatch; request dropped",
-                ));
-                planned.push(p);
-                continue;
-            }
-            if self
-                .health
-                .lock()
-                .get(&p.name)
-                .is_some_and(|h| h.quarantined)
-            {
-                self.stats
-                    .quarantine_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                self.trace.0.event(
-                    self.trace.1,
-                    EVENT_SD_QUARANTINE_REJECTED,
-                    &[("module", &p.name)],
-                );
-                p.frame = Some(Frame::response_err(
-                    p.id,
-                    &format!(
-                        "module {:?} {QUARANTINE_TOKEN} {} consecutive failures",
-                        p.name, self.config.quarantine_threshold
-                    ),
-                ));
-                planned.push(p);
-                continue;
-            }
-            let Some(module) = self.registry.get(&p.name) else {
-                self.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
-                self.trace.0.event(
-                    self.trace.1,
-                    EVENT_SD_UNKNOWN_MODULE,
-                    &[("module", &p.name)],
-                );
-                p.frame = Some(Frame::response_err(
-                    p.id,
-                    &format!("no module registered under {:?}", p.name),
-                ));
-                planned.push(p);
-                continue;
-            };
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_DISPATCH, &[("module", &p.name)]);
-            match self.config.injector.on_dispatch() {
-                Some(DispatchFault::CrashBefore) => {
-                    // Crash mid-batch: nothing from this batch commits,
-                    // so the whole chunk is replayed next incarnation.
-                    self.stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-                Some(DispatchFault::CrashAfter) => {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        module.invoke(&params)
-                    }));
-                    self.stop.store(true, Ordering::Relaxed);
-                    return;
-                }
-                Some(DispatchFault::Fail) => {
-                    self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    note_result(
-                        &self.health,
-                        &self.stats,
-                        &self.trace,
-                        &p.name,
-                        true,
-                        self.config.quarantine_threshold,
-                    );
-                    self.trace.0.event(
-                        self.trace.1,
-                        EVENT_SD_COMPLETE,
-                        &[("module", &p.name), ("status", "error")],
-                    );
-                    p.frame = Some(Frame::response_err(p.id, "injected module failure"));
-                }
-                None => p.run = Some((module, params)),
-            }
-            planned.push(p);
+            planned.push(Planned { req, run, frame });
         }
         // Phase 2 (parallel): shard-per-owner execution. The seeded hash
         // pins each module to one worker, so one module's requests run
@@ -1077,8 +1011,9 @@ impl DaemonCtx {
         let workers = cfg.workers.max(1);
         let mut buckets: Vec<Vec<BucketedRun>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, p) in planned.iter_mut().enumerate() {
-            if let Some((module, params)) = p.run.take() {
-                buckets[worker_for(cfg.seed, &p.name, workers)].push((i, module, params));
+            if let Some(module) = p.run.take() {
+                let params = std::mem::take(&mut p.req.params);
+                buckets[worker_for(cfg.seed, &p.req.name, workers)].push((i, module, params));
             }
         }
         let running: u64 = buckets.iter().map(|b| b.len() as u64).sum();
@@ -1095,22 +1030,7 @@ impl DaemonCtx {
                             items
                                 .into_iter()
                                 .map(|(i, module, params)| {
-                                    let out = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| module.invoke(&params)),
-                                    );
-                                    let res = match out {
-                                        Ok(Ok(payload)) => Ok(payload),
-                                        Ok(Err(e)) => Err(e.message),
-                                        Err(panic) => {
-                                            let msg = panic
-                                                .downcast_ref::<&str>()
-                                                .map(|s| s.to_string())
-                                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                                .unwrap_or_else(|| "module panicked".into());
-                                            Err(format!("module panicked: {msg}"))
-                                        }
-                                    };
-                                    (i, res)
+                                    (i, run_module(module.as_ref(), &params))
                                 })
                                 .collect::<Vec<_>>()
                         })
@@ -1132,32 +1052,15 @@ impl DaemonCtx {
             let Some(res) = results[i].take() else {
                 continue;
             };
-            let failed = res.is_err();
-            if failed {
-                self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stats.ok.fetch_add(1, Ordering::Relaxed);
-            }
-            note_result(
+            p.frame = Some(complete(
                 &self.health,
                 &self.stats,
                 &self.trace,
-                &p.name,
-                failed,
                 self.config.quarantine_threshold,
-            );
-            self.trace.0.event(
-                self.trace.1,
-                EVENT_SD_COMPLETE,
-                &[
-                    ("module", &p.name),
-                    ("status", if failed { "error" } else { "ok" }),
-                ],
-            );
-            p.frame = Some(match res {
-                Ok(payload) => Frame::response_ok(p.id, payload),
-                Err(msg) => Frame::response_err(p.id, &msg),
-            });
+                &p.req.name,
+                p.req.id,
+                res,
+            ));
         }
         // Group responses by log in canonical (sorted-path) order; every
         // frame carries the batch-framing word naming its batch slot.
@@ -1165,7 +1068,7 @@ impl DaemonCtx {
         for (i, p) in planned.into_iter().enumerate() {
             if let Some(frame) = p.frame {
                 by_log
-                    .entry(p.path)
+                    .entry(p.req.path)
                     .or_default()
                     .push(frame.in_batch(batch_id, i as u64));
             }
@@ -1179,15 +1082,7 @@ impl DaemonCtx {
     /// only a torn suffix — the durable prefix's batch boundary is
     /// already on disk and must replay exactly.
     fn commit_log_batch(&self, path: &Path, frames: &[Frame]) {
-        let Ok(writer) = LogFile::attach_at_start(path) else {
-            // Cannot open a writer to respond on: count the failures and
-            // let the hosts' timeouts surface them.
-            self.stats
-                .module_errors
-                .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            return;
-        };
-        let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
+        let writer = self.writer_for(path);
         let mut rest = frames;
         // Safety valve: a fault plan tearing every retry occurrence could
         // otherwise spin forever. Leftovers stay unanswered in the log
@@ -1199,25 +1094,20 @@ impl DaemonCtx {
                 break;
             };
             let durable = outcome.frames_durable as u64;
-            self.batch_stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.batch_stats
+            let saved = durable.saturating_sub(outcome.fsyncs);
+            let batch = &self.batch_stats;
+            batch.batches.fetch_add(1, Ordering::Relaxed);
+            batch
                 .coalesced_appends
                 .fetch_add(durable, Ordering::Relaxed);
-            self.batch_stats
-                .fsyncs
-                .fetch_add(outcome.fsyncs, Ordering::Relaxed);
-            self.batch_stats
-                .fsyncs_saved
-                .fetch_add(durable.saturating_sub(outcome.fsyncs), Ordering::Relaxed);
+            batch.fsyncs.fetch_add(outcome.fsyncs, Ordering::Relaxed);
+            batch.fsyncs_saved.fetch_add(saved, Ordering::Relaxed);
             self.trace.0.event(
                 self.trace.1,
                 EVENT_SD_BATCH_COMMIT,
                 &[
-                    ("size", &outcome.frames_durable.to_string()),
-                    (
-                        "fsyncs_saved",
-                        &durable.saturating_sub(outcome.fsyncs).to_string(),
-                    ),
+                    ("size", &durable.to_string()),
+                    ("fsyncs_saved", &saved.to_string()),
                 ],
             );
             if !outcome.torn {

@@ -20,7 +20,7 @@
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Marker embedded in the daemon's error responses for quarantined
 /// modules, so hosts can classify the failure without a schema change.
@@ -473,18 +473,27 @@ pub enum ReplicaFault {
 }
 
 impl FaultInjector {
-    /// An injector that never fires (the production configuration). The
-    /// empty-plan fast path skips all counter traffic.
+    /// An injector that never fires (the production configuration). Every
+    /// disabled injector is a clone of one process-wide instance — no
+    /// allocation per call — which is sound because the empty-plan fast
+    /// path never touches the counters or the fired list.
     pub fn disabled() -> FaultInjector {
-        FaultInjector::new(FaultPlan::none())
+        static DISABLED: OnceLock<FaultInjector> = OnceLock::new();
+        DISABLED
+            .get_or_init(|| FaultInjector::new(FaultPlan::none()))
+            .clone()
     }
 
     /// An injector executing `plan`.
     pub fn new(plan: FaultPlan) -> FaultInjector {
+        FaultInjector::build(plan, false)
+    }
+
+    fn build(plan: FaultPlan, probe: bool) -> FaultInjector {
         FaultInjector {
             inner: Arc::new(InjectorInner {
                 plan,
-                probe: false,
+                probe,
                 counters: Default::default(),
                 fired: Mutex::new(Vec::new()),
             }),
@@ -498,14 +507,7 @@ impl FaultInjector {
     /// This is the discovery half of the chaos explorer; production code
     /// never uses it, so the empty-plan fast path stays intact there.
     pub fn probing(plan: FaultPlan) -> FaultInjector {
-        FaultInjector {
-            inner: Arc::new(InjectorInner {
-                plan,
-                probe: true,
-                counters: Default::default(),
-                fired: Mutex::new(Vec::new()),
-            }),
-        }
+        FaultInjector::build(plan, true)
     }
 
     /// An injector executing the plan derived from `seed`.

@@ -6,13 +6,30 @@
 //! data-intensive module is an efficient channel for the host node to
 //! communicate with the smart-storage node" (§IV-A).
 //!
-//! Both sides append [`Frame`]s; each side keeps its own read cursor and
-//! scans only the bytes appended since its last read.
+//! Both sides append [`Frame`]s, and each side keeps **one** read cursor
+//! per log: the daemon's per-log state, and the host client's response
+//! stream that routes completions to its in-flight calls by id. A
+//! [`LogFile`] holds its file open for its whole life (read + `O_APPEND`
+//! on one descriptor), so every appended byte crosses the file boundary
+//! and the decoder exactly once per side:
+//!
+//! - **Held handle.** A poll `fstat`s the held descriptor. Unchanged
+//!   length ⇒ return at once, nothing read, nothing allocated. Grown ⇒
+//!   read only `[cursor, len)` into a reused buffer and decode from its
+//!   start. Shrunk below the cursor ⇒ [`SmartFamError::Corrupt`]: an
+//!   in-place truncation keeps the inode, so the held handle sees it.
+//! - **Cursor alignment.** A cursor must sit on a frame boundary. A
+//!   *sampled* file length is not one — another writer's batch may be half
+//!   on disk when the length is read, and a stray magic byte followed by a
+//!   large length field reads as an incomplete frame forever. The end
+//!   offset of this handle's *own* append is one, and it precedes every
+//!   reply to that append ([`LogFile::append_and_rebase`]).
 
 use crate::codec::{decode_stream, decode_stream_recovering, Frame};
 use crate::error::SmartFamError;
 use crate::faults::{AppendFault, FaultInjector, FaultSite};
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Which side of the log a handle belongs to — selects the fault-injection
@@ -57,11 +74,20 @@ pub struct BatchAppendOutcome {
     pub torn: bool,
 }
 
-/// Handle to a module's log file with a private read cursor.
-#[derive(Debug, Clone)]
+/// Held handle to a module's log file with a private read cursor.
+#[derive(Debug)]
 pub struct LogFile {
     path: PathBuf,
+    /// Opened read + `O_APPEND`: writes land at the end whatever the
+    /// descriptor's position, which polls (`&mut self`) are free to move.
+    file: File,
     cursor: u64,
+    /// File length at the latest poll: the cursor may hold short of it (at
+    /// an incomplete tail), and re-reading that tail before the file grows
+    /// again would decode the same bytes to the same result.
+    seen_len: u64,
+    /// The bytes `[cursor, len)` of the latest poll that had to read.
+    tail: Vec<u8>,
     injector: FaultInjector,
     role: LogRole,
 }
@@ -70,27 +96,33 @@ impl LogFile {
     /// Open (creating if necessary) the log file at `path`, with the read
     /// cursor at the current end — a reader only sees frames appended
     /// after it opened, like the daemon attaching to a preloaded module's
-    /// log.
+    /// log. The end is a sampled length: align the cursor with
+    /// [`LogFile::append_and_rebase`] when other writers may be active.
     pub fn attach_at_end(path: impl Into<PathBuf>) -> Result<LogFile, SmartFamError> {
-        let path = path.into();
-        touch(&path)?;
-        let len = std::fs::metadata(&path)?.len();
-        Ok(LogFile {
-            path,
-            cursor: len,
-            injector: FaultInjector::disabled(),
-            role: LogRole::Host,
-        })
+        let mut log = LogFile::attach_at_start(path)?;
+        log.cursor = log.len()?;
+        log.seen_len = log.cursor;
+        Ok(log)
     }
 
     /// Open (creating if necessary) with the cursor at the start — the
     /// reader replays the whole history.
     pub fn attach_at_start(path: impl Into<PathBuf>) -> Result<LogFile, SmartFamError> {
         let path = path.into();
-        touch(&path)?;
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        let file = File::options()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
         Ok(LogFile {
             path,
+            file,
             cursor: 0,
+            seen_len: 0,
+            tail: Vec::new(),
             injector: FaultInjector::disabled(),
             role: LogRole::Host,
         })
@@ -98,7 +130,8 @@ impl LogFile {
 
     /// Attach a fault injector, counting this handle's appends and polls
     /// under `role`'s sites. Production code keeps the default disabled
-    /// injector, which costs nothing.
+    /// injector: a clone of one shared instance whose hooks return before
+    /// touching any counter.
     pub fn with_faults(mut self, injector: FaultInjector, role: LogRole) -> LogFile {
         self.injector = injector;
         self.role = role;
@@ -125,45 +158,31 @@ impl LogFile {
     pub fn append(&self, frame: &Frame) -> Result<u64, SmartFamError> {
         let mut bytes = frame.encode();
         let fault = self.injector.on_append(self.role.append_site());
-        if let Some(AppendFault::Corrupt { xor_mask }) = fault {
-            // Flip one byte in the middle of the body region so the
-            // frame's length header still parses but the checksum fails.
-            let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
-            if pos < bytes.len() {
-                bytes[pos] ^= xor_mask.max(1);
-            }
+        let written = self.write_faulted(&mut bytes, fault)?;
+        if written < bytes.len() {
+            return Err(SmartFamError::FaultInjected {
+                detail: format!("torn append: wrote {written} of {} bytes", bytes.len()),
+            });
         }
-        let keep = match fault {
-            Some(AppendFault::Torn { keep_sixteenths }) => {
-                let k = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
-                    .clamp(1, bytes.len().saturating_sub(1).max(1));
-                Some(k)
-            }
-            _ => None,
-        };
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        match keep {
-            Some(k) => {
-                f.write_all(&bytes[..k])?;
-                f.flush()?;
-                Err(SmartFamError::FaultInjected {
-                    detail: format!("torn append: wrote {k} of {} bytes", bytes.len()),
-                })
-            }
-            None => {
-                f.write_all(&bytes)?;
-                f.flush()?;
-                Ok(bytes.len() as u64)
-            }
-        }
+        Ok(written as u64)
+    }
+
+    /// [`LogFile::append`], then restart the read cursor at the end offset
+    /// of that append — a frame boundary that precedes every reply to the
+    /// frame (see the module docs). Everything before it is skipped
+    /// unread, so call this only when nothing earlier is still awaited.
+    pub fn append_and_rebase(&mut self, frame: &Frame) -> Result<u64, SmartFamError> {
+        let written = self.append(frame)?;
+        // An `O_APPEND` write leaves the descriptor at the end of the
+        // bytes it wrote, wherever other writers have got to since.
+        self.cursor = self.file.stream_position()?;
+        self.seen_len = self.cursor;
+        Ok(written)
     }
 
     /// Append a coalesced batch of frames with **one fsync for the whole
-    /// batch**: the frames are encoded back to back, written through a
-    /// single file handle, and made durable by a single `sync_data` call.
+    /// batch**: the frames are encoded back to back into one buffer,
+    /// written with one call, and made durable by a single `sync_data`.
     /// This is the daemon's batched-commit primitive — per-frame `append`
     /// never fsyncs, so a batch of `n` responses costs 1 fsync instead of
     /// the `n` a durable lockstep writer would pay.
@@ -173,7 +192,9 @@ impl LogFile {
     /// error: the write keeps a prefix and the outcome reports how many
     /// frames of the batch are fully durable, so the caller retries only
     /// the torn suffix. An injected corruption flips one byte mid-buffer
-    /// and "succeeds" the way a silent NFS corruption would.
+    /// (the frame it lands in fails its checksum and the recovering
+    /// reader skips exactly that frame) and "succeeds" the way a silent
+    /// NFS corruption would.
     pub fn append_batch(&self, frames: &[Frame]) -> Result<BatchAppendOutcome, SmartFamError> {
         if frames.is_empty() {
             return Ok(BatchAppendOutcome {
@@ -183,82 +204,104 @@ impl LogFile {
                 torn: false,
             });
         }
-        let encoded: Vec<Vec<u8>> = frames.iter().map(|f| f.encode()).collect();
-        let total: usize = encoded.iter().map(|e| e.len()).sum();
-        let mut bytes = Vec::with_capacity(total);
-        for e in &encoded {
-            bytes.extend_from_slice(e);
+        let mut bytes = Vec::with_capacity(frames.iter().map(Frame::encoded_len).sum());
+        for frame in frames {
+            frame.encode_into(&mut bytes);
         }
         let fault = self.injector.on_append(FaultSite::BatchAppend);
-        if let Some(AppendFault::Corrupt { xor_mask }) = fault {
-            // One flipped byte mid-buffer: the frame it lands in fails its
-            // checksum and the recovering reader skips exactly that frame.
-            let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
-            if pos < bytes.len() {
-                bytes[pos] ^= xor_mask.max(1);
-            }
-        }
-        let keep = match fault {
-            Some(AppendFault::Torn { keep_sixteenths }) => {
-                let k = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
-                    .clamp(1, bytes.len().saturating_sub(1).max(1));
-                Some(k)
-            }
-            _ => None,
-        };
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        let written = keep.unwrap_or(bytes.len());
-        f.write_all(&bytes[..written])?;
-        f.flush()?;
-        f.sync_data()?;
-        let frames_durable = match keep {
-            Some(k) => {
-                // A frame is durable only if its last byte made it to disk.
-                let mut end = 0usize;
-                let mut durable = 0usize;
-                for e in &encoded {
-                    end += e.len();
-                    if end <= k {
-                        durable += 1;
-                    } else {
-                        break;
-                    }
-                }
-                durable
-            }
-            None => frames.len(),
-        };
+        let written = self.write_faulted(&mut bytes, fault)?;
+        self.file.sync_data()?;
+        // A frame is durable only if its last byte made it to disk.
+        let mut end = 0usize;
+        let frames_durable = frames
+            .iter()
+            .take_while(|f| {
+                end += f.encoded_len();
+                end <= written
+            })
+            .count();
         Ok(BatchAppendOutcome {
             frames_durable,
             bytes: written as u64,
             fsyncs: 1,
-            torn: keep.is_some(),
+            torn: written < bytes.len(),
         })
     }
 
-    /// Read every complete frame appended since the last poll, advancing
-    /// the cursor past them. An incomplete trailing frame (a concurrent
-    /// append in progress) is left for the next poll.
-    pub fn poll(&mut self) -> Result<Vec<Frame>, SmartFamError> {
-        let data = std::fs::read(&self.path)?;
-        if (data.len() as u64) < self.cursor {
+    /// The one write path: apply an injected `fault` to the encoded
+    /// `bytes` (corrupt = one byte flipped mid-buffer, so length headers
+    /// still parse but a checksum fails; torn = only a prefix is written)
+    /// and append them through the held handle. Returns the bytes written,
+    /// short of `bytes.len()` exactly when the write was torn.
+    fn write_faulted(
+        &self,
+        bytes: &mut [u8],
+        fault: Option<AppendFault>,
+    ) -> Result<usize, SmartFamError> {
+        let mut keep = bytes.len();
+        match fault {
+            Some(AppendFault::Corrupt { xor_mask }) => {
+                let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
+                if pos < bytes.len() {
+                    bytes[pos] ^= xor_mask.max(1);
+                }
+            }
+            Some(AppendFault::Torn { keep_sixteenths }) => {
+                keep = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
+                    .clamp(1, bytes.len().saturating_sub(1).max(1));
+            }
+            None => {}
+        }
+        (&self.file).write_all(&bytes[..keep])?;
+        Ok(keep)
+    }
+
+    /// Bring the bytes appended since the last poll, `[cursor, len)`, into
+    /// `self.tail`. `false` — without reading or allocating — when the
+    /// file has not grown since the last poll.
+    fn read_tail(&mut self) -> Result<bool, SmartFamError> {
+        let len = self.len()?;
+        if len < self.cursor {
             // The file shrank under us — treat as corruption.
             return Err(SmartFamError::Corrupt {
                 offset: self.cursor,
                 detail: "log file was truncated".into(),
             });
         }
-        let (frames, new_pos) = decode_stream(&data, self.cursor as usize).map_err(|detail| {
-            SmartFamError::Corrupt {
-                offset: self.cursor,
-                detail,
+        if len == self.seen_len {
+            return Ok(false);
+        }
+        let want = len - self.cursor;
+        self.tail.clear();
+        self.tail.reserve(want as usize);
+        self.file.seek(SeekFrom::Start(self.cursor))?;
+        (&self.file).take(want).read_to_end(&mut self.tail)?;
+        self.seen_len = len;
+        Ok(true)
+    }
+
+    /// Read every complete frame appended since the last poll, advancing
+    /// the cursor past them. An incomplete trailing frame (a concurrent
+    /// append in progress) is left for the next poll.
+    pub fn poll(&mut self) -> Result<Vec<Frame>, SmartFamError> {
+        if !self.read_tail()? {
+            return Ok(Vec::new());
+        }
+        match decode_stream(&self.tail, 0) {
+            Ok((frames, used)) => {
+                self.cursor += used as u64;
+                Ok(frames)
             }
-        })?;
-        self.cursor = new_pos as u64;
-        Ok(frames)
+            Err(detail) => {
+                // Corruption is never self-healing: the next poll must
+                // re-read and report it again, not see "nothing new".
+                self.seen_len = self.cursor;
+                Err(SmartFamError::Corrupt {
+                    offset: self.cursor,
+                    detail: format!("past the cursor, {detail}"),
+                })
+            }
+        }
     }
 
     /// Like [`LogFile::poll`], but corruption does not poison the cursor:
@@ -267,41 +310,23 @@ impl LogFile {
     /// skipped by this poll. An injected stale read (NFS-visibility
     /// delay) makes the poll see no new data; the bytes stay for later.
     pub fn poll_recovering(&mut self) -> Result<(Vec<Frame>, u64), SmartFamError> {
-        if self.injector.on_poll(self.role.poll_site()) {
+        if self.injector.on_poll(self.role.poll_site()) || !self.read_tail()? {
             return Ok((Vec::new(), 0));
         }
-        let data = std::fs::read(&self.path)?;
-        if (data.len() as u64) < self.cursor {
-            return Err(SmartFamError::Corrupt {
-                offset: self.cursor,
-                detail: "log file was truncated".into(),
-            });
-        }
-        let rec = decode_stream_recovering(&data, self.cursor as usize);
-        self.cursor = rec.new_pos as u64;
+        let rec = decode_stream_recovering(&self.tail, 0);
+        self.cursor += rec.new_pos as u64;
         Ok((rec.frames, rec.skipped_bytes as u64))
     }
 
     /// Current length of the log file in bytes.
     pub fn len(&self) -> Result<u64, SmartFamError> {
-        Ok(std::fs::metadata(&self.path)?.len())
+        Ok(self.file.metadata()?.len())
     }
 
     /// Whether the log file has no content.
     pub fn is_empty(&self) -> Result<bool, SmartFamError> {
         Ok(self.len()? == 0)
     }
-}
-
-fn touch(path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -408,6 +433,38 @@ mod tests {
         reader.poll().unwrap();
         std::fs::write(&path, b"").unwrap();
         assert!(matches!(reader.poll(), Err(SmartFamError::Corrupt { .. })));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corruption_is_reported_by_every_plain_poll() {
+        let path = temp_log();
+        let mut reader = LogFile::attach_at_start(&path).unwrap();
+        std::fs::write(&path, b"not a frame").unwrap();
+        for _ in 0..2 {
+            assert!(matches!(reader.poll(), Err(SmartFamError::Corrupt { .. })));
+            assert_eq!(reader.cursor(), 0);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rebase_starts_the_cursor_at_the_end_of_the_own_append() {
+        let path = temp_log();
+        let other = LogFile::attach_at_start(&path).unwrap();
+        other.append(&Frame::request(1, vec![])).unwrap();
+        let mut log = LogFile::attach_at_end(&path).unwrap();
+        // The file grows between the attach (a sampled length) and the
+        // own append; the rebased cursor is past both.
+        other.append(&Frame::request(2, vec![])).unwrap();
+        let own = Frame::request(3, vec!["mine".into()]);
+        let n = log.append_and_rebase(&own).unwrap();
+        assert_eq!(n, own.encoded_len() as u64);
+        assert_eq!(log.cursor(), log.len().unwrap());
+        other.append(&Frame::response_ok(3, vec![1u8])).unwrap();
+        let frames = log.poll().unwrap();
+        assert_eq!(frames.len(), 1);
+        assert!(!frames[0].is_request());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -90,6 +90,13 @@ impl PollBackoff {
         delay
     }
 
+    /// Sleep out one idle gap — the single place a real-I/O wait loop
+    /// (host response waits, the watcher's metadata poll) parks its thread.
+    pub fn idle(&mut self) {
+        // tidy:allow(MCSD001) -- real I/O pacing: the caller polls a shared file and found nothing new; the capped backoff (1 ms floor up to poll_interval) bounds detection latency, the quantity the smartFAM experiments measure, not simulated time
+        std::thread::sleep(self.idle_delay());
+    }
+
     /// Progress observed: the next idle sleep restarts at the floor.
     pub fn reset(&mut self) {
         self.delay = self.floor;
@@ -203,8 +210,7 @@ fn poll_loop(
     // traffic are noticed at inotify-like latency.
     let mut pace = PollBackoff::new(config.poll_interval);
     while !stop.load(Ordering::Relaxed) {
-        // tidy:allow(MCSD001) -- real I/O pacing: capped-backoff metadata polling; the cap IS the watcher's detection-latency bound, the quantity the smartFAM experiments measure
-        std::thread::sleep(pace.idle_delay());
+        pace.idle();
         let current = list_files(&dir, &extra);
         let mut seen: HashMap<PathBuf, FileSig> = HashMap::new();
         for path in current {
@@ -328,8 +334,7 @@ pub fn wait_for_file_outcome(
                 FileWait::StatFailed(last_err)
             };
         }
-        // tidy:allow(MCSD001) -- real I/O pacing: capped-backoff metadata polling between checks; the 10 ms cap bounds detection latency, not simulated time
-        std::thread::sleep(pace.idle_delay());
+        pace.idle();
     }
 }
 

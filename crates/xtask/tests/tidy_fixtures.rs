@@ -415,8 +415,8 @@ fn real_workspace_is_tidy() {
     // The waiver budget: the tree stays analyzable without blanket
     // escapes. Raising this number is a review decision, not a tweak.
     assert!(
-        report.waivers_honored <= 15,
-        "waiver budget exceeded: {} > 15",
+        report.waivers_honored <= 10,
+        "waiver budget exceeded: {} > 10",
         report.waivers_honored
     );
 }

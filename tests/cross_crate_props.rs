@@ -113,7 +113,8 @@ proptest! {
         );
     }
 
-    /// Virtual compute time is monotone in work and antitone in cores.
+    /// Virtual compute time is monotone in work and antitone in cores —
+    /// on every machine shape, not just the one running the test.
     #[test]
     fn virtual_compute_is_sane(
         wall_us in 1u64..1_000_000,
@@ -121,13 +122,19 @@ proptest! {
         cores_b in 1usize..9,
     ) {
         use mcsd::cluster::NodeExecutor;
-        let mk = |cores| {
-            let mut n = NodeSpec::paper_host(NodeId(0), 1 << 20);
-            n.cores = cores;
-            NodeExecutor::new(n)
-        };
         let wall = std::time::Duration::from_micros(wall_us);
         let (lo, hi) = if cores_a <= cores_b { (cores_a, cores_b) } else { (cores_b, cores_a) };
-        prop_assert!(mk(lo).virtual_compute(wall, lo) >= mk(hi).virtual_compute(wall, hi));
+        for machine in [1, 2, 4, 8, 64] {
+            let mk = |cores| {
+                let mut n = NodeSpec::paper_host(NodeId(0), 1 << 20);
+                n.cores = cores;
+                NodeExecutor::new(n).with_machine_cores(machine)
+            };
+            prop_assert!(
+                mk(lo).virtual_compute(wall, lo) >= mk(hi).virtual_compute(wall, hi),
+                "machine with {} cores", machine
+            );
+            prop_assert!(mk(lo).virtual_compute(wall * 2, lo) >= mk(lo).virtual_compute(wall, lo));
+        }
     }
 }
