@@ -2,8 +2,8 @@
 //! paper's evaluation (§V), plus the DESIGN.md ablations.
 //!
 //! ```text
-//! mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|faults|overload|trace|failover|throughput|chaos|rack|batched]
-//!                  [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv] [--json]
+//! mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|faults|overload|trace|failover|chaos|rack|batched]
+//!                  [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]
 //! ```
 //!
 //! `faults` (not part of `all`) drives seeded fault schedules through the
@@ -27,16 +27,6 @@
 //! background re-protection restores full redundancy, and a seeded
 //! sweep shows exact counter replay — the interactive counterpart of
 //! `crates/mcsd-core/tests/replication.rs`.
-//!
-//! `throughput` (not part of `all` either) times the same four-phase
-//! scenario and reports jobs/sec, engine decisions/sec through
-//! `engine::run_call`, and wall-clock, then times the §15 degraded mode
-//! (replicated group of three, one replica killed per run), the
-//! §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the
-//! §18 batched-daemon call rate at pipelined window depths 1/4/16;
-//! `throughput --json` additionally writes `BENCH_10.json` into the
-//! working directory — every `BENCH_9.json` field plus the batched
-//! call rates and fsyncs-per-1k-calls, toward ROADMAP items 1 and 3.
 //!
 //! `rack` (not part of `all` either) runs the DESIGN.md §17 rack-scale
 //! discrete-event scheduler — `--racks R` racks of (4 hosts + 9 SDs)
@@ -71,8 +61,8 @@ use mcsd_cluster::{paper_testbed, SandiaMicroBenchmark, Scale, SmbPattern};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|faults|overload|trace|failover|throughput|chaos|rack|batched] \
-         [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv] [--json]"
+        "usage: mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|faults|overload|trace|failover|chaos|rack|batched] \
+         [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]"
     );
     std::process::exit(2);
 }
@@ -216,26 +206,16 @@ fn overload_demo() {
 }
 
 /// Aggregate outcome of one four-phase scenario run: the merged counter
-/// families plus the work volume the run pushed through the stack, so
-/// the `throughput` baseline and the `trace` walkthrough share one
-/// scenario definition.
+/// families.
 struct PhaseTotals {
     daemon: mcsd_smartfam::DaemonStats,
     resilience: mcsd_core::ResilienceStats,
-    /// Requests resolved end-to-end: daemon submissions (served, shed,
-    /// or expired) plus framework offload calls.
-    jobs: u64,
-    /// Offload decisions recorded by `engine::run_call` (the framework's
-    /// decision log), i.e. calls that went through the decision engine.
-    decisions: u64,
 }
 
-/// The seeded four-phase scenario behind `trace` and `throughput`:
-/// daemon saturation (typed sheds plus a deadline expiry),
-/// circuit-breaker steering, a torn-append retry, and memory-budget
-/// re-partitioning. `verbose` gates the narration; the traced event
-/// stream is identical either way.
-fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTotals {
+/// The seeded four-phase scenario behind `trace`: daemon saturation
+/// (typed sheds plus a deadline expiry), circuit-breaker steering, a
+/// torn-append retry, and memory-budget re-partitioning.
+fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer) -> PhaseTotals {
     use mcsd_apps::TextGen;
     use mcsd_cluster::NodeRole;
     use mcsd_core::{
@@ -250,8 +230,6 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
     const TIMEOUT: Duration = Duration::from_secs(60);
     let mut daemon_totals = DaemonStats::default();
     let mut resilience_totals = ResilienceStats::default();
-    let mut jobs: u64 = 0;
-    let mut decisions: u64 = 0;
     let cluster = || {
         let mut c = paper_testbed(Scale::default_experiment());
         for n in &mut c.nodes {
@@ -260,9 +238,7 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
         c
     };
 
-    if verbose {
-        println!("### Phase A — saturation: 5 requests into 1 slot + 1 queue spot\n");
-    }
+    println!("### Phase A — saturation: 5 requests into 1 slot + 1 queue spot\n");
     let resilience = ResilienceConfig {
         max_in_flight: 1,
         max_queued: 1,
@@ -299,9 +275,7 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
             sheds += 1;
         }
     }
-    if verbose {
-        println!("gate shut: {sheds} of 5 requests shed at admission (typed Overloaded)");
-    }
+    println!("gate shut: {sheds} of 5 requests shed at admission (typed Overloaded)");
     std::fs::write(&release, b"go").expect("open gate");
     for pending in pendings {
         pending.wait(TIMEOUT).expect("admitted request served");
@@ -310,18 +284,12 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
         .submit_with_deadline("gate", &[], 1)
         .expect("submit expired request");
     let _ = expired.wait(TIMEOUT);
-    if verbose {
-        println!("gate open: admitted requests served; 1 expired deadline dropped at dequeue");
-    }
-    jobs += 6; // 5 gated submissions (2 served, 3 shed) + 1 expired deadline
-    decisions += fw.decision_log().len() as u64;
+    println!("gate open: admitted requests served; 1 expired deadline dropped at dequeue");
     daemon_totals.absorb(&fw.sd_node().daemon_stats());
     resilience_totals.absorb(&fw.resilience_stats());
     fw.stop();
 
-    if verbose {
-        println!("\n### Phase B — breaker: failing SD steered around, then re-admitted\n");
-    }
+    println!("\n### Phase B — breaker: failing SD steered around, then re-admitted\n");
     // The §11 breaker scenario: two dispatch failures trip the breaker
     // (threshold 2), the 3 ms cooldown steers two calls to the host, and
     // a half-open probe re-admits the node for the rest.
@@ -347,23 +315,17 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
     for _ in 0..6 {
         fw.wordcount("wc.txt", Some("auto")).expect("wordcount");
     }
-    if verbose {
-        for (job, decision) in fw.decision_log() {
-            println!("{job}: {decision:?}");
-        }
-        for d in fw.degradations() {
-            println!("degraded: {d}");
-        }
+    for (job, decision) in fw.decision_log() {
+        println!("{job}: {decision:?}");
     }
-    jobs += 6;
-    decisions += fw.decision_log().len() as u64;
+    for d in fw.degradations() {
+        println!("degraded: {d}");
+    }
     daemon_totals.absorb(&fw.sd_node().daemon_stats());
     resilience_totals.absorb(&fw.resilience_stats());
     fw.stop();
 
-    if verbose {
-        println!("\n### Phase C — retry: a torn request append recovered on the second attempt\n");
-    }
+    println!("\n### Phase C — retry: a torn request append recovered on the second attempt\n");
     // The host's first append is torn mid-frame; the typed FaultInjected
     // error is transient, so the resilient client backs off, retries, and
     // the daemon's recovering reader skips the corrupt bytes.
@@ -385,21 +347,15 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
     fw.stage_data_local("wc.txt", &text).expect("stage");
     fw.wordcount("wc.txt", Some("auto")).expect("wordcount");
     let stats = fw.resilience_stats();
-    if verbose {
-        println!(
-            "call served on attempt 2: {} retry, {} corrupt bytes skipped",
-            stats.retries, stats.corrupt_skipped_bytes
-        );
-    }
-    jobs += 1;
-    decisions += fw.decision_log().len() as u64;
+    println!(
+        "call served on attempt 2: {} retry, {} corrupt bytes skipped",
+        stats.retries, stats.corrupt_skipped_bytes
+    );
     daemon_totals.absorb(&fw.sd_node().daemon_stats());
     resilience_totals.absorb(&stats);
     fw.stop();
 
-    if verbose {
-        println!("\n### Phase D — memory admission: 900 kB job onto a 1 MiB SD node\n");
-    }
+    println!("\n### Phase D — memory admission: 900 kB job onto a 1 MiB SD node\n");
     let mut tight = paper_testbed(Scale::default_experiment());
     for n in &mut tight.nodes {
         n.memory_bytes = if n.role == NodeRole::SmartStorage {
@@ -418,11 +374,7 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
     fw.stage_data_local("big.txt", &text).expect("stage");
     fw.wordcount("big.txt", None).expect("wordcount");
     let halvings = fw.resilience_stats().overload.repartitions;
-    if verbose {
-        println!("fragment halved {halvings}x to fit the SD node's memory budget");
-    }
-    jobs += 1;
-    decisions += fw.decision_log().len() as u64;
+    println!("fragment halved {halvings}x to fit the SD node's memory budget");
     daemon_totals.absorb(&fw.sd_node().daemon_stats());
     resilience_totals.absorb(&fw.resilience_stats());
     fw.stop();
@@ -430,8 +382,6 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
     PhaseTotals {
         daemon: daemon_totals,
         resilience: resilience_totals,
-        jobs,
-        decisions,
     }
 }
 
@@ -444,7 +394,7 @@ fn trace_run(seed: u64) {
     use mcsd_obs::{MetricsRegistry, Tracer};
 
     let tracer = Tracer::enabled();
-    let totals = four_phases(seed, &tracer, true);
+    let totals = four_phases(seed, &tracer);
 
     // One unified registry for the whole run, filled through the typed
     // single-owner publish methods.
@@ -599,215 +549,6 @@ fn failover_demo(seed: u64) {
                 f.site, f.nth, f.action
             );
         }
-    }
-    println!();
-}
-
-/// Degraded-mode rate for the §15 baseline: repeated replicated runs on
-/// a three-member group, each losing one replica mid-run (a promotion,
-/// not a re-dispatch). Returns `(jobs, wall_clock_secs)` where a job is
-/// one completed span.
-fn degraded_throughput(seed: u64) -> (u64, f64) {
-    use mcsd_apps::{seq, TextGen, WordCount};
-    use mcsd_cluster::multi_sd_testbed;
-    use mcsd_core::{
-        ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, MultiSdRunner,
-        ReplicationSetup, SpanOutcome,
-    };
-    use std::time::Instant;
-
-    const RUNS: u64 = 8;
-    let text = TextGen::with_seed(seed).generate(60_000);
-    let oracle = seq::wordcount(&text);
-    let mut cluster = multi_sd_testbed(Scale::default_experiment(), 3);
-    for n in &mut cluster.nodes {
-        n.memory_bytes = 256 << 20;
-    }
-    let runner = MultiSdRunner::new(cluster).expect("runner boot");
-    let t0 = Instant::now();
-    let mut jobs = 0u64;
-    for run in 0..RUNS {
-        let dir = std::env::temp_dir().join(format!("mcsd-degraded-{}-{run}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("log dir");
-        let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
-        let out = runner
-            .run_replicated(
-                &WordCount,
-                &WordCount::merger(),
-                &text,
-                ExecMode::Parallel,
-                &FaultInjector::new(plan),
-                &ReplicationSetup::new(&dir),
-            )
-            .expect("degraded run");
-        assert_eq!(out.pairs, oracle, "degraded run produced wrong output");
-        assert!(
-            out.outcomes
-                .iter()
-                .any(|o| matches!(o, SpanOutcome::Promoted { .. })),
-            "degraded run never promoted a replica"
-        );
-        jobs += out.outcomes.len() as u64;
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    (jobs, t0.elapsed().as_secs_f64())
-}
-
-/// Batched-daemon call rate (DESIGN.md §18): one echo daemon in batched
-/// mode (multi-worker pool, coalesced one-fsync commits), one host
-/// pushing `calls` invocations through a pipelined window of `depth`.
-/// Returns `(calls_per_sec, merged BatchStats)` — window-side fields
-/// from the host run, commit-side fields from the daemon.
-fn batched_call_rate(seed: u64, depth: usize, calls: usize) -> (f64, mcsd_smartfam::BatchStats) {
-    use mcsd_smartfam::module::FnModule;
-    use mcsd_smartfam::{
-        BatchConfig, Daemon, DaemonConfig, HostClient, ModuleRegistry, WindowConfig,
-    };
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let dir = std::env::temp_dir().join(format!(
-        "mcsd-batchrate-{}-{depth}-{seed}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("log dir");
-    let registry = ModuleRegistry::new();
-    registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
-        Ok(p.join("|").into_bytes())
-    })));
-    let config = DaemonConfig::new(&dir).with_batching(BatchConfig {
-        seed,
-        ..BatchConfig::default()
-    });
-    let mut daemon = Daemon::new(config, registry).spawn().expect("daemon spawn");
-    let client = HostClient::new(&dir);
-    let params: Vec<Vec<String>> = (0..calls).map(|i| vec![format!("c{i}")]).collect();
-    let cfg = WindowConfig::with_depth(depth);
-    let t0 = Instant::now();
-    let run = client.invoke_window("echo", &params, &cfg);
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(run.all_ok(), "batched window left calls unanswered");
-    daemon.stop();
-    let mut stats = run.stats;
-    stats.absorb(&daemon.batch_stats());
-    let _ = std::fs::remove_dir_all(&dir);
-    (calls as f64 / wall, stats)
-}
-
-/// First perf baseline toward ROADMAP item 1: run the seeded four-phase
-/// scenario (tracer on, exports off) and report jobs/sec, engine
-/// decisions/sec through `engine::run_call`, and wall-clock, then the
-/// §15 degraded mode (group of three, one replica killed per run) and
-/// the §16 chaos discovery pass's clean-run overhead (probing counters
-/// on versus off over the chaos-tolerant four-phase segments), and the
-/// §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the
-/// §18 batched-daemon call rate at pipelined window depths 1/4/16. With
-/// `--json`, also write `BENCH_10.json` into the working directory — run
-/// from the repo root to refresh the committed baseline. The absolute
-/// numbers include the scenario's deliberate stalls (gate polling,
-/// breaker cooldowns), so they are a trajectory marker, not a peak-rate
-/// claim; later PRs must beat this same command's output.
-fn throughput_run(seed: u64, json: bool) {
-    use mcsd_obs::Tracer;
-    use std::time::Instant;
-
-    let tracer = Tracer::enabled();
-    let t0 = Instant::now();
-    let totals = four_phases(seed, &tracer, false);
-    let wall = t0.elapsed().as_secs_f64();
-    let jobs_per_sec = totals.jobs as f64 / wall;
-    let decisions_per_sec = totals.decisions as f64 / wall;
-    println!(
-        "jobs: {} ({jobs_per_sec:.2}/s); engine decisions: {} ({decisions_per_sec:.2}/s); \
-         wall-clock: {wall:.3}s",
-        totals.jobs, totals.decisions
-    );
-    let (degraded_jobs, degraded_wall) = degraded_throughput(seed);
-    let degraded_jobs_per_sec = degraded_jobs as f64 / degraded_wall;
-    println!(
-        "degraded mode (one replica killed per run): {degraded_jobs} spans \
-         ({degraded_jobs_per_sec:.2}/s); wall-clock: {degraded_wall:.3}s"
-    );
-    let (plain_wall, _) = chaos_clean_pass(seed, false);
-    let (probe_wall, probe_points) = chaos_clean_pass(seed, true);
-    println!(
-        "chaos discovery (probing counters over the four-phase segments): \
-         {probe_points} points; clean pass {plain_wall:.3}s, probed pass {probe_wall:.3}s"
-    );
-    let rack_cfg = mcsd_core::des::DesConfig::default_experiment(1200, seed);
-    let rt0 = Instant::now();
-    let rack = mcsd_core::des::run(&rack_cfg, &mcsd_obs::Tracer::disabled());
-    let rack_wall = rt0.elapsed().as_secs_f64();
-    let rack_jobs_per_sec = rack.report.stats.completed_jobs as f64 / rack_wall;
-    println!(
-        "rack scale ({} nodes, {} concurrent jobs): {} completed, {} shed \
-         ({rack_jobs_per_sec:.0} jobs/s wall-clock, {:.1} jobs/s virtual); wall-clock: {rack_wall:.3}s",
-        rack.report.nodes,
-        rack_cfg.jobs,
-        rack.report.stats.completed_jobs,
-        rack.report.stats.shed_jobs,
-        rack.report.jobs_per_virtual_sec(),
-    );
-    // Batched-daemon call rate (DESIGN.md §18): the same 96 echo calls
-    // at three pipelined window depths. Depth 1 is the lockstep
-    // baseline; the depth-16 : depth-1 ratio is the tentpole claim CI
-    // guards (>= 3x).
-    const BATCHED_CALLS: usize = 96;
-    let (rate1, _) = batched_call_rate(seed, 1, BATCHED_CALLS);
-    let (rate4, _) = batched_call_rate(seed, 4, BATCHED_CALLS);
-    let (rate16, stats16) = batched_call_rate(seed, 16, BATCHED_CALLS);
-    let fsyncs_per_1k = stats16.fsyncs_per_1k_calls().unwrap_or(0);
-    println!(
-        "batched daemon ({BATCHED_CALLS} echo calls): {rate1:.0}/s at window 1, \
-         {rate4:.0}/s at window 4, {rate16:.0}/s at window 16 \
-         ({:.1}x over lockstep); {fsyncs_per_1k} fsyncs per 1k calls at depth 16",
-        rate16 / rate1
-    );
-    if json {
-        let body = format!(
-            "{{\n  \"bench\": \"throughput\",\n  \"pr\": 10,\n  \"seed\": {seed},\n  \
-             \"scenario\": \"four-phase trace scenario (DESIGN.md section 12)\",\n  \
-             \"jobs\": {},\n  \"engine_decisions\": {},\n  \"wall_clock_secs\": {wall:.3},\n  \
-             \"jobs_per_sec\": {jobs_per_sec:.2},\n  \
-             \"engine_decisions_per_sec\": {decisions_per_sec:.2},\n  \
-             \"degraded_scenario\": \"replicated group of 3, leader replica killed mid-run (DESIGN.md section 15)\",\n  \
-             \"degraded_jobs\": {degraded_jobs},\n  \
-             \"degraded_wall_clock_secs\": {degraded_wall:.3},\n  \
-             \"degraded_jobs_per_sec\": {degraded_jobs_per_sec:.2},\n  \
-             \"chaos_scenario\": \"chaos-tolerant four-phase segments, clean pass (DESIGN.md section 16)\",\n  \
-             \"chaos_points\": {probe_points},\n  \
-             \"chaos_clean_wall_clock_secs\": {plain_wall:.3},\n  \
-             \"chaos_probed_wall_clock_secs\": {probe_wall:.3},\n  \
-             \"rack_scenario\": \"rack-scale DES, 8 racks x (4 hosts + 9 SDs), balanced placement (DESIGN.md section 17)\",\n  \
-             \"rack_nodes\": {},\n  \
-             \"rack_sds\": {},\n  \
-             \"rack_concurrent_jobs\": {},\n  \
-             \"rack_completed_jobs\": {},\n  \
-             \"rack_shed_jobs\": {},\n  \
-             \"rack_wall_clock_secs\": {rack_wall:.3},\n  \
-             \"rack_jobs_per_sec\": {rack_jobs_per_sec:.2},\n  \
-             \"rack_makespan_virtual_secs\": {:.3},\n  \
-             \"rack_jobs_per_virtual_sec\": {:.2},\n  \
-             \"batched_scenario\": \"batched daemon, {BATCHED_CALLS} echo calls through a pipelined host window (DESIGN.md section 18)\",\n  \
-             \"batched_calls\": {BATCHED_CALLS},\n  \
-             \"batched_calls_per_sec_window1\": {rate1:.2},\n  \
-             \"batched_calls_per_sec_window4\": {rate4:.2},\n  \
-             \"batched_calls_per_sec_window16\": {rate16:.2},\n  \
-             \"batched_speedup_window16_over_window1\": {:.2},\n  \
-             \"batched_fsyncs_per_1k_calls_window16\": {fsyncs_per_1k}\n}}\n",
-            totals.jobs,
-            totals.decisions,
-            rack.report.nodes,
-            rack.report.sds,
-            rack_cfg.jobs,
-            rack.report.stats.completed_jobs,
-            rack.report.stats.shed_jobs,
-            rack.report.makespan_us as f64 / 1e6,
-            rack.report.jobs_per_virtual_sec(),
-            rate16 / rate1,
-        );
-        std::fs::write("BENCH_10.json", body).expect("write BENCH_10.json");
-        println!("wrote BENCH_10.json");
     }
     println!();
 }
@@ -1249,39 +990,6 @@ impl mcsd_core::ChaosScenario for FourPhaseScenario {
     }
 }
 
-/// Time one clean pass of every four-phase segment. `probe` selects a
-/// counting (probing) injector versus a plain one — the difference is
-/// the discovery pass's overhead, recorded in `BENCH_8.json`.
-fn chaos_clean_pass(seed: u64, probe: bool) -> (f64, u64) {
-    use mcsd_core::{chaos, ChaosScenario, FaultInjector, FaultSite};
-    use std::time::Instant;
-
-    let scenario = FourPhaseScenario { seed };
-    let t0 = Instant::now();
-    let mut points = 0u64;
-    for segment in 0..scenario.segment_names().len() {
-        let baked = scenario.baked_plan(segment);
-        let injector = if probe {
-            FaultInjector::probing(baked)
-        } else {
-            FaultInjector::new(baked)
-        };
-        let obs = scenario
-            .run_segment(segment, &injector)
-            .expect("clean four-phase segment");
-        assert!(
-            chaos::evaluate(&obs).is_empty(),
-            "clean segment {segment} violated an invariant"
-        );
-        for site in FaultSite::ALL {
-            if site.counter_deterministic() {
-                points += injector.occurrences(site);
-            }
-        }
-    }
-    (t0.elapsed().as_secs_f64(), points)
-}
-
 /// The §16 chaos sweep: enumerate every counter-deterministic fault
 /// point the replication-rounds and four-phase scenarios cross, inject
 /// every applicable action at each, audit the invariant catalog, and
@@ -1407,7 +1115,6 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut cfg = ExperimentConfig::default_run();
     let mut csv = false;
-    let mut json = false;
     let mut seed: u64 = 42;
     let mut racks: u32 = 8;
     let mut rack_jobs: u64 = 1200;
@@ -1416,7 +1123,6 @@ fn main() {
         match args[i].as_str() {
             "--quick" => cfg = ExperimentConfig::quick(),
             "--csv" => csv = true,
-            "--json" => json = true,
             "--scale" => {
                 i += 1;
                 let divisor = args
@@ -1616,11 +1322,6 @@ fn main() {
     if which.iter().any(|w| w == "failover") {
         println!("## Failover — replicated log groups, promotion, re-protection (seed {seed})\n");
         failover_demo(seed);
-    }
-    // Excluded from `all`: a timing baseline, not a paper figure.
-    if which.iter().any(|w| w == "throughput") {
-        println!("## Throughput baseline — seeded four-phase scenario (seed {seed})\n");
-        throughput_run(seed, json);
     }
     // Excluded from `all`: an exhaustive robustness audit (tens of
     // injected re-runs), not a figure. Exits non-zero on violations.

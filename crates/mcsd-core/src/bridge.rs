@@ -11,10 +11,9 @@
 use crate::error::McsdError;
 use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
-use mcsd_obs::Tracer;
 use mcsd_smartfam::{
-    BatchConfig, BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector,
-    HostClient, ModuleRegistry, ReplicaConfig, ResilienceStats, RetryPolicy, WindowConfig,
+    BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
+    InvokeOutcome, ModuleRegistry, ResilienceStats, RetryPolicy, SmartFamError, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,150 +35,59 @@ pub struct SdNodeServer {
     registry: ModuleRegistry,
     sd_id: NodeId,
     host_id: NodeId,
-    injector: FaultInjector,
-    max_in_flight: usize,
-    max_queued: usize,
-    tracer: Tracer,
-    replication: Option<ReplicaConfig>,
-    batch: Option<BatchConfig>,
+    /// The configuration the daemon booted with;
+    /// [`SdNodeServer::restart_daemon`] re-spawns from it, and host
+    /// clients share its fault injector and tracer.
+    config: DaemonConfig,
 }
 
 impl SdNodeServer {
     /// Boot the SD node of `cluster`: create the NFS export, preload the
-    /// three benchmark modules, and start the smartFAM daemon.
+    /// three benchmark modules, and start the smartFAM daemon with its
+    /// default configuration.
     pub fn start(cluster: &Cluster) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_with_faults(cluster, FaultInjector::disabled())
+        SdNodeServer::start_with(cluster, |daemon| daemon)
     }
 
-    /// Like [`SdNodeServer::start`], but with a scripted fault schedule.
-    /// The injector is shared by the daemon and every host client this
-    /// server hands out, so one seeded [`FaultInjector`] disturbs both
-    /// sides of the log-file protocol deterministically.
-    pub fn start_with_faults(
+    /// Like [`SdNodeServer::start`], with `configure` adjusting the
+    /// daemon's configuration (already rooted at the export's log
+    /// folder) before it boots: a scripted fault schedule, admission
+    /// limits, a tracer, replicated log groups (DESIGN.md §15), batched
+    /// dispatch (DESIGN.md §18). The fault injector and the tracer are
+    /// shared with every host client this server hands out, so one seeded
+    /// [`FaultInjector`] disturbs both sides of the log-file protocol
+    /// deterministically and one trace carries both sides of it
+    /// (DESIGN.md §12). The whole configuration survives
+    /// [`SdNodeServer::restart_daemon`].
+    pub fn start_with(
         cluster: &Cluster,
-        injector: FaultInjector,
-    ) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_configured(
-            cluster,
-            injector,
-            mcsd_smartfam::daemon::DEFAULT_MAX_IN_FLIGHT,
-            mcsd_smartfam::daemon::DEFAULT_MAX_QUEUED,
-        )
-    }
-
-    /// Like [`SdNodeServer::start_with_faults`], with explicit daemon
-    /// admission limits: at most `max_in_flight` module invocations run
-    /// concurrently, at most `max_queued` requests wait for a slot, and
-    /// anything beyond that is shed immediately with a typed `Overloaded`
-    /// reply. The limits survive [`SdNodeServer::restart_daemon`].
-    pub fn start_configured(
-        cluster: &Cluster,
-        injector: FaultInjector,
-        max_in_flight: usize,
-        max_queued: usize,
-    ) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_observed(
-            cluster,
-            injector,
-            max_in_flight,
-            max_queued,
-            Tracer::disabled(),
-        )
-    }
-
-    /// Like [`SdNodeServer::start_configured`], with a [`Tracer`] shared
-    /// by the daemon and every host client this server hands out, so one
-    /// trace carries both sides of the offload protocol (DESIGN.md §12).
-    pub fn start_observed(
-        cluster: &Cluster,
-        injector: FaultInjector,
-        max_in_flight: usize,
-        max_queued: usize,
-        tracer: Tracer,
-    ) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_replicated(cluster, injector, max_in_flight, max_queued, tracer, None)
-    }
-
-    /// The fullest constructor: like [`SdNodeServer::start_observed`],
-    /// optionally mirroring every daemon log append onto a replica group
-    /// (DESIGN.md §15). The group shape survives
-    /// [`SdNodeServer::restart_daemon`], and the restarted incarnation
-    /// merges mirror-only frames back into the primary log before replay.
-    pub fn start_replicated(
-        cluster: &Cluster,
-        injector: FaultInjector,
-        max_in_flight: usize,
-        max_queued: usize,
-        tracer: Tracer,
-        replication: Option<ReplicaConfig>,
-    ) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_batched(
-            cluster,
-            injector,
-            max_in_flight,
-            max_queued,
-            tracer,
-            replication,
-            None,
-        )
-    }
-
-    /// Like [`SdNodeServer::start_replicated`], optionally switching the
-    /// daemon into batched dispatch (DESIGN.md §18): queued requests are
-    /// executed by the seeded multi-worker pool and their responses are
-    /// committed as coalesced one-fsync append batches. The batch shape
-    /// survives [`SdNodeServer::restart_daemon`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_batched(
-        cluster: &Cluster,
-        injector: FaultInjector,
-        max_in_flight: usize,
-        max_queued: usize,
-        tracer: Tracer,
-        replication: Option<ReplicaConfig>,
-        batch: Option<BatchConfig>,
+        configure: impl FnOnce(DaemonConfig) -> DaemonConfig,
     ) -> Result<SdNodeServer, McsdError> {
         let sd = cluster.sd().clone();
-        let host_id = cluster.host().id;
         let share = NfsShare::temp(sd.id, cluster.network, cluster.disk)?;
         let data_root = share.root().join(DATA_SUBDIR);
         std::fs::create_dir_all(&data_root)?;
-        let log_dir = share.root().join(LOG_SUBDIR);
 
         let registry = ModuleRegistry::new();
         registry.register(Arc::new(WordCountModule::new(&data_root, sd.clone())));
         registry.register(Arc::new(StringMatchModule::new(&data_root, sd.clone())));
         registry.register(Arc::new(MatMulModule::new(&data_root, sd.clone())));
 
-        let mut config = DaemonConfig::new(&log_dir)
-            .with_faults(injector.clone())
-            .with_admission(max_in_flight, max_queued)
-            .with_tracer(tracer.clone());
-        if let Some(replica) = replication {
-            config = config.with_replication(replica);
-        }
-        if let Some(b) = batch {
-            config = config.with_batching(b);
-        }
-        let daemon = Daemon::new(config, registry.clone()).spawn()?;
+        let config = configure(DaemonConfig::new(share.root().join(LOG_SUBDIR)));
+        let daemon = Daemon::new(config.clone(), registry.clone()).spawn()?;
         Ok(SdNodeServer {
             share,
             daemon: Some(daemon),
             registry,
             sd_id: sd.id,
-            host_id,
-            injector,
-            max_in_flight,
-            max_queued,
-            tracer,
-            replication,
-            batch,
+            host_id: cluster.host().id,
+            config,
         })
     }
 
     /// The fault injector shared with the daemon and host clients.
     pub fn injector(&self) -> &FaultInjector {
-        &self.injector
+        &self.config.injector
     }
 
     /// The module registry (to preload additional modules — paper §VI:
@@ -195,7 +103,7 @@ impl SdNodeServer {
 
     /// Batch-commit counters of the current daemon incarnation (all zero
     /// when the daemon runs lockstep, i.e. was started without a
-    /// [`BatchConfig`], or after [`SdNodeServer::stop`]).
+    /// [`mcsd_smartfam::BatchConfig`], or after [`SdNodeServer::stop`]).
     pub fn batch_stats(&self) -> BatchStats {
         self.daemon
             .as_ref()
@@ -225,9 +133,9 @@ impl SdNodeServer {
     /// A host-side offload client for this node.
     pub fn host_client(&self) -> McsdClient {
         McsdClient {
-            inner: HostClient::new(self.share.root().join(LOG_SUBDIR))
-                .with_faults(self.injector.clone())
-                .with_tracer(self.tracer.clone()),
+            inner: HostClient::new(&self.config.log_dir)
+                .with_faults(self.config.injector.clone())
+                .with_tracer(self.config.tracer.clone()),
             network_charge_per_byte: 1.0 / self.share.network().effective_bytes_per_sec(),
             latency: self.share.network().fabric.latency(),
         }
@@ -241,26 +149,16 @@ impl SdNodeServer {
     }
 
     /// Kill the daemon *without* answering outstanding requests, then
-    /// restart it over the same log dir. The replacement incarnation
-    /// replays unanswered requests from the log on startup. For scripted,
-    /// seed-reproducible failures use [`SdNodeServer::start_with_faults`]
-    /// with a [`FaultInjector`] schedule instead of calling this by hand;
-    /// this manual restart remains useful for coarse crash-recovery tests.
+    /// restart it over the same log dir with the configuration it booted
+    /// with. The replacement incarnation replays unanswered requests from
+    /// the log on startup (after merging mirror-only frames back into the
+    /// primary log when replicated). For scripted, seed-reproducible
+    /// failures install a [`FaultInjector`] schedule through
+    /// [`SdNodeServer::start_with`] instead of calling this by hand; this
+    /// manual restart remains useful for coarse crash-recovery tests.
     pub fn restart_daemon(&mut self) -> Result<(), McsdError> {
         self.stop();
-        let log_dir = self.share.root().join(LOG_SUBDIR);
-        let mut config = DaemonConfig::new(&log_dir)
-            .with_faults(self.injector.clone())
-            .with_admission(self.max_in_flight, self.max_queued)
-            .with_tracer(self.tracer.clone());
-        if let Some(replica) = self.replication {
-            config = config.with_replication(replica);
-        }
-        if let Some(b) = self.batch {
-            config = config.with_batching(b);
-        }
-        let daemon = Daemon::new(config, self.registry.clone()).spawn()?;
-        self.daemon = Some(daemon);
+        self.daemon = Some(Daemon::new(self.config.clone(), self.registry.clone()).spawn()?);
         Ok(())
     }
 }
@@ -283,13 +181,16 @@ impl McsdClient {
     /// Invoke a preloaded module and return its payload together with the
     /// virtual-time cost of the invocation round trip (log-file bytes over
     /// the network, two crossings).
-    pub fn invoke(
-        &self,
-        module: &str,
-        params: &[String],
-        timeout: Duration,
-    ) -> Result<(Vec<u8>, TimeBreakdown), McsdError> {
-        let outcome = self.inner.invoke(module, params, timeout)?;
+    pub fn invoke(&self, module: &str, params: &[String], timeout: Duration) -> WireOutcome {
+        self.priced(self.inner.invoke(module, params, timeout))
+    }
+
+    /// Price one finished round trip — the log-file bytes of both frames
+    /// over the network plus two fabric crossings, and the wall time the
+    /// host spent waiting as overhead — and lift a transport error into
+    /// the framework's error type.
+    fn priced(&self, outcome: Result<InvokeOutcome, SmartFamError>) -> WireOutcome {
+        let outcome = outcome?;
         let bytes = outcome.request_bytes + outcome.response_bytes;
         let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
         let cost = TimeBreakdown::network(self.latency * 2 + wire)
@@ -309,21 +210,11 @@ impl McsdClient {
         params: &[String],
         deadline: Duration,
         policy: &RetryPolicy,
-    ) -> (Result<(Vec<u8>, TimeBreakdown), McsdError>, ResilienceStats) {
+    ) -> (WireOutcome, ResilienceStats) {
         let call = self
             .inner
             .invoke_resilient(module, params, deadline, policy);
-        let outcome = match call.outcome {
-            Ok(outcome) => {
-                let bytes = outcome.request_bytes + outcome.response_bytes;
-                let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
-                let cost = TimeBreakdown::network(self.latency * 2 + wire)
-                    + TimeBreakdown::overhead(outcome.elapsed);
-                Ok((outcome.payload, cost))
-            }
-            Err(e) => Err(McsdError::SmartFam(e)),
-        };
-        (outcome, call.stats)
+        (self.priced(call.outcome), call.stats)
     }
 
     /// Invoke one module once per parameter set through a pipelined
@@ -342,16 +233,7 @@ impl McsdClient {
         let outcomes = run
             .outcomes
             .into_iter()
-            .map(|outcome| match outcome {
-                Ok(outcome) => {
-                    let bytes = outcome.request_bytes + outcome.response_bytes;
-                    let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
-                    let cost = TimeBreakdown::network(self.latency * 2 + wire)
-                        + TimeBreakdown::overhead(outcome.elapsed);
-                    Ok((outcome.payload, cost))
-                }
-                Err(e) => Err(McsdError::SmartFam(e)),
-            })
+            .map(|outcome| self.priced(outcome))
             .collect();
         (outcomes, run.stats)
     }
@@ -373,6 +255,7 @@ mod tests {
     use crate::modules::WordCountModule;
     use mcsd_apps::{datagen, seq, Matrix, TextGen};
     use mcsd_cluster::{paper_testbed, Scale};
+    use mcsd_smartfam::BatchConfig;
 
     const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -488,19 +371,25 @@ mod tests {
         assert_eq!(bins, mcsd_apps::histogram::seq_histogram(&data));
     }
 
+    /// The daemon's batch-commit counters once `appends` responses were
+    /// coalesced: it bumps them a beat after the response bytes become
+    /// host-visible, so wait them out (bounded).
+    fn commits_after(server: &SdNodeServer, appends: u64) -> BatchStats {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.batch_stats().coalesced_appends < appends
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server.batch_stats()
+    }
+
     #[test]
     fn batched_node_serves_a_pipelined_window() {
         let cluster = cluster();
-        let server = SdNodeServer::start_batched(
-            &cluster,
-            FaultInjector::disabled(),
-            64,
-            1024,
-            Tracer::disabled(),
-            None,
-            Some(BatchConfig::default()),
-        )
-        .unwrap();
+        let server =
+            SdNodeServer::start_with(&cluster, |d| d.with_batching(BatchConfig::default()))
+                .unwrap();
         let mut calls = Vec::new();
         let mut expect = Vec::new();
         for i in 0..5u64 {
@@ -524,17 +413,65 @@ mod tests {
         // Window counters are host-side; commit counters are daemon-side.
         assert!(window.window_occupancy >= calls.len() as u64);
         assert_eq!(window.batches, 0);
-        // The daemon bumps its commit counters a beat after the response
-        // bytes become host-visible — wait them out.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while server.batch_stats().coalesced_appends < 5 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let commits = server.batch_stats();
+        let commits = commits_after(&server, 5);
         assert_eq!(commits.coalesced_appends, 5);
         assert!(commits.batches >= 1);
         assert!(commits.fsyncs <= commits.coalesced_appends);
         assert_eq!(server.daemon_stats().ok, 5);
+    }
+
+    #[test]
+    fn restart_respawns_the_daemon_from_the_config_it_booted_with() {
+        use mcsd_smartfam::module::FnModule;
+        use mcsd_smartfam::ReplicaConfig;
+        let cluster = cluster();
+        let mut server = SdNodeServer::start_with(&cluster, |daemon| {
+            daemon
+                .with_admission(1, 2)
+                .with_replication(ReplicaConfig::new(2, 1).unwrap())
+                .with_batching(BatchConfig::default())
+        })
+        .unwrap();
+        server
+            .registry()
+            .register(Arc::new(FnModule::new("echo", |p: &[String]| {
+                Ok(p.join("|").into_bytes())
+            })));
+        // Submit while the daemon is down: the next incarnation's
+        // single-threaded replay scan then makes every admission decision
+        // in one sweep, so the shed count is arithmetic, not timing.
+        server.stop();
+        let client = server.host_client();
+        let pendings: Vec<_> = (0..5)
+            .map(|i| {
+                client
+                    .smartfam()
+                    .submit("echo", &[format!("r{i}")])
+                    .unwrap()
+            })
+            .collect();
+        let mirror = server.config.log_dir.join(".replica1/echo.log");
+        assert!(!mirror.exists(), "no response has been mirrored yet");
+        server.restart_daemon().unwrap();
+        // Admission limits: a batched daemon queues every admitted request,
+        // so the 2-deep queue takes r0 and r1 and sheds the other three.
+        for (i, pending) in pendings.into_iter().enumerate() {
+            match pending.wait(TIMEOUT) {
+                Ok(outcome) => {
+                    assert!(i < 2, "request {i} should have been shed");
+                    assert_eq!(outcome.payload, format!("r{i}").into_bytes());
+                }
+                Err(SmartFamError::Overloaded { .. }) => {
+                    assert!(i >= 2, "request {i} should have been served");
+                }
+                Err(other) => panic!("request {i}: unexpected error {other}"),
+            }
+        }
+        assert_eq!(server.daemon_stats().shed, 3);
+        // Batching: the two served responses went out as coalesced commits.
+        assert_eq!(commits_after(&server, 2).coalesced_appends, 2);
+        // Replication: the responses were mirrored onto the group.
+        assert!(std::fs::metadata(&mirror).unwrap().len() > 0);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::report::{DesStats, RackReport};
 use mcsd_cluster::{NodeId, RackSpec, RackTopology, Scale};
 use mcsd_obs::names::{EVENT_DES_ARRIVE, EVENT_DES_COMPLETE, EVENT_DES_DISPATCH, EVENT_DES_SHED};
 use mcsd_obs::{ClockDomain, Tracer};
+use mcsd_smartfam::faults::SplitMix64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -106,14 +107,6 @@ pub struct RackRun {
     pub placements: Vec<(u64, OffloadDecision)>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Synthesize the job stream for `cfg` — a pure function of the config,
 /// shared by [`run`] and the parity tests. Jobs draw from the paper's
 /// three applications (word count, string match, matrix multiply) with
@@ -121,10 +114,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub fn synthesize_workload(cfg: &DesConfig, topo: &RackTopology) -> Vec<DesJob> {
     let hosts = topo.host_ids();
     let sds = topo.sd_ids();
-    let mut rng = cfg.seed;
+    let mut rng = SplitMix64::new(cfg.seed);
     (0..cfg.jobs)
         .map(|id| {
-            let r = splitmix64(&mut rng);
+            let r = rng.next_u64();
             let (name, compute_per_byte) = match r % 3 {
                 0 => ("wordcount", 10.0),
                 1 => ("stringmatch", 20.0),
@@ -341,17 +334,6 @@ pub fn run(cfg: &DesConfig, tracer: &Tracer) -> RackRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_mixes() {
-        let mut a = 42;
-        let mut b = 42;
-        let xs: Vec<u64> = (0..4).map(|_| splitmix64(&mut a)).collect();
-        let ys: Vec<u64> = (0..4).map(|_| splitmix64(&mut b)).collect();
-        assert_eq!(xs, ys);
-        let mut c = 43;
-        assert_ne!(splitmix64(&mut c), xs[0]);
-    }
 
     #[test]
     fn event_order_puts_completions_before_same_instant_arrivals() {

@@ -305,26 +305,61 @@ impl ShardQueue {
     }
 }
 
-/// The unified offload scheduler: decision state shared by every
-/// front-end path (see the module docs).
-pub struct Engine {
-    offloader: Mutex<Offloader>,
+/// Everything the engine mutates, behind [`Engine`]'s one lock.
+struct State {
+    offloader: Offloader,
     /// One breaker per SD slot, persistent across calls/runs so a node
     /// that failed stays avoided until it proves itself.
-    breakers: Mutex<Vec<CircuitBreaker>>,
+    breakers: Vec<CircuitBreaker>,
     /// Logical clock driving the breakers (one quantum per decision).
-    clock: Mutex<Duration>,
+    clock: Duration,
     /// Scheduler-owned overload counters (steers, re-partitions); breaker
     /// opens/probes live in the breakers and are merged at read time.
-    overload: Mutex<OverloadStats>,
+    overload: OverloadStats,
     /// Host-side recovery counters absorbed from dispatch outcomes.
-    stats: Mutex<ResilienceStats>,
+    stats: ResilienceStats,
     /// Window-side batch counters absorbed from pipelined dispatches
     /// (the daemon owns the commit-side fields; merged at read time by
     /// [`Engine::batch_report`]).
-    batch: Mutex<BatchStats>,
-    degradations: Mutex<Vec<String>>,
-    decision_log: Mutex<Vec<(String, OffloadDecision)>>,
+    batch: BatchStats,
+    degradations: Vec<String>,
+    decision_log: Vec<(String, OffloadDecision)>,
+}
+
+impl State {
+    /// The engine's own overload counters plus the breakers' cumulative
+    /// opens and half-open probes.
+    fn overload_totals(&self) -> OverloadStats {
+        let mut totals = self.overload;
+        totals.breaker_opens += self.breakers.iter().map(CircuitBreaker::opens).sum::<u64>();
+        totals.half_open_probes += self
+            .breakers
+            .iter()
+            .map(CircuitBreaker::half_open_probes)
+            .sum::<u64>();
+        totals
+    }
+}
+
+/// Where the gate sent one call.
+enum Gated {
+    /// SD-admitted: dispatch `params` to the module, then settle against
+    /// breaker slot `sd_index`.
+    Sd {
+        sd_index: usize,
+        params: Vec<String>,
+        staging: TimeBreakdown,
+    },
+    /// Host-placed, by policy or by a steer.
+    Host(OffloadDecision),
+}
+
+/// The unified offload scheduler: decision state shared by every
+/// front-end path (see the module docs).
+pub struct Engine {
+    state: Mutex<State>,
+    /// SD slot count (= the host slot's index in [`Engine::run_span`]).
+    sd_slots: usize,
     config: EngineConfig,
 }
 
@@ -333,57 +368,66 @@ impl Engine {
     /// (the framework gates its single live SD node with one slot; the
     /// multi-SD runner gives every modelled SD node its own).
     pub fn new(offloader: Offloader, sd_slots: usize, config: EngineConfig) -> Engine {
+        let sd_slots = sd_slots.max(1);
         Engine {
-            offloader: Mutex::new(offloader),
-            breakers: Mutex::new(vec![CircuitBreaker::new(config.breaker); sd_slots.max(1)]),
-            clock: Mutex::new(Duration::ZERO),
-            overload: Mutex::new(OverloadStats::default()),
-            stats: Mutex::new(ResilienceStats::default()),
-            batch: Mutex::new(BatchStats::default()),
-            degradations: Mutex::new(Vec::new()),
-            decision_log: Mutex::new(Vec::new()),
+            state: Mutex::new(State {
+                offloader,
+                breakers: vec![CircuitBreaker::new(config.breaker); sd_slots],
+                clock: Duration::ZERO,
+                overload: OverloadStats::default(),
+                stats: ResilienceStats::default(),
+                batch: BatchStats::default(),
+                degradations: Vec::new(),
+                decision_log: Vec::new(),
+            }),
+            sd_slots,
             config,
         }
     }
 
+    /// Run `f` on the decision state under the engine's one lock.
+    ///
+    /// The lock rule (DESIGN.md §13): the guard never leaves this
+    /// function, and every `f` is a closure in this file that touches
+    /// `State` only — none calls a caller-supplied hook (`queued_load`,
+    /// `prepare`, `dispatch`, `decode`, `run_host`, `attempt`) or this
+    /// function again. Hooks may therefore call any public method of the
+    /// engine they are running under, and there is no lock order to get
+    /// wrong.
+    fn with<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
+        f(&mut self.state.lock())
+    }
+
     /// Ask the policy where a job should run.
     pub fn decide(&self, profile: &JobProfile) -> OffloadDecision {
-        self.offloader.lock().decide(profile)
+        self.with(|s| s.offloader.decide(profile))
     }
 
     /// Current state of each SD slot's circuit breaker, in slot order.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.breakers.lock().iter().map(|b| b.state()).collect()
+        self.with(|s| s.breakers.iter().map(CircuitBreaker::state).collect())
     }
 
     /// Current state of one slot's breaker (clamped to the last slot).
     pub fn breaker_state(&self, slot: usize) -> BreakerState {
-        let breakers = self.breakers.lock();
-        breakers[slot.min(breakers.len() - 1)].state()
+        self.with(|s| s.breakers[slot.min(self.sd_slots - 1)].state())
     }
 
     /// Human-readable record of every graceful degradation, in order.
     pub fn degradations(&self) -> Vec<String> {
-        self.degradations.lock().clone()
+        self.with(|s| s.degradations.clone())
     }
 
     /// Where each call actually ran, in call order — including
     /// [`OffloadDecision::FallbackToHost`] entries for degraded runs.
     pub fn decision_log(&self) -> Vec<(String, OffloadDecision)> {
-        self.decision_log.lock().clone()
+        self.with(|s| s.decision_log.clone())
     }
 
     /// Scheduler-side overload totals: the engine's own counters plus the
     /// breakers' cumulative opens and half-open probes.
     pub fn overload_totals(&self) -> OverloadStats {
-        let mut totals = *self.overload.lock();
-        let breakers = self.breakers.lock();
-        totals.breaker_opens += breakers.iter().map(CircuitBreaker::opens).sum::<u64>();
-        totals.half_open_probes += breakers
-            .iter()
-            .map(CircuitBreaker::half_open_probes)
-            .sum::<u64>();
-        totals
+        self.with(|s| s.overload_totals())
     }
 
     /// Overload counters accumulated since `baseline` (a prior
@@ -406,11 +450,11 @@ impl Engine {
     /// skip, shed and expiry counts (owned there so they are never
     /// double-counted; DESIGN.md §13).
     pub fn resilience_report(&self, daemon: &DaemonStats) -> ResilienceStats {
-        let mut stats = *self.stats.lock();
+        let (mut stats, overload) = self.with(|s| (s.stats, s.overload_totals()));
         stats.replayed += daemon.replayed;
         stats.quarantines += daemon.quarantined;
         stats.corrupt_skipped_bytes += daemon.corrupt_skipped_bytes;
-        stats.overload.absorb(&self.overload_totals());
+        stats.overload.absorb(&overload);
         stats.overload.shed += daemon.shed;
         stats.overload.expired += daemon.expired;
         stats
@@ -421,7 +465,7 @@ impl Engine {
     /// fields are daemon-owned and must stay zero in `stats` — mixing
     /// them in here would double-count them in [`Engine::batch_report`].
     pub fn absorb_batch(&self, stats: &BatchStats) {
-        self.batch.lock().absorb(stats);
+        self.with(|s| s.batch.absorb(stats));
     }
 
     /// Batched-mode counters merged for a caller-facing report: the
@@ -430,7 +474,7 @@ impl Engine {
     /// appends, fsyncs, fsyncs saved), merged at read time exactly like
     /// [`Engine::resilience_report`] so neither side is double-counted.
     pub fn batch_report(&self, daemon: &BatchStats) -> BatchStats {
-        let mut stats = *self.batch.lock();
+        let mut stats = self.with(|s| s.batch);
         stats.absorb(daemon);
         stats
     }
@@ -488,74 +532,48 @@ impl Engine {
         );
     }
 
-    fn tick(&self) -> Duration {
-        let mut clock = self.clock.lock();
-        *clock += BREAKER_QUANTUM;
-        *clock
+    /// Record one decision event on the engine's trace track.
+    fn event(&self, name: &'static str, attrs: &[(&'static str, &str)]) {
+        self.config.tracer.event(self.trace_track(), name, attrs);
     }
 
-    fn now(&self) -> Duration {
-        *self.clock.lock()
+    /// Ask `slot`'s circuit breaker (clamped to the last SD slot) whether
+    /// a request may go there, and trace a half-open probe. `tick` pays
+    /// the decision's clock quantum first; a re-check of the slot a
+    /// decision already paid for passes `false`.
+    fn breaker_gate(&self, label: &str, slot: usize, tick: bool) -> Admission {
+        let slot = slot.min(self.sd_slots - 1);
+        let admission = self.with(|s| {
+            if tick {
+                s.clock += BREAKER_QUANTUM;
+            }
+            s.breakers[slot].admission(s.clock)
+        });
+        if admission == Admission::Probe {
+            self.event(EVENT_MCSD_BREAKER_PROBE, &[("job", label)]);
+        }
+        admission
     }
 
-    fn note_decision(&self, job: &str, decision: OffloadDecision) {
-        if matches!(decision, OffloadDecision::SmartStorage { .. }) {
-            self.config
-                .tracer
-                .event(self.trace_track(), EVENT_MCSD_OFFLOAD, &[("job", job)]);
+    /// Report one dispatch outcome to `slot`'s breaker (clamped like
+    /// [`Engine::breaker_gate`]; at the current clock, without ticking:
+    /// the decision already paid its quantum) and trace a trip when it
+    /// opens.
+    fn breaker_feedback(&self, label: &str, slot: usize, ok: bool) {
+        let slot = slot.min(self.sd_slots - 1);
+        let tripped = self.with(|s| {
+            let breaker = &mut s.breakers[slot];
+            let opens_before = breaker.opens();
+            if ok {
+                breaker.on_success(s.clock);
+            } else {
+                breaker.on_failure(s.clock);
+            }
+            breaker.opens() > opens_before
+        });
+        if tripped {
+            self.event(EVENT_MCSD_BREAKER_OPEN, &[("module", label)]);
         }
-        self.decision_log.lock().push((job.to_string(), decision));
-    }
-
-    /// Overload gate for one offload: consult the slot's circuit breaker
-    /// and the daemon's heartbeat-reported load. Returns `false` (and
-    /// counts a steered span) when the job must go to the host instead.
-    fn sd_admitted(
-        &self,
-        job: &str,
-        slot: usize,
-        queued_load: impl FnOnce() -> Option<u64>,
-    ) -> bool {
-        let now = self.tick();
-        let admission = {
-            let mut breakers = self.breakers.lock();
-            let slot = slot.min(breakers.len() - 1);
-            breakers[slot].admission(now)
-        };
-        if matches!(admission, Admission::Probe) {
-            self.config.tracer.event(
-                self.trace_track(),
-                EVENT_MCSD_BREAKER_PROBE,
-                &[("job", job)],
-            );
-        }
-        let admitted = match admission {
-            Admission::Reject => false,
-            Admission::Allow | Admission::Probe => true,
-        };
-        // Even a closed breaker defers to a saturated daemon: a queue at
-        // the steering threshold means the request would mostly wait (or
-        // be shed), so the host is the faster and kinder choice.
-        let saturated =
-            admitted && queued_load().is_some_and(|queued| queued >= self.config.steer_queue_depth);
-        if admitted && !saturated {
-            return true;
-        }
-        self.overload.lock().steered_spans += 1;
-        let reason = if saturated {
-            "daemon queue saturated"
-        } else {
-            "circuit breaker open"
-        };
-        self.config.tracer.event(
-            self.trace_track(),
-            EVENT_MCSD_STEER,
-            &[("job", job), ("reason", reason)],
-        );
-        self.degradations
-            .lock()
-            .push(format!("{job}: steered to host ({reason})"));
-        false
     }
 
     /// Memory-budget admission for an SD offload: decide the partition
@@ -583,63 +601,122 @@ impl Engine {
             min_fragment_bytes: refusal.min_fragment_bytes,
         })?;
         if plan.repartitions > 0 {
-            self.config.tracer.event(
-                self.trace_track(),
+            self.event(
                 EVENT_MCSD_REPARTITION,
                 &[("job", job), ("halvings", &plan.repartitions.to_string())],
             );
         }
-        self.overload.lock().repartitions += plan.repartitions;
+        self.with(|s| s.overload.repartitions += plan.repartitions);
         Ok(plan.partition_param())
     }
 
-    /// Report one dispatch outcome to a slot's breaker (at the current
-    /// clock, without ticking: the decision already paid its quantum) and
-    /// trace a trip when it opens.
-    fn breaker_feedback(&self, module: &str, slot: usize, ok: bool) {
-        let now = self.now();
-        let mut breakers = self.breakers.lock();
-        let slot = slot.min(breakers.len() - 1);
-        let opens_before = breakers[slot].opens();
-        if ok {
-            breakers[slot].on_success(now);
-        } else {
-            breakers[slot].on_failure(now);
+    /// The gate, the first half of the per-call state machine: decide →
+    /// breaker/load admission → memory admission → [`OffloadCall::prepare`].
+    /// An `Err` (memory refusal, staging failure) is the call's result.
+    fn gate<C: OffloadCall>(
+        &self,
+        call: &mut C,
+        queued_load: impl FnOnce() -> Option<u64>,
+    ) -> Result<Gated, McsdError> {
+        let job = call.job();
+        let decision = self.decide(&call.profile());
+        let OffloadDecision::SmartStorage { sd_index } = decision else {
+            return Ok(Gated::Host(decision));
+        };
+        let admitted = self.breaker_gate(job, sd_index, true) != Admission::Reject;
+        // Even a closed breaker defers to a saturated daemon: a queue at
+        // the steering threshold means the request would mostly wait (or
+        // be shed), so the host is the faster and kinder choice.
+        let saturated =
+            admitted && queued_load().is_some_and(|queued| queued >= self.config.steer_queue_depth);
+        if !admitted || saturated {
+            let reason = if saturated {
+                "daemon queue saturated"
+            } else {
+                "circuit breaker open"
+            };
+            self.event(EVENT_MCSD_STEER, &[("job", job), ("reason", reason)]);
+            self.with(|s| {
+                s.overload.steered_spans += 1;
+                s.degradations
+                    .push(format!("{job}: steered to host ({reason})"));
+            });
+            return Ok(Gated::Host(OffloadDecision::SteeredToHost));
         }
-        if breakers[slot].opens() > opens_before {
-            self.config.tracer.event(
-                self.trace_track(),
-                EVENT_MCSD_BREAKER_OPEN,
-                &[("module", module)],
-            );
+        let partition = match call.admission() {
+            Some(request) => self.admit_memory(job, &request)?,
+            None => None,
+        };
+        let (mut params, staging) = call.prepare()?;
+        // Protocol rule, one copy here: the admission-planned partition
+        // parameter always rides as the final module parameter.
+        params.extend(partition);
+        Ok(Gated::Sd {
+            sd_index,
+            params,
+            staging,
+        })
+    }
+
+    /// The settle, the second half: absorb the dispatch's recovery
+    /// counters → breaker feedback → record the decision → decode; a
+    /// dispatch that failed for good degrades to host execution, or
+    /// surfaces its error when fallback is off.
+    fn settle<C: OffloadCall>(
+        &self,
+        call: &mut C,
+        sd_index: usize,
+        staging: TimeBreakdown,
+        (outcome, mut stats): SdDispatch,
+    ) -> Result<(C::Output, TimeBreakdown), McsdError> {
+        let job = call.job();
+        // The daemon owns corrupt-skip accounting (DESIGN.md §10/§12):
+        // the host's recovering reader skips the same corrupt bytes in
+        // the same shared log the daemon's scan skips, and
+        // `resilience_report` merges the daemon's count at read time —
+        // absorbing the host's count here would double it. Per-call
+        // outcomes still carry the host-side count for direct
+        // `HostClient` callers.
+        stats.corrupt_skipped_bytes = 0;
+        self.with(|s| s.stats.absorb(&stats));
+        self.breaker_feedback(job, sd_index, outcome.is_ok());
+        match outcome {
+            Ok((payload, cost)) => {
+                self.event(EVENT_MCSD_OFFLOAD, &[("job", job)]);
+                let decision = OffloadDecision::SmartStorage { sd_index };
+                self.with(|s| s.decision_log.push((job.to_string(), decision)));
+                Ok((call.decode(&payload)?, staging + cost))
+            }
+            Err(err) if self.config.fallback_to_host => {
+                // The event carries the stable error *kind*, not the
+                // rendered message — Display output can embed request
+                // ids, which would break byte-identical traces.
+                self.event(EVENT_MCSD_FALLBACK, &[("job", job), ("error", err.kind())]);
+                self.with(|s| {
+                    s.stats.failovers += 1;
+                    s.degradations
+                        .push(format!("{job}: {err}; degraded to host execution"));
+                });
+                self.settle_on_host(call, OffloadDecision::FallbackToHost)
+            }
+            Err(err) => Err(err),
         }
     }
 
-    /// The SD path failed for good. Either degrade to host execution
-    /// (recording the failover) or surface the error, per configuration.
-    fn degrade(&self, job: &str, err: McsdError) -> Result<OffloadDecision, McsdError> {
-        if !self.config.fallback_to_host {
-            return Err(err);
-        }
-        self.stats.lock().failovers += 1;
-        // The event carries the stable error *kind*, not the rendered
-        // message — Display output can embed request ids, which would
-        // break byte-identical traces.
-        self.config.tracer.event(
-            self.trace_track(),
-            EVENT_MCSD_FALLBACK,
-            &[("job", job), ("error", err.kind())],
-        );
-        self.degradations
-            .lock()
-            .push(format!("{job}: {err}; degraded to host execution"));
-        Ok(OffloadDecision::FallbackToHost)
+    /// Record a host placement (policy, steer or failover) and run it.
+    fn settle_on_host<C: OffloadCall>(
+        &self,
+        call: &mut C,
+        decision: OffloadDecision,
+    ) -> Result<(C::Output, TimeBreakdown), McsdError> {
+        self.with(|s| s.decision_log.push((call.job().to_string(), decision)));
+        call.run_host()
     }
 
     /// Drive the full per-call state machine for one typed offload call:
-    /// decide → breaker/load gate → memory admission → stage + dispatch →
-    /// breaker feedback → decode, degrading to [`OffloadCall::run_host`]
-    /// on steer, host placement, or terminal SD failure.
+    /// gate → dispatch → settle (DESIGN.md §13), running
+    /// [`OffloadCall::run_host`] on steer, host placement, or terminal SD
+    /// failure.
     ///
     /// `queued_load` reads the daemon heartbeat's queued-request count
     /// (`None` when no heartbeat is available); `dispatch` performs one
@@ -651,58 +728,31 @@ impl Engine {
         queued_load: impl FnOnce() -> Option<u64>,
         dispatch: impl FnOnce(&str, &[String]) -> SdDispatch,
     ) -> Result<(C::Output, TimeBreakdown), McsdError> {
-        let job = call.job();
-        let profile = call.profile();
-        let mut decision = self.decide(&profile);
-        if let OffloadDecision::SmartStorage { sd_index } = decision {
-            if !self.sd_admitted(job, sd_index, queued_load) {
-                decision = OffloadDecision::SteeredToHost;
+        match self.gate(call, queued_load)? {
+            Gated::Sd {
+                sd_index,
+                params,
+                staging,
+            } => {
+                let dispatched = dispatch(call.job(), &params);
+                self.settle(call, sd_index, staging, dispatched)
             }
+            Gated::Host(decision) => self.settle_on_host(call, decision),
         }
-        if let OffloadDecision::SmartStorage { sd_index } = decision {
-            let partition = match call.admission() {
-                Some(request) => self.admit_memory(job, &request)?,
-                None => None,
-            };
-            let (mut params, staging) = call.prepare()?;
-            // Protocol rule, one copy here: the admission-planned partition
-            // parameter always rides as the final module parameter.
-            params.extend(partition);
-            let (outcome, mut stats) = dispatch(job, &params);
-            // The daemon owns corrupt-skip accounting (DESIGN.md §10/§12):
-            // the host's recovering reader skips the same corrupt bytes in
-            // the same shared log the daemon's scan skips, and
-            // `resilience_report` merges the daemon's count at read time —
-            // absorbing the host's count here would double it. Per-call
-            // outcomes still carry the host-side count for direct
-            // `HostClient` callers.
-            stats.corrupt_skipped_bytes = 0;
-            self.stats.lock().absorb(&stats);
-            self.breaker_feedback(job, sd_index, outcome.is_ok());
-            match outcome {
-                Ok((payload, cost)) => {
-                    self.note_decision(job, decision);
-                    let out = call.decode(&payload)?;
-                    return Ok((out, staging + cost));
-                }
-                Err(e) => decision = self.degrade(job, e)?,
-            }
-        }
-        self.note_decision(job, decision);
-        call.run_host()
     }
 
-    /// Drive a *batch* of typed calls through the same per-call state
-    /// machine as [`Engine::run_call`], but with the SD dispatches
-    /// grouped into one pipelined window instead of N lockstep round
-    /// trips (DESIGN.md §18).
+    /// Drive a *batch* of typed calls through the same gate and settle as
+    /// [`Engine::run_call`], but with the SD dispatches grouped into one
+    /// pipelined window instead of N lockstep round trips (DESIGN.md
+    /// §18): gate each → one window → settle each.
     ///
     /// Every gate still applies **per request inside the batch**: each
     /// call pays its own breaker admission + heartbeat-load check, its
     /// own memory-budget admission, and its own breaker feedback; a call
     /// that fails its gate is steered to the host without disturbing its
     /// neighbours, and a call whose windowed dispatch fails degrades (or
-    /// surfaces its error) individually. Only the transport is batched.
+    /// surfaces its error) individually. Only the transport is batched —
+    /// and so every gate of the batch runs before any of its settles.
     ///
     /// `dispatch_window` receives the `(module, params)` pairs of every
     /// SD-admitted call, in submit order, and must return exactly one
@@ -715,131 +765,48 @@ impl Engine {
         queued_load: impl Fn() -> Option<u64>,
         dispatch_window: impl FnOnce(&[(String, Vec<String>)]) -> Vec<SdDispatch>,
     ) -> Vec<Result<(C::Output, TimeBreakdown), McsdError>> {
-        /// Where one call of the batch is headed after its gates ran.
-        enum Plan {
-            /// SD-admitted: entry `wx` of the window, on breaker `slot`.
-            Windowed {
-                slot: usize,
-                staging: TimeBreakdown,
-                wx: usize,
-            },
-            /// Host-placed (policy or steer): run in phase 3, in order.
-            Host(OffloadDecision),
-            /// Gate error (admission/prepare): result already recorded.
-            Failed,
-        }
-
-        type Slot<T> = Option<Result<(T, TimeBreakdown), McsdError>>;
-        let mut results: Vec<Slot<C::Output>> = calls.iter().map(|_| None).collect();
         let mut window: Vec<(String, Vec<String>)> = Vec::new();
-        let mut plans: Vec<Plan> = Vec::with_capacity(calls.len());
-
-        // Phase 1 — per-request gating, in submit order. Mirrors the top
-        // of `run_call` exactly: decide → breaker/load gate → memory
-        // admission → prepare.
-        for (i, call) in calls.iter_mut().enumerate() {
-            let job = call.job();
-            let profile = call.profile();
-            let mut decision = self.decide(&profile);
-            if let OffloadDecision::SmartStorage { sd_index } = decision {
-                if !self.sd_admitted(job, sd_index, &queued_load) {
-                    decision = OffloadDecision::SteeredToHost;
-                }
+        let mut gated = Vec::with_capacity(calls.len());
+        for call in calls.iter_mut() {
+            let mut placed = self.gate(call, &queued_load);
+            // The window takes the params; the settle needs only the rest.
+            if let Ok(Gated::Sd { params, .. }) = &mut placed {
+                window.push((call.job().to_string(), std::mem::take(params)));
             }
-            let OffloadDecision::SmartStorage { sd_index } = decision else {
-                plans.push(Plan::Host(decision));
-                continue;
-            };
-            let partition = match call.admission() {
-                Some(request) => match self.admit_memory(job, &request) {
-                    Ok(partition) => partition,
-                    Err(e) => {
-                        results[i] = Some(Err(e));
-                        plans.push(Plan::Failed);
-                        continue;
-                    }
-                },
-                None => None,
-            };
-            match call.prepare() {
-                Ok((mut params, staging)) => {
-                    params.extend(partition);
-                    let wx = window.len();
-                    window.push((job.to_string(), params));
-                    plans.push(Plan::Windowed {
-                        slot: sd_index,
-                        staging,
-                        wx,
-                    });
-                }
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    plans.push(Plan::Failed);
-                }
-            }
+            gated.push(placed);
         }
-
-        // Phase 2 — one pipelined window over every admitted request.
-        let mut dispatched: Vec<Option<SdDispatch>> = if window.is_empty() {
+        let dispatched = if window.is_empty() {
             Vec::new()
         } else {
-            dispatch_window(&window).into_iter().map(Some).collect()
+            dispatch_window(&window)
         };
         assert_eq!(
             dispatched.len(),
             window.len(),
             "dispatch_window must answer every admitted request"
         );
-
-        // Phase 3 — per-request completion, in submit order: stats,
-        // breaker feedback, decode / degrade — the bottom of `run_call`.
-        for (i, call) in calls.iter_mut().enumerate() {
-            let job = call.job();
-            match plans[i] {
-                Plan::Failed => {}
-                Plan::Host(decision) => {
-                    self.note_decision(job, decision);
-                    results[i] = Some(call.run_host());
+        let mut dispatched = dispatched.into_iter();
+        calls
+            .iter_mut()
+            .zip(gated)
+            .map(|(call, placed)| match placed? {
+                Gated::Sd {
+                    sd_index, staging, ..
+                } => {
+                    // tidy:allow(MCSD002) -- construction invariant: the loop above pushed one window entry per `Gated::Sd` and the assert matched the dispatches to the window one-to-one; running dry is a bug here that must fail loudly
+                    let dispatch = dispatched.next().expect("one dispatch per admitted call");
+                    self.settle(call, sd_index, staging, dispatch)
                 }
-                Plan::Windowed { slot, staging, wx } => {
-                    let (outcome, mut stats) =
-                        // tidy:allow(MCSD002) -- construction invariant: each windowed plan owns exactly one dispatch slot, assigned a few lines up; a double-take is a planner bug that must fail loudly
-                        dispatched[wx].take().expect("window entry consumed once");
-                    // Same ownership rule as `run_call`: the daemon owns
-                    // corrupt-skip accounting (DESIGN.md §10/§12).
-                    stats.corrupt_skipped_bytes = 0;
-                    self.stats.lock().absorb(&stats);
-                    self.breaker_feedback(job, slot, outcome.is_ok());
-                    results[i] = Some(match outcome {
-                        Ok((payload, cost)) => {
-                            self.note_decision(
-                                job,
-                                OffloadDecision::SmartStorage { sd_index: slot },
-                            );
-                            call.decode(&payload).map(|out| (out, staging + cost))
-                        }
-                        Err(e) => match self.degrade(job, e) {
-                            Ok(decision) => {
-                                self.note_decision(job, decision);
-                                call.run_host()
-                            }
-                            Err(e) => Err(e),
-                        },
-                    });
-                }
-            }
-        }
-        results
-            .into_iter()
-            // tidy:allow(MCSD002) -- construction invariant: the planning loop above fills every slot (Failed/Host/Windowed all write results[i]); a hole is a planner bug that must fail loudly
-            .map(|r| r.expect("every call planned exactly once"))
+                Gated::Host(decision) => self.settle_on_host(call, decision),
+            })
             .collect()
     }
 
     /// Drive the re-dispatch chain for one multi-SD input span: primary
     /// slot, in-place retry, surviving SD slots in order, finally the
     /// host slot (= SD count), which is never breaker-gated and so
-    /// terminates every chain.
+    /// terminates every chain. A `primary` that is not an SD slot is a
+    /// [`McsdError::BadScenario`].
     ///
     /// `attempt(slot)` runs the span once on `slot` and reports whether
     /// an *injected* failure ate the output (`true` loses the run and
@@ -855,7 +822,15 @@ impl Engine {
         primary: usize,
         mut attempt: impl FnMut(usize) -> Result<(bool, T), McsdError>,
     ) -> Result<(SpanDisposition, T), McsdError> {
-        let host_slot = self.breakers.lock().len();
+        let host_slot = self.sd_slots;
+        if primary >= host_slot {
+            return Err(McsdError::BadScenario {
+                detail: format!(
+                    "span {span_index}: primary slot {primary} is not one of the {host_slot} SD slots"
+                ),
+            });
+        }
+        let label = format!("span{span_index}");
         let mut candidates = vec![primary, primary];
         candidates.extend((0..host_slot).filter(|&j| j != primary));
         candidates.push(host_slot);
@@ -867,13 +842,9 @@ impl Engine {
             // An SD candidate must get past its circuit breaker; the host
             // terminates every chain and is never gated.
             if slot != host_slot {
-                let now = if gated == Some(slot) {
-                    self.now()
-                } else {
-                    self.tick()
-                };
+                let admission = self.breaker_gate(&label, slot, gated != Some(slot));
                 gated = Some(slot);
-                if self.breakers.lock()[slot].admission(now) == Admission::Reject {
+                if admission == Admission::Reject {
                     if slot == primary {
                         steered = true;
                     }
@@ -881,13 +852,12 @@ impl Engine {
                 }
             }
             let (injected, out) = attempt(slot)?;
+            if slot != host_slot {
+                self.breaker_feedback(&label, slot, !injected);
+            }
             if injected {
                 failures += 1;
-                self.breakers.lock()[slot].on_failure(self.now());
                 continue;
-            }
-            if slot != host_slot {
-                self.breakers.lock()[slot].on_success(self.now());
             }
             let disposition = SpanDisposition {
                 slot,
@@ -895,11 +865,11 @@ impl Engine {
                 steered,
             };
             if disposition.left_primary(primary) {
-                self.overload.lock().steered_spans += 1;
+                self.with(|s| s.overload.steered_spans += 1);
             }
             return Ok((disposition, out));
         }
-        // Unreachable: the host terminates every attempt chain.
+        // Only an `attempt` that reports the host's run as lost gets here.
         Err(McsdError::BadScenario {
             detail: format!("span {span_index} exhausted its re-dispatch chain"),
         })
@@ -958,7 +928,7 @@ mod tests {
         assert_eq!((d.slot, d.failures, d.steered), (0, 0, false));
         assert!(!d.left_primary(0));
         assert_eq!(e.overload_totals(), OverloadStats::default());
-        assert_eq!(e.now(), Duration::from_millis(1));
+        assert_eq!(e.with(|s| s.clock), Duration::from_millis(1));
     }
 
     #[test]
@@ -1058,5 +1028,386 @@ mod tests {
         let delta = e.overload_delta(&baseline);
         assert_eq!(delta.breaker_opens, 0);
         assert_eq!(delta.steered_spans, 1);
+    }
+
+    #[test]
+    fn span_primary_outside_the_sd_slots_is_a_typed_error() {
+        let e = engine(2);
+        // Slot 2 is the host slot of a two-SD engine; neither it nor
+        // anything beyond names an SD primary.
+        for primary in [2, 7] {
+            let err = e
+                .run_span(5, primary, |_| -> Result<(bool, ()), McsdError> {
+                    panic!("a span without an SD primary must not be attempted")
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, McsdError::BadScenario { detail } if detail.contains("span 5")),
+                "unexpected error: {err}"
+            );
+        }
+        assert_eq!(e.with(|s| s.clock), Duration::ZERO, "no quantum was paid");
+    }
+
+    #[test]
+    fn span_chain_traces_breaker_trips_and_probes() {
+        let (e, tracer) = scripted_engine(1, true);
+        // Span 0 trips slot 0 (threshold 1); the next spans are steered
+        // to slot 1 while it cools down (3 quanta), then one is admitted
+        // as the probe and closes it again.
+        let _ = e.run_span(0, 0, |slot| Ok((slot == 0, ())));
+        for i in 1..=3 {
+            let _ = e.run_span(i, 0, |_| Ok((false, ())));
+        }
+        assert_eq!(e.breaker_state(0), BreakerState::Closed);
+        let trace = mcsd_obs::export::jsonl(&tracer);
+        assert!(trace.contains(EVENT_MCSD_BREAKER_OPEN), "{trace}");
+        assert!(trace.contains(EVENT_MCSD_BREAKER_PROBE), "{trace}");
+    }
+
+    /// What one scripted call of the driver tests below runs into.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fate {
+        Clean,
+        DispatchError,
+        LoadSteer,
+        Repartition,
+        MemoryRefusal,
+        PrepareError,
+        DecodeError,
+        HostPolicy,
+    }
+
+    impl Fate {
+        const ALL: [Fate; 8] = [
+            Fate::Clean,
+            Fate::DispatchError,
+            Fate::LoadSteer,
+            Fate::Repartition,
+            Fate::MemoryRefusal,
+            Fate::PrepareError,
+            Fate::DecodeError,
+            Fate::HostPolicy,
+        ];
+
+        fn name(self) -> &'static str {
+            match self {
+                Fate::Clean => "clean",
+                Fate::DispatchError => "dispatch-error",
+                Fate::LoadSteer => "load-steer",
+                Fate::Repartition => "repartition",
+                Fate::MemoryRefusal => "memory-refusal",
+                Fate::PrepareError => "prepare-error",
+                Fate::DecodeError => "decode-error",
+                Fate::HostPolicy => "host-policy",
+            }
+        }
+
+        /// A seeded mix of `n` fates that contains every fate.
+        fn seeded(seed: u64, n: usize) -> Vec<Fate> {
+            let mut rng = mcsd_smartfam::faults::SplitMix64::new(seed);
+            let fates: Vec<Fate> = (0..n)
+                .map(|_| Fate::ALL[(rng.next_u64() % Fate::ALL.len() as u64) as usize])
+                .collect();
+            for fate in Fate::ALL {
+                assert!(fates.contains(&fate), "seed {seed} never draws {fate:?}");
+            }
+            fates
+        }
+    }
+
+    /// What every hook of the driver tests does first when handed the
+    /// engine it is running under: read and write it. If the engine held
+    /// its lock across a hook, this would deadlock — so only the test
+    /// with a watchdog hands the engine over.
+    fn reenter(engine: Option<&Engine>) {
+        let Some(engine) = engine else { return };
+        let _ = engine.decision_log();
+        let _ = engine.degradations();
+        let _ = engine.breaker_state(0);
+        let _ = engine.resilience_report(&DaemonStats::default());
+        engine.absorb_batch(&BatchStats::default());
+        engine.record_transfer("reenter", "f", 1, &TimeBreakdown::default());
+    }
+
+    /// An [`OffloadCall`] that plays out its [`Fate`]. `profile` — the
+    /// first hook the gate calls — publishes the heartbeat load the
+    /// drivers' `queued_load` closure reads next, because that closure is
+    /// not told which call it is asked about.
+    struct Scripted<'a> {
+        engine: Option<&'a Engine>,
+        id: usize,
+        fate: Fate,
+        load: &'a std::cell::Cell<u64>,
+    }
+
+    impl OffloadCall for Scripted<'_> {
+        type Output = String;
+
+        fn job(&self) -> &'static str {
+            self.fate.name()
+        }
+
+        fn profile(&self) -> JobProfile {
+            reenter(self.engine);
+            self.load
+                .set(if self.fate == Fate::LoadSteer { 64 } else { 0 });
+            JobProfile {
+                name: self.fate.name().into(),
+                input_bytes: 1 << 20,
+                compute_per_byte: 10.0,
+                data_on_sd: self.fate != Fate::HostPolicy,
+            }
+        }
+
+        fn admission(&self) -> Option<MemoryAdmission> {
+            reenter(self.engine);
+            // The `admission.rs` unit-test shapes: two halvings fit the
+            // first; the second overflows even at the 4 KiB floor.
+            let (total_bytes, input_bytes) = match self.fate {
+                Fate::Repartition => (1_000_000, 900_000),
+                Fate::MemoryRefusal => (1_000, 900),
+                _ => return None,
+            };
+            Some(MemoryAdmission {
+                model: MemoryModel::new(total_bytes),
+                caller_partition: None,
+                input_bytes,
+                footprint_factor: 3.0,
+            })
+        }
+
+        fn prepare(&mut self) -> Result<(Vec<String>, TimeBreakdown), McsdError> {
+            reenter(self.engine);
+            if self.fate == Fate::PrepareError {
+                return Err(McsdError::BadScenario {
+                    detail: format!("call {} cannot stage", self.id),
+                });
+            }
+            Ok((
+                vec![self.fate.name().to_string(), self.id.to_string()],
+                TimeBreakdown::disk(Duration::from_micros(self.id as u64)),
+            ))
+        }
+
+        fn decode(&self, payload: &[u8]) -> Result<String, McsdError> {
+            reenter(self.engine);
+            if self.fate == Fate::DecodeError {
+                return Err(McsdError::BadScenario {
+                    detail: format!("call {} got garbage back", self.id),
+                });
+            }
+            Ok(format!("sd:{}", String::from_utf8_lossy(payload)))
+        }
+
+        fn run_host(&mut self) -> Result<(String, TimeBreakdown), McsdError> {
+            reenter(self.engine);
+            Ok((
+                format!("host:{}", self.id),
+                TimeBreakdown::compute(Duration::from_millis(2)),
+            ))
+        }
+    }
+
+    /// The transport stub both drivers dispatch through: echoes the
+    /// params, or fails for good when they name [`Fate::DispatchError`].
+    fn wire(engine: Option<&Engine>, module: &str, params: &[String]) -> SdDispatch {
+        reenter(engine);
+        let stats = ResilienceStats {
+            attempts: 2,
+            retries: 1,
+            corrupt_skipped_bytes: 9,
+            ..ResilienceStats::default()
+        };
+        if params[0] == Fate::DispatchError.name() {
+            let dead = mcsd_smartfam::SmartFamError::DaemonDead {
+                module: module.to_string(),
+            };
+            return (Err(dead.into()), stats);
+        }
+        let cost = TimeBreakdown::network(Duration::from_millis(1));
+        (Ok((params.join("|").into_bytes(), cost)), stats)
+    }
+
+    fn scripted_engine(failure_threshold: u32, fallback_to_host: bool) -> (Engine, Tracer) {
+        let tracer = Tracer::enabled();
+        let engine = Engine::new(
+            Offloader::new(OffloadPolicy::Balanced, 2),
+            2,
+            EngineConfig {
+                breaker: BreakerConfig {
+                    failure_threshold,
+                    cooldown: Duration::from_millis(3),
+                    probe_quota: 1,
+                },
+                fallback_to_host,
+                tracer: tracer.clone(),
+                ..engine(2).config
+            },
+        );
+        (engine, tracer)
+    }
+
+    /// Drive `fates` through `engine`: one [`Engine::run_call`] per fate
+    /// when `window` is `None`, else one [`Engine::run_calls`] per
+    /// `window`-sized chunk; `reentrant` makes every hook [`reenter`] the
+    /// engine. Returns the rendered per-call results.
+    fn drive(
+        engine: &Engine,
+        fates: &[Fate],
+        window: Option<usize>,
+        reentrant: bool,
+    ) -> Vec<String> {
+        let hooked = reentrant.then_some(engine);
+        let load = std::cell::Cell::new(0);
+        let queued_load = || {
+            reenter(hooked);
+            Some(load.get())
+        };
+        let mut calls: Vec<Scripted<'_>> = fates
+            .iter()
+            .enumerate()
+            .map(|(id, &fate)| Scripted {
+                engine: hooked,
+                id,
+                fate,
+                load: &load,
+            })
+            .collect();
+        let results: Vec<_> = match window {
+            None => calls
+                .iter_mut()
+                .map(|call| engine.run_call(call, queued_load, |m, p| wire(hooked, m, p)))
+                .collect(),
+            Some(n) => calls
+                .chunks_mut(n)
+                .flat_map(|chunk| {
+                    engine.run_calls(chunk, queued_load, |requests| {
+                        requests.iter().map(|(m, p)| wire(hooked, m, p)).collect()
+                    })
+                })
+                .collect(),
+        };
+        results.iter().map(|r| format!("{r:?}")).collect()
+    }
+
+    /// Everything a front-end can read back from an engine after a run,
+    /// bar the degradation strings (compared apart: a window records them
+    /// in phase order, like its trace).
+    fn observable(engine: &Engine) -> String {
+        format!(
+            "{:#?}",
+            (
+                engine.decision_log(),
+                engine.overload_totals(),
+                engine.resilience_report(&DaemonStats::default()),
+                engine.breaker_states(),
+            )
+        )
+    }
+
+    /// `lines` of N lockstep calls in the order one window records them:
+    /// every gate-phase line (one naming a `gate_marker`) first.
+    fn gates_first(lines: Vec<String>, gate_markers: &[&str]) -> Vec<String> {
+        let (gates, settles): (Vec<_>, Vec<_>) = lines
+            .into_iter()
+            .partition(|line| gate_markers.iter().any(|m| line.contains(m)));
+        [gates, settles].concat()
+    }
+
+    /// The decision track's event lines, ticks stripped.
+    fn events(tracer: &Tracer) -> Vec<String> {
+        mcsd_obs::export::jsonl(tracer)
+            .lines()
+            .filter(|line| line.contains("\"type\":\"event\""))
+            .map(|line| {
+                let (head, tail) = line.split_once("\"at\":").unwrap();
+                format!("{head}{}", tail.split_once(',').unwrap().1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_window_of_one_is_run_call_to_the_byte() {
+        // A low threshold and a short cooldown: dispatch errors trip the
+        // breakers, so later calls are steered, probed and re-admitted,
+        // and both drivers must walk that timeline identically.
+        for fallback in [true, false] {
+            let fates = Fate::seeded(42, 96);
+            let (a, trace_a) = scripted_engine(2, fallback);
+            let (b, trace_b) = scripted_engine(2, fallback);
+            assert_eq!(
+                drive(&a, &fates, None, false),
+                drive(&b, &fates, Some(1), false)
+            );
+            assert_eq!(observable(&a), observable(&b));
+            assert_eq!(a.degradations(), b.degradations());
+            assert_eq!(
+                mcsd_obs::export::jsonl(&trace_a),
+                mcsd_obs::export::jsonl(&trace_b)
+            );
+            // The mix really crossed the breaker branches.
+            let totals = a.overload_totals();
+            assert!(totals.breaker_opens > 0 && totals.half_open_probes > 0);
+            assert!(a
+                .degradations()
+                .iter()
+                .any(|d| d.contains("circuit breaker open")));
+            let failovers = a.resilience_report(&DaemonStats::default()).failovers;
+            assert_eq!(failovers > 0, fallback);
+        }
+    }
+
+    #[test]
+    fn one_window_settles_like_n_calls() {
+        // `run_calls` runs every gate of the window before any settle,
+        // so no settle may change what a later gate sees: the breakers
+        // never trip here (the window of one above covers them), and the
+        // two records kept in event order — degradation strings and the
+        // trace — agree up to that phase order.
+        for fallback in [true, false] {
+            let fates = Fate::seeded(7, 64);
+            let (a, trace_a) = scripted_engine(u32::MAX, fallback);
+            let (b, trace_b) = scripted_engine(u32::MAX, fallback);
+            assert_eq!(
+                drive(&a, &fates, None, false),
+                drive(&b, &fates, Some(fates.len()), false)
+            );
+            assert_eq!(observable(&a), observable(&b));
+            assert_eq!(
+                b.degradations(),
+                gates_first(a.degradations(), &["steered to host"])
+            );
+            assert_eq!(
+                events(&trace_b),
+                gates_first(
+                    events(&trace_a),
+                    &[EVENT_MCSD_STEER, EVENT_MCSD_REPARTITION]
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn hooks_may_reenter_the_engine_they_run_under() {
+        // A lock held across a hook would deadlock, not fail: run all
+        // three drivers, every hook re-entering, on a thread of their own
+        // and bound the wait.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (e, _) = scripted_engine(2, true);
+            let fates = Fate::seeded(42, 96);
+            drive(&e, &fates, None, true);
+            drive(&e, &fates, Some(8), true);
+            let span = e.run_span(0, 0, |slot| {
+                reenter(Some(&e));
+                Ok((slot == 0, ()))
+            });
+            done.send(span.is_ok()).unwrap();
+        });
+        let span_ok = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a hook that re-entered the engine deadlocked (or panicked)");
+        assert!(span_ok);
     }
 }

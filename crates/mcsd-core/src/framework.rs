@@ -30,8 +30,8 @@ use mcsd_obs::names::{SPAN_CLUSTER_FETCH, SPAN_CLUSTER_STAGE};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::Job;
 use mcsd_smartfam::{
-    BatchConfig, BatchStats, FaultInjector, ReplicaConfig, ResilienceStats, RetryPolicy,
-    WindowConfig,
+    BatchConfig, BatchStats, DaemonConfig, FaultInjector, ReplicaConfig, ResilienceStats,
+    RetryPolicy, WindowConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -137,15 +137,14 @@ impl McsdFramework {
         policy: OffloadPolicy,
         resilience: ResilienceConfig,
     ) -> Result<McsdFramework, McsdError> {
-        let server = SdNodeServer::start_batched(
-            &cluster,
-            resilience.injector.clone(),
-            resilience.max_in_flight,
-            resilience.max_queued,
-            resilience.tracer.clone(),
-            resilience.replication,
-            resilience.batch,
-        )?;
+        let server = SdNodeServer::start_with(&cluster, |daemon| DaemonConfig {
+            replication: resilience.replication,
+            batch: resilience.batch,
+            ..daemon
+                .with_faults(resilience.injector.clone())
+                .with_admission(resilience.max_in_flight, resilience.max_queued)
+                .with_tracer(resilience.tracer.clone())
+        })?;
         let client = server.host_client();
         // One breaker slot: the framework offloads to one live SD node.
         let engine = Engine::new(

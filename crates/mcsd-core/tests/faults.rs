@@ -189,14 +189,10 @@ fn restart_recovery_run(replication: Option<mcsd_core::ReplicaConfig>) -> (u64, 
         0,
         FaultAction::Corrupt { xor_mask: 0x11 },
     );
-    let mut server = SdNodeServer::start_replicated(
-        &cluster(),
-        FaultInjector::new(plan),
-        mcsd_smartfam::daemon::DEFAULT_MAX_IN_FLIGHT,
-        mcsd_smartfam::daemon::DEFAULT_MAX_QUEUED,
-        mcsd_obs::Tracer::disabled(),
+    let mut server = SdNodeServer::start_with(&cluster(), |daemon| mcsd_smartfam::DaemonConfig {
         replication,
-    )
+        ..daemon.with_faults(FaultInjector::new(plan))
+    })
     .unwrap();
     let text = TextGen::with_seed(1234).generate(20_000);
     server.stage_local("t.txt", &text).unwrap();

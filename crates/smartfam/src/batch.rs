@@ -1,8 +1,9 @@
-//! Batched, pipelined smartFAM throughput mode (DESIGN.md §18).
+//! Batched, pipelined smartFAM mode (DESIGN.md §18).
 //!
 //! The lockstep protocol pays one host→SD round trip and one durable
 //! append per call. This module holds the shared configuration and the
-//! counter family for the throughput refactor that lifts both costs:
+//! counter family for the mode that lifts both costs (measured by the
+//! `call_window16` workload against `call_lockstep`; `benchmark/README.md`):
 //!
 //! * the daemon coalesces queued work into **append batches** committed
 //!   with a single fsync ([`crate::log_file::LogFile::append_batch`]),
@@ -115,12 +116,6 @@ impl BatchStats {
         *self == BatchStats::default()
     }
 
-    /// fsyncs per 1000 coalesced calls — the headline durability-cost
-    /// rate for `BENCH_10.json`. `None` until any call was coalesced.
-    pub fn fsyncs_per_1k_calls(&self) -> Option<u64> {
-        (self.coalesced_appends > 0).then(|| self.fsyncs * 1000 / self.coalesced_appends)
-    }
-
     /// Publish this snapshot into a unified registry under the `batch.*`
     /// keys, owner `smartfam.batch` (DESIGN.md §12). Set-semantics: the
     /// snapshot is already cumulative, so re-publishing overwrites.
@@ -194,17 +189,6 @@ mod tests {
         assert_eq!(total.reordered_completions, 6);
         assert!(!total.is_clean());
         assert!(BatchStats::default().is_clean());
-    }
-
-    #[test]
-    fn fsync_rate_is_per_thousand_calls() {
-        let stats = BatchStats {
-            coalesced_appends: 1000,
-            fsyncs: 63,
-            ..BatchStats::default()
-        };
-        assert_eq!(stats.fsyncs_per_1k_calls(), Some(63));
-        assert_eq!(BatchStats::default().fsyncs_per_1k_calls(), None);
     }
 
     #[test]

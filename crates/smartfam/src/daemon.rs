@@ -24,7 +24,7 @@
 
 use crate::batch::{BatchConfig, BatchStats};
 use crate::codec::{Frame, FrameBody, HeartbeatLoad, HeartbeatRecord};
-use crate::faults::{DispatchFault, FaultInjector, QUARANTINE_TOKEN};
+use crate::faults::{DispatchFault, FaultInjector, SplitMix64, QUARANTINE_TOKEN};
 use crate::log_file::{LogFile, LogRole};
 use crate::module::{ModuleRegistry, ProcessingModule};
 use crate::replica::{recover_group, MirrorSet, ReplicaConfig};
@@ -59,9 +59,6 @@ pub struct DaemonConfig {
     pub watch: WatchConfig,
     /// How often the heartbeat file is refreshed.
     pub heartbeat_interval: Duration,
-    /// Run each module invocation on its own thread, so concurrent
-    /// requests to different modules overlap.
-    pub dispatch_parallel: bool,
     /// A module failing this many *consecutive* invocations is
     /// quarantined: later requests get an immediate error response
     /// carrying [`QUARANTINE_TOKEN`] so hosts fail over instead of
@@ -104,7 +101,6 @@ impl DaemonConfig {
             log_dir: log_dir.into(),
             watch: WatchConfig::default(),
             heartbeat_interval: Duration::from_millis(50),
-            dispatch_parallel: true,
             quarantine_threshold: 3,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             max_queued: DEFAULT_MAX_QUEUED,
@@ -672,12 +668,7 @@ fn worker_for(seed: u64, name: &str, workers: usize) -> usize {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    let mut z = h ^ seed;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z % workers.max(1) as u64) as usize
+    (SplitMix64::new(h ^ seed).next_u64() % workers.max(1) as u64) as usize
 }
 
 impl DaemonCtx {
@@ -924,7 +915,8 @@ impl DaemonCtx {
     }
 
     /// Run one admitted request: the [`DaemonCtx::gate`] checks, then the
-    /// module itself (on a worker thread when `dispatch_parallel`).
+    /// module itself, on its own worker thread so concurrent requests to
+    /// different modules overlap.
     fn dispatch(&mut self, req: QueuedRequest) {
         let module = match self.gate(&req) {
             Gated::Run(module) => module,
@@ -955,14 +947,10 @@ impl DaemonCtx {
             }
             in_flight.fetch_sub(1, Ordering::Relaxed);
         };
-        if self.config.dispatch_parallel {
-            let mut w = self.workers.lock();
-            // Reap finished workers opportunistically.
-            w.retain(|h| !h.is_finished());
-            w.push(std::thread::spawn(run));
-        } else {
-            run();
-        }
+        let mut w = self.workers.lock();
+        // Reap finished workers opportunistically.
+        w.retain(|h| !h.is_finished());
+        w.push(std::thread::spawn(run));
     }
 
     /// Run one formed batch (DESIGN.md §18): admission-class checks per
@@ -1351,7 +1339,6 @@ mod tests {
         let dir = temp_dir();
         let mut cfg = DaemonConfig::new(&dir);
         cfg.quarantine_threshold = 2;
-        cfg.dispatch_parallel = false; // deterministic health ordering
         let mut daemon = Daemon::new(cfg, registry()).spawn().unwrap();
         let client = HostClient::new(&dir);
         // Two real failures cross the threshold...
@@ -1375,7 +1362,6 @@ mod tests {
         let dir = temp_dir();
         let mut cfg = DaemonConfig::new(&dir);
         cfg.quarantine_threshold = 2;
-        cfg.dispatch_parallel = false;
         let r = ModuleRegistry::new();
         let calls = Arc::new(TestCounter::new(0));
         let c = Arc::clone(&calls);

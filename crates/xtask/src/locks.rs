@@ -1,8 +1,8 @@
 //! MCSD008: the static lock-acquisition graph.
 //!
-//! The engine concentrates seven `parking_lot::Mutex` fields and the
-//! smartFAM daemon adds its own; a deadlock between them would freeze the
-//! simulation silently. This pass reconstructs, from tokens alone:
+//! The engine keeps its state behind a `parking_lot::Mutex`, the tracer
+//! and the smartFAM daemon and host add their own; a deadlock between
+//! them would freeze the simulation silently. This pass reconstructs, from tokens alone:
 //!
 //! 1. **Lock declarations** — `name: Mutex<..>` / `name: RwLock<..>`
 //!    fields, params, and statics, plus `let name = Mutex::new(..)`
