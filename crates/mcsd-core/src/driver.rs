@@ -12,7 +12,7 @@ use crate::footprint::FootprintOverride;
 use crate::report::RunReport;
 use mcsd_cluster::{DiskModel, NodeExecutor, NodeSpec, TimeBreakdown};
 use mcsd_obs::Tracer;
-use mcsd_phoenix::partition::Merger;
+use mcsd_phoenix::partition::{ConcatMerger, Merger};
 use mcsd_phoenix::Stopwatch;
 use mcsd_phoenix::{Job, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 
@@ -111,52 +111,17 @@ impl NodeRunner {
         input: &[u8],
         footprint_factor: f64,
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
-        self.run_sequential_at(job, input, footprint_factor, 0)
-    }
-
-    /// [`NodeRunner::run_sequential`] over a span starting at
-    /// `base_offset` of a larger dataset.
-    pub fn run_sequential_at<J: Job + Clone>(
-        &self,
-        job: &J,
-        input: &[u8],
-        footprint_factor: f64,
-        base_offset: usize,
-    ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
-        let cfg = PhoenixConfig::with_workers(1).memory(self.node().memory_model());
-        let wrapped = FootprintOverride::new(job.clone(), footprint_factor);
-        let label = ExecMode::Sequential { footprint_factor }.label();
-        self.measured_run(cfg, 1, input.len() as u64, label, |runtime| {
-            runtime.run_at(&wrapped, input, base_offset)
-        })
+        let mode = ExecMode::Sequential { footprint_factor };
+        self.run_mode(job, &ConcatMerger, input, mode)
     }
 
     /// Run in [`ExecMode::Parallel`] (stock Phoenix on all cores).
-    pub fn run_parallel<J: Job>(
+    pub fn run_parallel<J: Job + Clone>(
         &self,
         job: &J,
         input: &[u8],
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
-        self.run_parallel_at(job, input, 0)
-    }
-
-    /// [`NodeRunner::run_parallel`] over a span starting at `base_offset`
-    /// of a larger dataset.
-    pub fn run_parallel_at<J: Job>(
-        &self,
-        job: &J,
-        input: &[u8],
-        base_offset: usize,
-    ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
-        let cfg = self.exec.phoenix_config();
-        let label = ExecMode::Parallel.label();
-        self.measured_run(
-            cfg,
-            self.node().cores,
-            input.len() as u64,
-            label,
-            |runtime| runtime.run_at(job, input, base_offset),
-        )
+        self.run_mode(job, &ConcatMerger, input, ExecMode::Parallel)
     }
 
     /// Run in [`ExecMode::Partitioned`].
@@ -168,48 +133,13 @@ impl NodeRunner {
         fragment_bytes: Option<usize>,
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError>
     where
-        J: Job,
+        J: Job + Clone,
         M: Merger<J>,
     {
-        self.run_partitioned_at(job, merger, input, fragment_bytes, 0)
+        self.run_mode(job, merger, input, ExecMode::Partitioned { fragment_bytes })
     }
 
-    /// [`NodeRunner::run_partitioned`] over a span starting at
-    /// `base_offset` of a larger dataset.
-    pub fn run_partitioned_at<J, M>(
-        &self,
-        job: &J,
-        merger: &M,
-        input: &[u8],
-        fragment_bytes: Option<usize>,
-        base_offset: usize,
-    ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError>
-    where
-        J: Job,
-        M: Merger<J>,
-    {
-        let memory = self.node().memory_model();
-        let spec = match fragment_bytes {
-            Some(b) => PartitionSpec::new(b),
-            None => PartitionSpec::auto(&memory, job.footprint_factor()),
-        };
-        let label = ExecMode::Partitioned {
-            fragment_bytes: Some(spec.fragment_bytes),
-        }
-        .label();
-        let cfg = self.exec.phoenix_config();
-        self.measured_run(
-            cfg,
-            self.node().cores,
-            input.len() as u64,
-            label,
-            |runtime| {
-                PartitionedRuntime::new(runtime, spec).run_at(job, input, base_offset, merger)
-            },
-        )
-    }
-
-    /// Dispatch on an [`ExecMode`] value.
+    /// Run in the given [`ExecMode`]; only `Partitioned` calls `merger`.
     pub fn run_mode<J, M>(
         &self,
         job: &J,
@@ -239,19 +169,55 @@ impl NodeRunner {
         J: Job + Clone,
         M: Merger<J>,
     {
+        let memory = self.node().memory_model();
         match mode {
             ExecMode::Sequential { footprint_factor } => {
-                self.run_sequential_at(job, input, footprint_factor, base_offset)
+                let cfg = PhoenixConfig::with_workers(1).memory(memory);
+                let wrapped = FootprintOverride::new(job.clone(), footprint_factor);
+                self.measured_run(cfg, 1, input.len() as u64, mode.label(), |runtime| {
+                    runtime.run_at(&wrapped, input, base_offset)
+                })
             }
-            ExecMode::Parallel => self.run_parallel_at(job, input, base_offset),
+            ExecMode::Parallel => self.measured_run(
+                self.exec.phoenix_config(),
+                self.node().cores,
+                input.len() as u64,
+                mode.label(),
+                |runtime| runtime.run_at(job, input, base_offset),
+            ),
             ExecMode::Partitioned { fragment_bytes } => {
-                self.run_partitioned_at(job, merger, input, fragment_bytes, base_offset)
+                let spec = match fragment_bytes {
+                    Some(b) => PartitionSpec::new(b),
+                    None => PartitionSpec::auto(&memory, job.footprint_factor()),
+                };
+                let label = ExecMode::Partitioned {
+                    fragment_bytes: Some(spec.fragment_bytes),
+                }
+                .label();
+                self.measured_run(
+                    self.exec.phoenix_config(),
+                    self.node().cores,
+                    input.len() as u64,
+                    label,
+                    |runtime| {
+                        PartitionedRuntime::new(runtime, spec).run_at(
+                            job,
+                            input,
+                            base_offset,
+                            merger,
+                        )
+                    },
+                )
             }
         }
     }
 
     /// The shared execution core of every mode: build a traced runtime
-    /// from `cfg`, measure `run` on it, and assemble the node report.
+    /// from `cfg`, measure `run` on it, and convert the finished Phoenix
+    /// run into a node report — the measured wall time scaled to the
+    /// emulated node's cores/speed, plus the swap penalty. (Input
+    /// staging/transfer costs are charged by the scenario layer; the
+    /// paper's per-run elapsed times are warm-cache.)
     fn measured_run<K, V>(
         &self,
         cfg: PhoenixConfig,
@@ -262,31 +228,8 @@ impl NodeRunner {
     ) -> Result<NodeRunReport<K, V>, McsdError> {
         let runtime = Runtime::new(cfg).with_tracer(self.tracer.clone());
         let t0 = Stopwatch::start();
-        let out = run(runtime)?;
+        let mcsd_phoenix::JobOutput { pairs, stats } = run(runtime)?;
         let wall = t0.elapsed();
-        Ok(self.assemble(
-            out.pairs,
-            out.stats,
-            wall,
-            emulated_workers,
-            input_bytes,
-            mode,
-        ))
-    }
-
-    /// Convert a finished Phoenix run into a node report: scale the
-    /// measured wall time to the emulated node's cores/speed and charge
-    /// the swap penalty. (Input staging/transfer costs are charged by the
-    /// scenario layer; the paper's per-run elapsed times are warm-cache.)
-    fn assemble<K, V>(
-        &self,
-        pairs: Vec<(K, V)>,
-        stats: mcsd_phoenix::JobStats,
-        wall: std::time::Duration,
-        emulated_workers: usize,
-        input_bytes: u64,
-        mode: String,
-    ) -> NodeRunReport<K, V> {
         let mut time = TimeBreakdown::compute(self.exec.virtual_compute(wall, emulated_workers));
         time += self.disk.charge_thrash(stats.swapped_bytes);
         let report = RunReport {
@@ -298,7 +241,7 @@ impl NodeRunner {
             stats,
             resilience: Default::default(),
         };
-        NodeRunReport { pairs, report }
+        Ok(NodeRunReport { pairs, report })
     }
 }
 

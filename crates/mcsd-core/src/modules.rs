@@ -6,7 +6,9 @@
 //! [partition-size] parameter, the program will run in native way.
 //! Otherwise, the number of [partition-size] can be manually filled in by
 //! the programmer or automatically determined by the runtime system"
-//! (`auto`).
+//! (`auto`). Word Count and String Match share one runner for this: the
+//! native way reads the staged file whole, any `[partition-size]` streams
+//! it off the disk one fragment at a time, so it never has to fit in memory.
 //!
 //! Result payloads are simple line-oriented text (Word Count, String
 //! Match) or the binary matrix format (Matrix Multiplication), so the host
@@ -14,21 +16,12 @@
 
 use mcsd_apps::{Matrix, StringMatch, WordCount};
 use mcsd_cluster::NodeSpec;
-use mcsd_phoenix::{Job, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
+use mcsd_phoenix::{
+    Job, JobOutput, Merger, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime,
+};
 use mcsd_smartfam::{ModuleError, ProcessingModule};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Resolve a module's data-file parameter inside the SD data root,
-/// rejecting escapes.
-fn resolve(root: &Path, rel: &str) -> Result<PathBuf, ModuleError> {
-    if rel.split('/').any(|c| c == "..") || rel.starts_with('/') {
-        return Err(ModuleError::new(format!(
-            "data path {rel:?} escapes the SD data root"
-        )));
-    }
-    Ok(root.join(rel))
-}
 
 /// Parse the `[partition-size]` parameter: absent = native run, `auto` =
 /// runtime-determined, otherwise bytes.
@@ -48,23 +41,68 @@ fn parse_partition(
     }
 }
 
-fn phoenix_for(node: &NodeSpec) -> PhoenixConfig {
-    PhoenixConfig::with_workers(node.cores).memory(node.memory_model())
-}
-
-/// `wordcount [data-file] [partition-size]`.
-pub struct WordCountModule {
+/// What every module is preloaded with: the SD data root it serves staged
+/// files from, and the node whose cores and memory its jobs run on.
+struct Staged {
     data_root: PathBuf,
     node: NodeSpec,
 }
 
+impl Staged {
+    fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
+        let data_root = data_root.into();
+        Staged { data_root, node }
+    }
+
+    /// Resolve a data-file parameter inside the SD data root, rejecting
+    /// escapes.
+    fn resolve(&self, rel: &str) -> Result<PathBuf, ModuleError> {
+        if rel.split('/').any(|c| c == "..") || rel.starts_with('/') {
+            return Err(ModuleError::new(format!(
+                "data path {rel:?} escapes the SD data root"
+            )));
+        }
+        Ok(self.data_root.join(rel))
+    }
+
+    /// Read a data-file parameter whole.
+    fn read(&self, rel: &str) -> Result<Vec<u8>, ModuleError> {
+        std::fs::read(self.resolve(rel)?)
+            .map_err(|e| ModuleError::new(format!("reading {rel:?}: {e}")))
+    }
+
+    fn runtime(&self) -> Runtime {
+        Runtime::new(PhoenixConfig::with_workers(self.node.cores).memory(self.node.memory_model()))
+    }
+
+    /// Run `job` over the staged file `rel`, natively or — given a
+    /// `[partition-size]` — as fragments streamed straight off the disk.
+    fn run<J: Job, M: Merger<J>>(
+        &self,
+        job: &J,
+        merger: &M,
+        rel: &str,
+        partition: Option<&String>,
+    ) -> Result<JobOutput<J::Key, J::Value>, ModuleError> {
+        let out = match parse_partition(partition, &self.node, job.footprint_factor())? {
+            None => self.runtime().run(job, &self.read(rel)?),
+            Some(spec) => PartitionedRuntime::new(self.runtime(), spec).run_file(
+                job,
+                &self.resolve(rel)?,
+                merger,
+            ),
+        };
+        out.map_err(ModuleError::new)
+    }
+}
+
+/// `wordcount [data-file] [partition-size]`.
+pub struct WordCountModule(Staged);
+
 impl WordCountModule {
     /// A module serving files under `data_root` on `node`.
     pub fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
-        WordCountModule {
-            data_root: data_root.into(),
-            node,
-        }
+        WordCountModule(Staged::new(data_root, node))
     }
 
     /// Encode the output pairs as `word\tcount` lines.
@@ -102,44 +140,19 @@ impl ProcessingModule for WordCountModule {
         let file = params
             .first()
             .ok_or_else(|| ModuleError::new("usage: wordcount [data-file] [partition-size]"))?;
-        let path = resolve(&self.data_root, file)?;
-        let spec = parse_partition(params.get(1), &self.node, WordCount.footprint_factor())?;
-        let runtime = Runtime::new(phoenix_for(&self.node));
-        let pairs = match spec {
-            None => {
-                let data = std::fs::read(&path)
-                    .map_err(|e| ModuleError::new(format!("reading {file:?}: {e}")))?;
-                runtime
-                    .run(&WordCount, &data)
-                    .map_err(ModuleError::new)?
-                    .pairs
-            }
-            // Partitioned runs stream fragments straight off the disk —
-            // the dataset never has to fit in memory at all.
-            Some(spec) => {
-                PartitionedRuntime::new(runtime, spec)
-                    .run_file(&WordCount, &path, &WordCount::merger())
-                    .map_err(ModuleError::new)?
-                    .pairs
-            }
-        };
-        Ok(Self::encode(&pairs))
+        let merger = WordCount::merger();
+        let out = self.0.run(&WordCount, &merger, file, params.get(1))?;
+        Ok(Self::encode(&out.pairs))
     }
 }
 
 /// `stringmatch [encrypt-file] [keys-file] [partition-size]`.
-pub struct StringMatchModule {
-    data_root: PathBuf,
-    node: NodeSpec,
-}
+pub struct StringMatchModule(Staged);
 
 impl StringMatchModule {
     /// A module serving files under `data_root` on `node`.
     pub fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
-        StringMatchModule {
-            data_root: data_root.into(),
-            node,
-        }
+        StringMatchModule(Staged::new(data_root, node))
     }
 
     /// Encode matches as `offset\tkey_index` lines.
@@ -179,56 +192,26 @@ impl ProcessingModule for StringMatchModule {
                 "usage: stringmatch [encrypt-file] [keys-file] [partition-size]",
             ));
         };
-        self.run(encrypt_file, keys_file, params.get(2))
-    }
-}
-
-impl StringMatchModule {
-    fn run(
-        &self,
-        encrypt_file: &String,
-        keys_file: &String,
-        partition: Option<&String>,
-    ) -> Result<Vec<u8>, ModuleError> {
-        let encrypt = std::fs::read(resolve(&self.data_root, encrypt_file)?)
-            .map_err(|e| ModuleError::new(format!("reading {encrypt_file:?}: {e}")))?;
-        let keys_raw = std::fs::read(resolve(&self.data_root, keys_file)?)
-            .map_err(|e| ModuleError::new(format!("reading {keys_file:?}: {e}")))?;
-        let keys: Vec<String> = String::from_utf8_lossy(&keys_raw)
+        let keys: Vec<String> = String::from_utf8_lossy(&self.0.read(keys_file)?)
             .lines()
             .filter(|l| !l.is_empty())
             .map(str::to_string)
             .collect();
         let job = StringMatch::new(&keys);
-        let spec = parse_partition(partition, &self.node, job.footprint_factor())?;
-        let runtime = Runtime::new(phoenix_for(&self.node));
-        let pairs = match spec {
-            None => runtime.run(&job, &encrypt).map_err(ModuleError::new)?.pairs,
-            Some(spec) => {
-                PartitionedRuntime::new(runtime, spec)
-                    .run(&job, &encrypt, &StringMatch::merger())
-                    .map_err(ModuleError::new)?
-                    .pairs
-            }
-        };
-        Ok(Self::encode(&pairs))
+        let merger = StringMatch::merger();
+        let out = self.0.run(&job, &merger, encrypt_file, params.get(2))?;
+        Ok(Self::encode(&out.pairs))
     }
 }
 
 /// `matmul [a-file] [b-file]` — result: the product matrix in the binary
 /// matrix format.
-pub struct MatMulModule {
-    data_root: PathBuf,
-    node: NodeSpec,
-}
+pub struct MatMulModule(Staged);
 
 impl MatMulModule {
     /// A module serving files under `data_root` on `node`.
     pub fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
-        MatMulModule {
-            data_root: data_root.into(),
-            node,
-        }
+        MatMulModule(Staged::new(data_root, node))
     }
 }
 
@@ -241,18 +224,10 @@ impl ProcessingModule for MatMulModule {
         let (Some(a_file), Some(b_file)) = (params.first(), params.get(1)) else {
             return Err(ModuleError::new("usage: matmul [a-file] [b-file]"));
         };
-        let a = Matrix::from_bytes(
-            &std::fs::read(resolve(&self.data_root, a_file)?)
-                .map_err(|e| ModuleError::new(format!("reading {a_file:?}: {e}")))?,
-        )
-        .map_err(ModuleError::new)?;
-        let b = Matrix::from_bytes(
-            &std::fs::read(resolve(&self.data_root, b_file)?)
-                .map_err(|e| ModuleError::new(format!("reading {b_file:?}: {e}")))?,
-        )
-        .map_err(ModuleError::new)?;
+        let a = Matrix::from_bytes(&self.0.read(a_file)?).map_err(ModuleError::new)?;
+        let b = Matrix::from_bytes(&self.0.read(b_file)?).map_err(ModuleError::new)?;
         let job = mcsd_apps::MatMul::new(Arc::new(a), &b);
-        let runtime = Runtime::new(phoenix_for(&self.node));
+        let runtime = self.0.runtime();
         let out = runtime
             .run(&job, &job.row_input())
             .map_err(ModuleError::new)?;
@@ -264,18 +239,12 @@ impl ProcessingModule for MatMulModule {
 /// demonstrating §VI's "extensibility of data-processing modules": it can
 /// be preloaded into a running SD node's registry at any time. Result: 256
 /// little-endian `u64` bin counts.
-pub struct HistogramModule {
-    data_root: PathBuf,
-    node: NodeSpec,
-}
+pub struct HistogramModule(Staged);
 
 impl HistogramModule {
     /// A module serving files under `data_root` on `node`.
     pub fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
-        HistogramModule {
-            data_root: data_root.into(),
-            node,
-        }
+        HistogramModule(Staged::new(data_root, node))
     }
 
     /// Encode a bin table.
@@ -315,11 +284,9 @@ impl ProcessingModule for HistogramModule {
         let file = params
             .first()
             .ok_or_else(|| ModuleError::new("usage: histogram [data-file]"))?;
-        let data = std::fs::read(resolve(&self.data_root, file)?)
-            .map_err(|e| ModuleError::new(format!("reading {file:?}: {e}")))?;
-        let runtime = Runtime::new(phoenix_for(&self.node));
+        let runtime = self.0.runtime();
         let out = runtime
-            .run(&mcsd_apps::Histogram, &data)
+            .run(&mcsd_apps::Histogram, &self.0.read(file)?)
             .map_err(ModuleError::new)?;
         Ok(Self::encode(&mcsd_apps::Histogram::to_bins(&out.pairs)))
     }
@@ -405,6 +372,28 @@ mod tests {
             .invoke(&["encrypt.bin".into(), "keys.txt".into(), "4K".into()])
             .unwrap();
         assert_eq!(out, part);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn stringmatch_module_streams_fragments_with_global_offsets() {
+        // ~5 fragments of 64 KiB, read off the disk one at a time: a match
+        // in a later fragment must still carry its offset in the whole file.
+        let root = temp_root();
+        let keys = datagen::keys_file(4, 8, 11);
+        let encrypt = datagen::encrypt_file(300_000, &keys, 0.05, 12);
+        std::fs::write(root.join("encrypt.bin"), &encrypt).unwrap();
+        std::fs::write(root.join("keys.txt"), keys.join("\n")).unwrap();
+        let m = StringMatchModule::new(&root, sd_node());
+        let params = |extra: &[&str]| -> Vec<String> {
+            let fixed = ["encrypt.bin", "keys.txt"];
+            fixed.iter().chain(extra).map(|p| p.to_string()).collect()
+        };
+        let native = StringMatchModule::decode(&m.invoke(&params(&[])).unwrap()).unwrap();
+        let streamed = StringMatchModule::decode(&m.invoke(&params(&["64K"])).unwrap()).unwrap();
+        assert_eq!(streamed, native);
+        assert_eq!(streamed, seq::stringmatch(&keys, &encrypt));
+        assert!(streamed.iter().any(|(offset, _)| *offset > 4 * 65_536));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

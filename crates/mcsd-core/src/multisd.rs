@@ -32,7 +32,7 @@ use mcsd_cluster::{Cluster, NodeRole, TimeBreakdown};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::partition::Merger;
 use mcsd_phoenix::Stopwatch;
-use mcsd_phoenix::{Job, PartitionPlan, PartitionSpec};
+use mcsd_phoenix::{Job, Splitter};
 use mcsd_smartfam::{FaultInjector, Frame, ResilienceStats};
 use std::time::Duration;
 
@@ -139,7 +139,7 @@ impl MultiSdRunner {
     pub fn plan_spans<J: Job>(&self, job: &J, input: &[u8]) -> Vec<std::ops::Range<usize>> {
         let sd_count = self.sd_nodes().len();
         let span = input.len().div_ceil(sd_count.max(1)).max(1);
-        PartitionPlan::plan(input, PartitionSpec::new(span), &job.split_spec()).fragments
+        Splitter::new(job.split_spec()).split(input, span)
     }
 
     /// Run `job` across all SD nodes concurrently, folding per-node

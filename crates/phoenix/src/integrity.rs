@@ -6,9 +6,15 @@
 //! integrity-check procedure therefore scans forward from a proposed cut
 //! point until it finds "the first space, return or the symbol defined by
 //! the programmer" and moves the cut there, so no record ever spans two
-//! fragments.
+//! fragments. [`IntegrityCheck`] alone owns that rule, for a slice and for
+//! a file scanned in windows; [`crate::splitter`] has the one loop applying it.
 
 use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
+
+/// Bytes an on-file delimiter scan reads at a time.
+const SCAN_WINDOW: usize = 64 * 1024;
 
 /// The delimiter class a boundary may legally be placed after.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,29 +71,48 @@ impl IntegrityCheck {
     /// * `FixedRecord(r)`: `b` is the next multiple of `r`.
     /// * `None`: `b == min(proposed, data.len())`.
     pub fn adjust(&self, data: &[u8], proposed: usize) -> usize {
-        let proposed = proposed.min(data.len());
+        let from = proposed.min(data.len());
+        self.without_scan(data.len(), from).unwrap_or_else(|delim| {
+            let hit = data[from..].iter().position(|&b| delim.matches(b));
+            hit.map_or(data.len(), |off| from + off + 1)
+        })
+    }
+
+    /// [`IntegrityCheck::adjust`] over a file of `len` bytes that is never
+    /// loaded: only a delimiter scan reads anything, [`SCAN_WINDOW`] bytes
+    /// at a time through `window`, from the proposed cut to the delimiter.
+    pub(crate) fn adjust_file(
+        &self,
+        file: &mut File,
+        len: usize,
+        window: &mut Vec<u8>,
+        proposed: usize,
+    ) -> io::Result<usize> {
+        let mut base = proposed.min(len);
+        self.without_scan(len, base).or_else(|delim| {
+            while base < len {
+                window.resize(SCAN_WINDOW.min(len - base), 0);
+                file.seek(SeekFrom::Start(base as u64))?;
+                file.read_exact(window)?;
+                if let Some(off) = window.iter().position(|&b| delim.matches(b)) {
+                    return Ok(base + off + 1);
+                }
+                base += window.len();
+            }
+            Ok(len)
+        })
+    }
+
+    /// The rule up to the point where bytes are needed: `Ok(boundary)`, or
+    /// `Err(delim)` when the boundary lies just past the first `delim` byte
+    /// at or after `proposed` — Fig. 7's "Starting Point ++" scan, ending
+    /// at `len` if no delimiter follows. `proposed` is already clamped.
+    fn without_scan(&self, len: usize, proposed: usize) -> Result<usize, &Delimiter> {
         match self {
-            IntegrityCheck::None => proposed,
-            IntegrityCheck::FixedRecord(r) => {
-                debug_assert!(*r > 0, "record size must be non-zero");
-                let rem = proposed % r;
-                if rem == 0 {
-                    proposed
-                } else {
-                    (proposed + (r - rem)).min(data.len())
-                }
-            }
-            IntegrityCheck::Delimited(delim) => {
-                if proposed == 0 || proposed == data.len() {
-                    return proposed;
-                }
-                // Fig. 7: scan forward until a delimiter is found; the
-                // fragment ends just past it.
-                match data[proposed..].iter().position(|&b| delim.matches(b)) {
-                    Some(off) => proposed + off + 1,
-                    None => data.len(),
-                }
-            }
+            IntegrityCheck::None => Ok(proposed),
+            IntegrityCheck::FixedRecord(r) => Ok(proposed.next_multiple_of(*r).min(len)),
+            IntegrityCheck::Delimited(delim) if 0 < proposed && proposed < len => Err(delim),
+            IntegrityCheck::Delimited(_) => Ok(proposed),
         }
     }
 

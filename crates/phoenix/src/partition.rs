@@ -11,7 +11,10 @@
 //! function needs to be programmed by the user").
 //!
 //! Fragment boundaries are legalized with the integrity check of Fig. 7 so
-//! no record is cut in half.
+//! no record is cut in half: every plan here is
+//! [`Splitter::split`](crate::splitter::Splitter::split) at fragment size,
+//! over a slice or over a file that is never loaded, and every entry of
+//! [`PartitionedRuntime`] is the same fragment sweep over one of the two.
 
 use crate::config::OutputOrder;
 use crate::emitter::Emitter;
@@ -20,14 +23,17 @@ use crate::job::{InputChunk, Job, ValueIter};
 use crate::memory::MemoryModel;
 use crate::runtime::{JobOutput, Runtime, TRACE_TRACK};
 use crate::sort::parallel_sort_by;
-use crate::splitter::SplitSpec;
+use crate::splitter::{SplitSpec, Splitter};
 use crate::stats::JobStats;
 use crate::stopwatch::Stopwatch;
 use mcsd_obs::names::SPAN_PHOENIX_PARTITIONED;
 use mcsd_obs::ClockDomain;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
+use std::path::Path;
 
 /// Out-of-core partitioning parameters — the `[partition-size]` argument of
 /// the paper's `wordcount [data-file] [partition-size]` example.
@@ -88,16 +94,7 @@ impl PartitionPlan {
     /// Plan fragments of roughly `spec.fragment_bytes` each, with
     /// boundaries legalized by the job's split spec.
     pub fn plan(data: &[u8], spec: PartitionSpec, split: &SplitSpec) -> Self {
-        let input_len = data.len();
-        let mut fragments = Vec::new();
-        let mut start = 0usize;
-        while start < input_len {
-            let proposed = start.saturating_add(spec.fragment_bytes.max(1));
-            let end = split.integrity.adjust(data, proposed);
-            debug_assert!(end > start);
-            fragments.push(start..end);
-            start = end;
-        }
+        let fragments = Splitter::new(split.clone()).split(data, spec.fragment_bytes);
         PartitionPlan { fragments }
     }
 
@@ -107,63 +104,17 @@ impl PartitionPlan {
     /// "supporting huge datasets whose size may exceed the memory
     /// capacity of a McSD storage node" (§IV-B).
     pub fn plan_file(
-        path: &std::path::Path,
+        path: &Path,
         spec: PartitionSpec,
         split: &SplitSpec,
     ) -> Result<PlanOnFile, PhoenixError> {
-        use std::io::{Read, Seek, SeekFrom};
-        const WINDOW: usize = 64 * 1024;
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        let fragment = spec.fragment_bytes.max(1);
-        let mut fragments = Vec::new();
-        let mut start = 0usize;
-        let mut window = vec![0u8; WINDOW];
-        while start < len {
-            let proposed = start.saturating_add(fragment).min(len);
-            let end = if proposed >= len {
-                len
-            } else {
-                match &split.integrity {
-                    crate::integrity::IntegrityCheck::None => proposed,
-                    crate::integrity::IntegrityCheck::FixedRecord(r) => {
-                        // Pure arithmetic; no bytes needed.
-                        let rem = proposed % *r;
-                        let up = if rem == 0 {
-                            proposed
-                        } else {
-                            proposed + (*r - rem)
-                        };
-                        up.min(len)
-                    }
-                    crate::integrity::IntegrityCheck::Delimited(d) => {
-                        // Scan forward window by window for the first
-                        // delimiter at or after the proposed cut; the
-                        // fragment ends just past it (Fig. 7).
-                        let mut base = proposed;
-                        let mut end = len;
-                        while base < len {
-                            let take = WINDOW.min(len - base);
-                            file.seek(SeekFrom::Start(base as u64))?;
-                            file.read_exact(&mut window[..take])?;
-                            if let Some(p) = window[..take].iter().position(|&b| d.matches(b)) {
-                                end = base + p + 1;
-                                break;
-                            }
-                            base += take;
-                        }
-                        end
-                    }
-                }
-            };
-            debug_assert!(end > start);
-            fragments.push(start..end);
-            start = end;
-        }
-        Ok(PlanOnFile {
-            plan: PartitionPlan { fragments },
-            file_len: len,
-        })
+        let mut file = File::open(path)?;
+        let splitter = Splitter::new(split.clone());
+        let fragments = splitter.split_file(&mut file, &mut Vec::new(), spec.fragment_bytes)?;
+        // The fragments cover the file, so the last one ends at its length.
+        let file_len = fragments.last().map_or(0, |f| f.end);
+        let plan = PartitionPlan { fragments };
+        Ok(PlanOnFile { plan, file_len })
     }
 
     /// Number of fragments.
@@ -337,34 +288,6 @@ impl PartitionedRuntime {
         self.spec
     }
 
-    /// Open the `phoenix.partitioned` span wrapping a fragment sweep on the
-    /// inner runtime's tracer (no-op when tracing is disabled). Each
-    /// fragment's own `phoenix.job` tree nests inside it.
-    fn open_partitioned_span(
-        &self,
-        job: &str,
-        fragments: usize,
-    ) -> Option<(mcsd_obs::TrackId, mcsd_obs::SpanId)> {
-        let tracer = self.runtime.tracer();
-        if !tracer.is_enabled() {
-            return None;
-        }
-        let track = tracer.track(TRACE_TRACK, ClockDomain::Work);
-        let span = tracer.open(
-            track,
-            SPAN_PHOENIX_PARTITIONED,
-            &[("job", job), ("fragments", &fragments.to_string())],
-        );
-        Some((track, span))
-    }
-
-    /// Close a span opened by [`PartitionedRuntime::open_partitioned_span`].
-    fn close_partitioned_span(&self, span: Option<(mcsd_obs::TrackId, mcsd_obs::SpanId)>) {
-        if let Some((track, span)) = span {
-            self.runtime.tracer().close(track, span);
-        }
-    }
-
     /// Run `job` over `input` fragment by fragment, folding outputs with
     /// `merger`.
     pub fn run<J, M>(
@@ -378,73 +301,6 @@ impl PartitionedRuntime {
         M: Merger<J>,
     {
         self.run_at(job, input, 0, merger)
-    }
-
-    /// Run `job` over a *file*, fragment by fragment, never holding more
-    /// than one fragment in memory — true out-of-core execution: the
-    /// dataset may exceed not just the memory model's limit but the real
-    /// machine's RAM. Boundary legalization reads only small windows
-    /// around the cuts.
-    pub fn run_file<J, M>(
-        &self,
-        job: &J,
-        path: &std::path::Path,
-        merger: &M,
-    ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError>
-    where
-        J: Job,
-        M: Merger<J>,
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        self.spec.validate()?;
-        self.runtime.config().validate()?;
-
-        let t0 = Stopwatch::start();
-        let on_file = PartitionPlan::plan_file(path, self.spec, &job.split_spec())?;
-        let plan_time = t0.elapsed();
-
-        let mut agg_stats = JobStats {
-            job: job.name().to_string(),
-            workers: self.runtime.config().workers,
-            fragments: 0,
-            ..Default::default()
-        };
-        agg_stats.timings.split += plan_time;
-
-        let span = self.open_partitioned_span(job.name(), on_file.plan.len());
-        let mut acc = merger.empty();
-        let mut merge_time = std::time::Duration::ZERO;
-        let fragment_job = UnsortedFragment(job);
-        let fragment_loop = (|| -> Result<(), PhoenixError> {
-            let mut file = std::fs::File::open(path)?;
-            let mut buf = Vec::new();
-            for range in &on_file.plan.fragments {
-                buf.clear();
-                buf.resize(range.len(), 0);
-                file.seek(SeekFrom::Start(range.start as u64))?;
-                file.read_exact(&mut buf)?;
-                let out = self.runtime.run_at(&fragment_job, &buf, range.start)?;
-                agg_stats.accumulate(&out.stats);
-                let t0 = Stopwatch::start();
-                merger.merge(&mut acc, out.pairs);
-                merge_time += t0.elapsed();
-            }
-            Ok(())
-        })();
-        self.close_partitioned_span(span);
-        fragment_loop?;
-
-        let t0 = Stopwatch::start();
-        let mut pairs = merger.finish(acc);
-        sort_output(job, &mut pairs, self.runtime.config().workers);
-        merge_time += t0.elapsed();
-
-        agg_stats.timings.merge += merge_time;
-        agg_stats.output_pairs = pairs.len() as u64;
-        Ok(JobOutput {
-            pairs,
-            stats: agg_stats,
-        })
     }
 
     /// Like [`PartitionedRuntime::run`], but `input` is itself a span of a
@@ -461,11 +317,54 @@ impl PartitionedRuntime {
         J: Job,
         M: Merger<J>,
     {
+        self.sweep(job, merger, || Ok(Source::Memory(input, base_offset)))
+    }
+
+    /// Run `job` over a *file*, fragment by fragment, never holding more
+    /// than one fragment in memory — true out-of-core execution: the
+    /// dataset may exceed not just the memory model's limit but the real
+    /// machine's RAM. Boundary legalization reads only small windows
+    /// around the cuts.
+    pub fn run_file<J, M>(
+        &self,
+        job: &J,
+        path: &Path,
+        merger: &M,
+    ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError>
+    where
+        J: Job,
+        M: Merger<J>,
+    {
+        self.sweep(job, merger, || {
+            Ok(Source::File(File::open(path)?, Vec::new()))
+        })
+    }
+
+    /// The one fragment sweep behind every entry: plan the fragments of
+    /// the source `open` yields, run each on the inner runtime with its
+    /// output order suppressed, fold the outputs with `merger`, and apply
+    /// the job's order once at the end. Each fragment's own `phoenix.job`
+    /// tree nests inside one `phoenix.partitioned` span (when traced).
+    fn sweep<'a, J, M>(
+        &self,
+        job: &J,
+        merger: &M,
+        open: impl FnOnce() -> Result<Source<'a>, PhoenixError>,
+    ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError>
+    where
+        J: Job,
+        M: Merger<J>,
+    {
         self.spec.validate()?;
         self.runtime.config().validate()?;
 
         let t0 = Stopwatch::start();
-        let plan = PartitionPlan::plan(input, self.spec, &job.split_spec());
+        let mut source = open()?;
+        let splitter = Splitter::new(job.split_spec());
+        let fragments = match &mut source {
+            Source::Memory(data, _) => splitter.split(data, self.spec.fragment_bytes),
+            Source::File(file, buf) => splitter.split_file(file, buf, self.spec.fragment_bytes)?,
+        };
         let plan_time = t0.elapsed();
 
         let mut agg_stats = JobStats {
@@ -476,17 +375,22 @@ impl PartitionedRuntime {
         };
         agg_stats.timings.split += plan_time;
 
-        let span = self.open_partitioned_span(job.name(), plan.len());
+        let tracer = self.runtime.tracer();
+        let span = tracer.is_enabled().then(|| {
+            let track = tracer.track(TRACE_TRACK, ClockDomain::Work);
+            let attrs = [
+                ("job", job.name()),
+                ("fragments", &fragments.len().to_string()),
+            ];
+            (track, tracer.open(track, SPAN_PHOENIX_PARTITIONED, &attrs))
+        });
         let mut acc = merger.empty();
         let mut merge_time = std::time::Duration::ZERO;
         let fragment_job = UnsortedFragment(job);
         let fragment_loop = (|| -> Result<(), PhoenixError> {
-            for range in &plan.fragments {
-                let out = self.runtime.run_at(
-                    &fragment_job,
-                    &input[range.clone()],
-                    base_offset + range.start,
-                )?;
+            for range in &fragments {
+                let (bytes, offset) = source.load(range)?;
+                let out = self.runtime.run_at(&fragment_job, bytes, offset)?;
                 agg_stats.accumulate(&out.stats);
                 let t0 = Stopwatch::start();
                 merger.merge(&mut acc, out.pairs);
@@ -494,7 +398,9 @@ impl PartitionedRuntime {
             }
             Ok(())
         })();
-        self.close_partitioned_span(span);
+        if let Some((track, span)) = span {
+            tracer.close(track, span);
+        }
         fragment_loop?;
 
         let t0 = Stopwatch::start();
@@ -508,6 +414,30 @@ impl PartitionedRuntime {
             pairs,
             stats: agg_stats,
         })
+    }
+}
+
+/// Where a sweep's fragments come from.
+enum Source<'a> {
+    /// A span in memory that starts at this offset of the whole dataset.
+    Memory(&'a [u8], usize),
+    /// A file, and the one buffer every scan window and every fragment is
+    /// read into — never more than one fragment of it is in memory.
+    File(File, Vec<u8>),
+}
+
+impl Source<'_> {
+    /// The bytes of fragment `range` and their global offset.
+    fn load(&mut self, range: &Range<usize>) -> std::io::Result<(&[u8], usize)> {
+        match self {
+            Source::Memory(data, base) => Ok((&data[range.clone()], *base + range.start)),
+            Source::File(file, buf) => {
+                buf.resize(range.len(), 0);
+                file.seek(SeekFrom::Start(range.start as u64))?;
+                file.read_exact(buf)?;
+                Ok((buf, range.start))
+            }
+        }
     }
 }
 
@@ -713,48 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_file_matches_in_memory_plan() {
-        let data = text(2_000);
-        let path = temp_file(&data);
-        let spec = PartitionSpec::new(700);
-        let in_mem = PartitionPlan::plan(&data, spec, &SplitSpec::whitespace());
-        let on_file = PartitionPlan::plan_file(&path, spec, &SplitSpec::whitespace()).unwrap();
-        assert_eq!(on_file.plan, in_mem);
-        assert_eq!(on_file.file_len, data.len());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn plan_file_fixed_records_and_none() {
-        let data = vec![7u8; 1000];
-        let path = temp_file(&data);
-        let rec = PartitionPlan::plan_file(&path, PartitionSpec::new(300), &SplitSpec::records(8))
-            .unwrap();
-        assert_eq!(
-            rec.plan,
-            PartitionPlan::plan(&data, PartitionSpec::new(300), &SplitSpec::records(8))
-        );
-        let raw =
-            PartitionPlan::plan_file(&path, PartitionSpec::new(300), &SplitSpec::bytes()).unwrap();
-        assert_eq!(raw.plan.fragments.len(), 4);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn run_file_matches_in_memory_run() {
-        let data = text(3_000);
-        let path = temp_file(&data);
-        let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(128));
-        let part = PartitionedRuntime::new(rt, PartitionSpec::new(800));
-        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
-        let in_mem = part.run(&Wc, &data, &merger).unwrap();
-        let from_file = part.run_file(&Wc, &path, &merger).unwrap();
-        assert_eq!(in_mem.pairs, from_file.pairs);
-        assert_eq!(in_mem.stats.fragments, from_file.stats.fragments);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn run_file_missing_file_is_io_error() {
         let rt = Runtime::new(PhoenixConfig::with_workers(1));
         let part = PartitionedRuntime::new(rt, PartitionSpec::new(64));
@@ -774,22 +662,6 @@ mod tests {
         let out = part.run_file(&Wc, &path, &merger).unwrap();
         assert!(out.pairs.is_empty());
         assert_eq!(out.stats.fragments, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn plan_file_long_run_without_delimiters_spans_windows() {
-        // A "word" longer than the 64K scan window: the delimiter search
-        // must keep scanning across windows.
-        let mut data = vec![b'x'; 100_000];
-        data.push(b' ');
-        data.extend_from_slice(b"tail words here");
-        let path = temp_file(&data);
-        let spec = PartitionSpec::new(10);
-        let on_file = PartitionPlan::plan_file(&path, spec, &SplitSpec::whitespace()).unwrap();
-        let in_mem = PartitionPlan::plan(&data, spec, &SplitSpec::whitespace());
-        assert_eq!(on_file.plan, in_mem);
-        assert_eq!(on_file.plan.fragments[0], 0..100_001);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,10 +2,13 @@
 //!
 //! Phoenix splits the input into cache-sized chunks, one per map task. The
 //! splitter here produces byte ranges whose boundaries are legalized by an
-//! [`IntegrityCheck`] so that no word/line/record spans two chunks.
+//! [`IntegrityCheck`] so that no word/line/record spans two chunks. This is
+//! the crate's only cutter: map chunks, fragments in memory or on file
+//! ([`crate::partition`]) and multi-SD spans all come out of its one loop.
 
 use crate::integrity::{Delimiter, IntegrityCheck};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::ops::Range;
 
 /// Describes how a job's input may be cut.
@@ -74,25 +77,47 @@ impl Splitter {
     /// push its end forward to the next delimiter (the paper's "extra
     /// displacements").
     pub fn split(&self, data: &[u8], target_bytes: usize) -> Vec<Range<usize>> {
-        let target = target_bytes.max(1);
-        let mut ranges = Vec::with_capacity(data.len() / target + 1);
-        let mut start = 0usize;
-        while start < data.len() {
-            let proposed = start.saturating_add(target);
-            let end = self.spec.integrity.adjust(data, proposed);
-            // The integrity check never moves a boundary backwards, and
-            // `proposed > start`, so the chunk is non-empty.
-            debug_assert!(end > start, "splitter produced an empty chunk");
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
+        let adjust = |at| Ok::<_, Infallible>(self.spec.integrity.adjust(data, at));
+        cut(data.len(), target_bytes, adjust).unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Splitter::split`] over a file that is never loaded: only the
+    /// integrity check's scans read it, through `window`.
+    pub(crate) fn split_file(
+        &self,
+        file: &mut std::fs::File,
+        window: &mut Vec<u8>,
+        target_bytes: usize,
+    ) -> std::io::Result<Vec<Range<usize>>> {
+        let len = file.metadata()?.len() as usize;
+        cut(len, target_bytes, |at| {
+            self.spec.integrity.adjust_file(file, len, window, at)
+        })
     }
 
     /// The spec this splitter applies.
     pub fn spec(&self) -> &SplitSpec {
         &self.spec
     }
+}
+
+/// The one range-cutting loop: `adjust` legalizes each proposed cut of a
+/// `len`-byte sequence and never moves it backwards, so no range is empty.
+fn cut<E>(
+    len: usize,
+    target_bytes: usize,
+    mut adjust: impl FnMut(usize) -> Result<usize, E>,
+) -> Result<Vec<Range<usize>>, E> {
+    let target = target_bytes.max(1);
+    let mut ranges = Vec::with_capacity(len / target + 1);
+    let mut start = 0usize;
+    while start < len {
+        let end = adjust(start.saturating_add(target))?;
+        debug_assert!(end > start, "splitter produced an empty chunk");
+        ranges.push(start..end);
+        start = end;
+    }
+    Ok(ranges)
 }
 
 #[cfg(test)]

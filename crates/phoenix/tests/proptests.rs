@@ -2,6 +2,7 @@
 
 use mcsd_phoenix::prelude::*;
 use mcsd_phoenix::sort::{is_sorted_by, kway_merge_by, parallel_sort_by};
+use mcsd_phoenix::PartitionPlan;
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -70,7 +71,112 @@ fn text_strategy() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// Strategy: indices into the delimiter-rich alphabet of [`bytes_of`].
+fn piece_strategy() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..8, 0..160)
+}
+
+/// `head` and `tail` spelled in a small delimiter-rich alphabet, around a
+/// delimiter-free run of `run` bytes.
+fn bytes_of(head: Vec<usize>, run: usize, tail: Vec<usize>) -> Vec<u8> {
+    let byte = |i: usize| b"ab \n\t;,."[i];
+    let mut out: Vec<u8> = head.into_iter().map(byte).collect();
+    out.resize(out.len() + run, b'x');
+    out.extend(tail.into_iter().map(byte));
+    out
+}
+
+/// `data` written to a scratch file that is removed on drop.
+struct TempFile(std::path::PathBuf);
+
+impl TempFile {
+    fn new(data: &[u8]) -> TempFile {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let name = format!("mcsd-phoenix-prop-{}-{n}.bin", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, data).unwrap();
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 proptest! {
+    /// The one cutter: a slice through the splitter, a slice through the
+    /// fragment planner and a never-loaded file through the on-file planner
+    /// get the same ranges under every integrity check and target size, and
+    /// those ranges cover the input on legal boundaries.
+    #[test]
+    fn every_cutter_entry_cuts_the_same_ranges(
+        head in piece_strategy(),
+        // A quarter of the cases carry a delimiter-free run longer than
+        // the 64 KiB window of the on-file scan.
+        run in prop_oneof![3 => Just(0usize), 1 => 65_537usize..70_000],
+        tail in piece_strategy(),
+        record in 2usize..16,
+        mid in 2usize..4096,
+    ) {
+        let data = bytes_of(head, run, tail);
+        let file = TempFile::new(&data);
+        let checks = [
+            IntegrityCheck::Delimited(Delimiter::Whitespace),
+            IntegrityCheck::Delimited(Delimiter::Newline),
+            IntegrityCheck::Delimited(Delimiter::Byte(b';')),
+            IntegrityCheck::Delimited(Delimiter::AnyOf(vec![b',', b'.'])),
+            IntegrityCheck::FixedRecord(record),
+            IntegrityCheck::None,
+        ];
+        for integrity in checks {
+            let spec = SplitSpec { integrity };
+            for target in [1, mid, data.len() + 1] {
+                let ranges = Splitter::new(spec.clone()).split(&data, target);
+                let fragments = PartitionSpec::new(target);
+                let in_memory = PartitionPlan::plan(&data, fragments, &spec);
+                let on_file = PartitionPlan::plan_file(&file.0, fragments, &spec).unwrap();
+                prop_assert!(in_memory.fragments == ranges, "plan: {spec:?} @ {target}");
+                prop_assert!(on_file.plan.fragments == ranges, "plan_file: {spec:?} @ {target}");
+                prop_assert_eq!(on_file.file_len, data.len());
+                let mut pos = 0;
+                for r in &ranges {
+                    prop_assert_eq!(r.start, pos);
+                    prop_assert!(r.end > r.start);
+                    prop_assert!(spec.integrity.is_legal(&data, r.end), "{spec:?} cut at {}", r.end);
+                    pos = r.end;
+                }
+                prop_assert_eq!(pos, data.len());
+            }
+        }
+    }
+
+    /// The one sweep: fragments streamed off a file, fragments of a slice
+    /// and the unpartitioned runtime produce the same pairs, and the two
+    /// sweeps the same deterministic counters.
+    #[test]
+    fn every_sweep_entry_runs_the_same_job(
+        data in text_strategy(),
+        fragment in 1usize..96,
+    ) {
+        let file = TempFile::new(&data);
+        let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(32));
+        let whole = rt.run(&Wc, &data).unwrap();
+        let part = PartitionedRuntime::new(rt, PartitionSpec::new(fragment));
+        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
+        let in_memory = part.run(&Wc, &data, &merger).unwrap();
+        let on_file = part.run_file(&Wc, &file.0, &merger).unwrap();
+        prop_assert_eq!(&on_file.pairs, &in_memory.pairs);
+        prop_assert_eq!(&on_file.pairs, &whole.pairs);
+        let counters = |s: &JobStats| (s.fragments, s.map_tasks, s.emitted_pairs, s.output_pairs);
+        prop_assert_eq!(counters(&on_file.stats), counters(&in_memory.stats));
+        prop_assert_eq!(on_file.stats.emitted_pairs, whole.stats.emitted_pairs);
+        prop_assert_eq!(on_file.stats.output_pairs, whole.stats.output_pairs);
+    }
+
     #[test]
     fn splitter_covers_input_exactly(
         data in text_strategy(),

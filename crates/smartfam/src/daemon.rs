@@ -1125,6 +1125,7 @@ mod tests {
     use super::*;
     use crate::host::HostClient;
     use crate::module::{FnModule, ModuleError};
+    use crate::watch::PollBackoff;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     static N: TestCounter = TestCounter::new(0);
@@ -1283,7 +1284,15 @@ mod tests {
         cfg.heartbeat_interval = Duration::from_millis(5);
         let mut daemon = Daemon::new(cfg, registry()).spawn().unwrap();
         let hb = dir.join(HEARTBEAT_FILE);
-        assert!(crate::watch::wait_for_file(&hb, TIMEOUT, |len| len == 24));
+        let waited = Stopwatch::start();
+        let mut pace = PollBackoff::new(Duration::from_millis(10));
+        while std::fs::metadata(&hb).map_or(true, |meta| meta.len() != 24) {
+            assert!(
+                !waited.expired(TIMEOUT),
+                "no heartbeat file within {TIMEOUT:?}"
+            );
+            pace.idle();
+        }
         let first = HeartbeatRecord::decode(&std::fs::read(&hb).unwrap()).unwrap();
         std::thread::sleep(Duration::from_millis(40));
         let later = HeartbeatRecord::decode(&std::fs::read(&hb).unwrap()).unwrap();

@@ -72,4 +72,4 @@ pub use replica::{
     recover_group, AppendOutcome, GroupRecovery, MirrorSet, ReplicaConfig, ReplicaState,
     ReplicatedLog, ReprotectStep,
 };
-pub use watch::{FileWait, FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};
+pub use watch::{FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};

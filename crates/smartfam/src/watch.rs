@@ -10,8 +10,6 @@
 //! interval.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use mcsd_phoenix::Stopwatch;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,9 +58,11 @@ impl Default for WatchConfig {
 /// idle sweep doubles the gap, and the gap is capped at the configured
 /// poll interval — so detection latency stays bounded by the interval
 /// while an idle waiter stops burning CPU. Progress resets the schedule
-/// to the floor. [`crate::host::PendingCall::wait`], the pipelined
-/// window, the resilient wait, and the watcher's own poll loop all pace
-/// themselves with this one schedule (DESIGN.md §18).
+/// to the floor. Only the watcher's own poll loop has room to double
+/// (1 ms → its 2 ms default interval); the host's waits
+/// ([`crate::host::PendingCall::wait`], the pipelined window, the
+/// resilient wait) build it from a 1 ms interval, where floor = cap, so
+/// they pace at a constant 1 ms (DESIGN.md §18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollBackoff {
     floor: Duration,
@@ -126,8 +126,6 @@ pub struct FileWatcher {
     events: Receiver<WatchEvent>,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    /// Extra paths registered after spawn.
-    extra: Arc<Mutex<Vec<PathBuf>>>,
 }
 
 impl FileWatcher {
@@ -144,36 +142,23 @@ impl FileWatcher {
         let dir = dir.into();
         let (tx, rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
-        let extra: Arc<Mutex<Vec<PathBuf>>> = Arc::new(Mutex::new(Vec::new()));
         // Synchronous census: files existing now do not generate Created
         // events (inotify semantics).
         let mut known: HashMap<PathBuf, FileSig> = HashMap::new();
-        for path in list_files(&dir, &extra) {
+        for path in list_files(&dir) {
             if let Some(sig) = signature(&path) {
                 known.insert(path, sig);
             }
         }
         let handle = {
             let stop = Arc::clone(&stop);
-            let extra = Arc::clone(&extra);
-            std::thread::spawn(move || poll_loop(dir, config, tx, stop, extra, known))
+            std::thread::spawn(move || poll_loop(dir, config, tx, stop, known))
         };
         FileWatcher {
             events: rx,
             stop,
             handle: Some(handle),
-            extra,
         }
-    }
-
-    /// The event channel.
-    pub fn events(&self) -> &Receiver<WatchEvent> {
-        &self.events
-    }
-
-    /// Also watch a specific file outside the directory.
-    pub fn add_path(&self, path: impl Into<PathBuf>) {
-        self.extra.lock().push(path.into());
     }
 
     /// Block until an event arrives or `timeout` elapses.
@@ -201,7 +186,6 @@ fn poll_loop(
     config: WatchConfig,
     tx: Sender<WatchEvent>,
     stop: Arc<AtomicBool>,
-    extra: Arc<Mutex<Vec<PathBuf>>>,
     mut known: HashMap<PathBuf, FileSig>,
 ) {
     // Quiet directories back off toward the configured interval (which
@@ -211,7 +195,7 @@ fn poll_loop(
     let mut pace = PollBackoff::new(config.poll_interval);
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
-        let current = list_files(&dir, &extra);
+        let current = list_files(&dir);
         let mut seen: HashMap<PathBuf, FileSig> = HashMap::new();
         for path in current {
             if let Some(sig) = signature(&path) {
@@ -261,7 +245,7 @@ fn poll_loop(
     }
 }
 
-fn list_files(dir: &Path, extra: &Mutex<Vec<PathBuf>>) -> Vec<PathBuf> {
+fn list_files(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -271,79 +255,7 @@ fn list_files(dir: &Path, extra: &Mutex<Vec<PathBuf>>) -> Vec<PathBuf> {
             }
         }
     }
-    // Snapshot the extra paths first: stat-ing while holding the lock
-    // would stall every registrar behind slow storage (MCSD008).
-    let extras: Vec<PathBuf> = extra.lock().clone();
-    for p in extras {
-        if p.is_file() && !files.contains(&p) {
-            files.push(p);
-        }
-    }
     files
-}
-
-/// Why a [`wait_for_file_outcome`] call returned. Distinguishes "the file
-/// was there but never satisfied the predicate" from "we could not even
-/// stat it" — a liveness probe treats those very differently (a daemon
-/// whose heartbeat file is unreadable is not the same as one whose
-/// heartbeat is merely old).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileWait {
-    /// The predicate held before the timeout.
-    Satisfied,
-    /// The file was observable (stat succeeded at least once) but the
-    /// predicate never held within the timeout.
-    TimedOut,
-    /// Every stat attempt failed; the last error kind is carried. For a
-    /// file that simply does not exist this is `ErrorKind::NotFound`.
-    StatFailed(std::io::ErrorKind),
-}
-
-impl FileWait {
-    /// Whether the predicate was satisfied.
-    pub fn satisfied(self) -> bool {
-        self == FileWait::Satisfied
-    }
-}
-
-/// Poll `path` until `predicate(len)` holds or `timeout` elapses,
-/// reporting *why* the wait ended (see [`FileWait`]).
-pub fn wait_for_file_outcome(
-    path: &Path,
-    timeout: Duration,
-    predicate: impl Fn(u64) -> bool,
-) -> FileWait {
-    let waited = Stopwatch::start();
-    let mut stat_ok = false;
-    let mut last_err = std::io::ErrorKind::NotFound;
-    let mut pace = PollBackoff::new(Duration::from_millis(10));
-    loop {
-        match std::fs::metadata(path) {
-            Ok(meta) => {
-                stat_ok = true;
-                if predicate(meta.len()) {
-                    return FileWait::Satisfied;
-                }
-            }
-            Err(e) => last_err = e.kind(),
-        }
-        if waited.expired(timeout) {
-            return if stat_ok {
-                FileWait::TimedOut
-            } else {
-                FileWait::StatFailed(last_err)
-            };
-        }
-        pace.idle();
-    }
-}
-
-/// Poll `path` until `predicate(len)` holds or `timeout` elapses; returns
-/// whether the predicate was met. A convenience for simple waiters that do
-/// not need a full watcher thread; use [`wait_for_file_outcome`] when the
-/// failure cause matters.
-pub fn wait_for_file(path: &Path, timeout: Duration, predicate: impl Fn(u64) -> bool) -> bool {
-    wait_for_file_outcome(path, timeout, predicate).satisfied()
 }
 
 #[cfg(test)]
@@ -419,21 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_path_outside_dir_is_watched() {
-        let dir = temp_dir();
-        let other = temp_dir();
-        let target = other.join("outside.log");
-        let w = FileWatcher::spawn(&dir, fast());
-        w.add_path(&target);
-        std::thread::sleep(Duration::from_millis(10));
-        std::fs::write(&target, b"event!").unwrap();
-        let ev = w.next_event(WAIT).expect("event");
-        assert_eq!(ev.path, target);
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&other).unwrap();
-    }
-
-    #[test]
     fn stop_terminates_thread() {
         let dir = temp_dir();
         let mut w = FileWatcher::spawn(&dir, fast());
@@ -446,9 +343,8 @@ mod tests {
 
     #[test]
     fn poll_backoff_sequence_is_pinned() {
-        // The schedule every real-I/O wait loop shares (the one
-        // `PendingCall::wait` documents): 1 ms floor, gap doubling per
-        // idle sweep, capped at the poll interval.
+        // The schedule every real-I/O wait loop shares: 1 ms floor, gap
+        // doubling per idle sweep, capped at the poll interval.
         let mut pace = PollBackoff::new(Duration::from_millis(16));
         let sleeps: Vec<u64> = (0..6)
             .map(|_| pace.idle_delay().as_millis() as u64)
@@ -458,61 +354,17 @@ mod tests {
         pace.reset();
         assert_eq!(pace.idle_delay(), Duration::from_millis(1));
         assert_eq!(pace.idle_delay(), Duration::from_millis(2));
-        // A sub-millisecond interval is both floor and cap: the schedule
-        // degenerates to fixed-interval polling.
+        // An interval at or below the 1 ms floor is both floor and cap:
+        // the schedule degenerates to fixed-interval polling — the host's
+        // waits (1 ms) run exactly this way.
+        let mut host = PollBackoff::new(Duration::from_millis(1));
+        assert_eq!(host.idle_delay(), Duration::from_millis(1));
+        assert_eq!(host.idle_delay(), Duration::from_millis(1));
         let mut fine = PollBackoff::new(Duration::from_micros(300));
         assert_eq!(fine.idle_delay(), Duration::from_micros(300));
         assert_eq!(fine.idle_delay(), Duration::from_micros(300));
         // The floor never drops below 100 µs even for absurd intervals.
         let mut tiny = PollBackoff::new(Duration::from_micros(1));
         assert_eq!(tiny.idle_delay(), Duration::from_micros(100));
-    }
-
-    #[test]
-    fn wait_for_file_sees_growth() {
-        let dir = temp_dir();
-        let file = dir.join("grow.log");
-        std::fs::write(&file, b"12").unwrap();
-        let f2 = file.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            std::fs::write(&f2, b"123456").unwrap();
-        });
-        assert!(wait_for_file(&file, WAIT, |len| len >= 6));
-        t.join().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn wait_for_file_times_out() {
-        let dir = temp_dir();
-        let file = dir.join("never.log");
-        assert!(!wait_for_file(&file, Duration::from_millis(40), |_| true));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn wait_outcome_distinguishes_missing_from_unsatisfied() {
-        let dir = temp_dir();
-        // Missing file: every stat fails → StatFailed(NotFound).
-        let missing = dir.join("absent.log");
-        assert_eq!(
-            wait_for_file_outcome(&missing, Duration::from_millis(30), |_| true),
-            FileWait::StatFailed(std::io::ErrorKind::NotFound)
-        );
-        // Present file that never grows → TimedOut, not StatFailed.
-        let present = dir.join("small.log");
-        std::fs::write(&present, b"ab").unwrap();
-        assert_eq!(
-            wait_for_file_outcome(&present, Duration::from_millis(30), |len| len > 100),
-            FileWait::TimedOut
-        );
-        // Present and satisfying → Satisfied.
-        assert_eq!(
-            wait_for_file_outcome(&present, Duration::from_millis(30), |len| len == 2),
-            FileWait::Satisfied
-        );
-        assert!(FileWait::Satisfied.satisfied());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
