@@ -41,17 +41,22 @@ impl Job for WordCount {
     type Value = u64;
 
     fn map(&self, chunk: InputChunk<'_>, emitter: &mut Emitter<'_, String, u64>) {
-        // Aggregate within the chunk first, borrowing word slices from the
-        // chunk: one String allocation per *distinct* word per chunk
-        // instead of one per occurrence, which is what lets map workers
-        // scale instead of serializing on the allocator.
-        let mut local: std::collections::HashMap<&[u8], u64> = std::collections::HashMap::new();
+        // Aggregate within the chunk first, so a word is emitted once per
+        // chunk — `emitted_pairs` counts distinct words per chunk, not
+        // occurrences. A valid-UTF-8 word reaches the emitter as the slice
+        // of the chunk it is, and stays borrowed until reduce (DESIGN.md
+        // §19); only a word `from_utf8_lossy` had to repair is copied.
+        // The table is sized once, for what a default 64 KiB chunk of text
+        // holds at most: grown from empty for every chunk it was a quarter
+        // of the job's allocated bytes.
+        let distinct = (chunk.len() / 16).min(4096);
+        let mut local = std::collections::HashMap::<&[u8], u64>::with_capacity(distinct);
         for word in Self::words(chunk.bytes()) {
             *local.entry(word).or_insert(0) += 1;
         }
         // tidy:allow(MCSD003) -- combiner hot path: emission order only feeds the framework's own hash partitioner and re-grouping; final output is key-sorted downstream
         for (word, count) in local {
-            emitter.emit(String::from_utf8_lossy(word).into_owned(), count);
+            emitter.emit_ref(&String::from_utf8_lossy(word), count);
         }
     }
 

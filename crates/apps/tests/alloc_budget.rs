@@ -1,0 +1,71 @@
+//! Word Count's allocation budget: one owned key per distinct word per
+//! fragment (DESIGN.md §19), counted by this binary's own allocator so a
+//! key allocation that creeps back in per chunk or per worker fails here
+//! and not only on the benchmark box. One test, so nothing else allocates
+//! while it counts.
+
+#![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
+
+use mcsd_apps::{seq, TextGen, WordCount};
+use mcsd_phoenix::{PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is one atomic add that neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[test]
+fn wordcount_allocates_one_key_per_distinct_word_per_fragment() {
+    let text = TextGen::with_seed(16).generate(1 << 20);
+    let path = std::env::temp_dir().join(format!("mcsd-alloc-budget-{}", std::process::id()));
+    std::fs::write(&path, &text).unwrap();
+    // Four workers with four 16 KiB chunks each per fragment, whatever the
+    // machine's core count: a key owned once per worker, let alone once
+    // per chunk, costs well over the budget's one and a half.
+    let runtime = Runtime::new(PhoenixConfig::with_workers(4).chunk_bytes(16 << 10));
+    let partitioned = PartitionedRuntime::new(runtime, PartitionSpec::new(256 << 10));
+    let merger = WordCount::merger();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let out = partitioned.run_file(&WordCount, &path, &merger).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(out.pairs, seq::wordcount(&text));
+    assert_eq!(out.stats.fragments, 4);
+    let distinct_words = out.pairs.len() as u64;
+    let budget = out.stats.fragments * distinct_words * 3 / 2 + 2_000;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {distinct_words} distinct words in {} fragments (budget {budget})",
+        out.stats.fragments
+    );
+}

@@ -2,7 +2,7 @@
 
 use mcsd_apps::search::Pattern;
 use mcsd_apps::{datagen, seq, Matrix, StringMatch, WordCount};
-use mcsd_phoenix::{PhoenixConfig, Runtime};
+use mcsd_phoenix::{PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -117,4 +117,93 @@ proptest! {
             }
         }
     }
+
+    /// Word Count equals the sequential reference on arbitrary bytes —
+    /// invalid UTF-8, words that differ only in their invalid bytes (and so
+    /// share one lossy key), a literal U+FFFD beside the bytes repaired to
+    /// it, words across chunk and fragment cuts — whatever the worker
+    /// count, chunk size and fragment size.
+    #[test]
+    fn wordcount_equals_reference_on_arbitrary_bytes(
+        tokens in proptest::collection::vec(0usize..WC_TOKENS.len(), 0..300),
+        chunk_bytes in 1usize..64,
+        fragment_bytes in 1usize..200,
+    ) {
+        let text: Vec<u8> = tokens.iter().flat_map(|&t| WC_TOKENS[t]).copied().collect();
+        let reference = seq::wordcount(&text);
+        for workers in [1, 2, 4] {
+            let rt = Runtime::new(PhoenixConfig::with_workers(workers).chunk_bytes(chunk_bytes));
+            prop_assert_eq!(&rt.run(&WordCount, &text).unwrap().pairs, &reference);
+            let part = PartitionedRuntime::new(rt, PartitionSpec::new(fragment_bytes));
+            let out = part.run(&WordCount, &text, &WordCount::merger()).unwrap();
+            prop_assert_eq!(&out.pairs, &reference);
+        }
+    }
+}
+
+/// Pieces of Word Count input: letters, separators, a two-byte character
+/// whole and cut, bytes no UTF-8 has, U+FFFD spelled out, a three-byte
+/// character cut short.
+const WC_TOKENS: [&[u8]; 14] = [
+    b"a",
+    b"b",
+    b"ab",
+    b"c",
+    b" ",
+    b" ",
+    b"\n",
+    b"\t",
+    b"\xC3\xA9",
+    b"\xC3",
+    b"\xFF",
+    b"\xFE",
+    b"\xEF\xBF\xBD",
+    b"\xE2\x82",
+];
+
+/// `(emitted_pairs, combined_pairs, distinct_keys)` of a Word Count run.
+fn wc_counters(stats: &mcsd_phoenix::JobStats) -> (u64, u64, u64) {
+    (
+        stats.emitted_pairs,
+        stats.combined_pairs,
+        stats.distinct_keys,
+    )
+}
+
+/// The counters that reach the `phoenix.*` span tree are what the
+/// owned-key runtime (the parent of the borrowed-key change, commit
+/// bde40af) produced on the same inputs: how a key is held between map and
+/// reduce must not show in them.
+#[test]
+fn wordcount_counters_equal_the_owned_key_runtime() {
+    let zipf = mcsd_apps::TextGen::with_seed(7).generate(200_000);
+    let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(8 << 10));
+    assert_eq!(
+        wc_counters(&rt.run(&WordCount, &zipf).unwrap().stats),
+        (22_223, 9_820, 6_811)
+    );
+
+    let part = PartitionedRuntime::new(rt, PartitionSpec::new(50_000));
+    let out = part.run(&WordCount, &zipf, &WordCount::merger()).unwrap();
+    assert_eq!(wc_counters(&out.stats), (22_329, 16_447, 13_032));
+
+    // Invalid UTF-8 throughout: `x\xFF`, `x\xFE` and a spelled-out
+    // `x\u{FFFD}` are three byte strings and one key.
+    let words: [&[u8]; 6] = [
+        b"x\xFF",
+        b"x\xFE",
+        b"x\xEF\xBF\xBD",
+        b"\xC3",
+        b"caf\xC3\xA9",
+        b"x",
+    ];
+    let mut broken = Vec::new();
+    for i in 0..4_000usize {
+        broken.extend_from_slice(words[(i * i + i / 7) % words.len()]);
+        broken.push(if i % 9 == 0 { b'\n' } else { b' ' });
+    }
+    let rt = Runtime::new(PhoenixConfig::with_workers(3).chunk_bytes(256));
+    let out = rt.run(&WordCount, &broken).unwrap();
+    assert_eq!(out.pairs, seq::wordcount(&broken));
+    assert_eq!(wc_counters(&out.stats), (330, 12, 4));
 }

@@ -41,6 +41,34 @@ fn parse_partition(
     }
 }
 
+/// Bytes `n` takes in decimal.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The lines of a result payload, and a bound on how many there are —
+/// what `decode` sizes its output from.
+fn payload_lines(payload: &[u8]) -> Result<(std::str::Lines<'_>, usize), String> {
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+    let newlines = payload.iter().filter(|&&b| b == b'\n').count();
+    Ok((text.lines(), newlines + 1))
+}
+
 /// What every module is preloaded with: the SD data root it serves staged
 /// files from, and the node whose cores and memory its jobs run on.
 struct Staged {
@@ -107,11 +135,12 @@ impl WordCountModule {
 
     /// Encode the output pairs as `word\tcount` lines.
     pub fn encode(pairs: &[(String, u64)]) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = pairs.iter().map(|(w, c)| w.len() + decimal_len(*c) + 2);
+        let mut out = Vec::with_capacity(len.sum());
         for (w, c) in pairs {
             out.extend_from_slice(w.as_bytes());
             out.push(b'\t');
-            out.extend_from_slice(c.to_string().as_bytes());
+            push_decimal(&mut out, *c);
             out.push(b'\n');
         }
         out
@@ -119,15 +148,15 @@ impl WordCountModule {
 
     /// Decode [`WordCountModule::encode`] output.
     pub fn decode(payload: &[u8]) -> Result<Vec<(String, u64)>, String> {
-        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-        text.lines()
-            .map(|line| {
-                let (w, c) = line
-                    .rsplit_once('\t')
-                    .ok_or_else(|| format!("bad line {line:?}"))?;
-                Ok((w.to_string(), c.parse::<u64>().map_err(|e| e.to_string())?))
-            })
-            .collect()
+        let (lines, count) = payload_lines(payload)?;
+        let mut pairs = Vec::with_capacity(count);
+        for line in lines {
+            let (w, c) = line
+                .rsplit_once('\t')
+                .ok_or_else(|| format!("bad line {line:?}"))?;
+            pairs.push((w.to_string(), c.parse::<u64>().map_err(|e| e.to_string())?));
+        }
+        Ok(pairs)
     }
 }
 
@@ -157,27 +186,33 @@ impl StringMatchModule {
 
     /// Encode matches as `offset\tkey_index` lines.
     pub fn encode(pairs: &[(u64, u32)]) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = pairs
+            .iter()
+            .map(|(off, ki)| decimal_len(*off) + decimal_len(u64::from(*ki)) + 2);
+        let mut out = Vec::with_capacity(len.sum());
         for (off, ki) in pairs {
-            out.extend_from_slice(format!("{off}\t{ki}\n").as_bytes());
+            push_decimal(&mut out, *off);
+            out.push(b'\t');
+            push_decimal(&mut out, u64::from(*ki));
+            out.push(b'\n');
         }
         out
     }
 
     /// Decode [`StringMatchModule::encode`] output.
     pub fn decode(payload: &[u8]) -> Result<Vec<(u64, u32)>, String> {
-        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-        text.lines()
-            .map(|line| {
-                let (off, ki) = line
-                    .split_once('\t')
-                    .ok_or_else(|| format!("bad line {line:?}"))?;
-                Ok((
-                    off.parse::<u64>().map_err(|e| e.to_string())?,
-                    ki.parse::<u32>().map_err(|e| e.to_string())?,
-                ))
-            })
-            .collect()
+        let (lines, count) = payload_lines(payload)?;
+        let mut pairs = Vec::with_capacity(count);
+        for line in lines {
+            let (off, ki) = line
+                .split_once('\t')
+                .ok_or_else(|| format!("bad line {line:?}"))?;
+            pairs.push((
+                off.parse::<u64>().map_err(|e| e.to_string())?,
+                ki.parse::<u32>().map_err(|e| e.to_string())?,
+            ));
+        }
+        Ok(pairs)
     }
 }
 

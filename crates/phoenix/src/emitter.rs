@@ -7,7 +7,14 @@
 //! per-partition hash map instead of being buffered, which is what keeps
 //! Word Count's intermediate footprint bounded by the number of *distinct*
 //! words per fragment rather than the number of word occurrences.
+//!
+//! Between `emit` and reduce a key is an `InterKey`: owned, or — for keys
+//! that are text of the job input ([`Emitter::emit_ref`]) — a slice of that
+//! input, so that nothing is allocated per worker or per chunk for it
+//! (DESIGN.md §19).
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -37,39 +44,113 @@ impl<J: crate::job::Job> CombineFn<J::Value> for J {
     }
 }
 
-enum Buffers<K, V> {
+/// How an owned key type stands for text: its [`Borrow<str>`] view — under
+/// which, by `Borrow`'s contract, it hashes and orders like the text — and
+/// its constructor. [`Emitter::emit_ref`], the one place that knows the
+/// bounds, captures them as plain functions, so the bound-free runtime can
+/// still compare and materialise such keys.
+pub(crate) struct TextKey<K> {
+    view: fn(&K) -> &str,
+    own: fn(&str) -> K,
+}
+
+/// An intermediate key: what a pair is keyed on from `emit` until reduce
+/// has grouped it and needs the owned key.
+pub(crate) enum InterKey<'i, K> {
+    /// Owned from the start ([`Emitter::emit`]).
+    Owned(K),
+    /// Text of the job input ([`Emitter::emit_ref`]).
+    Input(&'i str, TextKey<K>),
+}
+
+impl<K> InterKey<'_, K> {
+    /// The owned key; for input text, its one allocation.
+    pub(crate) fn into_owned(self) -> K {
+        match self {
+            InterKey::Owned(key) => key,
+            InterKey::Input(text, as_text) => (as_text.own)(text),
+        }
+    }
+}
+
+impl<K: Ord> Ord for InterKey<'_, K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (InterKey::Owned(a), InterKey::Owned(b)) => a.cmp(b),
+            (InterKey::Owned(a), InterKey::Input(b, as_text)) => (as_text.view)(a).cmp(b),
+            (InterKey::Input(a, as_text), InterKey::Owned(b)) => (*a).cmp((as_text.view)(b)),
+            (InterKey::Input(a, _), InterKey::Input(b, _)) => a.cmp(b),
+        }
+    }
+}
+
+impl<K: Ord> PartialOrd for InterKey<'_, K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord> PartialEq for InterKey<'_, K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K: Ord> Eq for InterKey<'_, K> {}
+
+impl<K: Hash> Hash for InterKey<'_, K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            InterKey::Owned(key) => key.hash(state),
+            InterKey::Input(text, _) => text.hash(state),
+        }
+    }
+}
+
+enum Buffers<'i, K, V> {
     /// Plain append buffers, one per reduce partition.
-    Plain(Vec<Vec<(K, V)>>),
+    Plain(Vec<Vec<(InterKey<'i, K>, V)>>),
     /// Eagerly-combined maps, one per reduce partition.
-    Combining(Vec<HashMap<K, V>>),
+    Combining(Vec<HashMap<InterKey<'i, K>, V>>),
 }
 
 /// Per-worker sink for intermediate `(key, value)` pairs.
-pub struct Emitter<'j, K, V> {
-    buffers: Buffers<K, V>,
-    combiner: Option<&'j dyn CombineFn<V>>,
+pub struct Emitter<'i, K, V> {
+    buffers: Buffers<'i, K, V>,
+    combiner: Option<&'i dyn CombineFn<V>>,
+    /// The job input [`Emitter::emit_ref`] recognises its keys in.
+    input: &'i [u8],
     emitted: u64,
 }
 
-impl<'j, K: Ord + Hash + Clone, V> Emitter<'j, K, V> {
+impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     /// An emitter with `partitions` plain buffers (no combiner).
     pub fn new(partitions: usize) -> Self {
         assert!(partitions > 0, "emitter needs at least one partition");
         Emitter {
             buffers: Buffers::Plain((0..partitions).map(|_| Vec::new()).collect()),
             combiner: None,
+            input: &[],
             emitted: 0,
         }
     }
 
     /// An emitter that folds pairs with equal keys using `combiner`.
-    pub fn with_combiner(partitions: usize, combiner: &'j dyn CombineFn<V>) -> Self {
+    pub fn with_combiner(partitions: usize, combiner: &'i dyn CombineFn<V>) -> Self {
         assert!(partitions > 0, "emitter needs at least one partition");
         Emitter {
             buffers: Buffers::Combining((0..partitions).map(|_| HashMap::new()).collect()),
             combiner: Some(combiner),
+            input: &[],
             emitted: 0,
         }
+    }
+
+    /// The same emitter over the job input `input`: keys
+    /// [`Emitter::emit_ref`] finds inside it stay borrowed from it.
+    pub(crate) fn over(mut self, input: &'i [u8]) -> Self {
+        self.input = input;
+        self
     }
 
     /// Number of reduce partitions.
@@ -82,6 +163,39 @@ impl<'j, K: Ord + Hash + Clone, V> Emitter<'j, K, V> {
 
     /// Emit one intermediate pair.
     pub fn emit(&mut self, key: K, value: V) {
+        self.push(InterKey::Owned(key), value)
+    }
+
+    /// Emit one intermediate pair whose key is text, without allocating
+    /// for it when `key` is a slice of the job input (a word of the chunk
+    /// being mapped): such a key is found again in the input by its
+    /// address — as `bytes::Bytes::slice_ref` finds a sub-slice — and held
+    /// as that slice until reduce has grouped it, one allocation per
+    /// distinct key. Any other `key` is copied at once, as by
+    /// [`Emitter::emit`]. Either way it groups with every equal key,
+    /// however emitted.
+    pub fn emit_ref(&mut self, key: &str, value: V)
+    where
+        K: Borrow<str> + for<'a> From<&'a str>,
+    {
+        let in_input = (key.as_ptr() as usize)
+            .checked_sub(self.input.as_ptr() as usize)
+            .and_then(|start| self.input.get(start..start.checked_add(key.len())?))
+            .and_then(|bytes| std::str::from_utf8(bytes).ok());
+        let key = match in_input {
+            Some(text) => {
+                let as_text = TextKey {
+                    view: <K as Borrow<str>>::borrow,
+                    own: |text: &str| K::from(text),
+                };
+                InterKey::Input(text, as_text)
+            }
+            None => InterKey::Owned(K::from(key)),
+        };
+        self.push(key, value)
+    }
+
+    fn push(&mut self, key: InterKey<'i, K>, value: V) {
         self.emitted += 1;
         let parts = self.partitions();
         let p = (partition_hash(&key) % parts as u64) as usize;
@@ -117,7 +231,7 @@ impl<'j, K: Ord + Hash + Clone, V> Emitter<'j, K, V> {
     }
 
     /// Drain the emitter into per-partition pair vectors.
-    pub fn into_partitions(self) -> Vec<Vec<(K, V)>> {
+    pub(crate) fn into_partitions(self) -> Vec<Vec<(InterKey<'i, K>, V)>> {
         match self.buffers {
             Buffers::Plain(v) => v,
             Buffers::Combining(v) => v.into_iter().map(|m| m.into_iter().collect()).collect(),
@@ -134,6 +248,11 @@ mod tests {
         fn fold(&self, acc: &mut u64, next: u64) {
             *acc += next;
         }
+    }
+
+    fn owned_pairs(e: Emitter<'_, String, u64>) -> Vec<(String, u64)> {
+        let pairs = e.into_partitions().into_iter().flatten();
+        pairs.map(|(k, v)| (k.into_owned(), v)).collect()
     }
 
     #[test]
@@ -173,10 +292,54 @@ mod tests {
         e.emit("y".into(), 5);
         assert_eq!(e.emitted(), 101);
         assert_eq!(e.buffered(), 2);
-        let pairs: Vec<(String, u64)> = e.into_partitions().into_iter().flatten().collect();
-        let mut sorted = pairs;
+        let mut sorted = owned_pairs(e);
         sorted.sort();
         assert_eq!(sorted, vec![("x".into(), 100), ("y".into(), 5)]);
+    }
+
+    #[test]
+    fn emit_ref_borrows_input_text_and_copies_anything_else() {
+        let input = b"red green red".to_vec();
+        let text = std::str::from_utf8(&input).unwrap();
+        let mut e: Emitter<'_, String, u64> = Emitter::new(1).over(&input);
+        e.emit_ref(&text[..3], 1);
+        e.emit_ref(&String::from("red"), 1);
+        let keys: Vec<_> = e.into_partitions().remove(0);
+        assert!(matches!(keys[0].0, InterKey::Input("red", _)));
+        assert!(matches!(&keys[1].0, InterKey::Owned(k) if k == "red"));
+        // Without an input to find it in, every key is copied.
+        let mut e: Emitter<'_, String, u64> = Emitter::new(1);
+        e.emit_ref(&text[..3], 1);
+        assert!(matches!(e.into_partitions()[0][0].0, InterKey::Owned(_)));
+    }
+
+    #[test]
+    fn borrowed_and_owned_forms_of_a_key_are_one_key() {
+        let input = b"red green red".to_vec();
+        let text = std::str::from_utf8(&input).unwrap();
+        let summer = Summer;
+        let mut e: Emitter<'_, String, u64> = Emitter::with_combiner(4, &summer).over(&input);
+        e.emit("red".into(), 1);
+        e.emit_ref(&text[..3], 1);
+        e.emit_ref(&text[4..9], 1);
+        e.emit("green".into(), 1);
+        e.emit_ref(&text[10..], 1);
+        assert_eq!((e.emitted(), e.buffered()), (5, 2));
+        let mut sorted = owned_pairs(e);
+        sorted.sort();
+        assert_eq!(sorted, vec![("green".into(), 2), ("red".into(), 3)]);
+        // Hash and order agree across the two forms, as partitioning and
+        // reduce's sort need.
+        let as_text = |view, own| TextKey { view, own };
+        let borrowed: InterKey<'_, String> = InterKey::Input(
+            "red",
+            as_text(|k: &String| k.as_str(), |t: &str| t.to_string()),
+        );
+        let owned = InterKey::Owned(String::from("red"));
+        assert_eq!(partition_hash(&borrowed), partition_hash(&owned));
+        assert_eq!(partition_hash(&owned), partition_hash(&String::from("red")));
+        assert_eq!(borrowed.cmp(&owned), Ordering::Equal);
+        assert!(borrowed > InterKey::Owned(String::from("green")));
     }
 
     #[test]

@@ -363,7 +363,15 @@ impl PartitionedRuntime {
         let splitter = Splitter::new(job.split_spec());
         let fragments = match &mut source {
             Source::Memory(data, _) => splitter.split(data, self.spec.fragment_bytes),
-            Source::File(file, buf) => splitter.split_file(file, buf, self.spec.fragment_bytes)?,
+            Source::File(file, buf) => {
+                let fragments = splitter.split_file(file, buf, self.spec.fragment_bytes)?;
+                // Room for the longest fragment, once: a buffer left to grow
+                // on demand doubles when the second fragment is a word
+                // longer than the first, and then holds two fragments' worth.
+                let longest = fragments.iter().map(Range::len).max().unwrap_or(0);
+                buf.reserve_exact(longest.saturating_sub(buf.len()));
+                fragments
+            }
         };
         let plan_time = t0.elapsed();
 

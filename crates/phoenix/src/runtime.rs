@@ -7,7 +7,7 @@
 //! Core2 Duo SD node, 4 = the Core2 Quad host.
 
 use crate::config::{OutputOrder, PhoenixConfig};
-use crate::emitter::Emitter;
+use crate::emitter::{Emitter, InterKey};
 use crate::error::PhoenixError;
 use crate::job::{InputChunk, Job, ValueIter};
 use crate::memory::MemoryVerdict;
@@ -45,15 +45,16 @@ impl<K, V> JobOutput<K, V> {
     }
 }
 
+/// Intermediate pairs of one reduce partition, as per-worker runs.
+type PartitionBuckets<'i, K, V> = Vec<Vec<(InterKey<'i, K>, V)>>;
+
 /// Output of one worker's map phase.
-struct WorkerMapOutput<K, V> {
-    partitions: Vec<Vec<(K, V)>>,
+struct WorkerMapOutput<'i, K, V> {
+    partitions: PartitionBuckets<'i, K, V>,
     emitted: u64,
     buffered: u64,
 }
 
-/// Intermediate pairs of one reduce partition, as per-worker runs.
-type PartitionBuckets<K, V> = Vec<Vec<(K, V)>>;
 /// A reduced partition: key-sorted output pairs plus its distinct-key
 /// count.
 type ReducedPartition<K, V> = (Vec<(K, V)>, u64);
@@ -202,15 +203,16 @@ impl Runtime {
         // bytes depend on thread scheduling. Chunks are uniform-sized, so
         // the stride balances load as well as stealing did.
         let t0 = Stopwatch::start();
-        type OutputSlots<K, V> = Mutex<Vec<Option<WorkerMapOutput<K, V>>>>;
-        let worker_outputs: OutputSlots<J::Key, J::Value> =
+        type OutputSlots<'i, K, V> = Mutex<Vec<Option<WorkerMapOutput<'i, K, V>>>>;
+        let worker_outputs: OutputSlots<'_, J::Key, J::Value> =
             Mutex::new((0..workers).map(|_| None).collect());
         scoped_workers(workers, "map", |w| {
-            let mut emitter = if job.has_combiner() {
+            let emitter = if job.has_combiner() {
                 Emitter::with_combiner(partitions, job)
             } else {
                 Emitter::new(partitions)
             };
+            let mut emitter = emitter.over(input);
             for idx in (w..chunks.len()).step_by(workers) {
                 let range = &chunks[idx];
                 let chunk = InputChunk::new(&input[range.clone()], base_offset + range.start, idx);
@@ -226,14 +228,14 @@ impl Runtime {
         })?;
         timings.map = t0.elapsed();
 
-        let outputs: Vec<WorkerMapOutput<J::Key, J::Value>> =
+        let outputs: Vec<WorkerMapOutput<'_, J::Key, J::Value>> =
             worker_outputs.into_inner().into_iter().flatten().collect();
         let emitted_pairs: u64 = outputs.iter().map(|o| o.emitted).sum();
         let combined_pairs: u64 = outputs.iter().map(|o| o.buffered).sum();
 
         // Regroup per-worker buffers by reduce partition, in worker-index
         // order.
-        let mut buckets: Vec<PartitionBuckets<J::Key, J::Value>> =
+        let mut buckets: Vec<PartitionBuckets<'_, J::Key, J::Value>> =
             (0..partitions).map(|_| Vec::new()).collect();
         for output in outputs {
             for (p, buf) in output.partitions.into_iter().enumerate() {
@@ -245,7 +247,7 @@ impl Runtime {
 
         // ---- Reduce (parallel across partitions) ----
         let t0 = Stopwatch::start();
-        let buckets: Vec<WorkCell<PartitionBuckets<J::Key, J::Value>>> =
+        let buckets: Vec<WorkCell<PartitionBuckets<'_, J::Key, J::Value>>> =
             buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
         let reduced: Vec<WorkCell<ReducedPartition<J::Key, J::Value>>> =
             (0..partitions).map(|_| Mutex::new(None)).collect();
@@ -279,18 +281,22 @@ impl Runtime {
 
         // ---- Merge ----
         let t0 = Stopwatch::start();
+        let concat = |parts: Vec<Vec<(J::Key, J::Value)>>| {
+            let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+            parts.into_iter().for_each(|part| all.extend(part));
+            all
+        };
         let pairs = match job.output_order() {
             OutputOrder::ByKey => {
                 // Each partition output is already key-sorted.
                 kway_merge_by(partition_outputs, &|a, b| a.0.cmp(&b.0))
             }
             OutputOrder::Custom => {
-                let mut all: Vec<(J::Key, J::Value)> =
-                    partition_outputs.into_iter().flatten().collect();
+                let mut all = concat(partition_outputs);
                 parallel_sort_by(&mut all, workers, |a, b| job.compare_output(a, b));
                 all
             }
-            OutputOrder::Unsorted => partition_outputs.into_iter().flatten().collect(),
+            OutputOrder::Unsorted => concat(partition_outputs),
         };
         timings.merge = t0.elapsed();
 
@@ -361,34 +367,34 @@ impl Runtime {
 }
 
 /// Sort, group and reduce the pairs of one partition. Returns the
-/// key-sorted output pairs and the number of distinct keys.
+/// key-sorted output pairs and the number of distinct keys. A key becomes
+/// owned here, once its group is complete, and moves into the output.
 fn reduce_partition<J: Job>(
     job: &J,
-    bufs: PartitionBuckets<J::Key, J::Value>,
+    bufs: PartitionBuckets<'_, J::Key, J::Value>,
 ) -> ReducedPartition<J::Key, J::Value> {
-    let total: usize = bufs.iter().map(Vec::len).sum();
-    let mut pairs: Vec<(J::Key, J::Value)> = Vec::with_capacity(total);
+    let mut pairs: Vec<(InterKey<'_, J::Key>, J::Value)> =
+        Vec::with_capacity(bufs.iter().map(Vec::len).sum());
     for buf in bufs {
         pairs.extend(buf);
     }
     pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    // Split keys and values so each key's value group is a contiguous
-    // slice (no per-group allocation).
-    let (keys, values): (Vec<J::Key>, Vec<J::Value>) = pairs.into_iter().unzip();
     let mut out = Vec::new();
     let mut distinct = 0u64;
-    let mut i = 0usize;
-    while i < keys.len() {
-        let mut j = i + 1;
-        while j < keys.len() && keys[j] == keys[i] {
-            j += 1;
+    // One key's values, contiguous for `ValueIter`; reused group to group.
+    let mut group: Vec<J::Value> = Vec::new();
+    let mut pairs = pairs.into_iter().peekable();
+    while let Some((key, value)) = pairs.next() {
+        group.clear();
+        group.push(value);
+        while let Some((_, value)) = pairs.next_if(|(next, _)| *next == key) {
+            group.push(value);
         }
         distinct += 1;
-        let mut group = ValueIter::new(&values[i..j]);
-        if let Some(v) = job.reduce(&keys[i], &mut group) {
-            out.push((keys[i].clone(), v));
+        let key = key.into_owned();
+        if let Some(v) = job.reduce(&key, &mut ValueIter::new(&group)) {
+            out.push((key, v));
         }
-        i = j;
     }
     (out, distinct)
 }

@@ -44,11 +44,12 @@ const NEUTRAL: [&str; 9] = [
 
 /// Emission sinks: places where element order becomes observable output
 /// (trace events, metrics, report text, serialized artifacts).
-const SINKS: [&str; 11] = [
+const SINKS: [&str; 12] = [
     ".event(",
     ".leaf(",
     ".volatile_event(",
     ".emit(",
+    ".emit_ref(",
     ".publish(",
     ".push_str(",
     "writeln!(",
