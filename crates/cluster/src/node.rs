@@ -48,9 +48,14 @@ pub struct NodeSpec {
 impl NodeSpec {
     /// The paper's host node: Intel Core2 Quad Q9400 (4 × 2.66 GHz), 2 GB.
     pub fn paper_host(id: NodeId, memory_bytes: u64) -> Self {
+        Self::paper_host_named(id, "host".into(), memory_bytes)
+    }
+
+    /// [`NodeSpec::paper_host`] under the name a larger topology gives it.
+    pub(crate) fn paper_host_named(id: NodeId, name: String, memory_bytes: u64) -> Self {
         NodeSpec {
             id,
-            name: "host".into(),
+            name,
             role: NodeRole::Host,
             cpu: "Intel Core2 Quad Q9400".into(),
             cores: 4,
@@ -62,9 +67,14 @@ impl NodeSpec {
     /// The paper's SD node: Intel Core2 Duo E4400 (2 × 2.0 GHz), 2 GB.
     /// Per-core speed 2.0/2.66 ≈ 0.75 of the host's.
     pub fn paper_sd(id: NodeId, memory_bytes: u64) -> Self {
+        Self::paper_sd_named(id, "sd".into(), memory_bytes)
+    }
+
+    /// [`NodeSpec::paper_sd`] under the name a larger topology gives it.
+    pub(crate) fn paper_sd_named(id: NodeId, name: String, memory_bytes: u64) -> Self {
         NodeSpec {
             id,
-            name: "sd".into(),
+            name,
             role: NodeRole::SmartStorage,
             cpu: "Intel Core2 Duo E4400".into(),
             cores: 2,

@@ -111,9 +111,11 @@ pub fn multi_sd_testbed(scale: Scale, sd_count: usize) -> Cluster {
     let memory = scale.bytes(2 * 1024 * 1024 * 1024);
     let mut nodes = vec![NodeSpec::paper_host(NodeId(0), memory)];
     for i in 0..sd_count {
-        let mut sd = NodeSpec::paper_sd(NodeId(1 + i as u32), memory);
-        sd.name = format!("sd{i}");
-        nodes.push(sd);
+        nodes.push(NodeSpec::paper_sd_named(
+            NodeId(1 + i as u32),
+            format!("sd{i}"),
+            memory,
+        ));
     }
     Cluster {
         nodes,
@@ -190,14 +192,18 @@ impl RackSpec {
         for r in 0..self.racks {
             let base = r * self.nodes_per_rack();
             for h in 0..self.hosts_per_rack {
-                let mut host = NodeSpec::paper_host(NodeId(base + h), memory);
-                host.name = format!("r{r}h{h}");
-                nodes.push(host);
+                nodes.push(NodeSpec::paper_host_named(
+                    NodeId(base + h),
+                    format!("r{r}h{h}"),
+                    memory,
+                ));
             }
             for s in 0..self.sds_per_rack {
-                let mut sd = NodeSpec::paper_sd(NodeId(base + self.hosts_per_rack + s), memory);
-                sd.name = format!("r{r}sd{s}");
-                nodes.push(sd);
+                nodes.push(NodeSpec::paper_sd_named(
+                    NodeId(base + self.hosts_per_rack + s),
+                    format!("r{r}sd{s}"),
+                    memory,
+                ));
             }
         }
         let network = RackNetwork::oversubscribed(

@@ -557,17 +557,10 @@ pub fn run_sweep(
             .map(|s| (*s, injector.occurrences(*s)))
             .filter(|(_, n)| *n > 0)
             .collect();
-        tracer.event(
-            track,
-            EVENT_CHAOS_DISCOVER,
-            &[
-                ("segment", name.as_str()),
-                (
-                    "points",
-                    &points.iter().map(|(_, n)| n).sum::<u64>().to_string(),
-                ),
-            ],
-        );
+        tracer.event_with(track, EVENT_CHAOS_DISCOVER, |a| {
+            a.str("segment", name);
+            a.u64("points", points.iter().map(|(_, n)| n).sum());
+        });
         report.segments.push(SegmentPoints {
             segment: name.clone(),
             points: points.clone(),
@@ -600,16 +593,12 @@ pub fn run_sweep(
                     }
                     let plan = baked.clone().with(site, occ, action);
                     let injector = FaultInjector::new(plan);
-                    tracer.event(
-                        track,
-                        EVENT_CHAOS_INJECT,
-                        &[
-                            ("segment", name.as_str()),
-                            ("site", site.label()),
-                            ("occurrence", &occ.to_string()),
-                            ("action", &action.label()),
-                        ],
-                    );
+                    tracer.event_with(track, EVENT_CHAOS_INJECT, |a| {
+                        a.str("segment", name);
+                        a.str("site", site.label());
+                        a.u64("occurrence", occ);
+                        a.str("action", &action.label());
+                    });
                     report.cases += 1;
                     match scenario.run_segment(seg, &injector) {
                         Ok(obs) => {

@@ -10,15 +10,29 @@
 //! Determinism contract (§17):
 //!
 //! * **Event ordering rule** — events fire in ascending
-//!   `(time, rank, seq)` order, where completions rank before arrivals
+//!   `(time, rank, shard, seq)` order: completions rank before arrivals
 //!   at the same microsecond (a freed slot is visible to a simultaneous
-//!   arrival) and `seq` is the push order, itself deterministic.
+//!   arrival), same-instant completions fire in node-id order, and
+//!   `seq` — an arrival's job id, a completion's dispatch number
+//!   counted on from `jobs.len()` — breaks what is left.
+//! * **Two sources, one order** — arrivals are known before the loop
+//!   starts, so they never enter the heap: the loop merges the jobs,
+//!   stably sorted by arrival time (ties stay in job-id = `seq` order),
+//!   with a [`BinaryHeap`] that holds only running jobs' completions,
+//!   and a completion wins a same-microsecond tie. That is the order one
+//!   heap over every event would pop, with the heap never larger than
+//!   the rack's execution-slot count.
 //! * **Shard ownership** — a shard is one node's run queue (SD or
 //!   host), driven serially by the single event loop; no state is
 //!   shared across shards, so no lock order can perturb the schedule.
 //! * **Seeded workload** — the job stream is a pure function of
 //!   [`DesConfig`] via SplitMix64; same config ⇒ byte-identical trace
 //!   and equal [`RackReport`].
+//!
+//! Degenerate racks have defined results: with no SD nodes every job
+//! has `data_on_sd = false` and runs where it originates, its data
+//! already there; with no host nodes jobs originate on SD nodes; with no
+//! nodes at all every arrival is shed.
 
 use crate::engine::ShardQueue;
 use crate::offload::{JobProfile, OffloadDecision, OffloadPolicy, Offloader};
@@ -28,7 +42,7 @@ use mcsd_obs::names::{EVENT_DES_ARRIVE, EVENT_DES_COMPLETE, EVENT_DES_DISPATCH, 
 use mcsd_obs::{ClockDomain, Tracer};
 use mcsd_smartfam::faults::SplitMix64;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Track the discrete-event loop stamps its arrival/dispatch/complete/
 /// shed events on (cluster clock domain: virtual microseconds).
@@ -88,11 +102,12 @@ pub struct DesJob {
     pub arrival_us: u64,
     /// The profile the placement policy decides about.
     pub profile: JobProfile,
-    /// Host node the request originates on (and runs on, for host
-    /// placements).
+    /// Node the request originates on (and runs on, for host
+    /// placements): a host, or an SD node on a rack without hosts. On a
+    /// rack without nodes it names nothing and the job is shed.
     pub source: NodeId,
     /// Index into the topology's SD list of the node holding the job's
-    /// input data.
+    /// input data; on a rack without SD nodes the data sits on `source`.
     pub data_sd: usize,
 }
 
@@ -110,10 +125,16 @@ pub struct RackRun {
 /// Synthesize the job stream for `cfg` — a pure function of the config,
 /// shared by [`run`] and the parity tests. Jobs draw from the paper's
 /// three applications (word count, string match, matrix multiply) with
-/// paper-size inputs of 64–512 MB put through `cfg.scale`.
+/// paper-size inputs of 64–512 MB put through `cfg.scale`. What a rack
+/// without hosts, SD nodes or either yields is in the module docs.
 pub fn synthesize_workload(cfg: &DesConfig, topo: &RackTopology) -> Vec<DesJob> {
-    let hosts = topo.host_ids();
-    let sds = topo.sd_ids();
+    synthesize(cfg, &topo.host_ids(), &topo.sd_ids())
+}
+
+fn synthesize(cfg: &DesConfig, hosts: &[NodeId], sds: &[NodeId]) -> Vec<DesJob> {
+    // Jobs originate on hosts; a rack without any originates them on its
+    // SD nodes, and a rack without nodes names a node that is not there.
+    let origins = if hosts.is_empty() { sds } else { hosts };
     let mut rng = SplitMix64::new(cfg.seed);
     (0..cfg.jobs)
         .map(|id| {
@@ -132,34 +153,28 @@ pub fn synthesize_workload(cfg: &DesConfig, topo: &RackTopology) -> Vec<DesJob> 
                     (r >> 16) % cfg.arrival_spread_us
                 },
                 profile: JobProfile {
-                    name: name.into(),
+                    name,
                     input_bytes: cfg.scale.bytes(paper_bytes),
                     compute_per_byte,
-                    data_on_sd: !(r >> 8).is_multiple_of(8),
+                    data_on_sd: !sds.is_empty() && !(r >> 8).is_multiple_of(8),
                 },
-                source: hosts[(r >> 24) as usize % hosts.len()],
-                data_sd: (r >> 40) as usize % sds.len(),
+                source: match origins {
+                    [] => NodeId(0),
+                    _ => origins[(r >> 24) as usize % origins.len()],
+                },
+                data_sd: (r >> 40) as usize % sds.len().max(1),
             }
         })
         .collect()
 }
 
+/// A running job's completion — the only event the heap holds. Derived
+/// `Ord` is the §17 rule among completions through field order: time,
+/// then shard (node id), then dispatch sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// Rank 0: a job finished on `shard` (a node id); its slot frees
-    /// before any same-instant arrival is placed.
-    Completion { shard: u32 },
-    /// Rank 1: a job enters the system and is placed.
-    Arrival,
-}
-
-/// Heap entry. Derived `Ord` realizes the §17 ordering rule through
-/// field order: time, then kind rank (`Completion < Arrival`), then
-/// push sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
+struct Completion {
     at_us: u64,
-    kind: EventKind,
+    shard: u32,
     seq: u64,
     job: u64,
 }
@@ -167,12 +182,12 @@ struct Event {
 struct Loop<'a> {
     topo: &'a RackTopology,
     jobs: &'a [DesJob],
-    sd_ids: Vec<NodeId>,
+    sd_ids: &'a [NodeId],
     shards: Vec<ShardQueue>,
     /// Virtual time each rack's ToR uplink is occupied until — cross-
     /// rack transfers out of one rack serialize on its uplink.
     uplink_busy_until: Vec<u64>,
-    heap: BinaryHeap<Reverse<Event>>,
+    running: BinaryHeap<Reverse<Completion>>,
     seq: u64,
     stats: DesStats,
     tracer: &'a Tracer,
@@ -180,15 +195,10 @@ struct Loop<'a> {
 }
 
 impl Loop<'_> {
-    fn push(&mut self, at_us: u64, kind: EventKind, job: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            at_us,
-            kind,
-            seq,
-            job,
-        }));
+    /// Pop the earliest completion if it fires at or before `by_us`.
+    fn completion_due(&mut self, by_us: u64) -> Option<Completion> {
+        let next = self.running.peek_mut()?;
+        (next.0.at_us <= by_us).then(|| PeekMut::pop(next).0)
     }
 
     /// Start every waiting job a free slot can take on `shard`, pushing
@@ -198,15 +208,17 @@ impl Loop<'_> {
         while let Some(id) = self.shards[shard as usize].try_start() {
             let done_us = now_us + self.service_us(&jobs[id as usize], shard, now_us);
             self.stats.busy_us += done_us - now_us;
-            self.tracer.event(
-                self.track,
-                EVENT_DES_DISPATCH,
-                &[
-                    ("job", &id.to_string()),
-                    ("shard", &self.topo.cluster.nodes[shard as usize].name),
-                ],
-            );
-            self.push(done_us, EventKind::Completion { shard }, id);
+            self.tracer.event_with(self.track, EVENT_DES_DISPATCH, |a| {
+                a.u64("job", id);
+                a.str("shard", &self.topo.cluster.nodes[shard as usize].name);
+            });
+            self.running.push(Reverse(Completion {
+                at_us: done_us,
+                shard,
+                seq: self.seq,
+                job: id,
+            }));
+            self.seq += 1;
         }
     }
 
@@ -217,7 +229,7 @@ impl Loop<'_> {
     fn service_us(&mut self, job: &DesJob, shard: u32, now_us: u64) -> u64 {
         let topo = self.topo;
         let node = &topo.cluster.nodes[shard as usize];
-        let data_node = self.sd_ids[job.data_sd];
+        let data_node = self.sd_ids.get(job.data_sd).copied().unwrap_or(job.source);
         let transfer_done = if data_node.0 == shard {
             now_us
         } else {
@@ -249,73 +261,87 @@ impl Loop<'_> {
 /// [`DesStats::is_conserved`].
 pub fn run(cfg: &DesConfig, tracer: &Tracer) -> RackRun {
     let topo = cfg.spec.build(cfg.scale);
-    let jobs = synthesize_workload(cfg, &topo);
-    let mut offloader = Offloader::for_nodes(cfg.policy, &topo.cluster.nodes);
     let sd_ids = topo.sd_ids();
+    let jobs = synthesize(cfg, &topo.host_ids(), &sd_ids);
+    simulate(cfg, &topo, &sd_ids, &jobs, tracer)
+}
+
+/// The event loop over an already-built rack and job stream (`jobs[i].id
+/// == i`).
+fn simulate(
+    cfg: &DesConfig,
+    topo: &RackTopology,
+    sd_ids: &[NodeId],
+    jobs: &[DesJob],
+    tracer: &Tracer,
+) -> RackRun {
+    let nodes = &topo.cluster.nodes;
+    let mut offloader = Offloader::for_nodes(cfg.policy, nodes);
     let track = tracer.track(DES_TRACE_TRACK, ClockDomain::Cluster);
     let mut lp = Loop {
-        topo: &topo,
-        jobs: &jobs,
-        sd_ids: sd_ids.clone(),
-        shards: topo
-            .cluster
-            .nodes
+        topo,
+        jobs,
+        sd_ids,
+        shards: nodes
             .iter()
             .map(|n| ShardQueue::new(n.cores as u32, cfg.queue_depth))
             .collect(),
         uplink_busy_until: vec![0; cfg.spec.racks as usize],
-        heap: BinaryHeap::new(),
-        seq: 0,
+        // One pending completion per busy execution slot, never more.
+        running: BinaryHeap::with_capacity(nodes.iter().map(|n| n.cores).sum()),
+        seq: jobs.len() as u64,
         stats: DesStats::default(),
         tracer,
         track,
     };
     let mut placements = Vec::with_capacity(jobs.len());
-    // Seed arrivals in job order; the heap re-sorts by (time, rank, seq).
-    for job in &jobs {
-        lp.push(job.arrival_us, EventKind::Arrival, job.id);
-    }
+    // The arrival source: jobs in (arrival time, job id) order — the
+    // sort is stable and `jobs` is in id order.
+    let mut by_arrival: Vec<&DesJob> = jobs.iter().collect();
+    by_arrival.sort_by_key(|job| job.arrival_us);
+    let mut arrivals = by_arrival.into_iter().peekable();
     let mut makespan_us = 0;
-    while let Some(Reverse(ev)) = lp.heap.pop() {
-        makespan_us = ev.at_us;
-        match ev.kind {
-            EventKind::Arrival => {
-                let job = &jobs[ev.job as usize];
-                lp.stats.arrivals += 1;
-                tracer.event(track, EVENT_DES_ARRIVE, &[("job", &ev.job.to_string())]);
-                let decision = offloader.decide(&job.profile);
-                placements.push((ev.job, decision));
-                let shard = match decision {
-                    OffloadDecision::SmartStorage { sd_index } => sd_ids[sd_index % sd_ids.len()].0,
-                    _ => job.source.0,
-                };
-                if lp.shards[shard as usize].try_enqueue(ev.job) {
-                    lp.drain_shard(shard, ev.at_us);
-                } else {
-                    lp.stats.shed_jobs += 1;
-                    tracer.event(
-                        track,
-                        EVENT_DES_SHED,
-                        &[
-                            ("job", &ev.job.to_string()),
-                            ("shard", &topo.cluster.nodes[shard as usize].name),
-                        ],
-                    );
+    loop {
+        // A completion wins a same-microsecond tie against an arrival.
+        let next_arrival_us = arrivals.peek().map_or(u64::MAX, |job| job.arrival_us);
+        if let Some(done) = lp.completion_due(next_arrival_us) {
+            makespan_us = done.at_us;
+            lp.stats.completed_jobs += 1;
+            tracer.event_with(track, EVENT_DES_COMPLETE, |a| {
+                a.u64("job", done.job);
+                a.str("shard", &nodes[done.shard as usize].name);
+            });
+            lp.shards[done.shard as usize].finish();
+            lp.drain_shard(done.shard, done.at_us);
+            continue;
+        }
+        let Some(job) = arrivals.next() else {
+            break;
+        };
+        makespan_us = job.arrival_us;
+        lp.stats.arrivals += 1;
+        tracer.event_with(track, EVENT_DES_ARRIVE, |a| a.u64("job", job.id));
+        let decision = offloader.decide(&job.profile);
+        placements.push((job.id, decision));
+        let shard = match decision {
+            OffloadDecision::SmartStorage { sd_index } => sd_ids[sd_index % sd_ids.len()].0,
+            _ => job.source.0,
+        };
+        // A rack without nodes has no shard to take the job.
+        let queued = lp
+            .shards
+            .get_mut(shard as usize)
+            .is_some_and(|queue| queue.try_enqueue(job.id));
+        if queued {
+            lp.drain_shard(shard, job.arrival_us);
+        } else {
+            lp.stats.shed_jobs += 1;
+            tracer.event_with(track, EVENT_DES_SHED, |a| {
+                a.u64("job", job.id);
+                if let Some(node) = nodes.get(shard as usize) {
+                    a.str("shard", &node.name);
                 }
-            }
-            EventKind::Completion { shard } => {
-                lp.stats.completed_jobs += 1;
-                tracer.event(
-                    track,
-                    EVENT_DES_COMPLETE,
-                    &[
-                        ("job", &ev.job.to_string()),
-                        ("shard", &topo.cluster.nodes[shard as usize].name),
-                    ],
-                );
-                lp.shards[shard as usize].finish();
-                lp.drain_shard(shard, ev.at_us);
-            }
+            });
         }
     }
     RackRun {
@@ -335,26 +361,151 @@ pub fn run(cfg: &DesConfig, tracer: &Tracer) -> RackRun {
 mod tests {
     use super::*;
 
+    /// The paper pair (host = node 0 with four slots, SD = node 1) with
+    /// room for one waiting job per shard.
+    fn pair(policy: OffloadPolicy) -> (DesConfig, RackTopology) {
+        let cfg = DesConfig {
+            spec: RackSpec {
+                racks: 1,
+                hosts_per_rack: 1,
+                sds_per_rack: 1,
+                uplink_oversubscription: 4,
+            },
+            policy,
+            queue_depth: 1,
+            ..DesConfig::default_experiment(0, 0)
+        };
+        (cfg, cfg.spec.build(cfg.scale))
+    }
+
+    fn job(id: u64, arrival_us: u64, input_bytes: u64, data_on_sd: bool) -> DesJob {
+        DesJob {
+            id,
+            arrival_us,
+            profile: JobProfile {
+                name: "wordcount",
+                input_bytes,
+                compute_per_byte: 10.0,
+                data_on_sd,
+            },
+            source: NodeId(0),
+            data_sd: 0,
+        }
+    }
+
+    fn simulate_pair(cfg: &DesConfig, topo: &RackTopology, jobs: &[DesJob]) -> (RackRun, String) {
+        let tracer = Tracer::enabled();
+        let run = simulate(cfg, topo, &topo.sd_ids(), jobs, &tracer);
+        (run, mcsd_obs::export::jsonl(&tracer))
+    }
+
     #[test]
-    fn event_order_puts_completions_before_same_instant_arrivals() {
-        let completion = Event {
-            at_us: 10,
-            kind: EventKind::Completion { shard: 9 },
-            seq: 5,
-            job: 1,
+    fn a_completion_fires_before_a_same_microsecond_arrival() {
+        let (cfg, topo) = pair(OffloadPolicy::AlwaysHost);
+        let service_us = simulate_pair(&cfg, &topo, &[job(0, 0, 4096, true)])
+            .0
+            .report
+            .makespan_us;
+        // Five jobs at time zero fill the host's four slots and its one
+        // backlog place; the four running ones all complete at
+        // `service_us`.
+        let flood = |last_arrival_us| {
+            let mut jobs: Vec<DesJob> = (0..5).map(|id| job(id, 0, 4096, true)).collect();
+            jobs.push(job(5, last_arrival_us, 4096, true));
+            simulate_pair(&cfg, &topo, &jobs).0.report.stats
         };
-        let arrival = Event {
-            at_us: 10,
-            kind: EventKind::Arrival,
-            seq: 0,
-            job: 0,
+        // Arriving with the completions, job 5 finds the backlog already
+        // drained into a freed slot ...
+        let tied = flood(service_us);
+        assert_eq!((tied.completed_jobs, tied.shed_jobs), (6, 0));
+        // ... one microsecond earlier it is still full.
+        let early = flood(service_us - 1);
+        assert_eq!((early.completed_jobs, early.shed_jobs), (5, 1));
+    }
+
+    #[test]
+    fn same_microsecond_completions_fire_in_shard_order() {
+        let (cfg, topo) = pair(OffloadPolicy::DataIntensiveToSd);
+        let on_sd = job(0, 0, 1 << 20, true);
+        let on_host = |id, arrival_us| job(id, arrival_us, 4096, false);
+        let alone = |job| simulate_pair(&cfg, &topo, &[job]).0.report.makespan_us;
+        let (sd_us, host_us) = (alone(on_sd.clone()), alone(on_host(0, 0)));
+        assert!(sd_us > host_us);
+        // Dispatched first on the SD (node 1), second on the host (node
+        // 0), both done at `sd_us`: the lower node id completes first.
+        let (run, trace) = simulate_pair(&cfg, &topo, &[on_sd, on_host(1, sd_us - host_us)]);
+        assert_eq!(run.report.makespan_us, sd_us);
+        let completed: Vec<&str> = trace
+            .lines()
+            .filter(|line| line.contains(EVENT_DES_COMPLETE))
+            .collect();
+        assert_eq!(completed.len(), 2);
+        assert!(
+            completed[0].contains("\"job\":\"1\",\"shard\":\"r0h0\""),
+            "{trace}"
+        );
+        assert!(
+            completed[1].contains("\"job\":\"0\",\"shard\":\"r0sd0\""),
+            "{trace}"
+        );
+    }
+
+    fn degenerate(racks: u32, hosts_per_rack: u32, sds_per_rack: u32) -> (DesConfig, RackRun) {
+        let cfg = DesConfig {
+            spec: RackSpec {
+                racks,
+                hosts_per_rack,
+                sds_per_rack,
+                uplink_oversubscription: 4,
+            },
+            ..DesConfig::default_experiment(200, 9)
         };
-        assert!(completion < arrival, "rank outranks push order");
-        let earlier = Event {
-            at_us: 9,
-            ..arrival
-        };
-        assert!(earlier < completion, "time outranks rank");
+        let run = run(&cfg, &Tracer::enabled());
+        assert_eq!(run.report.stats.arrivals, cfg.jobs);
+        assert!(run.report.stats.is_conserved());
+        (cfg, run)
+    }
+
+    #[test]
+    fn a_rack_without_sds_runs_every_job_on_its_source_host() {
+        let (cfg, run) = degenerate(2, 2, 0);
+        let jobs = synthesize_workload(&cfg, &cfg.spec.build(cfg.scale));
+        assert!(jobs.iter().all(|j| !j.profile.data_on_sd && j.source.0 < 4));
+        assert!(run
+            .placements
+            .iter()
+            .all(|(_, decision)| *decision == OffloadDecision::Host));
+        assert_eq!(run.report.stats.completed_jobs, cfg.jobs);
+        // The data already sits where the job runs.
+        assert_eq!(run.report.stats.cross_rack_transfers, 0);
+    }
+
+    #[test]
+    fn a_rack_without_hosts_originates_jobs_on_sd_nodes() {
+        let (cfg, run) = degenerate(2, 0, 3);
+        let topo = cfg.spec.build(cfg.scale);
+        let sds = topo.sd_ids();
+        assert!(synthesize_workload(&cfg, &topo)
+            .iter()
+            .all(|j| sds.contains(&j.source)));
+        assert_eq!(run.report.stats.completed_jobs, cfg.jobs);
+    }
+
+    #[test]
+    fn a_rack_without_nodes_sheds_every_arrival() {
+        for (racks, hosts_per_rack, sds_per_rack) in [(0, 4, 9), (3, 0, 0)] {
+            let (cfg, run) = degenerate(racks, hosts_per_rack, sds_per_rack);
+            assert_eq!(run.report.stats.shed_jobs, cfg.jobs);
+            assert_eq!(run.report.nodes, 0);
+        }
+    }
+
+    #[test]
+    fn zero_jobs_is_an_empty_run() {
+        let run = run(&DesConfig::default_experiment(0, 1), &Tracer::disabled());
+        assert_eq!(run.report.stats, DesStats::default());
+        assert_eq!(run.report.makespan_us, 0);
+        assert!(run.placements.is_empty());
     }
 
     #[test]

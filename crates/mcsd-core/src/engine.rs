@@ -524,12 +524,10 @@ impl Engine {
             .tracer
             .track(CLUSTER_TRACE_TRACK, ClockDomain::Cluster);
         let ticks = (cost.network + cost.disk).as_micros() as u64;
-        self.config.tracer.leaf(
-            track,
-            name,
-            ticks,
-            &[("file", file), ("bytes", &bytes.to_string())],
-        );
+        self.config.tracer.leaf_with(track, name, ticks, |a| {
+            a.str("file", file);
+            a.u64("bytes", bytes);
+        });
     }
 
     /// Record one decision event on the engine's trace track.
@@ -601,10 +599,12 @@ impl Engine {
             min_fragment_bytes: refusal.min_fragment_bytes,
         })?;
         if plan.repartitions > 0 {
-            self.event(
-                EVENT_MCSD_REPARTITION,
-                &[("job", job), ("halvings", &plan.repartitions.to_string())],
-            );
+            self.config
+                .tracer
+                .event_with(self.trace_track(), EVENT_MCSD_REPARTITION, |a| {
+                    a.str("job", job);
+                    a.u64("halvings", plan.repartitions);
+                });
         }
         self.with(|s| s.overload.repartitions += plan.repartitions);
         Ok(plan.partition_param())
@@ -1153,7 +1153,7 @@ mod tests {
             self.load
                 .set(if self.fate == Fate::LoadSteer { 64 } else { 0 });
             JobProfile {
-                name: self.fate.name().into(),
+                name: self.fate.name(),
                 input_bytes: 1 << 20,
                 compute_per_byte: 10.0,
                 data_on_sd: self.fate != Fate::HostPolicy,

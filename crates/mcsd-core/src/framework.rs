@@ -425,7 +425,7 @@ impl<O> OffloadCall for StagedCall<'_, O> {
 
     fn profile(&self) -> JobProfile {
         JobProfile {
-            name: self.job.into(),
+            name: self.job,
             input_bytes: self.data_len,
             compute_per_byte: self.compute_per_byte,
             data_on_sd: true,
@@ -500,7 +500,7 @@ impl OffloadCall for MatMulCall<'_> {
 
     fn profile(&self) -> JobProfile {
         JobProfile {
-            name: "matmul".into(),
+            name: "matmul",
             input_bytes: (self.a.byte_len() + self.b.byte_len()) as u64,
             compute_per_byte: self.a.cols as f64, // ~n multiply-adds per stored byte
             data_on_sd: false,

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobProfile {
     /// Job name (diagnostics).
-    pub name: String,
+    pub name: &'static str,
     /// Bytes of input the job reads.
     pub input_bytes: u64,
     /// Approximate compute work in "flop-equivalents" per input byte.
@@ -146,7 +146,7 @@ mod tests {
 
     fn wc_profile() -> JobProfile {
         JobProfile {
-            name: "wordcount".into(),
+            name: "wordcount",
             input_bytes: 1 << 20,
             compute_per_byte: 10.0,
             data_on_sd: true,
@@ -155,7 +155,7 @@ mod tests {
 
     fn mm_profile() -> JobProfile {
         JobProfile {
-            name: "matmul".into(),
+            name: "matmul",
             input_bytes: 1 << 10,
             compute_per_byte: 5_000.0,
             data_on_sd: false,

@@ -199,38 +199,31 @@ impl ReplicationGroups {
         // quorum is still a round the group lived through.
         if outcome.group_crash {
             self.stats.group_crashes += 1;
-            self.tracer.event(
-                self.mcsd_track(),
-                EVENT_MCSD_GROUP_CRASH,
-                &[
-                    ("span", &span.to_string()),
-                    ("crashed", &outcome.crashed.len().to_string()),
-                ],
-            );
+            self.tracer
+                .event_with(self.mcsd_track(), EVENT_MCSD_GROUP_CRASH, |a| {
+                    a.u64("span", span as u64);
+                    a.u64("crashed", outcome.crashed.len() as u64);
+                });
         }
         for &r in &outcome.crashed {
             self.stats.replica_crashes += 1;
-            let node = self.node_name(span, r);
-            self.tracer.event(
-                self.sd_track(),
-                EVENT_SD_REPLICA_CRASH,
-                &[("span", &span.to_string()), ("node", &node)],
-            );
+            self.tracer
+                .event_with(self.sd_track(), EVENT_SD_REPLICA_CRASH, |a| {
+                    a.u64("span", span as u64);
+                    a.str("node", &self.node_name(span, r));
+                });
         }
         if outcome.committed {
             self.stats.quorum_appends += 1;
             self.stats.replica_acks += outcome.acked.len() as u64;
         } else {
             let needed = self.groups[span].log.config().write_quorum;
-            self.tracer.event(
-                self.sd_track(),
-                EVENT_SD_QUORUM_LOST,
-                &[
-                    ("span", &span.to_string()),
-                    ("acked", &outcome.acked.len().to_string()),
-                    ("needed", &needed.to_string()),
-                ],
-            );
+            self.tracer
+                .event_with(self.sd_track(), EVENT_SD_QUORUM_LOST, |a| {
+                    a.u64("span", span as u64);
+                    a.u64("acked", outcome.acked.len() as u64);
+                    a.u64("needed", needed as u64);
+                });
         }
         Ok(outcome.committed)
     }
@@ -288,15 +281,12 @@ impl ReplicationGroups {
         self.groups[span].leader = winner;
         self.stats.promotions += 1;
         let node = self.node_name(span, winner);
-        self.tracer.event(
-            self.mcsd_track(),
-            EVENT_MCSD_PROMOTE,
-            &[
-                ("span", &span.to_string()),
-                ("node", &node),
-                ("epoch", &epoch.to_string()),
-            ],
-        );
+        self.tracer
+            .event_with(self.mcsd_track(), EVENT_MCSD_PROMOTE, |a| {
+                a.u64("span", span as u64);
+                a.str("node", &node);
+                a.u64("epoch", epoch);
+            });
         // Split-brain probe: a stale writer that has not observed the
         // promotion retries its unacknowledged append with the old epoch
         // and must bounce off the fence before a single byte lands.
@@ -304,15 +294,12 @@ impl ReplicationGroups {
             self.groups[span].log.append(last_frame, old_epoch)
         {
             self.stats.fenced_appends += 1;
-            self.tracer.event(
-                self.mcsd_track(),
-                EVENT_MCSD_EPOCH_FENCE,
-                &[
-                    ("span", &span.to_string()),
-                    ("stale", &stale.to_string()),
-                    ("epoch", &current.to_string()),
-                ],
-            );
+            self.tracer
+                .event_with(self.mcsd_track(), EVENT_MCSD_EPOCH_FENCE, |a| {
+                    a.u64("span", span as u64);
+                    a.u64("stale", stale);
+                    a.u64("epoch", current);
+                });
         }
         Ok(RoundOutcome::Promoted { node, epoch })
     }
@@ -329,7 +316,7 @@ impl ReplicationGroups {
         let track = self.mcsd_track();
         let sp = self
             .tracer
-            .open(track, SPAN_MCSD_REPROTECT, &[("span", &span.to_string())]);
+            .open_with(track, SPAN_MCSD_REPROTECT, |a| a.u64("span", span as u64));
         loop {
             match self.groups[span].log.reprotect_step() {
                 Ok(Some(step)) => {

@@ -231,7 +231,7 @@ proptest! {
     ) {
         use mcsd_core::offload::Offloader;
         let profile = JobProfile {
-            name: "prop".into(),
+            name: "prop",
             input_bytes,
             compute_per_byte,
             data_on_sd: which % 2 == 0,

@@ -42,7 +42,9 @@
 //! let tracer = Tracer::enabled();
 //! let track = tracer.track("phoenix", ClockDomain::Work);
 //! let job = tracer.open(track, "phoenix.job", &[("job", "wordcount")]);
-//! tracer.leaf(track, "phoenix.map", 10, &[]);
+//! // A formatted value goes through the lazy form: the closure runs
+//! // only on an enabled tracer.
+//! tracer.leaf_with(track, "phoenix.map", 10, |a| a.u64("map_tasks", 4));
 //! tracer.close(track, job);
 //!
 //! let jsonl = mcsd_obs::export::jsonl(&tracer);
@@ -66,4 +68,4 @@ pub mod trace;
 
 pub use clock::ClockDomain;
 pub use metrics::{MetricSample, MetricsError, MetricsRegistry};
-pub use trace::{SpanId, Tracer, TrackId};
+pub use trace::{Attrs, SpanId, Tracer, TrackId};

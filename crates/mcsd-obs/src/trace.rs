@@ -25,6 +25,15 @@
 //! (innermost-out), so exported span open/close records always nest
 //! properly no matter how callers interleave — the property the crate's
 //! proptest pins down.
+//!
+//! ## Lazy attributes
+//!
+//! Attribute values are `&str`. A call site that has to *format* a value
+//! (a count, an id) uses the `_with` form of the record call and writes
+//! the value through [`Attrs`] inside the closure, which runs only on an
+//! enabled tracer — so a disabled tracer never pays for a `to_string()`.
+//! The slice forms are the same calls with the attributes already at
+//! hand.
 
 use crate::clock::ClockDomain;
 use parking_lot::Mutex;
@@ -37,6 +46,24 @@ pub struct TrackId(pub(crate) usize);
 /// Handle to one open span on a track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(pub(crate) u64);
+
+/// Attribute writer handed to the closure of [`Tracer::open_with`],
+/// [`Tracer::leaf_with`] and [`Tracer::event_with`]. Attributes are
+/// exported in the order they are written.
+#[derive(Debug)]
+pub struct Attrs(Vec<(&'static str, String)>);
+
+impl Attrs {
+    /// Write a string-valued attribute.
+    pub fn str(&mut self, key: &'static str, value: &str) {
+        self.0.push((key, value.to_string()));
+    }
+
+    /// Write an integer-valued attribute, rendered in decimal.
+    pub fn u64(&mut self, key: &'static str, value: u64) {
+        self.0.push((key, value.to_string()));
+    }
+}
 
 /// One durable or volatile record on a track.
 #[derive(Debug, Clone)]
@@ -164,9 +191,21 @@ impl Tracer {
         name: &'static str,
         attrs: &[(&'static str, &str)],
     ) -> SpanId {
+        self.open_with(track, name, from_slice(attrs))
+    }
+
+    /// [`Tracer::open`] with attributes written by `fill`, which runs
+    /// only when the tracer is enabled (before any tracer lock is taken).
+    pub fn open_with(
+        &self,
+        track: TrackId,
+        name: &'static str,
+        fill: impl FnOnce(&mut Attrs),
+    ) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId(0);
         };
+        let attrs = filled(fill);
         let mut tracks = inner.tracks.lock();
         let Some(t) = tracks.get_mut(track.0) else {
             return SpanId(0);
@@ -177,11 +216,7 @@ impl Tracer {
         t.open.push((span, name));
         t.records.push(Record {
             at: t.clock,
-            kind: RecordKind::Open {
-                span,
-                name,
-                attrs: own_attrs(attrs),
-            },
+            kind: RecordKind::Open { span, name, attrs },
         });
         SpanId(span)
     }
@@ -234,10 +269,22 @@ impl Tracer {
         ticks: u64,
         attrs: &[(&'static str, &str)],
     ) {
+        self.leaf_with(track, name, ticks, from_slice(attrs));
+    }
+
+    /// [`Tracer::leaf`] with attributes written by `fill`, which runs
+    /// only when the tracer is enabled.
+    pub fn leaf_with(
+        &self,
+        track: TrackId,
+        name: &'static str,
+        ticks: u64,
+        fill: impl FnOnce(&mut Attrs),
+    ) {
         if !self.is_enabled() {
             return;
         }
-        let span = self.open(track, name, attrs);
+        let span = self.open_with(track, name, fill);
         self.advance(track, ticks);
         self.close(track, span);
     }
@@ -245,7 +292,13 @@ impl Tracer {
     /// Record a durable instant event: advances the track clock one tick
     /// and stamps the event there.
     pub fn event(&self, track: TrackId, name: &'static str, attrs: &[(&'static str, &str)]) {
-        self.instant(track, name, attrs, false);
+        self.instant(track, name, from_slice(attrs), false);
+    }
+
+    /// [`Tracer::event`] with attributes written by `fill`, which runs
+    /// only when the tracer is enabled.
+    pub fn event_with(&self, track: TrackId, name: &'static str, fill: impl FnOnce(&mut Attrs)) {
+        self.instant(track, name, fill, false);
     }
 
     /// Record a volatile instant event — one whose real-world cadence is
@@ -259,19 +312,20 @@ impl Tracer {
         name: &'static str,
         attrs: &[(&'static str, &str)],
     ) {
-        self.instant(track, name, attrs, true);
+        self.instant(track, name, from_slice(attrs), true);
     }
 
     fn instant(
         &self,
         track: TrackId,
         name: &'static str,
-        attrs: &[(&'static str, &str)],
+        fill: impl FnOnce(&mut Attrs),
         volatile: bool,
     ) {
         let Some(inner) = &self.inner else {
             return;
         };
+        let attrs = filled(fill);
         let mut tracks = inner.tracks.lock();
         let Some(t) = tracks.get_mut(track.0) else {
             return;
@@ -283,7 +337,7 @@ impl Tracer {
             at: t.clock,
             kind: RecordKind::Instant {
                 name,
-                attrs: own_attrs(attrs),
+                attrs,
                 volatile,
             },
         });
@@ -309,8 +363,17 @@ impl Tracer {
     }
 }
 
-fn own_attrs(attrs: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
-    attrs.iter().map(|(k, v)| (*k, (*v).to_string())).collect()
+/// Run `fill` and hand back what it wrote.
+fn filled(fill: impl FnOnce(&mut Attrs)) -> Vec<(&'static str, String)> {
+    let mut attrs = Attrs(Vec::new());
+    fill(&mut attrs);
+    attrs.0
+}
+
+/// The slice forms' writer: every pair is at hand, so the vector is
+/// built at its exact size.
+fn from_slice<'a>(attrs: &'a [(&'static str, &'a str)]) -> impl FnOnce(&mut Attrs) + 'a {
+    move |a| a.0 = attrs.iter().map(|(k, v)| (*k, (*v).to_string())).collect()
 }
 
 #[cfg(test)]
@@ -328,6 +391,49 @@ mod tests {
         tracer.close(t, s);
         assert!(tracer.snapshot().is_empty());
         assert!(!Tracer::default().is_enabled());
+    }
+
+    #[test]
+    fn lazy_forms_never_run_their_closure_when_disabled() {
+        let tracer = Tracer::disabled();
+        let t = tracer.track("x", ClockDomain::Work);
+        let s = tracer.open_with(t, "phoenix.job", |_| panic!("open_with ran its closure"));
+        tracer.leaf_with(t, "phoenix.map", 3, |_| panic!("leaf_with ran its closure"));
+        tracer.event_with(t, "sd.request", |_| panic!("event_with ran its closure"));
+        tracer.close(t, s);
+    }
+
+    #[test]
+    fn slice_and_lazy_forms_export_the_same_bytes() {
+        let by_slice = Tracer::enabled();
+        let t = by_slice.track("work", ClockDomain::Work);
+        let s = by_slice.open(t, "phoenix.job", &[("job", "wc"), ("span", "7")]);
+        by_slice.leaf(t, "phoenix.map", 5, &[("map_tasks", "12")]);
+        by_slice.event(t, "sd.request", &[("module", "wc"), ("attempt", "2")]);
+        by_slice.event(t, "sd.dispatch", &[]);
+        by_slice.close(t, s);
+
+        let lazily = Tracer::enabled();
+        let t = lazily.track("work", ClockDomain::Work);
+        let s = lazily.open_with(t, "phoenix.job", |a| {
+            a.str("job", "wc");
+            a.u64("span", 7);
+        });
+        lazily.leaf_with(t, "phoenix.map", 5, |a| a.u64("map_tasks", 12));
+        lazily.event_with(t, "sd.request", |a| {
+            a.str("module", "wc");
+            a.u64("attempt", 2);
+        });
+        lazily.event_with(t, "sd.dispatch", |_| {});
+        lazily.close(t, s);
+
+        let bytes = crate::export::jsonl(&by_slice);
+        assert!(bytes.contains("\"attempt\":\"2\""), "{bytes}");
+        assert_eq!(bytes, crate::export::jsonl(&lazily));
+        assert_eq!(
+            crate::export::chrome(&by_slice),
+            crate::export::chrome(&lazily)
+        );
     }
 
     #[test]

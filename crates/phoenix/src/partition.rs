@@ -386,11 +386,11 @@ impl PartitionedRuntime {
         let tracer = self.runtime.tracer();
         let span = tracer.is_enabled().then(|| {
             let track = tracer.track(TRACE_TRACK, ClockDomain::Work);
-            let attrs = [
-                ("job", job.name()),
-                ("fragments", &fragments.len().to_string()),
-            ];
-            (track, tracer.open(track, SPAN_PHOENIX_PARTITIONED, &attrs))
+            let span = tracer.open_with(track, SPAN_PHOENIX_PARTITIONED, |a| {
+                a.str("job", job.name());
+                a.u64("fragments", fragments.len() as u64);
+            });
+            (track, span)
         });
         let mut acc = merger.empty();
         let mut merge_time = std::time::Duration::ZERO;

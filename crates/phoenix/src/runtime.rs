@@ -326,42 +326,28 @@ impl Runtime {
             return;
         }
         let track = self.tracer.track(TRACE_TRACK, ClockDomain::Work);
-        let workers = stats.workers.to_string();
-        let job = self.tracer.open(
-            track,
-            SPAN_PHOENIX_JOB,
-            &[("job", stats.job.as_str()), ("workers", &workers)],
-        );
-        self.tracer.leaf(
-            track,
-            SPAN_PHOENIX_SPLIT,
-            stats.map_tasks,
-            &[("map_tasks", &stats.map_tasks.to_string())],
-        );
-        self.tracer.leaf(
-            track,
-            SPAN_PHOENIX_MAP,
-            stats.input_bytes,
-            &[
-                ("input_bytes", &stats.input_bytes.to_string()),
-                ("emitted_pairs", &stats.emitted_pairs.to_string()),
-            ],
-        );
-        self.tracer.leaf(
-            track,
-            SPAN_PHOENIX_REDUCE,
-            stats.combined_pairs,
-            &[
-                ("combined_pairs", &stats.combined_pairs.to_string()),
-                ("distinct_keys", &stats.distinct_keys.to_string()),
-            ],
-        );
-        self.tracer.leaf(
-            track,
-            SPAN_PHOENIX_MERGE,
-            stats.output_pairs,
-            &[("output_pairs", &stats.output_pairs.to_string())],
-        );
+        let job = self.tracer.open_with(track, SPAN_PHOENIX_JOB, |a| {
+            a.str("job", &stats.job);
+            a.u64("workers", stats.workers as u64);
+        });
+        self.tracer
+            .leaf_with(track, SPAN_PHOENIX_SPLIT, stats.map_tasks, |a| {
+                a.u64("map_tasks", stats.map_tasks);
+            });
+        self.tracer
+            .leaf_with(track, SPAN_PHOENIX_MAP, stats.input_bytes, |a| {
+                a.u64("input_bytes", stats.input_bytes);
+                a.u64("emitted_pairs", stats.emitted_pairs);
+            });
+        self.tracer
+            .leaf_with(track, SPAN_PHOENIX_REDUCE, stats.combined_pairs, |a| {
+                a.u64("combined_pairs", stats.combined_pairs);
+                a.u64("distinct_keys", stats.distinct_keys);
+            });
+        self.tracer
+            .leaf_with(track, SPAN_PHOENIX_MERGE, stats.output_pairs, |a| {
+                a.u64("output_pairs", stats.output_pairs);
+            });
         self.tracer.close(track, job);
     }
 }

@@ -560,11 +560,11 @@ fn daemon_loop(
     if let Some(rep) = ctx.config.replication {
         if let Ok(recovery) = recover_group(&ctx.config.log_dir, rep.group_size) {
             if recovery.merged_frames > 0 {
-                ctx.trace.0.event(
-                    ctx.trace.1,
-                    EVENT_SD_REPLICA_MERGE,
-                    &[("frames", &recovery.merged_frames.to_string())],
-                );
+                ctx.trace
+                    .0
+                    .event_with(ctx.trace.1, EVENT_SD_REPLICA_MERGE, |a| {
+                        a.u64("frames", recovery.merged_frames);
+                    });
             }
         }
     }
@@ -976,12 +976,11 @@ impl DaemonCtx {
         let size = chunk.len();
         // Span width = requests in the batch: the batch is one decision-
         // clock unit whose extent measures coalescing, not wall time.
-        self.trace.0.leaf(
-            self.trace.1,
-            SPAN_SD_BATCH,
-            size as u64,
-            &[("size", &size.to_string())],
-        );
+        self.trace
+            .0
+            .leaf_with(self.trace.1, SPAN_SD_BATCH, size as u64, |a| {
+                a.u64("size", size as u64);
+            });
         // Phase 1 (serial, batch order): the same per-request gate the
         // lockstep path applies.
         let mut planned: Vec<Planned> = Vec::with_capacity(size);
@@ -1090,23 +1089,21 @@ impl DaemonCtx {
                 .fetch_add(durable, Ordering::Relaxed);
             batch.fsyncs.fetch_add(outcome.fsyncs, Ordering::Relaxed);
             batch.fsyncs_saved.fetch_add(saved, Ordering::Relaxed);
-            self.trace.0.event(
-                self.trace.1,
-                EVENT_SD_BATCH_COMMIT,
-                &[
-                    ("size", &durable.to_string()),
-                    ("fsyncs_saved", &saved.to_string()),
-                ],
-            );
+            self.trace
+                .0
+                .event_with(self.trace.1, EVENT_SD_BATCH_COMMIT, |a| {
+                    a.u64("size", durable);
+                    a.u64("fsyncs_saved", saved);
+                });
             if !outcome.torn {
                 break;
             }
             let retried = rest.len() - outcome.frames_durable;
-            self.trace.0.event(
-                self.trace.1,
-                EVENT_SD_BATCH_RETRY,
-                &[("retried", &retried.to_string())],
-            );
+            self.trace
+                .0
+                .event_with(self.trace.1, EVENT_SD_BATCH_RETRY, |a| {
+                    a.u64("retried", retried as u64);
+                });
             rest = &rest[outcome.frames_durable..];
         }
         // Mirrors get every frame (including any whose primary append

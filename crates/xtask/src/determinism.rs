@@ -44,9 +44,12 @@ const NEUTRAL: [&str; 9] = [
 
 /// Emission sinks: places where element order becomes observable output
 /// (trace events, metrics, report text, serialized artifacts).
-const SINKS: [&str; 12] = [
+const SINKS: [&str; 15] = [
     ".event(",
+    ".event_with(",
     ".leaf(",
+    ".leaf_with(",
+    ".open_with(",
     ".volatile_event(",
     ".emit(",
     ".emit_ref(",
