@@ -14,6 +14,7 @@
 
 pub mod ablation;
 pub mod fig8;
+pub mod four_phase;
 pub mod pairs;
 pub mod table;
 pub mod workloads;

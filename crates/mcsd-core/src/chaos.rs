@@ -32,8 +32,8 @@ use mcsd_obs::names::{
 use mcsd_obs::{ClockDomain, MetricsError, MetricsRegistry, Tracer};
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
-    BatchConfig, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan, FaultSite, Frame,
-    HostClient, ModuleRegistry,
+    BatchConfig, BatchStats, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan,
+    FaultSite, Frame, HostClient, ModuleRegistry, PollBackoff,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -985,7 +985,7 @@ impl BatchedEchoScenario {
         let mut incarnations: u64 = 1;
         // Commit-side counters accumulate across incarnations; a crashed
         // daemon's stats are read after it provably stopped.
-        let (mut batches, mut coalesced, mut fsyncs, mut fsyncs_saved) = (0u64, 0u64, 0u64, 0u64);
+        let mut commits = BatchStats::default();
         let mut answered_outcomes: u64 = 0;
         let mut ok_outcomes: u64 = 0;
 
@@ -996,6 +996,7 @@ impl BatchedEchoScenario {
             let mut expect = format!("echo:{key}");
             let mut alive_since = Stopwatch::start();
             let mut retries: u32 = 0;
+            let mut pace = PollBackoff::new(std::time::Duration::from_millis(1));
             loop {
                 match call.poll_outcome() {
                     Ok(Some(outcome)) => {
@@ -1029,11 +1030,7 @@ impl BatchedEchoScenario {
                     // counters, then heal with a replacement on the same
                     // injector: replay answers the uncommitted suffix.
                     daemon.stop();
-                    let b = daemon.batch_stats();
-                    batches += b.batches;
-                    coalesced += b.coalesced_appends;
-                    fsyncs += b.fsyncs;
-                    fsyncs_saved += b.fsyncs_saved;
+                    commits.absorb(&daemon.batch_stats());
                     daemon = spawn(injector)?;
                     incarnations += 1;
                     alive_since = Stopwatch::start();
@@ -1048,34 +1045,30 @@ impl BatchedEchoScenario {
                     call = client.submit("echo", &[key]).map_err(McsdError::SmartFam)?;
                     alive_since = Stopwatch::start();
                 }
-                // tidy:allow(MCSD001) -- real I/O pacing: the scenario is polling a log file for a response frame, the same wait the host tier performs
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                // The same 1 ms response-log poll the host tier performs.
+                pace.idle();
             }
         }
         daemon.stop();
-        let b = daemon.batch_stats();
-        batches += b.batches;
-        coalesced += b.coalesced_appends;
-        fsyncs += b.fsyncs;
-        fsyncs_saved += b.fsyncs_saved;
+        commits.absorb(&daemon.batch_stats());
 
         obs.durable_reexecutions = durable_reexecutions.load(Ordering::Relaxed);
         obs.conservation = vec![
             // Every answered outcome rode a coalesced batch commit.
             ConservationCheck::ge(
                 "coalesced_appends >= answered_outcomes",
-                coalesced,
+                commits.coalesced_appends,
                 answered_outcomes,
             ),
             // One fsync per batch commit — the §18 durability contract.
-            ConservationCheck::eq("fsyncs == batches", fsyncs, batches),
+            ConservationCheck::eq("fsyncs == batches", commits.fsyncs, commits.batches),
             // Every durable frame either paid an fsync or saved one; a
             // fully-torn commit can pay without landing a frame, so this
             // is a lower bound rather than an identity.
             ConservationCheck::ge(
                 "fsyncs + fsyncs_saved >= coalesced_appends",
-                fsyncs + fsyncs_saved,
-                coalesced,
+                commits.fsyncs + commits.fsyncs_saved,
+                commits.coalesced_appends,
             ),
             // Execution is at-least-once for every correct payload; a
             // typed error (injected module failure) answers without an
