@@ -88,6 +88,6 @@ pub use scenario::{PairReport, PairRunner, PairScenario, PairWorkload};
 // test code can script failures without depending on mcsd-smartfam
 // directly.
 pub use mcsd_smartfam::{
-    FaultAction, FaultInjector, FaultPlan, FaultSite, OverloadStats, ReplicaConfig, ReplicaFault,
+    FaultAction, FaultInjector, FaultPlan, FaultSite, OverloadStats, ReplicaConfig,
     ResilienceStats, RetryPolicy,
 };

@@ -33,7 +33,7 @@ use mcsd_obs::Tracer;
 use mcsd_phoenix::partition::Merger;
 use mcsd_phoenix::Stopwatch;
 use mcsd_phoenix::{Job, Splitter};
-use mcsd_smartfam::{FaultInjector, Frame, ResilienceStats};
+use mcsd_smartfam::{FaultInjector, FaultSite, Frame, ResilienceStats};
 use std::time::Duration;
 
 pub use crate::engine::SpanOutcome;
@@ -262,7 +262,7 @@ impl MultiSdRunner {
                 } else {
                     sd_nodes[slot].clone()
                 };
-                let mut injected = slot != host_slot && injector.on_span();
+                let mut injected = slot != host_slot && injector.fire(FaultSite::Span).is_some();
                 resilience.attempts += 1;
                 let runner = NodeRunner::new(node, self.cluster.disk);
                 let out =

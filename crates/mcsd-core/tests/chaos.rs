@@ -141,7 +141,7 @@ impl ChaosScenario for BrokenLogScenario {
         // Cross one dispatch point so the sweep has something to inject
         // at; the "log" itself is an in-memory fake that drops a
         // committed round and re-runs a finished request on recovery.
-        let _ = injector.on_dispatch();
+        let _ = injector.fire(FaultSite::Dispatch);
         let mut obs = ChaosObservation::clean();
         obs.committed_rounds = 3;
         obs.readable_rounds = 2; // one committed round vanished
@@ -201,7 +201,7 @@ impl ChaosScenario for ErroringScenario {
         // Discovery (empty probing plan) succeeds; any injected plan
         // makes the segment blow up with a path-carrying error.
         if injector.plan().is_empty() {
-            let _ = injector.on_dispatch();
+            let _ = injector.fire(FaultSite::Dispatch);
             return Ok(ChaosObservation::clean());
         }
         Err(McsdError::BadScenario {

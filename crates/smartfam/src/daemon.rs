@@ -24,10 +24,10 @@
 
 use crate::batch::{BatchConfig, BatchStats};
 use crate::codec::{Frame, FrameBody, HeartbeatLoad, HeartbeatRecord};
-use crate::faults::{DispatchFault, FaultInjector, SplitMix64, QUARANTINE_TOKEN};
-use crate::log_file::{LogFile, LogRole};
+use crate::faults::{FaultAction, FaultInjector, FaultSite, SplitMix64, QUARANTINE_TOKEN};
+use crate::log_file::{log_path, module_of, LogFile, LogRole};
 use crate::module::{ModuleRegistry, ProcessingModule};
-use crate::replica::{recover_group, MirrorSet, ReplicaConfig};
+use crate::replica::{recover_group, ReplicaConfig};
 use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
 use mcsd_obs::names::{
     EVENT_SD_BATCH_COMMIT, EVENT_SD_BATCH_RETRY, EVENT_SD_COMPLETE, EVENT_SD_DISPATCH,
@@ -83,7 +83,10 @@ pub struct DaemonConfig {
     /// copies, and the startup replay scan first merges frames that
     /// survive only in a mirror back into the primary log — so a torn or
     /// corrupted response append is recovered from a replica instead of
-    /// re-executed (DESIGN.md §15).
+    /// re-executed (DESIGN.md §15). Only `group_size` matters here: mirror
+    /// appends are best-effort and unverified, so the live daemon path
+    /// ignores `write_quorum` — quorum rounds belong to
+    /// [`crate::replica::ReplicatedLog`].
     pub replication: Option<ReplicaConfig>,
     /// Batched dispatch (off by default — `None` keeps the lockstep
     /// request/response path byte-identical to previous releases). When
@@ -414,11 +417,41 @@ impl Drop for DaemonHandle {
 struct LogState {
     /// The daemon's one read cursor on this log.
     log: LogFile,
-    /// The held append handle every response to this log goes through,
+    /// The held append handles every response to this log goes through,
     /// shared with the dispatch workers.
-    writer: Arc<LogFile>,
+    writer: Arc<LogWriter>,
     /// Request frames already answered (or dispatched).
     handled: HashSet<u64>,
+}
+
+/// The held append handles of one module log: the log itself and, under
+/// replication, its mirror copies — attached once, when the daemon first
+/// sees the log.
+struct LogWriter {
+    primary: LogFile,
+    /// Replicas `1..group_size`. A mirror append is not a fault site (the
+    /// seeded replica faults live in the modelled `ReplicatedLog` path).
+    mirrors: Vec<LogFile>,
+}
+
+impl LogWriter {
+    /// Append `frame` to every mirror, best-effort: a failed mirror write
+    /// never fails the primary append.
+    fn mirror(&self, frame: &Frame) {
+        if self.mirrors.is_empty() {
+            return;
+        }
+        let bytes = frame.encode();
+        for mirror in &self.mirrors {
+            let _ = mirror.write_faulted(&bytes, None);
+        }
+    }
+
+    /// Answer with `response`: the primary log, then its mirrors.
+    fn append(&self, response: &Frame) {
+        let _ = self.primary.append(response);
+        self.mirror(response);
+    }
 }
 
 /// Signalled once the startup replay scan is done, so [`Daemon::spawn`]
@@ -579,7 +612,7 @@ fn daemon_loop(
             if ctx.stop.load(Ordering::Relaxed) {
                 break;
             }
-            if is_module_log(&path) {
+            if module_of(&path).is_some() {
                 ctx.process_log(&path, true);
             }
         }
@@ -602,7 +635,8 @@ fn daemon_loop(
             ctx.trace
                 .0
                 .volatile_event(ctx.trace.1, EVENT_SD_HEARTBEAT, &[]);
-            if !ctx.config.injector.on_heartbeat() {
+            // `Stall` is the only action valid at the heartbeat site.
+            if ctx.config.injector.fire(FaultSite::Heartbeat).is_none() {
                 let record = HeartbeatRecord {
                     seq: heartbeat_seq,
                     load: Some(HeartbeatLoad {
@@ -629,7 +663,7 @@ fn daemon_loop(
         else {
             continue;
         };
-        if event.kind == WatchEventKind::Removed || !is_module_log(&event.path) {
+        if event.kind == WatchEventKind::Removed || module_of(&event.path).is_none() {
             continue;
         }
         let path = event.path;
@@ -644,16 +678,6 @@ fn daemon_loop(
     for h in handles {
         let _ = h.join();
     }
-}
-
-fn is_module_log(path: &Path) -> bool {
-    path.extension().map(|e| e == "log").unwrap_or(false)
-}
-
-fn module_name(path: &Path) -> String {
-    path.file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default()
 }
 
 /// Stable seeded module→worker assignment: FNV-1a over the module name,
@@ -676,25 +700,15 @@ impl DaemonCtx {
         self.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight as u64
     }
 
-    /// The mirror set for one module log, when replication is on.
-    fn mirrors_for(&self, path: &Path) -> Option<MirrorSet> {
-        self.config
-            .replication
-            .map(|rep| MirrorSet::for_log(path, rep.group_size))
-    }
-
-    /// The held append handle of a log a request was read from —
-    /// `process_log` attached it before admitting anything from `path`.
-    fn writer_for(&self, path: &Path) -> Arc<LogFile> {
-        Arc::clone(&self.logs[path].writer)
+    /// The held append handles of a log a request was read from —
+    /// `process_log` attached them before admitting anything from `path`.
+    fn writer_for(&self, path: &Path) -> &Arc<LogWriter> {
+        &self.logs[path].writer
     }
 
     /// Answer on `path` (and its mirrors) without running anything.
     fn respond(&self, path: &Path, response: &Frame) {
-        let _ = self.writer_for(path).append(response);
-        if let Some(mirrors) = self.mirrors_for(path) {
-            mirrors.append(response);
-        }
+        self.writer_for(path).append(response);
     }
 
     /// Poll one module log and run every not-yet-handled request through
@@ -710,10 +724,19 @@ impl DaemonCtx {
                     LogFile::attach_at_start(path)
                         .map(|log| log.with_faults(self.config.injector.clone(), LogRole::Daemon))
                 };
+                // A mirror that cannot be attached is skipped, like a
+                // mirror append that fails.
+                let mirrors = self.config.replication.map_or_else(Vec::new, |rep| {
+                    let dir = path.parent().unwrap_or(Path::new("."));
+                    let module = module_of(path).unwrap_or_default();
+                    (1..rep.group_size)
+                        .filter_map(|r| LogFile::attach_at_start(log_path(dir, &module, r)).ok())
+                        .collect()
+                });
                 match (attach(), attach()) {
-                    (Ok(log), Ok(writer)) => v.insert(LogState {
+                    (Ok(log), Ok(primary)) => v.insert(LogState {
                         log,
-                        writer: Arc::new(writer),
+                        writer: Arc::new(LogWriter { primary, mirrors }),
                         handled: HashSet::new(),
                     }),
                     // Unreadable log file (permissions, vanished between
@@ -745,7 +768,7 @@ impl DaemonCtx {
         }
         // Collect the fresh requests first so the log-state borrow ends
         // before admission (which needs `&mut self`).
-        let name = module_name(path);
+        let name = module_of(path).unwrap_or_default().into_owned();
         let mut fresh: Vec<QueuedRequest> = Vec::new();
         for frame in frames {
             let FrameBody::Request {
@@ -882,12 +905,12 @@ impl DaemonCtx {
         // answering — in batched mode nothing of the batch commits, so
         // the whole chunk is replayed next incarnation) or a forced
         // module failure.
-        match self.config.injector.on_dispatch() {
-            Some(DispatchFault::CrashBefore) => {
+        match self.config.injector.fire(FaultSite::Dispatch) {
+            Some(FaultAction::CrashBefore) => {
                 self.stop.store(true, Ordering::Relaxed);
                 Gated::Crash
             }
-            Some(DispatchFault::CrashAfter) => {
+            Some(FaultAction::CrashAfter) => {
                 // Execute the module, then die before the response is
                 // written — the worst crash window for replay
                 // idempotency.
@@ -897,7 +920,7 @@ impl DaemonCtx {
                 self.stop.store(true, Ordering::Relaxed);
                 Gated::Crash
             }
-            Some(DispatchFault::Fail) => {
+            Some(FaultAction::Fail) => {
                 self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
                 note_result(
                     &self.health,
@@ -910,7 +933,7 @@ impl DaemonCtx {
                 event(EVENT_SD_COMPLETE, &[("module", name), ("status", "error")]);
                 Gated::Reject(Frame::response_err(id, "injected module failure"))
             }
-            None => Gated::Run(module),
+            _ => Gated::Run(module),
         }
     }
 
@@ -930,8 +953,7 @@ impl DaemonCtx {
             params,
             ..
         } = req;
-        let writer = self.writer_for(&path);
-        let mirrors = self.mirrors_for(&path);
+        let writer = Arc::clone(self.writer_for(&path));
         let stats = Arc::clone(&self.stats);
         let health = Arc::clone(&self.health);
         let in_flight = Arc::clone(&self.in_flight);
@@ -941,10 +963,7 @@ impl DaemonCtx {
         let run = move || {
             let result = run_module(module.as_ref(), &params);
             let response = complete(&health, &stats, &trace, threshold, &name, id, result);
-            let _ = writer.append(&response);
-            if let Some(m) = &mirrors {
-                m.append(&response);
-            }
+            writer.append(&response);
             in_flight.fetch_sub(1, Ordering::Relaxed);
         };
         let mut w = self.workers.lock();
@@ -1077,7 +1096,7 @@ impl DaemonCtx {
         let mut attempts = 0;
         while !rest.is_empty() && attempts < 8 {
             attempts += 1;
-            let Ok(outcome) = writer.append_batch(rest) else {
+            let Ok(outcome) = writer.primary.append_batch(rest) else {
                 break;
             };
             let durable = outcome.frames_durable as u64;
@@ -1109,10 +1128,8 @@ impl DaemonCtx {
         // Mirrors get every frame (including any whose primary append
         // tore): the mirror is exactly the recovery copy promote-time
         // merge reads from.
-        if let Some(mirrors) = self.mirrors_for(path) {
-            for frame in frames {
-                mirrors.append(frame);
-            }
+        for frame in frames {
+            writer.mirror(frame);
         }
     }
 }
@@ -1611,7 +1628,7 @@ mod tests {
         )
         .spawn()
         .unwrap();
-        let mirror = crate::replica::ReplicatedLog::replica_path(&dir, "count", 1);
+        let mirror = log_path(&dir, "count", 1);
         let waited = Stopwatch::start();
         while !waited.expired(TIMEOUT) {
             if mirror.exists()

@@ -6,10 +6,11 @@
 //! *injection site* and *occurrence number*; a [`FaultInjector`] carries
 //! the plan plus per-site atomic counters and is threaded (cloned) through
 //! the host client, the log files, and the daemon. Every consumer asks the
-//! injector "should this operation fail?" at well-defined hook points, so
-//! a run with the same plan and the same request sequence fires the same
-//! faults — there is no wall-clock or entropy input anywhere in the
-//! schedule. Plans can be written by hand ([`FaultPlan::with`]) or derived
+//! injector "should this operation fail?" through the one hook,
+//! [`FaultInjector::fire`], and matches on the [`FaultAction`] it gets
+//! back, so a run with the same plan and the same request sequence fires
+//! the same faults — there is no wall-clock or entropy input anywhere in
+//! the schedule. Plans can be written by hand ([`FaultPlan::with`]) or derived
 //! entirely from a `u64` seed ([`FaultPlan::from_seed`]), which is what the
 //! fault-matrix tests sweep.
 //!
@@ -60,12 +61,11 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    const COUNT: usize = 10;
-
-    /// Every injection site, in counter order. The chaos explorer sweeps
-    /// this list; a new variant that is not added here fails the
-    /// exhaustiveness test rather than being silently skipped.
-    pub const ALL: [FaultSite; FaultSite::COUNT] = [
+    /// Every injection site, in declaration order (a site's discriminant
+    /// is its counter slot). The chaos explorer sweeps this list; a new
+    /// variant that is not added here fails the catalog test rather than
+    /// being silently skipped.
+    pub const ALL: [FaultSite; 10] = [
         FaultSite::HostAppend,
         FaultSite::SdAppend,
         FaultSite::HostPoll,
@@ -110,21 +110,6 @@ impl FaultSite {
             | FaultSite::Group
             | FaultSite::BatchAppend => true,
             FaultSite::HostPoll | FaultSite::SdPoll | FaultSite::Heartbeat => false,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            FaultSite::HostAppend => 0,
-            FaultSite::SdAppend => 1,
-            FaultSite::HostPoll => 2,
-            FaultSite::SdPoll => 3,
-            FaultSite::Dispatch => 4,
-            FaultSite::Heartbeat => 5,
-            FaultSite::Span => 6,
-            FaultSite::Replica => 7,
-            FaultSite::Group => 8,
-            FaultSite::BatchAppend => 9,
         }
     }
 }
@@ -178,9 +163,10 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// Whether this action has any effect at `site`. The hooks simply
-    /// ignore mismatched entries; the chaos explorer uses this matrix to
-    /// avoid scheduling runs that cannot fire.
+    /// Whether this action has any effect at `site` — the one site ×
+    /// action matrix. [`FaultInjector::fire`] never returns an entry this
+    /// rejects, and the chaos explorer uses it to avoid scheduling runs
+    /// that cannot fire.
     pub fn valid_at(self, site: FaultSite) -> bool {
         match self {
             FaultAction::CrashBefore | FaultAction::CrashAfter => {
@@ -389,12 +375,12 @@ pub struct InjectedFault {
 
 struct InjectorInner {
     plan: FaultPlan,
-    /// When set, the hooks count occurrences even with an empty (or
+    /// When set, `fire` counts occurrences even with an empty (or
     /// never-matching) plan, so a clean run can *discover* its injection
     /// points. Production injectors keep this off and retain the
     /// zero-overhead fast path.
     probe: bool,
-    counters: [AtomicU64; FaultSite::COUNT],
+    counters: [AtomicU64; FaultSite::ALL.len()],
     fired: Mutex<Vec<InjectedFault>>,
 }
 
@@ -419,57 +405,6 @@ impl Default for FaultInjector {
     fn default() -> Self {
         FaultInjector::disabled()
     }
-}
-
-/// Faults the injector can report at an append site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendFault {
-    /// Write only part of the frame, then report failure.
-    Torn {
-        /// Numerator of the kept fraction, out of 16.
-        keep_sixteenths: u8,
-    },
-    /// Write the whole frame with one body byte flipped.
-    Corrupt {
-        /// XOR mask applied to one body byte.
-        xor_mask: u8,
-    },
-}
-
-/// Faults the injector can report at the dispatch site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchFault {
-    /// Exit before executing the request.
-    CrashBefore,
-    /// Execute, drop the response, exit.
-    CrashAfter,
-    /// Answer with an injected error response.
-    Fail,
-}
-
-/// Faults the injector can report when one replica of a replication
-/// group receives a fanned-out append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaFault {
-    /// The replica crashes before writing anything: no bytes land and
-    /// the member is dead from this round on.
-    CrashBefore,
-    /// The replica writes the full frame and then crashes: the bytes are
-    /// on disk but were never acknowledged, so promotion must not count
-    /// them.
-    CrashAfter,
-    /// The replica's copy is torn mid-frame; the write is not
-    /// acknowledged and the tail is recoverable garbage.
-    Torn {
-        /// Numerator of the kept fraction, out of 16.
-        keep_sixteenths: u8,
-    },
-    /// The replica's copy lands with one body byte flipped; read-back
-    /// verification rejects it, so the write is not acknowledged.
-    Corrupt {
-        /// XOR mask applied to one body byte.
-        xor_mask: u8,
-    },
 }
 
 impl FaultInjector {
@@ -515,8 +450,8 @@ impl FaultInjector {
         FaultInjector::new(FaultPlan::from_seed(seed))
     }
 
-    /// Whether the hooks need to run at all: either faults are scheduled
-    /// or the injector is counting occurrences in probe mode.
+    /// Whether [`FaultInjector::fire`] does anything at all: either faults
+    /// are scheduled or the injector is counting occurrences in probe mode.
     pub fn is_active(&self) -> bool {
         !self.inner.plan.is_empty() || self.inner.probe
     }
@@ -533,193 +468,44 @@ impl FaultInjector {
 
     /// How many times `site` has been hit so far.
     pub fn occurrences(&self, site: FaultSite) -> u64 {
-        self.inner.counters[site.index()].load(Ordering::Relaxed)
+        self.inner.counters[site as usize].load(Ordering::Relaxed)
     }
 
-    fn advance(&self, site: FaultSite) -> u64 {
-        self.inner.counters[site.index()].fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn record(&self, site: FaultSite, occurrence: u64, action: FaultAction) {
+    /// The one injection hook: the operation at `site` is about to happen.
+    /// A disabled injector returns at once without touching a counter;
+    /// otherwise the site's occurrence counter advances and the first
+    /// scheduled entry that is [`FaultAction::valid_at`] the site and
+    /// covers this occurrence — `[nth, nth + n)` for `Hide`/`Stall`, `nth`
+    /// alone otherwise — is recorded and returned. An entry that is
+    /// invalid at its site never fires and never shadows a later one.
+    pub fn fire(&self, site: FaultSite) -> Option<FaultAction> {
+        if !self.is_active() {
+            return None;
+        }
+        let occurrence = self.inner.counters[site as usize].fetch_add(1, Ordering::Relaxed);
+        let action = self
+            .inner
+            .plan
+            .faults
+            .iter()
+            .find(|f| {
+                let width = match f.action {
+                    FaultAction::Hide { polls: n } | FaultAction::Stall { beats: n } => n as u64,
+                    _ => 1,
+                };
+                f.site == site
+                    && f.action.valid_at(site)
+                    && occurrence
+                        .checked_sub(f.nth)
+                        .is_some_and(|past| past < width)
+            })?
+            .action;
         self.inner.fired.lock().push(InjectedFault {
             site,
             occurrence,
             action,
         });
-    }
-
-    /// Exact-occurrence lookup (crash/torn/corrupt/fail).
-    fn exact(&self, site: FaultSite, occurrence: u64) -> Option<FaultAction> {
-        self.inner
-            .plan
-            .faults
-            .iter()
-            .find(|f| f.site == site && f.nth == occurrence)
-            .map(|f| f.action)
-    }
-
-    /// Windowed lookup for `Hide`/`Stall`: fires while
-    /// `nth <= occurrence < nth + n`.
-    fn windowed(&self, site: FaultSite, occurrence: u64) -> Option<FaultAction> {
-        self.inner
-            .plan
-            .faults
-            .iter()
-            .find(|f| {
-                f.site == site
-                    && match f.action {
-                        FaultAction::Hide { polls } => {
-                            occurrence >= f.nth && occurrence < f.nth + polls as u64
-                        }
-                        FaultAction::Stall { beats } => {
-                            occurrence >= f.nth && occurrence < f.nth + beats as u64
-                        }
-                        _ => false,
-                    }
-            })
-            .map(|f| f.action)
-    }
-
-    /// Hook: a frame append at `site` is about to happen. Returns the
-    /// fault to apply, if any.
-    pub fn on_append(&self, site: FaultSite) -> Option<AppendFault> {
-        if !self.is_active() {
-            return None;
-        }
-        let occ = self.advance(site);
-        match self.exact(site, occ) {
-            Some(action @ FaultAction::Torn { keep_sixteenths }) => {
-                self.record(site, occ, action);
-                Some(AppendFault::Torn { keep_sixteenths })
-            }
-            Some(action @ FaultAction::Corrupt { xor_mask }) => {
-                self.record(site, occ, action);
-                Some(AppendFault::Corrupt {
-                    xor_mask: xor_mask.max(1),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Hook: a poll at `site` is about to read the log. Returns `true`
-    /// when the poll should see stale (no new) data.
-    pub fn on_poll(&self, site: FaultSite) -> bool {
-        if !self.is_active() {
-            return false;
-        }
-        let occ = self.advance(site);
-        match self.windowed(site, occ) {
-            Some(action @ FaultAction::Hide { .. }) => {
-                self.record(site, occ, action);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Hook: the daemon is about to dispatch a request to a module.
-    pub fn on_dispatch(&self) -> Option<DispatchFault> {
-        if !self.is_active() {
-            return None;
-        }
-        let occ = self.advance(FaultSite::Dispatch);
-        match self.exact(FaultSite::Dispatch, occ) {
-            Some(action @ FaultAction::CrashBefore) => {
-                self.record(FaultSite::Dispatch, occ, action);
-                Some(DispatchFault::CrashBefore)
-            }
-            Some(action @ FaultAction::CrashAfter) => {
-                self.record(FaultSite::Dispatch, occ, action);
-                Some(DispatchFault::CrashAfter)
-            }
-            Some(action @ FaultAction::Fail) => {
-                self.record(FaultSite::Dispatch, occ, action);
-                Some(DispatchFault::Fail)
-            }
-            _ => None,
-        }
-    }
-
-    /// Hook: the daemon is about to write a heartbeat. Returns `true`
-    /// when the write should be suppressed (heartbeat stall).
-    pub fn on_heartbeat(&self) -> bool {
-        if !self.is_active() {
-            return false;
-        }
-        let occ = self.advance(FaultSite::Heartbeat);
-        match self.windowed(FaultSite::Heartbeat, occ) {
-            Some(action @ FaultAction::Stall { .. }) => {
-                self.record(FaultSite::Heartbeat, occ, action);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Hook: a multi-SD span is about to run on its primary node. Returns
-    /// `true` when the node should refuse the span (forcing re-dispatch).
-    pub fn on_span(&self) -> bool {
-        if !self.is_active() {
-            return false;
-        }
-        let occ = self.advance(FaultSite::Span);
-        match self.exact(FaultSite::Span, occ) {
-            Some(action @ FaultAction::Fail) => {
-                self.record(FaultSite::Span, occ, action);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Hook: a replication group member is about to receive a fanned-out
-    /// append. Occurrences advance in fan-out order (entry-major,
-    /// replica-minor), so a scheduled occurrence addresses one specific
-    /// (entry, replica) pair. Returns the fault to apply, if any.
-    pub fn on_replica_append(&self) -> Option<ReplicaFault> {
-        if !self.is_active() {
-            return None;
-        }
-        let occ = self.advance(FaultSite::Replica);
-        match self.exact(FaultSite::Replica, occ) {
-            Some(action @ FaultAction::CrashBefore) => {
-                self.record(FaultSite::Replica, occ, action);
-                Some(ReplicaFault::CrashBefore)
-            }
-            Some(action @ FaultAction::CrashAfter) => {
-                self.record(FaultSite::Replica, occ, action);
-                Some(ReplicaFault::CrashAfter)
-            }
-            Some(action @ FaultAction::Torn { keep_sixteenths }) => {
-                self.record(FaultSite::Replica, occ, action);
-                Some(ReplicaFault::Torn { keep_sixteenths })
-            }
-            Some(action @ FaultAction::Corrupt { xor_mask }) => {
-                self.record(FaultSite::Replica, occ, action);
-                Some(ReplicaFault::Corrupt {
-                    xor_mask: xor_mask.max(1),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Hook: a replication group is about to start an append round.
-    /// Returns the bitmask of replicas that crash together at this round
-    /// (correlated failure), if one is scheduled.
-    pub fn on_group(&self) -> Option<u8> {
-        if !self.is_active() {
-            return None;
-        }
-        let occ = self.advance(FaultSite::Group);
-        match self.exact(FaultSite::Group, occ) {
-            Some(action @ FaultAction::CrashReplicas { mask }) => {
-                self.record(FaultSite::Group, occ, action);
-                Some(mask.max(1))
-            }
-            _ => None,
-        }
+        Some(action)
     }
 }
 
@@ -937,85 +723,104 @@ impl SplitMix64 {
 mod tests {
     use super::*;
 
+    /// The chaos explorer's canonical action matrix, parameters fixed.
+    const ACTIONS: [FaultAction; 9] = [
+        FaultAction::CrashBefore,
+        FaultAction::CrashAfter,
+        FaultAction::Torn { keep_sixteenths: 8 },
+        FaultAction::Corrupt { xor_mask: 0x20 },
+        FaultAction::Hide { polls: 4 },
+        FaultAction::Fail,
+        FaultAction::Stall { beats: 3 },
+        FaultAction::CrashReplicas { mask: 0b001 },
+        FaultAction::CrashReplicas { mask: 0b011 },
+    ];
+
     #[test]
-    fn empty_plan_never_fires() {
-        let inj = FaultInjector::disabled();
-        assert!(!inj.is_active());
-        for _ in 0..10 {
-            assert!(inj.on_append(FaultSite::HostAppend).is_none());
-            assert!(!inj.on_poll(FaultSite::HostPoll));
-            assert!(inj.on_dispatch().is_none());
-            assert!(!inj.on_heartbeat());
-            assert!(!inj.on_span());
+    fn fire_follows_the_validity_matrix_at_every_site() {
+        const NTH: u64 = 2;
+        const HITS: u64 = 8;
+        for site in FaultSite::ALL {
+            for action in ACTIONS {
+                let width = match action {
+                    FaultAction::Hide { polls: n } | FaultAction::Stall { beats: n } => n as u64,
+                    _ => 1,
+                };
+                // Fires iff valid, exactly over `[nth, nth + width)`.
+                let want: Vec<Option<FaultAction>> = (0..HITS)
+                    .map(|occ| {
+                        (action.valid_at(site) && (NTH..NTH + width).contains(&occ))
+                            .then_some(action)
+                    })
+                    .collect();
+                let plan = FaultPlan::none().with(site, NTH, action);
+                // Clones share one counter: alternate between two handles.
+                let a = FaultInjector::new(plan.clone());
+                let b = a.clone();
+                let got: Vec<_> = (0..HITS)
+                    .map(|i| if i % 2 == 0 { &a } else { &b }.fire(site))
+                    .collect();
+                assert_eq!(got, want, "{site:?} {action:?}");
+                assert_eq!(b.fired().len(), want.iter().flatten().count());
+                for (k, f) in a.fired().iter().enumerate() {
+                    assert_eq!(
+                        (f.site, f.occurrence, f.action),
+                        (site, NTH + k as u64, action)
+                    );
+                }
+                // Sites count independently: no other counter moved, and
+                // the entry does not fire anywhere else.
+                for other in FaultSite::ALL.into_iter().filter(|o| *o != site) {
+                    assert_eq!(a.occurrences(other), 0);
+                    for _ in 0..HITS {
+                        assert_eq!(a.fire(other), None, "{action:?} leaked to {other:?}");
+                    }
+                }
+                assert_eq!(a.occurrences(site), HITS);
+                // Probing changes what is counted, never what fires.
+                let probing = FaultInjector::probing(plan);
+                let got: Vec<_> = (0..HITS).map(|_| probing.fire(site)).collect();
+                assert_eq!(got, want, "probing {site:?} {action:?}");
+            }
+            // An empty probing plan counts without firing; a disabled
+            // injector does not even count.
+            let probe = FaultInjector::probing(FaultPlan::none());
+            let disabled = FaultInjector::disabled();
+            assert!(probe.is_active() && !disabled.is_active());
+            for _ in 0..3 {
+                assert_eq!(probe.fire(site), None);
+                assert_eq!(disabled.fire(site), None);
+            }
+            assert!(probe.fired().is_empty() && disabled.fired().is_empty());
+            assert_eq!(probe.occurrences(site), 3);
+            assert_eq!(disabled.occurrences(site), 0);
         }
-        assert!(inj.fired().is_empty());
-        // The fast path does not even count occurrences.
-        assert_eq!(inj.occurrences(FaultSite::Dispatch), 0);
     }
 
     #[test]
-    fn exact_faults_fire_once_at_nth() {
-        let plan = FaultPlan::none().with(FaultSite::Dispatch, 2, FaultAction::Fail);
-        let inj = FaultInjector::new(plan);
-        assert!(inj.on_dispatch().is_none());
-        assert!(inj.on_dispatch().is_none());
-        assert_eq!(inj.on_dispatch(), Some(DispatchFault::Fail));
-        assert!(inj.on_dispatch().is_none());
-        assert_eq!(inj.fired().len(), 1);
-        assert_eq!(inj.fired()[0].occurrence, 2);
-    }
-
-    #[test]
-    fn windowed_faults_cover_a_range() {
-        let plan = FaultPlan::none().with(FaultSite::HostPoll, 1, FaultAction::Hide { polls: 3 });
-        let inj = FaultInjector::new(plan);
-        let seen: Vec<bool> = (0..6).map(|_| inj.on_poll(FaultSite::HostPoll)).collect();
-        assert_eq!(seen, vec![false, true, true, true, false, false]);
-    }
-
-    #[test]
-    fn heartbeat_stall_window() {
-        let plan = FaultPlan::none().with(FaultSite::Heartbeat, 0, FaultAction::Stall { beats: 2 });
-        let inj = FaultInjector::new(plan);
-        assert!(inj.on_heartbeat());
-        assert!(inj.on_heartbeat());
-        assert!(!inj.on_heartbeat());
-    }
-
-    #[test]
-    fn sites_count_independently() {
+    fn an_invalid_entry_never_fires_and_never_shadows() {
+        // Two entries at one (site, nth), the first invalid there; and an
+        // invalid window lying over a valid entry.
         let plan = FaultPlan::none()
-            .with(
-                FaultSite::HostAppend,
-                1,
-                FaultAction::Torn { keep_sixteenths: 8 },
-            )
-            .with(
-                FaultSite::SdAppend,
-                0,
-                FaultAction::Corrupt { xor_mask: 0x40 },
-            );
+            .with(FaultSite::Dispatch, 1, FaultAction::Stall { beats: 2 })
+            .with(FaultSite::Dispatch, 1, FaultAction::Fail)
+            .with(FaultSite::HostPoll, 0, FaultAction::Stall { beats: 9 })
+            .with(FaultSite::HostPoll, 1, FaultAction::Hide { polls: 1 });
         let inj = FaultInjector::new(plan);
-        // SD append occurrence 0 fires even though host append 0 did not.
-        assert!(inj.on_append(FaultSite::HostAppend).is_none());
+        let dispatch: Vec<_> = (0..4).map(|_| inj.fire(FaultSite::Dispatch)).collect();
+        assert_eq!(dispatch, [None, Some(FaultAction::Fail), None, None]);
+        let polls: Vec<_> = (0..3).map(|_| inj.fire(FaultSite::HostPoll)).collect();
+        assert_eq!(polls, [None, Some(FaultAction::Hide { polls: 1 }), None]);
+        assert_eq!(inj.fired().len(), 2);
+        // Among valid entries covering one occurrence, the first wins.
+        let plan = FaultPlan::none()
+            .with(FaultSite::Dispatch, 0, FaultAction::CrashBefore)
+            .with(FaultSite::Dispatch, 0, FaultAction::Fail);
+        let inj = FaultInjector::new(plan);
         assert_eq!(
-            inj.on_append(FaultSite::SdAppend),
-            Some(AppendFault::Corrupt { xor_mask: 0x40 })
+            inj.fire(FaultSite::Dispatch),
+            Some(FaultAction::CrashBefore)
         );
-        assert_eq!(
-            inj.on_append(FaultSite::HostAppend),
-            Some(AppendFault::Torn { keep_sixteenths: 8 })
-        );
-    }
-
-    #[test]
-    fn clones_share_counters() {
-        let plan = FaultPlan::none().with(FaultSite::Dispatch, 1, FaultAction::CrashBefore);
-        let a = FaultInjector::new(plan);
-        let b = a.clone();
-        assert!(a.on_dispatch().is_none());
-        assert_eq!(b.on_dispatch(), Some(DispatchFault::CrashBefore));
-        assert_eq!(a.fired().len(), 1);
     }
 
     #[test]
@@ -1050,70 +855,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn replica_faults_fire_exactly_at_nth() {
-        let plan = FaultPlan::none()
-            .with(FaultSite::Replica, 1, FaultAction::CrashBefore)
-            .with(
-                FaultSite::Replica,
-                3,
-                FaultAction::Torn { keep_sixteenths: 8 },
-            )
-            .with(
-                FaultSite::Replica,
-                4,
-                FaultAction::Corrupt { xor_mask: 0x20 },
-            )
-            .with(FaultSite::Replica, 5, FaultAction::CrashAfter);
-        let inj = FaultInjector::new(plan);
-        assert!(inj.on_replica_append().is_none());
-        assert_eq!(inj.on_replica_append(), Some(ReplicaFault::CrashBefore));
-        assert!(inj.on_replica_append().is_none());
-        assert_eq!(
-            inj.on_replica_append(),
-            Some(ReplicaFault::Torn { keep_sixteenths: 8 })
-        );
-        assert_eq!(
-            inj.on_replica_append(),
-            Some(ReplicaFault::Corrupt { xor_mask: 0x20 })
-        );
-        assert_eq!(inj.on_replica_append(), Some(ReplicaFault::CrashAfter));
-        assert_eq!(inj.fired().len(), 4);
-    }
-
-    #[test]
-    fn group_crash_fires_once_with_mask() {
-        let plan = FaultPlan::none().with(
-            FaultSite::Group,
-            1,
-            FaultAction::CrashReplicas { mask: 0b101 },
-        );
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.on_group(), None);
-        assert_eq!(inj.on_group(), Some(0b101));
-        assert_eq!(inj.on_group(), None);
-        assert_eq!(inj.fired().len(), 1);
-        assert_eq!(inj.fired()[0].occurrence, 1);
-    }
-
-    #[test]
-    fn replica_and_group_sites_count_independently_of_sd_append() {
-        let plan = FaultPlan::none()
-            .with(FaultSite::Replica, 0, FaultAction::CrashBefore)
-            .with(FaultSite::Group, 0, FaultAction::CrashReplicas { mask: 1 })
-            .with(
-                FaultSite::SdAppend,
-                0,
-                FaultAction::Corrupt { xor_mask: 0x40 },
-            );
-        let inj = FaultInjector::new(plan);
-        // Hitting the classic SD append site never consumes replica or
-        // group occurrences.
-        assert!(inj.on_append(FaultSite::SdAppend).is_some());
-        assert_eq!(inj.on_replica_append(), Some(ReplicaFault::CrashBefore));
-        assert_eq!(inj.on_group(), Some(1));
     }
 
     #[test]
@@ -1227,53 +968,19 @@ mod tests {
     }
 
     #[test]
-    fn probing_counts_occurrences_without_firing() {
-        let inj = FaultInjector::probing(FaultPlan::none());
-        assert!(inj.is_active());
-        for _ in 0..3 {
-            assert!(inj.on_append(FaultSite::HostAppend).is_none());
-            assert!(inj.on_dispatch().is_none());
-            assert!(!inj.on_span());
-            assert!(inj.on_replica_append().is_none());
-            assert!(inj.on_group().is_none());
-        }
-        assert!(inj.fired().is_empty());
-        assert_eq!(inj.occurrences(FaultSite::HostAppend), 3);
-        assert_eq!(inj.occurrences(FaultSite::Dispatch), 3);
-        assert_eq!(inj.occurrences(FaultSite::Span), 3);
-        assert_eq!(inj.occurrences(FaultSite::Replica), 3);
-        assert_eq!(inj.occurrences(FaultSite::Group), 3);
-        assert_eq!(inj.occurrences(FaultSite::SdAppend), 0);
-    }
-
-    #[test]
-    fn probing_still_fires_baked_faults() {
-        // Discovery runs replay the scenario's own baked plan; the probe
-        // flag must not change what fires, only that counting happens.
-        let plan = FaultPlan::none().with(FaultSite::Dispatch, 1, FaultAction::Fail);
-        let probing = FaultInjector::probing(plan.clone());
-        let plain = FaultInjector::new(plan);
-        for _ in 0..3 {
-            assert_eq!(probing.on_dispatch(), plain.on_dispatch());
-        }
-        assert_eq!(probing.fired(), plain.fired());
-    }
-
-    #[test]
     fn site_catalog_is_total() {
-        // ALL covers each variant exactly once, with distinct labels.
+        // ALL lists each variant once, in discriminant (= counter slot)
+        // order, with distinct labels.
         let labels: std::collections::BTreeSet<&str> =
             FaultSite::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), FaultSite::COUNT);
-        for (i, site) in FaultSite::ALL.iter().enumerate() {
-            assert_eq!(site.index(), i);
+        assert_eq!(labels.len(), FaultSite::ALL.len());
+        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
+            assert_eq!(site as usize, i);
         }
     }
 
     #[test]
-    fn validity_matrix_matches_hook_behavior() {
-        // Every action is valid somewhere, and the seeded generators only
-        // ever draw valid (site, action) pairs.
+    fn seeded_generators_only_draw_valid_pairs() {
         for seed in 0..64u64 {
             for plan in [
                 FaultPlan::from_seed(seed),
@@ -1284,10 +991,6 @@ mod tests {
                 }
             }
         }
-        // Spot-check rejections the hooks would ignore.
-        assert!(!FaultAction::Stall { beats: 1 }.valid_at(FaultSite::Dispatch));
-        assert!(!FaultAction::CrashReplicas { mask: 1 }.valid_at(FaultSite::Replica));
-        assert!(!FaultAction::Hide { polls: 1 }.valid_at(FaultSite::Heartbeat));
     }
 
     #[test]

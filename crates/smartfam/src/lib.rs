@@ -60,8 +60,8 @@ pub use codec::{Frame, FrameBody, HeartbeatLoad, HeartbeatRecord, Status};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, DaemonStats};
 pub use error::SmartFamError;
 pub use faults::{
-    AppendFault, DispatchFault, FaultAction, FaultInjector, FaultPlan, FaultSite, InjectedFault,
-    OverloadStats, ReplicaFault, ResilienceStats, ScheduledFault,
+    FaultAction, FaultInjector, FaultPlan, FaultSite, InjectedFault, OverloadStats,
+    ResilienceStats, ScheduledFault,
 };
 pub use host::{
     HostClient, InvokeOutcome, Liveness, PendingCall, ResilientCall, RetryPolicy, WindowRun,
@@ -69,7 +69,7 @@ pub use host::{
 pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
 pub use replica::{
-    recover_group, AppendOutcome, GroupRecovery, MirrorSet, ReplicaConfig, ReplicaState,
-    ReplicatedLog, ReprotectStep,
+    recover_group, AppendOutcome, GroupRecovery, ReplicaConfig, ReplicaState, ReplicatedLog,
+    ReprotectStep,
 };
 pub use watch::{FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};

@@ -27,10 +27,29 @@
 
 use crate::codec::{decode_stream, decode_stream_recovering, Frame};
 use crate::error::SmartFamError;
-use crate::faults::{AppendFault, FaultInjector, FaultSite};
+use crate::faults::{FaultAction, FaultInjector, FaultSite};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// Where module `module`'s log lives under `dir` — the crate's one
+/// spelling of `<dir>/[.replica<r>/]<module>.log`. Copy 0 is the module
+/// log itself; copy `r > 0` is its `r`-th replica, in a hidden directory
+/// the watcher and the replay scan never look into.
+pub(crate) fn log_path(dir: &Path, module: &str, replica: usize) -> PathBuf {
+    let name = format!("{module}.log");
+    match replica {
+        0 => dir.join(name),
+        r => dir.join(format!(".replica{r}")).join(name),
+    }
+}
+
+/// The inverse of [`log_path`]: the module whose log (or replica copy)
+/// `path` is, `None` for any file not named `<module>.log`.
+pub(crate) fn module_of(path: &Path) -> Option<Cow<'_, str>> {
+    (path.extension()? == "log").then(|| path.file_stem().unwrap_or_default().to_string_lossy())
+}
 
 /// Which side of the log a handle belongs to — selects the fault-injection
 /// sites its appends and polls are counted under, so host and daemon
@@ -57,6 +76,23 @@ impl LogRole {
             LogRole::Daemon => FaultSite::SdPoll,
         }
     }
+}
+
+/// Read `[from, to)` of `file` into `buf`, replacing its contents. Every
+/// append is `O_APPEND`, so moving the descriptor's position here never
+/// disturbs one.
+fn read_range_into(
+    mut file: &File,
+    from: u64,
+    to: u64,
+    buf: &mut Vec<u8>,
+) -> Result<(), SmartFamError> {
+    let want = to.saturating_sub(from);
+    buf.clear();
+    buf.reserve(want as usize);
+    file.seek(SeekFrom::Start(from))?;
+    file.take(want).read_to_end(buf)?;
+    Ok(())
 }
 
 /// Outcome of a coalesced batch append ([`LogFile::append_batch`]).
@@ -156,9 +192,9 @@ impl LogFile {
     /// or corrupted (one mid-body byte flipped; the append "succeeds" the
     /// way a silent NFS corruption would).
     pub fn append(&self, frame: &Frame) -> Result<u64, SmartFamError> {
-        let mut bytes = frame.encode();
-        let fault = self.injector.on_append(self.role.append_site());
-        let written = self.write_faulted(&mut bytes, fault)?;
+        let bytes = frame.encode();
+        let fault = self.injector.fire(self.role.append_site());
+        let written = self.write_faulted(&bytes, fault)?;
         if written < bytes.len() {
             return Err(SmartFamError::FaultInjected {
                 detail: format!("torn append: wrote {written} of {} bytes", bytes.len()),
@@ -208,8 +244,8 @@ impl LogFile {
         for frame in frames {
             frame.encode_into(&mut bytes);
         }
-        let fault = self.injector.on_append(FaultSite::BatchAppend);
-        let written = self.write_faulted(&mut bytes, fault)?;
+        let fault = self.injector.fire(FaultSite::BatchAppend);
+        let written = self.write_faulted(&bytes, fault)?;
         self.file.sync_data()?;
         // A frame is durable only if its last byte made it to disk.
         let mut end = 0usize;
@@ -228,32 +264,58 @@ impl LogFile {
         })
     }
 
-    /// The one write path: apply an injected `fault` to the encoded
-    /// `bytes` (corrupt = one byte flipped mid-buffer, so length headers
-    /// still parse but a checksum fails; torn = only a prefix is written)
-    /// and append them through the held handle. Returns the bytes written,
-    /// short of `bytes.len()` exactly when the write was torn.
-    fn write_faulted(
+    /// The one write path — every byte that reaches a module log or a
+    /// replica copy goes through here, and nothing else tears or corrupts.
+    /// Applies an injected `fault` to the encoded `bytes` (corrupt = one
+    /// byte flipped mid-buffer, so length headers still parse but a
+    /// checksum fails; torn = only a prefix is written; any other action
+    /// is the caller's business) and appends them through the held
+    /// handle. Returns the bytes written, short of `bytes.len()` exactly
+    /// when the write was torn. The caller owns the occurrence accounting:
+    /// `fault` is what [`FaultInjector::fire`] returned at its site.
+    pub(crate) fn write_faulted(
         &self,
-        bytes: &mut [u8],
-        fault: Option<AppendFault>,
+        bytes: &[u8],
+        fault: Option<FaultAction>,
     ) -> Result<usize, SmartFamError> {
-        let mut keep = bytes.len();
+        let flipped;
+        let mut out = bytes;
         match fault {
-            Some(AppendFault::Corrupt { xor_mask }) => {
+            Some(FaultAction::Corrupt { xor_mask }) => {
                 let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
                 if pos < bytes.len() {
-                    bytes[pos] ^= xor_mask.max(1);
+                    let mut copy = bytes.to_vec();
+                    copy[pos] ^= xor_mask.max(1);
+                    flipped = copy;
+                    out = &flipped;
                 }
             }
-            Some(AppendFault::Torn { keep_sixteenths }) => {
-                keep = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
+            Some(FaultAction::Torn { keep_sixteenths }) => {
+                let keep = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
                     .clamp(1, bytes.len().saturating_sub(1).max(1));
+                out = &bytes[..keep];
             }
-            None => {}
+            _ => {}
         }
-        (&self.file).write_all(&bytes[..keep])?;
-        Ok(keep)
+        (&self.file).write_all(out)?;
+        Ok(out.len())
+    }
+
+    /// The bytes `[from, to)` of the file (fewer when it is shorter) — how
+    /// a replication group reads back the frame it just wrote, or copies
+    /// a verified prefix, without re-reading the copy's whole history.
+    /// For handles with a single owner: two threads reading through one
+    /// shared handle would race on the descriptor position.
+    pub(crate) fn read_range(&self, from: u64, to: u64) -> Result<Vec<u8>, SmartFamError> {
+        let mut buf = Vec::new();
+        read_range_into(&self.file, from, to, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Cut the file back to `len` bytes — how a replication group drops
+    /// an unverified tail. The next append lands at the new end.
+    pub(crate) fn truncate_to(&self, len: u64) -> Result<(), SmartFamError> {
+        Ok(self.file.set_len(len)?)
     }
 
     /// Bring the bytes appended since the last poll, `[cursor, len)`, into
@@ -271,11 +333,7 @@ impl LogFile {
         if len == self.seen_len {
             return Ok(false);
         }
-        let want = len - self.cursor;
-        self.tail.clear();
-        self.tail.reserve(want as usize);
-        self.file.seek(SeekFrom::Start(self.cursor))?;
-        (&self.file).take(want).read_to_end(&mut self.tail)?;
+        read_range_into(&self.file, self.cursor, len, &mut self.tail)?;
         self.seen_len = len;
         Ok(true)
     }
@@ -310,7 +368,9 @@ impl LogFile {
     /// skipped by this poll. An injected stale read (NFS-visibility
     /// delay) makes the poll see no new data; the bytes stay for later.
     pub fn poll_recovering(&mut self) -> Result<(Vec<Frame>, u64), SmartFamError> {
-        if self.injector.on_poll(self.role.poll_site()) || !self.read_tail()? {
+        // `Hide` is the only action valid at a poll site.
+        let hidden = self.injector.fire(self.role.poll_site()).is_some();
+        if hidden || !self.read_tail()? {
             return Ok((Vec::new(), 0));
         }
         let rec = decode_stream_recovering(&self.tail, 0);

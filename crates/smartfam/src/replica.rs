@@ -13,7 +13,11 @@
 //! background re-protect loop copies the promoted log onto the failed slot
 //! until the group is back at full redundancy.
 //!
-//! Two layers live here:
+//! Every copy — a group member here, a daemon mirror — is a held
+//! [`LogFile`] on a disabled injector, so every byte is written by
+//! `LogFile::write_faulted` like any other log append (DESIGN.md §10) and
+//! nothing here opens, names or re-reads a whole file per append. Two
+//! layers live in this module:
 //!
 //! * [`ReplicatedLog`] — the deterministic, modelled group used by the
 //!   `mcsd-core` replication engine and the seeded fault matrix. Appends
@@ -21,17 +25,17 @@
 //!   quorum of acknowledged replicas reconstructs byte-identical log
 //!   contents even under torn/corrupt replica faults (property-tested).
 //!   Stale writers deposed by a promotion are fenced by a group *epoch*.
-//! * [`MirrorSet`] / [`recover_group`] — the live daemon path: response
-//!   appends are mirrored onto `.replica<r>/` copies of each module log,
-//!   and a restarting daemon merges frames that survive only in a mirror
-//!   back into the primary log (promote-time replay) **without** charging
+//! * [`recover_group`] — the live daemon path: the daemon mirrors its
+//!   response appends onto `.replica<r>/` copies of each module log, and a
+//!   restarting daemon merges frames that survive only in a mirror back
+//!   into the primary log (promote-time replay) **without** charging
 //!   mirror scans to `corrupt_skipped_bytes` — the daemon's primary-log
 //!   scan remains that counter's single bookkeeping site (DESIGN.md §13).
 
-use crate::codec::{decode_stream, decode_stream_recovering, Frame};
+use crate::codec::{decode_stream, Frame};
 use crate::error::SmartFamError;
-use crate::faults::{FaultInjector, ReplicaFault};
-use std::io::Write;
+use crate::faults::{FaultAction, FaultInjector, FaultSite};
+use crate::log_file::{log_path, module_of, LogFile};
 use std::path::{Path, PathBuf};
 
 /// Replication-group shape: how many copies of each module log exist and
@@ -58,12 +62,13 @@ impl ReplicaConfig {
     /// A validated config: `1 <= write_quorum <= group_size <= 8`.
     pub fn new(group_size: usize, write_quorum: usize) -> Result<ReplicaConfig, SmartFamError> {
         if group_size == 0 || group_size > 8 || write_quorum == 0 || write_quorum > group_size {
-            return Err(SmartFamError::FaultInjected {
-                detail: format!(
+            return Err(SmartFamError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
                     "invalid replica config: group_size={group_size} write_quorum={write_quorum} \
                      (need 1 <= quorum <= group <= 8)"
                 ),
-            });
+            )));
         }
         Ok(ReplicaConfig {
             group_size,
@@ -117,7 +122,7 @@ pub struct AppendOutcome {
     /// Members whose copy landed torn/corrupt and was therefore not
     /// acknowledged (the member is desynced until re-protected).
     pub rejected: Vec<usize>,
-    /// Whether a correlated [`FaultSite::Group`](crate::FaultSite::Group)
+    /// Whether a correlated [`FaultSite::Group`]
     /// crash fired at this round.
     pub group_crash: bool,
 }
@@ -134,20 +139,22 @@ pub struct ReprotectStep {
 }
 
 /// A replicated module log: `group_size` copies of one append-only log,
-/// written in lock-step quorum rounds.
+/// written in lock-step quorum rounds through one held handle per copy.
 ///
 /// Replica 0 *is* the ordinary module log (`<dir>/<module>.log`), so
 /// default readers — the host's watcher, the daemon's replay scan — see
 /// an unchanged layout; mirrors live at `<dir>/.replica<r>/<module>.log`.
 #[derive(Debug)]
 pub struct ReplicatedLog {
-    dir: PathBuf,
-    module: String,
     cfg: ReplicaConfig,
     injector: FaultInjector,
     epoch: u64,
     committed: u64,
     members: Vec<ReplicaState>,
+    /// Member `r`'s copy, parallel to `members`. The handles carry a
+    /// disabled injector: `Replica`/`Group` occurrences are advanced by
+    /// [`ReplicatedLog::append`] itself, in fan-out order.
+    copies: Vec<LogFile>,
 }
 
 impl ReplicatedLog {
@@ -159,35 +166,22 @@ impl ReplicatedLog {
         cfg: ReplicaConfig,
         injector: FaultInjector,
     ) -> Result<ReplicatedLog, SmartFamError> {
-        let dir = dir.into();
-        let module = module.into();
-        for r in 0..cfg.group_size {
-            let path = Self::replica_path(&dir, &module, r);
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(&path, b"")?;
-        }
+        let (dir, module) = (dir.into(), module.into());
+        let copies = (0..cfg.group_size)
+            .map(|r| {
+                let copy = LogFile::attach_at_start(log_path(&dir, &module, r))?;
+                copy.truncate_to(0)?;
+                Ok(copy)
+            })
+            .collect::<Result<Vec<LogFile>, SmartFamError>>()?;
         Ok(ReplicatedLog {
-            dir,
-            module,
             cfg,
             injector,
             epoch: 0,
             committed: 0,
             members: vec![ReplicaState::fresh(); cfg.group_size],
+            copies,
         })
-    }
-
-    /// Path of member `r`'s copy: replica 0 is the plain module log,
-    /// mirrors live under hidden `.replica<r>` directories.
-    pub fn replica_path(dir: &Path, module: &str, r: usize) -> PathBuf {
-        if r == 0 {
-            dir.join(format!("{module}.log"))
-        } else {
-            dir.join(format!(".replica{r}"))
-                .join(format!("{module}.log"))
-        }
     }
 
     /// The group's current epoch. Bumped by every promotion; appends
@@ -234,10 +228,10 @@ impl ReplicatedLog {
     /// An `epoch` older than the group's is fenced with
     /// [`SmartFamError::Fenced`] before any byte is written.
     ///
-    /// The fault counter at [`FaultSite::Replica`](crate::FaultSite::Replica)
-    /// advances once per (entry, member) pair in fan-out order — so with
-    /// group size `g`, scheduled occurrence `k` addresses entry `k / g`,
-    /// replica `k % g`, deterministically.
+    /// The fault counter at [`FaultSite::Replica`] advances once per
+    /// (entry, member) pair in fan-out order — so with group size `g`,
+    /// scheduled occurrence `k` addresses entry `k / g`, replica `k % g`,
+    /// deterministically.
     pub fn append(&mut self, frame: &Frame, epoch: u64) -> Result<AppendOutcome, SmartFamError> {
         if epoch != self.epoch {
             return Err(SmartFamError::Fenced {
@@ -255,8 +249,9 @@ impl ReplicatedLog {
         };
         // Correlated failure first: one schedule entry can take down
         // several members of the group at once.
-        if let Some(mask) = self.injector.on_group() {
+        if let Some(FaultAction::CrashReplicas { mask }) = self.injector.fire(FaultSite::Group) {
             outcome.group_crash = true;
+            let mask = mask.max(1);
             for (r, member) in self.members.iter_mut().enumerate() {
                 if r < 8 && mask & (1 << r) != 0 && member.alive {
                     member.alive = false;
@@ -266,60 +261,38 @@ impl ReplicatedLog {
             }
         }
         let bytes = frame.encode();
-        for r in 0..self.cfg.group_size {
+        let frame_len = bytes.len() as u64;
+        for (r, (member, copy)) in self.members.iter_mut().zip(&self.copies).enumerate() {
             // Advance the replica fault counter for EVERY (entry, member)
             // pair — dead or desynced members included — so occurrence
             // numbers stay a pure function of the append sequence.
-            let fault = self.injector.on_replica_append();
-            let member = &mut self.members[r];
+            let fault = self.injector.fire(FaultSite::Replica);
             if !member.alive || !member.synced {
                 continue;
             }
-            let path = Self::replica_path(&self.dir, &self.module, r);
-            match fault {
-                Some(ReplicaFault::CrashBefore) => {
-                    member.alive = false;
-                    member.synced = false;
-                    outcome.crashed.push(r);
-                }
-                Some(ReplicaFault::CrashAfter) => {
-                    // The bytes land but the member dies before it can
-                    // acknowledge — promotion must not count them.
-                    append_bytes(&path, &bytes)?;
-                    member.alive = false;
-                    member.synced = false;
-                    outcome.crashed.push(r);
-                }
-                Some(ReplicaFault::Torn { keep_sixteenths }) => {
-                    let k = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
-                        .clamp(1, bytes.len().saturating_sub(1).max(1));
-                    append_bytes(&path, &bytes[..k])?;
-                    member.synced = false;
-                    outcome.rejected.push(r);
-                }
-                Some(ReplicaFault::Corrupt { xor_mask }) => {
-                    let mut bad = bytes.clone();
-                    let pos = 5 + (bad.len().saturating_sub(9)) / 2;
-                    if pos < bad.len() {
-                        bad[pos] ^= xor_mask.max(1);
-                    }
-                    append_bytes(&path, &bad)?;
-                    // Read-back verification rejects the flipped copy.
-                    member.synced = false;
-                    outcome.rejected.push(r);
-                }
-                None => {
-                    let offset = member.good_bytes;
-                    append_bytes(&path, &bytes)?;
-                    if verify_suffix(&path, offset, &bytes)? {
-                        member.acked_entries += 1;
-                        member.good_bytes += bytes.len() as u64;
-                        outcome.acked.push(r);
-                    } else {
-                        member.synced = false;
-                        outcome.rejected.push(r);
-                    }
-                }
+            // A crash-before member writes nothing; a crash-after one
+            // lands the whole frame and dies before it can acknowledge
+            // (promotion must not count those bytes); a torn or corrupt
+            // write is applied by the one writer.
+            if fault != Some(FaultAction::CrashBefore) {
+                copy.write_faulted(&bytes, fault)?;
+            }
+            if let Some(FaultAction::CrashBefore | FaultAction::CrashAfter) = fault {
+                member.alive = false;
+                member.synced = false;
+                outcome.crashed.push(r);
+                continue;
+            }
+            // Read-back verification: the copy is exactly its verified
+            // prefix plus this frame. Only the frame's bytes are read.
+            let end = member.good_bytes + frame_len;
+            if copy.len()? == end && copy.read_range(member.good_bytes, end)? == bytes {
+                member.acked_entries += 1;
+                member.good_bytes = end;
+                outcome.acked.push(r);
+            } else {
+                member.synced = false;
+                outcome.rejected.push(r);
             }
         }
         if outcome.acked.len() >= self.cfg.write_quorum {
@@ -337,11 +310,8 @@ impl ReplicatedLog {
             for &r in &outcome.acked {
                 let member = &mut self.members[r];
                 member.acked_entries -= 1;
-                member.good_bytes -= bytes.len() as u64;
-                let path = Self::replica_path(&self.dir, &self.module, r);
-                let mut data = std::fs::read(&path)?;
-                data.truncate(member.good_bytes as usize);
-                std::fs::write(&path, &data)?;
+                member.good_bytes -= frame_len;
+                self.copies[r].truncate_to(member.good_bytes)?;
             }
         }
         Ok(outcome)
@@ -382,10 +352,12 @@ impl ReplicatedLog {
     }
 
     /// One unit of background re-protection: rebuild the lowest-indexed
-    /// unsynced slot from the most-advanced synced member (copying the
-    /// verified prefix byte-for-byte; a crashed slot is recruited fresh).
-    /// Returns `Ok(None)` when the group is already fully protected, and
-    /// [`SmartFamError::QuorumLost`] when no synced source remains.
+    /// unsynced slot from the most-advanced synced member — cut the slot
+    /// back to its own verified prefix (dropping any torn, corrupt or
+    /// unacknowledged tail) and append the verified bytes it is missing;
+    /// a crashed slot is recruited back. Returns `Ok(None)` when the
+    /// group is already fully protected, and [`SmartFamError::QuorumLost`]
+    /// when no synced source remains.
     pub fn reprotect_step(&mut self) -> Result<Option<ReprotectStep>, SmartFamError> {
         let Some(dest) = self.members.iter().position(|m| !m.synced) else {
             return Ok(None);
@@ -401,38 +373,32 @@ impl ReplicatedLog {
                 acked: 0,
                 needed: 1,
             })?;
-        let verified = self.verified_contents(source)?;
-        let dest_path = Self::replica_path(&self.dir, &self.module, dest);
-        if let Some(parent) = dest_path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let had = self.members[dest].good_bytes.min(verified.len() as u64);
-        std::fs::write(&dest_path, &verified)?;
+        // Verified prefixes are prefixes of one committed history, and
+        // the source is the most advanced, so `dest`'s is a prefix of it.
         let src_state = self.members[source];
-        let member = &mut self.members[dest];
-        member.alive = true;
-        member.synced = true;
-        member.acked_entries = src_state.acked_entries;
-        member.good_bytes = src_state.good_bytes;
+        let had = self.members[dest].good_bytes.min(src_state.good_bytes);
+        let missing = self.copies[source].read_range(had, src_state.good_bytes)?;
+        self.copies[dest].truncate_to(had)?;
+        self.copies[dest].write_faulted(&missing, None)?;
+        self.members[dest] = ReplicaState {
+            alive: true,
+            synced: true,
+            ..src_state
+        };
         Ok(Some(ReprotectStep {
             member: dest,
             source,
-            copied_bytes: (verified.len() as u64).saturating_sub(had),
+            copied_bytes: missing.len() as u64,
         }))
     }
 
     /// The verified prefix of member `r`'s copy — exactly the bytes whose
     /// read-back matched what the quorum rounds acknowledged.
     pub fn verified_contents(&self, r: usize) -> Result<Vec<u8>, SmartFamError> {
-        let path = Self::replica_path(&self.dir, &self.module, r);
-        let mut data = std::fs::read(&path)?;
-        let good = self
-            .members
-            .get(r)
-            .map(|m| m.good_bytes as usize)
-            .unwrap_or(0);
-        data.truncate(good);
-        Ok(data)
+        match (self.copies.get(r), self.members.get(r)) {
+            (Some(copy), Some(member)) => copy.read_range(0, member.good_bytes),
+            _ => Ok(Vec::new()),
+        }
     }
 
     /// Decode member `r`'s verified prefix back into frames. Verified
@@ -444,68 +410,6 @@ impl ReplicatedLog {
         let (frames, _) = decode_stream(&data, 0)
             .map_err(|detail| SmartFamError::Corrupt { offset: 0, detail })?;
         Ok(frames)
-    }
-}
-
-/// Append raw bytes to a replica copy (plain file append; replica faults
-/// are applied by the caller, which owns the occurrence accounting).
-fn append_bytes(path: &Path, bytes: &[u8]) -> Result<(), SmartFamError> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(bytes)?;
-    f.flush()?;
-    Ok(())
-}
-
-/// Read-back verification: the file holds exactly `expected` at `offset`
-/// and nothing after it.
-fn verify_suffix(path: &Path, offset: u64, expected: &[u8]) -> Result<bool, SmartFamError> {
-    let data = std::fs::read(path)?;
-    let offset = offset as usize;
-    Ok(data.len() == offset + expected.len() && &data[offset..] == expected)
-}
-
-/// The mirror copies of one module log — the daemon's live replication
-/// path. Mirror appends are plain byte appends (no fault injection: the
-/// seeded replica faults live in the modelled [`ReplicatedLog`] path) and
-/// best-effort: a failed mirror write never fails the primary append.
-#[derive(Debug, Clone)]
-pub struct MirrorSet {
-    paths: Vec<PathBuf>,
-}
-
-impl MirrorSet {
-    /// The mirrors of `primary` (a `<dir>/<module>.log` path) for a group
-    /// of `group_size` members: replicas `1..group_size`.
-    pub fn for_log(primary: &Path, group_size: usize) -> MirrorSet {
-        let dir = primary.parent().unwrap_or(Path::new(".")).to_path_buf();
-        let module = primary
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        MirrorSet {
-            paths: (1..group_size)
-                .map(|r| ReplicatedLog::replica_path(&dir, &module, r))
-                .collect(),
-        }
-    }
-
-    /// Append `frame` to every mirror, best-effort.
-    pub fn append(&self, frame: &Frame) {
-        let bytes = frame.encode();
-        for path in &self.paths {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let _ = append_bytes(path, &bytes);
-        }
-    }
-
-    /// The mirror paths, in replica order.
-    pub fn paths(&self) -> &[PathBuf] {
-        &self.paths
     }
 }
 
@@ -537,35 +441,36 @@ pub fn recover_group(log_dir: &Path, group_size: usize) -> Result<GroupRecovery,
     let mut primaries: Vec<PathBuf> = std::fs::read_dir(log_dir)?
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().map(|e| e == "log").unwrap_or(false))
         .collect();
     primaries.sort();
-    for primary in primaries {
+    for path in &primaries {
+        let Some(module) = module_of(path) else {
+            continue;
+        };
         recovery.logs_scanned += 1;
-        let module = primary
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let data = std::fs::read(&primary)?;
+        let mut primary = LogFile::attach_at_start(path)?;
         // The recovering scan's skipped bytes are intentionally dropped
         // here; the replay scan that follows recovery re-reads the
         // primary from offset 0 and does the (single) accounting.
-        let have = decode_stream_recovering(&data, 0);
-        let mut seen: Vec<(u64, bool)> =
-            have.frames.iter().map(|f| (f.id, f.is_request())).collect();
+        let (have, _) = primary.poll_recovering()?;
+        let mut seen: Vec<(u64, bool)> = have.iter().map(|f| (f.id, f.is_request())).collect();
         for r in 1..group_size {
-            let mirror = ReplicatedLog::replica_path(log_dir, &module, r);
-            let Ok(bytes) = std::fs::read(&mirror) else {
+            let mirror = log_path(log_dir, &module, r);
+            if !mirror.exists() {
                 continue; // mirror never created — nothing to merge
+            }
+            let Ok((frames, _)) =
+                LogFile::attach_at_start(mirror).and_then(|mut m| m.poll_recovering())
+            else {
+                continue;
             };
-            let rec = decode_stream_recovering(&bytes, 0);
-            for frame in rec.frames {
+            for frame in frames {
                 let key = (frame.id, frame.is_request());
                 if seen.contains(&key) {
                     continue;
                 }
                 seen.push(key);
-                append_bytes(&primary, &frame.encode())?;
+                primary.append(&frame)?;
                 recovery.merged_frames += 1;
             }
         }
@@ -602,6 +507,13 @@ mod tests {
         assert!(ReplicaConfig::new(0, 0).is_err());
         assert!(ReplicaConfig::new(3, 4).is_err());
         assert!(ReplicaConfig::new(9, 2).is_err());
+        // A bad shape is a caller mistake, not an injected fault.
+        let err = ReplicaConfig::new(3, 4).unwrap_err();
+        assert_eq!(err.kind(), "io");
+        assert!(
+            matches!(&err, SmartFamError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{err}"
+        );
         let d = ReplicaConfig::default();
         assert_eq!((d.group_size, d.write_quorum), (3, 2));
     }
@@ -678,9 +590,7 @@ mod tests {
         log.append(&frame(0), 0).unwrap(); // replica 2 torn
         log.append(&frame(1), 0).unwrap(); // replicas 0,1 advance
         assert_eq!(log.committed(), 2);
-        let torn_len = std::fs::read(ReplicatedLog::replica_path(&dir, "wc", 2))
-            .unwrap()
-            .len();
+        let torn_len = std::fs::read(log_path(&dir, "wc", 2)).unwrap().len();
         assert!(torn_len > 0, "torn write left a partial frame");
         log.reprotect_step().unwrap().unwrap();
         assert_eq!(
@@ -708,9 +618,7 @@ mod tests {
         assert_eq!(out.crashed, vec![0]);
         assert_eq!(log.members()[0].acked_entries, 0);
         // The bytes DID land — but promotion ranks by acknowledgement.
-        assert!(!std::fs::read(ReplicatedLog::replica_path(&dir, "wc", 0))
-            .unwrap()
-            .is_empty());
+        assert!(!std::fs::read(log_path(&dir, "wc", 0)).unwrap().is_empty());
         let (winner, epoch) = log.promote(0).unwrap();
         assert_eq!(winner, 1, "lowest-index most-advanced replica wins");
         assert_eq!(epoch, 1);
@@ -766,9 +674,7 @@ mod tests {
         assert!(log.members()[1].synced);
         assert_eq!(log.members()[1].acked_entries, 1);
         assert_eq!(
-            std::fs::read(ReplicatedLog::replica_path(&dir, "wc", 1))
-                .unwrap()
-                .len() as u64,
+            std::fs::read(log_path(&dir, "wc", 1)).unwrap().len() as u64,
             log.members()[1].good_bytes,
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -797,7 +703,7 @@ mod tests {
         assert_eq!(log.synced_members(), 1);
         let seed = log.verified_contents(0).unwrap();
         assert_eq!(
-            std::fs::read(ReplicatedLog::replica_path(&dir, "wc", 0)).unwrap(),
+            std::fs::read(log_path(&dir, "wc", 0)).unwrap(),
             seed,
             "rollback truncates the aborted entry on disk"
         );
@@ -835,21 +741,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Append `frames` to module `wc`'s copy `replica` under `dir`, the
+    /// way the daemon's held mirror handles do.
+    fn append_to(dir: &Path, replica: usize, frames: &[Frame]) {
+        let copy = LogFile::attach_at_start(log_path(dir, "wc", replica)).unwrap();
+        for frame in frames {
+            copy.append(frame).unwrap();
+        }
+    }
+
     #[test]
-    fn mirror_set_appends_and_recover_group_merges_missing_frames() {
+    fn recover_group_merges_frames_that_survive_only_in_a_mirror() {
         let dir = temp_dir();
-        let primary = dir.join("wc.log");
         // Primary holds a request; only the mirrors hold the response
         // (the primary response append was "lost").
-        append_bytes(&primary, &frame(7).encode()).unwrap();
-        let mirrors = MirrorSet::for_log(&primary, 3);
-        assert_eq!(mirrors.paths().len(), 2);
+        append_to(&dir, 0, &[frame(7)]);
         let response = Frame::response_ok(7, b"done".to_vec());
-        mirrors.append(&response);
+        append_to(&dir, 1, std::slice::from_ref(&response));
+        append_to(&dir, 2, std::slice::from_ref(&response));
         let rec = recover_group(&dir, 3).unwrap();
         assert_eq!(rec.logs_scanned, 1);
         assert_eq!(rec.merged_frames, 1, "response merged back exactly once");
-        let data = std::fs::read(&primary).unwrap();
+        let data = std::fs::read(log_path(&dir, "wc", 0)).unwrap();
         let (frames, _) = decode_stream(&data, 0).unwrap();
         assert_eq!(frames.len(), 2);
         assert!(frames.iter().any(|f| !f.is_request() && f.id == 7));
@@ -860,25 +773,31 @@ mod tests {
     }
 
     #[test]
-    fn recover_group_never_compacts_the_primary() {
+    fn recover_group_never_compacts_the_primary_or_creates_a_mirror() {
         let dir = temp_dir();
-        let primary = dir.join("wc.log");
         // Primary: clean request, then a corrupt response copy.
-        append_bytes(&primary, &frame(9).encode()).unwrap();
-        let mut bad = Frame::response_ok(9, b"x".to_vec()).encode();
-        let pos = 5 + (bad.len() - 9) / 2;
-        bad[pos] ^= 0x20;
-        append_bytes(&primary, &bad).unwrap();
-        let before = std::fs::read(&primary).unwrap();
-        // Mirror holds the clean response.
-        let mirrors = MirrorSet::for_log(&primary, 2);
-        mirrors.append(&Frame::response_ok(9, b"x".to_vec()));
-        let rec = recover_group(&dir, 2).unwrap();
+        let plan = FaultPlan::none().with(
+            FaultSite::SdAppend,
+            1,
+            FaultAction::Corrupt { xor_mask: 0x20 },
+        );
+        let primary = LogFile::attach_at_start(log_path(&dir, "wc", 0))
+            .unwrap()
+            .with_faults(FaultInjector::new(plan), crate::LogRole::Daemon);
+        primary.append(&frame(9)).unwrap();
+        primary
+            .append(&Frame::response_ok(9, b"x".to_vec()))
+            .unwrap();
+        let before = std::fs::read(primary.path()).unwrap();
+        // Mirror 1 holds the clean response; mirror 2 never existed.
+        append_to(&dir, 1, &[Frame::response_ok(9, b"x".to_vec())]);
+        let rec = recover_group(&dir, 3).unwrap();
         assert_eq!(rec.merged_frames, 1);
-        let after = std::fs::read(&primary).unwrap();
+        let after = std::fs::read(primary.path()).unwrap();
         // Strictly append-only: the old bytes are a prefix of the new.
         assert!(after.len() > before.len());
         assert_eq!(&after[..before.len()], &before[..]);
+        assert!(!log_path(&dir, "wc", 2).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
