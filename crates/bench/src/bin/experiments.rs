@@ -20,7 +20,7 @@ use mcsd_bench::four_phase::{FourPhaseScenario, PhaseRun};
 use mcsd_bench::table::TextTable;
 use mcsd_bench::{ablation, fig8, pairs, ExperimentConfig};
 use mcsd_cluster::{paper_testbed, Cluster, SandiaMicroBenchmark, Scale, SmbPattern};
-use mcsd_obs::{MetricsRegistry, Tracer};
+use mcsd_obs::{CounterFamily, MetricSample, Tracer};
 use std::time::Duration;
 
 /// What the command line selected besides the subcommand names.
@@ -137,15 +137,16 @@ fn roomy(mut cluster: Cluster) -> Cluster {
 }
 
 /// Export `tracer`'s deterministic timeline (volatile records dropped)
-/// followed by `metrics` to `<stem>-<seed>.jsonl` in the working directory.
-fn export_trace(stem: &str, seed: u64, tracer: &Tracer, metrics: &MetricsRegistry) {
+/// followed by the `counters` rows to `<stem>-<seed>.jsonl` in the working
+/// directory.
+fn export_trace(stem: &str, seed: u64, tracer: &Tracer, counters: &[MetricSample]) {
     use mcsd_obs::export::{jsonl_with, JsonlOptions};
 
     let jsonl = jsonl_with(
         tracer,
         JsonlOptions {
             include_volatile: false,
-            metrics: Some(metrics),
+            metrics: counters,
         },
     );
     let path = format!("{stem}-{seed}.jsonl");
@@ -269,14 +270,8 @@ fn trace_run(o: &Options) {
         resilience.absorb(&run.resilience);
     }
 
-    // One unified registry for the whole run, filled through the typed
-    // single-owner publish methods.
-    let registry = MetricsRegistry::new();
-    daemon.publish(&registry).expect("publish daemon counters");
-    resilience
-        .publish(&registry)
-        .expect("publish resilience counters");
-    export_trace("trace", seed, &tracer, &registry);
+    let counters = [daemon.samples(), resilience.samples()].concat();
+    export_trace("trace", seed, &tracer, &counters);
     let chrome_path = format!("trace-{seed}.chrome.json");
     std::fs::write(&chrome_path, mcsd_obs::export::chrome(&tracer)).expect("write chrome trace");
     println!("wrote {chrome_path}\n");
@@ -343,11 +338,7 @@ fn failover_demo(o: &Options) {
         out.resilience.retries, out.resilience.redispatches, out.replication
     );
     let _ = std::fs::remove_dir_all(&dir);
-    let registry = MetricsRegistry::new();
-    out.replication
-        .publish(&registry)
-        .expect("publish replication counters");
-    export_trace("failover", seed, &tracer, &registry);
+    export_trace("failover", seed, &tracer, &out.replication.samples());
 
     println!("\n### Seeded failover sweep — exact counter replay\n");
     for s in seed..seed + 4 {
@@ -418,11 +409,6 @@ fn rack_run(o: &Options) {
     let t0 = Instant::now();
     let run = des::run(&cfg, &tracer);
     let wall = t0.elapsed().as_secs_f64();
-    let registry = MetricsRegistry::new();
-    run.report
-        .stats
-        .publish(&registry)
-        .expect("publish DES counters");
     println!("{}", run.report);
     assert!(
         run.report.stats.is_conserved(),
@@ -432,7 +418,7 @@ fn rack_run(o: &Options) {
         "wall-clock: {wall:.3}s ({:.0} completed jobs/sec)",
         run.report.stats.completed_jobs as f64 / wall
     );
-    export_trace("rack", seed, &tracer, &registry);
+    export_trace("rack", seed, &tracer, &run.report.stats.samples());
     println!();
 }
 
@@ -533,10 +519,8 @@ fn batched_run(o: &Options) {
         stats.ok
     );
 
-    let metrics = MetricsRegistry::new();
-    stats.publish(&metrics).expect("publish daemon counters");
-    batch.publish(&metrics).expect("publish batch counters");
-    export_trace("batched", seed, &tracer, &metrics);
+    let counters = [stats.samples(), batch.samples()].concat();
+    export_trace("batched", seed, &tracer, &counters);
     let _ = std::fs::remove_dir_all(&dir);
     println!();
 }

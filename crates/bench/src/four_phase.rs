@@ -39,7 +39,7 @@ pub struct FourPhaseScenario {
 }
 
 /// What one phase run produced: the invariant-checkable observation the
-/// sweep audits, plus the counters and logs the drivers print and publish.
+/// sweep audits, plus the counters and logs the drivers print and export.
 #[derive(Debug, Clone)]
 pub struct PhaseRun {
     /// Output correctness and the phase's conservation checks.

@@ -65,18 +65,6 @@ impl TimeBreakdown {
     pub fn is_zero(&self) -> bool {
         self.total() == Duration::ZERO
     }
-
-    /// The larger of two breakdowns *per category* — used when two
-    /// activities run concurrently on different resources and the modelled
-    /// elapsed time is the maximum, not the sum.
-    pub fn max_per_category(&self, other: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compute: self.compute.max(other.compute),
-            network: self.network.max(other.network),
-            disk: self.disk.max(other.disk),
-            overhead: self.overhead.max(other.overhead),
-        }
-    }
 }
 
 impl Add for TimeBreakdown {
@@ -169,22 +157,5 @@ mod tests {
         assert!(s.contains("cpu"));
         assert!(s.contains("net"));
         assert!(s.contains("4ms"));
-    }
-
-    #[test]
-    fn max_per_category_models_concurrency() {
-        let a = TimeBreakdown {
-            compute: ms(10),
-            network: ms(1),
-            ..Default::default()
-        };
-        let b = TimeBreakdown {
-            compute: ms(3),
-            network: ms(7),
-            ..Default::default()
-        };
-        let m = a.max_per_category(&b);
-        assert_eq!(m.compute, ms(10));
-        assert_eq!(m.network, ms(7));
     }
 }

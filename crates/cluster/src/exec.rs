@@ -109,12 +109,6 @@ impl NodeExecutor {
         let workers = self.spec.cores.min(self.machine_cores);
         PhoenixConfig::with_workers(workers).memory(self.spec.memory_model())
     }
-
-    /// A Phoenix configuration for the paper's *sequential* baseline on
-    /// this node (one worker, same memory).
-    pub fn sequential_phoenix_config(&self) -> PhoenixConfig {
-        PhoenixConfig::with_workers(1).memory(self.spec.memory_model())
-    }
 }
 
 #[cfg(test)]
@@ -208,13 +202,5 @@ mod tests {
         assert_eq!(cfg.workers, 2usize.min(machine_cores()));
         assert!(cfg.workers >= 1);
         assert_eq!(cfg.memory.unwrap().total_bytes, 8 << 20);
-    }
-
-    #[test]
-    fn sequential_config_is_one_worker() {
-        let e = sd();
-        let cfg = e.sequential_phoenix_config();
-        assert_eq!(cfg.workers, 1);
-        assert!(cfg.memory.is_some());
     }
 }

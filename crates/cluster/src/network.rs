@@ -114,12 +114,6 @@ impl NetworkModel {
     pub fn charge_transfer(&self, bytes: u64) -> TimeBreakdown {
         TimeBreakdown::network(self.transfer_time(bytes))
     }
-
-    /// Round-trip time of a `bytes`-sized request/response pair (used by
-    /// the SMB ping-pong pattern).
-    pub fn round_trip(&self, bytes: u64) -> Duration {
-        self.transfer_time(bytes) + self.transfer_time(bytes)
-    }
 }
 
 /// The two-tier rack interconnect (DESIGN.md §17): every node hangs off
@@ -222,12 +216,6 @@ mod tests {
         let t = net.charge_transfer(1_000_000);
         assert_eq!(t.compute, Duration::ZERO);
         assert_eq!(t.network, net.transfer_time(1_000_000));
-    }
-
-    #[test]
-    fn round_trip_is_twice_one_way() {
-        let net = NetworkModel::paper_testbed();
-        assert_eq!(net.round_trip(1000), net.transfer_time(1000) * 2);
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl RackSpec {
         self.racks * self.sds_per_rack
     }
 
-    /// Total host node count across all racks.
-    pub fn total_hosts(&self) -> u32 {
-        self.racks * self.hosts_per_rack
-    }
-
     /// Assemble the rack topology at the given byte scale. Node ids are
     /// rack-major — rack `r` owns ids `r * nodes_per_rack()` up to the
     /// next rack — with each rack's hosts (`r{r}h{i}`) before its SD
@@ -328,7 +323,10 @@ mod tests {
         let topo = spec.build(Scale::default_experiment());
         assert_eq!(topo.cluster.nodes.len(), spec.total_nodes() as usize);
         assert_eq!(topo.sd_ids().len(), spec.total_sds() as usize);
-        assert_eq!(topo.host_ids().len(), spec.total_hosts() as usize);
+        assert_eq!(
+            topo.host_ids().len(),
+            (spec.racks * spec.hosts_per_rack) as usize
+        );
     }
 
     #[test]

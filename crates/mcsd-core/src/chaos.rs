@@ -25,11 +25,8 @@
 
 use crate::error::McsdError;
 use crate::replication::{ReplicationGroups, ReplicationSetup, RoundOutcome};
-use mcsd_obs::names::{
-    EVENT_CHAOS_DISCOVER, EVENT_CHAOS_INJECT, EVENT_CHAOS_VIOLATION, METRIC_CHAOS_CASES,
-    METRIC_CHAOS_POINTS, METRIC_CHAOS_VIOLATIONS,
-};
-use mcsd_obs::{ClockDomain, MetricsError, MetricsRegistry, Tracer};
+use mcsd_obs::names::{EVENT_CHAOS_DISCOVER, EVENT_CHAOS_INJECT, EVENT_CHAOS_VIOLATION};
+use mcsd_obs::{ClockDomain, Tracer};
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
     BatchConfig, BatchStats, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan,
@@ -495,20 +492,6 @@ impl ChaosReport {
         }
         out
     }
-
-    /// Publish the sweep summary into a unified registry under the
-    /// `chaos.*` keys, owner `mcsd.chaos` (DESIGN.md §12).
-    pub fn publish(&self, registry: &MetricsRegistry) -> Result<(), MetricsError> {
-        const OWNER: &str = "mcsd.chaos";
-        for (key, value) in [
-            (METRIC_CHAOS_POINTS, self.point_count()),
-            (METRIC_CHAOS_CASES, self.cases),
-            (METRIC_CHAOS_VIOLATIONS, self.violations.len() as u64),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
-    }
 }
 
 /// Run the full sweep over `scenario`: one probing discovery run per
@@ -840,7 +823,6 @@ impl ReplicationRoundsScenario {
 /// already read durably is a violation.
 pub struct BatchedEchoScenario {
     seed: u64,
-    request_count: usize,
     batching: BatchConfig,
     base_dir: PathBuf,
     runs: AtomicU64,
@@ -848,12 +830,11 @@ pub struct BatchedEchoScenario {
 
 impl BatchedEchoScenario {
     /// A scenario writing its log dirs under `base_dir` (each run uses a
-    /// fresh subdirectory, removed afterwards). Defaults: six requests,
-    /// two workers, batches of three — two batch commits per clean run.
+    /// fresh subdirectory, removed afterwards): six requests, two
+    /// workers, batches of three — two batch commits per clean run.
     pub fn new(seed: u64, base_dir: impl Into<PathBuf>) -> BatchedEchoScenario {
         BatchedEchoScenario {
             seed,
-            request_count: 6,
             batching: BatchConfig {
                 workers: 2,
                 max_batch: 3,
@@ -863,13 +844,10 @@ impl BatchedEchoScenario {
             runs: AtomicU64::new(0),
         }
     }
-
-    /// Override the request count (sweep cost scales with it).
-    pub fn with_requests(mut self, requests: usize) -> BatchedEchoScenario {
-        self.request_count = requests.max(1);
-        self
-    }
 }
+
+/// Echo requests per batched run (sweep cost scales with it).
+const BATCHED_REQUESTS: usize = 6;
 
 /// How many daemon incarnations one batched run may consume: the sweep
 /// injects at most one fault per run, so one crash plus the original.
@@ -962,8 +940,8 @@ impl BatchedEchoScenario {
         // formation — and with it the enumerable fault-point stream — is
         // a pure function of the request sequence.
         let client = HostClient::new(dir);
-        let mut calls = Vec::with_capacity(self.request_count);
-        for i in 0..self.request_count {
+        let mut calls = Vec::with_capacity(BATCHED_REQUESTS);
+        for i in 0..BATCHED_REQUESTS {
             let key = format!("r{i}-{}", self.seed);
             let pending = client
                 .submit("echo", std::slice::from_ref(&key))
@@ -1176,24 +1154,5 @@ mod tests {
         assert!(!report.is_clean());
         let table = report.render_table();
         assert!(table.contains("VIOLATION [fencing] a dispatch #1 under fail"));
-    }
-
-    #[test]
-    fn report_publishes_chaos_counters() {
-        let report = ChaosReport {
-            scenario: "demo".to_string(),
-            seed: 0,
-            segments: vec![SegmentPoints {
-                segment: "a".to_string(),
-                points: vec![(FaultSite::Replica, 4)],
-            }],
-            excluded: Vec::new(),
-            shadowed: Vec::new(),
-            cases: 9,
-            violations: Vec::new(),
-        };
-        let registry = MetricsRegistry::new();
-        report.publish(&registry).expect("publish");
-        assert!(report.is_clean());
     }
 }

@@ -104,17 +104,6 @@ impl NodeRunner {
         &self.disk
     }
 
-    /// Run in [`ExecMode::Sequential`].
-    pub fn run_sequential<J: Job + Clone>(
-        &self,
-        job: &J,
-        input: &[u8],
-        footprint_factor: f64,
-    ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
-        let mode = ExecMode::Sequential { footprint_factor };
-        self.run_mode(job, &ConcatMerger, input, mode)
-    }
-
     /// Run in [`ExecMode::Parallel`] (stock Phoenix on all cores).
     pub fn run_parallel<J: Job + Clone>(
         &self,
@@ -122,21 +111,6 @@ impl NodeRunner {
         input: &[u8],
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError> {
         self.run_mode(job, &ConcatMerger, input, ExecMode::Parallel)
-    }
-
-    /// Run in [`ExecMode::Partitioned`].
-    pub fn run_partitioned<J, M>(
-        &self,
-        job: &J,
-        merger: &M,
-        input: &[u8],
-        fragment_bytes: Option<usize>,
-    ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError>
-    where
-        J: Job + Clone,
-        M: Merger<J>,
-    {
-        self.run_mode(job, merger, input, ExecMode::Partitioned { fragment_bytes })
     }
 
     /// Run in the given [`ExecMode`]; only `Partitioned` calls `merger`.
@@ -251,6 +225,11 @@ mod tests {
     use mcsd_apps::{TextGen, WordCount};
     use mcsd_cluster::{NodeId, Scale};
 
+    /// Partitioned with the fragment size left to the runtime.
+    const AUTO_PARTITIONED: ExecMode = ExecMode::Partitioned {
+        fragment_bytes: None,
+    };
+
     fn sd_runner(memory: u64) -> NodeRunner {
         let mut node = NodeSpec::paper_sd(NodeId(1), memory);
         node.core_speed = 0.75;
@@ -280,7 +259,12 @@ mod tests {
     fn sequential_uses_one_worker() {
         let text = TextGen::with_seed(2).generate(5_000);
         let runner = host_runner(64 << 20);
-        let out = runner.run_sequential(&WordCount, &text, 1.2).unwrap();
+        let mode = ExecMode::Sequential {
+            footprint_factor: 1.2,
+        };
+        let out = runner
+            .run_mode(&WordCount, &WordCount::merger(), &text, mode)
+            .unwrap();
         assert_eq!(out.report.stats.workers, 1);
         assert_eq!(out.report.mode, "seq");
     }
@@ -294,7 +278,7 @@ mod tests {
         let err = runner.run_parallel(&WordCount, &input).unwrap_err();
         assert!(err.is_memory_overflow());
         let ok = runner
-            .run_partitioned(&WordCount, &WordCount::merger(), &input, None)
+            .run_mode(&WordCount, &WordCount::merger(), &input, AUTO_PARTITIONED)
             .unwrap();
         assert_eq!(ok.report.stats.swapped_bytes, 0);
         assert!(ok.report.stats.fragments > 1);
@@ -322,7 +306,7 @@ mod tests {
         let runner = sd_runner(memory);
         let plain = runner.run_parallel(&WordCount, &input).unwrap();
         let part = runner
-            .run_partitioned(&WordCount, &WordCount::merger(), &input, None)
+            .run_mode(&WordCount, &WordCount::merger(), &input, AUTO_PARTITIONED)
             .unwrap();
         assert_eq!(plain.pairs, part.pairs);
         assert!(part.report.time.disk < plain.report.time.disk);

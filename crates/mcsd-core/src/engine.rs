@@ -35,7 +35,7 @@ use mcsd_obs::names::{
     EVENT_MCSD_BREAKER_OPEN, EVENT_MCSD_BREAKER_PROBE, EVENT_MCSD_FALLBACK, EVENT_MCSD_OFFLOAD,
     EVENT_MCSD_REPARTITION, EVENT_MCSD_STEER, SPAN_MCSD_CALL,
 };
-use mcsd_obs::{ClockDomain, SpanId, Tracer, TrackId};
+use mcsd_obs::{ClockDomain, CounterFamily, SpanId, Tracer, TrackId};
 use mcsd_phoenix::MemoryModel;
 use mcsd_smartfam::{BatchStats, DaemonStats, OverloadStats, ResilienceStats};
 use parking_lot::Mutex;
@@ -298,11 +298,6 @@ impl ShardQueue {
     pub fn running(&self) -> u32 {
         self.busy
     }
-
-    /// Whether no job is running or waiting on this shard.
-    pub fn is_idle(&self) -> bool {
-        self.busy == 0 && self.waiting.is_empty()
-    }
 }
 
 /// Everything the engine mutates, behind [`Engine`]'s one lock.
@@ -432,17 +427,10 @@ impl Engine {
 
     /// Overload counters accumulated since `baseline` (a prior
     /// [`Engine::overload_totals`] snapshot) — how a front-end scopes the
-    /// engine's cumulative counters to one run's report.
+    /// engine's cumulative counters to one run's report. A counter the
+    /// baseline is ahead of (not a snapshot of this engine) reads zero.
     pub fn overload_delta(&self, baseline: &OverloadStats) -> OverloadStats {
-        let totals = self.overload_totals();
-        OverloadStats {
-            shed: totals.shed - baseline.shed,
-            expired: totals.expired - baseline.expired,
-            breaker_opens: totals.breaker_opens - baseline.breaker_opens,
-            half_open_probes: totals.half_open_probes - baseline.half_open_probes,
-            repartitions: totals.repartitions - baseline.repartitions,
-            steered_spans: totals.steered_spans - baseline.steered_spans,
-        }
+        self.overload_totals().since(baseline)
     }
 
     /// Recovery counters merged for a caller-facing report: the engine's
@@ -951,7 +939,7 @@ mod tests {
     #[test]
     fn shard_queue_bounds_backlog_and_slots() {
         let mut q = ShardQueue::new(2, 3);
-        assert!(q.is_idle());
+        assert_eq!((q.running(), q.queued()), (0, 0));
         // Backlog accepts up to `depth` jobs, then sheds.
         assert!(q.try_enqueue(1));
         assert!(q.try_enqueue(2));
@@ -971,7 +959,7 @@ mod tests {
         q.finish();
         assert_eq!(q.try_start(), Some(4));
         q.finish();
-        assert!(q.is_idle());
+        assert_eq!((q.running(), q.queued()), (0, 0));
     }
 
     #[test]
@@ -982,7 +970,7 @@ mod tests {
         // finish() below zero saturates rather than underflowing.
         q.finish();
         q.finish();
-        assert!(q.is_idle());
+        assert_eq!((q.running(), q.queued()), (0, 0));
     }
 
     #[test]
@@ -1028,6 +1016,15 @@ mod tests {
         let delta = e.overload_delta(&baseline);
         assert_eq!(delta.breaker_opens, 0);
         assert_eq!(delta.steered_spans, 1);
+    }
+
+    #[test]
+    fn overload_delta_saturates_on_a_baseline_ahead_of_the_totals() {
+        let ahead = OverloadStats {
+            shed: 1,
+            ..OverloadStats::default()
+        };
+        assert_eq!(engine(1).overload_delta(&ahead), OverloadStats::default());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use mcsd_obs::names::{
 use mcsd_obs::{ClockDomain, Tracer, TrackId};
 use mcsd_smartfam::daemon::SD_TRACE_TRACK;
 use mcsd_smartfam::{FaultInjector, Frame, ReplicaConfig, ReplicatedLog, SmartFamError};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Configuration of one replicated run: group shape, where the
 /// replicated span logs live, and the tracer carrying the replication
@@ -60,12 +60,6 @@ impl ReplicationSetup {
             log_dir: log_dir.into(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Override the group shape.
-    pub fn with_replica(mut self, replica: ReplicaConfig) -> ReplicationSetup {
-        self.replica = replica;
-        self
     }
 
     /// Attach a tracer.
@@ -383,16 +377,11 @@ impl ReplicationGroups {
     }
 }
 
-/// Directory of span `i`'s primary log copy under `log_dir` — the path a
-/// plain (non-replicated) reader would poll.
-pub fn span_log_path(log_dir: &Path, span: usize) -> PathBuf {
-    log_dir.join(format!("span{span}.log"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcsd_smartfam::{FaultAction, FaultPlan, FaultSite};
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static N: AtomicU64 = AtomicU64::new(0);
@@ -503,11 +492,5 @@ mod tests {
         assert_eq!(out, RoundOutcome::Committed, "post-promotion rounds commit");
         assert_eq!(groups.stats().quorum_appends, 4);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn span_log_path_is_the_plain_module_log() {
-        let p = span_log_path(Path::new("/tmp/logs"), 3);
-        assert_eq!(p, PathBuf::from("/tmp/logs/span3.log"));
     }
 }

@@ -1,6 +1,7 @@
 //! Run reports consumed by the experiment harness.
 
 use mcsd_cluster::TimeBreakdown;
+use mcsd_obs::CounterFamily;
 use mcsd_phoenix::JobStats;
 use mcsd_smartfam::ResilienceStats;
 use std::fmt;
@@ -35,84 +36,42 @@ pub struct ReplicationStats {
     pub reprotect_bytes: u64,
 }
 
+mcsd_obs::counter_family!(ReplicationStats {
+    owner: "mcsd.replication",
+    prefix: "replication",
+    counters: [
+        quorum_appends,
+        replica_acks as "acks",
+        replica_crashes,
+        group_crashes,
+        promotions,
+        fenced_appends as "fenced",
+        reprotect_copies,
+        reprotect_bytes,
+    ],
+});
+
 impl ReplicationStats {
     /// Merge another set of counters into this one.
     pub fn absorb(&mut self, other: &ReplicationStats) {
-        self.quorum_appends += other.quorum_appends;
-        self.replica_acks += other.replica_acks;
-        self.replica_crashes += other.replica_crashes;
-        self.group_crashes += other.group_crashes;
-        self.promotions += other.promotions;
-        self.fenced_appends += other.fenced_appends;
-        self.reprotect_copies += other.reprotect_copies;
-        self.reprotect_bytes += other.reprotect_bytes;
+        CounterFamily::absorb(self, other);
     }
 
     /// Whether the run saw no replica disturbance at all (appends and
     /// acks still count on a clean replicated run).
     pub fn is_clean(&self) -> bool {
-        self.replica_crashes == 0
-            && self.group_crashes == 0
-            && self.promotions == 0
-            && self.fenced_appends == 0
-            && self.reprotect_copies == 0
-            && self.reprotect_bytes == 0
-    }
-
-    /// Publish the counters into a [`mcsd_obs::MetricsRegistry`] under
-    /// the single owner `mcsd.replication` (DESIGN.md §12).
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "mcsd.replication";
-        for (key, value) in [
-            (
-                names::METRIC_REPLICATION_QUORUM_APPENDS,
-                self.quorum_appends,
-            ),
-            (names::METRIC_REPLICATION_REPLICA_ACKS, self.replica_acks),
-            (
-                names::METRIC_REPLICATION_REPLICA_CRASHES,
-                self.replica_crashes,
-            ),
-            (names::METRIC_REPLICATION_GROUP_CRASHES, self.group_crashes),
-            (names::METRIC_REPLICATION_PROMOTIONS, self.promotions),
-            (
-                names::METRIC_REPLICATION_FENCED_APPENDS,
-                self.fenced_appends,
-            ),
-            (
-                names::METRIC_REPLICATION_REPROTECT_COPIES,
-                self.reprotect_copies,
-            ),
-            (
-                names::METRIC_REPLICATION_REPROTECT_BYTES,
-                self.reprotect_bytes,
-            ),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
+        *self
+            == ReplicationStats {
+                quorum_appends: self.quorum_appends,
+                replica_acks: self.replica_acks,
+                ..ReplicationStats::default()
+            }
     }
 }
 
 impl fmt::Display for ReplicationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "quorum_appends={} acks={} replica_crashes={} group_crashes={} \
-             promotions={} fenced={} reprotect_copies={} reprotect_bytes={}",
-            self.quorum_appends,
-            self.replica_acks,
-            self.replica_crashes,
-            self.group_crashes,
-            self.promotions,
-            self.fenced_appends,
-            self.reprotect_copies,
-            self.reprotect_bytes,
-        )
+        self.report(f)
     }
 }
 
@@ -142,15 +101,23 @@ pub struct DesStats {
     pub cross_rack_bytes: u64,
 }
 
+mcsd_obs::counter_family!(DesStats {
+    owner: "mcsd.des",
+    prefix: "des",
+    counters: [
+        arrivals,
+        completed_jobs as "completed",
+        shed_jobs as "shed",
+        busy_us,
+        cross_rack_transfers,
+        cross_rack_bytes,
+    ],
+});
+
 impl DesStats {
     /// Merge another set of counters into this one.
     pub fn absorb(&mut self, other: &DesStats) {
-        self.arrivals += other.arrivals;
-        self.completed_jobs += other.completed_jobs;
-        self.shed_jobs += other.shed_jobs;
-        self.busy_us += other.busy_us;
-        self.cross_rack_transfers += other.cross_rack_transfers;
-        self.cross_rack_bytes += other.cross_rack_bytes;
+        CounterFamily::absorb(self, other);
     }
 
     /// Conservation invariant: every arrival either completed or was
@@ -158,45 +125,11 @@ impl DesStats {
     pub fn is_conserved(&self) -> bool {
         self.arrivals == self.completed_jobs + self.shed_jobs
     }
-
-    /// Publish the counters into a [`mcsd_obs::MetricsRegistry`] under
-    /// the single owner `mcsd.des` (DESIGN.md §12).
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "mcsd.des";
-        for (key, value) in [
-            (names::METRIC_DES_ARRIVALS, self.arrivals),
-            (names::METRIC_DES_COMPLETED_JOBS, self.completed_jobs),
-            (names::METRIC_DES_SHED_JOBS, self.shed_jobs),
-            (names::METRIC_DES_BUSY_US, self.busy_us),
-            (
-                names::METRIC_DES_CROSS_RACK_TRANSFERS,
-                self.cross_rack_transfers,
-            ),
-            (names::METRIC_DES_CROSS_RACK_BYTES, self.cross_rack_bytes),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for DesStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "arrivals={} completed={} shed={} busy_us={} \
-             cross_rack_transfers={} cross_rack_bytes={}",
-            self.arrivals,
-            self.completed_jobs,
-            self.shed_jobs,
-            self.busy_us,
-            self.cross_rack_transfers,
-            self.cross_rack_bytes,
-        )
+        self.report(f)
     }
 }
 
@@ -346,66 +279,30 @@ mod tests {
     }
 
     #[test]
-    fn replication_stats_absorb_and_cleanliness() {
-        let mut a = ReplicationStats::default();
-        assert!(a.is_clean());
+    fn replication_cleanliness_ignores_appends_and_acks_only() {
         // A clean replicated run still counts appends and acks.
-        a.quorum_appends = 4;
-        a.replica_acks = 12;
-        assert!(a.is_clean());
-        let b = ReplicationStats {
-            quorum_appends: 1,
-            replica_acks: 2,
-            replica_crashes: 1,
-            group_crashes: 1,
-            promotions: 1,
-            fenced_appends: 1,
-            reprotect_copies: 2,
-            reprotect_bytes: 100,
+        let clean = ReplicationStats {
+            quorum_appends: 4,
+            replica_acks: 12,
+            ..ReplicationStats::default()
         };
-        a.absorb(&b);
-        assert!(!a.is_clean());
-        assert_eq!(a.quorum_appends, 5);
-        assert_eq!(a.replica_acks, 14);
-        assert_eq!(a.reprotect_bytes, 100);
-        let line = a.to_string();
-        assert!(line.contains("promotions=1"));
-        assert!(line.contains("reprotect_copies=2"));
+        assert!(clean.is_clean());
+        for counter in 2..ReplicationStats::TABLE.len() {
+            let mut stats = clean;
+            *stats.slots().nth(counter).expect("in table") = 1;
+            assert!(!stats.is_clean(), "counter {counter} is a disturbance");
+        }
     }
 
     #[test]
-    fn des_stats_absorb_and_conservation() {
-        let mut a = DesStats::default();
-        assert!(a.is_conserved());
-        a.arrivals = 10;
-        a.completed_jobs = 7;
-        assert!(!a.is_conserved());
-        let b = DesStats {
-            arrivals: 0,
-            completed_jobs: 1,
-            shed_jobs: 2,
-            busy_us: 500,
-            cross_rack_transfers: 3,
-            cross_rack_bytes: 4096,
-        };
-        a.absorb(&b);
-        assert!(a.is_conserved());
-        assert_eq!(a.busy_us, 500);
-        let line = a.to_string();
-        assert!(line.contains("shed=2"));
-        assert!(line.contains("cross_rack_bytes=4096"));
-    }
-
-    #[test]
-    fn des_stats_publish_single_owner() {
-        let registry = mcsd_obs::MetricsRegistry::new();
-        let stats = DesStats {
-            arrivals: 5,
-            completed_jobs: 5,
-            ..DesStats::default()
-        };
-        stats.publish(&registry).unwrap();
-        assert!(registry.publish("des.arrivals", "rogue", 9).is_err());
+    fn des_conservation_balances_arrivals() {
+        let mut stats = DesStats::default();
+        assert!(stats.is_conserved());
+        stats.arrivals = 10;
+        stats.completed_jobs = 7;
+        assert!(!stats.is_conserved());
+        stats.shed_jobs = 3;
+        assert!(stats.is_conserved());
     }
 
     #[test]
@@ -429,20 +326,5 @@ mod tests {
         };
         assert_eq!(zero.jobs_per_virtual_sec(), 0.0);
         assert!(r.to_string().contains("racks=2"));
-    }
-
-    #[test]
-    fn replication_stats_publish_single_owner() {
-        let registry = mcsd_obs::MetricsRegistry::new();
-        let stats = ReplicationStats {
-            quorum_appends: 3,
-            promotions: 1,
-            ..ReplicationStats::default()
-        };
-        stats.publish(&registry).unwrap();
-        // A second claimant under a different owner must be refused.
-        assert!(registry
-            .publish("replication.promotions", "rogue", 9)
-            .is_err());
     }
 }

@@ -13,9 +13,10 @@
 //!   track are serialized by the McSD call structure);
 //! * volatile records are excluded unless explicitly requested — their
 //!   count is wall-cadenced and would differ between runs;
-//! * metric counters are emitted in key-sorted order.
+//! * counter rows are emitted in key-sorted order, whatever order the
+//!   caller collected them in.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::MetricSample;
 use crate::names::TRACE_FORMAT_VERSION;
 use crate::trace::{RecordKind, Tracer};
 
@@ -25,8 +26,9 @@ pub struct JsonlOptions<'a> {
     /// Include volatile (wall-cadenced) records. The output is then *not*
     /// guaranteed byte-identical between runs; diagnostic use only.
     pub include_volatile: bool,
-    /// Append the registry's counters as trailing `counter` lines.
-    pub metrics: Option<&'a MetricsRegistry>,
+    /// Counter rows ([`crate::CounterFamily::samples`] of every family
+    /// the run reports) to append as trailing `counter` lines.
+    pub metrics: &'a [MetricSample],
 }
 
 /// Export the durable trace as JSON-lines (one object per line, versioned
@@ -92,15 +94,15 @@ pub fn jsonl_with(tracer: &Tracer, opts: JsonlOptions<'_>) -> String {
             }
         }
     }
-    if let Some(registry) = opts.metrics {
-        for sample in registry.snapshot() {
-            out.push_str(&format!(
-                "{{\"v\":{TRACE_FORMAT_VERSION},\"type\":\"counter\",\"key\":\"{}\",\"owner\":\"{}\",\"value\":{}}}\n",
-                Escaped(sample.key),
-                Escaped(sample.owner),
-                sample.value
-            ));
-        }
+    let mut samples = opts.metrics.to_vec();
+    samples.sort_by_key(|sample| sample.key);
+    for sample in samples {
+        out.push_str(&format!(
+            "{{\"v\":{TRACE_FORMAT_VERSION},\"type\":\"counter\",\"key\":\"{}\",\"owner\":\"{}\",\"value\":{}}}\n",
+            Escaped(sample.key),
+            Escaped(sample.owner),
+            sample.value
+        ));
     }
     out
 }
@@ -247,7 +249,7 @@ mod tests {
             &tracer,
             JsonlOptions {
                 include_volatile: true,
-                metrics: None,
+                metrics: &[],
             },
         );
         assert!(full.contains("\"name\":\"sd.heartbeat\",\"volatile\":true"));
@@ -257,14 +259,16 @@ mod tests {
     #[test]
     fn counters_are_appended_sorted() {
         let tracer = Tracer::enabled();
-        let reg = MetricsRegistry::new();
-        reg.publish("z.metric", "t", 2).unwrap();
-        reg.publish("a.metric", "t", 1).unwrap();
+        let sample = |key, value| MetricSample {
+            key,
+            owner: "t",
+            value,
+        };
         let out = jsonl_with(
             &tracer,
             JsonlOptions {
                 include_volatile: false,
-                metrics: Some(&reg),
+                metrics: &[sample("z.metric", 2), sample("a.metric", 1)],
             },
         );
         let a = out.find("a.metric").unwrap();

@@ -3,8 +3,10 @@
 //! # mcsd-obs
 //!
 //! Deterministic observability for the McSD stack: hierarchical spans and
-//! typed events stamped on **logical clocks** (never wall clock), plus a
-//! unified [`MetricsRegistry`] with a single-owner rule per counter.
+//! typed events stamped on **logical clocks** (never wall clock), plus the
+//! [`CounterFamily`] tables: each stats struct of the stack declares its
+//! counters once (owner, key prefix, fields) and merging, deltas, the
+//! report line and the exported `counter` rows are generic over that.
 //!
 //! The paper evaluates McSD entirely through timing breakdowns (speedup
 //! curves, co-running offload scenarios); this crate provides the
@@ -67,5 +69,5 @@ pub mod names;
 pub mod trace;
 
 pub use clock::ClockDomain;
-pub use metrics::{MetricSample, MetricsError, MetricsRegistry};
+pub use metrics::{Counter, CounterFamily, MetricSample};
 pub use trace::{Attrs, SpanId, Tracer, TrackId};

@@ -1,26 +1,23 @@
-//! The unified metrics registry.
+//! Counter families, each declared once.
 //!
-//! Counters scattered across `ResilienceStats`, `OverloadStats`,
-//! `DaemonStats`, and `phoenix::stats::JobStats` register here behind one
-//! typed API with a **single-owner rule**: a key may be registered by
-//! exactly one owner, and a second owner attempting to claim it is a typed
-//! error instead of a silent merge. That rule is what makes double-owned
-//! counters *visible* — the class of bug where two layers both count the
-//! same underlying occurrence and a read-time merge adds them together
-//! (see the corrupt-skip accounting fix in `mcsd-core`).
+//! A stats struct (`DaemonStats`, `OverloadStats`, …) keeps its plain
+//! `pub` `u64` fields, and one [`counter_family!`](crate::counter_family)
+//! table beside it names its owner, its key prefix and its fields in
+//! order. Every operation that needs the field list — merging, run-scoped
+//! deltas, the exported `counter` lines, the `label=value` report line,
+//! the documented catalog — is written once here, over that table.
 //!
-//! The existing stats structs stay unchanged as public API; each grows a
-//! `publish` method in its own crate that registers its counters here, so
-//! the registry is a view over them, not a replacement.
+//! **Single-owner rule:** every exported key has exactly one owning layer.
+//! It is a static property of the tables, asserted for every key by the
+//! workspace's `tests/counter_catalog.rs` (which also holds DESIGN.md §12
+//! to the tables in both directions), not a run-time check.
 
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::fmt;
 
-/// One snapshot row: key, owning layer, current value.
+/// One exported counter: key, owning layer, current value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricSample {
-    /// Catalogued metric key (see [`crate::names`]).
+    /// `<prefix>.<field>` of the family table the counter is declared in.
     pub key: &'static str,
     /// The single layer allowed to write this key.
     pub owner: &'static str,
@@ -28,201 +25,243 @@ pub struct MetricSample {
     pub value: u64,
 }
 
-/// Typed registry errors.
+/// One row of a family's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsError {
-    /// A second owner tried to register an already-owned key — the
-    /// double-ownership the single-owner rule exists to catch.
-    DuplicateOwner {
-        /// The contested key.
-        key: &'static str,
-        /// The owner that lost the race.
-        owner: &'static str,
-        /// The owner already registered.
-        prior: &'static str,
-    },
-    /// A write or read targeted a key nobody registered.
-    UnknownKey {
-        /// The missing key.
-        key: &'static str,
-    },
+pub struct Counter {
+    /// Exported key, `<prefix>.<field>`.
+    pub key: &'static str,
+    /// Name in the family's report line: the field name unless the table
+    /// says otherwise (`replica_acks as "acks"`).
+    pub label: &'static str,
+    /// Text after the value in the report line (`"B"` on the one byte
+    /// count that has always printed it), usually empty.
+    pub unit: &'static str,
 }
 
-impl std::fmt::Display for MetricsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricsError::DuplicateOwner { key, owner, prior } => write!(
-                f,
-                "metric `{key}`: owner `{owner}` conflicts with registered owner `{prior}` \
-                 (single-owner rule)"
-            ),
-            MetricsError::UnknownKey { key } => write!(f, "metric `{key}` is not registered"),
-        }
-    }
-}
+/// A struct of `u64` counters described by a [`counter_family!`] table.
+///
+/// The macro writes the two constants and the three accessors; the four
+/// operations below them are generic and walk the accessors in table
+/// order, a nested family's counters after the struct's own.
+///
+/// [`counter_family!`]: crate::counter_family
+pub trait CounterFamily: Copy {
+    /// The single layer that owns every key of this family.
+    const OWNER: &'static str;
+    /// The struct's own counters in declaration order (nested families
+    /// excluded — [`CounterFamily::rows`] includes them).
+    const TABLE: &'static [Counter];
 
-impl std::error::Error for MetricsError {}
+    /// Every row: [`CounterFamily::TABLE`], then each nested family's rows.
+    fn rows() -> impl Iterator<Item = &'static Counter>;
+    /// Every counter's value, in [`CounterFamily::rows`] order.
+    fn values(&self) -> impl Iterator<Item = u64>;
+    /// Every counter, mutably, in [`CounterFamily::rows`] order.
+    fn slots(&mut self) -> impl Iterator<Item = &mut u64>;
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    owner: &'static str,
-    value: u64,
-}
-
-/// The registry. Clone freely — clones share the same table.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    inner: Arc<Mutex<BTreeMap<&'static str, Entry>>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Register `key` under `owner`. Re-registering by the *same* owner is
-    /// idempotent (so `publish` can run repeatedly); a different owner is
-    /// refused with [`MetricsError::DuplicateOwner`].
-    pub fn register(&self, key: &'static str, owner: &'static str) -> Result<(), MetricsError> {
-        let mut map = self.inner.lock();
-        match map.get(key) {
-            Some(entry) if entry.owner != owner => Err(MetricsError::DuplicateOwner {
-                key,
-                owner,
-                prior: entry.owner,
-            }),
-            Some(_) => Ok(()),
-            None => {
-                map.insert(key, Entry { owner, value: 0 });
-                Ok(())
-            }
+    /// Add each of `other`'s counters to the same counter of `self`.
+    /// Allocation-free.
+    fn absorb(&mut self, other: &Self) {
+        for (slot, add) in self.slots().zip(other.values()) {
+            *slot += add;
         }
     }
 
-    /// Set a registered counter to `value`.
-    pub fn set(&self, key: &'static str, value: u64) -> Result<(), MetricsError> {
-        let mut map = self.inner.lock();
-        match map.get_mut(key) {
-            Some(entry) => {
-                entry.value = value;
-                Ok(())
-            }
-            None => Err(MetricsError::UnknownKey { key }),
+    /// What was counted since `baseline`, an earlier snapshot of the same
+    /// counters: `self - baseline` per counter, saturating at zero when
+    /// the baseline is ahead. Allocation-free.
+    fn since(&self, baseline: &Self) -> Self {
+        let mut delta = *self;
+        for (slot, base) in delta.slots().zip(baseline.values()) {
+            *slot = slot.saturating_sub(base);
         }
+        delta
     }
 
-    /// Add `delta` to a registered counter.
-    pub fn add(&self, key: &'static str, delta: u64) -> Result<(), MetricsError> {
-        let mut map = self.inner.lock();
-        match map.get_mut(key) {
-            Some(entry) => {
-                entry.value += delta;
-                Ok(())
-            }
-            None => Err(MetricsError::UnknownKey { key }),
-        }
-    }
-
-    /// Register under `owner` (enforcing the single-owner rule) and set in
-    /// one step — the shape every `publish` method uses.
-    pub fn publish(
-        &self,
-        key: &'static str,
-        owner: &'static str,
-        value: u64,
-    ) -> Result<(), MetricsError> {
-        self.register(key, owner)?;
-        self.set(key, value)
-    }
-
-    /// Current value of a key, if registered.
-    pub fn get(&self, key: &str) -> Option<u64> {
-        self.inner.lock().get(key).map(|e| e.value)
-    }
-
-    /// Registered owner of a key, if any.
-    pub fn owner(&self, key: &str) -> Option<&'static str> {
-        self.inner.lock().get(key).map(|e| e.owner)
-    }
-
-    /// Every registered counter, sorted by key (the `BTreeMap` order), so
-    /// snapshots are deterministic and exportable byte-for-byte.
-    pub fn snapshot(&self) -> Vec<MetricSample> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(key, entry)| MetricSample {
-                key,
-                owner: entry.owner,
-                value: entry.value,
+    /// One export row per counter (nested families included), all under
+    /// [`CounterFamily::OWNER`], in table order — [`crate::export`] sorts
+    /// by key when it writes them.
+    fn samples(&self) -> Vec<MetricSample> {
+        Self::rows()
+            .zip(self.values())
+            .map(|(row, value)| MetricSample {
+                key: row.key,
+                owner: Self::OWNER,
+                value,
             })
             .collect()
     }
+
+    /// The one-line report of the struct's own counters,
+    /// `label=value[unit]` separated by spaces. A nested family prints its
+    /// own line.
+    fn report(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (row, value)) in Self::TABLE.iter().zip(self.values()).enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{}={}{}", row.label, value, row.unit)?;
+        }
+        Ok(())
+    }
+}
+
+/// Declare a stats struct's counter table — the one place its fields are
+/// enumerated. The struct itself stays hand-written (plain `pub` `u64`
+/// fields, `Default`), so every `stats.x += 1` site is untouched.
+///
+/// ```
+/// use mcsd_obs::CounterFamily;
+///
+/// #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// struct Inner { hits: u64 }
+/// #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// struct Outer { reads: u64, skipped_bytes: u64, inner: Inner }
+///
+/// mcsd_obs::counter_family!(Inner {
+///     owner: "demo",
+///     prefix: "inner",
+///     counters: [hits],
+/// });
+/// mcsd_obs::counter_family!(Outer {
+///     owner: "demo",
+///     prefix: "outer",
+///     counters: [reads, skipped_bytes as "skipped" unit "B"],
+///     nested: [inner: Inner],
+/// });
+///
+/// let mut total = Outer::default();
+/// total.absorb(&Outer { reads: 2, skipped_bytes: 9, inner: Inner { hits: 1 } });
+/// let keys: Vec<&str> = total.samples().iter().map(|s| s.key).collect();
+/// assert_eq!(keys, ["outer.reads", "outer.skipped_bytes", "inner.hits"]);
+/// assert_eq!(total.since(&Outer { reads: 5, ..total }).reads, 0);
+/// ```
+///
+/// Each counter's key is `<prefix>.<field>`; `as "label"` renames it in
+/// the report line only, `unit "B"` follows its value there. A `nested`
+/// field is another family embedded by value: its counters are merged,
+/// subtracted and exported with the struct's own, under this family's
+/// owner.
+#[macro_export]
+macro_rules! counter_family {
+    (@label $field:ident) => { stringify!($field) };
+    (@label $field:ident $label:literal) => { $label };
+    (@unit) => { "" };
+    (@unit $unit:literal) => { $unit };
+    ($family:ty {
+        owner: $owner:literal,
+        prefix: $prefix:literal,
+        counters: [$($field:ident $(as $label:literal $(unit $unit:literal)?)?),+ $(,)?]
+        $(, nested: [$($nested:ident: $nested_ty:ty),+ $(,)?])? $(,)?
+    }) => {
+        impl $crate::CounterFamily for $family {
+            const OWNER: &'static str = $owner;
+            const TABLE: &'static [$crate::Counter] = &[$($crate::Counter {
+                key: concat!($prefix, ".", stringify!($field)),
+                label: $crate::counter_family!(@label $field $($label)?),
+                unit: $crate::counter_family!(@unit $($($unit)?)?),
+            }),+];
+
+            fn rows() -> impl Iterator<Item = &'static $crate::Counter> {
+                Self::TABLE.iter()
+                    $($(.chain(<$nested_ty as $crate::CounterFamily>::rows()))+)?
+            }
+
+            fn values(&self) -> impl Iterator<Item = u64> {
+                [$(self.$field),+].into_iter()
+                    $($(.chain($crate::CounterFamily::values(&self.$nested)))+)?
+            }
+
+            fn slots(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$field),+].into_iter()
+                    $($(.chain($crate::CounterFamily::slots(&mut self.$nested)))+)?
+            }
+        }
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct Inner {
+        hits: u64,
+        misses: u64,
+    }
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct Outer {
+        reads: u64,
+        skipped_bytes: u64,
+        inner: Inner,
+    }
+
+    crate::counter_family!(Inner {
+        owner: "t",
+        prefix: "inner",
+        counters: [hits, misses],
+    });
+    crate::counter_family!(Outer {
+        owner: "t",
+        prefix: "outer",
+        counters: [reads, skipped_bytes as "skipped" unit "B"],
+        nested: [inner: Inner],
+    });
+
+    impl fmt::Display for Outer {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.report(f)
+        }
+    }
+
+    const SAMPLE: Outer = Outer {
+        reads: 1,
+        skipped_bytes: 2,
+        inner: Inner { hits: 3, misses: 4 },
+    };
+
     #[test]
-    fn register_set_add_get() {
-        let reg = MetricsRegistry::new();
-        reg.register("sd.shed", "smartfam.daemon").unwrap();
-        reg.set("sd.shed", 3).unwrap();
-        reg.add("sd.shed", 2).unwrap();
-        assert_eq!(reg.get("sd.shed"), Some(5));
-        assert_eq!(reg.owner("sd.shed"), Some("smartfam.daemon"));
+    fn absorb_and_since_reach_nested_counters() {
+        let mut total = SAMPLE;
+        total.absorb(&SAMPLE);
+        assert_eq!(total.skipped_bytes, 4);
+        assert_eq!(total.inner, Inner { hits: 6, misses: 8 });
+        assert_eq!(total.since(&SAMPLE), SAMPLE);
     }
 
     #[test]
-    fn single_owner_rule_rejects_a_second_owner() {
-        let reg = MetricsRegistry::new();
-        reg.register("sd.shed", "smartfam.daemon").unwrap();
-        // Same owner again: idempotent.
-        reg.register("sd.shed", "smartfam.daemon").unwrap();
-        // A different layer claiming the same key is the bug class the
-        // registry exists to surface.
-        let err = reg.register("sd.shed", "mcsd.framework").unwrap_err();
+    fn since_saturates_when_the_baseline_is_ahead() {
+        let ahead = Outer {
+            reads: 5,
+            inner: Inner { hits: 9, misses: 0 },
+            ..Outer::default()
+        };
+        let delta = SAMPLE.since(&ahead);
+        assert_eq!((delta.reads, delta.skipped_bytes), (0, 2));
+        assert_eq!(delta.inner, Inner { hits: 0, misses: 4 });
+    }
+
+    #[test]
+    fn samples_carry_prefixed_keys_under_the_family_owner() {
+        let rows: Vec<(&str, &str, u64)> = SAMPLE
+            .samples()
+            .iter()
+            .map(|s| (s.key, s.owner, s.value))
+            .collect();
         assert_eq!(
-            err,
-            MetricsError::DuplicateOwner {
-                key: "sd.shed",
-                owner: "mcsd.framework",
-                prior: "smartfam.daemon",
-            }
+            rows,
+            [
+                ("outer.reads", "t", 1),
+                ("outer.skipped_bytes", "t", 2),
+                ("inner.hits", "t", 3),
+                ("inner.misses", "t", 4),
+            ]
         );
-        assert!(err.to_string().contains("single-owner"));
     }
 
     #[test]
-    fn writes_to_unregistered_keys_are_typed_errors() {
-        let reg = MetricsRegistry::new();
-        assert_eq!(
-            reg.set("nope", 1),
-            Err(MetricsError::UnknownKey { key: "nope" })
-        );
-        assert_eq!(
-            reg.add("nope", 1),
-            Err(MetricsError::UnknownKey { key: "nope" })
-        );
-        assert_eq!(reg.get("nope"), None);
-    }
-
-    #[test]
-    fn snapshot_is_key_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.publish("z.last", "t", 1).unwrap();
-        reg.publish("a.first", "t", 2).unwrap();
-        let keys: Vec<&str> = reg.snapshot().iter().map(|s| s.key).collect();
-        assert_eq!(keys, vec!["a.first", "z.last"]);
-    }
-
-    #[test]
-    fn clones_share_the_table() {
-        let reg = MetricsRegistry::new();
-        let view = reg.clone();
-        reg.publish("sd.ok", "smartfam.daemon", 7).unwrap();
-        assert_eq!(view.get("sd.ok"), Some(7));
+    fn report_prints_own_counters_with_label_and_unit_overrides() {
+        assert_eq!(SAMPLE.to_string(), "reads=1 skipped=2B");
     }
 }

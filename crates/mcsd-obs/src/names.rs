@@ -1,5 +1,6 @@
-//! The versioned catalog of every span name, event type, and metric key
-//! the stack may emit.
+//! The versioned catalog of every span name and event type the stack may
+//! emit. (Counter keys are not listed here: they are `<prefix>.<field>` of
+//! the [`crate::counter_family`] tables beside the stats structs.)
 //!
 //! Emission sites across `phoenix`, `smartfam`, `mcsd-core`, and `bench`
 //! must reference these constants instead of string literals, and DESIGN.md
@@ -193,190 +194,6 @@ pub const ALL_EVENTS: [&str; 39] = [
     EVENT_HOST_WINDOW_REFILL,
 ];
 
-// -------------------------------------------------------------- metrics
-
-/// Requests the daemon scanned (owner: `smartfam.daemon`).
-pub const METRIC_SD_REQUESTS: &str = "sd.requests";
-/// Module runs that succeeded (owner: `smartfam.daemon`).
-pub const METRIC_SD_OK: &str = "sd.ok";
-/// Module runs that failed (owner: `smartfam.daemon`).
-pub const METRIC_SD_MODULE_ERRORS: &str = "sd.module_errors";
-/// Requests for unregistered modules (owner: `smartfam.daemon`).
-pub const METRIC_SD_UNKNOWN_MODULE: &str = "sd.unknown_module";
-/// Requests re-processed by startup replay (owner: `smartfam.daemon`).
-pub const METRIC_SD_REPLAYED: &str = "sd.replayed";
-/// Modules quarantined (owner: `smartfam.daemon`).
-pub const METRIC_SD_QUARANTINED: &str = "sd.quarantined";
-/// Requests refused on a quarantined module (owner: `smartfam.daemon`).
-pub const METRIC_SD_QUARANTINE_REJECTED: &str = "sd.quarantine_rejected";
-/// Corrupt log bytes the daemon's scan skipped (owner: `smartfam.daemon`).
-pub const METRIC_SD_CORRUPT_SKIPPED_BYTES: &str = "sd.corrupt_skipped_bytes";
-/// Requests shed by admission control (owner: `smartfam.daemon`).
-pub const METRIC_SD_SHED: &str = "sd.shed";
-/// Requests dropped expired at dequeue (owner: `smartfam.daemon`).
-pub const METRIC_SD_EXPIRED: &str = "sd.expired";
-
-/// Invocation attempts (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_ATTEMPTS: &str = "resilience.attempts";
-/// Retries after failed attempts (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_RETRIES: &str = "resilience.retries";
-/// Degradations to host execution (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_FAILOVERS: &str = "resilience.failovers";
-/// Quarantines, merged from the daemon (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_QUARANTINES: &str = "resilience.quarantines";
-/// Replays, merged from the daemon (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_REPLAYED: &str = "resilience.replayed";
-/// Multi-SD re-dispatches (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_REDISPATCHES: &str = "resilience.redispatches";
-/// Corrupt log bytes skipped, daemon-owned count (owner: `mcsd.framework`).
-pub const METRIC_RESILIENCE_CORRUPT_SKIPPED_BYTES: &str = "resilience.corrupt_skipped_bytes";
-
-/// Requests shed (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_SHED: &str = "overload.shed";
-/// Requests expired (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_EXPIRED: &str = "overload.expired";
-/// Breaker open transitions (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_BREAKER_OPENS: &str = "overload.breaker_opens";
-/// Half-open probes admitted (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_HALF_OPEN_PROBES: &str = "overload.half_open_probes";
-/// Admission re-partitionings (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_REPARTITIONS: &str = "overload.repartitions";
-/// Spans steered to the host (owner: `mcsd.framework`).
-pub const METRIC_OVERLOAD_STEERED_SPANS: &str = "overload.steered_spans";
-
-/// Input bytes processed (owner: `phoenix`).
-pub const METRIC_PHOENIX_INPUT_BYTES: &str = "phoenix.input_bytes";
-/// Map tasks run (owner: `phoenix`).
-pub const METRIC_PHOENIX_MAP_TASKS: &str = "phoenix.map_tasks";
-/// Intermediate pairs emitted by map (owner: `phoenix`).
-pub const METRIC_PHOENIX_EMITTED_PAIRS: &str = "phoenix.emitted_pairs";
-/// Intermediate pairs after combining (owner: `phoenix`).
-pub const METRIC_PHOENIX_COMBINED_PAIRS: &str = "phoenix.combined_pairs";
-/// Distinct keys reduced (owner: `phoenix`).
-pub const METRIC_PHOENIX_DISTINCT_KEYS: &str = "phoenix.distinct_keys";
-/// Final output pairs (owner: `phoenix`).
-pub const METRIC_PHOENIX_OUTPUT_PAIRS: &str = "phoenix.output_pairs";
-/// Out-of-core fragments run (owner: `phoenix`).
-pub const METRIC_PHOENIX_FRAGMENTS: &str = "phoenix.fragments";
-/// Bytes the memory model says would swap (owner: `phoenix`).
-pub const METRIC_PHOENIX_SWAPPED_BYTES: &str = "phoenix.swapped_bytes";
-
-/// Quorum-append rounds committed (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_QUORUM_APPENDS: &str = "replication.quorum_appends";
-/// Verified per-replica acknowledgements (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_REPLICA_ACKS: &str = "replication.replica_acks";
-/// Individual replica crashes observed (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_REPLICA_CRASHES: &str = "replication.replica_crashes";
-/// Correlated whole-group crash events (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_GROUP_CRASHES: &str = "replication.group_crashes";
-/// Replica promotions after a primary failure (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_PROMOTIONS: &str = "replication.promotions";
-/// Stale-epoch appends fenced (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_FENCED_APPENDS: &str = "replication.fenced_appends";
-/// Re-protect copy steps performed (owner: `mcsd.replication`).
-pub const METRIC_REPLICATION_REPROTECT_COPIES: &str = "replication.reprotect_copies";
-/// Bytes copied onto fresh members by re-protection (owner:
-/// `mcsd.replication`).
-pub const METRIC_REPLICATION_REPROTECT_BYTES: &str = "replication.reprotect_bytes";
-
-/// Injection points the chaos sweep enumerated (owner: `mcsd.chaos`).
-pub const METRIC_CHAOS_POINTS: &str = "chaos.points";
-/// Fault-injected scenario runs the chaos sweep executed (owner:
-/// `mcsd.chaos`).
-pub const METRIC_CHAOS_CASES: &str = "chaos.cases";
-/// Invariant violations the chaos sweep detected (owner: `mcsd.chaos`).
-pub const METRIC_CHAOS_VIOLATIONS: &str = "chaos.violations";
-
-/// Jobs injected into the rack-scale DES loop (owner: `mcsd.des`).
-pub const METRIC_DES_ARRIVALS: &str = "des.arrivals";
-/// DES jobs run to completion (owner: `mcsd.des`).
-pub const METRIC_DES_COMPLETED_JOBS: &str = "des.completed_jobs";
-/// DES jobs shed on a full shard run queue (owner: `mcsd.des`).
-pub const METRIC_DES_SHED_JOBS: &str = "des.shed_jobs";
-/// Virtual microseconds shards spent executing (owner: `mcsd.des`).
-pub const METRIC_DES_BUSY_US: &str = "des.busy_us";
-/// Transfers crossing a top-of-rack uplink (owner: `mcsd.des`).
-pub const METRIC_DES_CROSS_RACK_TRANSFERS: &str = "des.cross_rack_transfers";
-/// Bytes moved across top-of-rack uplinks (owner: `mcsd.des`).
-pub const METRIC_DES_CROSS_RACK_BYTES: &str = "des.cross_rack_bytes";
-
-/// Coalesced append batches committed (owner: `smartfam.batch`).
-pub const METRIC_BATCH_BATCHES: &str = "batch.batches";
-/// Response appends coalesced into batches (owner: `smartfam.batch`).
-pub const METRIC_BATCH_COALESCED_APPENDS: &str = "batch.coalesced_appends";
-/// fsyncs actually issued by batch commits (owner: `smartfam.batch`).
-pub const METRIC_BATCH_FSYNCS: &str = "batch.fsyncs";
-/// fsyncs avoided relative to one-per-append (owner: `smartfam.batch`).
-pub const METRIC_BATCH_FSYNCS_SAVED: &str = "batch.fsyncs_saved";
-/// Sum of in-flight window depth sampled at each pipelined submit
-/// (owner: `smartfam.batch`).
-pub const METRIC_BATCH_WINDOW_OCCUPANCY: &str = "batch.window_occupancy";
-/// Pipelined-window shrink steps on overload/breaker signals (owner:
-/// `smartfam.batch`).
-pub const METRIC_BATCH_WINDOW_SHRINKS: &str = "batch.window_shrinks";
-/// Pipelined completions that arrived out of submit order (owner:
-/// `smartfam.batch`).
-pub const METRIC_BATCH_REORDERED_COMPLETIONS: &str = "batch.reordered_completions";
-
-/// Every metric key the stack may register.
-pub const ALL_METRICS: [&str; 55] = [
-    METRIC_SD_REQUESTS,
-    METRIC_SD_OK,
-    METRIC_SD_MODULE_ERRORS,
-    METRIC_SD_UNKNOWN_MODULE,
-    METRIC_SD_REPLAYED,
-    METRIC_SD_QUARANTINED,
-    METRIC_SD_QUARANTINE_REJECTED,
-    METRIC_SD_CORRUPT_SKIPPED_BYTES,
-    METRIC_SD_SHED,
-    METRIC_SD_EXPIRED,
-    METRIC_RESILIENCE_ATTEMPTS,
-    METRIC_RESILIENCE_RETRIES,
-    METRIC_RESILIENCE_FAILOVERS,
-    METRIC_RESILIENCE_QUARANTINES,
-    METRIC_RESILIENCE_REPLAYED,
-    METRIC_RESILIENCE_REDISPATCHES,
-    METRIC_RESILIENCE_CORRUPT_SKIPPED_BYTES,
-    METRIC_OVERLOAD_SHED,
-    METRIC_OVERLOAD_EXPIRED,
-    METRIC_OVERLOAD_BREAKER_OPENS,
-    METRIC_OVERLOAD_HALF_OPEN_PROBES,
-    METRIC_OVERLOAD_REPARTITIONS,
-    METRIC_OVERLOAD_STEERED_SPANS,
-    METRIC_PHOENIX_INPUT_BYTES,
-    METRIC_PHOENIX_MAP_TASKS,
-    METRIC_PHOENIX_EMITTED_PAIRS,
-    METRIC_PHOENIX_COMBINED_PAIRS,
-    METRIC_PHOENIX_DISTINCT_KEYS,
-    METRIC_PHOENIX_OUTPUT_PAIRS,
-    METRIC_PHOENIX_FRAGMENTS,
-    METRIC_PHOENIX_SWAPPED_BYTES,
-    METRIC_REPLICATION_QUORUM_APPENDS,
-    METRIC_REPLICATION_REPLICA_ACKS,
-    METRIC_REPLICATION_REPLICA_CRASHES,
-    METRIC_REPLICATION_GROUP_CRASHES,
-    METRIC_REPLICATION_PROMOTIONS,
-    METRIC_REPLICATION_FENCED_APPENDS,
-    METRIC_REPLICATION_REPROTECT_COPIES,
-    METRIC_REPLICATION_REPROTECT_BYTES,
-    METRIC_CHAOS_POINTS,
-    METRIC_CHAOS_CASES,
-    METRIC_CHAOS_VIOLATIONS,
-    METRIC_DES_ARRIVALS,
-    METRIC_DES_COMPLETED_JOBS,
-    METRIC_DES_SHED_JOBS,
-    METRIC_DES_BUSY_US,
-    METRIC_DES_CROSS_RACK_TRANSFERS,
-    METRIC_DES_CROSS_RACK_BYTES,
-    METRIC_BATCH_BATCHES,
-    METRIC_BATCH_COALESCED_APPENDS,
-    METRIC_BATCH_FSYNCS,
-    METRIC_BATCH_FSYNCS_SAVED,
-    METRIC_BATCH_WINDOW_OCCUPANCY,
-    METRIC_BATCH_WINDOW_SHRINKS,
-    METRIC_BATCH_REORDERED_COMPLETIONS,
-];
-
 /// Whether `name` is a catalogued span or event name.
 pub fn is_cataloged(name: &str) -> bool {
     ALL_SPANS.contains(&name) || ALL_EVENTS.contains(&name)
@@ -387,22 +204,15 @@ mod tests {
     use super::*;
 
     /// Spans and events share the trace-record namespace and must never
-    /// collide. Metric keys live in their own namespace (a counter may
-    /// legitimately mirror the event it counts, e.g. `sd.shed`), but must
-    /// be unique among themselves.
+    /// collide. (Counter keys live in their own namespace — a counter may
+    /// mirror the event it counts, e.g. `sd.shed`.)
     #[test]
-    fn catalog_has_no_duplicates_per_namespace() {
+    fn catalog_has_no_duplicates() {
         let mut records: Vec<&str> = ALL_SPANS.iter().chain(ALL_EVENTS.iter()).copied().collect();
         let n = records.len();
         records.sort_unstable();
         records.dedup();
         assert_eq!(records.len(), n, "span/event names must be unique");
-
-        let mut metrics: Vec<&str> = ALL_METRICS.to_vec();
-        let n = metrics.len();
-        metrics.sort_unstable();
-        metrics.dedup();
-        assert_eq!(metrics.len(), n, "metric keys must be unique");
     }
 
     #[test]

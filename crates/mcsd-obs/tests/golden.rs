@@ -3,12 +3,12 @@
 //! `TRACE_FORMAT_VERSION`.
 
 use mcsd_obs::export::{chrome, jsonl_with, JsonlOptions};
-use mcsd_obs::{ClockDomain, MetricsRegistry, Tracer};
+use mcsd_obs::{ClockDomain, MetricSample, Tracer};
 
 /// Build the fixed scenario: one framework call on a decision track, one
 /// Phoenix job with a work-proportional map phase on a work track, a
 /// volatile heartbeat that must not perturb anything, and one counter.
-fn scenario() -> (Tracer, MetricsRegistry) {
+fn scenario() -> (Tracer, [MetricSample; 1]) {
     let tracer = Tracer::enabled();
     let d = tracer.track("decision", ClockDomain::Decision);
     let w = tracer.track("work", ClockDomain::Work);
@@ -25,21 +25,22 @@ fn scenario() -> (Tracer, MetricsRegistry) {
     tracer.volatile_event(d, "sd.heartbeat", &[]); // d: still 2, volatile
     tracer.close(d, call); // d: 3
 
-    let registry = MetricsRegistry::new();
-    registry
-        .publish("sd.ok", "smartfam.daemon", 1)
-        .expect("fresh registry");
-    (tracer, registry)
+    let counter = MetricSample {
+        key: "sd.ok",
+        owner: "smartfam.daemon",
+        value: 1,
+    };
+    (tracer, [counter])
 }
 
 #[test]
 fn jsonl_bytes_are_exact() {
-    let (tracer, registry) = scenario();
+    let (tracer, counters) = scenario();
     let out = jsonl_with(
         &tracer,
         JsonlOptions {
             include_volatile: false,
-            metrics: Some(&registry),
+            metrics: &counters,
         },
     );
     let expected = concat!(
@@ -60,7 +61,7 @@ fn jsonl_bytes_are_exact() {
 
 #[test]
 fn chrome_bytes_are_exact() {
-    let (tracer, _registry) = scenario();
+    let (tracer, _counters) = scenario();
     let out = chrome(&tracer);
     let expected = concat!(
         "[\n",
@@ -80,15 +81,15 @@ fn chrome_bytes_are_exact() {
 
 #[test]
 fn replaying_the_scenario_is_byte_identical() {
-    let (t1, r1) = scenario();
-    let (t2, r2) = scenario();
+    let (t1, c1) = scenario();
+    let (t2, c2) = scenario();
     let opts1 = JsonlOptions {
         include_volatile: false,
-        metrics: Some(&r1),
+        metrics: &c1,
     };
     let opts2 = JsonlOptions {
         include_volatile: false,
-        metrics: Some(&r2),
+        metrics: &c2,
     };
     assert_eq!(jsonl_with(&t1, opts1), jsonl_with(&t2, opts2));
     assert_eq!(chrome(&t1), chrome(&t2));

@@ -81,12 +81,6 @@ impl PhoenixConfig {
         (input_bytes / target_tasks).clamp(MIN_CHUNK, Self::DEFAULT_CHUNK_BYTES)
     }
 
-    /// Builder: set the chunk size adaptively for a known input size.
-    pub fn adapt_chunks_for(mut self, input_bytes: usize) -> Self {
-        self.chunk_bytes = self.adaptive_chunk_bytes(input_bytes);
-        self
-    }
-
     /// Validate the configuration, returning a descriptive error on
     /// nonsensical settings.
     pub fn validate(&self) -> Result<(), crate::error::PhoenixError> {
@@ -163,8 +157,6 @@ mod tests {
         assert_eq!(chunk, (1 << 20) / 32);
         // Tiny input: clamped below.
         assert_eq!(c.adaptive_chunk_bytes(100), 4 * 1024);
-        // Builder form.
-        assert_eq!(c.adapt_chunks_for(1 << 20).chunk_bytes, (1 << 20) / 32);
     }
 
     #[test]

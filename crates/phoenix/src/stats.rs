@@ -5,7 +5,6 @@
 //! model says would have spilled to swap (charged later by the cluster's
 //! virtual clock).
 
-use mcsd_obs::{names, MetricsError, MetricsRegistry};
 use std::time::Duration;
 
 /// Wall-clock duration of each runtime phase.
@@ -93,29 +92,6 @@ impl JobStats {
         } else {
             self.emitted_pairs as f64 / self.combined_pairs as f64
         }
-    }
-
-    /// Publish the run's deterministic counters into a unified
-    /// [`MetricsRegistry`] under the `phoenix.*` keys, owner `phoenix`
-    /// (DESIGN.md §12). Values *accumulate* across calls, so publishing
-    /// several runs into one registry sums them; the wall-clock
-    /// [`PhaseTimings`] are deliberately not published.
-    pub fn publish(&self, registry: &MetricsRegistry) -> Result<(), MetricsError> {
-        const OWNER: &str = "phoenix";
-        for (key, value) in [
-            (names::METRIC_PHOENIX_INPUT_BYTES, self.input_bytes),
-            (names::METRIC_PHOENIX_MAP_TASKS, self.map_tasks),
-            (names::METRIC_PHOENIX_EMITTED_PAIRS, self.emitted_pairs),
-            (names::METRIC_PHOENIX_COMBINED_PAIRS, self.combined_pairs),
-            (names::METRIC_PHOENIX_DISTINCT_KEYS, self.distinct_keys),
-            (names::METRIC_PHOENIX_OUTPUT_PAIRS, self.output_pairs),
-            (names::METRIC_PHOENIX_FRAGMENTS, self.fragments),
-            (names::METRIC_PHOENIX_SWAPPED_BYTES, self.swapped_bytes),
-        ] {
-            registry.register(key, OWNER)?;
-            registry.add(key, value)?;
-        }
-        Ok(())
     }
 
     /// Input throughput in bytes per second of total elapsed time.
@@ -260,25 +236,6 @@ mod tests {
         };
         assert!((s.throughput_bytes_per_sec() - 2_000_000.0).abs() < 1.0);
         assert_eq!(JobStats::default().throughput_bytes_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn publish_registers_owner_and_accumulates() {
-        let registry = MetricsRegistry::new();
-        let s = JobStats {
-            input_bytes: 100,
-            map_tasks: 5,
-            fragments: 1,
-            ..Default::default()
-        };
-        s.publish(&registry).unwrap();
-        s.publish(&registry).unwrap();
-        assert_eq!(registry.get(names::METRIC_PHOENIX_INPUT_BYTES), Some(200));
-        assert_eq!(registry.get(names::METRIC_PHOENIX_FRAGMENTS), Some(2));
-        assert_eq!(
-            registry.owner(names::METRIC_PHOENIX_MAP_TASKS),
-            Some("phoenix")
-        );
     }
 
     #[test]

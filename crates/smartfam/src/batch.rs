@@ -18,6 +18,7 @@
 //! [`BatchStats`] is the seventh MCSD009-owned counter family; every
 //! field's mutation sites are pinned by the DESIGN.md §13 table.
 
+use mcsd_obs::CounterFamily;
 use std::time::Duration;
 
 /// Configuration for the daemon's batched multi-worker dispatch path.
@@ -99,125 +100,41 @@ pub struct BatchStats {
     pub reordered_completions: u64,
 }
 
+mcsd_obs::counter_family!(BatchStats {
+    owner: "smartfam.batch",
+    prefix: "batch",
+    counters: [
+        batches,
+        coalesced_appends as "coalesced",
+        fsyncs,
+        fsyncs_saved,
+        window_occupancy as "occupancy",
+        window_shrinks as "shrinks",
+        reordered_completions as "reordered",
+    ],
+});
+
 impl BatchStats {
     /// Merge counters from another collection period into this one.
     pub fn absorb(&mut self, other: &BatchStats) {
-        self.batches += other.batches;
-        self.coalesced_appends += other.coalesced_appends;
-        self.fsyncs += other.fsyncs;
-        self.fsyncs_saved += other.fsyncs_saved;
-        self.window_occupancy += other.window_occupancy;
-        self.window_shrinks += other.window_shrinks;
-        self.reordered_completions += other.reordered_completions;
+        CounterFamily::absorb(self, other);
     }
 
     /// Whether no batched or pipelined traffic was recorded at all.
     pub fn is_clean(&self) -> bool {
         *self == BatchStats::default()
     }
-
-    /// Publish this snapshot into a unified registry under the `batch.*`
-    /// keys, owner `smartfam.batch` (DESIGN.md §12). Set-semantics: the
-    /// snapshot is already cumulative, so re-publishing overwrites.
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "smartfam.batch";
-        for (key, value) in [
-            (names::METRIC_BATCH_BATCHES, self.batches),
-            (
-                names::METRIC_BATCH_COALESCED_APPENDS,
-                self.coalesced_appends,
-            ),
-            (names::METRIC_BATCH_FSYNCS, self.fsyncs),
-            (names::METRIC_BATCH_FSYNCS_SAVED, self.fsyncs_saved),
-            (names::METRIC_BATCH_WINDOW_OCCUPANCY, self.window_occupancy),
-            (names::METRIC_BATCH_WINDOW_SHRINKS, self.window_shrinks),
-            (
-                names::METRIC_BATCH_REORDERED_COMPLETIONS,
-                self.reordered_completions,
-            ),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Display for BatchStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batches={} coalesced={} fsyncs={} fsyncs_saved={} occupancy={} shrinks={} reordered={}",
-            self.batches,
-            self.coalesced_appends,
-            self.fsyncs,
-            self.fsyncs_saved,
-            self.window_occupancy,
-            self.window_shrinks,
-            self.reordered_completions
-        )
+        self.report(f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_accumulates_every_field() {
-        let mut total = BatchStats::default();
-        let delta = BatchStats {
-            batches: 2,
-            coalesced_appends: 9,
-            fsyncs: 2,
-            fsyncs_saved: 7,
-            window_occupancy: 30,
-            window_shrinks: 1,
-            reordered_completions: 3,
-        };
-        total.absorb(&delta);
-        total.absorb(&delta);
-        assert_eq!(total.batches, 4);
-        assert_eq!(total.coalesced_appends, 18);
-        assert_eq!(total.fsyncs, 4);
-        assert_eq!(total.fsyncs_saved, 14);
-        assert_eq!(total.window_occupancy, 60);
-        assert_eq!(total.window_shrinks, 2);
-        assert_eq!(total.reordered_completions, 6);
-        assert!(!total.is_clean());
-        assert!(BatchStats::default().is_clean());
-    }
-
-    #[test]
-    fn publish_registers_every_key_once() {
-        let registry = mcsd_obs::MetricsRegistry::new();
-        let stats = BatchStats {
-            batches: 1,
-            coalesced_appends: 4,
-            fsyncs: 1,
-            fsyncs_saved: 3,
-            ..BatchStats::default()
-        };
-        stats.publish(&registry).unwrap();
-        // Re-publishing overwrites (set-semantics), never double-counts.
-        stats.publish(&registry).unwrap();
-        assert_eq!(registry.get(mcsd_obs::names::METRIC_BATCH_BATCHES), Some(1));
-        assert_eq!(
-            registry.get(mcsd_obs::names::METRIC_BATCH_COALESCED_APPENDS),
-            Some(4)
-        );
-        assert_eq!(
-            registry.get(mcsd_obs::names::METRIC_BATCH_FSYNCS_SAVED),
-            Some(3)
-        );
-        assert_eq!(
-            registry.owner(mcsd_obs::names::METRIC_BATCH_FSYNCS),
-            Some("smartfam.batch")
-        );
-    }
 
     #[test]
     fn window_config_floors_depth_at_one() {

@@ -35,7 +35,7 @@ use mcsd_obs::names::{
     EVENT_SD_QUARANTINE_REJECTED, EVENT_SD_QUEUE, EVENT_SD_REPLAY, EVENT_SD_REPLICA_MERGE,
     EVENT_SD_REQUEST, EVENT_SD_SHED, EVENT_SD_UNKNOWN_MODULE, SPAN_SD_BATCH,
 };
-use mcsd_obs::{ClockDomain, Tracer, TrackId};
+use mcsd_obs::{ClockDomain, CounterFamily, Tracer, TrackId};
 use mcsd_phoenix::{wall_clock_ms, Stopwatch};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -181,54 +181,29 @@ pub struct DaemonStats {
     pub expired: u64,
 }
 
+mcsd_obs::counter_family!(DaemonStats {
+    owner: "smartfam.daemon",
+    prefix: "sd",
+    counters: [
+        requests,
+        ok,
+        module_errors,
+        unknown_module,
+        replayed,
+        quarantined,
+        quarantine_rejected,
+        corrupt_skipped_bytes,
+        shed,
+        expired,
+    ],
+});
+
 impl DaemonStats {
     /// Merge another daemon's counters into this one — for reporting
     /// paths that aggregate several daemon incarnations (or several
     /// scenario phases) into one set of totals.
     pub fn absorb(&mut self, other: &DaemonStats) {
-        self.requests += other.requests;
-        self.ok += other.ok;
-        self.module_errors += other.module_errors;
-        self.unknown_module += other.unknown_module;
-        self.replayed += other.replayed;
-        self.quarantined += other.quarantined;
-        self.quarantine_rejected += other.quarantine_rejected;
-        self.corrupt_skipped_bytes += other.corrupt_skipped_bytes;
-        self.shed += other.shed;
-        self.expired += other.expired;
-    }
-
-    /// Publish this snapshot into a unified registry under the `sd.*`
-    /// keys, owner `smartfam.daemon` (DESIGN.md §12). Set-semantics: the
-    /// snapshot is already cumulative, so re-publishing overwrites rather
-    /// than accumulates.
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "smartfam.daemon";
-        for (key, value) in [
-            (names::METRIC_SD_REQUESTS, self.requests),
-            (names::METRIC_SD_OK, self.ok),
-            (names::METRIC_SD_MODULE_ERRORS, self.module_errors),
-            (names::METRIC_SD_UNKNOWN_MODULE, self.unknown_module),
-            (names::METRIC_SD_REPLAYED, self.replayed),
-            (names::METRIC_SD_QUARANTINED, self.quarantined),
-            (
-                names::METRIC_SD_QUARANTINE_REJECTED,
-                self.quarantine_rejected,
-            ),
-            (
-                names::METRIC_SD_CORRUPT_SKIPPED_BYTES,
-                self.corrupt_skipped_bytes,
-            ),
-            (names::METRIC_SD_SHED, self.shed),
-            (names::METRIC_SD_EXPIRED, self.expired),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
+        CounterFamily::absorb(self, other);
     }
 }
 

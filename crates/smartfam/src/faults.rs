@@ -18,6 +18,7 @@
 //! poll) so the host's and daemon's activity never race for the same
 //! counter — that separation is what makes replays byte-exact.
 
+use mcsd_obs::CounterFamily;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -532,60 +533,34 @@ pub struct OverloadStats {
     pub steered_spans: u64,
 }
 
+mcsd_obs::counter_family!(OverloadStats {
+    owner: "mcsd.framework",
+    prefix: "overload",
+    counters: [
+        shed,
+        expired,
+        breaker_opens,
+        half_open_probes,
+        repartitions,
+        steered_spans as "steered",
+    ],
+});
+
 impl OverloadStats {
     /// Merge another layer's counters into this one.
     pub fn absorb(&mut self, other: &OverloadStats) {
-        self.shed += other.shed;
-        self.expired += other.expired;
-        self.breaker_opens += other.breaker_opens;
-        self.half_open_probes += other.half_open_probes;
-        self.repartitions += other.repartitions;
-        self.steered_spans += other.steered_spans;
+        CounterFamily::absorb(self, other);
     }
 
     /// Whether overload protection never had to act.
     pub fn is_clean(&self) -> bool {
         *self == OverloadStats::default()
     }
-
-    /// Publish this snapshot into a unified registry under the
-    /// `overload.*` keys, owner `mcsd.framework` (DESIGN.md §12).
-    /// Set-semantics: the snapshot is already cumulative.
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "mcsd.framework";
-        for (key, value) in [
-            (names::METRIC_OVERLOAD_SHED, self.shed),
-            (names::METRIC_OVERLOAD_EXPIRED, self.expired),
-            (names::METRIC_OVERLOAD_BREAKER_OPENS, self.breaker_opens),
-            (
-                names::METRIC_OVERLOAD_HALF_OPEN_PROBES,
-                self.half_open_probes,
-            ),
-            (names::METRIC_OVERLOAD_REPARTITIONS, self.repartitions),
-            (names::METRIC_OVERLOAD_STEERED_SPANS, self.steered_spans),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for OverloadStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shed={} expired={} breaker_opens={} half_open_probes={} repartitions={} steered={}",
-            self.shed,
-            self.expired,
-            self.breaker_opens,
-            self.half_open_probes,
-            self.repartitions,
-            self.steered_spans
-        )
+        self.report(f)
     }
 }
 
@@ -611,83 +586,44 @@ pub struct ResilienceStats {
     pub overload: OverloadStats,
 }
 
+mcsd_obs::counter_family!(ResilienceStats {
+    owner: "mcsd.framework",
+    prefix: "resilience",
+    counters: [
+        attempts,
+        retries,
+        failovers,
+        quarantines,
+        replayed,
+        redispatches,
+        corrupt_skipped_bytes as "corrupt_skipped" unit "B",
+    ],
+    nested: [overload: OverloadStats],
+});
+
 impl ResilienceStats {
     /// Merge another layer's counters into this one.
     pub fn absorb(&mut self, other: &ResilienceStats) {
-        self.attempts += other.attempts;
-        self.retries += other.retries;
-        self.failovers += other.failovers;
-        self.quarantines += other.quarantines;
-        self.replayed += other.replayed;
-        self.redispatches += other.redispatches;
-        self.corrupt_skipped_bytes += other.corrupt_skipped_bytes;
-        self.overload.absorb(&other.overload);
+        CounterFamily::absorb(self, other);
     }
 
     /// Whether the run was undisturbed. `attempts` is ignored: a clean
     /// run still makes first attempts; what matters is that nothing had
     /// to be retried, failed over, quarantined, replayed, or skipped.
     pub fn is_clean(&self) -> bool {
-        let ResilienceStats {
-            attempts: _,
-            retries,
-            failovers,
-            quarantines,
-            replayed,
-            redispatches,
-            corrupt_skipped_bytes,
-            overload,
-        } = *self;
-        retries == 0
-            && failovers == 0
-            && quarantines == 0
-            && replayed == 0
-            && redispatches == 0
-            && corrupt_skipped_bytes == 0
-            && overload.is_clean()
-    }
-
-    /// Publish this snapshot (including its [`OverloadStats`]) into a
-    /// unified registry under the `resilience.*` and `overload.*` keys,
-    /// owner `mcsd.framework` (DESIGN.md §12). Set-semantics: the
-    /// snapshot is already cumulative.
-    pub fn publish(
-        &self,
-        registry: &mcsd_obs::MetricsRegistry,
-    ) -> Result<(), mcsd_obs::MetricsError> {
-        use mcsd_obs::names;
-        const OWNER: &str = "mcsd.framework";
-        for (key, value) in [
-            (names::METRIC_RESILIENCE_ATTEMPTS, self.attempts),
-            (names::METRIC_RESILIENCE_RETRIES, self.retries),
-            (names::METRIC_RESILIENCE_FAILOVERS, self.failovers),
-            (names::METRIC_RESILIENCE_QUARANTINES, self.quarantines),
-            (names::METRIC_RESILIENCE_REPLAYED, self.replayed),
-            (names::METRIC_RESILIENCE_REDISPATCHES, self.redispatches),
-            (
-                names::METRIC_RESILIENCE_CORRUPT_SKIPPED_BYTES,
-                self.corrupt_skipped_bytes,
-            ),
-        ] {
-            registry.publish(key, OWNER, value)?;
-        }
-        self.overload.publish(registry)
+        *self
+            == ResilienceStats {
+                attempts: self.attempts,
+                ..ResilienceStats::default()
+            }
     }
 }
 
+/// The struct's own counters, then the overload counters only when
+/// protection actually acted.
 impl fmt::Display for ResilienceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "attempts={} retries={} failovers={} quarantines={} replayed={} redispatches={} corrupt_skipped={}B",
-            self.attempts,
-            self.retries,
-            self.failovers,
-            self.quarantines,
-            self.replayed,
-            self.redispatches,
-            self.corrupt_skipped_bytes
-        )?;
+        self.report(f)?;
         if !self.overload.is_clean() {
             write!(f, " {}", self.overload)?;
         }
@@ -901,70 +837,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_adds_fields() {
-        let mut a = ResilienceStats {
-            attempts: 1,
-            retries: 1,
-            ..Default::default()
-        };
-        let b = ResilienceStats {
-            attempts: 2,
-            failovers: 1,
-            corrupt_skipped_bytes: 10,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.attempts, 3);
-        assert_eq!(a.retries, 1);
-        assert_eq!(a.failovers, 1);
-        assert_eq!(a.corrupt_skipped_bytes, 10);
-        assert!(!a.is_clean());
-        assert!(ResilienceStats::default().is_clean());
-    }
-
-    #[test]
-    fn stats_display_is_one_line() {
-        let s = ResilienceStats {
+    fn is_clean_ignores_first_attempts_and_nothing_else() {
+        let clean = ResilienceStats {
             attempts: 3,
-            failovers: 1,
             ..Default::default()
+        };
+        assert!(clean.is_clean() && clean.overload.is_clean());
+        for counter in 1..ResilienceStats::rows().count() {
+            let mut stats = clean;
+            *stats.slots().nth(counter).expect("in table") = 1;
+            assert!(!stats.is_clean(), "counter {counter} must dirty the run");
         }
-        .to_string();
-        assert!(s.contains("attempts=3"));
-        assert!(s.contains("failovers=1"));
-        assert!(!s.contains('\n'));
-    }
-
-    #[test]
-    fn overload_stats_absorb_and_display() {
-        let mut a = OverloadStats {
-            shed: 2,
-            steered_spans: 1,
-            ..Default::default()
-        };
-        let b = OverloadStats {
+        let shed = OverloadStats {
             shed: 1,
-            expired: 3,
-            breaker_opens: 1,
             ..Default::default()
         };
-        a.absorb(&b);
-        assert_eq!(a.shed, 3);
-        assert_eq!(a.expired, 3);
-        assert_eq!(a.breaker_opens, 1);
-        assert_eq!(a.steered_spans, 1);
-        assert!(!a.is_clean());
-        assert!(OverloadStats::default().is_clean());
-
-        // Overload counters surface in the ResilienceStats line only when
-        // protection actually acted, and never break the one-line shape.
-        let mut rs = ResilienceStats::default();
-        assert!(!rs.to_string().contains("shed="));
-        rs.overload.shed = 3;
-        let line = rs.to_string();
-        assert!(line.contains("shed=3"));
-        assert!(!line.contains('\n'));
-        assert!(!rs.is_clean());
+        assert!(!shed.is_clean());
     }
 
     #[test]

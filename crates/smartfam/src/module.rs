@@ -121,11 +121,6 @@ impl ModuleRegistry {
     pub fn is_empty(&self) -> bool {
         self.modules.read().is_empty()
     }
-
-    /// Remove a module; returns whether it existed.
-    pub fn unregister(&self, name: &str) -> bool {
-        self.modules.write().remove(name).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -170,15 +165,6 @@ mod tests {
         r.register(Arc::new(FnModule::new("zeta", |_: &[String]| Ok(vec![]))));
         r.register(Arc::new(FnModule::new("alpha", |_: &[String]| Ok(vec![]))));
         assert_eq!(r.names(), vec!["alpha".to_string(), "zeta".to_string()]);
-    }
-
-    #[test]
-    fn registry_unregister() {
-        let r = ModuleRegistry::new();
-        r.register(echo_module());
-        assert!(r.unregister("echo"));
-        assert!(!r.unregister("echo"));
-        assert!(r.is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ const SINKS: [&str; 15] = [
     ".volatile_event(",
     ".emit(",
     ".emit_ref(",
-    ".publish(",
+    "jsonl_with(",
     ".push_str(",
     "writeln!(",
     "write!(",

@@ -182,7 +182,7 @@ fn mcsd009_clean_fixture_passes_at_the_owning_site() {
 fn mcsd010_flags_hash_iteration_reaching_a_sink_with_exact_span() {
     let ws = fixture_ws(PLAIN_PATH, include_str!("fixtures/mcsd010_violating.rs"));
     let diags = check_determinism(&ws, None);
-    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags.len(), 2, "{diags:?}");
     assert_eq!(diags[0].code, Code::Mcsd010);
     assert_eq!(diags[0].path, PLAIN_PATH);
     // The iteration on line 6, anchored at `counts`; the sink is the
@@ -190,6 +190,11 @@ fn mcsd010_flags_hash_iteration_reaching_a_sink_with_exact_span() {
     assert_eq!((diags[0].line, diags[0].col), (6, 19), "{}", diags[0]);
     assert!(diags[0].message.contains("`counts`"));
     assert!(diags[0].message.contains("line 7"));
+    // Counter rows collected in hash order on line 15 reach the trace
+    // export's entry point on line 16.
+    assert_eq!(diags[1].line, 15, "{}", diags[1]);
+    assert!(diags[1].message.contains("`totals`"));
+    assert!(diags[1].message.contains("`jsonl_with(` on line 16"));
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! | [`smartfam`] | `mcsd-smartfam` | The file-alteration-monitor invocation mechanism: log files + watcher + daemon (paper §IV-A, Fig. 5) |
 //! | [`framework`] | `mcsd-core` | The McSD framework: offload policy, node job driver, evaluation scenarios, live SD-node bridge |
 //! | [`apps`] | `mcsd-apps` | Word Count, String Match, Matrix Multiplication + workload generators (paper §V-A) |
-//! | [`obs`] | `mcsd-obs` | Deterministic observability: virtual-clock span tracing, the unified metrics registry, JSONL/Chrome trace exporters (DESIGN.md §12) |
+//! | [`obs`] | `mcsd-obs` | Deterministic observability: virtual-clock span tracing, the counter-family tables every stats struct is declared by, JSONL/Chrome trace exporters (DESIGN.md §12) |
 //!
 //! ## Quickstart
 //!
