@@ -190,30 +190,13 @@ impl Frame {
     /// Append the frame's wire bytes to `out` (the batch writer encodes a
     /// whole batch into one buffer this way).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(match self.body {
-            FrameBody::Request { .. } => MAGIC_REQUEST,
-            FrameBody::Response { .. } => MAGIC_RESPONSE,
-        });
-        out.put_u32_le(0); // body length, patched below
-        out.put_u64_le(self.id);
         match &self.body {
             FrameBody::Request {
                 params,
                 expires_unix_ms,
-            } => {
-                out.put_u32_le(params.len() as u32);
-                for p in params {
-                    out.put_u32_le(p.len() as u32);
-                    out.put_slice(p.as_bytes());
-                }
-                // Deadline trailer only when set: deadline-free requests
-                // encode byte-identically to the legacy format.
-                if *expires_unix_ms != 0 {
-                    out.put_u64_le(*expires_unix_ms);
-                }
-            }
-            FrameBody::Response { status, payload } => {
+            } => encode_request_into(out, self.id, params, *expires_unix_ms),
+            FrameBody::Response { status, payload } => framed(out, MAGIC_RESPONSE, |out| {
+                out.put_u64_le(self.id);
                 out.put_u8(match status {
                     Status::Ok => 0,
                     Status::Error => 1,
@@ -226,13 +209,41 @@ impl Frame {
                 if self.batch != 0 {
                     out.put_u64_le(self.batch);
                 }
-            }
+            }),
         }
-        let body_len = (out.len() - start - 5) as u32;
-        out[start + 1..start + 5].copy_from_slice(&body_len.to_le_bytes());
-        let checksum = fnv1a(&out[start + 5..]);
-        out.put_u32_le(checksum);
     }
+}
+
+/// Append one frame to `out`: magic, body length, whatever `body` writes,
+/// then the checksum of exactly those body bytes.
+fn framed(out: &mut Vec<u8>, magic: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.push(magic);
+    out.put_u32_le(0); // body length, patched below
+    body(out);
+    let body_len = (out.len() - start - 5) as u32;
+    out[start + 1..start + 5].copy_from_slice(&body_len.to_le_bytes());
+    let checksum = fnv1a(&out[start + 5..]);
+    out.put_u32_le(checksum);
+}
+
+/// Append the wire bytes of `Frame::request_with_deadline(id, params,
+/// expires_unix_ms)` to `out` without building the frame — the host's
+/// submit path encodes straight from the caller's borrowed parameters.
+pub fn encode_request_into(out: &mut Vec<u8>, id: u64, params: &[String], expires_unix_ms: u64) {
+    framed(out, MAGIC_REQUEST, |out| {
+        out.put_u64_le(id);
+        out.put_u32_le(params.len() as u32);
+        for p in params {
+            out.put_u32_le(p.len() as u32);
+            out.put_slice(p.as_bytes());
+        }
+        // Deadline trailer only when set: deadline-free requests encode
+        // byte-identically to the legacy format.
+        if expires_unix_ms != 0 {
+            out.put_u64_le(expires_unix_ms);
+        }
+    });
 }
 
 /// Parse the payload of a [`Status::Overloaded`] response back into the
@@ -585,6 +596,44 @@ mod tests {
         }
         let batched = Frame::response_ok(id, b"ok".to_vec()).in_batch(1, 0);
         assert_eq!(batched.encoded_len(), batched.encode().len());
+    }
+
+    proptest::proptest! {
+        /// The host's submit path never builds a `Frame`: what it appends
+        /// from borrowed parameters must be the frame's own encoding, which
+        /// in turn is the layout the module docs give, built here by hand.
+        #[test]
+        fn borrowed_request_encoder_equals_the_frame_encoding(
+            id in proptest::prelude::any::<u64>(),
+            params in proptest::collection::vec("[a-zA-Z0-9 /._|-]{0,24}", 0..6),
+            deadline in proptest::prelude::any::<u64>(),
+            has_deadline in proptest::prelude::any::<bool>(),
+        ) {
+            let expires = if has_deadline { deadline } else { 0 };
+            let frame = Frame::request_with_deadline(id, params.clone(), expires);
+            let mut appended = vec![0xaa, 0xbb];
+            encode_request_into(&mut appended, id, &params, expires);
+            proptest::prop_assert_eq!(&appended[2..], &frame.encode()[..]);
+            let mut body = BytesMut::new();
+            body.put_u64_le(id);
+            body.put_u32_le(params.len() as u32);
+            for p in &params {
+                body.put_u32_le(p.len() as u32);
+                body.put_slice(p.as_bytes());
+            }
+            if expires != 0 {
+                body.put_u64_le(expires);
+            }
+            let mut expect = vec![MAGIC_REQUEST];
+            expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            expect.extend_from_slice(&body);
+            expect.extend_from_slice(&fnv1a(&body).to_le_bytes());
+            proptest::prop_assert_eq!(&appended[2..], &expect[..]);
+            proptest::prop_assert_eq!(
+                decode_frame(&appended[2..]),
+                DecodeStep::Complete { frame, consumed: expect.len() }
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -268,29 +268,67 @@ struct ModuleHealth {
     quarantined: bool,
 }
 
-/// Record one invocation result; flips the module into quarantine when it
-/// crosses `threshold` consecutive failures.
-fn note_result(
-    health: &Mutex<HashMap<String, ModuleHealth>>,
-    stats: &StatsInner,
-    trace: &(Tracer, TrackId),
-    name: &str,
-    failed: bool,
-    threshold: u32,
-) {
-    let mut map = health.lock();
-    let entry = map.entry(name.to_string()).or_default();
-    if failed {
-        entry.consecutive_failures += 1;
-        if !entry.quarantined && threshold > 0 && entry.consecutive_failures >= threshold {
-            entry.quarantined = true;
-            stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            trace
-                .0
-                .event(trace.1, EVENT_SD_QUARANTINE, &[("module", name)]);
+/// What a finished invocation is booked against: one per daemon, shared
+/// by the dispatch loop and its workers.
+struct Books {
+    stats: Arc<StatsInner>,
+    health: Mutex<HashMap<String, ModuleHealth>>,
+    /// Module invocations running (or handed to a worker) right now.
+    in_flight: AtomicU64,
+    /// Tracer handle plus the `sd.daemon` track it emits on.
+    trace: (Tracer, TrackId),
+    quarantine_threshold: u32,
+}
+
+impl Books {
+    fn event(&self, event: &'static str, attrs: &[(&'static str, &str)]) {
+        self.trace.0.event(self.trace.1, event, attrs);
+    }
+
+    /// Record one invocation result; flips the module into quarantine when
+    /// it crosses the threshold of consecutive failures.
+    fn note_result(&self, name: &str, failed: bool) {
+        let mut map = self.health.lock();
+        // Only a module's first result pays for an owned key.
+        if !map.contains_key(name) {
+            map.insert(name.to_string(), ModuleHealth::default());
         }
-    } else {
-        entry.consecutive_failures = 0;
+        let Some(entry) = map.get_mut(name) else {
+            return;
+        };
+        if failed {
+            entry.consecutive_failures += 1;
+            let threshold = self.quarantine_threshold;
+            if !entry.quarantined && threshold > 0 && entry.consecutive_failures >= threshold {
+                entry.quarantined = true;
+                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                self.event(EVENT_SD_QUARANTINE, &[("module", name)]);
+            }
+        } else {
+            entry.consecutive_failures = 0;
+        }
+    }
+
+    /// Book one finished invocation — counters, module health, the
+    /// `sd.complete` event — and build its response frame. The caller
+    /// appends the frame *after* this returns, so a host can never observe
+    /// a completion whose daemon-side trace record is still pending (the
+    /// determinism argument of DESIGN.md §12).
+    fn complete(&self, name: &str, id: u64, result: Result<Vec<u8>, String>) -> Frame {
+        let failed = result.is_err();
+        let counter = if failed {
+            &self.stats.module_errors
+        } else {
+            &self.stats.ok
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.note_result(name, failed);
+        let status = if failed { "error" } else { "ok" };
+        self.event(EVENT_SD_COMPLETE, &[("module", name), ("status", status)]);
+        match result {
+            Ok(payload) => Frame::response_ok(id, payload),
+            Err(message) => Frame::response_err(id, &message),
+        }
     }
 }
 
@@ -392,40 +430,39 @@ impl Drop for DaemonHandle {
 struct LogState {
     /// The daemon's one read cursor on this log.
     log: LogFile,
-    /// The held append handles every response to this log goes through,
-    /// shared with the dispatch workers.
-    writer: Arc<LogWriter>,
+    /// Who the log belongs to and where its answers go.
+    module: Arc<ModuleLog>,
     /// Request frames already answered (or dispatched).
     handled: HashSet<u64>,
 }
 
-/// The held append handles of one module log: the log itself and, under
-/// replication, its mirror copies — attached once, when the daemon first
-/// sees the log.
-struct LogWriter {
+/// The one identity of a module log, made when the daemon first sees the
+/// log and shared by reference from then on — by its cursor state, every
+/// request read from it and the worker answering one: path, module name,
+/// and the held append handles every response goes through.
+struct ModuleLog {
+    path: PathBuf,
+    name: String,
     primary: LogFile,
     /// Replicas `1..group_size`. A mirror append is not a fault site (the
     /// seeded replica faults live in the modelled `ReplicatedLog` path).
     mirrors: Vec<LogFile>,
 }
 
-impl LogWriter {
-    /// Append `frame` to every mirror, best-effort: a failed mirror write
-    /// never fails the primary append.
-    fn mirror(&self, frame: &Frame) {
-        if self.mirrors.is_empty() {
-            return;
-        }
-        let bytes = frame.encode();
+impl ModuleLog {
+    /// Append already-encoded frames to every mirror, best-effort: a
+    /// failed mirror write never fails the primary append.
+    fn mirror(&self, bytes: &[u8]) {
         for mirror in &self.mirrors {
-            let _ = mirror.write_faulted(&bytes, None);
+            let _ = mirror.write_faulted(bytes, None);
         }
     }
 
-    /// Answer with `response`: the primary log, then its mirrors.
+    /// Answer with `response`, encoded once: the primary, then its mirrors.
     fn append(&self, response: &Frame) {
-        let _ = self.primary.append(response);
-        self.mirror(response);
+        let bytes = response.encode();
+        let _ = self.primary.append_encoded(&bytes);
+        self.mirror(&bytes);
     }
 }
 
@@ -465,64 +502,109 @@ fn run_module(module: &dyn ProcessingModule, params: &[String]) -> Result<Vec<u8
     }
 }
 
-/// Book one finished invocation — counters, module health, the
-/// `sd.complete` event — and build its response frame. The caller appends
-/// the frame *after* this returns, so a host can never observe a
-/// completion whose daemon-side trace record is still pending (the
-/// determinism argument of DESIGN.md §12).
-fn complete(
-    health: &Mutex<HashMap<String, ModuleHealth>>,
-    stats: &StatsInner,
-    trace: &(Tracer, TrackId),
-    threshold: u32,
-    name: &str,
-    id: u64,
-    result: Result<Vec<u8>, String>,
-) -> Frame {
-    let failed = result.is_err();
-    let counter = if failed {
-        &stats.module_errors
-    } else {
-        &stats.ok
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    note_result(health, stats, trace, name, failed, threshold);
-    let status = if failed { "error" } else { "ok" };
-    trace.0.event(
-        trace.1,
-        EVENT_SD_COMPLETE,
-        &[("module", name), ("status", status)],
-    );
-    match result {
-        Ok(payload) => Frame::response_ok(id, payload),
-        Err(message) => Frame::response_err(id, &message),
-    }
-}
-
 /// One admitted-but-not-yet-dispatched request. The frame itself already
 /// sits in the log file; this is just the dispatch ticket.
 struct QueuedRequest {
-    path: PathBuf,
-    name: String,
+    log: Arc<ModuleLog>,
     id: u64,
     params: Vec<String>,
     expires_unix_ms: u64,
 }
 
+/// The live path's execution slots: workers that park between requests.
+/// A request goes to a parked worker when one is free and to a new thread
+/// otherwise, so the pool grows to the peak concurrency served — at most
+/// `max_in_flight`: a worker that is not parked still holds a unit of
+/// [`Books::in_flight`], given back under the lane lock on its way to
+/// parking, and dispatch never exceeds that bound.
+struct WorkerPool {
+    books: Arc<Books>,
+    /// A worker parks holding nothing but this lock, which the wait gives
+    /// up: no other lock, no file handle mid-write.
+    lane: std::sync::Mutex<Lane>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Lane {
+    /// Handed to parked workers, not yet picked up; never longer than `parked`.
+    jobs: VecDeque<LiveJob>,
+    parked: usize,
+    closed: bool,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// One gated request on its way to a worker.
+struct LiveJob {
+    module: Arc<dyn ProcessingModule>,
+    req: QueuedRequest,
+}
+
+impl WorkerPool {
+    fn lane(&self) -> std::sync::MutexGuard<'_, Lane> {
+        self.lane.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hand `job` to a parked worker, or start one with it.
+    fn run(self: &Arc<Self>, job: LiveJob) {
+        let mut lane = self.lane();
+        if lane.jobs.len() < lane.parked {
+            lane.jobs.push_back(job);
+            self.wake.notify_one();
+        } else {
+            let pool = Arc::clone(self);
+            lane.threads
+                .push(std::thread::spawn(move || pool.work(job)));
+        }
+    }
+
+    /// Wake the parked workers and join all: running invocations answer first.
+    fn close(&self) {
+        let threads = {
+            let mut lane = self.lane();
+            lane.closed = true;
+            std::mem::take(&mut lane.threads)
+        };
+        self.wake.notify_all();
+        for worker in threads {
+            let _ = worker.join();
+        }
+    }
+
+    /// A worker's life: run the job in hand, answer it, park for the next.
+    fn work(&self, mut job: LiveJob) {
+        loop {
+            let LiveJob { module, req } = &job;
+            let result = run_module(module.as_ref(), &req.params);
+            let response = self.books.complete(&req.log.name, req.id, result);
+            req.log.append(&response);
+            let mut lane = self.lane();
+            self.books.in_flight.fetch_sub(1, Ordering::Relaxed);
+            job = loop {
+                if let Some(next) = lane.jobs.pop_front() {
+                    break next;
+                }
+                if lane.closed {
+                    return;
+                }
+                lane.parked += 1;
+                lane = self.wake.wait(lane).unwrap_or_else(|e| e.into_inner());
+                lane.parked -= 1;
+            };
+        }
+    }
+}
+
 /// Everything the dispatch side of the daemon owns: log cursors, the
-/// admission queue, and the shared handles worker threads need.
+/// admission queue, and the books and workers of the live path.
 struct DaemonCtx {
     config: DaemonConfig,
     registry: ModuleRegistry,
-    stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    health: Arc<Mutex<HashMap<String, ModuleHealth>>>,
-    in_flight: Arc<AtomicU64>,
+    books: Arc<Books>,
+    pool: Arc<WorkerPool>,
     logs: HashMap<PathBuf, LogState>,
     queue: VecDeque<QueuedRequest>,
-    /// Tracer handle plus the `sd.daemon` track it emits on.
-    trace: (Tracer, TrackId),
     /// Daemon-side batch counters (only mutated on the batched path).
     batch_stats: Arc<BatchInner>,
     /// Monotonic batch id; starts at 0 so the first formed batch is 1
@@ -544,17 +626,27 @@ fn daemon_loop(
     let mut heartbeat_seq: u64 = 0;
     let tracer = config.tracer.clone();
     let track = tracer.track(SD_TRACE_TRACK, ClockDomain::Decision);
+    let books = Arc::new(Books {
+        stats,
+        health: Mutex::new(HashMap::new()),
+        in_flight: AtomicU64::new(0),
+        trace: (tracer, track),
+        quarantine_threshold: config.quarantine_threshold,
+    });
+    let heartbeat_tmp = config.log_dir.join("daemon.heartbeat.tmp");
+    let heartbeat_file = config.log_dir.join(HEARTBEAT_FILE);
     let mut ctx = DaemonCtx {
         config,
         registry,
-        stats,
         stop,
-        workers: Arc::new(Mutex::new(Vec::new())),
-        health: Arc::new(Mutex::new(HashMap::new())),
-        in_flight: Arc::new(AtomicU64::new(0)),
+        pool: Arc::new(WorkerPool {
+            books: Arc::clone(&books),
+            lane: Default::default(),
+            wake: Condvar::new(),
+        }),
+        books,
         logs: HashMap::new(),
         queue: VecDeque::new(),
-        trace: (tracer, track),
         batch_stats,
         batch_seq: 0,
     };
@@ -568,11 +660,10 @@ fn daemon_loop(
     if let Some(rep) = ctx.config.replication {
         if let Ok(recovery) = recover_group(&ctx.config.log_dir, rep.group_size) {
             if recovery.merged_frames > 0 {
-                ctx.trace
-                    .0
-                    .event_with(ctx.trace.1, EVENT_SD_REPLICA_MERGE, |a| {
-                        a.u64("frames", recovery.merged_frames);
-                    });
+                let (tracer, track) = &ctx.books.trace;
+                tracer.event_with(*track, EVENT_SD_REPLICA_MERGE, |a| {
+                    a.u64("frames", recovery.merged_frames);
+                });
             }
         }
     }
@@ -607,15 +698,14 @@ fn daemon_loop(
             .is_none_or(|sw| sw.expired(ctx.config.heartbeat_interval))
         {
             heartbeat_seq += 1;
-            ctx.trace
-                .0
-                .volatile_event(ctx.trace.1, EVENT_SD_HEARTBEAT, &[]);
+            let (tracer, track) = &ctx.books.trace;
+            tracer.volatile_event(*track, EVENT_SD_HEARTBEAT, &[]);
             // `Stall` is the only action valid at the heartbeat site.
             if ctx.config.injector.fire(FaultSite::Heartbeat).is_none() {
                 let record = HeartbeatRecord {
                     seq: heartbeat_seq,
                     load: Some(HeartbeatLoad {
-                        in_flight: ctx.in_flight.load(Ordering::Relaxed),
+                        in_flight: ctx.books.in_flight.load(Ordering::Relaxed),
                         queued: ctx.queue.len() as u64,
                     }),
                 };
@@ -623,9 +713,8 @@ fn daemon_loop(
                 // never observe a torn record: `fs::write` truncates in
                 // place, and a reader catching the file mid-rewrite would
                 // decode garbage and wrongly declare the daemon dead.
-                let tmp = ctx.config.log_dir.join("daemon.heartbeat.tmp");
-                if std::fs::write(&tmp, record.encode()).is_ok() {
-                    let _ = std::fs::rename(&tmp, ctx.config.log_dir.join(HEARTBEAT_FILE));
+                if std::fs::write(&heartbeat_tmp, record.encode()).is_ok() {
+                    let _ = std::fs::rename(&heartbeat_tmp, &heartbeat_file);
                 }
             }
             last_heartbeat = Some(Stopwatch::start());
@@ -638,21 +727,20 @@ fn daemon_loop(
         else {
             continue;
         };
-        if event.kind == WatchEventKind::Removed || module_of(&event.path).is_none() {
-            continue;
+        if event.kind == WatchEventKind::Removed {
+            // Cursor, append handles and handled set belong to the deleted
+            // inode: a log recreated under this name is attached afresh.
+            ctx.logs.remove(&event.path);
+        } else if module_of(&event.path).is_some() {
+            ctx.process_log(&event.path, false);
+            ctx.drain_queue();
         }
-        let path = event.path;
-        ctx.process_log(&path, false);
-        ctx.drain_queue();
     }
 
     // Drain in-flight module invocations before exiting. (Queued but
     // never-dispatched requests stay unanswered in the log; the next
     // incarnation's replay scan picks them up.)
-    let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *ctx.workers.lock());
-    for h in handles {
-        let _ = h.join();
-    }
+    ctx.pool.close();
 }
 
 /// Stable seeded module→worker assignment: FNV-1a over the module name,
@@ -672,62 +760,61 @@ fn worker_for(seed: u64, name: &str, workers: usize) -> usize {
 
 impl DaemonCtx {
     fn slots_busy(&self) -> bool {
-        self.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight as u64
+        self.books.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight as u64
     }
 
-    /// The held append handles of a log a request was read from —
-    /// `process_log` attached them before admitting anything from `path`.
-    fn writer_for(&self, path: &Path) -> &Arc<LogWriter> {
-        &self.logs[path].writer
-    }
-
-    /// Answer on `path` (and its mirrors) without running anything.
-    fn respond(&self, path: &Path, response: &Frame) {
-        self.writer_for(path).append(response);
+    /// First sight of the log at `path`. `None` for an unreadable file
+    /// (permissions, vanished between the watch event and now): the next
+    /// event on the file retries.
+    fn attach(&self, path: &Path) -> Option<LogState> {
+        let attach = || {
+            LogFile::attach_at_start(path)
+                .map(|log| log.with_faults(self.config.injector.clone(), LogRole::Daemon))
+        };
+        let name = module_of(path)?.into_owned();
+        // A mirror that cannot be attached is skipped, like a mirror
+        // append that fails.
+        let mirrors = self.config.replication.map_or_else(Vec::new, |rep| {
+            let dir = path.parent().unwrap_or(Path::new("."));
+            (1..rep.group_size)
+                .filter_map(|r| LogFile::attach_at_start(log_path(dir, &name, r)).ok())
+                .collect()
+        });
+        Some(LogState {
+            log: attach().ok()?,
+            module: Arc::new(ModuleLog {
+                path: path.to_path_buf(),
+                name,
+                primary: attach().ok()?,
+                mirrors,
+            }),
+            handled: HashSet::new(),
+        })
     }
 
     /// Poll one module log and run every not-yet-handled request through
     /// admission.
     fn process_log(&mut self, path: &Path, replay: bool) {
-        self.trace
-            .0
-            .volatile_event(self.trace.1, EVENT_SD_POLL, &[]);
-        let state = match self.logs.entry(path.to_path_buf()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let attach = || {
-                    LogFile::attach_at_start(path)
-                        .map(|log| log.with_faults(self.config.injector.clone(), LogRole::Daemon))
-                };
-                // A mirror that cannot be attached is skipped, like a
-                // mirror append that fails.
-                let mirrors = self.config.replication.map_or_else(Vec::new, |rep| {
-                    let dir = path.parent().unwrap_or(Path::new("."));
-                    let module = module_of(path).unwrap_or_default();
-                    (1..rep.group_size)
-                        .filter_map(|r| LogFile::attach_at_start(log_path(dir, &module, r)).ok())
-                        .collect()
-                });
-                match (attach(), attach()) {
-                    (Ok(log), Ok(primary)) => v.insert(LogState {
-                        log,
-                        writer: Arc::new(LogWriter { primary, mirrors }),
-                        handled: HashSet::new(),
-                    }),
-                    // Unreadable log file (permissions, vanished between
-                    // the watch event and now): skip this round; the next
-                    // event on the file retries the attach.
-                    _ => return,
-                }
-            }
+        let (tracer, track) = &self.books.trace;
+        tracer.volatile_event(*track, EVENT_SD_POLL, &[]);
+        // Borrowed lookup first: an owned key is built once per log.
+        if !self.logs.contains_key(path) {
+            let Some(state) = self.attach(path) else {
+                return;
+            };
+            self.logs.insert(path.to_path_buf(), state);
+        }
+        let Some(state) = self.logs.get_mut(path) else {
+            return;
         };
         // Recovering poll: provably-corrupt bytes (a host's torn write
         // that was later retried, or silent NFS corruption) are skipped
         // and counted instead of wedging the cursor forever.
-        let frames = match state.log.poll_recovering() {
+        let mut frames = match state.log.poll_recovering() {
             Ok((frames, skipped)) => {
                 if skipped > 0 {
-                    self.stats
+                    self.books
+                        .stats
                         .corrupt_skipped_bytes
                         .fetch_add(skipped, Ordering::Relaxed);
                 }
@@ -741,10 +828,10 @@ impl DaemonCtx {
                 state.handled.insert(frame.id);
             }
         }
-        // Collect the fresh requests first so the log-state borrow ends
+        // Keep the fresh requests, in place, so the log-state borrow ends
         // before admission (which needs `&mut self`).
-        let name = module_of(path).unwrap_or_default().into_owned();
-        let mut fresh: Vec<QueuedRequest> = Vec::new();
+        frames.retain(|frame| frame.is_request() && state.handled.insert(frame.id));
+        let log = Arc::clone(&state.module);
         for frame in frames {
             let FrameBody::Request {
                 params,
@@ -753,36 +840,24 @@ impl DaemonCtx {
             else {
                 continue;
             };
-            if state.handled.contains(&frame.id) {
-                continue;
+            if self.stop.load(Ordering::Relaxed) {
+                return;
             }
-            state.handled.insert(frame.id);
-            fresh.push(QueuedRequest {
-                path: path.to_path_buf(),
-                name: name.clone(),
+            self.books.stats.requests.fetch_add(1, Ordering::Relaxed);
+            // No request-id attr: raw ids embed the pid and a
+            // process-global counter, which would break byte-identical
+            // traces (DESIGN.md §12).
+            self.books.event(EVENT_SD_REQUEST, &[("module", &log.name)]);
+            if replay {
+                self.books.stats.replayed.fetch_add(1, Ordering::Relaxed);
+                self.books.event(EVENT_SD_REPLAY, &[("module", &log.name)]);
+            }
+            self.admit(QueuedRequest {
+                log: Arc::clone(&log),
                 id: frame.id,
                 params,
                 expires_unix_ms,
             });
-        }
-        for req in fresh {
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            // No request-id attr: raw ids embed the pid and a
-            // process-global counter, which would break byte-identical
-            // traces (DESIGN.md §12).
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_REQUEST, &[("module", &req.name)]);
-            if replay {
-                self.stats.replayed.fetch_add(1, Ordering::Relaxed);
-                self.trace
-                    .0
-                    .event(self.trace.1, EVENT_SD_REPLAY, &[("module", &req.name)]);
-            }
-            self.admit(req);
         }
     }
 
@@ -798,17 +873,17 @@ impl DaemonCtx {
         if !batched && !self.slots_busy() && self.queue.is_empty() {
             self.dispatch(req);
         } else if self.queue.len() < self.config.max_queued {
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_QUEUE, &[("module", &req.name)]);
+            self.books
+                .event(EVENT_SD_QUEUE, &[("module", &req.log.name)]);
             self.queue.push_back(req);
         } else {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_SHED, &[("module", &req.name)]);
-            let response = Frame::response_overloaded(req.id, self.config.shed_retry_after);
-            self.respond(&req.path, &response);
+            self.books.stats.shed.fetch_add(1, Ordering::Relaxed);
+            self.books
+                .event(EVENT_SD_SHED, &[("module", &req.log.name)]);
+            req.log.append(&Frame::response_overloaded(
+                req.id,
+                self.config.shed_retry_after,
+            ));
         }
     }
 
@@ -837,15 +912,13 @@ impl DaemonCtx {
     /// injected dispatch faults. One decision stream, so lockstep and
     /// batched mode count, trace and refuse identically.
     fn gate(&self, req: &QueuedRequest) -> Gated {
-        let (name, id) = (req.name.as_str(), req.id);
-        let event = |event: &'static str, attrs: &[(&'static str, &str)]| {
-            self.trace.0.event(self.trace.1, event, attrs)
-        };
+        let (name, id) = (req.log.name.as_str(), req.id);
+        let books = &self.books;
         // Deadline check at dequeue: the caller has already given up, so
         // the request is dropped — counted, answered, never executed.
         if req.expires_unix_ms != 0 && wall_clock_ms() >= req.expires_unix_ms {
-            self.stats.expired.fetch_add(1, Ordering::Relaxed);
-            event(EVENT_SD_EXPIRED, &[("module", name)]);
+            books.stats.expired.fetch_add(1, Ordering::Relaxed);
+            books.event(EVENT_SD_EXPIRED, &[("module", name)]);
             return Gated::Reject(Frame::response_err(
                 id,
                 "deadline expired before dispatch; request dropped",
@@ -854,11 +927,12 @@ impl DaemonCtx {
         // Poison-module quarantine: refuse fast with a distinguishable
         // message so the host fails over instead of waiting out its
         // deadline.
-        if self.health.lock().get(name).is_some_and(|h| h.quarantined) {
-            self.stats
+        if books.health.lock().get(name).is_some_and(|h| h.quarantined) {
+            books
+                .stats
                 .quarantine_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            event(EVENT_SD_QUARANTINE_REJECTED, &[("module", name)]);
+            books.event(EVENT_SD_QUARANTINE_REJECTED, &[("module", name)]);
             return Gated::Reject(Frame::response_err(
                 id,
                 &format!(
@@ -868,14 +942,14 @@ impl DaemonCtx {
             ));
         }
         let Some(module) = self.registry.get(name) else {
-            self.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
-            event(EVENT_SD_UNKNOWN_MODULE, &[("module", name)]);
+            books.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
+            books.event(EVENT_SD_UNKNOWN_MODULE, &[("module", name)]);
             return Gated::Reject(Frame::response_err(
                 id,
                 &format!("no module registered under {name:?}"),
             ));
         };
-        event(EVENT_SD_DISPATCH, &[("module", name)]);
+        books.event(EVENT_SD_DISPATCH, &[("module", name)]);
         // Injected dispatch faults: crash (stop the daemon loop without
         // answering — in batched mode nothing of the batch commits, so
         // the whole chunk is replayed next incarnation) or a forced
@@ -896,16 +970,9 @@ impl DaemonCtx {
                 Gated::Crash
             }
             Some(FaultAction::Fail) => {
-                self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                note_result(
-                    &self.health,
-                    &self.stats,
-                    &self.trace,
-                    name,
-                    true,
-                    self.config.quarantine_threshold,
-                );
-                event(EVENT_SD_COMPLETE, &[("module", name), ("status", "error")]);
+                books.stats.module_errors.fetch_add(1, Ordering::Relaxed);
+                books.note_result(name, true);
+                books.event(EVENT_SD_COMPLETE, &[("module", name), ("status", "error")]);
                 Gated::Reject(Frame::response_err(id, "injected module failure"))
             }
             _ => Gated::Run(module),
@@ -913,38 +980,17 @@ impl DaemonCtx {
     }
 
     /// Run one admitted request: the [`DaemonCtx::gate`] checks, then the
-    /// module itself, on its own worker thread so concurrent requests to
+    /// module itself, on a pool worker so concurrent requests to
     /// different modules overlap.
     fn dispatch(&mut self, req: QueuedRequest) {
-        let module = match self.gate(&req) {
-            Gated::Run(module) => module,
-            Gated::Crash => return,
-            Gated::Reject(response) => return self.respond(&req.path, &response),
-        };
-        let QueuedRequest {
-            path,
-            name,
-            id,
-            params,
-            ..
-        } = req;
-        let writer = Arc::clone(self.writer_for(&path));
-        let stats = Arc::clone(&self.stats);
-        let health = Arc::clone(&self.health);
-        let in_flight = Arc::clone(&self.in_flight);
-        let threshold = self.config.quarantine_threshold;
-        let trace = self.trace.clone();
-        in_flight.fetch_add(1, Ordering::Relaxed);
-        let run = move || {
-            let result = run_module(module.as_ref(), &params);
-            let response = complete(&health, &stats, &trace, threshold, &name, id, result);
-            writer.append(&response);
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-        };
-        let mut w = self.workers.lock();
-        // Reap finished workers opportunistically.
-        w.retain(|h| !h.is_finished());
-        w.push(std::thread::spawn(run));
+        match self.gate(&req) {
+            Gated::Run(module) => {
+                self.books.in_flight.fetch_add(1, Ordering::Relaxed);
+                self.pool.run(LiveJob { module, req });
+            }
+            Gated::Crash => {}
+            Gated::Reject(response) => req.log.append(&response),
+        }
     }
 
     /// Run one formed batch (DESIGN.md §18): admission-class checks per
@@ -970,11 +1016,10 @@ impl DaemonCtx {
         let size = chunk.len();
         // Span width = requests in the batch: the batch is one decision-
         // clock unit whose extent measures coalescing, not wall time.
-        self.trace
-            .0
-            .leaf_with(self.trace.1, SPAN_SD_BATCH, size as u64, |a| {
-                a.u64("size", size as u64);
-            });
+        let (tracer, track) = &self.books.trace;
+        tracer.leaf_with(*track, SPAN_SD_BATCH, size as u64, |a| {
+            a.u64("size", size as u64);
+        });
         // Phase 1 (serial, batch order): the same per-request gate the
         // lockstep path applies.
         let mut planned: Vec<Planned> = Vec::with_capacity(size);
@@ -994,14 +1039,14 @@ impl DaemonCtx {
         for (i, p) in planned.iter_mut().enumerate() {
             if let Some(module) = p.run.take() {
                 let params = std::mem::take(&mut p.req.params);
-                buckets[worker_for(cfg.seed, &p.req.name, workers)].push((i, module, params));
+                buckets[worker_for(cfg.seed, &p.req.log.name, workers)].push((i, module, params));
             }
         }
         let running: u64 = buckets.iter().map(|b| b.len() as u64).sum();
         let mut results: Vec<Option<Result<Vec<u8>, String>>> =
             planned.iter().map(|_| None).collect();
         if running > 0 {
-            self.in_flight.fetch_add(running, Ordering::Relaxed);
+            self.books.in_flight.fetch_add(running, Ordering::Relaxed);
             std::thread::scope(|s| {
                 let handles: Vec<_> = buckets
                     .into_iter()
@@ -1024,7 +1069,7 @@ impl DaemonCtx {
                     }
                 }
             });
-            self.in_flight.fetch_sub(running, Ordering::Relaxed);
+            self.books.in_flight.fetch_sub(running, Ordering::Relaxed);
         }
         // Phase 3 (serial, batch order): health + counters + completion
         // events — still before any response append (DESIGN.md §12) —
@@ -1033,37 +1078,31 @@ impl DaemonCtx {
             let Some(res) = results[i].take() else {
                 continue;
             };
-            p.frame = Some(complete(
-                &self.health,
-                &self.stats,
-                &self.trace,
-                self.config.quarantine_threshold,
-                &p.req.name,
-                p.req.id,
-                res,
-            ));
+            p.frame = Some(self.books.complete(&p.req.log.name, p.req.id, res));
         }
         // Group responses by log in canonical (sorted-path) order; every
         // frame carries the batch-framing word naming its batch slot.
-        let mut by_log: BTreeMap<PathBuf, Vec<Frame>> = BTreeMap::new();
-        for (i, p) in planned.into_iter().enumerate() {
-            if let Some(frame) = p.frame {
+        let mut by_log: BTreeMap<&Path, (&ModuleLog, Vec<Frame>)> = BTreeMap::new();
+        for (i, p) in planned.iter_mut().enumerate() {
+            if let Some(frame) = p.frame.take() {
+                let log: &ModuleLog = &p.req.log;
                 by_log
-                    .entry(p.req.path)
-                    .or_default()
+                    .entry(&log.path)
+                    .or_insert_with(|| (log, Vec::new()))
+                    .1
                     .push(frame.in_batch(batch_id, i as u64));
             }
         }
-        for (path, frames) in by_log {
-            self.commit_log_batch(&path, &frames);
+        for (log, frames) in by_log.into_values() {
+            self.commit_log_batch(log, &frames);
         }
     }
 
     /// Append one log's share of a batch with a single fsync, retrying
     /// only a torn suffix — the durable prefix's batch boundary is
     /// already on disk and must replay exactly.
-    fn commit_log_batch(&self, path: &Path, frames: &[Frame]) {
-        let writer = self.writer_for(path);
+    fn commit_log_batch(&self, log: &ModuleLog, frames: &[Frame]) {
+        let (tracer, track) = &self.books.trace;
         let mut rest = frames;
         // Safety valve: a fault plan tearing every retry occurrence could
         // otherwise spin forever. Leftovers stay unanswered in the log
@@ -1071,7 +1110,7 @@ impl DaemonCtx {
         let mut attempts = 0;
         while !rest.is_empty() && attempts < 8 {
             attempts += 1;
-            let Ok(outcome) = writer.primary.append_batch(rest) else {
+            let Ok(outcome) = log.primary.append_batch(rest) else {
                 break;
             };
             let durable = outcome.frames_durable as u64;
@@ -1083,28 +1122,26 @@ impl DaemonCtx {
                 .fetch_add(durable, Ordering::Relaxed);
             batch.fsyncs.fetch_add(outcome.fsyncs, Ordering::Relaxed);
             batch.fsyncs_saved.fetch_add(saved, Ordering::Relaxed);
-            self.trace
-                .0
-                .event_with(self.trace.1, EVENT_SD_BATCH_COMMIT, |a| {
-                    a.u64("size", durable);
-                    a.u64("fsyncs_saved", saved);
-                });
+            tracer.event_with(*track, EVENT_SD_BATCH_COMMIT, |a| {
+                a.u64("size", durable);
+                a.u64("fsyncs_saved", saved);
+            });
             if !outcome.torn {
                 break;
             }
             let retried = rest.len() - outcome.frames_durable;
-            self.trace
-                .0
-                .event_with(self.trace.1, EVENT_SD_BATCH_RETRY, |a| {
-                    a.u64("retried", retried as u64);
-                });
+            tracer.event_with(*track, EVENT_SD_BATCH_RETRY, |a| {
+                a.u64("retried", retried as u64);
+            });
             rest = &rest[outcome.frames_durable..];
         }
         // Mirrors get every frame (including any whose primary append
         // tore): the mirror is exactly the recovery copy promote-time
         // merge reads from.
-        for frame in frames {
-            writer.mirror(frame);
+        if !log.mirrors.is_empty() {
+            for frame in frames {
+                log.mirror(&frame.encode());
+            }
         }
     }
 }
@@ -1760,6 +1797,132 @@ mod tests {
         assert_eq!(batch.batches, 2, "{batch}");
         assert_eq!(batch.coalesced_appends, 4, "{batch}");
         assert_eq!(batch.fsyncs, 2, "{batch}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removed_and_recreated_log_is_served_again() {
+        let dir = temp_dir();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+            .spawn()
+            .unwrap();
+        let first = HostClient::new(&dir);
+        first.invoke("upper", &["one".into()], TIMEOUT).unwrap();
+        std::fs::remove_file(first.log_path("upper")).unwrap();
+        // A call on another log is answered only after a sweep that began
+        // after the removal, and that sweep reports the removal too — so
+        // the recreation below is never folded into one sweep with it.
+        first.invoke("fail", &[], TIMEOUT).unwrap_err();
+        // A fresh client: the first one's stream holds the deleted inode.
+        let out = HostClient::new(&dir)
+            .invoke("upper", &["two".into()], TIMEOUT)
+            .unwrap();
+        assert_eq!(out.payload, b"TWO");
+        daemon.stop();
+        assert_eq!(daemon.stats().requests, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A registry whose `tid` module answers with nothing and records the
+    /// thread each invocation ran on.
+    fn thread_recording_registry() -> (ModuleRegistry, Arc<Mutex<Vec<std::thread::ThreadId>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let r = registry();
+        let record = Arc::clone(&seen);
+        r.register(Arc::new(FnModule::new("tid", move |_: &[String]| {
+            record.lock().push(std::thread::current().id());
+            Ok(Vec::new())
+        })));
+        (r, seen)
+    }
+
+    #[test]
+    fn sequential_calls_run_on_a_parked_worker_not_a_thread_each() {
+        let dir = temp_dir();
+        let (r, seen) = thread_recording_registry();
+        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let client = HostClient::new(&dir);
+        for _ in 0..200 {
+            client.invoke("tid", &[], TIMEOUT).unwrap();
+        }
+        let threads: HashSet<_> = seen.lock().iter().copied().collect();
+        // One worker serves them all; a second exists only if a request
+        // was dispatched in the instant between its predecessor's answer
+        // and that worker parking.
+        assert!(threads.len() <= 2, "{} worker threads", threads.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_calls_overlap_on_separate_workers() {
+        let dir = temp_dir();
+        let r = ModuleRegistry::new();
+        // Returns only once four invocations are inside it at once.
+        let together = Arc::new(std::sync::Barrier::new(4));
+        r.register(Arc::new(FnModule::new("meet", move |_: &[String]| {
+            together.wait();
+            Ok(b"met".to_vec())
+        })));
+        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let client = HostClient::new(&dir);
+        // Twice: the second round meets on the first round's parked workers.
+        for _ in 0..2 {
+            let pendings: Vec<_> = (0..4)
+                .map(|_| client.submit("meet", &[]).unwrap())
+                .collect();
+            for pending in pendings {
+                assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"met");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_module_leaves_its_worker_serving() {
+        let dir = temp_dir();
+        let (r, seen) = thread_recording_registry();
+        let panicked_on = Arc::new(Mutex::new(None));
+        let record = Arc::clone(&panicked_on);
+        r.register(Arc::new(FnModule::new("boom", move |_: &[String]| {
+            *record.lock() = Some(std::thread::current().id());
+            panic!("module bug");
+        })));
+        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let client = HostClient::new(&dir);
+        let err = client.invoke("boom", &[], TIMEOUT).unwrap_err();
+        assert!(err.to_string().contains("module panicked"), "{err}");
+        for _ in 0..4 {
+            client.invoke("tid", &[], TIMEOUT).unwrap();
+        }
+        let worker = panicked_on.lock().expect("boom ran");
+        assert!(
+            seen.lock().contains(&worker),
+            "the worker died with its module"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stop_wakes_parked_workers() {
+        let dir = temp_dir();
+        let mut cfg = DaemonConfig::new(&dir);
+        cfg.heartbeat_interval = Duration::from_secs(2);
+        let mut daemon = Daemon::new(cfg.clone(), registry()).spawn().unwrap();
+        let client = HostClient::new(&dir);
+        // Two requests in one sweep leave two workers parked.
+        let both = [(); 2].map(|_| client.submit("upper", &["x".into()]).unwrap());
+        for pending in both {
+            pending.wait(TIMEOUT).unwrap();
+        }
+        let stopping = Stopwatch::start();
+        daemon.stop();
+        // A worker left parked would hang the join forever; the bound only
+        // says nothing waits out a timer on the way.
+        assert!(
+            !stopping.expired(cfg.heartbeat_interval),
+            "stop took {:?}",
+            stopping.elapsed()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -192,9 +192,15 @@ impl LogFile {
     /// or corrupted (one mid-body byte flipped; the append "succeeds" the
     /// way a silent NFS corruption would).
     pub fn append(&self, frame: &Frame) -> Result<u64, SmartFamError> {
-        let bytes = frame.encode();
+        self.append_encoded(&frame.encode())
+    }
+
+    /// [`LogFile::append`] for exactly one frame its caller has already
+    /// encoded — the host's submit from borrowed parameters, the daemon
+    /// once for a primary and its mirrors. One append-site occurrence.
+    pub(crate) fn append_encoded(&self, bytes: &[u8]) -> Result<u64, SmartFamError> {
         let fault = self.injector.fire(self.role.append_site());
-        let written = self.write_faulted(&bytes, fault)?;
+        let written = self.write_faulted(bytes, fault)?;
         if written < bytes.len() {
             return Err(SmartFamError::FaultInjected {
                 detail: format!("torn append: wrote {written} of {} bytes", bytes.len()),
@@ -203,12 +209,13 @@ impl LogFile {
         Ok(written as u64)
     }
 
-    /// [`LogFile::append`], then restart the read cursor at the end offset
-    /// of that append — a frame boundary that precedes every reply to the
-    /// frame (see the module docs). Everything before it is skipped
+    /// Append one already-encoded frame like [`LogFile::append`], then
+    /// restart the read cursor at the end offset of that append — a frame
+    /// boundary that precedes every reply to the frame (see the module
+    /// docs). Everything before it is skipped
     /// unread, so call this only when nothing earlier is still awaited.
-    pub fn append_and_rebase(&mut self, frame: &Frame) -> Result<u64, SmartFamError> {
-        let written = self.append(frame)?;
+    pub fn append_and_rebase(&mut self, bytes: &[u8]) -> Result<u64, SmartFamError> {
+        let written = self.append_encoded(bytes)?;
         // An `O_APPEND` write leaves the descriptor at the end of the
         // bytes it wrote, wherever other writers have got to since.
         self.cursor = self.file.stream_position()?;
@@ -518,7 +525,7 @@ mod tests {
         // own append; the rebased cursor is past both.
         other.append(&Frame::request(2, vec![])).unwrap();
         let own = Frame::request(3, vec!["mine".into()]);
-        let n = log.append_and_rebase(&own).unwrap();
+        let n = log.append_and_rebase(&own.encode()).unwrap();
         assert_eq!(n, own.encoded_len() as u64);
         assert_eq!(log.cursor(), log.len().unwrap());
         other.append(&Frame::response_ok(3, vec![1u8])).unwrap();

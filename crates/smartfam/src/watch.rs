@@ -8,9 +8,10 @@
 //! file in McSD is changed by the host, inotify informs the Daemon program"
 //! — are preserved; only the detection latency differs, bounded by the poll
 //! interval.
+//! A sweep is one `stat` per known file plus one for the directory, which
+//! is listed only when its own signature moved (DESIGN.md §3).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -109,12 +110,112 @@ struct FileSig {
     mtime: Option<SystemTime>,
 }
 
-fn signature(path: &Path) -> Option<FileSig> {
+/// One `stat`: the signature of the regular file at `path` (of the
+/// directory there when `dir` is set), `None` for anything else.
+fn signature(path: &Path, dir: bool) -> Option<FileSig> {
     let meta = std::fs::metadata(path).ok()?;
-    Some(FileSig {
+    let wanted = if dir { meta.is_dir() } else { meta.is_file() };
+    wanted.then(|| FileSig {
         len: meta.len(),
         mtime: meta.modified().ok(),
     })
+}
+
+/// One row of the watcher's table.
+struct Tracked {
+    path: PathBuf,
+    /// `None` once a sweep finds the file gone, until the row is dropped.
+    sig: Option<FileSig>,
+    /// Listed but not yet reported: the next sweep says `Created`.
+    fresh: bool,
+}
+
+/// Every regular file directly inside `dir`, sorted by path — the order
+/// events are emitted in.
+struct Table {
+    dir: PathBuf,
+    /// The directory's signature sampled *before* the latest listing, so
+    /// an entry that appeared while the listing ran moves it.
+    dir_sig: Option<FileSig>,
+    files: Vec<Tracked>,
+    sweeps: u32,
+}
+
+/// A quiet directory is still listed every this many sweeps: an entry
+/// created within the timestamp tick of the previous listing leaves the
+/// directory's signature where that listing sampled it. Late, never lost.
+const RELIST_EVERY: u32 = 64;
+
+impl Table {
+    /// The files in `dir` now: later changes are events, this state is not.
+    fn census(dir: PathBuf) -> Table {
+        let mut table = Table {
+            dir_sig: signature(&dir, true),
+            dir,
+            files: Vec::new(),
+            sweeps: 0,
+        };
+        table.list(false);
+        table
+    }
+
+    /// Add every regular file in `dir` that is not yet in the table.
+    fn list(&mut self, fresh: bool) {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            // The entry's own type, not a second `stat`; a symlink is
+            // resolved by the `stat` that takes its signature.
+            if entry.file_type().is_ok_and(|t| t.is_dir()) {
+                continue;
+            }
+            let name = entry.file_name();
+            let by_name = |t: &Tracked| t.path.file_name().cmp(&Some(name.as_os_str()));
+            let Err(at) = self.files.binary_search_by(by_name) else {
+                continue;
+            };
+            let path = entry.path();
+            let sig = signature(&path, false);
+            if sig.is_some() {
+                self.files.insert(at, Tracked { path, sig, fresh });
+            }
+        }
+    }
+
+    /// One poll of the directory: `emit` gets `Created`/`Modified` in path
+    /// order, then `Removed` in path order. Returns whether anything
+    /// changed.
+    fn sweep(&mut self, mut emit: impl FnMut(&Path, WatchEventKind)) -> bool {
+        self.sweeps = self.sweeps.wrapping_add(1);
+        let dir_sig = signature(&self.dir, true);
+        if dir_sig != self.dir_sig || self.sweeps.is_multiple_of(RELIST_EVERY) {
+            self.dir_sig = dir_sig;
+            self.list(true);
+        }
+        let mut changed = false;
+        for t in &mut self.files {
+            if std::mem::take(&mut t.fresh) {
+                emit(&t.path, WatchEventKind::Created);
+                changed = true;
+                continue;
+            }
+            let now = signature(&t.path, false);
+            if now.is_some() && now != t.sig {
+                emit(&t.path, WatchEventKind::Modified);
+                changed = true;
+            }
+            t.sig = now;
+        }
+        self.files.retain(|t| {
+            if t.sig.is_none() {
+                emit(&t.path, WatchEventKind::Removed);
+                changed = true;
+            }
+            t.sig.is_some()
+        });
+        changed
+    }
 }
 
 /// A polling file watcher over a directory.
@@ -139,20 +240,14 @@ impl FileWatcher {
     /// `Created` event. (The SD daemon relies on this to avoid losing
     /// requests written exactly at startup.)
     pub fn spawn(dir: impl Into<PathBuf>, config: WatchConfig) -> FileWatcher {
-        let dir = dir.into();
         let (tx, rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         // Synchronous census: files existing now do not generate Created
         // events (inotify semantics).
-        let mut known: HashMap<PathBuf, FileSig> = HashMap::new();
-        for path in list_files(&dir) {
-            if let Some(sig) = signature(&path) {
-                known.insert(path, sig);
-            }
-        }
+        let table = Table::census(dir.into());
         let handle = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || poll_loop(dir, config, tx, stop, known))
+            std::thread::spawn(move || poll_loop(table, config, tx, stop))
         };
         FileWatcher {
             events: rx,
@@ -181,13 +276,7 @@ impl Drop for FileWatcher {
     }
 }
 
-fn poll_loop(
-    dir: PathBuf,
-    config: WatchConfig,
-    tx: Sender<WatchEvent>,
-    stop: Arc<AtomicBool>,
-    mut known: HashMap<PathBuf, FileSig>,
-) {
+fn poll_loop(mut table: Table, config: WatchConfig, tx: Sender<WatchEvent>, stop: Arc<AtomicBool>) {
     // Quiet directories back off toward the configured interval (which
     // stays the worst-case detection latency); a directory that just
     // changed is re-polled at the ~1 ms floor, so bursts of log-file
@@ -195,72 +284,20 @@ fn poll_loop(
     let mut pace = PollBackoff::new(config.poll_interval);
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
-        let current = list_files(&dir);
-        let mut seen: HashMap<PathBuf, FileSig> = HashMap::new();
-        for path in current {
-            if let Some(sig) = signature(&path) {
-                seen.insert(path, sig);
-            }
-        }
-        let mut changed = false;
-        // Emit events in path order so consumers observe a deterministic
-        // sequence regardless of hash-map iteration order.
-        let mut arrived: Vec<(&PathBuf, &FileSig)> = seen.iter().collect();
-        arrived.sort_by_key(|(path, _)| *path);
-        for (path, sig) in arrived {
-            match known.get(path) {
-                None => {
-                    changed = true;
-                    let _ = tx.send(WatchEvent {
-                        path: path.clone(),
-                        kind: WatchEventKind::Created,
-                    });
-                }
-                Some(old) if old != sig => {
-                    changed = true;
-                    let _ = tx.send(WatchEvent {
-                        path: path.clone(),
-                        kind: WatchEventKind::Modified,
-                    });
-                }
-                _ => {}
-            }
-        }
-        let mut gone: Vec<&PathBuf> = known
-            .keys()
-            .filter(|path| !seen.contains_key(*path))
-            .collect();
-        gone.sort();
-        for path in gone {
-            changed = true;
-            let _ = tx.send(WatchEvent {
-                path: path.clone(),
-                kind: WatchEventKind::Removed,
-            });
-        }
+        let changed = table.sweep(|path, kind| {
+            let path = path.to_path_buf();
+            let _ = tx.send(WatchEvent { path, kind });
+        });
         if changed {
             pace.reset();
         }
-        known = seen;
     }
-}
-
-fn list_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_file() {
-                files.push(path);
-            }
-        }
-    }
-    files
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::AtomicU64;
 
     static DIR_N: AtomicU64 = AtomicU64::new(0);
@@ -327,6 +364,147 @@ mod tests {
         std::fs::write(dir.join("old.log"), b"existing").unwrap();
         let w = FileWatcher::spawn(&dir, fast());
         assert!(w.next_event(Duration::from_millis(50)).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sweep the table replaced — list everything, `stat` everything,
+    /// diff two maps — kept as the oracle for event kinds and order.
+    fn oracle_sweep(
+        dir: &Path,
+        known: &mut BTreeMap<PathBuf, FileSig>,
+    ) -> Vec<(PathBuf, WatchEventKind)> {
+        let seen: BTreeMap<PathBuf, FileSig> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| signature(&e.path(), false).map(|sig| (e.path(), sig)))
+            .collect();
+        let mut events = Vec::new();
+        for (path, sig) in &seen {
+            match known.get(path) {
+                None => events.push((path.clone(), WatchEventKind::Created)),
+                Some(old) if old != sig => events.push((path.clone(), WatchEventKind::Modified)),
+                _ => {}
+            }
+        }
+        for path in known.keys().filter(|path| !seen.contains_key(*path)) {
+            events.push((path.clone(), WatchEventKind::Removed));
+        }
+        *known = seen;
+        events
+    }
+
+    fn table_sweep(table: &mut Table) -> Vec<(PathBuf, WatchEventKind)> {
+        let mut events = Vec::new();
+        table.sweep(|path, kind| events.push((path.to_path_buf(), kind)));
+        events
+    }
+
+    /// A sweep that lists whatever the directory's timestamp says: the
+    /// comparison with the oracle must not depend on how fine a tick this
+    /// machine's filesystem stamps a directory with.
+    fn listing_sweep(table: &mut Table) -> Vec<(PathBuf, WatchEventKind)> {
+        table.dir_sig = None;
+        table_sweep(table)
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        use std::io::Write;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    #[test]
+    fn sweeps_report_what_the_list_everything_sweep_reported_in_its_order() {
+        use WatchEventKind::{Created, Modified, Removed};
+        let dir = temp_dir();
+        std::fs::write(dir.join("old.log"), b"existing").unwrap();
+        std::fs::create_dir(dir.join(".replica1")).unwrap();
+        let mut table = Table::census(dir.clone());
+        let mut known = BTreeMap::new();
+        assert_eq!(
+            oracle_sweep(&dir, &mut known).len(),
+            1,
+            "the oracle's census"
+        );
+        // The census is silent, and so is a sweep over an unchanged directory.
+        assert_eq!(listing_sweep(&mut table), []);
+        assert_eq!(oracle_sweep(&dir, &mut known), []);
+        let kinds = |events: &[(PathBuf, WatchEventKind)]| -> Vec<(String, WatchEventKind)> {
+            let name = |p: &PathBuf| p.file_name().unwrap().to_string_lossy().into_owned();
+            events.iter().map(|(p, k)| (name(p), *k)).collect()
+        };
+        // Create three — out of name order — then modify two and remove
+        // one in the same interval.
+        for name in ["c.log", "a.log", "b.log"] {
+            append(&dir.join(name), b"new");
+        }
+        let events = listing_sweep(&mut table);
+        assert_eq!(events, oracle_sweep(&dir, &mut known));
+        let created = ["a.log", "b.log", "c.log"].map(|n| (n.to_string(), Created));
+        assert_eq!(kinds(&events), created);
+        append(&dir.join("c.log"), b"+");
+        append(&dir.join("old.log"), b"+");
+        std::fs::remove_file(dir.join("a.log")).unwrap();
+        let events = listing_sweep(&mut table);
+        assert_eq!(events, oracle_sweep(&dir, &mut known));
+        let expected = [
+            ("c.log", Modified),
+            ("old.log", Modified),
+            ("a.log", Removed),
+        ];
+        assert_eq!(kinds(&events), expected.map(|(n, k)| (n.to_string(), k)));
+        // A seeded walk: every step appends to, creates or removes some of
+        // six names, then both sweeps must tell the same story.
+        let mut rng = crate::faults::SplitMix64::new(21);
+        for step in 0..120 {
+            for _ in 0..rng.next_u64() % 4 {
+                let path = dir.join(format!("w{}.log", rng.next_u64() % 6));
+                if rng.next_u64().is_multiple_of(3) {
+                    let _ = std::fs::remove_file(&path);
+                } else {
+                    append(&path, b"x");
+                }
+            }
+            assert_eq!(
+                listing_sweep(&mut table),
+                oracle_sweep(&dir, &mut known),
+                "step {step}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_moved_directory_signature_triggers_the_listing() {
+        let dir = temp_dir();
+        let mut table = Table::census(dir.clone());
+        assert_eq!(table_sweep(&mut table), []);
+        // Longer than any filesystem's timestamp tick.
+        std::thread::sleep(Duration::from_millis(20));
+        std::fs::write(dir.join("new.log"), b"x").unwrap();
+        let found = table_sweep(&mut table);
+        assert_eq!(found, [(dir.join("new.log"), WatchEventKind::Created)]);
+        assert!(table.sweeps < RELIST_EVERY, "found by the fallback");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_creation_hidden_in_the_listing_tick_is_late_never_lost() {
+        let dir = temp_dir();
+        let mut table = Table::census(dir.clone());
+        std::fs::write(dir.join("late.log"), b"x").unwrap();
+        // The same-tick case: the sample taken before the latest listing
+        // already carried the timestamp this creation left behind.
+        table.dir_sig = signature(&dir, true);
+        for sweep in 1..RELIST_EVERY {
+            assert_eq!(table_sweep(&mut table), [], "sweep {sweep}");
+        }
+        let found = table_sweep(&mut table);
+        assert_eq!(found, [(dir.join("late.log"), WatchEventKind::Created)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,0 +1,171 @@
+//! The allocation budget of one smartFAM call (EXPERIMENTS.md "Allocation
+//! budget of one lockstep call"): the transport pays per *request* — not
+//! per millisecond of watching, per worker thread or per copy of a name —
+//! counted by this binary's own allocator so a per-sweep or per-call
+//! allocation that creeps back in fails here and not only on the
+//! benchmark box. One test, so nothing else allocates while it counts.
+
+#![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
+
+use mcsd_smartfam::module::FnModule;
+use mcsd_smartfam::{
+    Daemon, DaemonConfig, FileWatcher, Frame, HostClient, LogFile, ModuleRegistry, WatchConfig,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is one atomic add that neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mcsd-budget-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Echo calls built before anything is counted: parameters and the
+/// payload they must come back as.
+fn echo_calls(n: usize) -> Vec<(Vec<String>, Vec<u8>)> {
+    (0..n)
+        .map(|i| {
+            let params = vec![format!("c{i}"), format!("{:08x}", i * 2_654_435_761)];
+            let echoed = params.join("|").into_bytes();
+            (params, echoed)
+        })
+        .collect()
+}
+
+const WARM_UP: usize = 50;
+
+/// Submit, a poll that finds nothing, a poll that finds the answer — the
+/// host's share of a call, against a daemon played by hand whose own
+/// allocations stay outside the count.
+fn host_side_per_call(calls: usize) -> f64 {
+    let dir = temp_dir("host");
+    let client = HostClient::new(&dir);
+    let daemon = LogFile::attach_at_end(client.log_path("echo")).unwrap();
+    let mut counted = 0;
+    for (i, (params, echoed)) in echo_calls(WARM_UP + calls).iter().enumerate() {
+        let before = allocations();
+        let mut pending = client.submit("echo", params).unwrap();
+        assert!(pending.poll_outcome().unwrap().is_none());
+        let submitted = allocations();
+        daemon
+            .append(&Frame::response_ok(pending.id(), echoed.clone()))
+            .unwrap();
+        let answered = allocations();
+        let outcome = pending.poll_outcome().unwrap().expect("answered");
+        drop(pending);
+        if i >= WARM_UP {
+            counted += (submitted - before) + (allocations() - answered);
+        }
+        assert_eq!(&outcome.payload, echoed);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    counted as f64 / calls as f64
+}
+
+/// What a watcher on a directory of three unchanging files allocates in
+/// `window`, and how long the window really was.
+fn quiet_watcher(window: Duration) -> (u64, Duration) {
+    let dir = temp_dir("watch");
+    for name in ["a.log", "b.log", "c.log"] {
+        std::fs::write(dir.join(name), b"quiet").unwrap();
+    }
+    let mut watcher = FileWatcher::spawn(&dir, WatchConfig::default());
+    let started = Instant::now();
+    let before = allocations();
+    std::thread::sleep(window);
+    let counted = allocations() - before;
+    let took = started.elapsed();
+    assert!(watcher.next_event(Duration::ZERO).is_none());
+    watcher.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+    (counted, took)
+}
+
+/// Every allocation of every thread — host, watcher, daemon loop, worker,
+/// the module itself — per lockstep echo call through a real daemon.
+fn lockstep_per_call(calls: usize) -> f64 {
+    let dir = temp_dir("lockstep");
+    let registry = ModuleRegistry::new();
+    registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
+        Ok(p.join("|").into_bytes())
+    })));
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry)
+        .spawn()
+        .unwrap();
+    let client = HostClient::new(&dir);
+    let mut before = 0;
+    for (i, (params, echoed)) in echo_calls(WARM_UP + calls).iter().enumerate() {
+        if i == WARM_UP {
+            before = allocations();
+        }
+        let outcome = client
+            .invoke("echo", params, Duration::from_secs(60))
+            .unwrap();
+        assert_eq!(&outcome.payload, echoed);
+    }
+    let counted = allocations() - before;
+    daemon.stop();
+    assert_eq!(daemon.stats().ok, (WARM_UP + calls) as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
+    counted as f64 / calls as f64
+}
+
+#[test]
+fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
+    let host = host_side_per_call(200);
+    assert!(host <= 4.0, "{host} host-side allocations per call");
+
+    // A quiet sweep allocates nothing; what is left is the fallback
+    // listing every 64th sweep (a directory handle, two copies of each
+    // entry's name). Sweeps are at least 1 ms apart, so the bound follows
+    // the window's real length, not the box's speed: 60 for a punctual
+    // 300 ms.
+    let (watcher, took) = quiet_watcher(Duration::from_millis(300));
+    let listings = took.as_millis() as u64 / 64 + 1;
+    assert!(
+        watcher <= 12 * listings,
+        "{watcher} allocations watching a quiet directory for {took:?}"
+    );
+
+    let lockstep = lockstep_per_call(400);
+    assert!(lockstep <= 22.0, "{lockstep} allocations per lockstep call");
+}
