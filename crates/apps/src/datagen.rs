@@ -63,12 +63,6 @@ pub fn matrix_pair(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) 
     )
 }
 
-/// The paper's MM workloads multiply square matrices; pick a dimension so
-/// the matrix payload is roughly `target_bytes` (n² doubles per matrix).
-pub fn square_dim_for_bytes(target_bytes: u64) -> usize {
-    (((target_bytes / 8) as f64).sqrt() as usize).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +133,5 @@ mod tests {
         let (a, b) = matrix_pair(3, 5, 7, 1);
         assert_eq!((a.rows, a.cols), (3, 5));
         assert_eq!((b.rows, b.cols), (5, 7));
-    }
-
-    #[test]
-    fn square_dim_inverts_byte_budget() {
-        let n = square_dim_for_bytes(8 * 100 * 100);
-        assert_eq!(n, 100);
-        assert_eq!(square_dim_for_bytes(1), 1);
     }
 }

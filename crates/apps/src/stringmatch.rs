@@ -46,11 +46,6 @@ impl StringMatch {
         }
     }
 
-    /// Number of keys searched for.
-    pub fn key_count(&self) -> usize {
-        self.patterns.len()
-    }
-
     /// The merge function for partitioned runs: matches never repeat
     /// across fragments (offsets are global), so concatenation suffices.
     pub fn merger() -> ConcatMerger {
@@ -190,6 +185,5 @@ mod tests {
         let rt = Runtime::new(PhoenixConfig::with_workers(2));
         let out = rt.run(&sm, b"anything\ngoes\n").unwrap();
         assert!(out.pairs.is_empty());
-        assert_eq!(sm.key_count(), 0);
     }
 }

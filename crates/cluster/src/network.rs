@@ -142,12 +142,6 @@ impl RackNetwork {
         }
     }
 
-    /// The default rack preset: the paper's GbE leaf with a 4:1
-    /// oversubscribed uplink (the classic datacenter ratio).
-    pub fn paper_rack() -> RackNetwork {
-        RackNetwork::oversubscribed(NetworkModel::paper_testbed(), 4)
-    }
-
     /// Virtual time to move `bytes` between two nodes: leaf-only when
     /// they share a rack, leaf hop + uplink when they do not.
     pub fn transfer_time(&self, same_rack: bool, bytes: u64) -> Duration {
@@ -242,7 +236,7 @@ mod tests {
 
     #[test]
     fn cross_rack_transfer_is_slower_than_intra_rack() {
-        let net = RackNetwork::paper_rack();
+        let net = RackNetwork::oversubscribed(NetworkModel::paper_testbed(), 4);
         let bytes = 10_000_000;
         assert!(net.transfer_time(false, bytes) > net.transfer_time(true, bytes));
         // Intra-rack equals the plain leaf model.
@@ -254,7 +248,7 @@ mod tests {
 
     #[test]
     fn rack_charge_transfer_fills_network_category() {
-        let net = RackNetwork::paper_rack();
+        let net = RackNetwork::oversubscribed(NetworkModel::paper_testbed(), 4);
         let t = net.charge_transfer(false, 1_000_000);
         assert_eq!(t.compute, Duration::ZERO);
         assert_eq!(t.network, net.transfer_time(false, 1_000_000));

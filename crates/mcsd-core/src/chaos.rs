@@ -30,7 +30,7 @@ use mcsd_obs::{ClockDomain, Tracer};
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
     BatchConfig, BatchStats, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan,
-    FaultSite, Frame, HostClient, ModuleRegistry, PollBackoff,
+    FaultSite, Frame, HostClient, ModuleRegistry, SmartFamError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -957,9 +957,8 @@ impl BatchedEchoScenario {
                 mk_registry(),
             )
             .spawn()
-            .map_err(McsdError::Io)
         };
-        let mut daemon = spawn(injector)?;
+        let mut daemon = spawn(injector).map_err(McsdError::Io)?;
         let mut incarnations: u64 = 1;
         // Commit-side counters accumulate across incarnations; a crashed
         // daemon's stats are read after it provably stopped.
@@ -972,59 +971,57 @@ impl BatchedEchoScenario {
             let started = Stopwatch::start();
             let mut call = pending;
             let mut expect = format!("echo:{key}");
-            let mut alive_since = Stopwatch::start();
             let mut retries: u32 = 0;
-            let mut pace = PollBackoff::new(std::time::Duration::from_millis(1));
             loop {
-                match call.poll_outcome() {
-                    Ok(Some(outcome)) => {
+                // The host tier's own wait. While the response log is
+                // quiet: settle and bank a dead incarnation's commit
+                // counters, then heal with a replacement on the same
+                // injector — replay answers the uncommitted suffix.
+                let waited = call.wait_with(RESUBMIT_PATIENCE, || {
+                    if !daemon.is_running() {
+                        if incarnations >= INCARNATION_BUDGET {
+                            return Err(SmartFamError::DaemonDead {
+                                module: "echo".to_string(),
+                            });
+                        }
+                        daemon.stop();
+                        commits.absorb(&daemon.batch_stats());
+                        daemon = spawn(injector)?;
+                        incarnations += 1;
+                    }
+                    Ok(())
+                });
+                match waited {
+                    Ok(outcome) => {
                         if outcome.payload != expect.as_bytes() {
                             obs.outputs_correct = false;
                         }
-                        answered.lock().insert(expect["echo:".len()..].to_string());
-                        answered_outcomes += 1;
                         ok_outcomes += 1;
-                        break;
                     }
-                    // A typed module error is a valid outcome under an
-                    // injected dispatch failure — never a wrong answer.
-                    Err(_) => {
-                        answered.lock().insert(expect["echo:".len()..].to_string());
-                        answered_outcomes += 1;
-                        break;
+                    Err(SmartFamError::Timeout { .. }) if !started.expired(REQUEST_DEADLINE) => {
+                        // Daemon alive but the response never decoded — a
+                        // corrupt batch frame swallowed it. Resubmit under a
+                        // fresh key (a fresh id), exactly like the host's
+                        // resilient tier.
+                        retries += 1;
+                        let key = format!("{key}#retry{retries}");
+                        expect = format!("echo:{key}");
+                        call = client.submit("echo", &[key]).map_err(McsdError::SmartFam)?;
+                        continue;
                     }
-                    Ok(None) => {}
-                }
-                if started.expired(REQUEST_DEADLINE) {
-                    obs.outputs_correct = false;
-                    break;
-                }
-                if !daemon.is_running() {
-                    if incarnations >= INCARNATION_BUDGET {
+                    // The recovery chain ran out of time or incarnations.
+                    Err(SmartFamError::Timeout { .. } | SmartFamError::DaemonDead { .. }) => {
                         obs.outputs_correct = false;
                         break;
                     }
-                    // Settle and bank the dead incarnation's commit
-                    // counters, then heal with a replacement on the same
-                    // injector: replay answers the uncommitted suffix.
-                    daemon.stop();
-                    commits.absorb(&daemon.batch_stats());
-                    daemon = spawn(injector)?;
-                    incarnations += 1;
-                    alive_since = Stopwatch::start();
-                } else if alive_since.expired(RESUBMIT_PATIENCE) {
-                    // Daemon alive but the response never decoded — a
-                    // corrupt batch frame swallowed it. Resubmit under a
-                    // fresh key (a fresh id), exactly like the host's
-                    // resilient tier.
-                    retries += 1;
-                    let key = format!("{key}#retry{retries}");
-                    expect = format!("echo:{key}");
-                    call = client.submit("echo", &[key]).map_err(McsdError::SmartFam)?;
-                    alive_since = Stopwatch::start();
+                    Err(SmartFamError::Io(e)) => return Err(McsdError::Io(e)),
+                    // A typed module error is a valid outcome under an
+                    // injected dispatch failure — never a wrong answer.
+                    Err(_) => {}
                 }
-                // The same 1 ms response-log poll the host tier performs.
-                pace.idle();
+                answered.lock().insert(expect["echo:".len()..].to_string());
+                answered_outcomes += 1;
+                break;
             }
         }
         daemon.stop();

@@ -207,11 +207,6 @@ impl RunReport {
         self.time.total()
     }
 
-    /// Speedup of this run relative to `baseline` (baseline / this).
-    pub fn speedup_vs(&self, baseline: &RunReport) -> f64 {
-        baseline.elapsed().as_secs_f64() / self.elapsed().as_secs_f64().max(1e-12)
-    }
-
     /// One-line human-readable summary. Recovery counters are appended
     /// only when the run was actually disturbed.
     pub fn summary(&self) -> String {
@@ -250,14 +245,6 @@ mod tests {
             stats: JobStats::default(),
             resilience: ResilienceStats::default(),
         }
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let fast = report(10);
-        let slow = report(40);
-        assert!((fast.speedup_vs(&slow) - 4.0).abs() < 1e-9);
-        assert!((slow.speedup_vs(&fast) - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -79,14 +79,6 @@ impl<'a, V> ValueIter<'a, V> {
             inner: values.iter(),
         }
     }
-
-    /// Clone the remaining values into a vector.
-    pub fn cloned_vec(&mut self) -> Vec<V>
-    where
-        V: Clone,
-    {
-        self.inner.by_ref().cloned().collect()
-    }
 }
 
 impl<'a, V> Iterator for ValueIter<'a, V> {
@@ -211,14 +203,6 @@ mod tests {
         assert_eq!(it.next(), Some(&1));
         let rest: u64 = it.sum();
         assert_eq!(rest, 5);
-    }
-
-    #[test]
-    fn value_iter_cloned_vec() {
-        let vals = [10u32, 20];
-        let mut it = ValueIter::new(&vals);
-        assert_eq!(it.cloned_vec(), vec![10, 20]);
-        assert_eq!(it.next(), None);
     }
 
     #[test]

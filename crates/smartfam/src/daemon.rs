@@ -432,8 +432,6 @@ struct LogState {
     log: LogFile,
     /// Who the log belongs to and where its answers go.
     module: Arc<ModuleLog>,
-    /// Request frames already answered (or dispatched).
-    handled: HashSet<u64>,
 }
 
 /// The one identity of a module log, made when the daemon first sees the
@@ -605,6 +603,10 @@ struct DaemonCtx {
     pool: Arc<WorkerPool>,
     logs: HashMap<PathBuf, LogState>,
     queue: VecDeque<QueuedRequest>,
+    /// Scratch of one [`DaemonCtx::process_log`] poll — the ids whose
+    /// latest request has no response after it — and empty between polls:
+    /// the daemon remembers no id it has served.
+    unanswered: HashSet<u64>,
     /// Daemon-side batch counters (only mutated on the batched path).
     batch_stats: Arc<BatchInner>,
     /// Monotonic batch id; starts at 0 so the first formed batch is 1
@@ -647,6 +649,7 @@ fn daemon_loop(
         books,
         logs: HashMap::new(),
         queue: VecDeque::new(),
+        unanswered: HashSet::new(),
         batch_stats,
         batch_seq: 0,
     };
@@ -728,8 +731,8 @@ fn daemon_loop(
             continue;
         };
         if event.kind == WatchEventKind::Removed {
-            // Cursor, append handles and handled set belong to the deleted
-            // inode: a log recreated under this name is attached afresh.
+            // Cursor and append handles belong to the deleted inode: a log
+            // recreated under this name is attached afresh.
             ctx.logs.remove(&event.path);
         } else if module_of(&event.path).is_some() {
             ctx.process_log(&event.path, false);
@@ -756,6 +759,24 @@ fn worker_for(seed: u64, name: &str, workers: usize) -> usize {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     (SplitMix64::new(h ^ seed).next_u64() % workers.max(1) as u64) as usize
+}
+
+/// Keep, in log order, the requests of one poll that no later frame of the
+/// poll answers; of several requests under one id only the last can be
+/// unanswered, since a response answers every request before it. `open` is
+/// the caller's scratch: empty on entry, empty again on return.
+fn retain_unanswered(frames: &mut Vec<Frame>, open: &mut HashSet<u64>) {
+    for frame in frames.iter() {
+        if frame.is_request() {
+            open.insert(frame.id);
+        } else {
+            open.remove(&frame.id);
+        }
+    }
+    // Backwards, the first request met under an open id is its last.
+    frames.reverse();
+    frames.retain(|frame| frame.is_request() && open.remove(&frame.id));
+    frames.reverse();
 }
 
 impl DaemonCtx {
@@ -788,12 +809,15 @@ impl DaemonCtx {
                 primary: attach().ok()?,
                 mirrors,
             }),
-            handled: HashSet::new(),
         })
     }
 
-    /// Poll one module log and run every not-yet-handled request through
-    /// admission.
+    /// Poll one module log and run every unanswered request through
+    /// admission. A request is answered iff a response carrying its id
+    /// follows it in the log, and one poll decides that for every request
+    /// it reads: the replay poll reads the whole history at once, and a
+    /// live poll never meets an earlier poll's request again — the cursor
+    /// only advances (DESIGN.md §10).
     fn process_log(&mut self, path: &Path, replay: bool) {
         let (tracer, track) = &self.books.trace;
         tracer.volatile_event(*track, EVENT_SD_POLL, &[]);
@@ -822,15 +846,12 @@ impl DaemonCtx {
             }
             Err(_) => return, // truncated or unreadable; skip this round
         };
-        // First pass: note responses already present (restart replay).
-        for frame in &frames {
-            if let FrameBody::Response { .. } = frame.body {
-                state.handled.insert(frame.id);
-            }
+        retain_unanswered(&mut frames, &mut self.unanswered);
+        if replay {
+            // A history of unanswered requests grew the scratch; live
+            // polls need a handful of slots.
+            self.unanswered.shrink_to_fit();
         }
-        // Keep the fresh requests, in place, so the log-state borrow ends
-        // before admission (which needs `&mut self`).
-        frames.retain(|frame| frame.is_request() && state.handled.insert(frame.id));
         let log = Arc::clone(&state.module);
         for frame in frames {
             let FrameBody::Request {
@@ -1239,7 +1260,7 @@ mod tests {
     #[test]
     fn module_failure_propagates() {
         let dir = temp_dir();
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
             .spawn()
             .unwrap();
         let client = HostClient::new(&dir);
@@ -1250,6 +1271,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1274,7 +1296,7 @@ mod tests {
     #[test]
     fn sequential_invocations_share_a_log() {
         let dir = temp_dir();
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
             .spawn()
             .unwrap();
         let client = HostClient::new(&dir);
@@ -1284,13 +1306,14 @@ mod tests {
                 .unwrap();
             assert_eq!(out.payload, format!("MSG{i}").into_bytes());
         }
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_invocations_to_different_modules() {
         let dir = temp_dir();
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
             .spawn()
             .unwrap();
         let client = Arc::new(HostClient::new(&dir));
@@ -1300,6 +1323,7 @@ mod tests {
         let t2 = std::thread::spawn(move || c2.invoke("upper", &["b".into()], TIMEOUT).unwrap());
         assert_eq!(t1.join().unwrap().payload, b"a");
         assert_eq!(t2.join().unwrap().payload, b"B");
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1340,11 +1364,12 @@ mod tests {
         let client = HostClient::new(&dir);
         let pending = client.submit("upper", &["late".into()]).unwrap();
         // Start the daemon afterwards: it must replay the log and answer.
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
             .spawn()
             .unwrap();
         let out = pending.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, b"LATE");
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1367,6 +1392,74 @@ mod tests {
         // The replayed request must not be re-dispatched.
         assert_eq!(daemon2.stats().requests, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pid reuse played by hand: ids are `(pid << 32) | seq`, so a later
+    /// host process can submit under an id this log has already seen
+    /// answered. It is a request like any other.
+    #[test]
+    fn reused_request_id_is_served_again() {
+        let dir = temp_dir();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
+            .spawn()
+            .unwrap();
+        let mut host = LogFile::attach_at_end(dir.join("upper.log")).unwrap();
+        for word in ["one", "two"] {
+            host.append(&Frame::request(7, vec![word.into()])).unwrap();
+            let waited = Stopwatch::start();
+            let mut pace = PollBackoff::new(Duration::from_millis(1));
+            let answer = loop {
+                let frames = host.poll().unwrap();
+                if let Some(response) = frames.into_iter().find(|f| !f.is_request()) {
+                    break response;
+                }
+                assert!(!waited.expired(TIMEOUT), "request {word:?} got no answer");
+                pace.idle();
+            };
+            assert_eq!(
+                answer,
+                Frame::response_ok(7, word.to_uppercase().into_bytes())
+            );
+        }
+        daemon.stop();
+        assert_eq!(daemon.stats().requests, 2);
+        assert_eq!(daemon.stats().ok, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest::proptest! {
+        /// The selection against the rule read off the log directly: a
+        /// request is served iff no later frame answers it and no later
+        /// request repeats its id.
+        #[test]
+        fn unanswered_selection_matches_the_quadratic_oracle(
+            codes in proptest::collection::vec(0u64..15, 0..48),
+        ) {
+            // Five ids, so duplicates are the common case; responses come
+            // unbatched and batch-framed.
+            let log: Vec<Frame> = codes
+                .iter()
+                .enumerate()
+                .map(|(at, code)| match code / 5 {
+                    0 => Frame::request(code % 5, vec![at.to_string()]),
+                    1 => Frame::response_ok(code % 5, vec![at as u8]),
+                    _ => Frame::response_ok(code % 5, vec![at as u8]).in_batch(1, at as u64),
+                })
+                .collect();
+            let expect: Vec<Frame> = log
+                .iter()
+                .enumerate()
+                .filter(|(at, frame)| {
+                    frame.is_request() && log[at + 1..].iter().all(|later| later.id != frame.id)
+                })
+                .map(|(_, frame)| frame.clone())
+                .collect();
+            let mut open = HashSet::new();
+            let mut frames = log.clone();
+            retain_unanswered(&mut frames, &mut open);
+            proptest::prop_assert_eq!(frames, expect);
+            proptest::prop_assert!(open.is_empty());
+        }
     }
 
     #[test]
@@ -1484,7 +1577,7 @@ mod tests {
         assert_eq!(invocations.load(Ordering::Relaxed), 1);
         // Replay re-executes (at-least-once execution) and the host gets
         // exactly one response (exactly-once answering).
-        let _daemon2 = Daemon::new(
+        let mut daemon2 = Daemon::new(
             DaemonConfig::new(&dir),
             mk_registry(Arc::clone(&invocations)),
         )
@@ -1493,6 +1586,7 @@ mod tests {
         let out = pending.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, b"done");
         assert_eq!(invocations.load(Ordering::Relaxed), 2);
+        daemon2.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1714,7 +1808,7 @@ mod tests {
         let dir = temp_dir();
         let client = HostClient::new(&dir);
         let pending = client.submit("upper", &["framed".into()]).unwrap();
-        let _daemon = Daemon::new(
+        let mut daemon = Daemon::new(
             DaemonConfig::new(&dir).with_batching(BatchConfig::default()),
             registry(),
         )
@@ -1730,6 +1824,7 @@ mod tests {
             .expect("response frame");
         assert_eq!(response.batch_id(), Some(1));
         assert_eq!(response.batch_index(), 0);
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1840,7 +1935,7 @@ mod tests {
     fn sequential_calls_run_on_a_parked_worker_not_a_thread_each() {
         let dir = temp_dir();
         let (r, seen) = thread_recording_registry();
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
         let client = HostClient::new(&dir);
         for _ in 0..200 {
             client.invoke("tid", &[], TIMEOUT).unwrap();
@@ -1850,6 +1945,7 @@ mod tests {
         // was dispatched in the instant between its predecessor's answer
         // and that worker parking.
         assert!(threads.len() <= 2, "{} worker threads", threads.len());
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1863,7 +1959,7 @@ mod tests {
             together.wait();
             Ok(b"met".to_vec())
         })));
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
         let client = HostClient::new(&dir);
         // Twice: the second round meets on the first round's parked workers.
         for _ in 0..2 {
@@ -1874,6 +1970,7 @@ mod tests {
                 assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"met");
             }
         }
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1887,7 +1984,7 @@ mod tests {
             *record.lock() = Some(std::thread::current().id());
             panic!("module bug");
         })));
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
         let client = HostClient::new(&dir);
         let err = client.invoke("boom", &[], TIMEOUT).unwrap_err();
         assert!(err.to_string().contains("module panicked"), "{err}");
@@ -1899,6 +1996,7 @@ mod tests {
             seen.lock().contains(&worker),
             "the worker died with its module"
         );
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

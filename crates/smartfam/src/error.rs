@@ -87,12 +87,6 @@ impl SmartFamError {
         )
     }
 
-    /// Whether this error is the daemon shedding load. Retryable — but
-    /// callers should honour the carried `retry_after` before trying.
-    pub fn is_overloaded(&self) -> bool {
-        matches!(self, SmartFamError::Overloaded { .. })
-    }
-
     /// Stable short name of the error variant. Unlike [`fmt::Display`],
     /// this never embeds run-varying detail (request ids, offsets), so it
     /// is safe to put in a deterministic trace attribute (DESIGN.md §12).
@@ -233,12 +227,7 @@ mod tests {
             module: "wc".into(),
             retry_after: Duration::from_millis(50),
         };
-        assert!(shed.is_overloaded());
         assert!(shed.to_string().contains("shed"));
-        let dead = SmartFamError::DaemonDead {
-            module: "wc".into(),
-        };
-        assert!(!dead.is_overloaded());
     }
 
     #[test]

@@ -95,6 +95,12 @@ fn read_range_into(
     Ok(())
 }
 
+/// The largest read buffer a [`LogFile`] keeps between polls. A poll that
+/// had to read more — a restart replaying a whole history, one huge result
+/// frame — gives the buffer back, so a handle's memory follows the traffic
+/// it is reading now, not the age of its log.
+const TAIL_KEEP_BYTES: usize = 256 * 1024;
+
 /// Outcome of a coalesced batch append ([`LogFile::append_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchAppendOutcome {
@@ -122,7 +128,8 @@ pub struct LogFile {
     /// an incomplete tail), and re-reading that tail before the file grows
     /// again would decode the same bytes to the same result.
     seen_len: u64,
-    /// The bytes `[cursor, len)` of the latest poll that had to read.
+    /// The bytes `[cursor, len)` of the latest poll that had to read; kept
+    /// for reuse up to [`TAIL_KEEP_BYTES`].
     tail: Vec<u8>,
     injector: FaultInjector,
     role: LogRole,
@@ -345,6 +352,14 @@ impl LogFile {
         Ok(true)
     }
 
+    /// Done decoding `self.tail`: keep it for the next poll unless this
+    /// one grew it past [`TAIL_KEEP_BYTES`].
+    fn release_tail(&mut self) {
+        if self.tail.capacity() > TAIL_KEEP_BYTES {
+            self.tail = Vec::new();
+        }
+    }
+
     /// Read every complete frame appended since the last poll, advancing
     /// the cursor past them. An incomplete trailing frame (a concurrent
     /// append in progress) is left for the next poll.
@@ -352,7 +367,9 @@ impl LogFile {
         if !self.read_tail()? {
             return Ok(Vec::new());
         }
-        match decode_stream(&self.tail, 0) {
+        let decoded = decode_stream(&self.tail, 0);
+        self.release_tail();
+        match decoded {
             Ok((frames, used)) => {
                 self.cursor += used as u64;
                 Ok(frames)
@@ -381,6 +398,7 @@ impl LogFile {
             return Ok((Vec::new(), 0));
         }
         let rec = decode_stream_recovering(&self.tail, 0);
+        self.release_tail();
         self.cursor += rec.new_pos as u64;
         Ok((rec.frames, rec.skipped_bytes as u64))
     }

@@ -3,7 +3,10 @@
 //! per millisecond of watching, per worker thread or per copy of a name —
 //! counted by this binary's own allocator so a per-sweep or per-call
 //! allocation that creeps back in fails here and not only on the
-//! benchmark box. One test, so nothing else allocates while it counts.
+//! benchmark box. The same allocator keeps the live-byte balance, which
+//! gates what a long-running and a restarted daemon hold (DESIGN.md §10:
+//! the log is the replay set). One test, so nothing else allocates while
+//! it counts.
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
@@ -13,34 +16,44 @@ use mcsd_smartfam::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, by requested size.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 struct Counting;
 
+impl Counting {
+    fn count(&self, freed: usize, allocated: usize) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(allocated as i64 - freed as i64, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is one atomic add that neither
-// allocates nor unwinds.
+// `GlobalAlloc` contract; the counters are atomic adds that neither
+// allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        self.count(0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        self.count(0, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        self.count(layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -50,6 +63,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::SeqCst)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -120,33 +137,56 @@ fn quiet_watcher(window: Duration) -> (u64, Duration) {
     (counted, took)
 }
 
-/// Every allocation of every thread — host, watcher, daemon loop, worker,
-/// the module itself — per lockstep echo call through a real daemon.
-fn lockstep_per_call(calls: usize) -> f64 {
-    let dir = temp_dir("lockstep");
+fn echo_registry() -> ModuleRegistry {
     let registry = ModuleRegistry::new();
     registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
         Ok(p.join("|").into_bytes())
     })));
-    let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry)
+    registry
+}
+
+/// One lockstep run through a real daemon, read by both counters over
+/// `calls` echo calls after `warm_up`: every allocation of every thread —
+/// host, watcher, daemon loop, worker, the module itself — per call, the
+/// live heap daemon and host grew by, and what a second daemon holds after
+/// replaying the log the run left behind.
+fn lockstep(warm_up: usize, calls: usize) -> (f64, i64, i64) {
+    let dir = temp_dir("lockstep");
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
-    let mut before = 0;
-    for (i, (params, echoed)) in echo_calls(WARM_UP + calls).iter().enumerate() {
-        if i == WARM_UP {
-            before = allocations();
+    // Bound to a name: the calls must still be alive at the second reading.
+    let echoes = echo_calls(warm_up + calls);
+    let mut warm = (0, 0);
+    for (i, (params, echoed)) in echoes.iter().enumerate() {
+        if i == warm_up {
+            warm = (allocations(), live_bytes());
         }
         let outcome = client
             .invoke("echo", params, Duration::from_secs(60))
             .unwrap();
         assert_eq!(&outcome.payload, echoed);
     }
-    let counted = allocations() - before;
+    let counted = allocations() - warm.0;
+    let grown = live_bytes() - warm.1;
     daemon.stop();
-    assert_eq!(daemon.stats().ok, (WARM_UP + calls) as u64);
+    assert_eq!(daemon.stats().ok, (warm_up + calls) as u64);
+    drop((daemon, client, echoes));
+
+    let before = live_bytes();
+    let mut restarted = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+        .spawn()
+        .unwrap();
+    let held = live_bytes() - before;
+    restarted.stop();
+    assert_eq!(
+        restarted.stats().requests,
+        0,
+        "replay answered a call twice"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
-    counted as f64 / calls as f64
+    (counted as f64 / calls as f64, grown, held)
 }
 
 #[test]
@@ -166,6 +206,17 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
         "{watcher} allocations watching a quiet directory for {took:?}"
     );
 
-    let lockstep = lockstep_per_call(400);
+    let (lockstep, grown, held) = lockstep(1_000, 10_000);
     assert!(lockstep <= 22.0, "{lockstep} allocations per lockstep call");
+    // Memory is what is in flight, not what was ever served. With one
+    // remembered id per call and a kept whole-log read buffer these read
+    // 129 000 B and 1 082 364 B; without, 11 B and 3 122 B.
+    assert!(
+        grown <= 4 << 10,
+        "{grown} B of heap grown over 10 000 calls"
+    );
+    assert!(
+        held <= 64 << 10,
+        "{held} B held after replaying 11 000 calls"
+    );
 }

@@ -5,9 +5,6 @@
 //! (MCSD008–010) for the same file and hands everything to
 //! [`apply_waivers`], which filters through the file's waivers and reports
 //! malformed or unused waivers as MCSD000.
-//!
-//! The retired MCSD003 window heuristic used to live here; its flow-aware
-//! replacement is [`crate::determinism`] (MCSD010).
 
 use crate::diag::{Code, Diagnostic};
 use crate::scan::{is_ident_char, FileContext, FileKind, ScannedFile};
@@ -93,13 +90,6 @@ pub fn raw_checks(ctx: &FileContext, file: &ScannedFile) -> Vec<Diagnostic> {
     raw
 }
 
-/// Does this waiver's code list cover the diagnostic? MCSD003 is accepted
-/// as an alias for MCSD010 so waivers written against the retired window
-/// heuristic keep suppressing the findings that replaced them.
-fn waiver_covers_code(codes: &[Code], diag: Code) -> bool {
-    codes.contains(&diag) || (diag == Code::Mcsd010 && codes.contains(&Code::Mcsd003))
-}
-
 /// Filter raw diagnostics through the file's waivers and report waiver
 /// hygiene (malformed or unused waivers) as MCSD000. A waiver covers its
 /// own line and the next line.
@@ -110,8 +100,7 @@ pub fn apply_waivers(ctx: &FileContext, file: &ScannedFile, raw: Vec<Diagnostic>
         let mut waived = false;
         for (idx, waiver) in file.waivers.iter().enumerate() {
             let covers = waiver.line == diag.line || waiver.line + 1 == diag.line;
-            if waiver.malformed.is_none() && covers && waiver_covers_code(&waiver.codes, diag.code)
-            {
+            if waiver.malformed.is_none() && covers && waiver.codes.contains(&diag.code) {
                 used[idx] = true;
                 waived = true;
                 break;
@@ -374,23 +363,6 @@ mod tests {
         let scanned = scan_source(src);
         let outcome = check_scanned(&lib_ctx("crates/x/src/a.rs"), &scanned);
         assert!(outcome.diagnostics.is_empty());
-        assert_eq!(outcome.waivers_honored, 1);
-    }
-
-    #[test]
-    fn mcsd003_waiver_covers_mcsd010() {
-        let src = "fn f(m: HashMap<u32, u32>, out: &mut String) {\n    // tidy:allow(MCSD003) -- order-insensitive emitter\n    for (_, v) in &m {\n        out.push_str(\"x\");\n    }\n}\n";
-        let scanned = scan_source(src);
-        let ctx = lib_ctx("crates/x/src/a.rs");
-        let raw = vec![Diagnostic {
-            code: Code::Mcsd010,
-            path: ctx.path.clone(),
-            line: 3,
-            col: 5,
-            message: "hash-ordered iteration".to_string(),
-        }];
-        let outcome = apply_waivers(&ctx, &scanned, raw);
-        assert!(outcome.diagnostics.is_empty(), "{:?}", outcome.diagnostics);
         assert_eq!(outcome.waivers_honored, 1);
     }
 }

@@ -4,10 +4,9 @@
 //!
 //! * **Hash-order leaks** — iterating a `HashMap`/`HashSet` and letting
 //!   the iteration order reach an exporter, report, or trace emission.
-//!   The retired MCSD003 looked for a sort within a fixed 3-line window,
-//!   which both under-reported (sort four lines later was invisible) and
-//!   over-reported (iterations that never reach output). This pass is
-//!   flow-aware: starting from the iteration it walks the rest of the
+//!   A sort within a fixed window of lines both under-reports (a sort
+//!   four lines later is invisible) and over-reports (iterations that
+//!   never reach output). This pass is flow-aware: starting from the iteration it walks the rest of the
 //!   enclosing function and only fires if an emission sink appears
 //!   before any neutralizing sort/ordered-collection/reduction.
 //! * **Clock-domain mismatches** — a trace track stamped with a
@@ -16,9 +15,6 @@
 //!   `tracer.track(SD_TRACE_TRACK, ClockDomain::Decision)` exactly as
 //!   the runtime does. The §12 catalog rows sit between
 //!   `<!-- mcsd010:track-domain-table:begin/end -->` markers.
-//!
-//! Existing `tidy:allow(MCSD003)` waivers keep working: the waiver
-//! filter treats MCSD003 as a deprecated alias for MCSD010.
 
 use std::collections::BTreeMap;
 
@@ -517,8 +513,8 @@ mod tests {
 
     #[test]
     fn sort_far_after_the_loop_still_neutralizes() {
-        // The MCSD003 3-line window missed this shape in reverse: here
-        // the sort is six lines after the iteration and must count.
+        // A fixed window of lines misses this shape: the sort is six
+        // lines after the iteration and must count.
         let src = "fn f(m: HashMap<u32, u32>, out: &mut String) {\n    let mut v = Vec::new();\n    for (k, _) in &m {\n        v.push(*k);\n        v.push(*k + 1);\n        v.push(*k + 2);\n        v.push(*k + 3);\n        v.push(*k + 4);\n    }\n    v.sort_unstable();\n    for k in v {\n        out.push_str(\"x\");\n    }\n}\n";
         let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), None);
         assert!(diags.is_empty(), "{diags:?}");

@@ -13,11 +13,6 @@ pub enum Code {
     Mcsd001,
     /// `unwrap()`/`expect()`/`panic!`/`todo!` in library code.
     Mcsd002,
-    /// Deprecated alias for [`Code::Mcsd010`]: the retired 3-line-window
-    /// hash-iteration heuristic. The code is kept so existing
-    /// `tidy:allow(MCSD003)` waivers continue to suppress the MCSD010
-    /// findings that replaced it; no check emits MCSD003 anymore.
-    Mcsd003,
     /// Unseeded RNG (`thread_rng`, `from_entropy`, `rand::random`).
     Mcsd004,
     /// `println!`/`print!`/`dbg!` in library code.
@@ -48,11 +43,10 @@ pub enum Code {
 }
 
 /// Every enforceable code, in reporting order.
-pub const ALL_CODES: [Code; 11] = [
+pub const ALL_CODES: [Code; 10] = [
     Code::Mcsd000,
     Code::Mcsd001,
     Code::Mcsd002,
-    Code::Mcsd003,
     Code::Mcsd004,
     Code::Mcsd005,
     Code::Mcsd006,
@@ -69,7 +63,6 @@ impl Code {
             Code::Mcsd000 => "MCSD000",
             Code::Mcsd001 => "MCSD001",
             Code::Mcsd002 => "MCSD002",
-            Code::Mcsd003 => "MCSD003",
             Code::Mcsd004 => "MCSD004",
             Code::Mcsd005 => "MCSD005",
             Code::Mcsd006 => "MCSD006",
@@ -91,7 +84,6 @@ impl Code {
             Code::Mcsd000 => "malformed or unused tidy waiver",
             Code::Mcsd001 => "wall-clock time in simulation-crate library code",
             Code::Mcsd002 => "panic path (unwrap/expect/panic!/todo!) in library code",
-            Code::Mcsd003 => "deprecated alias for MCSD010 (retired 3-line-window heuristic)",
             Code::Mcsd004 => "unseeded randomness outside test code",
             Code::Mcsd005 => "stdout debugging (println!/print!/dbg!) in library code",
             Code::Mcsd006 => "workspace hygiene (workspace deps, lints table, lib.rs header)",

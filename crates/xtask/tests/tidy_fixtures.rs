@@ -205,30 +205,6 @@ fn mcsd010_clean_fixture_passes() {
 }
 
 #[test]
-fn mcsd003_waivers_still_suppress_mcsd010_findings() {
-    // The retired window heuristic's waivers must keep working: MCSD003
-    // is a deprecated alias for MCSD010 in waiver matching.
-    let src = "\
-use std::collections::HashMap;
-
-pub fn emit_all(m: HashMap<u32, u32>, out: &mut String) {
-    // tidy:allow(MCSD003) -- emitter is order-insensitive here
-    for (_, v) in m.iter() {
-        out.push_str(\"x\");
-        let _ = v;
-    }
-}
-";
-    let ws = fixture_ws(PLAIN_PATH, src);
-    let raw = check_determinism(&ws, None);
-    assert_eq!(raw.len(), 1, "{raw:?}");
-    let file = &ws.files[0];
-    let outcome = xtask::checks::apply_waivers(&file.ctx, &file.scanned, raw);
-    assert!(outcome.diagnostics.is_empty(), "{:?}", outcome.diagnostics);
-    assert_eq!(outcome.waivers_honored, 1);
-}
-
-#[test]
 fn mcsd004_flags_unseeded_rng() {
     let out = check(PLAIN_PATH, include_str!("fixtures/mcsd004_violating.rs"));
     assert!(
@@ -417,11 +393,12 @@ fn real_workspace_is_tidy() {
         "scanned {}",
         report.files_scanned
     );
-    // The waiver budget: the tree stays analyzable without blanket
-    // escapes. Raising this number is a review decision, not a tweak.
+    // The waiver budget is the count in the tree: the tree stays
+    // analyzable without blanket escapes, and a new waiver shows up as a
+    // diff of this number — a review decision, not a tweak.
     assert!(
-        report.waivers_honored <= 10,
-        "waiver budget exceeded: {} > 10",
+        report.waivers_honored <= 7,
+        "waiver budget exceeded: {} > 7",
         report.waivers_honored
     );
 }

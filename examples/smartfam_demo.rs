@@ -79,13 +79,21 @@ fn main() {
         .submit("checksum", &["recovered".into()])
         .expect("submit while daemon is down");
     println!("daemon down; request {} written to the log", pending.id());
-    let _daemon2 = Daemon::new(DaemonConfig::new(&dir), registry)
+    let mut daemon2 = Daemon::new(DaemonConfig::new(&dir), registry)
         .spawn()
         .expect("daemon restarts");
     let out = pending.wait(Duration::from_secs(10)).expect("replayed");
     println!(
         "after restart: checksum(recovered) = {}",
         String::from_utf8_lossy(&out.payload)
+    );
+    // The log is the replay set: the two calls answered before the crash
+    // have a response after them in their logs and are not run again.
+    daemon2.stop();
+    let stats = daemon2.stats();
+    println!(
+        "second daemon read 3 requests in its logs and served {} ({} replayed)",
+        stats.requests, stats.replayed
     );
 
     std::fs::remove_dir_all(&dir).ok();
