@@ -9,7 +9,7 @@
 //! bytes.
 
 use mcsd_apps::WordCount;
-use mcsd_phoenix::{MemoryModel, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
+use mcsd_phoenix::{Job, MemoryModel, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 use std::process::exit;
 
 fn parse_size(s: &str) -> u64 {
@@ -67,7 +67,7 @@ fn main() {
                     // "automatically determined by the runtime system":
                     // size fragments for this machine's memory.
                     let memory = MemoryModel::new(estimate_machine_memory());
-                    PartitionSpec::auto(&memory, 2.4)
+                    PartitionSpec::auto(&memory, WordCount.footprint_factor())
                 }
                 bytes => PartitionSpec::new(bytes as usize),
             };

@@ -44,8 +44,10 @@ impl Job for WordCount {
         // Aggregate within the chunk first, so a word is emitted once per
         // chunk — `emitted_pairs` counts distinct words per chunk, not
         // occurrences. A valid-UTF-8 word reaches the emitter as the slice
-        // of the chunk it is, and stays borrowed until reduce (DESIGN.md
-        // §19); only a word `from_utf8_lossy` had to repair is copied.
+        // of the chunk it is, and stays borrowed through reduce, until the
+        // run's output or the Merge function owns it — once per job
+        // (DESIGN.md §19); only a word `from_utf8_lossy` had to repair is
+        // copied.
         // The table is sized once, for what a default 64 KiB chunk of text
         // holds at most: grown from empty for every chunk it was a quarter
         // of the job's allocated bytes.

@@ -207,3 +207,36 @@ fn wordcount_counters_equal_the_owned_key_runtime() {
     assert_eq!(out.pairs, seq::wordcount(&broken));
     assert_eq!(wc_counters(&out.stats), (330, 12, 4));
 }
+
+/// One key met in three fragments in three forms — spelled out with a
+/// literal U+FFFD (a borrowed slice of the fragment), as bytes
+/// `from_utf8_lossy` repairs to it (an owned key), spelled out again — is
+/// one pair with the summed count, whichever form the Merge function sees
+/// first; and `JobStats` reads what the parent of the owned-once-per-job
+/// change (commit f8de13e) read.
+#[test]
+fn wordcount_key_in_three_forms_across_three_fragments_is_one_pair() {
+    let pieces: [&[u8]; 3] = [
+        b"w x\xEF\xBF\xBD y x\xEF\xBF\xBD ",
+        b"x\xFF x\xFE zz x\xFF w ",
+        b"x\xEF\xBF\xBD y0 x\xEF\xBF\xBD ",
+    ];
+    let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(8));
+    let part = PartitionedRuntime::new(rt, PartitionSpec::new(40));
+    let parent_counters = [(15, 12, 11), (15, 13, 11), (13, 11, 11)];
+    for first in 0..pieces.len() {
+        let mut text = Vec::new();
+        for i in 0..pieces.len() {
+            // Padded by one long word to the fragment size: a piece is a
+            // fragment.
+            text.extend_from_slice(pieces[(first + i) % pieces.len()]);
+            text.resize((i + 1) * 40 - 1, b'a');
+            text.push(b'\n');
+        }
+        let out = part.run(&WordCount, &text, &WordCount::merger()).unwrap();
+        assert_eq!(out.pairs, seq::wordcount(&text));
+        assert_eq!(out.pairs[0], ("x\u{FFFD}".to_string(), 7));
+        assert_eq!((out.stats.fragments, out.stats.output_pairs), (3, 7));
+        assert_eq!(wc_counters(&out.stats), parent_counters[first]);
+    }
+}

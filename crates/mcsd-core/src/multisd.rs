@@ -32,7 +32,7 @@ use mcsd_cluster::{Cluster, NodeRole, TimeBreakdown};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::partition::Merger;
 use mcsd_phoenix::Stopwatch;
-use mcsd_phoenix::{Job, Splitter};
+use mcsd_phoenix::{InterKey, Job, Splitter};
 use mcsd_smartfam::{FaultInjector, FaultSite, Frame, ResilienceStats};
 use std::time::Duration;
 
@@ -305,7 +305,8 @@ impl MultiSdRunner {
             resilience.redispatches += u64::from(disposition.redispatched(primary));
 
             let t0 = Stopwatch::start();
-            merger.merge(&mut acc, out.pairs);
+            let owned = out.pairs.into_iter().map(|(k, v)| (InterKey::Owned(k), v));
+            merger.merge(&mut acc, owned.collect());
             merge_wall += t0.elapsed();
             let mut report = out.report;
             report.resilience = disposition.span_stats(primary);

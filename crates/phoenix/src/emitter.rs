@@ -8,10 +8,10 @@
 //! Word Count's intermediate footprint bounded by the number of *distinct*
 //! words per fragment rather than the number of word occurrences.
 //!
-//! Between `emit` and reduce a key is an `InterKey`: owned, or — for keys
-//! that are text of the job input ([`Emitter::emit_ref`]) — a slice of that
-//! input, so that nothing is allocated per worker or per chunk for it
-//! (DESIGN.md §19).
+//! From `emit` until something has to outlive the job input a key is an
+//! [`InterKey`]: owned, or — for keys that are text of the job input
+//! ([`Emitter::emit_ref`]) — a slice of that input, so that nothing is
+//! allocated per worker, per chunk or per fragment for it (DESIGN.md §19).
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -45,30 +45,68 @@ impl<J: crate::job::Job> CombineFn<J::Value> for J {
 }
 
 /// How an owned key type stands for text: its [`Borrow<str>`] view — under
-/// which, by `Borrow`'s contract, it hashes and orders like the text — and
-/// its constructor. [`Emitter::emit_ref`], the one place that knows the
-/// bounds, captures them as plain functions, so the bound-free runtime can
-/// still compare and materialise such keys.
-pub(crate) struct TextKey<K> {
+/// which, by `Borrow`'s contract, it hashes and orders like the text — its
+/// constructor and its refill in place, captured as plain functions by
+/// [`Emitter::emit_ref`], the one place that knows the bounds, so the
+/// bound-free runtime and Merge functions can compare and materialise keys.
+pub struct TextKey<K> {
     view: fn(&K) -> &str,
     own: fn(&str) -> K,
+    refill: fn(&str, &mut K),
 }
 
-/// An intermediate key: what a pair is keyed on from `emit` until reduce
-/// has grouped it and needs the owned key.
-pub(crate) enum InterKey<'i, K> {
+impl<K: Borrow<str>> TextKey<K>
+where
+    str: ToOwned<Owned = K>,
+{
+    /// One table per key type, promoted to a static: an [`InterKey::Input`]
+    /// — every combining-table entry is an `InterKey` — holds one pointer.
+    pub(crate) const TABLE: Self = TextKey {
+        view: <K as Borrow<str>>::borrow,
+        own: str::to_owned,
+        refill: str::clone_into,
+    };
+}
+
+/// An intermediate key: what a pair is keyed on from `emit` until the owned
+/// key has to outlive the job input — in the output of
+/// [`Runtime::run`](crate::runtime::Runtime::run), or in a
+/// [`Merger`](crate::partition::Merger) the first time it sees the key.
+pub enum InterKey<'i, K> {
     /// Owned from the start ([`Emitter::emit`]).
     Owned(K),
     /// Text of the job input ([`Emitter::emit_ref`]).
-    Input(&'i str, TextKey<K>),
+    Input(&'i str, &'i TextKey<K>),
 }
 
-impl<K> InterKey<'_, K> {
+impl<K: Ord> InterKey<'_, K> {
     /// The owned key; for input text, its one allocation.
-    pub(crate) fn into_owned(self) -> K {
+    pub fn into_owned(self) -> K {
         match self {
             InterKey::Owned(key) => key,
             InterKey::Input(text, as_text) => (as_text.own)(text),
+        }
+    }
+
+    /// The key by reference, as [`Job::reduce`](crate::job::Job::reduce)
+    /// takes it: input text is copied into `scratch`, whose allocation is
+    /// reused from key to key.
+    pub(crate) fn key_in<'s>(&'s self, scratch: &'s mut Option<K>) -> &'s K {
+        match (self, scratch) {
+            (InterKey::Owned(key), _) => key,
+            (InterKey::Input(text, as_text), Some(key)) => {
+                (as_text.refill)(text, key);
+                key
+            }
+            (InterKey::Input(text, as_text), scratch) => scratch.insert((as_text.own)(text)),
+        }
+    }
+
+    /// How this key orders against an owned one, without owning it.
+    pub fn cmp_key(&self, key: &K) -> Ordering {
+        match self {
+            InterKey::Owned(own) => own.cmp(key),
+            InterKey::Input(text, as_text) => (*text).cmp((as_text.view)(key)),
         }
     }
 }
@@ -76,9 +114,8 @@ impl<K> InterKey<'_, K> {
 impl<K: Ord> Ord for InterKey<'_, K> {
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
-            (InterKey::Owned(a), InterKey::Owned(b)) => a.cmp(b),
-            (InterKey::Owned(a), InterKey::Input(b, as_text)) => (as_text.view)(a).cmp(b),
-            (InterKey::Input(a, as_text), InterKey::Owned(b)) => (*a).cmp((as_text.view)(b)),
+            (_, InterKey::Owned(key)) => self.cmp_key(key),
+            (InterKey::Owned(key), _) => other.cmp_key(key).reverse(),
             (InterKey::Input(a, _), InterKey::Input(b, _)) => a.cmp(b),
         }
     }
@@ -146,10 +183,14 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
         }
     }
 
-    /// The same emitter over the job input `input`: keys
-    /// [`Emitter::emit_ref`] finds inside it stay borrowed from it.
-    pub(crate) fn over(mut self, input: &'i [u8]) -> Self {
+    /// The same emitter over the job input `input` — keys
+    /// [`Emitter::emit_ref`] finds inside it stay borrowed from it — with
+    /// room in each combining table for `table_keys` keys from the start.
+    pub(crate) fn over(mut self, input: &'i [u8], table_keys: usize) -> Self {
         self.input = input;
+        if let Buffers::Combining(maps) = &mut self.buffers {
+            maps.iter_mut().for_each(|map| map.reserve(table_keys));
+        }
         self
     }
 
@@ -170,27 +211,22 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     /// for it when `key` is a slice of the job input (a word of the chunk
     /// being mapped): such a key is found again in the input by its
     /// address — as `bytes::Bytes::slice_ref` finds a sub-slice — and held
-    /// as that slice until reduce has grouped it, one allocation per
-    /// distinct key. Any other `key` is copied at once, as by
-    /// [`Emitter::emit`]. Either way it groups with every equal key,
-    /// however emitted.
+    /// as that slice until the run's output or the Merge function owns it,
+    /// one allocation per distinct key per job. Any other `key` is copied
+    /// at once, as by [`Emitter::emit`]. Either way it groups with every
+    /// equal key, however emitted.
     pub fn emit_ref(&mut self, key: &str, value: V)
     where
-        K: Borrow<str> + for<'a> From<&'a str>,
+        K: Borrow<str>,
+        str: ToOwned<Owned = K>,
     {
         let in_input = (key.as_ptr() as usize)
             .checked_sub(self.input.as_ptr() as usize)
             .and_then(|start| self.input.get(start..start.checked_add(key.len())?))
             .and_then(|bytes| std::str::from_utf8(bytes).ok());
         let key = match in_input {
-            Some(text) => {
-                let as_text = TextKey {
-                    view: <K as Borrow<str>>::borrow,
-                    own: |text: &str| K::from(text),
-                };
-                InterKey::Input(text, as_text)
-            }
-            None => InterKey::Owned(K::from(key)),
+            Some(text) => InterKey::Input(text, &TextKey::TABLE),
+            None => InterKey::Owned(key.to_owned()),
         };
         self.push(key, value)
     }
@@ -301,7 +337,7 @@ mod tests {
     fn emit_ref_borrows_input_text_and_copies_anything_else() {
         let input = b"red green red".to_vec();
         let text = std::str::from_utf8(&input).unwrap();
-        let mut e: Emitter<'_, String, u64> = Emitter::new(1).over(&input);
+        let mut e: Emitter<'_, String, u64> = Emitter::new(1).over(&input, 0);
         e.emit_ref(&text[..3], 1);
         e.emit_ref(&String::from("red"), 1);
         let keys: Vec<_> = e.into_partitions().remove(0);
@@ -318,7 +354,7 @@ mod tests {
         let input = b"red green red".to_vec();
         let text = std::str::from_utf8(&input).unwrap();
         let summer = Summer;
-        let mut e: Emitter<'_, String, u64> = Emitter::with_combiner(4, &summer).over(&input);
+        let mut e: Emitter<'_, String, u64> = Emitter::with_combiner(4, &summer).over(&input, 0);
         e.emit("red".into(), 1);
         e.emit_ref(&text[..3], 1);
         e.emit_ref(&text[4..9], 1);
@@ -330,16 +366,33 @@ mod tests {
         assert_eq!(sorted, vec![("green".into(), 2), ("red".into(), 3)]);
         // Hash and order agree across the two forms, as partitioning and
         // reduce's sort need.
-        let as_text = |view, own| TextKey { view, own };
-        let borrowed: InterKey<'_, String> = InterKey::Input(
-            "red",
-            as_text(|k: &String| k.as_str(), |t: &str| t.to_string()),
-        );
+        let borrowed: InterKey<'_, String> = InterKey::Input("red", &TextKey::TABLE);
         let owned = InterKey::Owned(String::from("red"));
         assert_eq!(partition_hash(&borrowed), partition_hash(&owned));
         assert_eq!(partition_hash(&owned), partition_hash(&String::from("red")));
         assert_eq!(borrowed.cmp(&owned), Ordering::Equal);
         assert!(borrowed > InterKey::Owned(String::from("green")));
+    }
+
+    #[test]
+    fn input_text_is_one_pointer_wide_and_refills_one_scratch_key() {
+        // Every combining-table entry is an `InterKey`: `TextKey`'s
+        // functions stored inline would widen them all.
+        assert_eq!(std::mem::size_of::<InterKey<'_, String>>(), 32);
+        let green: InterKey<'_, String> = InterKey::Input("green", &TextKey::TABLE);
+        let red: InterKey<'_, String> = InterKey::Input("red", &TextKey::TABLE);
+        let mut scratch = None;
+        assert_eq!(green.key_in(&mut scratch), "green");
+        let allocation = scratch.as_ref().map(|key| key.as_ptr());
+        assert_eq!(red.key_in(&mut scratch), "red");
+        let refilled = scratch.as_ref().map(|key| key.as_ptr());
+        assert_eq!(refilled, allocation, "refilled in place, not rebuilt");
+        // An owned key is shown as it is and leaves the scratch alone.
+        let blue = InterKey::Owned(String::from("blue"));
+        assert_eq!(blue.key_in(&mut scratch), "blue");
+        assert_eq!(scratch.as_deref(), Some("red"));
+        assert_eq!(red.cmp_key(&String::from("red")), Ordering::Equal);
+        assert_eq!(blue.cmp_key(&String::from("red")), Ordering::Less);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod stats;
 pub mod stopwatch;
 
 pub use config::{OutputOrder, PhoenixConfig};
-pub use emitter::Emitter;
+pub use emitter::{Emitter, InterKey};
 pub use error::PhoenixError;
 pub use integrity::{Delimiter, IntegrityCheck};
 pub use job::{InputChunk, Job, ValueIter};
@@ -87,7 +87,7 @@ pub use stopwatch::{wall_clock_ms, Stopwatch};
 /// Convenience re-exports for downstream users.
 pub mod prelude {
     pub use crate::config::{OutputOrder, PhoenixConfig};
-    pub use crate::emitter::Emitter;
+    pub use crate::emitter::{Emitter, InterKey};
     pub use crate::error::PhoenixError;
     pub use crate::integrity::{Delimiter, IntegrityCheck};
     pub use crate::job::{InputChunk, Job, ValueIter};

@@ -17,9 +17,9 @@
 //! [`PartitionedRuntime`] is the same fragment sweep over one of the two.
 
 use crate::config::OutputOrder;
-use crate::emitter::Emitter;
+use crate::emitter::InterKey;
 use crate::error::PhoenixError;
-use crate::job::{InputChunk, Job, ValueIter};
+use crate::job::Job;
 use crate::memory::MemoryModel;
 use crate::runtime::{JobOutput, Runtime, TRACE_TRACK};
 use crate::sort::parallel_sort_by;
@@ -29,7 +29,7 @@ use crate::stopwatch::Stopwatch;
 use mcsd_obs::names::SPAN_PHOENIX_PARTITIONED;
 use mcsd_obs::ClockDomain;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
@@ -72,9 +72,9 @@ impl PartitionSpec {
     }
 }
 
-/// Final ordering of merged output pairs, per the job's declared
-/// [`OutputOrder`] — shared by the in-memory and on-file partition paths
-/// (and by the multi-SD host merge, which sorts with one worker).
+/// Final ordering of output pairs, per the job's declared [`OutputOrder`]
+/// — shared by [`Runtime::run_at`], the fragment sweep and the multi-SD
+/// host merge (which sorts with one worker).
 pub fn sort_output<J: Job>(job: &J, pairs: &mut Vec<(J::Key, J::Value)>, workers: usize) {
     match job.output_order() {
         OutputOrder::ByKey => parallel_sort_by(pairs, workers, |a, b| a.0.cmp(&b.0)),
@@ -139,6 +139,13 @@ pub struct PlanOnFile {
 
 /// User-programmed Merge function folding per-fragment outputs into a final
 /// result (Fig. 6's "Merge" box).
+///
+/// The Merge function is who owns a key (DESIGN.md §19): a fragment's keys
+/// arrive as [`InterKey`]s, input text still borrowed from the fragment
+/// buffer, which is refilled once `merge` returns. A key the accumulator
+/// keeps is made owned with [`InterKey::into_owned`] — its one allocation
+/// in the whole job; a key it already holds is compared
+/// ([`InterKey::cmp_key`]) and dropped without ever having been allocated.
 pub trait Merger<J: Job>: Sync {
     /// Accumulator carried across fragments.
     type Acc: Send;
@@ -146,8 +153,9 @@ pub trait Merger<J: Job>: Sync {
     /// Fresh accumulator.
     fn empty(&self) -> Self::Acc;
 
-    /// Fold one fragment's output pairs into the accumulator.
-    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(J::Key, J::Value)>);
+    /// Fold one fragment's output pairs — key-sorted runs, one per reduce
+    /// partition, one after another — into the accumulator.
+    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(InterKey<'_, J::Key>, J::Value)>);
 
     /// Turn the accumulator into final output pairs (unsorted; the driver
     /// applies the job's output order).
@@ -156,7 +164,9 @@ pub trait Merger<J: Job>: Sync {
 
 /// Merge by key, folding values with the job's combiner semantics. The
 /// right merger for Word Count: per-fragment counts for the same word are
-/// summed.
+/// summed. The accumulator is one key-sorted run that each fragment is
+/// merge-joined into, so only a key no earlier fragment held is allocated,
+/// and the merged pairs come out in key order on every run.
 pub struct SumMerger<F> {
     fold: F,
 }
@@ -174,31 +184,47 @@ where
     J: Job,
     F: Fn(&mut J::Value, J::Value) + Sync,
 {
-    type Acc = HashMap<J::Key, J::Value>;
+    type Acc = Vec<(J::Key, J::Value)>;
 
     fn empty(&self) -> Self::Acc {
-        HashMap::new()
+        Vec::new()
     }
 
-    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(J::Key, J::Value)>) {
-        for (k, v) in fragment {
-            match acc.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => (self.fold)(e.get_mut(), v),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
+    fn merge(&self, acc: &mut Self::Acc, mut fragment: Vec<(InterKey<'_, J::Key>, J::Value)>) {
+        // Stable: the fragment's sorted runs are found and merged, not
+        // sorted again.
+        fragment.sort_by(|a, b| a.0.cmp(&b.0));
+        // The run holds at least the keys of its largest fragment.
+        acc.reserve(fragment.len().saturating_sub(acc.len()));
+        let held = acc.len();
+        let mut at = 0;
+        for (key, value) in fragment {
+            while at < held && key.cmp_key(&acc[at].0) == Ordering::Greater {
+                at += 1;
             }
+            // The key is the run's at `at`, or — a fragment may repeat a
+            // key — the newest of the keys queued behind the run, or new.
+            let (run, queued) = acc.split_at_mut(held);
+            let mut candidates = run.get_mut(at).into_iter().chain(queued.last_mut());
+            match candidates.find(|(own, _)| key.cmp_key(own) == Ordering::Equal) {
+                Some((_, folded)) => (self.fold)(folded, value),
+                None => acc.push((key.into_owned(), value)),
+            }
+        }
+        if held > 0 && acc.len() > held {
+            // Two sorted runs, merged in one pass.
+            acc.sort_by(|a, b| a.0.cmp(&b.0));
         }
     }
 
     fn finish(&self, acc: Self::Acc) -> Vec<(J::Key, J::Value)> {
-        acc.into_iter().collect()
+        acc
     }
 }
 
 /// Concatenate fragment outputs. The right merger for map-only jobs whose
 /// keys never repeat across fragments (String Match's byte-offset keys,
-/// Matrix Multiplication's row/column keys).
+/// Matrix Multiplication's row/column keys) — so it owns every key.
 pub struct ConcatMerger;
 
 impl<J: Job> Merger<J> for ConcatMerger {
@@ -208,59 +234,12 @@ impl<J: Job> Merger<J> for ConcatMerger {
         Vec::new()
     }
 
-    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(J::Key, J::Value)>) {
-        acc.extend(fragment);
+    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(InterKey<'_, J::Key>, J::Value)>) {
+        acc.extend(fragment.into_iter().map(|(k, v)| (k.into_owned(), v)));
     }
 
     fn finish(&self, acc: Self::Acc) -> Vec<(J::Key, J::Value)> {
         acc
-    }
-}
-
-/// Delegating wrapper that suppresses a job's final output ordering.
-/// Fragment outputs feed straight into the user Merge function, which
-/// destroys any order anyway, so sorting each fragment would be wasted
-/// work — the driver applies the job's real order once, after the merge.
-struct UnsortedFragment<'j, J>(&'j J);
-
-impl<'j, J: Job> Job for UnsortedFragment<'j, J> {
-    type Key = J::Key;
-    type Value = J::Value;
-
-    fn map(&self, chunk: InputChunk<'_>, emitter: &mut Emitter<'_, Self::Key, Self::Value>) {
-        self.0.map(chunk, emitter)
-    }
-
-    fn reduce(
-        &self,
-        key: &Self::Key,
-        values: &mut ValueIter<'_, Self::Value>,
-    ) -> Option<Self::Value> {
-        self.0.reduce(key, values)
-    }
-
-    fn has_combiner(&self) -> bool {
-        self.0.has_combiner()
-    }
-
-    fn combine(&self, acc: &mut Self::Value, next: Self::Value) {
-        self.0.combine(acc, next)
-    }
-
-    fn split_spec(&self) -> SplitSpec {
-        self.0.split_spec()
-    }
-
-    fn output_order(&self) -> OutputOrder {
-        OutputOrder::Unsorted
-    }
-
-    fn footprint_factor(&self) -> f64 {
-        self.0.footprint_factor()
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
     }
 }
 
@@ -341,10 +320,12 @@ impl PartitionedRuntime {
     }
 
     /// The one fragment sweep behind every entry: plan the fragments of
-    /// the source `open` yields, run each on the inner runtime with its
-    /// output order suppressed, fold the outputs with `merger`, and apply
-    /// the job's order once at the end. Each fragment's own `phoenix.job`
-    /// tree nests inside one `phoenix.partitioned` span (when traced).
+    /// the source `open` yields, run each on the inner runtime as far as
+    /// reduce, fold the reduced pairs — keys not yet owned, order not yet
+    /// applied: the Merge function destroys any order anyway — with
+    /// `merger`, and apply the job's order once at the end. Each fragment's
+    /// own `phoenix.job` tree nests inside one `phoenix.partitioned` span
+    /// (when traced).
     fn sweep<'a, J, M>(
         &self,
         job: &J,
@@ -394,11 +375,13 @@ impl PartitionedRuntime {
         });
         let mut acc = merger.empty();
         let mut merge_time = std::time::Duration::ZERO;
-        let fragment_job = UnsortedFragment(job);
+        let mut table_keys = 0;
         let fragment_loop = (|| -> Result<(), PhoenixError> {
             for range in &fragments {
                 let (bytes, offset) = source.load(range)?;
-                let out = self.runtime.run_at(&fragment_job, bytes, offset)?;
+                let out = self
+                    .runtime
+                    .reduce_at(job, bytes, offset, &mut table_keys)?;
                 agg_stats.accumulate(&out.stats);
                 let t0 = Stopwatch::start();
                 merger.merge(&mut acc, out.pairs);
@@ -585,6 +568,55 @@ mod tests {
             .filter(|l| l.contains("\"name\":\"phoenix.job\""))
             .count() as u64;
         assert_eq!(jobs, out.stats.fragments, "one phoenix.job per fragment");
+    }
+
+    /// [`Wc`] with no output order declared: what the Merge function
+    /// returns is what the caller gets.
+    struct UnorderedWc;
+    impl Job for UnorderedWc {
+        type Key = String;
+        type Value = u64;
+        fn map(&self, chunk: InputChunk<'_>, emitter: &mut Emitter<'_, String, u64>) {
+            Wc.map(chunk, emitter)
+        }
+        fn reduce(&self, k: &String, values: &mut ValueIter<'_, u64>) -> Option<u64> {
+            Wc.reduce(k, values)
+        }
+        fn output_order(&self) -> OutputOrder {
+            OutputOrder::Unsorted
+        }
+    }
+
+    #[test]
+    fn unsorted_multi_key_job_merges_in_the_same_order_every_run() {
+        let data: Vec<u8> = (0..600)
+            .flat_map(|i| format!("w{} ", (i * 7) % 200).into_bytes())
+            .collect();
+        let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(256));
+        let part = PartitionedRuntime::new(rt, PartitionSpec::new(1024));
+        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
+        let first = part.run(&UnorderedWc, &data, &merger).unwrap();
+        let second = part.run(&UnorderedWc, &data, &merger).unwrap();
+        assert!(first.stats.fragments > 1);
+        assert_eq!(first.pairs.len(), 200);
+        assert_eq!(first.pairs, second.pairs);
+    }
+
+    #[test]
+    fn sum_merger_folds_owned_borrowed_and_repeated_keys_into_one_sorted_run() {
+        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
+        let owned = |k: &str, v| (InterKey::Owned(k.to_string()), v);
+        let input = |k, v| (InterKey::Input(k, &crate::emitter::TextKey::TABLE), v);
+        let mut acc = <SumMerger<_> as Merger<Wc>>::empty(&merger);
+        // Two sorted runs, as two reduce partitions leave them; `b` twice.
+        let fragment = vec![owned("b", 1), input("d", 1), input("a", 1), input("b", 1)];
+        Merger::<Wc>::merge(&merger, &mut acc, fragment);
+        // Keys below, between, equal to and above the ones held.
+        let fragment = vec![input("e", 5), owned("c", 5), owned("d", 5), input("0", 5)];
+        Merger::<Wc>::merge(&merger, &mut acc, fragment);
+        let expect = [("0", 5), ("a", 1), ("b", 2), ("c", 5), ("d", 6), ("e", 5)];
+        let expect: Vec<_> = expect.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(Merger::<Wc>::finish(&merger, acc), expect);
     }
 
     #[test]

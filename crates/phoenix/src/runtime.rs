@@ -6,12 +6,12 @@
 //! a node's core count: 1 worker = the paper's sequential baseline, 2 = the
 //! Core2 Duo SD node, 4 = the Core2 Quad host.
 
-use crate::config::{OutputOrder, PhoenixConfig};
+use crate::config::PhoenixConfig;
 use crate::emitter::{Emitter, InterKey};
 use crate::error::PhoenixError;
 use crate::job::{InputChunk, Job, ValueIter};
 use crate::memory::MemoryVerdict;
-use crate::sort::{kway_merge_by, parallel_sort_by};
+use crate::partition::sort_output;
 use crate::splitter::Splitter;
 use crate::stats::{JobStats, PhaseTimings};
 use crate::stopwatch::Stopwatch;
@@ -20,6 +20,7 @@ use mcsd_obs::names::{
 };
 use mcsd_obs::{ClockDomain, Tracer};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 #[derive(Debug, Clone)]
 pub struct JobOutput<K, V> {
     /// Final `(key, value)` pairs, ordered per the job's
-    /// [`OutputOrder`].
+    /// [`OutputOrder`](crate::config::OutputOrder).
     pub pairs: Vec<(K, V)>,
     /// Statistics of the run.
     pub stats: JobStats,
@@ -57,7 +58,7 @@ struct WorkerMapOutput<'i, K, V> {
 
 /// A reduced partition: key-sorted output pairs plus its distinct-key
 /// count.
-type ReducedPartition<K, V> = (Vec<(K, V)>, u64);
+type ReducedPartition<'i, K, V> = (Vec<(InterKey<'i, K>, V)>, u64);
 /// A work cell claimed by exactly one reduce worker.
 type WorkCell<T> = Mutex<Option<T>>;
 
@@ -155,6 +156,32 @@ impl Runtime {
         input: &[u8],
         base_offset: usize,
     ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError> {
+        let JobOutput { pairs, mut stats } = self.reduce_at(job, input, base_offset, &mut 0)?;
+        // The output outlives `input`: every key becomes owned here, by
+        // its one allocation, and the job's order is applied.
+        let t0 = Stopwatch::start();
+        let owned = pairs.into_iter().map(|(k, v)| (k.into_owned(), v));
+        let mut pairs = owned.collect();
+        sort_output(job, &mut pairs, self.config.workers);
+        stats.timings.merge += t0.elapsed();
+        Ok(JobOutput { pairs, stats })
+    }
+
+    /// Split → map → shuffle → reduce → concatenate: the part of a run
+    /// that [`Runtime::run_at`] shares with the fragment sweep of
+    /// [`PartitionedRuntime`](crate::partition::PartitionedRuntime), memory
+    /// model enforced, stats complete, span tree recorded. Its pairs are the
+    /// reduced partitions one after another, each in key order, the job's
+    /// order not applied and no key owned that was emitted as text of
+    /// `input` (DESIGN.md §19). `table_keys` carries the size the combining
+    /// tables reached from one fragment to the next.
+    pub(crate) fn reduce_at<'i, J: Job>(
+        &self,
+        job: &'i J,
+        input: &'i [u8],
+        base_offset: usize,
+        table_keys: &mut usize,
+    ) -> Result<JobOutput<InterKey<'i, J::Key>, J::Value>, PhoenixError> {
         self.config.validate()?;
         let mut swapped_bytes = 0u64;
         if let Some(memory) = &self.config.memory {
@@ -171,18 +198,6 @@ impl Runtime {
                 MemoryVerdict::Fits => {}
             }
         }
-        self.execute(job, input, base_offset, swapped_bytes)
-    }
-
-    /// The split → map → reduce → merge pipeline (memory checks already
-    /// done by the caller).
-    fn execute<J: Job>(
-        &self,
-        job: &J,
-        input: &[u8],
-        base_offset: usize,
-        swapped_bytes: u64,
-    ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError> {
         let workers = self.config.workers;
         let partitions = self.config.reduce_partitions;
         let mut timings = PhaseTimings::default();
@@ -212,7 +227,7 @@ impl Runtime {
             } else {
                 Emitter::new(partitions)
             };
-            let mut emitter = emitter.over(input);
+            let mut emitter = emitter.over(input, *table_keys);
             for idx in (w..chunks.len()).step_by(workers) {
                 let range = &chunks[idx];
                 let chunk = InputChunk::new(&input[range.clone()], base_offset + range.start, idx);
@@ -237,8 +252,10 @@ impl Runtime {
         // order.
         let mut buckets: Vec<PartitionBuckets<'_, J::Key, J::Value>> =
             (0..partitions).map(|_| Vec::new()).collect();
+        *table_keys = 0;
         for output in outputs {
             for (p, buf) in output.partitions.into_iter().enumerate() {
+                *table_keys = (*table_keys).max(buf.len());
                 if !buf.is_empty() {
                     buckets[p].push(buf);
                 }
@@ -249,27 +266,32 @@ impl Runtime {
         let t0 = Stopwatch::start();
         let buckets: Vec<WorkCell<PartitionBuckets<'_, J::Key, J::Value>>> =
             buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let reduced: Vec<WorkCell<ReducedPartition<J::Key, J::Value>>> =
+        let reduced: Vec<WorkCell<ReducedPartition<'_, J::Key, J::Value>>> =
             (0..partitions).map(|_| Mutex::new(None)).collect();
         let next_partition = AtomicUsize::new(0);
-        scoped_workers(workers, "reduce", |_w| loop {
-            let p = next_partition.fetch_add(1, Ordering::Relaxed);
-            if p >= partitions {
-                break;
+        scoped_workers(workers, "reduce", |_w| {
+            // The worker's one key allocation: what `Job::reduce` is shown
+            // of a key that is input text.
+            let mut scratch = None;
+            loop {
+                let p = next_partition.fetch_add(1, Ordering::Relaxed);
+                if p >= partitions {
+                    break;
+                }
+                // The atomic counter hands each partition index to exactly
+                // one worker, so the cell is always populated here; an empty
+                // cell would mean the counter protocol broke, and skipping
+                // is safer than bringing the whole pool down.
+                let Some(bufs) = buckets[p].lock().take() else {
+                    continue;
+                };
+                let result = reduce_partition(job, bufs, &mut scratch);
+                *reduced[p].lock() = Some(result);
             }
-            // The atomic counter hands each partition index to exactly one
-            // worker, so the cell is always populated here; an empty cell
-            // would mean the counter protocol broke, and skipping is safer
-            // than bringing the whole pool down.
-            let Some(bufs) = buckets[p].lock().take() else {
-                continue;
-            };
-            let result = reduce_partition(job, bufs);
-            *reduced[p].lock() = Some(result);
         })?;
         timings.reduce = t0.elapsed();
 
-        let mut partition_outputs: Vec<Vec<(J::Key, J::Value)>> = Vec::with_capacity(partitions);
+        let mut partition_outputs = Vec::with_capacity(partitions);
         let mut distinct_keys = 0u64;
         for cell in reduced {
             let (out, distinct) = cell
@@ -281,23 +303,7 @@ impl Runtime {
 
         // ---- Merge ----
         let t0 = Stopwatch::start();
-        let concat = |parts: Vec<Vec<(J::Key, J::Value)>>| {
-            let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            parts.into_iter().for_each(|part| all.extend(part));
-            all
-        };
-        let pairs = match job.output_order() {
-            OutputOrder::ByKey => {
-                // Each partition output is already key-sorted.
-                kway_merge_by(partition_outputs, &|a, b| a.0.cmp(&b.0))
-            }
-            OutputOrder::Custom => {
-                let mut all = concat(partition_outputs);
-                parallel_sort_by(&mut all, workers, |a, b| job.compare_output(a, b));
-                all
-            }
-            OutputOrder::Unsorted => concat(partition_outputs),
-        };
+        let pairs = concat(partition_outputs);
         timings.merge = t0.elapsed();
 
         let stats = JobStats {
@@ -352,42 +358,54 @@ impl Runtime {
     }
 }
 
+/// One part after another, in one vector sized once.
+fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    parts.into_iter().for_each(|part| all.extend(part));
+    all
+}
+
 /// Sort, group and reduce the pairs of one partition. Returns the
-/// key-sorted output pairs and the number of distinct keys. A key becomes
-/// owned here, once its group is complete, and moves into the output.
-fn reduce_partition<J: Job>(
+/// key-sorted output pairs and the number of distinct keys. No key becomes
+/// owned here: `Job::reduce` is shown an owned key as it is and input text
+/// through `scratch`, and the key moves into the output as it came.
+fn reduce_partition<'i, J: Job>(
     job: &J,
-    bufs: PartitionBuckets<'_, J::Key, J::Value>,
-) -> ReducedPartition<J::Key, J::Value> {
-    let mut pairs: Vec<(InterKey<'_, J::Key>, J::Value)> =
-        Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-    for buf in bufs {
-        pairs.extend(buf);
-    }
+    bufs: PartitionBuckets<'i, J::Key, J::Value>,
+    scratch: &mut Option<J::Key>,
+) -> ReducedPartition<'i, J::Key, J::Value> {
+    let mut pairs = concat(bufs);
     pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::new();
+    // The sorted pairs leave the ring at the front and the reduced ones
+    // join it at the back: at least one leaves for each that joins, so the
+    // one buffer never grows and there is no second vector for the output.
+    let mut ring = VecDeque::from(pairs);
+    let mut unreduced = ring.len();
     let mut distinct = 0u64;
     // One key's values, contiguous for `ValueIter`; reused group to group.
     let mut group: Vec<J::Value> = Vec::new();
-    let mut pairs = pairs.into_iter().peekable();
-    while let Some((key, value)) = pairs.next() {
+    while unreduced > 0 {
+        let Some((key, value)) = ring.pop_front() else {
+            break;
+        };
         group.clear();
         group.push(value);
-        while let Some((_, value)) = pairs.next_if(|(next, _)| *next == key) {
-            group.push(value);
+        while group.len() < unreduced && ring.front().is_some_and(|(next, _)| *next == key) {
+            group.extend(ring.pop_front().map(|(_, value)| value));
         }
+        unreduced -= group.len();
         distinct += 1;
-        let key = key.into_owned();
-        if let Some(v) = job.reduce(&key, &mut ValueIter::new(&group)) {
-            out.push((key, v));
+        if let Some(v) = job.reduce(key.key_in(scratch), &mut ValueIter::new(&group)) {
+            ring.push_back((key, v));
         }
     }
-    (out, distinct)
+    (ring.into(), distinct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OutputOrder;
     use crate::memory::MemoryModel;
     use crate::splitter::SplitSpec;
     use std::cmp::Ordering as CmpOrdering;
