@@ -17,8 +17,15 @@
 //!
 //! `magic` is one byte: `b'Q'` for a request frame, `b'S'` for a response
 //! frame. The checksum is FNV-1a over the body.
+//!
+//! **A reader looks at a frame where it lies.** [`decode_view`] validates
+//! one frame in the caller's buffer and hands back a borrowed
+//! [`FrameView`]; [`scan`] is the one loop over a stream of them. A reader
+//! copies out only what it passes on: the owned [`Frame`] and the
+//! `decode_frame` / `decode_stream*` functions are wrappers over the same
+//! parser for callers that keep what they read.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use std::time::Duration;
 
 /// Magic byte of a request frame.
@@ -132,7 +139,7 @@ impl Frame {
             batch: 0,
             body: FrameBody::Response {
                 status: Status::Overloaded,
-                payload: Bytes::copy_from_slice(&(retry_after.as_millis() as u64).to_le_bytes()),
+                payload: Bytes::copy_from_slice(&encode_retry_after(retry_after)),
             },
         }
     }
@@ -141,8 +148,7 @@ impl Frame {
     /// `batch_id` must be ≥ 1; the stamp is carried as an optional trailer
     /// so unbatched traffic stays byte-identical to the legacy format.
     pub fn in_batch(mut self, batch_id: u64, index: u64) -> Frame {
-        debug_assert!(batch_id >= 1, "batch ids start at 1");
-        self.batch = (batch_id << 16) | (index & 0xffff);
+        self.batch = batch_word(batch_id, index);
         self
     }
 
@@ -195,23 +201,18 @@ impl Frame {
                 params,
                 expires_unix_ms,
             } => encode_request_into(out, self.id, params, *expires_unix_ms),
-            FrameBody::Response { status, payload } => framed(out, MAGIC_RESPONSE, |out| {
-                out.put_u64_le(self.id);
-                out.put_u8(match status {
-                    Status::Ok => 0,
-                    Status::Error => 1,
-                    Status::Overloaded => 2,
-                });
-                out.put_u32_le(payload.len() as u32);
-                out.put_slice(payload);
-                // Batch-framing trailer only when stamped: unbatched
-                // responses encode byte-identically to the legacy format.
-                if self.batch != 0 {
-                    out.put_u64_le(self.batch);
-                }
-            }),
+            FrameBody::Response { status, payload } => {
+                encode_response_into(out, self.id, *status, payload, self.batch)
+            }
         }
     }
+}
+
+/// The batch-framing word of member `index` of batch `batch_id` (≥ 1, so
+/// the word is never the `0` of an unbatched frame).
+pub(crate) fn batch_word(batch_id: u64, index: u64) -> u64 {
+    debug_assert!(batch_id >= 1, "batch ids start at 1");
+    (batch_id << 16) | (index & 0xffff)
 }
 
 /// Append one frame to `out`: magic, body length, whatever `body` writes,
@@ -244,6 +245,39 @@ pub fn encode_request_into(out: &mut Vec<u8>, id: u64, params: &[String], expire
             out.put_u64_le(expires_unix_ms);
         }
     });
+}
+
+/// Append the wire bytes of a response frame to `out` without building the
+/// frame — the daemon answers straight from the module's result. `batch`
+/// is the framing word ([`Frame::batch`]), `0` for an unbatched response.
+pub fn encode_response_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    status: Status,
+    payload: &[u8],
+    batch: u64,
+) {
+    framed(out, MAGIC_RESPONSE, |out| {
+        out.put_u64_le(id);
+        out.put_u8(match status {
+            Status::Ok => 0,
+            Status::Error => 1,
+            Status::Overloaded => 2,
+        });
+        out.put_u32_le(payload.len() as u32);
+        out.put_slice(payload);
+        // Batch-framing trailer only when stamped: unbatched responses
+        // encode byte-identically to the legacy format.
+        if batch != 0 {
+            out.put_u64_le(batch);
+        }
+    });
+}
+
+/// The payload of a [`Status::Overloaded`] response: the suggested retry
+/// delay in milliseconds.
+pub(crate) fn encode_retry_after(retry_after: Duration) -> [u8; 8] {
+    (retry_after.as_millis() as u64).to_le_bytes()
 }
 
 /// Parse the payload of a [`Status::Overloaded`] response back into the
@@ -326,13 +360,109 @@ fn fnv1a(data: &[u8]) -> u32 {
     h
 }
 
-/// Outcome of trying to decode one frame from a buffer position.
+/// A request's parameters where they lie in a frame body — `len: u32` +
+/// UTF-8 bytes, once per parameter — every one validated by the decoder
+/// that built this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Params<'a> {
+    count: usize,
+    wire: &'a [u8],
+}
+
+impl<'a> Params<'a> {
+    /// The parameters, in order. Each is converted by the checked
+    /// conversion again, which cannot fail on bytes a decoder validated.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        let mut rest = self.wire;
+        (0..self.count).map(move |_| {
+            let len = take(&mut rest).map_or(0, u32::from_le_bytes) as usize;
+            std::str::from_utf8(take_slice(&mut rest, len).unwrap_or_default()).unwrap_or_default()
+        })
+    }
+
+    /// Copy the parameters out — what a reader that runs the request owns.
+    pub fn to_vec(&self) -> Vec<String> {
+        self.iter().map(str::to_string).collect()
+    }
+}
+
+/// What a frame carries, borrowed from the buffer it was decoded in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewBody<'a> {
+    /// Host → SD ([`FrameBody::Request`]).
+    Request {
+        /// Input parameters, validated.
+        params: Params<'a>,
+        /// Absolute expiry in Unix milliseconds, `0` for none.
+        expires_unix_ms: u64,
+    },
+    /// SD → host ([`FrameBody::Response`]).
+    Response {
+        /// Completion status.
+        status: Status,
+        /// Result bytes, or the message of an error.
+        payload: &'a [u8],
+    },
+}
+
+/// One validated frame, read where it lies: nothing is copied until the
+/// reader decides what it passes on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    /// Correlates a response with its request ([`Frame::id`]).
+    pub id: u64,
+    /// Batch-framing word, `0` for an unbatched frame ([`Frame::batch`]).
+    pub batch: u64,
+    /// Bytes the frame occupies on the wire, envelope included.
+    pub wire_len: usize,
+    /// Request or response content.
+    pub body: ViewBody<'a>,
+}
+
+impl FrameView<'_> {
+    /// Whether this is a request frame.
+    pub fn is_request(&self) -> bool {
+        matches!(self.body, ViewBody::Request { .. })
+    }
+
+    /// Copy the whole frame out.
+    pub fn to_frame(&self) -> Frame {
+        match self.body {
+            ViewBody::Request { params, .. } => self.owned(params.to_vec()),
+            ViewBody::Response { .. } => self.owned(Vec::new()),
+        }
+    }
+
+    /// The owned frame, a request taking `params` as already copied out.
+    fn owned(&self, params: Vec<String>) -> Frame {
+        let body = match self.body {
+            ViewBody::Request {
+                expires_unix_ms, ..
+            } => FrameBody::Request {
+                params,
+                expires_unix_ms,
+            },
+            ViewBody::Response { status, payload } => FrameBody::Response {
+                status,
+                payload: Bytes::copy_from_slice(payload),
+            },
+        };
+        Frame {
+            id: self.id,
+            batch: self.batch,
+            body,
+        }
+    }
+}
+
+/// Outcome of trying to decode one frame from a buffer position, as an
+/// owned [`Frame`] or as a [`FrameView`] ([`ViewStep`]).
 #[derive(Debug, PartialEq, Eq)]
-pub enum DecodeStep {
+pub enum DecodeStep<F = Frame> {
     /// A complete frame; `consumed` bytes were used.
     Complete {
         /// The decoded frame.
-        frame: Frame,
+        frame: F,
         /// Bytes consumed from the buffer.
         consumed: usize,
     },
@@ -346,146 +476,228 @@ pub enum DecodeStep {
     },
 }
 
-/// Try to decode one frame from the start of `buf`.
+/// Outcome of trying to view one frame at a buffer position.
+pub type ViewStep<'a> = DecodeStep<FrameView<'a>>;
+
+/// Look at the frame at the start of `buf` without copying any of it.
+pub fn decode_view(buf: &[u8]) -> ViewStep<'_> {
+    decode_with(buf, |_| {})
+}
+
+/// Try to decode one frame from the start of `buf` into an owned [`Frame`].
 pub fn decode_frame(buf: &[u8]) -> DecodeStep {
-    if buf.is_empty() {
-        return DecodeStep::Incomplete;
-    }
-    let magic = buf[0];
-    if magic != MAGIC_REQUEST && magic != MAGIC_RESPONSE {
-        return DecodeStep::Corrupt {
-            detail: format!("bad magic byte 0x{magic:02x}"),
-        };
-    }
-    if buf.len() < 5 {
-        return DecodeStep::Incomplete;
-    }
-    let body_len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]);
-    if body_len > MAX_FRAME_BODY {
-        return DecodeStep::Corrupt {
-            detail: format!("frame body of {body_len} bytes exceeds limit"),
-        };
-    }
-    let total = 5 + body_len as usize + 4;
-    if buf.len() < total {
-        return DecodeStep::Incomplete;
-    }
-    let body = &buf[5..5 + body_len as usize];
-    let stored = u32::from_le_bytes([
-        buf[total - 4],
-        buf[total - 3],
-        buf[total - 2],
-        buf[total - 1],
-    ]);
-    if fnv1a(body) != stored {
-        return DecodeStep::Corrupt {
-            detail: "checksum mismatch".into(),
-        };
-    }
-    match decode_body(magic, body) {
-        Ok(frame) => DecodeStep::Complete {
-            frame,
-            consumed: total,
+    let mut params = Vec::new();
+    match decode_with(buf, |p| params.push(p.to_string())) {
+        DecodeStep::Complete { frame, consumed } => DecodeStep::Complete {
+            frame: frame.owned(params),
+            consumed,
         },
-        Err(detail) => DecodeStep::Corrupt { detail },
+        DecodeStep::Incomplete => DecodeStep::Incomplete,
+        DecodeStep::Corrupt { detail } => DecodeStep::Corrupt { detail },
     }
 }
 
-fn decode_body(magic: u8, body: &[u8]) -> Result<Frame, String> {
+/// The envelope checks — magic, length cap, completeness, checksum — then
+/// the body; `param` sees each request parameter as it is validated.
+fn decode_with<'a>(buf: &'a [u8], param: impl FnMut(&'a str)) -> ViewStep<'a> {
+    let corrupt = |detail| DecodeStep::Corrupt { detail };
+    let Some(&magic) = buf.first() else {
+        return DecodeStep::Incomplete;
+    };
+    if magic != MAGIC_REQUEST && magic != MAGIC_RESPONSE {
+        return corrupt(format!("bad magic byte 0x{magic:02x}"));
+    }
+    let mut rest = &buf[1..];
+    let Some(body_len) = take(&mut rest).map(u32::from_le_bytes) else {
+        return DecodeStep::Incomplete;
+    };
+    if body_len > MAX_FRAME_BODY {
+        return corrupt(format!("frame body of {body_len} bytes exceeds limit"));
+    }
+    let (Some(body), Some(stored)) = (take_slice(&mut rest, body_len as usize), take(&mut rest))
+    else {
+        return DecodeStep::Incomplete;
+    };
+    if fnv1a(body) != u32::from_le_bytes(stored) {
+        return corrupt("checksum mismatch".into());
+    }
+    let consumed = buf.len() - rest.len();
+    match decode_body(magic, body, consumed, param) {
+        Ok(frame) => DecodeStep::Complete { frame, consumed },
+        Err(detail) => corrupt(detail),
+    }
+}
+
+/// The next `N` bytes of `cur`, which moves past them.
+fn take<const N: usize>(cur: &mut &[u8]) -> Option<[u8; N]> {
+    let (word, rest) = cur.split_first_chunk()?;
+    *cur = rest;
+    Some(*word)
+}
+
+/// The next `len` bytes of `cur`, which moves past them.
+fn take_slice<'a>(cur: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    let (head, rest) = cur.split_at_checked(len)?;
+    *cur = rest;
+    Some(head)
+}
+
+/// The one body parser: the frame of `wire_len` bytes whose checksum-valid
+/// body is `body`, every field validated.
+// Each instance has one caller, and inlined into it the view is never
+// written out and read back on the owned path (`decode_frame` measured
+// 8 % slower, a stream of responses 17 %, with the call in place).
+#[inline(always)]
+fn decode_body<'a>(
+    magic: u8,
+    body: &'a [u8],
+    wire_len: usize,
+    mut param: impl FnMut(&'a str),
+) -> Result<FrameView<'a>, String> {
     let mut cur = body;
-    let take_u64 = |cur: &mut &[u8]| -> Result<u64, String> {
-        if cur.len() < 8 {
-            return Err("truncated u64".into());
+    let id = u64::from_le_bytes(take(&mut cur).ok_or("truncated u64")?);
+    let (batch, body) = if magic == MAGIC_REQUEST {
+        let count = u32::from_le_bytes(take(&mut cur).ok_or("truncated u32")?) as usize;
+        let wire = cur;
+        for _ in 0..count {
+            let len = u32::from_le_bytes(take(&mut cur).ok_or("truncated u32")?);
+            let bytes = take_slice(&mut cur, len as usize).ok_or("truncated parameter")?;
+            param(std::str::from_utf8(bytes).map_err(|_| "parameter is not UTF-8")?);
         }
-        Ok(cur.get_u64_le())
-    };
-    let take_u32 = |cur: &mut &[u8]| -> Result<u32, String> {
-        if cur.len() < 4 {
-            return Err("truncated u32".into());
-        }
-        Ok(cur.get_u32_le())
-    };
-    let id = take_u64(&mut cur)?;
-    if magic == MAGIC_REQUEST {
-        let n = take_u32(&mut cur)? as usize;
-        let mut params = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let len = take_u32(&mut cur)? as usize;
-            if cur.len() < len {
-                return Err("truncated parameter".into());
-            }
-            let s = std::str::from_utf8(&cur[..len])
-                .map_err(|_| "parameter is not UTF-8".to_string())?;
-            params.push(s.to_string());
-            cur.advance(len);
-        }
+        let wire = &wire[..wire.len() - cur.len()];
         // Legacy frames end right after the params; deadline-carrying
         // frames have exactly one more u64 (the absolute expiry).
         let expires_unix_ms = match cur.len() {
             0 => 0,
-            8 => take_u64(&mut cur)?,
+            8 => take(&mut cur).map_or(0, u64::from_le_bytes),
             _ => return Err("trailing bytes in request body".into()),
         };
-        Ok(Frame::request_with_deadline(id, params, expires_unix_ms))
-    } else {
-        if cur.is_empty() {
-            return Err("missing status byte".into());
-        }
-        let status = match cur.get_u8() {
-            0 => Status::Ok,
-            1 => Status::Error,
-            2 => Status::Overloaded,
-            other => return Err(format!("bad status byte {other}")),
+        let params = Params { count, wire };
+        let body = ViewBody::Request {
+            params,
+            expires_unix_ms,
         };
-        let len = take_u32(&mut cur)? as usize;
-        if cur.len() < len {
-            return Err("payload length mismatch".into());
-        }
-        let payload = Bytes::copy_from_slice(&cur[..len]);
-        cur.advance(len);
+        (0, body)
+    } else {
+        let status = match take(&mut cur) {
+            None => return Err("missing status byte".into()),
+            Some([0]) => Status::Ok,
+            Some([1]) => Status::Error,
+            Some([2]) => Status::Overloaded,
+            Some([other]) => return Err(format!("bad status byte {other}")),
+        };
+        let len = u32::from_le_bytes(take(&mut cur).ok_or("truncated u32")?);
+        let payload = take_slice(&mut cur, len as usize).ok_or("payload length mismatch")?;
         // Legacy frames end right after the payload; batched responses
         // carry exactly one more u64 (the batch-framing word).
         let batch = match cur.len() {
             0 => 0,
-            8 => {
-                let word = take_u64(&mut cur)?;
-                if word == 0 {
-                    return Err("zero batch-framing word".into());
-                }
-                word
-            }
+            8 => match take(&mut cur).map_or(0, u64::from_le_bytes) {
+                0 => return Err("zero batch-framing word".into()),
+                word => word,
+            },
             _ => return Err("trailing bytes in response body".into()),
         };
-        Ok(Frame {
-            id,
-            batch,
-            body: FrameBody::Response { status, payload },
-        })
-    }
+        (batch, ViewBody::Response { status, payload })
+    };
+    Ok(FrameView {
+        id,
+        batch,
+        wire_len,
+        body,
+    })
 }
 
-/// Decode every complete frame starting at `offset` in `data`. Returns the
-/// frames and the offset of the first byte not consumed (either the end of
-/// data or the start of an incomplete trailing frame).
+/// Where a [`scan`] ended.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ScanEnd {
+    /// Offset of the first byte not consumed: the end of the data, an
+    /// incomplete trailing frame, or the frame `corrupt` is about.
+    pub new_pos: usize,
+    /// Corrupt bytes a recovering scan jumped over.
+    pub skipped_bytes: usize,
+    /// Why a scan that does not recover stopped short of the end.
+    pub corrupt: Option<String>,
+}
+
+/// The one stream loop: show `each` every complete frame of `data` from
+/// `offset` on, with the offset it starts at, and stop at the end of the
+/// data or an incomplete trailing frame.
 ///
-/// Corrupt frames abort the scan with an error — a log file is
-/// append-only, so corruption is never self-healing.
-pub fn decode_stream(data: &[u8], offset: usize) -> Result<(Vec<Frame>, usize), String> {
-    let mut frames = Vec::new();
-    let mut pos = offset.min(data.len());
+/// A corrupt frame ends a scan that is not `recovering` — a log file is
+/// append-only, so corruption is never self-healing. A `recovering` scan
+/// searches forward for the next position that holds a *complete,
+/// checksum-valid* frame and resumes there, counting the skipped bytes.
+/// Two safety properties:
+///
+/// - The scan never advances past an `Incomplete` tail, because truncated
+///   garbage is indistinguishable from a concurrent append still in
+///   progress; the cursor holds position and the caller re-polls after
+///   the file grows.
+/// - Bytes are only counted as skipped when the scan actually lands on a
+///   valid frame ahead, so `skipped_bytes` never includes an in-progress
+///   append. (A checksum-valid frame starting inside garbage is
+///   astronomically unlikely but not impossible; the FNV-32 check is the
+///   arbiter.)
+pub fn scan<'a>(
+    data: &'a [u8],
+    offset: usize,
+    recovering: bool,
+    each: impl FnMut(usize, FrameView<'a>),
+) -> ScanEnd {
+    scan_with(decode_view, data, offset, recovering, each)
+}
+
+/// [`scan`] over what `decode` makes of a frame: a view of it, or — for
+/// callers that keep every frame — the owned frame, parsed once.
+fn scan_with<'a, F>(
+    decode: impl Fn(&'a [u8]) -> DecodeStep<F>,
+    data: &'a [u8],
+    offset: usize,
+    recovering: bool,
+    mut each: impl FnMut(usize, F),
+) -> ScanEnd {
+    let (mut pos, mut skipped_bytes, mut corrupt) = (offset.min(data.len()), 0, None);
     loop {
-        match decode_frame(&data[pos..]) {
+        match decode(&data[pos..]) {
             DecodeStep::Complete { frame, consumed } => {
-                frames.push(frame);
+                each(pos, frame);
                 pos += consumed;
             }
             DecodeStep::Incomplete => break,
-            DecodeStep::Corrupt { detail } => {
-                return Err(format!("at offset {pos}: {detail}"));
+            DecodeStep::Corrupt { detail } if !recovering => {
+                corrupt = Some(format!("at offset {pos}: {detail}"));
+                break;
             }
+            DecodeStep::Corrupt { .. } => match next_complete_frame(data, pos + 1) {
+                Some(resync) => {
+                    skipped_bytes += resync - pos;
+                    pos = resync;
+                }
+                None => break,
+            },
         }
     }
-    Ok((frames, pos))
+    ScanEnd {
+        new_pos: pos,
+        skipped_bytes,
+        corrupt,
+    }
+}
+
+/// Decode every complete frame starting at `offset` in `data` into owned
+/// [`Frame`]s. Returns the frames and the offset of the first byte not
+/// consumed (either the end of data or the start of an incomplete trailing
+/// frame). A corrupt frame is an error ([`scan`], not recovering).
+pub fn decode_stream(data: &[u8], offset: usize) -> Result<(Vec<Frame>, usize), String> {
+    let mut frames = Vec::new();
+    let end = scan_with(decode_frame, data, offset, false, |_, frame| {
+        frames.push(frame)
+    });
+    match end.corrupt {
+        Some(detail) => Err(detail),
+        None => Ok((frames, end.new_pos)),
+    }
 }
 
 /// Result of a recovering stream decode: the frames salvaged, the new
@@ -500,44 +712,17 @@ pub struct RecoveredStream {
     pub skipped_bytes: usize,
 }
 
-/// Like [`decode_stream`], but corruption does not abort the scan: on a
-/// corrupt frame the decoder searches forward for the next position that
-/// holds a *complete, checksum-valid* frame and resumes there, counting
-/// the skipped bytes. Two safety properties:
-///
-/// - The scan never advances past an `Incomplete` tail, because truncated
-///   garbage is indistinguishable from a concurrent append still in
-///   progress; the cursor holds position and the caller re-polls after
-///   the file grows.
-/// - Bytes are only counted as skipped when the scan actually lands on a
-///   valid frame ahead, so `skipped_bytes` never includes an in-progress
-///   append. (A checksum-valid frame starting inside garbage is
-///   astronomically unlikely but not impossible; the FNV-32 check is the
-///   arbiter.)
+/// Like [`decode_stream`], but corruption does not abort the decode: the
+/// owned face of a recovering [`scan`].
 pub fn decode_stream_recovering(data: &[u8], offset: usize) -> RecoveredStream {
     let mut frames = Vec::new();
-    let mut pos = offset.min(data.len());
-    let mut skipped = 0usize;
-    loop {
-        match decode_frame(&data[pos..]) {
-            DecodeStep::Complete { frame, consumed } => {
-                frames.push(frame);
-                pos += consumed;
-            }
-            DecodeStep::Incomplete => break,
-            DecodeStep::Corrupt { .. } => match next_complete_frame(data, pos + 1) {
-                Some(resync) => {
-                    skipped += resync - pos;
-                    pos = resync;
-                }
-                None => break,
-            },
-        }
-    }
+    let end = scan_with(decode_frame, data, offset, true, |_, frame| {
+        frames.push(frame)
+    });
     RecoveredStream {
         frames,
-        new_pos: pos,
-        skipped_bytes: skipped,
+        new_pos: end.new_pos,
+        skipped_bytes: end.skipped_bytes,
     }
 }
 
@@ -545,7 +730,7 @@ pub fn decode_stream_recovering(data: &[u8], offset: usize) -> RecoveredStream {
 fn next_complete_frame(data: &[u8], from: usize) -> Option<usize> {
     (from..data.len()).find(|&q| {
         (data[q] == MAGIC_REQUEST || data[q] == MAGIC_RESPONSE)
-            && matches!(decode_frame(&data[q..]), DecodeStep::Complete { .. })
+            && matches!(decode_view(&data[q..]), DecodeStep::Complete { .. })
     })
 }
 

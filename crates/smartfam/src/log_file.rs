@@ -15,9 +15,14 @@
 //!
 //! - **Held handle.** A poll `fstat`s the held descriptor. Unchanged
 //!   length ⇒ return at once, nothing read, nothing allocated. Grown ⇒
-//!   read only `[cursor, len)` into a reused buffer and decode from its
+//!   read only `[cursor, len)` into a reused buffer and scan it from its
 //!   start. Shrunk below the cursor ⇒ [`SmartFamError::Corrupt`]: an
 //!   in-place truncation keeps the inode, so the held handle sees it.
+//! - **Read in place.** [`LogFile::poll_each`] shows its caller every new
+//!   frame as a [`FrameView`] borrowed from that buffer; what the caller
+//!   passes on it copies out, nothing else is copied. [`LogFile::poll`]
+//!   and [`LogFile::poll_recovering`] copy every frame out, for callers
+//!   that keep them all.
 //! - **Cursor alignment.** A cursor must sit on a frame boundary. A
 //!   *sampled* file length is not one — another writer's batch may be half
 //!   on disk when the length is read, and a stray magic byte followed by a
@@ -25,7 +30,7 @@
 //!   offset of this handle's *own* append is one, and it precedes every
 //!   reply to that append ([`LogFile::append_and_rebase`]).
 
-use crate::codec::{decode_stream, decode_stream_recovering, Frame};
+use crate::codec::{decode_stream, decode_view, scan, DecodeStep, Frame, FrameView};
 use crate::error::SmartFamError;
 use crate::faults::{FaultAction, FaultInjector, FaultSite};
 use std::borrow::Cow;
@@ -101,8 +106,18 @@ fn read_range_into(
 /// it is reading now, not the age of its log.
 const TAIL_KEEP_BYTES: usize = 256 * 1024;
 
-/// Outcome of a coalesced batch append ([`LogFile::append_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Done with the contents of `buf`: keep it for the next use unless this
+/// one grew it past [`TAIL_KEEP_BYTES`]. The daemon's reply buffers follow
+/// the same rule, so one huge result is not held for ever either.
+pub(crate) fn give_back(buf: &mut Vec<u8>) {
+    if buf.capacity() > TAIL_KEEP_BYTES {
+        *buf = Vec::new();
+    }
+}
+
+/// Outcome of a coalesced batch append ([`LogFile::append_batch`]); the
+/// default is an empty batch's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchAppendOutcome {
     /// Frames of the batch fully durable on disk. A torn batch keeps a
     /// prefix; only frames whose every byte was written count.
@@ -246,27 +261,35 @@ impl LogFile {
     /// reader skips exactly that frame) and "succeeds" the way a silent
     /// NFS corruption would.
     pub fn append_batch(&self, frames: &[Frame]) -> Result<BatchAppendOutcome, SmartFamError> {
-        if frames.is_empty() {
-            return Ok(BatchAppendOutcome {
-                frames_durable: 0,
-                bytes: 0,
-                fsyncs: 0,
-                torn: false,
-            });
-        }
         let mut bytes = Vec::with_capacity(frames.iter().map(Frame::encoded_len).sum());
         for frame in frames {
             frame.encode_into(&mut bytes);
         }
+        self.append_batch_encoded(&bytes, frames.iter().map(Frame::encoded_len))
+    }
+
+    /// [`LogFile::append_batch`] for frames its caller has already encoded
+    /// back to back into `bytes`, `lens` their wire lengths in order — the
+    /// daemon encodes a batch once for the primary, a torn suffix's retry
+    /// and the mirrors. One [`FaultSite::BatchAppend`] occurrence and one
+    /// `sync_data`; nothing of either for an empty batch.
+    pub(crate) fn append_batch_encoded(
+        &self,
+        bytes: &[u8],
+        lens: impl IntoIterator<Item = usize>,
+    ) -> Result<BatchAppendOutcome, SmartFamError> {
+        if bytes.is_empty() {
+            return Ok(BatchAppendOutcome::default());
+        }
         let fault = self.injector.fire(FaultSite::BatchAppend);
-        let written = self.write_faulted(&bytes, fault)?;
+        let written = self.write_faulted(bytes, fault)?;
         self.file.sync_data()?;
         // A frame is durable only if its last byte made it to disk.
         let mut end = 0usize;
-        let frames_durable = frames
-            .iter()
-            .take_while(|f| {
-                end += f.encoded_len();
+        let frames_durable = lens
+            .into_iter()
+            .take_while(|len| {
+                end += len;
                 end <= written
             })
             .count();
@@ -352,14 +375,6 @@ impl LogFile {
         Ok(true)
     }
 
-    /// Done decoding `self.tail`: keep it for the next poll unless this
-    /// one grew it past [`TAIL_KEEP_BYTES`].
-    fn release_tail(&mut self) {
-        if self.tail.capacity() > TAIL_KEEP_BYTES {
-            self.tail = Vec::new();
-        }
-    }
-
     /// Read every complete frame appended since the last poll, advancing
     /// the cursor past them. An incomplete trailing frame (a concurrent
     /// append in progress) is left for the next poll.
@@ -368,7 +383,7 @@ impl LogFile {
             return Ok(Vec::new());
         }
         let decoded = decode_stream(&self.tail, 0);
-        self.release_tail();
+        self.release_poll();
         match decoded {
             Ok((frames, used)) => {
                 self.cursor += used as u64;
@@ -386,21 +401,53 @@ impl LogFile {
         }
     }
 
-    /// Like [`LogFile::poll`], but corruption does not poison the cursor:
-    /// provably-corrupt bytes are skipped (scan-ahead to the next valid
-    /// frame) and counted. Returns the new frames and the number of bytes
-    /// skipped by this poll. An injected stale read (NFS-visibility
-    /// delay) makes the poll see no new data; the bytes stay for later.
-    pub fn poll_recovering(&mut self) -> Result<(Vec<Frame>, u64), SmartFamError> {
+    /// The recovering poll, in place: show `each` every complete frame
+    /// appended since the last poll — borrowed from the read buffer, with
+    /// its offset in this poll's bytes — and advance the cursor past them.
+    /// Corruption does not poison the cursor: provably-corrupt bytes are
+    /// skipped (scan-ahead to the next valid frame) and their count is
+    /// returned. An injected stale read (NFS-visibility delay) makes the
+    /// poll see no new data; the bytes stay for later.
+    ///
+    /// The bytes stay readable ([`LogFile::frame_at`]) until the caller
+    /// ends the poll with [`LogFile::release_poll`].
+    pub fn poll_each(
+        &mut self,
+        each: impl FnMut(usize, FrameView<'_>),
+    ) -> Result<u64, SmartFamError> {
         // `Hide` is the only action valid at a poll site.
         let hidden = self.injector.fire(self.role.poll_site()).is_some();
         if hidden || !self.read_tail()? {
-            return Ok((Vec::new(), 0));
+            return Ok(0);
         }
-        let rec = decode_stream_recovering(&self.tail, 0);
-        self.release_tail();
-        self.cursor += rec.new_pos as u64;
-        Ok((rec.frames, rec.skipped_bytes as u64))
+        let end = scan(&self.tail, 0, true, each);
+        self.cursor += end.new_pos as u64;
+        Ok(end.skipped_bytes as u64)
+    }
+
+    /// The frame the latest [`LogFile::poll_each`] showed at `offset`,
+    /// again: a caller that decides from ids first comes back for the few
+    /// frames it copies out.
+    pub fn frame_at(&self, offset: usize) -> Option<FrameView<'_>> {
+        match decode_view(self.tail.get(offset..)?) {
+            DecodeStep::Complete { frame, .. } => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// Done with the bytes of the latest poll: the buffer is kept for the
+    /// next one unless this poll grew it past 256 KiB.
+    pub fn release_poll(&mut self) {
+        give_back(&mut self.tail);
+    }
+
+    /// [`LogFile::poll_each`] with every frame copied out: the new frames
+    /// and the number of bytes skipped by this poll.
+    pub fn poll_recovering(&mut self) -> Result<(Vec<Frame>, u64), SmartFamError> {
+        let mut frames = Vec::new();
+        let skipped = self.poll_each(|_, view| frames.push(view.to_frame()))?;
+        self.release_poll();
+        Ok((frames, skipped))
     }
 
     /// Current length of the log file in bytes.

@@ -32,10 +32,11 @@
 //!   mirror scans to `corrupt_skipped_bytes` — the daemon's primary-log
 //!   scan remains that counter's single bookkeeping site (DESIGN.md §13).
 
-use crate::codec::{decode_stream, Frame};
+use crate::codec::{decode_stream, scan, Frame};
 use crate::error::SmartFamError;
 use crate::faults::{FaultAction, FaultInjector, FaultSite};
 use crate::log_file::{log_path, module_of, LogFile};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// Replication-group shape: how many copies of each module log exist and
@@ -448,29 +449,38 @@ pub fn recover_group(log_dir: &Path, group_size: usize) -> Result<GroupRecovery,
             continue;
         };
         recovery.logs_scanned += 1;
-        let mut primary = LogFile::attach_at_start(path)?;
+        let primary = LogFile::attach_at_start(path)?;
         // The recovering scan's skipped bytes are intentionally dropped
         // here; the replay scan that follows recovery re-reads the
         // primary from offset 0 and does the (single) accounting.
-        let (have, _) = primary.poll_recovering()?;
-        let mut seen: Vec<(u64, bool)> = have.iter().map(|f| (f.id, f.is_request())).collect();
+        let mut seen: HashSet<(u64, bool)> = HashSet::new();
+        scan(
+            &primary.read_range(0, primary.len()?)?,
+            0,
+            true,
+            |_, frame| {
+                seen.insert((frame.id, frame.is_request()));
+            },
+        );
         for r in 1..group_size {
             let mirror = log_path(log_dir, &module, r);
             if !mirror.exists() {
                 continue; // mirror never created — nothing to merge
             }
-            let Ok((frames, _)) =
-                LogFile::attach_at_start(mirror).and_then(|mut m| m.poll_recovering())
+            let Ok(copy) = LogFile::attach_at_start(mirror).and_then(|m| m.read_range(0, m.len()?))
             else {
                 continue;
             };
-            for frame in frames {
-                let key = (frame.id, frame.is_request());
-                if seen.contains(&key) {
-                    continue;
+            // A frame the primary lacks moves as the bytes it is: nothing
+            // of either copy is materialised.
+            let mut missing = Vec::new();
+            scan(&copy, 0, true, |offset, frame| {
+                if seen.insert((frame.id, frame.is_request())) {
+                    missing.push(offset..offset + frame.wire_len);
                 }
-                seen.push(key);
-                primary.append(&frame)?;
+            });
+            for wire in missing {
+                primary.append_encoded(&copy[wire])?;
                 recovery.merged_frames += 1;
             }
         }
@@ -798,6 +808,35 @@ mod tests {
         assert!(after.len() > before.len());
         assert_eq!(&after[..before.len()], &before[..]);
         assert!(!log_path(&dir, "wc", 2).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recover_group_merges_only_the_missing_tail_of_a_long_mirror() {
+        let dir = temp_dir();
+        // 20 000 answered calls: the primary holds every request and all
+        // but the last 100 responses, the mirror every response.
+        let (mut primary, mut mirror, mut missing) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..20_000 {
+            frame(i).encode_into(&mut primary);
+            let response = Frame::response_ok(i, format!("r{i}").into_bytes()).encode();
+            mirror.extend_from_slice(&response);
+            if i < 19_900 {
+                primary.extend_from_slice(&response);
+            } else {
+                missing.extend_from_slice(&response);
+            }
+        }
+        std::fs::create_dir_all(log_path(&dir, "wc", 1).parent().unwrap()).unwrap();
+        std::fs::write(log_path(&dir, "wc", 0), &primary).unwrap();
+        std::fs::write(log_path(&dir, "wc", 1), &mirror).unwrap();
+        let rec = recover_group(&dir, 3).unwrap();
+        assert_eq!((rec.logs_scanned, rec.merged_frames), (1, 100));
+        // Append-only, in the mirror's order, as the bytes the mirror holds.
+        let merged = std::fs::read(log_path(&dir, "wc", 0)).unwrap();
+        assert!(merged == [primary, missing].concat(), "primary bytes");
+        assert_eq!(std::fs::read(log_path(&dir, "wc", 1)).unwrap(), mirror);
+        assert_eq!(recover_group(&dir, 3).unwrap().merged_frames, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,8 +32,9 @@ pub enum WatchEventKind {
 /// One filesystem event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchEvent {
-    /// The file the event concerns.
-    pub path: PathBuf,
+    /// The file the event concerns: the watcher's own copy of the path,
+    /// shared by every event about the file.
+    pub path: Arc<Path>,
     /// What happened.
     pub kind: WatchEventKind,
 }
@@ -123,7 +124,7 @@ fn signature(path: &Path, dir: bool) -> Option<FileSig> {
 
 /// One row of the watcher's table.
 struct Tracked {
-    path: PathBuf,
+    path: Arc<Path>,
     /// `None` once a sweep finds the file gone, until the row is dropped.
     sig: Option<FileSig>,
     /// Listed but not yet reported: the next sweep says `Created`.
@@ -175,7 +176,7 @@ impl Table {
             let Err(at) = self.files.binary_search_by(by_name) else {
                 continue;
             };
-            let path = entry.path();
+            let path: Arc<Path> = entry.path().into();
             let sig = signature(&path, false);
             if sig.is_some() {
                 self.files.insert(at, Tracked { path, sig, fresh });
@@ -186,7 +187,7 @@ impl Table {
     /// One poll of the directory: `emit` gets `Created`/`Modified` in path
     /// order, then `Removed` in path order. Returns whether anything
     /// changed.
-    fn sweep(&mut self, mut emit: impl FnMut(&Path, WatchEventKind)) -> bool {
+    fn sweep(&mut self, mut emit: impl FnMut(&Arc<Path>, WatchEventKind)) -> bool {
         self.sweeps = self.sweeps.wrapping_add(1);
         let dir_sig = signature(&self.dir, true);
         if dir_sig != self.dir_sig || self.sweeps.is_multiple_of(RELIST_EVERY) {
@@ -285,7 +286,7 @@ fn poll_loop(mut table: Table, config: WatchConfig, tx: Sender<WatchEvent>, stop
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
         let changed = table.sweep(|path, kind| {
-            let path = path.to_path_buf();
+            let path = Arc::clone(path);
             let _ = tx.send(WatchEvent { path, kind });
         });
         if changed {

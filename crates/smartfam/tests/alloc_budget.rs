@@ -6,18 +6,21 @@
 //! benchmark box. The same allocator keeps the live-byte balance, which
 //! gates what a long-running and a restarted daemon hold (DESIGN.md §10:
 //! the log is the replay set). One test, so nothing else allocates while
-//! it counts.
+//! it counts; it prints every reading, one `name value` line each
+//! (`-- --nocapture`).
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
-    Daemon, DaemonConfig, FileWatcher, Frame, HostClient, LogFile, ModuleRegistry, WatchConfig,
+    BatchConfig, Daemon, DaemonConfig, FileWatcher, Frame, HostClient, LogFile, ModuleRegistry,
+    WatchConfig, WindowConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -137,48 +140,84 @@ fn quiet_watcher(window: Duration) -> (u64, Duration) {
     (counted, took)
 }
 
-fn echo_registry() -> ModuleRegistry {
+/// `echo` joins its parameters; `big` answers with a MiB; `tid` records
+/// the thread it runs on in `threads`.
+fn echo_registry(threads: &Arc<Mutex<HashSet<std::thread::ThreadId>>>) -> ModuleRegistry {
     let registry = ModuleRegistry::new();
     registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
         Ok(p.join("|").into_bytes())
     })));
+    registry.register(Arc::new(FnModule::new("big", |_: &[String]| {
+        Ok(vec![7; 1 << 20])
+    })));
+    let threads = Arc::clone(threads);
+    registry.register(Arc::new(FnModule::new("tid", move |_: &[String]| {
+        threads.lock().unwrap().insert(std::thread::current().id());
+        Ok(Vec::new())
+    })));
     registry
+}
+
+/// What one lockstep run reads.
+struct Lockstep {
+    /// Allocations per call, every thread's.
+    per_call: f64,
+    /// Live heap grown over the counted calls.
+    grown: i64,
+    /// Live heap grown by answering a MiB and one echo after it.
+    after_big: i64,
+    /// Allocations of a second daemon's spawn — replay included — on the
+    /// log the run left, and the live heap it holds then.
+    replay: u64,
+    held: i64,
 }
 
 /// One lockstep run through a real daemon, read by both counters over
 /// `calls` echo calls after `warm_up`: every allocation of every thread —
 /// host, watcher, daemon loop, worker, the module itself — per call, the
-/// live heap daemon and host grew by, and what a second daemon holds after
-/// replaying the log the run left behind.
-fn lockstep(warm_up: usize, calls: usize) -> (f64, i64, i64) {
+/// live heap daemon and host grew by, and what a second daemon does to
+/// replay the log the run left behind.
+fn lockstep(warm_up: usize, calls: usize) -> Lockstep {
     let dir = temp_dir("lockstep");
-    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let threads = Arc::default();
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry(&threads))
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
     // Bound to a name: the calls must still be alive at the second reading.
     let echoes = echo_calls(warm_up + calls);
     let mut warm = (0, 0);
+    let timeout = Duration::from_secs(60);
     for (i, (params, echoed)) in echoes.iter().enumerate() {
         if i == warm_up {
             warm = (allocations(), live_bytes());
         }
-        let outcome = client
-            .invoke("echo", params, Duration::from_secs(60))
-            .unwrap();
+        let outcome = client.invoke("echo", params, timeout).unwrap();
         assert_eq!(&outcome.payload, echoed);
     }
-    let counted = allocations() - warm.0;
+    let per_call = (allocations() - warm.0) as f64 / calls as f64;
     let grown = live_bytes() - warm.1;
+    // A MiB through every buffer of the path — the worker's reply buffer,
+    // both read buffers — then an echo, which the daemon reads in the same
+    // poll as its own big response or a later one.
+    let before = live_bytes();
+    assert_eq!(
+        client.invoke("big", &[], timeout).unwrap().payload.len(),
+        1 << 20
+    );
+    client.invoke("echo", &echoes[0].0, timeout).unwrap();
+    let after_big = live_bytes() - before;
     daemon.stop();
-    assert_eq!(daemon.stats().ok, (warm_up + calls) as u64);
+    assert_eq!(daemon.stats().ok, (warm_up + calls + 2) as u64);
     drop((daemon, client, echoes));
 
-    let before = live_bytes();
-    let mut restarted = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let registry = echo_registry(&threads);
+    let before = (allocations(), live_bytes());
+    let mut restarted = Daemon::new(DaemonConfig::new(&dir), registry)
         .spawn()
         .unwrap();
-    let held = live_bytes() - before;
+    let replay = allocations() - before.0;
+    let held = live_bytes() - before.1;
     restarted.stop();
     assert_eq!(
         restarted.stats().requests,
@@ -186,13 +225,53 @@ fn lockstep(warm_up: usize, calls: usize) -> (f64, i64, i64) {
         "replay answered a call twice"
     );
     std::fs::remove_dir_all(&dir).unwrap();
-    (counted as f64 / calls as f64, grown, held)
+    Lockstep {
+        per_call,
+        grown,
+        after_big,
+        replay,
+        held,
+    }
+}
+
+/// Windows of 16 through a batched daemon: every allocation of every
+/// thread per call over `calls` echo calls after `warm_up`, then the
+/// threads 1 000 more calls to one module ran on.
+fn windowed(warm_up: usize, calls: usize) -> (f64, usize) {
+    let dir = temp_dir("windowed");
+    let threads = Arc::default();
+    let mut daemon = Daemon::new(
+        DaemonConfig::new(&dir).with_batching(BatchConfig::default()),
+        echo_registry(&threads),
+    )
+    .spawn()
+    .unwrap();
+    let client = HostClient::new(&dir);
+    let (params, echoed): (Vec<_>, Vec<_>) = echo_calls(warm_up + calls).into_iter().unzip();
+    let window = WindowConfig::with_depth(16);
+    assert!(client
+        .invoke_window("echo", &params[..warm_up], &window)
+        .all_ok());
+    let before = allocations();
+    let run = client.invoke_window("echo", &params[warm_up..], &window);
+    let per_call = (allocations() - before) as f64 / calls as f64;
+    for (outcome, echoed) in run.outcomes.iter().zip(&echoed[warm_up..]) {
+        assert_eq!(&outcome.as_ref().unwrap().payload, echoed);
+    }
+    let no_params = vec![Vec::new(); 1_000];
+    assert!(client.invoke_window("tid", &no_params, &window).all_ok());
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let ran_on = threads.lock().unwrap().len();
+    (per_call, ran_on)
 }
 
 #[test]
 fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
+    // One copy: the payload the outcome hands its caller.
     let host = host_side_per_call(200);
-    assert!(host <= 4.0, "{host} host-side allocations per call");
+    println!("host {host}");
+    assert!(host <= 2.0, "{host} host-side allocations per call");
 
     // A quiet sweep allocates nothing; what is left is the fallback
     // listing every 64th sweep (a directory handle, two copies of each
@@ -200,23 +279,48 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     // the window's real length, not the box's speed: 60 for a punctual
     // 300 ms.
     let (watcher, took) = quiet_watcher(Duration::from_millis(300));
+    println!("watcher {watcher}");
     let listings = took.as_millis() as u64 / 64 + 1;
     assert!(
         watcher <= 12 * listings,
         "{watcher} allocations watching a quiet directory for {took:?}"
     );
 
-    let (lockstep, grown, held) = lockstep(1_000, 10_000);
-    assert!(lockstep <= 22.0, "{lockstep} allocations per lockstep call");
+    // What is left of a call is what is passed on: the request's
+    // parameters (3), the module's result, the host's copy of it.
+    let run = lockstep(1_000, 10_000);
+    let (lockstep, replay) = (run.per_call, run.replay);
+    println!("lockstep {lockstep}");
+    assert!(lockstep <= 9.0, "{lockstep} allocations per lockstep call");
+    let (window, ran_on) = windowed(1_600, 16_000);
+    println!("windowed {window}");
+    assert!(window <= 9.0, "{window} allocations per windowed call");
+    assert_eq!(
+        ran_on, 1,
+        "1 000 windowed calls to one module ran on {ran_on} threads"
+    );
+    // A restart reads the whole history and allocates for what is
+    // unanswered in it: nothing, here.
+    println!("replay {replay}");
+    assert!(
+        replay <= 200,
+        "{replay} allocations to replay 11 002 answered calls"
+    );
     // Memory is what is in flight, not what was ever served. With one
     // remembered id per call and a kept whole-log read buffer these read
     // 129 000 B and 1 082 364 B; without, 11 B and 3 122 B.
+    let (grown, after_big, held) = (run.grown, run.after_big, run.held);
+    println!("grown {grown}\nafter_big {after_big}\nheld {held}");
     assert!(
         grown <= 4 << 10,
         "{grown} B of heap grown over 10 000 calls"
     );
     assert!(
+        after_big <= 64 << 10,
+        "{after_big} B still held after answering 1 MiB"
+    );
+    assert!(
         held <= 64 << 10,
-        "{held} B held after replaying 11 000 calls"
+        "{held} B held after replaying 11 002 calls"
     );
 }

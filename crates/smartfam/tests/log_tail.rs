@@ -1,13 +1,18 @@
-//! The tail-reading [`LogFile`] against the whole-buffer decoders.
+//! The tail-reading [`LogFile`] against the whole-buffer decoders, and the
+//! borrowed decoder against the owned one.
 //!
-//! `LogFile::poll`/`poll_recovering` read only the bytes past their
-//! cursor through a held handle; `codec::decode_stream` and
+//! `LogFile::poll`/`poll_recovering`/`poll_each` read only the bytes past
+//! their cursor through a held handle; `codec::decode_stream` and
 //! `decode_stream_recovering` over the *whole* file are the reference
 //! they must agree with, frame for frame and byte for byte, under any
 //! interleaving of whole, torn and corrupted appends — and on files that
-//! were never written by this crate at all.
+//! were never written by this crate at all. Underneath, `decode_view` and
+//! `scan` are held to `decode_frame` on the same hostile bytes.
 
-use mcsd_smartfam::codec::{decode_frame, decode_stream, decode_stream_recovering, DecodeStep};
+use mcsd_smartfam::codec::{
+    decode_frame, decode_stream, decode_stream_recovering, decode_view, encode_request_into, scan,
+    DecodeStep, ViewBody, ViewStep,
+};
 use mcsd_smartfam::{
     FaultAction, FaultInjector, FaultPlan, FaultSite, Frame, LogFile, LogRole, SmartFamError,
 };
@@ -72,6 +77,51 @@ fn append(path: &PathBuf, word: u64) {
     }
 }
 
+/// Arbitrary bytes laced with valid and mutated frames: what a decoder
+/// may meet in a file this crate did not write.
+fn hostile_bytes(words: &[u64]) -> Vec<u8> {
+    let mut hostile = Vec::new();
+    for w in words {
+        match w % 5 {
+            // Raw garbage, magic bytes and huge lengths included.
+            0 => hostile.extend_from_slice(&w.to_le_bytes()),
+            1 => hostile.extend_from_slice(&[
+                b'S',
+                0xff,
+                0xff,
+                (w >> 8) as u8,
+                (w >> 16) as u8 & 0x3f,
+            ]),
+            2 => frame_for(*w).encode_into(&mut hostile),
+            3 => {
+                let start = hostile.len();
+                frame_for(*w).encode_into(&mut hostile);
+                let at = start + (*w >> 24) as usize % (hostile.len() - start);
+                hostile[at] ^= 1 + (w >> 32) as u8 % 255;
+            }
+            // A body byte mutated and the frame sealed again: the checksum
+            // holds, so the body parser is all that stands before a
+            // non-UTF-8 parameter, a bad status, a lying length.
+            _ => {
+                let start = hostile.len();
+                frame_for(*w).encode_into(&mut hostile);
+                let body = start + 5..hostile.len() - 4;
+                hostile[body.start + (*w >> 24) as usize % body.len()] ^= 1 + (w >> 32) as u8 % 255;
+                let seal = fnv1a(&hostile[body.clone()]).to_le_bytes();
+                hostile[body.end..].copy_from_slice(&seal);
+            }
+        }
+    }
+    hostile
+}
+
+/// The frame checksum, by the codec's module docs: FNV-1a over the body.
+fn fnv1a(data: &[u8]) -> u32 {
+    data.iter().fold(0x811c_9dc5, |h, b| {
+        (h ^ u32::from(*b)).wrapping_mul(0x0100_0193)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -96,7 +146,22 @@ proptest! {
             let before = cursors[which].cursor();
             if which < 2 {
                 let want = decode_stream_recovering(&data, before as usize);
-                let (frames, skipped) = cursors[which].poll_recovering().unwrap();
+                let (frames, skipped) = if which == 0 {
+                    cursors[which].poll_recovering().unwrap()
+                } else {
+                    // In place: what the poll shows, and shows again at
+                    // the same offset until the poll is released.
+                    let log = &mut cursors[which];
+                    let mut shown = Vec::new();
+                    let skipped = log.poll_each(|at, view| shown.push((at, view.to_frame()))).unwrap();
+                    for (at, frame) in &shown {
+                        let again = log.frame_at(*at).map(|view| view.to_frame());
+                        prop_assert_eq!(again.as_ref(), Some(frame));
+                        prop_assert_eq!(&data[before as usize + at..][..frame.encoded_len()], &frame.encode()[..]);
+                    }
+                    log.release_poll();
+                    (shown.into_iter().map(|(_, frame)| frame).collect(), skipped)
+                };
                 prop_assert_eq!(frames, want.frames);
                 prop_assert_eq!(skipped, want.skipped_bytes as u64);
                 prop_assert_eq!(cursors[which].cursor(), want.new_pos as u64);
@@ -128,21 +193,7 @@ proptest! {
         words in vec(any::<u64>(), 1..24),
         cuts in vec(any::<u16>(), 0..4),
     ) {
-        let mut hostile = Vec::new();
-        for w in &words {
-            match w % 4 {
-                // Raw garbage, magic bytes and huge lengths included.
-                0 => hostile.extend_from_slice(&w.to_le_bytes()),
-                1 => hostile.extend_from_slice(&[b'S', 0xff, 0xff, (w >> 8) as u8, (w >> 16) as u8 & 0x3f]),
-                2 => frame_for(*w).encode_into(&mut hostile),
-                _ => {
-                    let start = hostile.len();
-                    frame_for(*w).encode_into(&mut hostile);
-                    let at = start + (*w >> 24) as usize % (hostile.len() - start);
-                    hostile[at] ^= 1 + (w >> 32) as u8 % 255;
-                }
-            }
-        }
+        let hostile = hostile_bytes(&words);
         let mut ends: Vec<usize> = cuts.iter().map(|c| *c as usize % (hostile.len() + 1)).collect();
         ends.push(hostile.len());
         ends.sort_unstable();
@@ -171,5 +222,124 @@ proptest! {
             );
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The decoder (ROADMAP 1e): from any offset of hostile bytes, cut at
+    /// any end, the borrowed and the owned decoder take the same step —
+    /// Complete with the same frame and length, Incomplete, or Corrupt
+    /// with the same reason — neither panics, and a frame either yields
+    /// re-encodes to exactly the bytes it was read from, checksum included.
+    #[test]
+    fn the_view_decoder_takes_the_owned_decoders_steps(
+        words in vec(any::<u64>(), 1..12),
+        cuts in vec(any::<u16>(), 0..6),
+    ) {
+        let hostile = hostile_bytes(&words);
+        let ends = cuts.iter().map(|c| *c as usize % (hostile.len() + 1)).chain([hostile.len()]);
+        for end in ends {
+            for at in 0..=end {
+                let bytes = &hostile[at..end];
+                match (decode_view(bytes), decode_frame(bytes)) {
+                    (ViewStep::Complete { frame: view, .. }, DecodeStep::Complete { frame, consumed }) => {
+                        prop_assert_eq!(view.wire_len, consumed);
+                        prop_assert_eq!(view.is_request(), frame.is_request());
+                        prop_assert_eq!(&view.to_frame(), &frame);
+                        prop_assert_eq!(&frame.encode()[..], &bytes[..consumed]);
+                    }
+                    (ViewStep::Incomplete, DecodeStep::Incomplete) => {}
+                    (ViewStep::Corrupt { detail: view }, DecodeStep::Corrupt { detail }) => {
+                        prop_assert_eq!(view, detail);
+                    }
+                    (view, owned) => prop_assert!(false, "at {}..{}: {:?} but {:?}", at, end, view, owned),
+                }
+            }
+        }
+    }
+
+    /// The stream loop always advances or stops: frames are shown in
+    /// offset order without overlap, every byte before the end is a shown
+    /// frame or a counted skip, the end is not a complete frame — and the
+    /// owned wrappers are this loop with every frame copied out.
+    #[test]
+    fn scan_always_advances_or_stops(
+        words in vec(any::<u64>(), 1..24),
+        start in any::<u16>(),
+    ) {
+        let hostile = hostile_bytes(&words);
+        let start = start as usize % (hostile.len() + 1);
+        for recovering in [true, false] {
+            let mut shown = Vec::new();
+            let mut frames = Vec::new();
+            let end = scan(&hostile, start, recovering, |at, view| {
+                shown.push((at, view.wire_len));
+                frames.push(view.to_frame());
+            });
+            let mut covered = 0;
+            let mut next = start;
+            for (at, len) in shown {
+                prop_assert!(at >= next && len > 0, "frame at {} after {}", at, next);
+                next = at + len;
+                covered += len;
+            }
+            prop_assert!(next <= end.new_pos && end.new_pos <= hostile.len());
+            prop_assert_eq!(end.new_pos - start, covered + end.skipped_bytes);
+            let at_end = decode_view(&hostile[end.new_pos..]);
+            if recovering {
+                prop_assert_eq!(&end.corrupt, &None);
+                prop_assert!(!matches!(at_end, ViewStep::Complete { .. }));
+                let owned = decode_stream_recovering(&hostile, start);
+                prop_assert_eq!(owned.frames, frames);
+                prop_assert_eq!((owned.new_pos, owned.skipped_bytes), (end.new_pos, end.skipped_bytes));
+            } else {
+                prop_assert_eq!(end.skipped_bytes, 0);
+                prop_assert_eq!(end.corrupt.is_some(), matches!(at_end, ViewStep::Corrupt { .. }));
+                prop_assert_eq!(end.corrupt.is_none(), matches!(at_end, ViewStep::Incomplete));
+                prop_assert_eq!(decode_stream(&hostile, start).ok(), end.corrupt.is_none().then_some((frames, end.new_pos)));
+            }
+        }
+    }
+
+    /// Parameters are read where they lie and come out as they went in.
+    #[test]
+    fn params_round_trip_through_the_view(
+        params in vec("[a-z0-9α-ωЖ日本語 /|]{0,16}", 0..6),
+        id in any::<u64>(),
+        expires in any::<u64>(),
+    ) {
+        params_round_trip(id, &params, expires)?;
+    }
+}
+
+fn params_round_trip(id: u64, params: &[String], expires: u64) -> Result<(), TestCaseError> {
+    let mut wire = vec![0xaa];
+    encode_request_into(&mut wire, id, params, expires);
+    let ViewStep::Complete { frame: view, .. } = decode_view(&wire[1..]) else {
+        panic!("own encoding does not decode");
+    };
+    prop_assert_eq!(
+        (view.id, view.batch, view.wire_len),
+        (id, 0, wire.len() - 1)
+    );
+    let ViewBody::Request {
+        params: lying,
+        expires_unix_ms,
+    } = view.body
+    else {
+        panic!("a request decoded as a response");
+    };
+    prop_assert_eq!(expires_unix_ms, expires);
+    prop_assert_eq!(lying.iter().len(), params.len());
+    prop_assert!(lying.iter().eq(params.iter().map(String::as_str)));
+    prop_assert_eq!(lying.to_vec(), params);
+    Ok(())
+}
+
+#[test]
+fn no_unicode_and_a_thousand_params_round_trip() {
+    let unicode = ["παράμετρος", "", "日本語", "\u{10ffff}"].map(String::from);
+    let thousand: Vec<String> = (0..1_000).map(|i| format!("p{i}")).collect();
+    for params in [&[][..], &unicode[..], &thousand[..]] {
+        params_round_trip(7, params, 0).unwrap();
+        params_round_trip(7, params, 1_722_000_000_123).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Vendored subset of the `bytes` API, backed by `Vec<u8>`.
 //!
 //! The smartFAM frame codec needs cheap byte buffers with little-endian
-//! put/get accessors. The registry crate's zero-copy machinery is not
+//! put accessors. The registry crate's zero-copy machinery is not
 //! needed for frames of a few kilobytes, so the shim keeps the API and
 //! uses plain owned vectors underneath.
 
@@ -185,77 +185,22 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// Read-side accessors (subset of the registry trait).
-///
-/// Like the registry crate, the `get_*` methods panic when the buffer
-/// holds fewer bytes than requested; callers bounds-check first.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Skip `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8;
-    /// Read a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32;
-    /// Read a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64;
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end of buffer");
-        *self = &self[cnt..];
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        assert!(!self.is_empty(), "get_u8 on empty buffer");
-        let v = self[0];
-        *self = &self[1..];
-        v
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        assert!(self.len() >= 4, "get_u32_le needs 4 bytes");
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self[..4]);
-        *self = &self[4..];
-        u32::from_le_bytes(raw)
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        assert!(self.len() >= 8, "get_u64_le needs 8 bytes");
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self[..8]);
-        *self = &self[8..];
-        u64::from_le_bytes(raw)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn put_get_roundtrip() {
+    fn puts_are_little_endian_and_in_order() {
         let mut buf = BytesMut::new();
         buf.put_u8(0xAB);
         buf.put_u32_le(0xDEADBEEF);
         buf.put_u64_le(0x0123_4567_89AB_CDEF);
         buf.put_slice(b"tail");
         let frozen = buf.freeze();
-        let mut cur: &[u8] = &frozen;
-        assert_eq!(cur.remaining(), 1 + 4 + 8 + 4);
-        assert_eq!(cur.get_u8(), 0xAB);
-        assert_eq!(cur.get_u32_le(), 0xDEADBEEF);
-        assert_eq!(cur.get_u64_le(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(cur, b"tail");
-        cur.advance(4);
-        assert!(cur.is_empty());
+        let mut expect = vec![0xAB, 0xEF, 0xBE, 0xAD, 0xDE];
+        expect.extend_from_slice(&[0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01]);
+        expect.extend_from_slice(b"tail");
+        assert_eq!(&frozen[..], &expect[..]);
     }
 
     #[test]
@@ -265,12 +210,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.clone().to_vec(), b"abc");
         assert_eq!(&a[..], b"abc");
-    }
-
-    #[test]
-    #[should_panic(expected = "get_u32_le")]
-    fn short_read_panics() {
-        let mut cur: &[u8] = &[1, 2];
-        let _ = cur.get_u32_le();
     }
 }
