@@ -1,7 +1,7 @@
 //! Panic-free little-endian readers for fixed-size record formats.
 //!
 //! `slice.try_into().unwrap()` is the idiomatic way to read an integer out
-//! of a record, but library code here must not panic (MCSD002). These
+//! of a record, but library code here must not panic (`clippy::unwrap_used`, DESIGN.md §9). These
 //! readers zero-pad short input instead: every caller feeds fixed-size
 //! records whose length the splitter already guarantees, so the padding
 //! path is unreachable in practice and merely replaces an abort with a

@@ -27,11 +27,14 @@ impl Cluster {
     }
 
     /// The (first) host node.
+    #[expect(
+        clippy::expect_used,
+        reason = "every cluster builder installs a host node; a roleless cluster is a construction bug that must fail loudly, and 13 call sites rely on the infallible signature"
+    )]
     pub fn host(&self) -> &NodeSpec {
         self.nodes
             .iter()
             .find(|n| n.role == NodeRole::Host)
-            // tidy:allow(MCSD002) -- every cluster builder installs a host node; a roleless cluster is a construction bug that must fail loudly, and 13 call sites rely on the infallible signature
             .expect("a cluster has a host node")
     }
 
@@ -44,11 +47,14 @@ impl Cluster {
     }
 
     /// The first smart-storage node.
+    #[expect(
+        clippy::expect_used,
+        reason = "same construction invariant as host(): the paper's topologies always carry an SD node"
+    )]
     pub fn sd(&self) -> &NodeSpec {
         self.sd_nodes()
             .first()
             .copied()
-            // tidy:allow(MCSD002) -- same construction invariant as host(): the paper's topologies always carry an SD node
             .expect("a cluster has an SD node")
     }
 

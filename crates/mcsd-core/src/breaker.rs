@@ -16,6 +16,11 @@
 //! replays its open/probe/close transitions counter-for-counter, which the
 //! overload replay tests rely on.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the breaker's own definition; everyone else goes through the engine"
+)]
+
 use std::time::Duration;
 
 /// Tuning for a [`CircuitBreaker`].

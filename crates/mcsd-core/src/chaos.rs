@@ -25,6 +25,7 @@
 
 use crate::error::McsdError;
 use crate::replication::{ReplicationGroups, ReplicationSetup, RoundOutcome};
+use mcsd_obs::export::Escaped;
 use mcsd_obs::names::{EVENT_CHAOS_DISCOVER, EVENT_CHAOS_INJECT, EVENT_CHAOS_VIOLATION};
 use mcsd_obs::{ClockDomain, Tracer};
 use mcsd_smartfam::module::FnModule;
@@ -374,13 +375,14 @@ impl ChaosReport {
 
     /// Render the report as deterministic JSON (hand-rolled like the §12
     /// exporters: field order frozen, no wall-clock or path content, so
-    /// two sweeps of the same scenario produce identical bytes).
+    /// two sweeps of the same scenario produce identical bytes). Every
+    /// string goes through [`Escaped`]: names and labels are caller input.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!(
             "  \"v\": 1,\n  \"scenario\": \"{}\",\n",
-            self.scenario
+            Escaped(&self.scenario)
         ));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str("  \"segments\": [\n");
@@ -388,11 +390,16 @@ impl ChaosReport {
             let points: Vec<String> = seg
                 .points
                 .iter()
-                .map(|(site, n)| format!("{{\"site\": \"{}\", \"count\": {n}}}", site.label()))
+                .map(|(site, n)| {
+                    format!(
+                        "{{\"site\": \"{}\", \"count\": {n}}}",
+                        Escaped(site.label())
+                    )
+                })
                 .collect();
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"points\": [{}]}}{}\n",
-                seg.segment,
+                Escaped(&seg.segment),
                 points.join(", "),
                 if i + 1 < self.segments.len() { "," } else { "" }
             ));
@@ -400,8 +407,9 @@ impl ChaosReport {
         out.push_str("  ],\n  \"excluded_sites\": [\n");
         for (i, (site, reason)) in self.excluded.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"site\": \"{}\", \"reason\": \"{reason}\"}}{}\n",
-                site.label(),
+                "    {{\"site\": \"{}\", \"reason\": \"{}\"}}{}\n",
+                Escaped(site.label()),
+                Escaped(reason),
                 if i + 1 < self.excluded.len() { "," } else { "" }
             ));
         }
@@ -409,8 +417,8 @@ impl ChaosReport {
         for (i, s) in self.shadowed.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}}}{}\n",
-                s.segment,
-                s.site.label(),
+                Escaped(&s.segment),
+                Escaped(s.site.label()),
                 s.occurrence,
                 if i + 1 < self.shadowed.len() { "," } else { "" }
             ));
@@ -423,12 +431,12 @@ impl ChaosReport {
             out.push_str(&format!(
                 "    {{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}, \
                  \"action\": \"{}\", \"invariant\": \"{}\", \"detail\": \"{}\"}}{}\n",
-                v.segment,
-                v.site,
+                Escaped(&v.segment),
+                Escaped(&v.site),
                 v.occurrence,
-                v.action,
-                v.invariant.label(),
-                v.detail,
+                Escaped(&v.action),
+                Escaped(v.invariant.label()),
+                Escaped(&v.detail),
                 if i + 1 < self.violations.len() {
                     ","
                 } else {
@@ -1151,5 +1159,36 @@ mod tests {
         assert!(!report.is_clean());
         let table = report.render_table();
         assert!(table.contains("VIOLATION [fencing] a dispatch #1 under fail"));
+    }
+
+    #[test]
+    fn report_json_escapes_caller_supplied_strings() {
+        let mut obs = ChaosObservation::clean();
+        obs.conservation = vec![ConservationCheck::eq("say \"hi\" \\ then\nbye", 1, 2)];
+        let (invariant, detail) = evaluate(&obs).remove(0);
+        let report = ChaosReport {
+            scenario: "q\"s".to_string(),
+            seed: 1,
+            segments: Vec::new(),
+            excluded: Vec::new(),
+            shadowed: Vec::new(),
+            cases: 1,
+            violations: vec![Violation {
+                segment: "seg\\1".to_string(),
+                site: "baseline".to_string(),
+                occurrence: 0,
+                action: "none".to_string(),
+                invariant,
+                detail,
+            }],
+        };
+        let json = report.to_json();
+        assert!(json.contains("\"scenario\": \"q\\\"s\""), "{json}");
+        assert!(json.contains("\"segment\": \"seg\\\\1\""), "{json}");
+        assert!(
+            json.contains("\"detail\": \"say \\\"hi\\\" \\\\ then\\nbye: 1 "),
+            "{json}"
+        );
+        assert!(!json.contains("then\nbye"), "{json}");
     }
 }

@@ -23,8 +23,14 @@
 //! opens and probes); the daemon keeps owning sheds, expiries and
 //! replay/quarantine/skip accounting, merged at read time by
 //! [`Engine::resilience_report`]. DESIGN.md §13 has the state-machine
-//! diagram and the counter-ownership table; tidy rule MCSD007 keeps the
-//! policy primitives from re-leaking into the front-ends.
+//! diagram and the counter-ownership table; `clippy.toml` disallows the
+//! policy primitives everywhere else (DESIGN.md §9), so they cannot re-leak
+//! into the front-ends.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the engine owns the per-SD circuit breakers (DESIGN.md §13)"
+)]
 
 use crate::admission::plan_admission;
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
@@ -575,6 +581,10 @@ impl Engine {
         if let Some(p) = &request.caller_partition {
             return Ok(Some(p.clone()));
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine is plan_admission's one sanctioned caller (DESIGN.md §13)"
+        )]
         let plan = plan_admission(
             &request.model,
             request.input_bytes,
@@ -781,7 +791,10 @@ impl Engine {
                 Gated::Sd {
                     sd_index, staging, ..
                 } => {
-                    // tidy:allow(MCSD002) -- construction invariant: the loop above pushed one window entry per `Gated::Sd` and the assert matched the dispatches to the window one-to-one; running dry is a bug here that must fail loudly
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "construction invariant: the loop above pushed one window entry per `Gated::Sd` and the assert matched the dispatches to the window one-to-one; running dry is a bug here that must fail loudly"
+                    )]
                     let dispatch = dispatched.next().expect("one dispatch per admitted call");
                     self.settle(call, sd_index, staging, dispatch)
                 }

@@ -1,4 +1,8 @@
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 //! # mcsd-core
 //!
@@ -67,7 +71,7 @@ pub mod report;
 pub mod scenario;
 
 pub use admission::{plan_admission, AdmissionPlan, AdmissionRefusal};
-pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{Admission, BreakerConfig, BreakerState};
 pub use chaos::{
     run_sweep, ChaosObservation, ChaosReport, ChaosScenario, ConservationCheck, Invariant,
     ReplicationRoundsScenario, Violation,

@@ -194,8 +194,10 @@ fn push_pairs(out: &mut String, attrs: &[(&'static str, String)]) {
     }
 }
 
-/// JSON string-escaping display adapter.
-struct Escaped<'a>(&'a str);
+/// JSON string-escaping display adapter: `format!("\"{}\"", Escaped(s))`
+/// is a JSON string literal for any `s`. The workspace's one JSON escaper;
+/// every hand-rolled JSON writer goes through it.
+pub struct Escaped<'a>(pub &'a str);
 
 impl std::fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

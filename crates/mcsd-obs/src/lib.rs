@@ -1,4 +1,8 @@
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 //! # mcsd-obs
 //!
@@ -13,8 +17,8 @@
 //! *within-run* visibility those figures need — where inside a run time
 //! went, and when a breaker opened relative to a shed — without ever
 //! touching `Instant::now` or `SystemTime::now`, so the same seed yields a
-//! byte-identical trace (the `mcsd-tidy` MCSD001 wall-clock ban applies to
-//! this crate like every other simulation crate).
+//! byte-identical trace (the wall-clock ban of DESIGN.md §9,
+//! `clippy::disallowed_methods`, applies to this crate like every other).
 //!
 //! ## Clock domains
 //!

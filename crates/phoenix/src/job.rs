@@ -132,9 +132,11 @@ pub trait Job: Sync {
 
     /// Associative fold used when [`Job::has_combiner`] is true:
     /// `acc := acc ⊕ next`.
-    #[allow(clippy::unimplemented)] // the contract guard below is the one sanctioned use
+    #[expect(
+        clippy::unimplemented,
+        reason = "contract guard: a job declaring has_combiner() without overriding combine() must fail loudly, not fold incorrectly"
+    )]
     fn combine(&self, _acc: &mut Self::Value, _next: Self::Value) {
-        // tidy:allow(MCSD002) -- contract guard: a job declaring has_combiner() without overriding combine() must fail loudly, not fold incorrectly
         unimplemented!("job declared has_combiner() but did not implement combine()")
     }
 

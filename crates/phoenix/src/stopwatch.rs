@@ -3,17 +3,22 @@
 //! Every reported number in this reproduction is a *virtual-time* ratio:
 //! measured wall time is calibrated through the cluster cost models
 //! (`NodeExecutor::virtual_compute` downstream) before it reaches any
-//! figure. The mcsd-tidy pass (MCSD001) therefore bans raw
-//! `Instant::now`/`SystemTime::now`/`thread::sleep` in simulation-crate
+//! figure. The lint policy (DESIGN.md §9, `clippy::disallowed_methods`)
+//! therefore bans raw `Instant::now`/`SystemTime::now`/`thread::sleep` in
 //! library code: scattered wall-clock reads are exactly how uncalibrated
-//! host time leaks into results. This module is the one whitelisted
+//! host time leaks into results. This module is the one expected
 //! exception — all measurement flows through [`Stopwatch`], so there is a
 //! single choke point to audit (and, if ever needed, to virtualize).
 //!
 //! `thread::sleep` has no shim on purpose: blocking on real time is only
 //! legitimate where real I/O pacing is the point (the smartFAM poll
-//! loops), and those few sites carry explicit `tidy:allow(MCSD001)`
-//! waivers instead.
+//! loops), and those few sites carry their own
+//! `#[expect(clippy::disallowed_methods, reason = "…")]` instead.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned wall-clock surface: every measurement flows through here"
+)]
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 

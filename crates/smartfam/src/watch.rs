@@ -94,8 +94,11 @@ impl PollBackoff {
 
     /// Sleep out one idle gap — the single place a real-I/O wait loop
     /// (host response waits, the watcher's metadata poll) parks its thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real I/O pacing: the caller polls a shared file and found nothing new; the capped backoff (1 ms floor up to poll_interval) bounds detection latency, the quantity the smartFAM experiments measure, not simulated time"
+    )]
     pub fn idle(&mut self) {
-        // tidy:allow(MCSD001) -- real I/O pacing: the caller polls a shared file and found nothing new; the capped backoff (1 ms floor up to poll_interval) bounds detection latency, the quantity the smartFAM experiments measure, not simulated time
         std::thread::sleep(self.idle_delay());
     }
 

@@ -32,7 +32,7 @@ fn echo_registry() -> ModuleRegistry {
 #[test]
 fn many_sequential_requests_on_one_log() {
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
@@ -42,13 +42,14 @@ fn many_sequential_requests_on_one_log() {
             .unwrap();
         assert_eq!(out.payload, format!("msg-{i}").into_bytes());
     }
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn many_outstanding_requests_complete() {
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
@@ -60,13 +61,14 @@ fn many_outstanding_requests_complete() {
         let out = p.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, format!("p{i}").into_bytes());
     }
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn concurrent_client_threads() {
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     let client = Arc::new(HostClient::new(&dir));
@@ -86,6 +88,7 @@ fn concurrent_client_threads() {
     for h in handles {
         h.join().unwrap();
     }
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -109,7 +112,7 @@ fn requests_at_daemon_startup_are_never_lost() {
                 c.submit("echo", &["racer".to_string()]).unwrap()
             })
         };
-        let _daemon = Daemon::new(DaemonConfig::new(&dir), registry)
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry)
             .spawn()
             .unwrap();
         let pending = submitter.join().unwrap();
@@ -120,6 +123,7 @@ fn requests_at_daemon_startup_are_never_lost() {
         // A second request through the same client also completes.
         let out = client.invoke("echo", &["after".into()], TIMEOUT).unwrap();
         assert_eq!(out.payload, b"after");
+        daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -133,7 +137,7 @@ fn module_panics_become_error_responses() {
     registry.register(Arc::new(FnModule::new("bomb", |_: &[String]| {
         panic!("module exploded")
     })));
-    let daemon = Daemon::new(DaemonConfig::new(&dir), registry)
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry)
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
@@ -149,13 +153,14 @@ fn module_panics_become_error_responses() {
     assert_eq!(out.payload, b"alive");
     assert!(daemon.is_running());
     assert_eq!(daemon.stats().module_errors, 1);
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupt_log_does_not_kill_the_daemon() {
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     // Write garbage into a module log the daemon will try to parse.
@@ -165,6 +170,7 @@ fn corrupt_log_does_not_kill_the_daemon() {
     let client = HostClient::new(&dir);
     let out = client.invoke("echo", &["ok".into()], TIMEOUT).unwrap();
     assert_eq!(out.payload, b"ok");
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -173,7 +179,7 @@ fn log_grows_but_stream_stays_decodable() {
     // The whole log (requests + responses interleaved) must decode as a
     // clean frame stream after heavy traffic.
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
@@ -186,6 +192,7 @@ fn log_grows_but_stream_stays_decodable() {
     let requests = frames.iter().filter(|f| f.is_request()).count();
     assert_eq!(requests, 10);
     assert_eq!(frames.len(), 20);
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -194,7 +201,7 @@ fn daemon_answers_requests_written_raw() {
     // A foreign client that writes frames by hand (no HostClient) is still
     // served — the protocol is the file format, not the Rust API.
     let dir = temp_dir();
-    let _daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry())
         .spawn()
         .unwrap();
     std::thread::sleep(Duration::from_millis(30));
@@ -226,5 +233,6 @@ fn daemon_answers_requests_written_raw() {
         assert!(std::time::Instant::now() < deadline, "no response");
         std::thread::sleep(Duration::from_millis(2));
     }
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -18,10 +18,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::checks::contains_pattern;
 use crate::diag::{Code, Diagnostic};
 use crate::lex::TokenKind;
-use crate::scan::{is_ident_char, FileKind};
+use crate::scan::is_ident_char;
 use crate::workspace::{string_consts, SourceFile, Workspace};
 
 /// Tokens that prove hash-order cannot reach output: an explicit sort,
@@ -146,9 +145,6 @@ pub fn check_determinism(
 
 /// Part A: `HashMap`/`HashSet` iteration reaching a sink unsorted.
 fn check_hash_to_sink(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.ctx.kind != FileKind::Lib {
-        return;
-    }
     let lines = &file.scanned.lines;
     let mut idents: Vec<String> = Vec::new();
     for line in lines {
@@ -207,7 +203,7 @@ fn check_hash_to_sink(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 flagged.push(idx);
                 out.push(Diagnostic {
                     code: Code::Mcsd010,
-                    path: file.ctx.path.clone(),
+                    path: file.path.clone(),
                     line: line_no,
                     col: ident_col(&line.code, ident).unwrap_or(0),
                     message: format!(
@@ -228,9 +224,6 @@ fn check_track_domains(
 ) {
     let consts = string_consts(ws);
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
         let idx = file.code_token_indices();
         let tok = |i: usize| -> &crate::lex::Token { &file.tokens[idx[i]] };
         for w in 0..idx.len() {
@@ -307,7 +300,7 @@ fn check_track_domains(
             match tracks.get(&name) {
                 None => out.push(Diagnostic {
                     code: Code::Mcsd010,
-                    path: file.ctx.path.clone(),
+                    path: file.path.clone(),
                     line: t.line,
                     col: t.col,
                     message: format!(
@@ -316,7 +309,7 @@ fn check_track_domains(
                 }),
                 Some(declared) if declared != &domain => out.push(Diagnostic {
                     code: Code::Mcsd010,
-                    path: file.ctx.path.clone(),
+                    path: file.path.clone(),
                     line: t.line,
                     col: t.col,
                     message: format!(
@@ -461,15 +454,34 @@ fn iterates_over(code: &str, ident: &str) -> bool {
 /// 1-based char column of the first boundary-guarded occurrence of
 /// `ident` on the line.
 fn ident_col(code: &str, ident: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
+    find_pattern(code, ident).map(|abs| code[..abs].chars().count() + 1)
+}
+
+/// Substring search with identifier-boundary guards: when the pattern
+/// starts or ends with an identifier character, the neighbouring character
+/// in the haystack must not be one (so `jsonl_with(` never matches
+/// `to_jsonl_with(`, and `in m` never matches `in map`).
+fn contains_pattern(haystack: &str, pattern: &str) -> bool {
+    find_pattern(haystack, pattern).is_some()
+}
+
+/// Byte offset of the first boundary-guarded match (see
+/// [`contains_pattern`]).
+fn find_pattern(haystack: &str, pattern: &str) -> Option<usize> {
+    if pattern.is_empty() {
+        return None;
+    }
+    let first_ident = pattern.chars().next().is_some_and(is_ident_char);
+    let last_ident = pattern.chars().next_back().is_some_and(is_ident_char);
+    let bytes = haystack.as_bytes();
     let mut start = 0;
-    while let Some(pos) = code[start..].find(ident) {
+    while let Some(pos) = haystack[start..].find(pattern) {
         let abs = start + pos;
-        let end = abs + ident.len();
-        let pre_ok = abs == 0 || !is_ident_char(bytes[abs - 1] as char);
-        let post_ok = end >= bytes.len() || !is_ident_char(bytes[end] as char);
+        let end = abs + pattern.len();
+        let pre_ok = !first_ident || abs == 0 || !is_ident_char(bytes[abs - 1] as char);
+        let post_ok = !last_ident || end >= bytes.len() || !is_ident_char(bytes[end] as char);
         if pre_ok && post_ok {
-            return Some(code[..abs].chars().count() + 1);
+            return Some(abs);
         }
         start = end;
     }
@@ -479,27 +491,20 @@ fn ident_col(code: &str, ident: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-    use crate::scan::{scan_tokens, FileContext};
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace {
-            files: files
-                .iter()
-                .map(|(path, src)| {
-                    let tokens = lex(src);
-                    let scanned = scan_tokens(src, &tokens);
-                    SourceFile {
-                        ctx: FileContext {
-                            path: path.to_string(),
-                            kind: FileKind::Lib,
-                        },
-                        tokens,
-                        scanned,
-                    }
-                })
-                .collect(),
+            files: files.iter().map(|(p, s)| SourceFile::new(p, s)).collect(),
         }
+    }
+
+    #[test]
+    fn pattern_boundaries() {
+        assert!(contains_pattern("jsonl_with(t, o)", "jsonl_with("));
+        assert!(!contains_pattern("to_jsonl_with(t, o)", "jsonl_with("));
+        assert!(contains_pattern("for k in m {", "in m"));
+        assert!(!contains_pattern("for k in map {", "in m"));
+        assert_eq!(ident_col("let mm = m.iter();", "m"), Some(10));
     }
 
     #[test]

@@ -427,13 +427,13 @@ mod tests {
 
     #[test]
     fn comments_carry_content() {
-        let toks = lex("code(); // tidy:allow(MCSD001) -- why\n/* block */");
+        let toks = lex("code(); // tidy:allow(MCSD010) -- why\n/* block */");
         let line: Vec<&Token> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::LineComment)
             .collect();
         assert_eq!(line.len(), 1);
-        assert_eq!(line[0].text, " tidy:allow(MCSD001) -- why");
+        assert_eq!(line[0].text, " tidy:allow(MCSD010) -- why");
         assert!(toks.iter().any(|t| t.kind == TokenKind::BlockComment));
     }
 

@@ -1,19 +1,27 @@
-//! `mcsd-tidy`: the workspace's std-only static-analysis pass.
+#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::print_stdout))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
+//! `mcsd-tidy`: the workspace's std-only cross-file analysis pass.
 //!
 //! McSD's headline results are ratios over the virtual-time ledger
 //! (`mcsd_cluster::TimeBreakdown`), so wall-clock reads, unordered hash
-//! iteration, or unseeded randomness leaking into the simulation make
-//! every reproduced figure untrustworthy. `tidy` enforces those invariants
-//! mechanically — modeled on rustc's `tidy`, but token-level: [`lex`]
-//! produces a full token stream per file, [`workspace`] holds every lexed
-//! file so the deep rules (lock-order graph MCSD008, counter ownership
-//! MCSD009, determinism flow MCSD010) can reason across crates, and the
-//! DESIGN.md §12/§13 tables are parsed as the single source of truth the
-//! code is checked against. Stable diagnostic codes, machine-readable
-//! output (JSONL and SARIF 2.1.0), and an inline waiver syntax:
+//! iteration, or panics leaking into the simulation make every reproduced
+//! figure untrustworthy. The per-line half of that policy is compiler
+//! lints (the lib roots' header plus the root `clippy.toml`, DESIGN.md
+//! §9); `tidy` keeps the rules no compiler lint can state. It is token
+//! level: [`lex`] produces a full token stream per file, [`workspace`]
+//! holds every lexed library file so the rules (lock-order graph MCSD008,
+//! counter ownership MCSD009, determinism flow MCSD010) can reason across
+//! crates, and the DESIGN.md §12/§13 tables are parsed as the single
+//! source of truth the code is checked against; [`manifest`] holds the
+//! workspace hygiene of MCSD006. Stable diagnostic codes and an inline
+//! waiver syntax:
 //!
 //! ```text
-//! // tidy:allow(MCSD001) -- real I/O polling is the point here
+//! // tidy:allow(MCSD010) -- emission order only feeds a re-grouping
 //! ```
 //!
 //! A waiver covers its own line and the line below it, must name the code
@@ -21,15 +29,12 @@
 //! are themselves diagnostics (MCSD000). Run it as:
 //!
 //! ```text
-//! cargo run -p xtask -- tidy [--json | --sarif]
+//! cargo run -p xtask -- tidy
 //! ```
 //!
 //! See DESIGN.md §14 "Static analysis" for the analyzer architecture and
-//! the MCSD000–010 rule catalog.
+//! the rule catalog.
 
-#![deny(missing_docs)]
-
-pub mod checks;
 pub mod determinism;
 pub mod diag;
 pub mod lex;
@@ -37,10 +42,8 @@ pub mod locks;
 pub mod manifest;
 pub mod ownership;
 pub mod runner;
-pub mod sarif;
 pub mod scan;
 pub mod workspace;
 
 pub use diag::{Code, Diagnostic};
 pub use runner::{run_tidy, TidyReport};
-pub use scan::{FileContext, FileKind};

@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 
 use crate::diag::{Code, Diagnostic};
 use crate::lex::{Token, TokenKind};
-use crate::scan::FileKind;
 use crate::workspace::{crate_of, SourceFile, Workspace};
 
 /// Blocking method calls that must not run under a lock: file I/O and
@@ -83,9 +82,6 @@ pub fn check_locks(ws: &Workspace) -> Vec<Diagnostic> {
     let mut edges: BTreeMap<(String, String), Site> = BTreeMap::new();
     let mut out = Vec::new();
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
         scan_file(file, &decls, &mut edges, &mut out);
     }
     report_cycles(&edges, &mut out);
@@ -96,10 +92,7 @@ pub fn check_locks(ws: &Workspace) -> Vec<Diagnostic> {
 fn collect_lock_decls(ws: &Workspace) -> BTreeMap<(String, String), LockKind> {
     let mut decls: BTreeMap<(String, String), LockKind> = BTreeMap::new();
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
-        let krate = crate_of(&file.ctx.path).to_string();
+        let krate = crate_of(&file.path).to_string();
         let idx = file.code_token_indices();
         let tok = |i: usize| -> &Token { &file.tokens[idx[i]] };
         for w in 0..idx.len() {
@@ -195,7 +188,7 @@ fn scan_file(
     edges: &mut BTreeMap<(String, String), Site>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let krate = crate_of(&file.ctx.path).to_string();
+    let krate = crate_of(&file.path).to_string();
     let idx = file.code_token_indices();
     let tok = |i: usize| -> &Token { &file.tokens[idx[i]] };
     let mut depth: i64 = 0;
@@ -244,7 +237,7 @@ fn scan_file(
                         if h.node == node {
                             out.push(Diagnostic {
                                 code: Code::Mcsd008,
-                                path: file.ctx.path.clone(),
+                                path: file.path.clone(),
                                 line: t.line,
                                 col: tok(w - 2).col,
                                 message: format!(
@@ -255,7 +248,7 @@ fn scan_file(
                             edges
                                 .entry((h.node.clone(), node.clone()))
                                 .or_insert_with(|| Site {
-                                    path: file.ctx.path.clone(),
+                                    path: file.path.clone(),
                                     line: t.line,
                                     col: tok(w - 2).col,
                                 });
@@ -288,7 +281,7 @@ fn scan_file(
                 let nodes: Vec<&str> = held.iter().map(|h| h.node.as_str()).collect();
                 out.push(Diagnostic {
                     code: Code::Mcsd008,
-                    path: file.ctx.path.clone(),
+                    path: file.path.clone(),
                     line: t.line,
                     col: t.col,
                     message: format!(
@@ -501,26 +494,10 @@ fn report_cycles(edges: &BTreeMap<(String, String), Site>, out: &mut Vec<Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-    use crate::scan::{scan_tokens, FileContext};
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace {
-            files: files
-                .iter()
-                .map(|(path, src)| {
-                    let tokens = lex(src);
-                    let scanned = scan_tokens(src, &tokens);
-                    SourceFile {
-                        ctx: FileContext {
-                            path: path.to_string(),
-                            kind: FileKind::Lib,
-                        },
-                        tokens,
-                        scanned,
-                    }
-                })
-                .collect(),
+            files: files.iter().map(|(p, s)| SourceFile::new(p, s)).collect(),
         }
     }
 

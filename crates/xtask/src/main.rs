@@ -6,15 +6,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::runner::run_tidy;
-use xtask::sarif::to_sarif;
 
 const USAGE: &str = "\
-usage: cargo run -p xtask -- tidy [--json | --sarif] [--root PATH]
+usage: cargo run -p xtask -- tidy [--root PATH]
 
 Runs the mcsd-tidy static-analysis pass over the workspace.
 
-  --json       emit one JSON object per diagnostic (JSONL) on stdout
-  --sarif      emit a SARIF 2.1.0 log on stdout (GitHub code scanning)
   --root PATH  workspace root (default: walk up from the current directory)
 
 Exit status: 0 clean, 1 diagnostics found, 2 usage or I/O error.";
@@ -31,15 +28,11 @@ fn main() -> ExitCode {
 }
 
 fn real_main(args: &[String]) -> Result<ExitCode, String> {
-    let mut json = false;
-    let mut sarif = false;
     let mut root: Option<PathBuf> = None;
     let mut command: Option<&str> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--json" => json = true,
-            "--sarif" => sarif = true,
             "--root" => {
                 let value = iter.next().ok_or("--root requires a path argument")?;
                 root = Some(PathBuf::from(value));
@@ -64,27 +57,16 @@ fn real_main(args: &[String]) -> Result<ExitCode, String> {
     };
     let report = run_tidy(&root).map_err(|e| e.message)?;
 
-    if json && sarif {
-        return Err("--json and --sarif are mutually exclusive".to_string());
+    for diag in &report.diagnostics {
+        println!("{diag}");
     }
-    if sarif {
-        print!("{}", to_sarif(&report.diagnostics));
-    } else if json {
-        for diag in &report.diagnostics {
-            println!("{}", diag.to_json());
-        }
-    } else {
-        for diag in &report.diagnostics {
-            println!("{diag}");
-        }
-        println!(
-            "tidy: {} files + {} manifests checked, {} diagnostic(s), {} waiver(s) honored",
-            report.files_scanned,
-            report.manifests_checked,
-            report.diagnostics.len(),
-            report.waivers_honored
-        );
-    }
+    println!(
+        "tidy: {} files + {} manifests checked, {} diagnostic(s), {} waiver(s) honored",
+        report.files_scanned,
+        report.manifests_checked,
+        report.diagnostics.len(),
+        report.waivers_honored
+    );
     if report.diagnostics.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {

@@ -11,11 +11,20 @@ use crate::diag::{Code, Diagnostic};
 /// `[workspace.dependencies]`.
 const DEP_SECTIONS: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
 
-/// The deny header every library root must carry within its first lines:
-/// missing docs are treated as build breaks, not warnings.
-pub const LIB_DENY_HEADER: &str = "#![deny(missing_docs)]";
+/// The header every library root must carry within its first lines:
+/// missing docs are build breaks, and the lint policy of DESIGN.md §9
+/// (with the lists in the root `clippy.toml`) is armed for the crate's
+/// library code outside `cfg(test)`. Split so each line stays one line
+/// under rustfmt, which wraps an attribute whose arguments pass 70 columns.
+pub const LIB_HEADER: [&str; 5] = [
+    "#![deny(missing_docs)]",
+    "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]",
+    "#![cfg_attr(not(test), deny(clippy::panic, clippy::print_stdout))]",
+    "#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]",
+    "#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]",
+];
 
-/// How many lines from the top of `lib.rs` the deny header may sit.
+/// How many lines from the top of `lib.rs` the header may sit.
 pub const LIB_HEADER_WINDOW: usize = 30;
 
 /// Check one crate manifest: every dependency must be
@@ -70,26 +79,28 @@ pub fn check_manifest(rel_path: &str, content: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Check that a library root carries [`LIB_DENY_HEADER`] within its first
-/// [`LIB_HEADER_WINDOW`] lines.
+/// Check that a library root carries every [`LIB_HEADER`] line within its
+/// first [`LIB_HEADER_WINDOW`] lines; one finding per missing line.
 pub fn check_lib_header(rel_path: &str, content: &str) -> Vec<Diagnostic> {
-    let found = content
-        .lines()
-        .take(LIB_HEADER_WINDOW)
-        .any(|l| l.trim() == LIB_DENY_HEADER);
-    if found {
-        Vec::new()
-    } else {
-        vec![Diagnostic {
-            code: Code::Mcsd006,
-            path: rel_path.to_string(),
-            line: 1,
-            col: 0,
-            message: format!(
-                "library root must carry `{LIB_DENY_HEADER}` within its first {LIB_HEADER_WINDOW} lines"
-            ),
-        }]
-    }
+    LIB_HEADER
+        .iter()
+        .filter(|want| {
+            !content
+                .lines()
+                .take(LIB_HEADER_WINDOW)
+                .any(|l| l.trim() == **want)
+        })
+        .map(|want| {
+            Diagnostic::new(
+                Code::Mcsd006,
+                rel_path,
+                1,
+                format!(
+                    "library root must carry `{want}` within its first {LIB_HEADER_WINDOW} lines"
+                ),
+            )
+        })
+        .collect()
 }
 
 fn section_header(line: &str) -> Option<&str> {
@@ -139,9 +150,19 @@ mod tests {
 
     #[test]
     fn lib_header_enforced() {
-        assert!(check_lib_header("src/lib.rs", "//! docs\n#![deny(missing_docs)]\n").is_empty());
-        let diags = check_lib_header("src/lib.rs", "//! docs\n#![warn(missing_docs)]\n");
+        let full = format!("//! docs\n{}\n", LIB_HEADER.join("\n"));
+        assert!(check_lib_header("src/lib.rs", &full).is_empty());
+        // `warn` instead of `deny` for missing docs.
+        let diags = check_lib_header("src/lib.rs", &full.replace("deny(missing", "warn(missing"));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::Mcsd006);
+        assert!(diags[0].message.contains("missing_docs"));
+        // The lint-policy lines: absent, and `warn` instead of `deny`.
+        let absent = full.replace(LIB_HEADER[3], "");
+        let diags = check_lib_header("src/lib.rs", &absent);
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].message.contains("disallowed_methods"));
+        let warned = full.replace("not(test), deny(", "not(test), warn(");
+        assert_eq!(check_lib_header("src/lib.rs", &warned).len(), 4);
     }
 }

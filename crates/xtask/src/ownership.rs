@@ -31,7 +31,6 @@ use std::collections::BTreeMap;
 
 use crate::diag::{Code, Diagnostic};
 use crate::lex::TokenKind;
-use crate::scan::FileKind;
 use crate::workspace::Workspace;
 
 /// The counter families under ownership control.
@@ -253,9 +252,6 @@ pub fn check_ownership(
     allowed_by_field.retain(|field, _| fields.iter().any(|f| f.field == *field));
 
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
         let idx = file.code_token_indices();
         for w in 0..idx.len() {
             let t = &file.tokens[idx[w]];
@@ -279,10 +275,10 @@ pub fn check_ownership(
             if !prev_is_dot || !mutates || file.line_in_test(t.line) {
                 continue;
             }
-            if !allowed.contains(&file.ctx.path.as_str()) {
+            if !allowed.contains(&file.path.as_str()) {
                 out.push(Diagnostic {
                     code: Code::Mcsd009,
-                    path: file.ctx.path.clone(),
+                    path: file.path.clone(),
                     line: t.line,
                     col: t.col,
                     message: format!(
@@ -301,9 +297,6 @@ pub fn check_ownership(
 fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
     let mut out = Vec::new();
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
         let idx = file.code_token_indices();
         let tok = |i: usize| -> &crate::lex::Token { &file.tokens[idx[i]] };
         for w in 0..idx.len() {
@@ -355,7 +348,7 @@ fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
                                     out.push(FamilyField {
                                         family: name.text.clone(),
                                         field: fname.text.clone(),
-                                        path: file.ctx.path.clone(),
+                                        path: file.path.clone(),
                                         line: fname.line,
                                         col: fname.col,
                                     });
@@ -375,27 +368,11 @@ fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-    use crate::scan::{scan_tokens, FileContext};
     use crate::workspace::SourceFile;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         Workspace {
-            files: files
-                .iter()
-                .map(|(path, src)| {
-                    let tokens = lex(src);
-                    let scanned = scan_tokens(src, &tokens);
-                    SourceFile {
-                        ctx: FileContext {
-                            path: path.to_string(),
-                            kind: FileKind::Lib,
-                        },
-                        tokens,
-                        scanned,
-                    }
-                })
-                .collect(),
+            files: files.iter().map(|(p, s)| SourceFile::new(p, s)).collect(),
         }
     }
 

@@ -1,33 +1,28 @@
 //! Filesystem walk and orchestration: discovers the files in scope, lexes
-//! and scans them into a [`Workspace`], runs the per-file pattern checks
-//! and the workspace-level analyses (MCSD008–010), and aggregates a
-//! [`TidyReport`].
+//! and scans them into a [`Workspace`], runs the workspace-level analyses
+//! (MCSD008–010), applies waivers, and aggregates a [`TidyReport`].
 //!
-//! Scope (matching ISSUE/DESIGN): `crates/*/src/**/*.rs`,
-//! `crates/*/examples/**/*.rs`, root `src/**/*.rs`, root
-//! `examples/**/*.rs`, and every `crates/*/Cargo.toml`. Shim crates under
-//! `shims/` mirror third-party APIs (including their panicking contracts)
-//! and are deliberately out of scope.
+//! Scope (DESIGN.md §9): library code — `crates/*/src/**/*.rs` and root
+//! `src/**/*.rs`, minus `main.rs` and `src/bin/` — plus every
+//! `crates/*/Cargo.toml`. Binaries, examples and tests are out of scope,
+//! as they are for the compiler lints. Shim crates under `shims/` mirror
+//! third-party APIs and are deliberately out of scope too.
 //!
 //! Ordering matters: waivers are applied *last*, after the workspace
 //! analyses have run, so a `// tidy:allow(MCSD008)` on a lock-holding
-//! line suppresses the cross-file finding the same way it would a local
-//! pattern match. Findings anchored at `DESIGN.md` itself (table parse
-//! errors, doc/code drift reported doc-side) are configuration problems
-//! and bypass waivers entirely.
+//! line suppresses the cross-file finding. Findings anchored at
+//! `DESIGN.md` itself (table parse errors, doc/code drift reported
+//! doc-side) are configuration problems and bypass waivers entirely.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::checks::{apply_waivers, raw_checks};
 use crate::determinism::{check_determinism, parse_track_table};
-use crate::diag::Diagnostic;
-use crate::lex::lex;
+use crate::diag::{Code, Diagnostic};
 use crate::locks::check_locks;
 use crate::manifest::{check_lib_header, check_manifest};
 use crate::ownership::{check_ownership, parse_ownership_table};
-use crate::scan::{scan_tokens, FileContext, FileKind};
 use crate::workspace::{SourceFile, Workspace};
 
 /// A fatal tidy failure (I/O, bad root) — distinct from diagnostics, which
@@ -65,6 +60,15 @@ pub struct TidyReport {
     pub waivers_honored: usize,
 }
 
+/// One file's findings after waiver filtering.
+#[derive(Debug)]
+pub struct WaiverOutcome {
+    /// Findings that survived waiver filtering, plus MCSD000 findings.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Number of well-formed waivers that suppressed at least one finding.
+    pub waivers_honored: usize,
+}
+
 /// Run the full tidy pass over the workspace rooted at `root`.
 pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
     if !root.join("Cargo.toml").is_file() {
@@ -92,18 +96,10 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
                     .extend(check_manifest(&rel(root, &manifest_path), &content));
                 report.manifests_checked += 1;
             }
-            scan_tree(root, &crate_dir.join("src"), false, &mut ws, &mut report)?;
-            scan_tree(
-                root,
-                &crate_dir.join("examples"),
-                true,
-                &mut ws,
-                &mut report,
-            )?;
+            scan_tree(root, &crate_dir.join("src"), &mut ws, &mut report)?;
         }
     }
-    scan_tree(root, &root.join("src"), false, &mut ws, &mut report)?;
-    scan_tree(root, &root.join("examples"), true, &mut ws, &mut report)?;
+    scan_tree(root, &root.join("src"), &mut ws, &mut report)?;
 
     // Workspace-level analyses. The DESIGN.md-driven rules only engage
     // when the document exists (synthetic test roots have none); table
@@ -129,19 +125,17 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
         deep.extend(check_determinism(&ws, None));
     }
 
-    // Route every finding to its file and apply waivers last, so the deep
-    // rules and the pattern rules share one waiver mechanism. Findings
+    // Route every finding to its file and apply waivers last. Findings
     // against unscanned paths (DESIGN.md) pass straight through.
     let mut per_file: Vec<Vec<Diagnostic>> = ws.files.iter().map(|_| Vec::new()).collect();
     for diag in deep {
-        match ws.files.iter().position(|f| f.ctx.path == diag.path) {
+        match ws.files.iter().position(|f| f.path == diag.path) {
             Some(i) => per_file[i].push(diag),
             None => report.diagnostics.push(diag),
         }
     }
-    for (file, mut raw) in ws.files.iter().zip(per_file) {
-        raw.extend(raw_checks(&file.ctx, &file.scanned));
-        let outcome = apply_waivers(&file.ctx, &file.scanned, raw);
+    for (file, raw) in ws.files.iter().zip(per_file) {
+        let outcome = apply_waivers(file, raw);
         report.diagnostics.extend(outcome.diagnostics);
         report.waivers_honored += outcome.waivers_honored;
     }
@@ -153,12 +147,52 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
     Ok(report)
 }
 
-/// Lex and scan every `.rs` file under `dir` (tolerating its absence) into
-/// the workspace; lib-header checks run here, everything else later.
+/// Filter one file's findings through its waivers and report waiver
+/// hygiene (malformed or unused waivers) as MCSD000. A waiver covers its
+/// own line and the next line.
+pub fn apply_waivers(file: &SourceFile, raw: Vec<Diagnostic>) -> WaiverOutcome {
+    let waivers = &file.scanned.waivers;
+    let mut used = vec![false; waivers.len()];
+    let mut diagnostics = Vec::new();
+    for diag in raw {
+        let waiver = waivers.iter().position(|w| {
+            let covers = w.line == diag.line || w.line + 1 == diag.line;
+            w.malformed.is_none() && covers && w.codes.contains(&diag.code)
+        });
+        match waiver {
+            Some(idx) => used[idx] = true,
+            None => diagnostics.push(diag),
+        }
+    }
+    let mut waivers_honored = 0;
+    for (waiver, used) in waivers.iter().zip(used) {
+        let message = match &waiver.malformed {
+            Some(why) => format!("malformed waiver: {why}"),
+            None if used => {
+                waivers_honored += 1;
+                continue;
+            }
+            None => "waiver suppresses nothing; remove it".to_string(),
+        };
+        diagnostics.push(Diagnostic::new(
+            Code::Mcsd000,
+            &file.path,
+            waiver.line,
+            message,
+        ));
+    }
+    WaiverOutcome {
+        diagnostics,
+        waivers_honored,
+    }
+}
+
+/// Lex and scan every library `.rs` file under `dir` (tolerating its
+/// absence) into the workspace; lib-header checks run here, everything
+/// else later.
 fn scan_tree(
     root: &Path,
     dir: &Path,
-    force_bin: bool,
     ws: &mut Workspace,
     report: &mut TidyReport,
 ) -> Result<(), TidyError> {
@@ -169,39 +203,25 @@ fn scan_tree(
     collect_rs_files(dir, &mut files)?;
     for file in files {
         let rel_path = rel(root, &file);
-        let kind = classify(&rel_path, force_bin);
+        if !is_lib_source(&rel_path) {
+            continue;
+        }
         let content = fs::read_to_string(&file).map_err(|e| io_err(&file, e))?;
         if rel_path.ends_with("/src/lib.rs") || rel_path == "src/lib.rs" {
             report
                 .diagnostics
                 .extend(check_lib_header(&rel_path, &content));
         }
-        let tokens = lex(&content);
-        let scanned = scan_tokens(&content, &tokens);
-        ws.files.push(SourceFile {
-            ctx: FileContext {
-                path: rel_path,
-                kind,
-            },
-            tokens,
-            scanned,
-        });
+        ws.files.push(SourceFile::new(&rel_path, &content));
         report.files_scanned += 1;
     }
     Ok(())
 }
 
-/// Decide how a file participates in the build from its path alone.
-fn classify(rel_path: &str, force_bin: bool) -> FileKind {
-    if force_bin
-        || rel_path.ends_with("/main.rs")
-        || rel_path.contains("/src/bin/")
-        || rel_path.contains("/examples/")
-    {
-        FileKind::Bin
-    } else {
-        FileKind::Lib
-    }
+/// Whether a file under a `src/` tree belongs to the library target (and
+/// not a binary's).
+fn is_lib_source(rel_path: &str) -> bool {
+    !(rel_path.ends_with("/main.rs") || rel_path.contains("src/bin/"))
 }
 
 fn sorted_subdirs(dir: &Path) -> Result<Vec<PathBuf>, TidyError> {
@@ -254,11 +274,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_kinds() {
-        assert_eq!(classify("crates/x/src/lib.rs", false), FileKind::Lib);
-        assert_eq!(classify("crates/x/src/main.rs", false), FileKind::Bin);
-        assert_eq!(classify("crates/x/src/bin/tool.rs", false), FileKind::Bin);
-        assert_eq!(classify("examples/demo.rs", true), FileKind::Bin);
+    fn only_library_sources_are_in_scope() {
+        assert!(is_lib_source("crates/x/src/lib.rs"));
+        assert!(is_lib_source("src/lib.rs"));
+        assert!(!is_lib_source("crates/x/src/main.rs"));
+        assert!(!is_lib_source("crates/x/src/bin/tool.rs"));
+        assert!(!is_lib_source("src/bin/tool.rs"));
     }
 
     #[test]

@@ -3,36 +3,16 @@
 //!
 //! Since the token-level rewrite, the scanner is a thin projection of the
 //! [`crate::lex`] token stream: string/char literals and comments become
-//! runs of spaces in the masked lines (so the line-pattern rules can never
+//! runs of spaces in the masked lines (so the line-based rules can never
 //! fire inside them), waivers are parsed out of line-comment tokens, and
 //! `#[cfg(test)]` / `#[test]` regions are tracked by brace depth over the
 //! masked lines. The workspace analysis pass shares the same token stream
 //! via [`scan_tokens`], so each file is lexed exactly once.
 
-use crate::diag::Code;
+use crate::diag::{Code, RETIRED_CODES};
 use crate::lex::{lex, Token, TokenKind};
 
 pub use crate::lex::is_ident_char;
-
-/// How a file participates in the build, which decides which rules apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Library code: the full rule set applies.
-    Lib,
-    /// Binary or example code: exempt from MCSD002/MCSD005 (CLIs print and
-    /// may panic on bad invocations), still subject to MCSD004.
-    Bin,
-}
-
-/// Identity of a file being checked: its workspace-relative path and kind.
-#[derive(Debug, Clone)]
-pub struct FileContext {
-    /// Workspace-relative path with `/` separators, e.g.
-    /// `crates/phoenix/src/runtime.rs`.
-    pub path: String,
-    /// Whether this is library or binary/example code.
-    pub kind: FileKind,
-}
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
@@ -166,6 +146,9 @@ fn parse_waiver(line: usize, text: &str) -> Waiver {
                 return malformed("MCSD000 cannot be waived");
             }
             Some(code) => codes.push(code),
+            None if RETIRED_CODES.contains(&part) => {
+                return malformed("retired code (DESIGN.md §14); a compiler lint is waived with `#[expect(lint, reason = \"…\")]`");
+            }
             None => {
                 return malformed("unknown diagnostic code in waiver");
             }
@@ -249,18 +232,18 @@ mod tests {
 
     #[test]
     fn waiver_parses() {
-        let src = "// tidy:allow(MCSD001, MCSD002) -- real I/O timing\nfoo();\n";
+        let src = "// tidy:allow(MCSD008, MCSD010) -- real I/O timing\nfoo();\n";
         let scanned = scan_source(src);
         assert_eq!(scanned.waivers.len(), 1);
         let w = &scanned.waivers[0];
         assert!(w.malformed.is_none());
-        assert_eq!(w.codes, vec![Code::Mcsd001, Code::Mcsd002]);
+        assert_eq!(w.codes, vec![Code::Mcsd008, Code::Mcsd010]);
         assert_eq!(w.line, 1);
     }
 
     #[test]
     fn waiver_without_reason_is_malformed() {
-        let scanned = scan_source("// tidy:allow(MCSD001)\n");
+        let scanned = scan_source("// tidy:allow(MCSD010)\n");
         assert!(scanned.waivers[0].malformed.is_some());
     }
 
@@ -271,8 +254,17 @@ mod tests {
     }
 
     #[test]
+    fn waiver_with_retired_code_is_malformed() {
+        for code in RETIRED_CODES {
+            let scanned = scan_source(&format!("// tidy:allow({code}) -- from before\n"));
+            let why = scanned.waivers[0].malformed.as_deref().unwrap_or("");
+            assert!(why.contains("retired"), "{code}: {why}");
+        }
+    }
+
+    #[test]
     fn doc_comment_does_not_become_waiver() {
-        let scanned = scan_source("/// tidy:allow(MCSD001) -- mentioned in docs\n");
+        let scanned = scan_source("/// tidy:allow(MCSD010) -- mentioned in docs\n");
         assert!(scanned.waivers.is_empty());
     }
 }

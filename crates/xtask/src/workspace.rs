@@ -1,24 +1,24 @@
 //! The workspace model shared by the token-level analysis passes.
 //!
-//! Per-file rules (MCSD001–007) only ever see one masked file at a time.
-//! The deep rules need more: MCSD008 builds a lock-acquisition graph
-//! across crates, MCSD009 reconciles struct definitions with the
-//! DESIGN.md §13 table, and MCSD010 resolves track-name constants that
-//! are declared in one file and used in another. [`Workspace`] carries
-//! every lexed file so those passes can run after the walk completes,
-//! plus the small shared lookups (string constants, crate attribution)
-//! they all need.
+//! Every tidy rule reasons across files: MCSD008 builds a
+//! lock-acquisition graph across crates, MCSD009 reconciles struct
+//! definitions with the DESIGN.md §13 table, and MCSD010 resolves
+//! track-name constants that are declared in one file and used in
+//! another. [`Workspace`] carries every lexed library file so those passes
+//! can run after the walk completes, plus the small shared lookups (string
+//! constants, crate attribution) they all need.
 
 use std::collections::BTreeMap;
 
-use crate::lex::{Token, TokenKind};
-use crate::scan::{FileContext, FileKind, ScannedFile};
+use crate::lex::{lex, Token, TokenKind};
+use crate::scan::{scan_tokens, ScannedFile};
 
-/// One lexed and scanned source file.
+/// One lexed and scanned library source file.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Path and build-participation kind.
-    pub ctx: FileContext,
+    /// Workspace-relative path with `/` separators, e.g.
+    /// `crates/phoenix/src/runtime.rs`.
+    pub path: String,
     /// The full token stream, comments included.
     pub tokens: Vec<Token>,
     /// Masked lines, test-region flags, and waivers.
@@ -26,6 +26,17 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
+    /// Lex and scan `source` once, as the file at `path`.
+    pub fn new(path: &str, source: &str) -> SourceFile {
+        let tokens = lex(source);
+        let scanned = scan_tokens(source, &tokens);
+        SourceFile {
+            path: path.to_string(),
+            tokens,
+            scanned,
+        }
+    }
+
     /// True when `line` (1-based) falls inside a test region.
     pub fn line_in_test(&self, line: usize) -> bool {
         self.scanned
@@ -89,9 +100,6 @@ pub fn str_value(token: &Token) -> Option<String> {
 pub fn string_consts(ws: &Workspace) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
     for file in &ws.files {
-        if file.ctx.kind != FileKind::Lib {
-            continue;
-        }
         let idx = file.code_token_indices();
         for w in 0..idx.len() {
             let tok = &file.tokens[idx[w]];
@@ -133,21 +141,6 @@ pub fn string_consts(ws: &Workspace) -> BTreeMap<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-    use crate::scan::scan_tokens;
-
-    fn file(path: &str, src: &str) -> SourceFile {
-        let tokens = lex(src);
-        let scanned = scan_tokens(src, &tokens);
-        SourceFile {
-            ctx: FileContext {
-                path: path.to_string(),
-                kind: FileKind::Lib,
-            },
-            tokens,
-            scanned,
-        }
-    }
 
     #[test]
     fn crate_attribution() {
@@ -167,11 +160,11 @@ mod tests {
     fn consts_collected_across_files() {
         let ws = Workspace {
             files: vec![
-                file(
+                SourceFile::new(
                     "crates/a/src/lib.rs",
                     "pub const TRACK: &str = \"mcsd\";\nconst OTHER: &'static str = \"host\";\n",
                 ),
-                file(
+                SourceFile::new(
                     "crates/b/src/lib.rs",
                     "#[cfg(test)]\nmod t {\n    const IGNORED: &str = \"x\";\n}\nconst N: usize = 4;\n",
                 ),

@@ -3,8 +3,9 @@
 //! The workspace's determinism discipline (see DESIGN.md, "Determinism &
 //! lint invariants") forbids unseeded randomness outside tests, so the only
 //! entry point this shim provides is `StdRng::seed_from_u64`: there is no
-//! `thread_rng`, no `from_entropy`, and no `rand::random` — the MCSD004
-//! violations cannot even compile against it. The generator is SplitMix64,
+//! `thread_rng`, no `from_entropy`, and no `rand::random` — an unseeded
+//! draw cannot even compile against it (which is why no lint rule
+//! guards it). The generator is SplitMix64,
 //! which passes BigCrush's smoke tests and is plenty for synthetic
 //! workload generation; it is *not* the registry crate's ChaCha12, so
 //! seeded streams differ from upstream `rand` (nothing in-tree depends on
