@@ -174,7 +174,6 @@ fn fault_sweep(_: &Options) {
             ..ResilienceConfig::default()
         };
         resilience.retry.heartbeat_max_age = Duration::from_millis(800);
-        resilience.retry.probe_interval = Duration::from_millis(25);
         resilience.call_timeout = Duration::from_secs(6);
 
         let cluster = roomy(paper_testbed(Scale::default_experiment()));

@@ -113,7 +113,6 @@ impl FourPhaseScenario {
             ..ResilienceConfig::default()
         };
         resilience.retry.heartbeat_max_age = Duration::from_millis(800);
-        resilience.retry.probe_interval = Duration::from_millis(25);
         resilience.retry.base_backoff = Duration::from_millis(1);
         configure(&mut resilience);
         McsdFramework::start_with(

@@ -8,12 +8,13 @@
 //! examples and integration tests exercise McSD end-to-end through this
 //! path.
 
+use crate::engine::SdDispatch;
 use crate::error::McsdError;
 use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
 use mcsd_smartfam::{
     BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
-    InvokeOutcome, ModuleRegistry, ResilienceStats, RetryPolicy, SmartFamError, WindowConfig,
+    InvokeOutcome, ModuleRegistry, RetryPolicy, SmartFamError, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -198,44 +199,30 @@ impl McsdClient {
         Ok((outcome.payload, cost))
     }
 
-    /// Like [`McsdClient::invoke`], but self-healing: the deadline is
-    /// split into per-attempt budgets, transient failures are retried with
-    /// deterministic backoff, and the daemon heartbeat is probed before
-    /// each retry (see [`RetryPolicy`]). The recovery counters come back
-    /// alongside the outcome so callers can account for degraded runs even
-    /// when the call ultimately fails.
-    pub fn invoke_resilient(
-        &self,
-        module: &str,
-        params: &[String],
-        deadline: Duration,
-        policy: &RetryPolicy,
-    ) -> (WireOutcome, ResilienceStats) {
-        let call = self
-            .inner
-            .invoke_resilient(module, params, deadline, policy);
-        (self.priced(call.outcome), call.stats)
+    /// Retry the calls of [`McsdClient::invoke_window`] under `policy`
+    /// instead of [`RetryPolicy::default`].
+    pub fn with_retry(mut self, policy: RetryPolicy) -> McsdClient {
+        self.inner = self.inner.with_retry(policy);
+        self
     }
 
-    /// Invoke one module once per parameter set through a pipelined
-    /// in-flight window (DESIGN.md §18) instead of `calls.len()` lockstep
-    /// round trips. Outcomes come back in submit order with the same
-    /// network-cost accounting as [`McsdClient::invoke`]; the returned
-    /// [`BatchStats`] carries the window-side counters (occupancy,
-    /// shrinks, reordered completions) of this run.
-    pub fn invoke_window(
+    /// Invoke one module once per parameter set through a pipelined,
+    /// self-healing in-flight window (DESIGN.md §10, §18) instead of
+    /// `calls.len()` lockstep round trips; a window of depth 1 is one
+    /// resilient call. Outcomes come back in submit order with the same
+    /// network-cost accounting as [`McsdClient::invoke`], each beside its
+    /// recovery counters — kept when the call fails, so callers can
+    /// account for degraded runs. The returned [`BatchStats`] carries the
+    /// window-side counters (occupancy, shrinks, reordered completions).
+    pub fn invoke_window<P: AsRef<[String]>>(
         &self,
         module: &str,
-        calls: &[Vec<String>],
+        calls: &[P],
         cfg: &WindowConfig,
-    ) -> (Vec<WireOutcome>, BatchStats) {
+    ) -> (Vec<SdDispatch>, BatchStats) {
         let run = self.inner.invoke_window(module, calls, cfg);
-        let outcomes = run
-            .outcomes
-            .into_iter()
-            .map(|outcome| self.priced(outcome))
-            .collect();
-        (outcomes, run.stats)
+        let outcomes = run.outcomes.into_iter().map(|outcome| self.priced(outcome));
+        (outcomes.zip(run.resilience).collect(), run.stats)
     }
 
     /// Whether the SD daemon heartbeat is fresh.
@@ -405,7 +392,7 @@ mod tests {
             &calls,
             &mcsd_smartfam::WindowConfig::with_depth(4),
         );
-        for (outcome, want) in outcomes.iter().zip(&expect) {
+        for ((outcome, _), want) in outcomes.iter().zip(&expect) {
             let (payload, cost) = outcome.as_ref().unwrap();
             assert_eq!(&WordCountModule::decode(payload).unwrap(), want);
             assert!(cost.network > Duration::ZERO);

@@ -9,8 +9,9 @@
 //! spec per application; callers can also force either side via the
 //! policy.
 //!
-//! The offload path is *self-healing*: every SD invocation goes through
-//! the retry/liveness machinery of [`RetryPolicy`], and when the SD side
+//! The offload path is *self-healing*: every SD invocation is a call in
+//! the host client's window, retried and probed under [`RetryPolicy`]
+//! (a lockstep call is a window of one), and when the SD side
 //! stays broken the engine degrades gracefully — it re-runs the job on
 //! the host ([`OffloadDecision::FallbackToHost`]) instead of surfacing a
 //! timeout, recording the degradation in [`McsdFramework::degradations`]
@@ -48,7 +49,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 /// How the framework behaves when the SD path misbehaves.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Retry/backoff/liveness policy for each offloaded invocation.
+    /// Retry/backoff/liveness policy of every offloaded call, lockstep or
+    /// windowed: the host client is built with it.
     pub retry: RetryPolicy,
     /// Fault schedule shared by the daemon and the host client
     /// (disabled by default; seeded schedules make failures replayable).
@@ -145,7 +147,7 @@ impl McsdFramework {
                 .with_admission(resilience.max_in_flight, resilience.max_queued)
                 .with_tracer(resilience.tracer.clone())
         })?;
-        let client = server.host_client();
+        let client = server.host_client().with_retry(resilience.retry);
         // One breaker slot: the framework offloads to one live SD node.
         let engine = Engine::new(
             Offloader::for_nodes(policy, &cluster.nodes),
@@ -233,18 +235,24 @@ impl McsdFramework {
     /// Drive one typed call through the engine's state machine, wrapped
     /// in its end-to-end trace span. The closures hand the engine its
     /// transport: the daemon heartbeat's queue depth for load steering
-    /// and the resilient smartFAM invocation for dispatch.
+    /// and a smartFAM window of one for dispatch.
     fn run_offloaded<C: OffloadCall>(
         &self,
         call: &mut C,
     ) -> Result<(C::Output, TimeBreakdown), McsdError> {
         let span = self.engine.open_call_span(call.job());
-        let timeout = self.resilience.call_timeout;
-        let retry = &self.resilience.retry;
+        let lockstep = WindowConfig {
+            depth: 1,
+            call_timeout: self.resilience.call_timeout,
+        };
         let out = self.engine.run_call(
             call,
             || self.client.smartfam().daemon_load().map(|load| load.queued),
-            |module, params| self.client.invoke_resilient(module, params, timeout, retry),
+            |module, params| {
+                // A window answers each of its calls: this one, once.
+                let (mut one, _) = self.client.invoke_window(module, &[params], &lockstep);
+                one.swap_remove(0)
+            },
         );
         self.engine.close_call_span(span);
         out
@@ -311,29 +319,19 @@ impl McsdFramework {
     /// Windowed transport behind [`Engine::run_calls`]: pipeline each
     /// consecutive same-module run of the admitted requests through the
     /// host client's in-flight window, absorbing the window-side batch
-    /// counters into the engine. Outcomes stay in request order.
+    /// counters into the engine. Outcomes stay in request order, each with
+    /// its call's recovery counters.
     fn dispatch_window(
         &self,
         requests: &[(String, Vec<String>)],
         cfg: &WindowConfig,
     ) -> Vec<SdDispatch> {
         let mut out = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            let module = requests[i].0.clone();
-            let mut j = i;
-            while j < requests.len() && requests[j].0 == module {
-                j += 1;
-            }
-            let params: Vec<Vec<String>> = requests[i..j].iter().map(|(_, p)| p.clone()).collect();
-            let (outcomes, stats) = self.client.invoke_window(&module, &params, cfg);
+        for run in requests.chunk_by(|a, b| a.0 == b.0) {
+            let params: Vec<&[String]> = run.iter().map(|(_, p)| p.as_slice()).collect();
+            let (dispatched, stats) = self.client.invoke_window(&run[0].0, &params, cfg);
             self.engine.absorb_batch(&stats);
-            out.extend(
-                outcomes
-                    .into_iter()
-                    .map(|outcome| (outcome, ResilienceStats::default())),
-            );
-            i = j;
+            out.extend(dispatched);
         }
         out
     }
@@ -626,7 +624,6 @@ mod tests {
         };
         // Tight liveness bounds so the dead daemon is detected quickly.
         resilience.retry.heartbeat_max_age = Duration::from_millis(300);
-        resilience.retry.probe_interval = Duration::from_millis(10);
         let fw = McsdFramework::start_with(cluster(), OffloadPolicy::DataIntensiveToSd, resilience)
             .unwrap();
         let text = TextGen::with_seed(9).generate(20_000);
@@ -653,7 +650,6 @@ mod tests {
             ..ResilienceConfig::default()
         };
         resilience.retry.heartbeat_max_age = Duration::from_millis(300);
-        resilience.retry.probe_interval = Duration::from_millis(10);
         let fw = McsdFramework::start_with(cluster(), OffloadPolicy::DataIntensiveToSd, resilience)
             .unwrap();
         let text = TextGen::with_seed(10).generate(5_000);
@@ -735,6 +731,36 @@ mod tests {
         assert!(batch.batches >= 1);
         assert!(batch.fsyncs <= batch.coalesced_appends);
         assert!(batch.window_occupancy >= 6);
+        fw.stop();
+    }
+
+    #[test]
+    fn windowed_offloads_report_their_attempts_and_retries() {
+        use mcsd_smartfam::{FaultAction, FaultPlan, FaultSite};
+        // The module fails its first dispatch, once.
+        let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::Fail);
+        let resilience = ResilienceConfig {
+            injector: FaultInjector::new(plan),
+            batch: Some(BatchConfig::default()),
+            ..ResilienceConfig::default()
+        };
+        let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
+        let mut files = Vec::new();
+        for i in 0..3u64 {
+            let name = format!("r{i}.txt");
+            fw.stage_data_local(&name, &TextGen::with_seed(70 + i).generate(2_000))
+                .unwrap();
+            files.push(name);
+        }
+        let out = fw
+            .wordcount_window(&files, None, &WindowConfig::with_depth(4))
+            .unwrap();
+        assert!(out.iter().all(Result::is_ok));
+        let stats = fw.resilience_stats();
+        assert_eq!(stats.attempts, 4, "{stats}");
+        assert_eq!(stats.retries, 1, "{stats}");
+        assert_eq!(stats.failovers, 0, "{stats}");
+        assert!(fw.degradations().is_empty());
         fw.stop();
     }
 

@@ -43,7 +43,6 @@ fn resilience_for(seed: u64) -> ResilienceConfig {
         ..ResilienceConfig::default()
     };
     r.retry.heartbeat_max_age = Duration::from_millis(800);
-    r.retry.probe_interval = Duration::from_millis(25);
     r.retry.base_backoff = Duration::from_millis(1);
     r.call_timeout = Duration::from_secs(6);
     r

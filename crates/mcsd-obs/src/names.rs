@@ -41,12 +41,9 @@ pub const SPAN_MCSD_REPROTECT: &str = "mcsd.reprotect";
 /// One coalesced daemon append batch from formation to its single-fsync
 /// commit; width = requests in the batch (decision).
 pub const SPAN_SD_BATCH: &str = "sd.batch";
-/// One pipelined host↔SD window run from first submit to last
-/// completion; width = calls completed (decision).
-pub const SPAN_HOST_WINDOW: &str = "host.window";
 
 /// Every span name the stack may emit.
-pub const ALL_SPANS: [&str; 12] = [
+pub const ALL_SPANS: [&str; 11] = [
     SPAN_PHOENIX_PARTITIONED,
     SPAN_PHOENIX_JOB,
     SPAN_PHOENIX_SPLIT,
@@ -58,18 +55,17 @@ pub const ALL_SPANS: [&str; 12] = [
     SPAN_CLUSTER_FETCH,
     SPAN_MCSD_REPROTECT,
     SPAN_SD_BATCH,
-    SPAN_HOST_WINDOW,
 ];
 
 // --------------------------------------------------------------- events
 
 /// Host wrote a request frame into a module's log file.
 pub const EVENT_HOST_SUBMIT: &str = "host.submit";
-/// Host started one resilient attempt.
+/// Host started one attempt of a call in a window (`attempt` attr).
 pub const EVENT_HOST_ATTEMPT: &str = "host.attempt";
-/// Host scheduled a retry after a failed attempt.
+/// Host parked a call for a retry after a failed attempt.
 pub const EVENT_HOST_RETRY: &str = "host.retry";
-/// Final outcome of a resilient invocation (`status` attr: ok/error).
+/// Final outcome of one call in a window (`status` attr: ok/error).
 pub const EVENT_HOST_OUTCOME: &str = "host.outcome";
 /// Daemon scanned a fresh request from a log file.
 pub const EVENT_SD_REQUEST: &str = "sd.request";

@@ -13,7 +13,8 @@
 //! * the host keeps a **pipelined in-flight window** per host↔SD pair
 //!   ([`crate::host::HostClient::invoke_window`]): up to `depth` requests
 //!   outstanding, completions matched by request id in any order, the
-//!   window halved on `Overloaded` replies and regrown additively.
+//!   window halved on `Overloaded` replies and regrown additively, every
+//!   call budgeted, probed and retried under the client's retry policy.
 //!
 //! [`BatchStats`] is the seventh MCSD009-owned counter family; every
 //! field's mutation sites are pinned by the DESIGN.md §13 table.
@@ -53,7 +54,9 @@ pub struct WindowConfig {
     /// Maximum requests outstanding at once. Depth 1 degenerates to the
     /// lockstep protocol.
     pub depth: usize,
-    /// Per-call completion timeout.
+    /// Each call's deadline, counted from its first submit and split
+    /// across its attempts: an attempt gets the deadline left divided by
+    /// the attempts left ([`crate::host::RetryPolicy`]).
     pub call_timeout: Duration,
 }
 

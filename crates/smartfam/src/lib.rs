@@ -67,9 +67,7 @@ pub use faults::{
     FaultAction, FaultInjector, FaultPlan, FaultSite, InjectedFault, OverloadStats,
     ResilienceStats, ScheduledFault,
 };
-pub use host::{
-    HostClient, InvokeOutcome, Liveness, PendingCall, ResilientCall, RetryPolicy, WindowRun,
-};
+pub use host::{HostClient, InvokeOutcome, Liveness, PendingCall, RetryPolicy, WindowRun};
 pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
 pub use replica::{

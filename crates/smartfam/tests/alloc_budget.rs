@@ -17,6 +17,7 @@ use mcsd_smartfam::{
     WatchConfig, WindowConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -27,12 +28,19 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, by requested size.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
+thread_local! {
+    /// Allocations made by this thread alone: the host's share of a call
+    /// made against a live daemon, whose threads count only globally.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 struct Counting;
 
 impl Counting {
     fn count(&self, freed: usize, allocated: usize) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(allocated as i64 - freed as i64, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -70,6 +78,10 @@ fn allocations() -> u64 {
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::SeqCst)
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -117,6 +129,31 @@ fn host_side_per_call(calls: usize) -> f64 {
         }
         assert_eq!(&outcome.payload, echoed);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+    counted as f64 / calls as f64
+}
+
+/// The host's share of a resilient call — a window of one under the
+/// default retry policy, its deadline split, its request stamped, the
+/// heartbeat probed — against a live daemon: this thread's allocations
+/// per call over `calls` echo calls after the warm-up.
+fn resilient_per_call(calls: usize) -> f64 {
+    let dir = temp_dir("resilient");
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry(&Arc::default()))
+        .spawn()
+        .unwrap();
+    let client = HostClient::new(&dir);
+    let window = WindowConfig::with_depth(1);
+    let mut counted = 0;
+    for (i, (params, echoed)) in echo_calls(WARM_UP + calls).iter().enumerate() {
+        let before = thread_allocations();
+        let run = client.invoke_window("echo", std::slice::from_ref(params), &window);
+        if i >= WARM_UP {
+            counted += thread_allocations() - before;
+        }
+        assert_eq!(&run.outcomes[0].as_ref().unwrap().payload, echoed);
+    }
+    daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
     counted as f64 / calls as f64
 }
@@ -272,6 +309,16 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     let host = host_side_per_call(200);
     println!("host {host}");
     assert!(host <= 2.0, "{host} host-side allocations per call");
+
+    // A resilient call is a window of one: on top of that copy, the
+    // window's outcome, counter and slot vectors and the outcomes it hands
+    // back (reads 5).
+    let resilient = resilient_per_call(1_000);
+    println!("resilient {resilient}");
+    assert!(
+        resilient <= 6.0,
+        "{resilient} host-side allocations per resilient call"
+    );
 
     // A quiet sweep allocates nothing; what is left is the fallback
     // listing every 64th sweep (a directory handle, two copies of each
