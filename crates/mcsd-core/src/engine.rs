@@ -23,7 +23,7 @@
 //! opens and probes); the daemon keeps owning sheds, expiries and
 //! replay/quarantine/skip accounting, merged at read time by
 //! [`Engine::resilience_report`]. DESIGN.md §13 has the state-machine
-//! diagram and the counter-ownership table; `clippy.toml` disallows the
+//! diagram and the counter-ownership rule; `clippy.toml` disallows the
 //! policy primitives everywhere else (DESIGN.md §9), so they cannot re-leak
 //! into the front-ends.
 
@@ -53,12 +53,12 @@ use std::time::Duration;
 /// exactly).
 const BREAKER_QUANTUM: Duration = Duration::from_millis(1);
 
-/// Trace track carrying the engine's placement decisions (`mcsd.*`
-/// events and [`SPAN_MCSD_CALL`] spans; DESIGN.md §12).
+/// Decision-domain trace track carrying the engine's placement decisions
+/// (`mcsd.*` events and [`SPAN_MCSD_CALL`] spans; DESIGN.md §12).
 pub const MCSD_TRACE_TRACK: &str = "mcsd";
 
-/// Trace track carrying analytic data-movement spans (stage/fetch spans,
-/// widths in virtual µs of network+disk time).
+/// Cluster-domain trace track carrying analytic data-movement spans
+/// (stage/fetch spans, widths in virtual µs of network+disk time).
 pub const CLUSTER_TRACE_TRACK: &str = "cluster";
 
 /// Scheduling knobs the engine needs from its front-end's configuration.

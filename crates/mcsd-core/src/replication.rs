@@ -17,7 +17,7 @@
 //! promoted log until the group is back at full redundancy.
 //!
 //! This module is the **single mutation site** of the
-//! [`ReplicationStats`] counters (§13 ownership table; merged views go
+//! [`ReplicationStats`] counters (MCSD009's `WRITERS`, §13; merged views go
 //! through [`ReplicationStats::absorb`] in `report.rs`), and the single
 //! emitter of the replication trace vocabulary: `mcsd.promote`,
 //! `mcsd.epoch_fence`, `mcsd.group_crash` and the `mcsd.reprotect` span

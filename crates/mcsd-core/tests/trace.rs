@@ -122,8 +122,7 @@ fn name_field(line: &str) -> Option<&str> {
 }
 
 /// Two runs of the same seeded scenario export byte-identical traces, and
-/// every name in them is cataloged (so DESIGN.md §12 documents it — the
-/// `catalog` test in mcsd-obs closes that loop).
+/// every name in them is in the `mcsd_obs::names` catalog.
 #[test]
 fn trace_replays_byte_identical_and_fully_cataloged() {
     let (_, _, first) = traced_breaker_scenario();

@@ -4,13 +4,13 @@
 //! `pub` `u64` fields, and one [`counter_family!`](crate::counter_family)
 //! table beside it names its owner, its key prefix and its fields in
 //! order. Every operation that needs the field list — merging, run-scoped
-//! deltas, the exported `counter` lines, the `label=value` report line,
-//! the documented catalog — is written once here, over that table.
+//! deltas, the exported `counter` lines, the `label=value` report line —
+//! is written once here, over that table. The tables are the key
+//! catalog; DESIGN.md §12 states the rules and lists no keys.
 //!
 //! **Single-owner rule:** every exported key has exactly one owning layer.
 //! It is a static property of the tables, asserted for every key by the
-//! workspace's `tests/counter_catalog.rs` (which also holds DESIGN.md §12
-//! to the tables in both directions), not a run-time check.
+//! workspace's `tests/counter_catalog.rs`, not a run-time check.
 
 use std::fmt;
 

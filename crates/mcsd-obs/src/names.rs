@@ -1,12 +1,12 @@
 //! The versioned catalog of every span name and event type the stack may
-//! emit. (Counter keys are not listed here: they are `<prefix>.<field>` of
-//! the [`crate::counter_family`] tables beside the stats structs.)
+//! emit: one const each, whose doc comment says what it marks and its
+//! width or attrs; the name's prefix is its track. This file *is* the
+//! catalog; DESIGN.md §12 states the rules and lists no names. (Counter
+//! keys are not listed here: they are `<prefix>.<field>` of the
+//! [`crate::counter_family`] tables beside the stats structs.)
 //!
 //! Emission sites across `phoenix`, `smartfam`, `mcsd-core`, and `bench`
-//! must reference these constants instead of string literals, and DESIGN.md
-//! §12 must list every entry — a test in this crate cross-checks the two so
-//! the documentation can never drift from the code (the same sync idea as
-//! `mcsd-tidy`'s waiver budget).
+//! must reference these constants instead of string literals.
 
 /// Version of the exported trace format. Bump on any change to the JSONL
 /// line schema, the Chrome mapping, or the semantics of a catalogued name.
@@ -105,9 +105,11 @@ pub const EVENT_MCSD_BREAKER_OPEN: &str = "mcsd.breaker_open";
 pub const EVENT_MCSD_BREAKER_PROBE: &str = "mcsd.breaker_probe";
 /// One replication-group member crashed during an append round.
 pub const EVENT_SD_REPLICA_CRASH: &str = "sd.replica_crash";
-/// A quorum-append round aborted: too few verified acknowledgements.
+/// A quorum-append round aborted: too few verified acknowledgements
+/// (`acked` and `needed` attrs).
 pub const EVENT_SD_QUORUM_LOST: &str = "sd.quorum_lost";
-/// Promote-time recovery merged frames from a mirror onto a primary log.
+/// A restarted daemon's promote-time recovery merged mirror-only frames
+/// back onto the primary log.
 pub const EVENT_SD_REPLICA_MERGE: &str = "sd.replica_merge";
 /// The engine promoted the most-advanced acknowledged replica after a
 /// primary failure (`node` and `epoch` attrs).
@@ -132,7 +134,7 @@ pub const EVENT_DES_DISPATCH: &str = "des.dispatch";
 /// A DES job finished on its shard (`job` and `shard` attrs).
 pub const EVENT_DES_COMPLETE: &str = "des.complete";
 /// The DES shed an arrival because its shard's run queue was full
-/// (`job` and `shard` attrs).
+/// (`job` and `shard` attrs; no `shard` on a rack with no node to name).
 pub const EVENT_DES_SHED: &str = "des.shed";
 /// The daemon committed a coalesced append batch with one fsync (`size`
 /// and `fsyncs_saved` attrs).

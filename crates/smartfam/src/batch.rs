@@ -17,7 +17,7 @@
 //!   call budgeted, probed and retried under the client's retry policy.
 //!
 //! [`BatchStats`] is the seventh MCSD009-owned counter family; every
-//! field's mutation sites are pinned by the DESIGN.md §13 table.
+//! field's mutation sites are pinned by tidy's `WRITERS` table.
 
 use mcsd_obs::CounterFamily;
 use std::time::Duration;
@@ -91,8 +91,9 @@ pub struct BatchStats {
     pub coalesced_appends: u64,
     /// fsyncs actually issued by batch commits.
     pub fsyncs: u64,
-    /// fsyncs avoided relative to a one-fsync-per-append writer:
-    /// `coalesced_appends - fsyncs` accumulated per commit.
+    /// fsyncs avoided relative to a hypothetical writer that syncs every
+    /// append: `coalesced_appends - fsyncs` accumulated per commit. No
+    /// such writer exists; a lone append never syncs.
     pub fsyncs_saved: u64,
     /// Sum of the in-flight depth observed at each pipelined submit;
     /// divide by attempts for mean window occupancy.

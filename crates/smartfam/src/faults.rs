@@ -580,7 +580,9 @@ pub struct ResilienceStats {
     pub replayed: u64,
     /// Multi-SD spans re-dispatched to a surviving node or the host.
     pub redispatches: u64,
-    /// Provably-corrupt log bytes skipped by recovering readers.
+    /// Provably-corrupt log bytes skipped by recovering readers. In the
+    /// framework's merged view this is the daemon-owned count, mirrored
+    /// read-only (DESIGN.md §12, the corrupt-skip double-count).
     pub corrupt_skipped_bytes: u64,
     /// Overload-protection counters (admission, deadlines, breakers).
     pub overload: OverloadStats,

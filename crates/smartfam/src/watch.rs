@@ -11,9 +11,9 @@
 //! A sweep is one `stat` per known file plus one for the directory, which
 //! is listed only when its own signature moved (DESIGN.md §3).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
@@ -62,9 +62,9 @@ impl Default for WatchConfig {
 /// while an idle waiter stops burning CPU. Progress resets the schedule
 /// to the floor. Only the watcher's own poll loop has room to double
 /// (1 ms → its 2 ms default interval); the host's waits
-/// ([`crate::host::PendingCall::wait`], the pipelined window, the
-/// resilient wait) build it from a 1 ms interval, where floor = cap, so
-/// they pace at a constant 1 ms (DESIGN.md §18).
+/// ([`crate::host::PendingCall::wait`] and the window's idle step, which
+/// every retried call runs through) build it from a 1 ms interval, where
+/// floor = cap, so they pace at a constant 1 ms (DESIGN.md §18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollBackoff {
     floor: Duration,
@@ -225,8 +225,8 @@ impl Table {
 /// A polling file watcher over a directory.
 ///
 /// Watches every regular file directly inside `dir` (non-recursive, like
-/// an inotify watch on a directory). Events are delivered on a crossbeam
-/// channel.
+/// an inotify watch on a directory). Events are delivered on a
+/// `std::sync::mpsc` channel.
 pub struct FileWatcher {
     events: Receiver<WatchEvent>,
     stop: Arc<AtomicBool>,
@@ -244,7 +244,7 @@ impl FileWatcher {
     /// `Created` event. (The SD daemon relies on this to avoid losing
     /// requests written exactly at startup.)
     pub fn spawn(dir: impl Into<PathBuf>, config: WatchConfig) -> FileWatcher {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
         // Synchronous census: files existing now do not generate Created
         // events (inotify semantics).

@@ -1,8 +1,9 @@
 //! DESIGN.md §10 sync check: the site × action table must list every
 //! [`FaultSite`] exactly once and, beside it, exactly the actions
 //! [`FaultAction::valid_at`] accepts there — so the documented fault model
-//! cannot drift from the one matrix the injector fires by. The same idea
-//! as `crates/mcsd-obs/tests/catalog.rs` for §12.
+//! cannot drift from the one matrix the injector fires by. The table
+//! stays in the doc because its "Emulates" column is rationale the code
+//! does not hold.
 
 use mcsd_smartfam::{FaultAction, FaultSite};
 use std::collections::BTreeSet;

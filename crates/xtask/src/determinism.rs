@@ -9,12 +9,12 @@
 //!   never reach output). This pass is flow-aware: starting from the iteration it walks the rest of the
 //!   enclosing function and only fires if an emission sink appears
 //!   before any neutralizing sort/ordered-collection/reduction.
-//! * **Clock-domain mismatches** — a trace track stamped with a
-//!   `ClockDomain` other than the one DESIGN.md §12 declares for it.
-//!   Track-name constants are resolved workspace-wide, so the rule reads
-//!   `tracer.track(SD_TRACE_TRACK, ClockDomain::Decision)` exactly as
-//!   the runtime does. The §12 catalog rows sit between
-//!   `<!-- mcsd010:track-domain-table:begin/end -->` markers.
+//! * **Clock-domain mismatches** — one trace track stamped with two
+//!   `ClockDomain`s. Track-name constants are resolved workspace-wide, so
+//!   the rule reads `tracer.track(SD_TRACE_TRACK, ClockDomain::Decision)`
+//!   exactly as the runtime does, and every call for one name must agree
+//!   with the first in walk (sorted-path) order. The code is the only
+//!   catalog: a new track is one call.
 
 use std::collections::BTreeMap;
 
@@ -57,89 +57,14 @@ const SINKS: [&str; 15] = [
     ".serialize(",
 ];
 
-const TABLE_BEGIN: &str = "<!-- mcsd010:track-domain-table:begin -->";
-const TABLE_END: &str = "<!-- mcsd010:track-domain-table:end -->";
-
-/// Parse the §12 track catalog: track name → declared clock domain.
-pub fn parse_track_table(
-    design: &str,
-    design_path: &str,
-) -> (BTreeMap<String, String>, Vec<Diagnostic>) {
-    let mut table = BTreeMap::new();
-    let mut diags = Vec::new();
-    let mut begin = None;
-    let mut end = None;
-    for (i, line) in design.lines().enumerate() {
-        if line.trim() == TABLE_BEGIN {
-            begin = Some(i + 1);
-        } else if line.trim() == TABLE_END {
-            end = Some(i + 1);
-        }
-    }
-    let (Some(begin), Some(end)) = (begin, end) else {
-        diags.push(Diagnostic::new(
-            Code::Mcsd010,
-            design_path,
-            0,
-            format!("track-domain table markers `{TABLE_BEGIN}` / `{TABLE_END}` not found; the clock-domain check has nothing to enforce"),
-        ));
-        return (table, diags);
-    };
-    for (i, line) in design.lines().enumerate() {
-        let line_no = i + 1;
-        if line_no <= begin || line_no >= end {
-            continue;
-        }
-        let trimmed = line.trim();
-        if !trimmed.starts_with('|') || trimmed.chars().all(|c| matches!(c, '|' | '-' | ':' | ' '))
-        {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        let ticks: Vec<Vec<&str>> = cells
-            .iter()
-            .map(|c| c.split('`').skip(1).step_by(2).collect())
-            .collect();
-        match (
-            ticks.first().and_then(|t| t.first()),
-            ticks.get(1).and_then(|t| t.first()),
-        ) {
-            (Some(track), Some(domain)) => {
-                table.insert(track.to_string(), domain.to_string());
-            }
-            _ if cells.first().is_some_and(|c| c.contains("track")) => {} // header
-            _ => diags.push(Diagnostic::new(
-                Code::Mcsd010,
-                design_path,
-                line_no,
-                "track row needs `| `track` | `Domain` | ...`".to_string(),
-            )),
-        }
-    }
-    if table.is_empty() && diags.is_empty() {
-        diags.push(Diagnostic::new(
-            Code::Mcsd010,
-            design_path,
-            begin,
-            "track-domain table is empty".to_string(),
-        ));
-    }
-    (table, diags)
-}
-
-/// Run the full MCSD010 pass: hash-to-sink flow per file, plus the
-/// track/clock-domain reconciliation when a §12 table is available.
-pub fn check_determinism(
-    ws: &Workspace,
-    tracks: Option<&BTreeMap<String, String>>,
-) -> Vec<Diagnostic> {
+/// Run the full MCSD010 pass: hash-to-sink flow per file, plus one clock
+/// domain per track across the workspace.
+pub fn check_determinism(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
         check_hash_to_sink(file, &mut out);
     }
-    if let Some(tracks) = tracks {
-        check_track_domains(ws, tracks, &mut out);
-    }
+    check_track_domains(ws, &mut out);
     out
 }
 
@@ -216,13 +141,12 @@ fn check_hash_to_sink(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Part B: `.track(name, ClockDomain::X)` calls checked against §12.
-fn check_track_domains(
-    ws: &Workspace,
-    tracks: &BTreeMap<String, String>,
-    out: &mut Vec<Diagnostic>,
-) {
+/// Part B: every `.track(name, ClockDomain::X)` call for one resolved
+/// name must stamp the domain of the first such call.
+fn check_track_domains(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let consts = string_consts(ws);
+    // Track name → (domain, path, line) of its first call site.
+    let mut first: BTreeMap<String, (String, String, usize)> = BTreeMap::new();
     for file in &ws.files {
         let idx = file.code_token_indices();
         let tok = |i: usize| -> &crate::lex::Token { &file.tokens[idx[i]] };
@@ -297,23 +221,17 @@ fn check_track_domains(
                 j += 1;
             }
             let Some(domain) = domain else { continue };
-            match tracks.get(&name) {
-                None => out.push(Diagnostic {
+            match first.get(&name) {
+                None => {
+                    first.insert(name, (domain, file.path.clone(), t.line));
+                }
+                Some((declared, path, line)) if *declared != domain => out.push(Diagnostic {
                     code: Code::Mcsd010,
                     path: file.path.clone(),
                     line: t.line,
                     col: t.col,
                     message: format!(
-                        "track `{name}` is not in the DESIGN.md §12 track catalog; add a row or fix the name"
-                    ),
-                }),
-                Some(declared) if declared != &domain => out.push(Diagnostic {
-                    code: Code::Mcsd010,
-                    path: file.path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "track `{name}` is declared `ClockDomain::{declared}` in DESIGN.md §12 but stamped with `ClockDomain::{domain}`"
+                        "track `{name}` is stamped `ClockDomain::{domain}` here but `ClockDomain::{declared}` at {path}:{line}; a track has one clock domain"
                     ),
                 }),
                 Some(_) => {}
@@ -510,7 +428,7 @@ mod tests {
     #[test]
     fn iteration_to_sink_fires() {
         let src = "fn f(m: HashMap<u32, u32>, out: &mut String) {\n    for (k, v) in &m {\n        out.push_str(\"x\");\n    }\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), None);
+        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 2);
         assert!(diags[0].col > 0);
@@ -521,67 +439,28 @@ mod tests {
         // A fixed window of lines misses this shape: the sort is six
         // lines after the iteration and must count.
         let src = "fn f(m: HashMap<u32, u32>, out: &mut String) {\n    let mut v = Vec::new();\n    for (k, _) in &m {\n        v.push(*k);\n        v.push(*k + 1);\n        v.push(*k + 2);\n        v.push(*k + 3);\n        v.push(*k + 4);\n    }\n    v.sort_unstable();\n    for k in v {\n        out.push_str(\"x\");\n    }\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), None);
+        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn iteration_with_no_sink_is_clean() {
         let src = "fn f(m: HashMap<u32, u32>) -> u64 {\n    let mut total = 0;\n    for (_, v) in &m {\n        total += u64::from(*v);\n    }\n    total\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), None);
+        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn sink_in_a_later_function_does_not_count() {
         let src = "fn f(m: HashMap<u32, u32>) {\n    for (_, v) in &m {\n        let _ = v;\n    }\n}\nfn g(out: &mut String) {\n    out.push_str(\"x\");\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), None);
+        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn track_domain_mismatch_fires() {
-        let mut tracks = BTreeMap::new();
-        tracks.insert("mcsd".to_string(), "Decision".to_string());
-        let src = "pub const T: &str = \"mcsd\";\nfn f(tr: &Tracer) {\n    tr.track(T, ClockDomain::Work);\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), Some(&tracks));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("ClockDomain::Decision"));
-        assert!(diags[0].message.contains("ClockDomain::Work"));
-    }
-
-    #[test]
-    fn matching_domain_and_literals_resolve() {
-        let mut tracks = BTreeMap::new();
-        tracks.insert("host".to_string(), "Decision".to_string());
-        let src = "fn f(tr: &Tracer) {\n    tr.track(\"host\", ClockDomain::Decision);\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), Some(&tracks));
+    fn literals_and_consts_resolve_to_one_track() {
+        let src = "pub const T: &str = \"host\";\nfn f(tr: &Tracer) {\n    tr.track(\"host\", ClockDomain::Decision);\n    tr.track(T, ClockDomain::Decision);\n    tr.track(\"other\", ClockDomain::Work);\n}\n";
+        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]));
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn unknown_track_fires() {
-        let tracks = BTreeMap::new();
-        let src = "fn f(tr: &Tracer) {\n    tr.track(\"rogue\", ClockDomain::Work);\n}\n";
-        let diags = check_determinism(&ws(&[("crates/a/src/x.rs", src)]), Some(&tracks));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("not in the DESIGN.md"));
-    }
-
-    #[test]
-    fn track_table_parses() {
-        let doc = format!(
-            "{TABLE_BEGIN}\n| track | clock domain | events |\n|---|---|---|\n| `mcsd` | `Decision` | engine decisions |\n| `sd.daemon` | `Decision` | daemon lifecycle |\n{TABLE_END}\n"
-        );
-        let (table, errs) = parse_track_table(&doc, "DESIGN.md");
-        assert!(errs.is_empty(), "{errs:?}");
-        assert_eq!(table.get("mcsd").map(String::as_str), Some("Decision"));
-        assert_eq!(table.get("sd.daemon").map(String::as_str), Some("Decision"));
-    }
-
-    #[test]
-    fn missing_track_table_is_a_config_finding() {
-        let (_, errs) = parse_track_table("nothing", "DESIGN.md");
-        assert_eq!(errs.len(), 1);
     }
 }

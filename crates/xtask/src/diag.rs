@@ -17,15 +17,15 @@ pub enum Code {
     /// lock re-acquired while already held, or a lock held across blocking
     /// file I/O or a channel send/recv.
     Mcsd008,
-    /// Counter-ownership violation: a field of one of the seven counter
-    /// families ([`crate::ownership::FAMILIES`]) mutated outside the
-    /// modules the DESIGN.md §13 ownership table names, or the table and
-    /// the struct definitions disagreeing in either direction.
+    /// Counter-ownership violation: a field of one of the counter families
+    /// mutated outside the files [`crate::ownership::WRITERS`] allows, or
+    /// `WRITERS` and the struct definitions disagreeing in either
+    /// direction.
     Mcsd009,
     /// Determinism hazard: `HashMap`/`HashSet` iteration whose results
     /// reach an exporter/report/trace sink with no intervening sort, or a
-    /// trace call whose track is stamped with a `ClockDomain` other than
-    /// the one the DESIGN.md §12 catalog declares.
+    /// trace call stamping its track with a `ClockDomain` other than the
+    /// one the track's first call site stamps.
     Mcsd010,
 }
 

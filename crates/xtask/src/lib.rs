@@ -15,10 +15,11 @@
 //! level: [`lex`] produces a full token stream per file, [`workspace`]
 //! holds every lexed library file so the rules (lock-order graph MCSD008,
 //! counter ownership MCSD009, determinism flow MCSD010) can reason across
-//! crates, and the DESIGN.md §12/§13 tables are parsed as the single
-//! source of truth the code is checked against; [`manifest`] holds the
-//! workspace hygiene of MCSD006. Stable diagnostic codes and an inline
-//! waiver syntax:
+//! crates. Each rule's facts are the code itself, plus one table the code
+//! cannot state: [`ownership::WRITERS`], which files may write each
+//! counter. Tidy reads no Markdown. [`manifest`] holds the workspace
+//! hygiene of MCSD006. Stable diagnostic codes and an inline waiver
+//! syntax:
 //!
 //! ```text
 //! // tidy:allow(MCSD010) -- emission order only feeds a re-grouping

@@ -1,31 +1,24 @@
 //! MCSD009: the counter-ownership auditor.
 //!
-//! DESIGN.md §13 declares which module owns each counter family —
-//! `OverloadStats`, `ResilienceStats`, `DaemonStats`, `JobStats`,
-//! `ReplicationStats`, `DesStats`, `BatchStats` — so
-//! that merged reports never double-count. Before this rule the table
-//! was prose kept honest by hand; now the table itself is the machine
-//! input. The §13 table rows sit between HTML-comment markers:
+//! The seven counter families — `OverloadStats`, `ResilienceStats`,
+//! `DaemonStats`, `JobStats`, `ReplicationStats`, `DesStats`,
+//! `BatchStats` — are structs of `u64` fields. Their keys and owners are
+//! declared by their `counter_family!` tables (DESIGN.md §12); which
+//! *files* may write each field is the one fact no table holds, so it
+//! lives here, in [`WRITERS`], beside the rule that enforces it (DESIGN.md
+//! §13). Three checks:
 //!
-//! ```text
-//! <!-- mcsd009:counter-ownership-table:begin -->
-//! | counter | owner | allowed mutation sites |
-//! |---|---|---|
-//! | `OverloadStats.shed` | smartFAM daemon | `crates/smartfam/src/faults.rs`, ... |
-//! <!-- mcsd009:counter-ownership-table:end -->
-//! ```
-//!
-//! Three checks keep doc and code bidirectionally synced:
-//!
-//! 1. every `u64` field of a family struct must have a table row
-//!    (finding at the field definition when missing);
-//! 2. every table row must name a real `u64` field (finding at the
-//!    DESIGN.md row when stale);
+//! 1. every `u64` field of a family needs a covering entry (finding at
+//!    the field);
+//! 2. every entry must name a family or field the workspace declares (a
+//!    whole-file finding at this file, which no waiver covers);
 //! 3. every `.field +=`/`-=`/`=` mutation of a family field in non-test
-//!    library code must sit in a file the table allows. Same-named
-//!    fields across families share the union of their allowed lists
-//!    (the token stream cannot tell `ResilienceStats.replayed` from
-//!    `DaemonStats.replayed`); DESIGN.md §14 records that limitation.
+//!    library code must sit in a file its entry allows. Same-named fields
+//!    across families share the union of their writers (the token stream
+//!    cannot tell `ResilienceStats.replayed` from `DaemonStats.replayed`);
+//!    DESIGN.md §14 records that limitation.
+//!
+//! A workspace that declares none of the families has nothing to check.
 
 use std::collections::BTreeMap;
 
@@ -33,205 +26,128 @@ use crate::diag::{Code, Diagnostic};
 use crate::lex::TokenKind;
 use crate::workspace::Workspace;
 
-/// The counter families under ownership control.
-pub const FAMILIES: [&str; 7] = [
-    "OverloadStats",
-    "ResilienceStats",
-    "DaemonStats",
-    "JobStats",
-    "ReplicationStats",
-    "DesStats",
-    "BatchStats",
+const FAULTS: &str = "crates/smartfam/src/faults.rs";
+const HOST: &str = "crates/smartfam/src/host.rs";
+const DAEMON: &str = "crates/smartfam/src/daemon.rs";
+const BATCH: &str = "crates/smartfam/src/batch.rs";
+const ENGINE: &str = "crates/mcsd-core/src/engine.rs";
+const BREAKER: &str = "crates/mcsd-core/src/breaker.rs";
+const MULTISD: &str = "crates/mcsd-core/src/multisd.rs";
+const REPLICATION: &str = "crates/mcsd-core/src/replication.rs";
+const DES: &str = "crates/mcsd-core/src/des.rs";
+const REPORT: &str = "crates/mcsd-core/src/report.rs";
+const JOB_STATS: &str = "crates/phoenix/src/stats.rs";
+const PARTITION: &str = "crates/phoenix/src/partition.rs";
+
+/// Which files may write each counter. `Family` covers every `u64` field
+/// of the family; `Family.field` overrides it for that field alone. The
+/// file defining a family is always listed; `engine.rs` where
+/// `resilience_report`/`overload_totals` fold daemon- and breaker-owned
+/// counts into a merged view; `host.rs` for the window's per-call and
+/// per-window counts.
+pub const WRITERS: [(&str, &[&str]); 16] = [
+    ("OverloadStats", &[FAULTS, ENGINE]),
+    ("OverloadStats.half_open_probes", &[FAULTS, ENGINE, BREAKER]),
+    ("ResilienceStats", &[FAULTS, ENGINE]),
+    ("ResilienceStats.attempts", &[FAULTS, MULTISD, HOST]),
+    ("ResilienceStats.retries", &[FAULTS, MULTISD, HOST]),
+    ("ResilienceStats.redispatches", &[FAULTS, MULTISD]),
+    (
+        "ResilienceStats.corrupt_skipped_bytes",
+        &[FAULTS, ENGINE, HOST],
+    ),
+    ("DaemonStats", &[DAEMON]),
+    ("JobStats", &[JOB_STATS]),
+    ("JobStats.output_pairs", &[JOB_STATS, PARTITION]),
+    ("ReplicationStats", &[REPLICATION, REPORT]),
+    ("DesStats", &[DES, REPORT]),
+    ("BatchStats", &[BATCH, DAEMON]),
+    ("BatchStats.window_occupancy", &[BATCH, HOST]),
+    ("BatchStats.window_shrinks", &[BATCH, HOST]),
+    ("BatchStats.reordered_completions", &[BATCH, HOST]),
 ];
 
-/// One parsed row of the §13 table.
-#[derive(Debug, Clone)]
-pub struct OwnershipRow {
+/// Where [`WRITERS`] lives: the anchor of a finding against an entry.
+const WRITERS_PATH: &str = "crates/xtask/src/ownership.rs";
+
+/// A `u64` field of a family struct, with its definition site and the
+/// files its entry lets write it.
+#[derive(Debug)]
+pub struct Counter<'w> {
     /// Family struct name, e.g. `OverloadStats`.
     pub family: String,
     /// Field name, e.g. `shed`.
     pub field: String,
-    /// Files allowed to mutate the counter (workspace-relative paths).
-    pub allowed: Vec<String>,
-    /// 1-based line of the row in the design doc.
+    /// File that defines the struct.
+    pub path: String,
+    /// 1-based line of the field.
     pub line: usize,
+    /// 1-based column of the field.
+    pub col: usize,
+    /// The field's own entry, else its family's; `None` when neither
+    /// exists.
+    pub writers: Option<&'w [&'w str]>,
 }
 
-/// The parsed §13 ownership table.
-#[derive(Debug, Default)]
-pub struct OwnershipTable {
-    /// All rows in document order.
-    pub rows: Vec<OwnershipRow>,
+impl Counter<'_> {
+    /// Whether the entry `Family` or `Family.field` names this counter.
+    pub fn named_by(&self, entry: &str) -> bool {
+        match entry.split_once('.') {
+            Some((family, field)) => self.family == family && self.field == field,
+            None => self.family == entry,
+        }
+    }
 }
 
-const TABLE_BEGIN: &str = "<!-- mcsd009:counter-ownership-table:begin -->";
-const TABLE_END: &str = "<!-- mcsd009:counter-ownership-table:end -->";
-
-/// Parse the ownership table out of the design document. Structural
-/// problems (missing markers, malformed rows) are diagnostics in their
-/// own right: a table tidy cannot read is a table that enforces nothing.
-pub fn parse_ownership_table(design: &str, design_path: &str) -> (OwnershipTable, Vec<Diagnostic>) {
-    let mut table = OwnershipTable::default();
-    let mut diags = Vec::new();
-    let mut begin = None;
-    let mut end = None;
-    for (i, line) in design.lines().enumerate() {
-        if line.trim() == TABLE_BEGIN {
-            begin = Some(i + 1);
-        } else if line.trim() == TABLE_END {
-            end = Some(i + 1);
-        }
-    }
-    let (Some(begin), Some(end)) = (begin, end) else {
-        diags.push(Diagnostic::new(
-            Code::Mcsd009,
-            design_path,
-            0,
-            format!("counter-ownership table markers `{TABLE_BEGIN}` / `{TABLE_END}` not found; MCSD009 has nothing to enforce"),
-        ));
-        return (table, diags);
-    };
-    for (i, line) in design.lines().enumerate() {
-        let line_no = i + 1;
-        if line_no <= begin || line_no >= end {
-            continue;
-        }
-        let trimmed = line.trim();
-        if !trimmed.starts_with('|') {
-            continue;
-        }
-        // Header and separator rows carry no backticked counter.
-        if trimmed.chars().all(|c| matches!(c, '|' | '-' | ':' | ' ')) {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() < 3 {
-            diags.push(Diagnostic::new(
-                Code::Mcsd009,
-                design_path,
-                line_no,
-                "ownership row needs `| counter | owner | allowed mutation sites |`".to_string(),
-            ));
-            continue;
-        }
-        let Some(counter) = first_backticked(cells[0]) else {
-            if backticked(cells[0]).is_empty() && cells[0].contains("counter") {
-                continue; // header row
-            }
-            diags.push(Diagnostic::new(
-                Code::Mcsd009,
-                design_path,
-                line_no,
-                "ownership row's first cell must backtick `Family.field`".to_string(),
-            ));
-            continue;
-        };
-        let Some((family, field)) = counter.split_once('.') else {
-            diags.push(Diagnostic::new(
-                Code::Mcsd009,
-                design_path,
-                line_no,
-                format!("counter `{counter}` must be written as `Family.field`"),
-            ));
-            continue;
-        };
-        let allowed = backticked(cells[2]);
-        if allowed.is_empty() {
-            diags.push(Diagnostic::new(
-                Code::Mcsd009,
-                design_path,
-                line_no,
-                format!("counter `{counter}` lists no allowed mutation sites"),
-            ));
-            continue;
-        }
-        table.rows.push(OwnershipRow {
-            family: family.to_string(),
-            field: field.to_string(),
-            allowed,
-            line: line_no,
-        });
-    }
-    if table.rows.is_empty() && diags.is_empty() {
-        diags.push(Diagnostic::new(
-            Code::Mcsd009,
-            design_path,
-            begin,
-            "counter-ownership table is empty".to_string(),
-        ));
-    }
-    (table, diags)
-}
-
-fn backticked(cell: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = cell;
-    while let Some(open) = rest.find('`') {
-        let tail = &rest[open + 1..];
-        let Some(close) = tail.find('`') else { break };
-        out.push(tail[..close].to_string());
-        rest = &tail[close + 1..];
+/// Every `u64` field of every family `writers` names, resolved to the
+/// files allowed to write it.
+pub fn counters<'w>(ws: &Workspace, writers: &[(&'w str, &'w [&'w str])]) -> Vec<Counter<'w>> {
+    let families: Vec<&str> = writers
+        .iter()
+        .map(|(entry, _)| entry.split('.').next().unwrap_or(entry))
+        .collect();
+    let mut out = collect_family_fields(ws, &families);
+    for counter in &mut out {
+        let own = format!("{}.{}", counter.family, counter.field);
+        let entry = |name: &str| writers.iter().find(|(e, _)| *e == name).map(|(_, w)| *w);
+        counter.writers = entry(&own).or_else(|| entry(&counter.family));
     }
     out
 }
 
-fn first_backticked(cell: &str) -> Option<String> {
-    backticked(cell).into_iter().next()
-}
-
-/// A `u64` field of a family struct, with its definition site.
-#[derive(Debug)]
-struct FamilyField {
-    family: String,
-    field: String,
-    path: String,
-    line: usize,
-    col: usize,
-}
-
-/// Run the MCSD009 checks: struct⇄table sync plus mutation-site
-/// enforcement across all non-test library code.
-pub fn check_ownership(
-    ws: &Workspace,
-    table: &OwnershipTable,
-    design_path: &str,
-) -> Vec<Diagnostic> {
+/// Run the MCSD009 checks: struct⇄`writers` coverage both ways, plus
+/// mutation-site enforcement across all non-test library code.
+pub fn check_ownership(ws: &Workspace, writers: &[(&str, &[&str])]) -> Vec<Diagnostic> {
+    let counters = counters(ws, writers);
+    if counters.is_empty() {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-    let fields = collect_family_fields(ws);
 
-    // Direction 1: every struct counter needs a table row.
-    for f in &fields {
-        let covered = table
-            .rows
-            .iter()
-            .any(|r| r.family == f.family && r.field == f.field);
-        if !covered {
-            out.push(Diagnostic {
-                code: Code::Mcsd009,
-                path: f.path.clone(),
-                line: f.line,
-                col: f.col,
-                message: format!(
-                    "counter `{}.{}` has no row in the DESIGN.md §13 ownership table",
-                    f.family, f.field
-                ),
-            });
-        }
+    // Direction 1: every struct counter needs a covering entry.
+    for c in counters.iter().filter(|c| c.writers.is_none()) {
+        out.push(Diagnostic {
+            code: Code::Mcsd009,
+            path: c.path.clone(),
+            line: c.line,
+            col: c.col,
+            message: format!(
+                "counter `{}.{}` has no `WRITERS` entry in {WRITERS_PATH}; add its family's or its own",
+                c.family, c.field
+            ),
+        });
     }
 
-    // Direction 2: every table row needs a real struct counter.
-    for row in &table.rows {
-        let exists = fields
-            .iter()
-            .any(|f| f.family == row.family && f.field == row.field);
-        if !exists {
+    // Direction 2: every entry needs a real struct counter. Line 0 makes
+    // the finding whole-file, so no waiver covers it.
+    for (entry, _) in writers {
+        if !counters.iter().any(|c| c.named_by(entry)) {
             out.push(Diagnostic::new(
                 Code::Mcsd009,
-                design_path,
-                row.line,
+                WRITERS_PATH,
+                0,
                 format!(
-                    "table names `{}.{}` but no such u64 counter exists in the workspace",
-                    row.family, row.field
+                    "`WRITERS` names `{entry}` but no such u64 counter exists in the workspace"
                 ),
             ));
         }
@@ -239,17 +155,15 @@ pub fn check_ownership(
 
     // Mutation enforcement: union allowed lists over same-named fields.
     let mut allowed_by_field: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for row in &table.rows {
-        let entry = allowed_by_field.entry(row.field.as_str()).or_default();
-        for path in &row.allowed {
-            if !entry.contains(&path.as_str()) {
-                entry.push(path.as_str());
+    for c in &counters {
+        let Some(files) = c.writers else { continue };
+        let entry = allowed_by_field.entry(c.field.as_str()).or_default();
+        for path in files {
+            if !entry.contains(path) {
+                entry.push(path);
             }
         }
     }
-    // Only field names that really are counters are enforced; a stale
-    // table row must not start policing unrelated code.
-    allowed_by_field.retain(|field, _| fields.iter().any(|f| f.field == *field));
 
     for file in &ws.files {
         let idx = file.code_token_indices();
@@ -282,7 +196,7 @@ pub fn check_ownership(
                     line: t.line,
                     col: t.col,
                     message: format!(
-                        "counter `{}` mutated outside its owning module(s) {}; see DESIGN.md §13",
+                        "counter `{}` mutated outside its owning module(s) {}; see `WRITERS` in {WRITERS_PATH}",
                         t.text,
                         allowed.join(", ")
                     ),
@@ -294,7 +208,7 @@ pub fn check_ownership(
 }
 
 /// Find each family struct definition and collect its `u64` fields.
-fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
+fn collect_family_fields<'w>(ws: &Workspace, families: &[&str]) -> Vec<Counter<'w>> {
     let mut out = Vec::new();
     for file in &ws.files {
         let idx = file.code_token_indices();
@@ -307,7 +221,7 @@ fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
             let Some(name) = idx.get(w + 1).map(|&i| &file.tokens[i]) else {
                 continue;
             };
-            if !FAMILIES.contains(&name.text.as_str()) {
+            if !families.contains(&name.text.as_str()) {
                 continue;
             }
             // Find the struct body and walk its top-level fields.
@@ -345,12 +259,13 @@ fn collect_family_fields(ws: &Workspace) -> Vec<FamilyField> {
                                     && after.kind == TokenKind::Punct
                                     && (after.text == "," || after.text == "}");
                                 if is_u64_field {
-                                    out.push(FamilyField {
+                                    out.push(Counter {
                                         family: name.text.clone(),
                                         field: fname.text.clone(),
                                         path: file.path.clone(),
                                         line: fname.line,
                                         col: fname.col,
+                                        writers: None,
                                     });
                                 }
                             }
@@ -379,35 +294,22 @@ mod tests {
     const STRUCT_SRC: &str =
         "pub struct OverloadStats {\n    pub shed: u64,\n    pub expired: u64,\n}\n";
 
-    fn design(rows: &str) -> String {
-        format!("# doc\n\n{TABLE_BEGIN}\n| counter | owner | allowed mutation sites |\n|---|---|---|\n{rows}{TABLE_END}\n")
-    }
+    const STATS: &[&str] = &["crates/a/src/stats.rs"];
 
     #[test]
-    fn synced_table_and_code_are_clean() {
-        let doc = design(
-            "| `OverloadStats.shed` | daemon | `crates/a/src/stats.rs` |\n\
-             | `OverloadStats.expired` | daemon | `crates/a/src/stats.rs` |\n",
-        );
-        let (table, errs) = parse_ownership_table(&doc, "DESIGN.md");
-        assert!(errs.is_empty(), "{errs:?}");
+    fn covered_fields_written_by_their_writers_are_clean() {
         let ws = ws(&[(
             "crates/a/src/stats.rs",
             &format!(
                 "{STRUCT_SRC}impl OverloadStats {{ fn a(&mut self) {{ self.shed += 1; }} }}\n"
             ),
         )]);
-        let diags = check_ownership(&ws, &table, "DESIGN.md");
+        let diags = check_ownership(&ws, &[("OverloadStats", STATS)]);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn mutation_outside_owner_fires() {
-        let doc = design(
-            "| `OverloadStats.shed` | daemon | `crates/a/src/stats.rs` |\n\
-             | `OverloadStats.expired` | daemon | `crates/a/src/stats.rs` |\n",
-        );
-        let (table, _) = parse_ownership_table(&doc, "DESIGN.md");
         let ws = ws(&[
             ("crates/a/src/stats.rs", STRUCT_SRC),
             (
@@ -415,52 +317,42 @@ mod tests {
                 "fn f(s: &mut OverloadStats) { s.shed += 1; }\n",
             ),
         ]);
-        let diags = check_ownership(&ws, &table, "DESIGN.md");
+        let diags = check_ownership(&ws, &[("OverloadStats", STATS)]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].path, "crates/b/src/rogue.rs");
         assert!(diags[0].message.contains("outside its owning module"));
     }
 
     #[test]
-    fn struct_field_missing_from_table_fires_at_the_field() {
-        let doc = design("| `OverloadStats.shed` | daemon | `crates/a/src/stats.rs` |\n");
-        let (table, _) = parse_ownership_table(&doc, "DESIGN.md");
+    fn uncovered_field_fires_at_the_field() {
         let ws = ws(&[("crates/a/src/stats.rs", STRUCT_SRC)]);
-        let diags = check_ownership(&ws, &table, "DESIGN.md");
+        let diags = check_ownership(&ws, &[("OverloadStats.shed", STATS)]);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].path, "crates/a/src/stats.rs");
+        assert_eq!(
+            (diags[0].path.as_str(), diags[0].line),
+            ("crates/a/src/stats.rs", 3)
+        );
         assert!(diags[0].message.contains("OverloadStats.expired"));
     }
 
     #[test]
-    fn stale_table_row_fires_at_the_doc() {
-        let doc = design(
-            "| `OverloadStats.shed` | daemon | `crates/a/src/stats.rs` |\n\
-             | `OverloadStats.expired` | daemon | `crates/a/src/stats.rs` |\n\
-             | `OverloadStats.ghost` | nobody | `crates/a/src/stats.rs` |\n",
-        );
-        let (table, _) = parse_ownership_table(&doc, "DESIGN.md");
+    fn stale_entry_fires_at_writers_unwaivably() {
         let ws = ws(&[("crates/a/src/stats.rs", STRUCT_SRC)]);
-        let diags = check_ownership(&ws, &table, "DESIGN.md");
+        let writers = [("OverloadStats", STATS), ("OverloadStats.ghost", STATS)];
+        let diags = check_ownership(&ws, &writers);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].path, "DESIGN.md");
+        assert_eq!((diags[0].path.as_str(), diags[0].line), (WRITERS_PATH, 0));
         assert!(diags[0].message.contains("OverloadStats.ghost"));
     }
 
     #[test]
-    fn missing_markers_are_a_config_finding() {
-        let (_, errs) = parse_ownership_table("no table here", "DESIGN.md");
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].message.contains("markers"));
+    fn a_workspace_declaring_no_family_has_nothing_to_check() {
+        let ws = ws(&[("crates/a/src/lib.rs", "pub fn f() {}\n")]);
+        assert!(check_ownership(&ws, &WRITERS).is_empty());
     }
 
     #[test]
     fn test_code_and_reads_are_exempt() {
-        let doc = design(
-            "| `OverloadStats.shed` | daemon | `crates/a/src/stats.rs` |\n\
-             | `OverloadStats.expired` | daemon | `crates/a/src/stats.rs` |\n",
-        );
-        let (table, _) = parse_ownership_table(&doc, "DESIGN.md");
         let ws = ws(&[
             ("crates/a/src/stats.rs", STRUCT_SRC),
             (
@@ -469,7 +361,7 @@ mod tests {
                  #[cfg(test)]\nmod t {\n    fn g(s: &mut OverloadStats) { s.shed += 1; }\n}\n",
             ),
         ]);
-        let diags = check_ownership(&ws, &table, "DESIGN.md");
+        let diags = check_ownership(&ws, &[("OverloadStats", STATS)]);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

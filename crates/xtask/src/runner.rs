@@ -10,19 +10,19 @@
 //!
 //! Ordering matters: waivers are applied *last*, after the workspace
 //! analyses have run, so a `// tidy:allow(MCSD008)` on a lock-holding
-//! line suppresses the cross-file finding. Findings anchored at
-//! `DESIGN.md` itself (table parse errors, doc/code drift reported
-//! doc-side) are configuration problems and bypass waivers entirely.
+//! line suppresses the cross-file finding. A whole-file finding (line 0,
+//! such as a `WRITERS` entry naming no counter) is a configuration
+//! problem: no waiver covers it. Tidy reads no Markdown.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::determinism::{check_determinism, parse_track_table};
+use crate::determinism::check_determinism;
 use crate::diag::{Code, Diagnostic};
 use crate::locks::check_locks;
 use crate::manifest::{check_lib_header, check_manifest};
-use crate::ownership::{check_ownership, parse_ownership_table};
+use crate::ownership::{check_ownership, WRITERS};
 use crate::workspace::{SourceFile, Workspace};
 
 /// A fatal tidy failure (I/O, bad root) — distinct from diagnostics, which
@@ -48,7 +48,7 @@ fn io_err(path: &Path, err: std::io::Error) -> TidyError {
 }
 
 /// Aggregated result of a tidy run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TidyReport {
     /// All findings, sorted by path, then line, then code.
     pub diagnostics: Vec<Diagnostic>,
@@ -76,57 +76,15 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
             message: format!("{}: not a workspace root (no Cargo.toml)", root.display()),
         });
     }
-    let mut report = TidyReport {
-        diagnostics: Vec::new(),
-        files_scanned: 0,
-        manifests_checked: 0,
-        waivers_honored: 0,
-    };
-    let mut ws = Workspace::default();
+    let mut report = TidyReport::default();
+    let ws = walk(root, &mut report)?;
 
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for crate_dir in sorted_subdirs(&crates_dir)? {
-            let manifest_path = crate_dir.join("Cargo.toml");
-            if manifest_path.is_file() {
-                let content =
-                    fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
-                report
-                    .diagnostics
-                    .extend(check_manifest(&rel(root, &manifest_path), &content));
-                report.manifests_checked += 1;
-            }
-            scan_tree(root, &crate_dir.join("src"), &mut ws, &mut report)?;
-        }
-    }
-    scan_tree(root, &root.join("src"), &mut ws, &mut report)?;
-
-    // Workspace-level analyses. The DESIGN.md-driven rules only engage
-    // when the document exists (synthetic test roots have none); table
-    // parse errors are unwaivable configuration findings.
     let mut deep: Vec<Diagnostic> = check_locks(&ws);
-    let design_path = root.join("DESIGN.md");
-    if design_path.is_file() {
-        let design = fs::read_to_string(&design_path).map_err(|e| io_err(&design_path, e))?;
-        let (ownership, own_errs) = parse_ownership_table(&design, "DESIGN.md");
-        report.diagnostics.extend(own_errs.clone());
-        if own_errs.is_empty() {
-            deep.extend(check_ownership(&ws, &ownership, "DESIGN.md"));
-        }
-        let (tracks, track_errs) = parse_track_table(&design, "DESIGN.md");
-        report.diagnostics.extend(track_errs.clone());
-        let tracks_opt = if track_errs.is_empty() {
-            Some(&tracks)
-        } else {
-            None
-        };
-        deep.extend(check_determinism(&ws, tracks_opt));
-    } else {
-        deep.extend(check_determinism(&ws, None));
-    }
+    deep.extend(check_ownership(&ws, &WRITERS));
+    deep.extend(check_determinism(&ws));
 
     // Route every finding to its file and apply waivers last. Findings
-    // against unscanned paths (DESIGN.md) pass straight through.
+    // against unscanned paths pass straight through.
     let mut per_file: Vec<Vec<Diagnostic>> = ws.files.iter().map(|_| Vec::new()).collect();
     for diag in deep {
         match ws.files.iter().position(|f| f.path == diag.path) {
@@ -145,6 +103,35 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
         .sort_by(|a, b| (&a.path, a.line, a.code, a.col).cmp(&(&b.path, b.line, b.code, b.col)));
     report.diagnostics.dedup();
     Ok(report)
+}
+
+/// Lex every library source under `root` into the workspace the analyses
+/// run on, as [`run_tidy`] does.
+pub fn load_workspace(root: &Path) -> Result<Workspace, TidyError> {
+    walk(root, &mut TidyReport::default())
+}
+
+/// Check every crate manifest and lex every library source; lib-header
+/// and manifest findings go straight into `report`.
+fn walk(root: &Path, report: &mut TidyReport) -> Result<Workspace, TidyError> {
+    let mut ws = Workspace::default();
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for crate_dir in sorted_subdirs(&crates_dir)? {
+            let manifest_path = crate_dir.join("Cargo.toml");
+            if manifest_path.is_file() {
+                let content =
+                    fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
+                report
+                    .diagnostics
+                    .extend(check_manifest(&rel(root, &manifest_path), &content));
+                report.manifests_checked += 1;
+            }
+            scan_tree(root, &crate_dir.join("src"), &mut ws, report)?;
+        }
+    }
+    scan_tree(root, &root.join("src"), &mut ws, report)?;
+    Ok(ws)
 }
 
 /// Filter one file's findings through its waivers and report waiver

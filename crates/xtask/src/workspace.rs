@@ -2,7 +2,7 @@
 //!
 //! Every tidy rule reasons across files: MCSD008 builds a
 //! lock-acquisition graph across crates, MCSD009 reconciles struct
-//! definitions with the DESIGN.md §13 table, and MCSD010 resolves
+//! definitions with the `WRITERS` table, and MCSD010 resolves
 //! track-name constants that are declared in one file and used in
 //! another. [`Workspace`] carries every lexed library file so those passes
 //! can run after the walk completes, plus the small shared lookups (string

@@ -1,10 +1,12 @@
 //! End-to-end fixture coverage: every diagnostic code has at least one
 //! violating and one conforming fixture, and the waiver lifecycle behaves.
 
+use std::collections::BTreeSet;
+
 use xtask::determinism::check_determinism;
 use xtask::locks::check_locks;
 use xtask::manifest::{check_lib_header, check_manifest};
-use xtask::ownership::{check_ownership, parse_ownership_table};
+use xtask::ownership::{check_ownership, counters, WRITERS};
 use xtask::runner::apply_waivers;
 use xtask::workspace::{SourceFile, Workspace};
 use xtask::Code;
@@ -57,25 +59,17 @@ fn mcsd008_clean_fixture_passes() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
-/// The §13-style table both MCSD009 fixture tests run against: `shed` is
-/// owned by `crates/smartfam/src/daemon.rs` and nowhere else.
-const MCSD009_DOC: &str = "\
-<!-- mcsd009:counter-ownership-table:begin -->
-| counter | owner | allowed mutation sites |
-|---------|-------|------------------------|
-| `DaemonStats.shed` | smartFAM daemon | `crates/smartfam/src/daemon.rs` |
-<!-- mcsd009:counter-ownership-table:end -->
-";
+/// The writers both MCSD009 fixture tests run against: `shed` is owned
+/// by `crates/smartfam/src/daemon.rs` and nowhere else.
+const MCSD009_WRITERS: [(&str, &[&str]); 1] = [("DaemonStats", &["crates/smartfam/src/daemon.rs"])];
 
 #[test]
 fn mcsd009_flags_mutation_outside_owner_with_exact_span() {
-    let (table, errs) = parse_ownership_table(MCSD009_DOC, "DESIGN.md");
-    assert!(errs.is_empty(), "{errs:?}");
     let ws = fixture_ws(
         "crates/fixturecrate/src/rogue.rs",
         include_str!("fixtures/mcsd009_violating.rs"),
     );
-    let diags = check_ownership(&ws, &table, "DESIGN.md");
+    let diags = check_ownership(&ws, &MCSD009_WRITERS);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, Code::Mcsd009);
     assert_eq!(diags[0].path, "crates/fixturecrate/src/rogue.rs");
@@ -86,19 +80,33 @@ fn mcsd009_flags_mutation_outside_owner_with_exact_span() {
 
 #[test]
 fn mcsd009_clean_fixture_passes_at_the_owning_site() {
-    let (table, _) = parse_ownership_table(MCSD009_DOC, "DESIGN.md");
     let ws = fixture_ws(
         "crates/smartfam/src/daemon.rs",
         include_str!("fixtures/mcsd009_clean.rs"),
     );
-    let diags = check_ownership(&ws, &table, "DESIGN.md");
+    let diags = check_ownership(&ws, &MCSD009_WRITERS);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn mcsd009_field_entry_overrides_only_its_field() {
+    let host = "crates/smartfam/src/host.rs";
+    let writers: [(&str, &[&str]); 2] = [
+        ("ResilienceStats", &["crates/smartfam/src/faults.rs"]),
+        ("ResilienceStats.attempts", &[host]),
+    ];
+    let ws = fixture_ws(host, include_str!("fixtures/mcsd009_override.rs"));
+    let diags = check_ownership(&ws, &writers);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    // `stats.failovers += 1;` on line 10; `attempts` on line 9 is allowed.
+    assert_eq!((diags[0].line, diags[0].col), (10, 11), "{}", diags[0]);
+    assert!(diags[0].message.contains("`failovers`"));
 }
 
 #[test]
 fn mcsd010_flags_hash_iteration_reaching_a_sink_with_exact_span() {
     let ws = fixture_ws(PLAIN_PATH, include_str!("fixtures/mcsd010_violating.rs"));
-    let diags = check_determinism(&ws, None);
+    let diags = check_determinism(&ws);
     assert_eq!(diags.len(), 2, "{diags:?}");
     assert_eq!(diags[0].code, Code::Mcsd010);
     assert_eq!(diags[0].path, PLAIN_PATH);
@@ -117,8 +125,29 @@ fn mcsd010_flags_hash_iteration_reaching_a_sink_with_exact_span() {
 #[test]
 fn mcsd010_clean_fixture_passes() {
     let ws = fixture_ws(PLAIN_PATH, include_str!("fixtures/mcsd010_clean.rs"));
-    let diags = check_determinism(&ws, None);
+    let diags = check_determinism(&ws);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn mcsd010_flags_a_second_domain_for_one_track_at_the_second_site() {
+    let first = "crates/fixturecrate/src/daemon.rs";
+    let second = "crates/fixturecrate/src/replication.rs";
+    let ws = Workspace {
+        files: vec![
+            SourceFile::new(first, include_str!("fixtures/mcsd010_track_first.rs")),
+            SourceFile::new(second, include_str!("fixtures/mcsd010_track_second.rs")),
+        ],
+    };
+    let diags = check_determinism(&ws);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].code, Code::Mcsd010);
+    assert_eq!(diags[0].path, second);
+    // The literal call on line 5, anchored at `track`; the const call on
+    // line 4 agrees with the first site.
+    assert_eq!((diags[0].line, diags[0].col), (5, 12), "{}", diags[0]);
+    assert!(diags[0].message.contains("ClockDomain::Work"));
+    assert!(diags[0].message.contains(&format!("{first}:5")));
 }
 
 #[test]
@@ -173,7 +202,7 @@ fn waiver_lifecycle() {
         "MCSD002"
     );
     let ws = fixture_ws(PLAIN_PATH, &source);
-    let out = apply_waivers(&ws.files[0], check_determinism(&ws, None));
+    let out = apply_waivers(&ws.files[0], check_determinism(&ws));
     // Two well-formed waivers suppress their findings; the malformed one,
     // the unused one and the retired one each surface as MCSD000, and the
     // finding under the malformed waiver stays.
@@ -220,4 +249,20 @@ fn real_workspace_is_tidy() {
         "waiver budget exceeded: {} > 1",
         report.waivers_honored
     );
+    // `WRITERS` covers every `u64` field of the seven families and each
+    // entry names at least one, so a renamed family fails here instead of
+    // dropping out of enforcement. 52 is a floor: a new counter stays two
+    // edits, its field and its `counter_family!` row.
+    let ws = xtask::runner::load_workspace(root).expect("workspace loads");
+    let counters = counters(&ws, &WRITERS);
+    assert!(counters.iter().all(|c| c.writers.is_some()));
+    assert!(counters.len() >= 52, "{} counters", counters.len());
+    let families: BTreeSet<&str> = counters.iter().map(|c| c.family.as_str()).collect();
+    assert_eq!(families.len(), 7, "{families:?}");
+    for (entry, _) in WRITERS {
+        assert!(
+            counters.iter().any(|c| c.named_by(entry)),
+            "`{entry}` names no counter"
+        );
+    }
 }

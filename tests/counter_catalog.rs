@@ -4,13 +4,13 @@
 //! `mcsd_obs::counter_family!` table beside the struct. This file is the
 //! only place that sees all of them, so it owns what no single crate can
 //! check: the laws every table must obey (instantiated per family), the
-//! single-owner rule across families, DESIGN.md §12's key list in both
-//! directions, and the report lines the docs quote.
+//! single-owner rule across families, and the report lines the docs
+//! quote. The tables are the key catalog; no document repeats them.
 
 use mcsd::framework::{DesStats, ReplicationStats};
 use mcsd::obs::CounterFamily;
 use mcsd::smartfam::{BatchStats, DaemonStats, OverloadStats, ResilienceStats};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// A `T` whose `i`-th counter (table order, nested family last) is
@@ -119,57 +119,6 @@ fn each_key_has_one_family_and_each_prefix_one_owner() {
             assert_eq!(prior, declared.owner, "prefix of `{key}` has two owners");
         }
     }
-    assert_eq!(declared_in.len(), 44, "10 + 7 + 6 + 8 + 6 + 7 counters");
-}
-
-/// `(owner, family, key)` triples of DESIGN.md §12's "Counter families"
-/// table.
-fn documented() -> BTreeSet<(String, String, String)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md");
-    let text = std::fs::read_to_string(path).expect("DESIGN.md at the repo root");
-    let start = text
-        .find("### Counter families")
-        .expect("DESIGN.md §12 must have a `### Counter families` section");
-    let section = &text[start + 4..];
-    let section = &section[..section.find("\n### ").unwrap_or(section.len())];
-    let ticked = |cell: &str| -> Vec<String> {
-        cell.split('`')
-            .skip(1)
-            .step_by(2)
-            .map(str::to_string)
-            .collect()
-    };
-    let mut out = BTreeSet::new();
-    for line in section.lines().filter(|l| l.starts_with("| `")) {
-        let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
-        assert_eq!(cells.len(), 3, "row needs owner | family | keys: {line}");
-        let (owner, family) = (ticked(cells[0]), ticked(cells[1]));
-        assert_eq!((owner.len(), family.len()), (1, 1), "{line}");
-        for key in ticked(cells[2]) {
-            out.insert((owner[0].clone(), family[0].clone(), key));
-        }
-    }
-    out
-}
-
-#[test]
-fn design_section_12_lists_exactly_the_declared_keys() {
-    let mut declared = BTreeSet::new();
-    for family in all_families() {
-        for key in family.own {
-            let row = [family.owner, family.family, key].map(str::to_string);
-            declared.insert(<(String, String, String)>::from(row));
-        }
-    }
-    let documented = documented();
-    let undocumented: Vec<_> = declared.difference(&documented).collect();
-    let stale: Vec<_> = documented.difference(&declared).collect();
-    assert!(
-        undocumented.is_empty() && stale.is_empty(),
-        "DESIGN.md §12 `Counter families` table out of sync with the code tables\n\
-         declared but not documented: {undocumented:?}\n\
-         documented but not declared: {stale:?}"
-    );
 }
 
 /// The report lines README.md and EXPERIMENTS.md quote (`acks=17`,
