@@ -8,7 +8,7 @@
 use crate::table::{fmt_duration, TextTable};
 use crate::{workloads, ExperimentConfig};
 use mcsd_apps::WordCount;
-use mcsd_cluster::{paper_testbed, Cluster, Fabric, NetworkModel, NodeSpec};
+use mcsd_cluster::{paper_testbed, Cluster, Fabric, NetworkModel, NodeName, NodeSpec};
 use mcsd_core::driver::{ExecMode, NodeRunner};
 use mcsd_core::McsdError;
 use mcsd_phoenix::prelude::*;
@@ -79,7 +79,7 @@ fn sweep_node(cluster: &Cluster, cores: usize) -> NodeSpec {
     NodeSpec {
         cores,
         core_speed: 1.0,
-        name: format!("sd-{cores}core"),
+        name: NodeName::new("sd-").at(cores as u32).with_suffix("core"),
         ..cluster.sd().clone()
     }
 }

@@ -62,7 +62,7 @@ pub use disk::DiskModel;
 pub use exec::NodeExecutor;
 pub use network::{Fabric, NetworkModel, RackNetwork};
 pub use nfs::{NfsClient, NfsShare};
-pub use node::{NodeId, NodeRole, NodeSpec};
+pub use node::{NodeId, NodeName, NodeRole, NodeSpec};
 pub use scale::Scale;
 pub use smb::{SandiaMicroBenchmark, SmbPattern, SmbReport};
 pub use topology::{multi_sd_testbed, paper_testbed, Cluster, RackSpec, RackTopology};

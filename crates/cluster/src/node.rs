@@ -1,13 +1,14 @@
 //! Node specifications (paper Table I).
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Identifier of a node within a [`crate::topology::Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
-impl std::fmt::Display for NodeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node{}", self.0)
     }
 }
@@ -25,17 +26,116 @@ pub enum NodeRole {
     Compute,
 }
 
+/// A node's name, held as the parts it is rendered from so that naming a
+/// node never allocates: an optional rack (`r{rack}`), a static stem, an
+/// optional index and a static suffix — `host`, `sd3`, `compute1`,
+/// `r2h0`, `r0sd4`, `sd-1core`. The string exists only where a report or
+/// trace asks for it, through [`Display`](fmt::Display), which honours
+/// width, fill and alignment; `==` against a `&str` compares the
+/// rendering without building it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct NodeName {
+    rack: Option<u32>,
+    stem: &'static str,
+    index: Option<u32>,
+    suffix: &'static str,
+}
+
+impl NodeName {
+    /// A name that is just `stem`: `host`, `sd`.
+    pub const fn new(stem: &'static str) -> NodeName {
+        NodeName {
+            rack: None,
+            stem,
+            index: None,
+            suffix: "",
+        }
+    }
+
+    /// This name numbered within its kind: `sd` at 3 is `sd3`.
+    pub const fn at(self, index: u32) -> NodeName {
+        NodeName {
+            index: Some(index),
+            ..self
+        }
+    }
+
+    /// This name inside a rack: `h0` in rack 2 is `r2h0`.
+    pub const fn in_rack(self, rack: u32) -> NodeName {
+        NodeName {
+            rack: Some(rack),
+            ..self
+        }
+    }
+
+    /// This name followed by `suffix`, which replaces any earlier one:
+    /// `sd` with `-1core` is `sd-1core`.
+    pub const fn with_suffix(self, suffix: &'static str) -> NodeName {
+        NodeName { suffix, ..self }
+    }
+
+    fn write_parts(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if let Some(rack) = self.rack {
+            write!(out, "r{rack}")?;
+        }
+        out.write_str(self.stem)?;
+        if let Some(index) = self.index {
+            write!(out, "{index}")?;
+        }
+        out.write_str(self.suffix)
+    }
+}
+
+impl fmt::Display for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.width().is_none() && f.precision().is_none() {
+            return self.write_parts(f);
+        }
+        // Padding needs the whole name at once; only tables ask for it.
+        let mut name = String::new();
+        self.write_parts(&mut name)?;
+        f.pad(&name)
+    }
+}
+
+impl fmt::Debug for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
+    }
+}
+
+impl PartialEq<str> for NodeName {
+    fn eq(&self, other: &str) -> bool {
+        /// Strips each rendered piece off the front of what is left.
+        struct Strip<'a>(&'a str);
+        impl fmt::Write for Strip<'_> {
+            fn write_str(&mut self, piece: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Strip(other);
+        self.write_parts(&mut rest).is_ok() && rest.0.is_empty()
+    }
+}
+
+impl PartialEq<&str> for NodeName {
+    fn eq(&self, other: &&str) -> bool {
+        self == *other
+    }
+}
+
 /// Hardware description of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
     /// Identifier within the cluster.
     pub id: NodeId,
-    /// Human-readable name (e.g. "host", "sd0").
-    pub name: String,
+    /// Name in reports and traces (e.g. "host", "sd0").
+    pub name: NodeName,
     /// Role in the architecture.
     pub role: NodeRole,
     /// CPU model string, for Table I output.
-    pub cpu: String,
+    pub cpu: &'static str,
     /// Number of cores. This caps the Phoenix worker count of any job run
     /// on the node.
     pub cores: usize,
@@ -48,16 +148,16 @@ pub struct NodeSpec {
 impl NodeSpec {
     /// The paper's host node: Intel Core2 Quad Q9400 (4 × 2.66 GHz), 2 GB.
     pub fn paper_host(id: NodeId, memory_bytes: u64) -> Self {
-        Self::paper_host_named(id, "host".into(), memory_bytes)
+        Self::paper_host_named(id, NodeName::new("host"), memory_bytes)
     }
 
     /// [`NodeSpec::paper_host`] under the name a larger topology gives it.
-    pub(crate) fn paper_host_named(id: NodeId, name: String, memory_bytes: u64) -> Self {
+    pub(crate) fn paper_host_named(id: NodeId, name: NodeName, memory_bytes: u64) -> Self {
         NodeSpec {
             id,
             name,
             role: NodeRole::Host,
-            cpu: "Intel Core2 Quad Q9400".into(),
+            cpu: "Intel Core2 Quad Q9400",
             cores: 4,
             core_speed: 1.0,
             memory_bytes,
@@ -67,16 +167,16 @@ impl NodeSpec {
     /// The paper's SD node: Intel Core2 Duo E4400 (2 × 2.0 GHz), 2 GB.
     /// Per-core speed 2.0/2.66 ≈ 0.75 of the host's.
     pub fn paper_sd(id: NodeId, memory_bytes: u64) -> Self {
-        Self::paper_sd_named(id, "sd".into(), memory_bytes)
+        Self::paper_sd_named(id, NodeName::new("sd"), memory_bytes)
     }
 
     /// [`NodeSpec::paper_sd`] under the name a larger topology gives it.
-    pub(crate) fn paper_sd_named(id: NodeId, name: String, memory_bytes: u64) -> Self {
+    pub(crate) fn paper_sd_named(id: NodeId, name: NodeName, memory_bytes: u64) -> Self {
         NodeSpec {
             id,
             name,
             role: NodeRole::SmartStorage,
-            cpu: "Intel Core2 Duo E4400".into(),
+            cpu: "Intel Core2 Duo E4400",
             cores: 2,
             core_speed: 0.75,
             memory_bytes,
@@ -85,12 +185,12 @@ impl NodeSpec {
 
     /// The paper's general-purpose nodes: Intel Celeron 450 (1 × 2.2 GHz),
     /// 2 GB. Per-core speed ≈ 0.7 of the host's (lower IPC and cache).
-    pub fn paper_compute(id: NodeId, index: usize, memory_bytes: u64) -> Self {
+    pub fn paper_compute(id: NodeId, index: u32, memory_bytes: u64) -> Self {
         NodeSpec {
             id,
-            name: format!("compute{index}"),
+            name: NodeName::new("compute").at(index),
             role: NodeRole::Compute,
-            cpu: "Intel Celeron 450".into(),
+            cpu: "Intel Celeron 450",
             cores: 1,
             core_speed: 0.70,
             memory_bytes,
@@ -102,7 +202,7 @@ impl NodeSpec {
     pub fn single_core(&self) -> NodeSpec {
         NodeSpec {
             cores: 1,
-            name: format!("{}-1core", self.name),
+            name: self.name.with_suffix("-1core"),
             ..self.clone()
         }
     }
@@ -145,7 +245,7 @@ mod tests {
         assert_eq!(t.cores, 1);
         assert_eq!(t.core_speed, sd.core_speed);
         assert_eq!(t.role, NodeRole::SmartStorage);
-        assert!(t.name.contains("1core"));
+        assert_eq!(t.name, "sd-1core");
     }
 
     #[test]
@@ -160,5 +260,51 @@ mod tests {
         assert_eq!(c.name, "compute1");
         assert_eq!(c.cores, 1);
         assert_eq!(c.role, NodeRole::Compute);
+    }
+
+    #[test]
+    fn every_name_form_renders_as_its_format_string() {
+        let (r, i, n) = (7u32, 12u32, 4u32);
+        let forms = [
+            (NodeName::new("host"), "host".to_string()),
+            (NodeName::new("sd"), "sd".to_string()),
+            (NodeName::new("sd").at(i), format!("sd{i}")),
+            (NodeName::new("compute").at(i), format!("compute{i}")),
+            (NodeName::new("h").at(i).in_rack(r), format!("r{r}h{i}")),
+            (NodeName::new("sd").at(i).in_rack(r), format!("r{r}sd{i}")),
+            (
+                NodeName::new("sd").at(i).in_rack(r).with_suffix("-1core"),
+                format!("r{r}sd{i}-1core"),
+            ),
+            (
+                NodeName::new("host").with_suffix("-1core"),
+                "host-1core".into(),
+            ),
+            (
+                NodeName::new("sd-").at(n).with_suffix("core"),
+                format!("sd-{n}core"),
+            ),
+        ];
+        for (name, old) in forms {
+            assert_eq!(name.to_string(), old);
+            assert_eq!(name, old.as_str());
+            assert_eq!(format!("{name:?}"), format!("{old:?}"));
+            // Table I pads names; width, fill, alignment and precision
+            // must act as they do on the old `String`.
+            assert_eq!(format!("{name:<12}|"), format!("{old:<12}|"));
+            assert_eq!(format!("{name:>12}|"), format!("{old:>12}|"));
+            assert_eq!(format!("{name:*^13}|"), format!("{old:*^13}|"));
+            assert_eq!(format!("{name:.3}|"), format!("{old:.3}|"));
+            assert_eq!(format!("{name:2}|"), format!("{old:2}|"));
+        }
+    }
+
+    #[test]
+    fn a_name_equals_only_its_whole_rendering() {
+        let name = NodeName::new("sd").at(1).in_rack(0);
+        assert_eq!(name, "r0sd1");
+        for other in ["", "r0sd", "r0sd10", "r0sd1x", "sd1", "r1sd1"] {
+            assert_ne!(name, other);
+        }
     }
 }

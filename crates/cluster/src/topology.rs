@@ -3,7 +3,7 @@
 
 use crate::disk::DiskModel;
 use crate::network::{NetworkModel, RackNetwork};
-use crate::node::{NodeId, NodeRole, NodeSpec};
+use crate::node::{NodeId, NodeName, NodeRole, NodeSpec};
 use crate::scale::Scale;
 use serde::{Deserialize, Serialize};
 
@@ -52,9 +52,9 @@ impl Cluster {
         reason = "same construction invariant as host(): the paper's topologies always carry an SD node"
     )]
     pub fn sd(&self) -> &NodeSpec {
-        self.sd_nodes()
-            .first()
-            .copied()
+        self.nodes
+            .iter()
+            .find(|n| n.role == NodeRole::SmartStorage)
             .expect("a cluster has an SD node")
     }
 
@@ -101,7 +101,7 @@ pub fn paper_testbed(scale: Scale) -> Cluster {
         NodeSpec::paper_sd(NodeId(1), memory),
     ];
     for i in 0..3 {
-        nodes.push(NodeSpec::paper_compute(NodeId(2 + i as u32), i, memory));
+        nodes.push(NodeSpec::paper_compute(NodeId(2 + i), i, memory));
     }
     Cluster {
         nodes,
@@ -116,10 +116,10 @@ pub fn paper_testbed(scale: Scale) -> Cluster {
 pub fn multi_sd_testbed(scale: Scale, sd_count: usize) -> Cluster {
     let memory = scale.bytes(2 * 1024 * 1024 * 1024);
     let mut nodes = vec![NodeSpec::paper_host(NodeId(0), memory)];
-    for i in 0..sd_count {
+    for i in 0..sd_count as u32 {
         nodes.push(NodeSpec::paper_sd_named(
-            NodeId(1 + i as u32),
-            format!("sd{i}"),
+            NodeId(1 + i),
+            NodeName::new("sd").at(i),
             memory,
         ));
     }
@@ -195,14 +195,14 @@ impl RackSpec {
             for h in 0..self.hosts_per_rack {
                 nodes.push(NodeSpec::paper_host_named(
                     NodeId(base + h),
-                    format!("r{r}h{h}"),
+                    NodeName::new("h").at(h).in_rack(r),
                     memory,
                 ));
             }
             for s in 0..self.sds_per_rack {
                 nodes.push(NodeSpec::paper_sd_named(
                     NodeId(base + self.hosts_per_rack + s),
-                    format!("r{r}sd{s}"),
+                    NodeName::new("sd").at(s).in_rack(r),
                     memory,
                 ));
             }
@@ -253,22 +253,24 @@ impl RackTopology {
     /// All SD node ids, in id order — index `i` here is the offload
     /// policy's `sd_index` space.
     pub fn sd_ids(&self) -> Vec<NodeId> {
-        self.cluster
-            .nodes
-            .iter()
-            .filter(|n| n.role == NodeRole::SmartStorage)
-            .map(|n| n.id)
-            .collect()
+        self.ids(self.spec.hosts_per_rack, self.spec.sds_per_rack)
     }
 
     /// All host node ids, in id order.
     pub fn host_ids(&self) -> Vec<NodeId> {
-        self.cluster
-            .nodes
-            .iter()
-            .filter(|n| n.role == NodeRole::Host)
-            .map(|n| n.id)
-            .collect()
+        self.ids(0, self.spec.hosts_per_rack)
+    }
+
+    /// Ids `offset..offset + count` of every rack, rack by rack — from
+    /// the rack-major layout alone, in one allocation.
+    fn ids(&self, offset: u32, count: u32) -> Vec<NodeId> {
+        let per_rack = self.spec.nodes_per_rack();
+        let mut ids = Vec::with_capacity((self.spec.racks * count) as usize);
+        for r in 0..self.spec.racks {
+            let base = r * per_rack + offset;
+            ids.extend((base..base + count).map(NodeId));
+        }
+        ids
     }
 
     /// Virtual time to move `bytes` from node `from` to node `to`.

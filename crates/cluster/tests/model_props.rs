@@ -4,8 +4,8 @@
 //! by the same constant (up to fixed latencies), so ratios are preserved.
 
 use mcsd_cluster::{
-    paper_testbed, DiskModel, Fabric, NetworkModel, NodeSpec, SandiaMicroBenchmark, Scale,
-    SmbPattern, TimeBreakdown,
+    paper_testbed, DiskModel, Fabric, NetworkModel, NodeId, NodeRole, NodeSpec, RackSpec,
+    SandiaMicroBenchmark, Scale, SmbPattern, TimeBreakdown,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -101,6 +101,37 @@ proptest! {
         prop_assert_eq!((x + y).total(), x.total() + y.total());
     }
 
+    /// A rack node's name says where it sits: `r{rack}h{i}` for the
+    /// `i`-th host of its rack and `r{rack}sd{i}` for the `i`-th SD, with
+    /// the rack the one `rack_of` computes from the id alone; the id lists
+    /// hold exactly the nodes of each role, in id order.
+    #[test]
+    fn rack_names_follow_the_rack_major_layout(
+        racks in 0u32..5,
+        hosts_per_rack in 0u32..4,
+        sds_per_rack in 0u32..4,
+    ) {
+        let spec = RackSpec { racks, hosts_per_rack, sds_per_rack, uplink_oversubscription: 4 };
+        let topo = spec.build(Scale::default_experiment());
+        prop_assert_eq!(topo.cluster.nodes.len(), spec.total_nodes() as usize);
+        for (i, node) in topo.cluster.nodes.iter().enumerate() {
+            prop_assert_eq!(node.id, NodeId(i as u32));
+            let rack = topo.rack_of(node.id);
+            let slot = node.id.0 - rack * spec.nodes_per_rack();
+            let want = match node.role {
+                NodeRole::Host => format!("r{rack}h{slot}"),
+                _ => format!("r{rack}sd{}", slot - hosts_per_rack),
+            };
+            prop_assert_eq!(node.name.to_string(), want);
+            prop_assert_eq!(node.role == NodeRole::Host, slot < hosts_per_rack);
+        }
+        let ids = |role| -> Vec<NodeId> {
+            topo.cluster.nodes.iter().filter(|n| n.role == role).map(|n| n.id).collect()
+        };
+        prop_assert_eq!(topo.host_ids(), ids(NodeRole::Host));
+        prop_assert_eq!(topo.sd_ids(), ids(NodeRole::SmartStorage));
+    }
+
     /// Faster fabrics dominate for every size.
     #[test]
     fn fabric_ordering_holds_for_all_sizes(bytes in 1u64..1_000_000_000) {
@@ -120,8 +151,8 @@ fn paper_testbed_is_scale_parameterized() {
     // Everything else identical.
     assert_eq!(a.network, b.network);
     assert_eq!(a.disk, b.disk);
-    let names: Vec<&String> = a.nodes.iter().map(|n| &n.name).collect();
-    let names_b: Vec<&String> = b.nodes.iter().map(|n| &n.name).collect();
+    let names: Vec<String> = a.nodes.iter().map(|n| n.name.to_string()).collect();
+    let names_b: Vec<String> = b.nodes.iter().map(|n| n.name.to_string()).collect();
     assert_eq!(names, names_b);
 }
 

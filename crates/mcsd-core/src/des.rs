@@ -4,8 +4,9 @@
 //! testbed. This module is the workload-*rate* path: a seeded stream of
 //! thousands of concurrent jobs arrives over a [`RackSpec`]-built rack
 //! topology, each placed by the same [`Offloader`] policy the engine
-//! front-ends use, then queued on its target node's [`ShardQueue`] and
-//! charged analytic transfer + compute time from the cluster models.
+//! front-ends use, then queued on its target node's shard (one run's
+//! `ShardQueues`) and charged analytic transfer + compute time from the
+//! cluster models.
 //!
 //! Determinism contract (§17):
 //!
@@ -34,7 +35,6 @@
 //! already there; with no host nodes jobs originate on SD nodes; with no
 //! nodes at all every arrival is shed.
 
-use crate::engine::ShardQueue;
 use crate::offload::{JobProfile, OffloadDecision, OffloadPolicy, Offloader};
 use crate::report::{DesStats, RackReport};
 use mcsd_cluster::{NodeId, RackSpec, RackTopology, Scale};
@@ -179,11 +179,101 @@ struct Completion {
     job: u64,
 }
 
+/// Every shard's run queue for one run (DESIGN.md §17): per node (SD or
+/// host), a fixed number of execution slots plus a bounded FIFO backlog.
+/// The backlogs thread through one link per job id, which is sound
+/// because a run enqueues each job at most once; so the queues cost two
+/// allocations whatever the load, depth or rack shape, and the depth
+/// bounds a count, never a buffer. The event loop drives every shard
+/// serially, so nothing here locks — determinism comes from the event
+/// order, not from synchronization.
+#[derive(Debug)]
+struct ShardQueues {
+    shards: Vec<Shard>,
+    /// `next[id]`: the job waiting behind job `id` on its shard.
+    next: Vec<u64>,
+    /// Waiting jobs a shard accepts behind its busy slots.
+    depth: usize,
+}
+
+/// One shard's slots and the ends of its backlog in [`ShardQueues::next`].
+#[derive(Debug)]
+struct Shard {
+    slots: u32,
+    busy: u32,
+    len: usize,
+    head: u64,
+    tail: u64,
+}
+
+impl ShardQueues {
+    /// One shard per entry of `slots`, each with room for `depth` waiting
+    /// jobs (both clamped to at least 1), for job ids below `jobs`.
+    fn new(slots: impl Iterator<Item = u32>, depth: usize, jobs: usize) -> ShardQueues {
+        ShardQueues {
+            shards: slots
+                .map(|slots| Shard {
+                    slots: slots.max(1),
+                    busy: 0,
+                    len: 0,
+                    head: 0,
+                    tail: 0,
+                })
+                .collect(),
+            next: vec![0; jobs],
+            depth: depth.max(1),
+        }
+    }
+
+    /// Accept job `id` into `shard`'s backlog, or refuse it (shed) when
+    /// the backlog is at the depth or there is no such shard.
+    fn try_enqueue(&mut self, shard: u32, id: u64) -> bool {
+        let Some(q) = self.shards.get_mut(shard as usize) else {
+            return false;
+        };
+        if q.len >= self.depth {
+            return false;
+        }
+        if q.len == 0 {
+            q.head = id;
+        } else {
+            self.next[q.tail as usize] = id;
+        }
+        q.tail = id;
+        q.len += 1;
+        true
+    }
+
+    /// Pop `shard`'s oldest waiting job into a free slot; `None` when
+    /// every slot is busy or nothing is waiting.
+    fn try_start(&mut self, shard: u32) -> Option<u64> {
+        let q = &mut self.shards[shard as usize];
+        if q.busy >= q.slots || q.len == 0 {
+            return None;
+        }
+        let id = q.head;
+        q.len -= 1;
+        // Only a job queued behind `id` wrote its link; an emptied
+        // backlog leaves that cache line untouched.
+        if q.len > 0 {
+            q.head = self.next[id as usize];
+        }
+        q.busy += 1;
+        Some(id)
+    }
+
+    /// Release the slot a finished job held on `shard`.
+    fn finish(&mut self, shard: u32) {
+        let q = &mut self.shards[shard as usize];
+        q.busy = q.busy.saturating_sub(1);
+    }
+}
+
 struct Loop<'a> {
     topo: &'a RackTopology,
     jobs: &'a [DesJob],
     sd_ids: &'a [NodeId],
-    shards: Vec<ShardQueue>,
+    shards: ShardQueues,
     /// Virtual time each rack's ToR uplink is occupied until — cross-
     /// rack transfers out of one rack serialize on its uplink.
     uplink_busy_until: Vec<u64>,
@@ -205,12 +295,12 @@ impl Loop<'_> {
     /// its completion event.
     fn drain_shard(&mut self, shard: u32, now_us: u64) {
         let jobs = self.jobs;
-        while let Some(id) = self.shards[shard as usize].try_start() {
+        while let Some(id) = self.shards.try_start(shard) {
             let done_us = now_us + self.service_us(&jobs[id as usize], shard, now_us);
             self.stats.busy_us += done_us - now_us;
             self.tracer.event_with(self.track, EVENT_DES_DISPATCH, |a| {
                 a.u64("job", id);
-                a.str("shard", &self.topo.cluster.nodes[shard as usize].name);
+                a.display("shard", self.topo.cluster.nodes[shard as usize].name);
             });
             self.running.push(Reverse(Completion {
                 at_us: done_us,
@@ -282,10 +372,11 @@ fn simulate(
         topo,
         jobs,
         sd_ids,
-        shards: nodes
-            .iter()
-            .map(|n| ShardQueue::new(n.cores as u32, cfg.queue_depth))
-            .collect(),
+        shards: ShardQueues::new(
+            nodes.iter().map(|n| n.cores as u32),
+            cfg.queue_depth,
+            jobs.len(),
+        ),
         uplink_busy_until: vec![0; cfg.spec.racks as usize],
         // One pending completion per busy execution slot, never more.
         running: BinaryHeap::with_capacity(nodes.iter().map(|n| n.cores).sum()),
@@ -309,9 +400,9 @@ fn simulate(
             lp.stats.completed_jobs += 1;
             tracer.event_with(track, EVENT_DES_COMPLETE, |a| {
                 a.u64("job", done.job);
-                a.str("shard", &nodes[done.shard as usize].name);
+                a.display("shard", nodes[done.shard as usize].name);
             });
-            lp.shards[done.shard as usize].finish();
+            lp.shards.finish(done.shard);
             lp.drain_shard(done.shard, done.at_us);
             continue;
         }
@@ -328,18 +419,14 @@ fn simulate(
             _ => job.source.0,
         };
         // A rack without nodes has no shard to take the job.
-        let queued = lp
-            .shards
-            .get_mut(shard as usize)
-            .is_some_and(|queue| queue.try_enqueue(job.id));
-        if queued {
+        if lp.shards.try_enqueue(shard, job.id) {
             lp.drain_shard(shard, job.arrival_us);
         } else {
             lp.stats.shed_jobs += 1;
             tracer.event_with(track, EVENT_DES_SHED, |a| {
                 a.u64("job", job.id);
                 if let Some(node) = nodes.get(shard as usize) {
-                    a.str("shard", &node.name);
+                    a.display("shard", node.name);
                 }
             });
         }
@@ -448,6 +535,65 @@ mod tests {
             completed[1].contains("\"job\":\"0\",\"shard\":\"r0sd0\""),
             "{trace}"
         );
+    }
+
+    /// `(running, queued)` on `shard`.
+    fn load(q: &ShardQueues, shard: usize) -> (u32, usize) {
+        (q.shards[shard].busy, q.shards[shard].len)
+    }
+
+    #[test]
+    fn shard_queue_bounds_backlog_and_slots() {
+        let mut q = ShardQueues::new([2, 1].into_iter(), 3, 8);
+        assert_eq!(load(&q, 0), (0, 0));
+        // Backlog accepts up to `depth` jobs, then sheds.
+        assert!(q.try_enqueue(0, 1));
+        assert!(q.try_enqueue(0, 2));
+        assert!(q.try_enqueue(0, 3));
+        assert!(!q.try_enqueue(0, 4), "fourth arrival must be refused");
+        assert_eq!(load(&q, 0), (0, 3));
+        // The other shard's backlog threads through the same links.
+        assert!(q.try_enqueue(1, 5));
+        // Starts drain FIFO into the two slots.
+        assert_eq!(q.try_start(0), Some(1));
+        assert_eq!(q.try_start(0), Some(2));
+        assert_eq!(q.try_start(0), None, "both slots busy");
+        assert_eq!(load(&q, 0), (2, 1));
+        // Finishing frees a slot; the backlog has room again.
+        q.finish(0);
+        assert!(q.try_enqueue(0, 4));
+        assert_eq!(q.try_start(0), Some(3));
+        q.finish(0);
+        q.finish(0);
+        assert_eq!(q.try_start(0), Some(4));
+        q.finish(0);
+        assert_eq!(load(&q, 0), (0, 0));
+        assert_eq!(q.try_start(1), Some(5));
+        assert_eq!(load(&q, 1), (1, 0));
+    }
+
+    #[test]
+    fn shard_queue_clamps_degenerate_parameters() {
+        let mut q = ShardQueues::new([0].into_iter(), 0, 8);
+        assert!(q.try_enqueue(0, 7), "depth clamps to 1");
+        assert!(!q.try_enqueue(1, 6), "there is no shard 1");
+        assert_eq!(q.try_start(0), Some(7), "slots clamp to 1");
+        // finish() below zero saturates rather than underflowing.
+        q.finish(0);
+        q.finish(0);
+        assert_eq!(load(&q, 0), (0, 0));
+    }
+
+    #[test]
+    fn an_unbounded_depth_sizes_nothing() {
+        // The depth bounds a count: `usize::MAX` must neither overflow
+        // nor reserve a backlog buffer.
+        let mut q = ShardQueues::new([1, 1].into_iter(), usize::MAX, 4);
+        for id in 0..4 {
+            assert!(q.try_enqueue(id as u32 % 2, id));
+        }
+        assert_eq!((q.try_start(0), q.try_start(1)), (Some(0), Some(1)));
+        assert_eq!((load(&q, 0), load(&q, 1)), ((1, 1), (1, 1)));
     }
 
     fn degenerate(racks: u32, hosts_per_rack: u32, sds_per_rack: u32) -> (DesConfig, RackRun) {

@@ -208,7 +208,7 @@ impl NodeRunner {
         time += self.disk.charge_thrash(stats.swapped_bytes);
         let report = RunReport {
             job: stats.job.clone(),
-            node: self.node().name.clone(),
+            node: self.node().name.to_string(),
             mode,
             input_bytes,
             time,

@@ -12,12 +12,6 @@
 //! `MultiSdRunner` and a `McsdFramework` therefore make *identical*
 //! decisions — the engine-parity test asserts exactly that.
 //!
-//! For rack scale the engine additionally grows [`ShardQueue`]: the
-//! per-shard run queue (shard = one SD or host node, serial within a
-//! shard, no locks shared across shards) that the discrete-event loop in
-//! [`crate::des`] schedules thousands of concurrent jobs through
-//! (DESIGN.md §17).
-//!
 //! The engine is also the sole owner of the scheduler-side overload
 //! counters ([`OverloadStats`]: steered spans, re-partitions, breaker
 //! opens and probes); the daemon keeps owning sheds, expiries and
@@ -240,69 +234,6 @@ impl SpanDisposition {
             redispatches: u64::from(self.redispatched(primary)),
             ..ResilienceStats::default()
         }
-    }
-}
-
-/// One shard's run queue in the rack-scale model (DESIGN.md §17): a
-/// fixed number of execution slots plus a bounded FIFO backlog. Each
-/// shard is owned by exactly one node (SD or host) and is driven
-/// serially by the discrete-event loop, so the type needs no interior
-/// locking — determinism comes from the event order, not from
-/// synchronization.
-#[derive(Debug, Clone)]
-pub struct ShardQueue {
-    slots: u32,
-    busy: u32,
-    depth: usize,
-    waiting: std::collections::VecDeque<u64>,
-}
-
-impl ShardQueue {
-    /// A queue with `slots` concurrent execution slots and room for
-    /// `depth` waiting jobs behind them (both clamped to at least 1).
-    pub fn new(slots: u32, depth: usize) -> ShardQueue {
-        ShardQueue {
-            slots: slots.max(1),
-            busy: 0,
-            depth: depth.max(1),
-            waiting: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// Accept job `id` into the backlog, or refuse it (shed) when the
-    /// backlog is at `depth`.
-    pub fn try_enqueue(&mut self, id: u64) -> bool {
-        if self.waiting.len() >= self.depth {
-            return false;
-        }
-        self.waiting.push_back(id);
-        true
-    }
-
-    /// Pop the oldest waiting job into a free slot; `None` when every
-    /// slot is busy or nothing is waiting.
-    pub fn try_start(&mut self) -> Option<u64> {
-        if self.busy >= self.slots {
-            return None;
-        }
-        let id = self.waiting.pop_front()?;
-        self.busy += 1;
-        Some(id)
-    }
-
-    /// Release the slot held by a finished job.
-    pub fn finish(&mut self) {
-        self.busy = self.busy.saturating_sub(1);
-    }
-
-    /// Jobs waiting in the backlog.
-    pub fn queued(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Jobs currently occupying execution slots.
-    pub fn running(&self) -> u32 {
-        self.busy
     }
 }
 
@@ -947,43 +878,6 @@ mod tests {
         assert!(d.left_primary(0));
         assert_eq!(e.overload_totals().steered_spans, 2);
         assert_eq!(e.breaker_state(0), BreakerState::Open);
-    }
-
-    #[test]
-    fn shard_queue_bounds_backlog_and_slots() {
-        let mut q = ShardQueue::new(2, 3);
-        assert_eq!((q.running(), q.queued()), (0, 0));
-        // Backlog accepts up to `depth` jobs, then sheds.
-        assert!(q.try_enqueue(1));
-        assert!(q.try_enqueue(2));
-        assert!(q.try_enqueue(3));
-        assert!(!q.try_enqueue(4), "fourth arrival must be refused");
-        assert_eq!(q.queued(), 3);
-        // Starts drain FIFO into the two slots.
-        assert_eq!(q.try_start(), Some(1));
-        assert_eq!(q.try_start(), Some(2));
-        assert_eq!(q.try_start(), None, "both slots busy");
-        assert_eq!((q.running(), q.queued()), (2, 1));
-        // Finishing frees a slot; the backlog has room again.
-        q.finish();
-        assert!(q.try_enqueue(4));
-        assert_eq!(q.try_start(), Some(3));
-        q.finish();
-        q.finish();
-        assert_eq!(q.try_start(), Some(4));
-        q.finish();
-        assert_eq!((q.running(), q.queued()), (0, 0));
-    }
-
-    #[test]
-    fn shard_queue_clamps_degenerate_parameters() {
-        let mut q = ShardQueue::new(0, 0);
-        assert!(q.try_enqueue(7), "depth clamps to 1");
-        assert_eq!(q.try_start(), Some(7), "slots clamp to 1");
-        // finish() below zero saturates rather than underflowing.
-        q.finish();
-        q.finish();
-        assert_eq!((q.running(), q.queued()), (0, 0));
     }
 
     #[test]

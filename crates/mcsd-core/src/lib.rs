@@ -78,7 +78,7 @@ pub use chaos::{
 };
 pub use des::{synthesize_workload, DesConfig, DesJob, RackRun, DES_TRACE_TRACK};
 pub use driver::{ExecMode, NodeRunReport, NodeRunner};
-pub use engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall, ShardQueue, SpanDisposition};
+pub use engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall, SpanDisposition};
 pub use error::McsdError;
 pub use footprint::FootprintOverride;
 pub use framework::{McsdFramework, ResilienceConfig};

@@ -137,7 +137,12 @@ impl MultiSdRunner {
     /// Split `input` into one contiguous span per SD node, on boundaries
     /// legal for `job`.
     pub fn plan_spans<J: Job>(&self, job: &J, input: &[u8]) -> Vec<std::ops::Range<usize>> {
-        let sd_count = self.sd_nodes().len();
+        let sd_count = self
+            .cluster
+            .nodes
+            .iter()
+            .filter(|n| n.role == NodeRole::SmartStorage)
+            .count();
         let span = input.len().div_ceil(sd_count.max(1)).max(1);
         Splitter::new(job.split_spec()).split(input, span)
     }
@@ -227,7 +232,7 @@ impl MultiSdRunner {
         let mut groups = match replication {
             Some(setup) => Some(ReplicationGroups::plan(
                 setup,
-                sd_nodes.iter().map(|n| n.name.clone()).collect(),
+                sd_nodes.iter().map(|n| n.name.to_string()).collect(),
                 spans.len(),
                 injector.clone(),
             )?),
@@ -551,7 +556,7 @@ mod tests {
             n.memory_bytes = 64 << 20;
         }
         let runner = MultiSdRunner::new(cluster).unwrap();
-        let host_name = runner.cluster().host().name.clone();
+        let host_name = runner.cluster().host().name.to_string();
         let input = text(8_000);
         // The only SD node fails its primary run and its retry; the host
         // (which never consults the injector) finishes the span.

@@ -1,12 +1,18 @@
 //! The discrete-event loop's allocation budget (DESIGN.md §17): with a
-//! disabled tracer a run allocates for its set-up — topology, shard
-//! queues, the job, placement and arrival-order vectors — and nothing
-//! per job, counted by this binary's own allocator so a per-job
-//! allocation that creeps back in fails here and not only on the
-//! benchmark box. One test, so nothing else allocates while it counts.
+//! disabled tracer a run allocates for its set-up — the node list, the
+//! id lists, the job, placement and arrival-order vectors, the stable
+//! arrival sort's scratch, the shard queues' two vectors, the uplink
+//! clocks and the completion heap — and nothing per job, per node or per
+//! queued job. The count is one constant for every seed, job count (past
+//! the few hundred whose sort scratch fits on the stack), rack shape and
+//! queue depth, counted by this binary's own allocator so an allocation
+//! that creeps back in fails here and not only on the benchmark box. One
+//! test, so nothing else allocates while it counts; run it with
+//! `--nocapture` to print one `name value` line per reading.
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
+use mcsd_cluster::{RackSpec, Scale};
 use mcsd_core::des::{self, DesConfig};
 use mcsd_obs::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -43,30 +49,53 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations of one run on the default 104-node rack at the load the
-/// `rack_des` benchmark workload offers: one arrival per 15 virtual ms,
-/// which the rack absorbs without shedding.
-fn allocations(jobs: u64) -> u64 {
-    let cfg = DesConfig {
-        arrival_spread_us: 15_000 * jobs,
-        ..DesConfig::default_experiment(jobs, 17)
-    };
+/// What `f` allocates.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let run = des::run(&cfg, &Tracer::disabled());
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(run.report.stats.completed_jobs, jobs);
-    allocations
+    let out = f();
+    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
 }
 
 #[test]
-fn des_run_allocates_for_set_up_not_per_job() {
-    let small = allocations(10_000);
-    let large = allocations(20_000);
-    assert!(small <= 450, "{small} allocations for 10 000 jobs");
-    // Twice the jobs may deepen a few shard backlogs (a `VecDeque`
-    // doubling each) and nothing else.
+fn des_run_allocates_a_constant_for_set_up() {
+    let default = RackSpec::default_experiment();
+    let (built, topo) = allocations(|| default.build(Scale::default_experiment()));
+    assert_eq!(topo.cluster.nodes.len(), 104);
+    println!("rack_build {built}");
+    assert_eq!(built, 1, "building the 104-node rack");
+
+    let pair = RackSpec {
+        racks: 1,
+        hosts_per_rack: 1,
+        sds_per_rack: 1,
+        uplink_oversubscription: 4,
+    };
+    let mut counts = Vec::new();
+    for jobs in [10_000, 20_000] {
+        for seed in [17, 42] {
+            for spec in [pair, default] {
+                for queue_depth in [1, 64] {
+                    // The `rack_des` benchmark's load: one arrival per 15
+                    // virtual ms, which the default rack absorbs.
+                    let cfg = DesConfig {
+                        spec,
+                        queue_depth,
+                        arrival_spread_us: 15_000 * jobs,
+                        ..DesConfig::default_experiment(jobs, seed)
+                    };
+                    let (count, run) = allocations(|| des::run(&cfg, &Tracer::disabled()));
+                    assert!(run.report.stats.is_conserved());
+                    assert_eq!(run.report.stats.arrivals, jobs);
+                    counts.push(count);
+                }
+            }
+        }
+    }
+    let run = counts[0];
+    println!("des_run {run}");
     assert!(
-        large.saturating_sub(small) <= 32,
-        "{small} allocations for 10 000 jobs, {large} for 20 000"
+        counts.iter().all(|&count| count == run),
+        "allocations per run vary: {counts:?}"
     );
+    assert!(run <= 12, "{run} allocations per run");
 }

@@ -172,6 +172,44 @@ fn parity_grid_matches_the_pinned_digests() {
     assert!(shed > 1_000, "the grid must exercise the shed path: {shed}");
 }
 
+/// The depth bounds a count, never a buffer: depths 0 (clamped to 1), 1
+/// and `usize::MAX` on a small rack flooded at time zero and spread over
+/// a millisecond conserve every job, and report, placements and trace
+/// bytes match digests captured from the build whose shards queued in a
+/// `VecDeque` each.
+#[test]
+fn queue_depth_extremes_match_the_pinned_digests() {
+    #[rustfmt::skip]
+    const DIGESTS: [u64; 6] = [
+        0xfea1985091826493, 0xd4c696a9ba954401, // depth 0
+        0xfea1985091826493, 0xd4c696a9ba954401, // depth 1
+        0x096621ae79aa48c1, 0xe2a606d71cb065e0, // depth usize::MAX
+    ];
+    let mut got = Vec::new();
+    for queue_depth in [0, 1, usize::MAX] {
+        for arrival_spread_us in [0, 1_000] {
+            let cfg = DesConfig {
+                spec: RackSpec {
+                    racks: 3,
+                    hosts_per_rack: 1,
+                    sds_per_rack: 2,
+                    uplink_oversubscription: 4,
+                },
+                queue_depth,
+                arrival_spread_us,
+                ..DesConfig::default_experiment(300, 11)
+            };
+            let tracer = Tracer::enabled();
+            let run = des::run(&cfg, &tracer);
+            assert!(run.report.stats.is_conserved());
+            assert_eq!(run.report.stats.arrivals, 300);
+            let hash = fnv1a(0xcbf2_9ce4_8422_2325, format!("{run:?}").as_bytes());
+            got.push(fnv1a(hash, jsonl(&tracer).as_bytes()));
+        }
+    }
+    assert_eq!(got, DIGESTS);
+}
+
 proptest! {
     /// §17 parity: a 1-rack/1-host/1-SD `RackSpec` makes exactly the
     /// scheduling decisions `paper_testbed` makes — replaying the DES's

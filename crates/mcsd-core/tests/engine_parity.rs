@@ -109,7 +109,7 @@ fn multisd_side(scenario: &Scenario) -> Observed {
         n.memory_bytes = 64 << 20;
     }
     let runner = MultiSdRunner::with_breaker_config(cluster, scenario.breaker).unwrap();
-    let host = runner.cluster().host().name.clone();
+    let host = runner.cluster().host().name.to_string();
     let injector = FaultInjector::new(scenario.plan_at(FaultSite::Span));
     let expect = seq::wordcount(&scenario.text);
 

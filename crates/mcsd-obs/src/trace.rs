@@ -61,6 +61,12 @@ impl Attrs {
 
     /// Write an integer-valued attribute, rendered in decimal.
     pub fn u64(&mut self, key: &'static str, value: u64) {
+        self.display(key, value);
+    }
+
+    /// Write an attribute rendered through its `Display` — a value that
+    /// is not a string until a recording tracer asks for one.
+    pub fn display(&mut self, key: &'static str, value: impl std::fmt::Display) {
         self.0.push((key, value.to_string()));
     }
 }
@@ -410,7 +416,7 @@ mod tests {
         let s = by_slice.open(t, "phoenix.job", &[("job", "wc"), ("span", "7")]);
         by_slice.leaf(t, "phoenix.map", 5, &[("map_tasks", "12")]);
         by_slice.event(t, "sd.request", &[("module", "wc"), ("attempt", "2")]);
-        by_slice.event(t, "sd.dispatch", &[]);
+        by_slice.event(t, "sd.dispatch", &[("lane", "03")]);
         by_slice.close(t, s);
 
         let lazily = Tracer::enabled();
@@ -424,7 +430,9 @@ mod tests {
             a.str("module", "wc");
             a.u64("attempt", 2);
         });
-        lazily.event_with(t, "sd.dispatch", |_| {});
+        lazily.event_with(t, "sd.dispatch", |a| {
+            a.display("lane", format_args!("{:02}", 3))
+        });
         lazily.close(t, s);
 
         let bytes = crate::export::jsonl(&by_slice);
