@@ -29,6 +29,13 @@ impl WordCount {
         SumMerger::new(|acc: &mut u64, v: u64| *acc += v)
     }
 
+    /// Word Count's output order: frequency descending, then word ascending
+    /// for determinism — of owned pairs ([`Job::compare_output`]) and of
+    /// pairs borrowed from the Merge function's run alike.
+    pub fn order(a: (&str, u64), b: (&str, u64)) -> Ordering {
+        b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+    }
+
     /// Tokenize a byte slice into words (whitespace-separated, non-empty).
     pub fn words(text: &[u8]) -> impl Iterator<Item = &[u8]> {
         text.split(|b| b.is_ascii_whitespace())
@@ -45,9 +52,9 @@ impl Job for WordCount {
         // chunk — `emitted_pairs` counts distinct words per chunk, not
         // occurrences. A valid-UTF-8 word reaches the emitter as the slice
         // of the chunk it is, and stays borrowed through reduce, until the
-        // run's output or the Merge function owns it — once per job
-        // (DESIGN.md §19); only a word `from_utf8_lossy` had to repair is
-        // copied.
+        // run's output owns it or the Merge function copies it into its
+        // arena — once per job (DESIGN.md §19); only a word
+        // `from_utf8_lossy` had to repair is copied.
         // The table is sized once, for what a default 64 KiB chunk of text
         // holds at most: grown from empty for every chunk it was a quarter
         // of the job's allocated bytes.
@@ -82,9 +89,8 @@ impl Job for WordCount {
         OutputOrder::Custom
     }
 
-    /// Frequency descending, then word ascending for determinism.
     fn compare_output(&self, a: &(String, u64), b: &(String, u64)) -> Ordering {
-        b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+        Self::order((&a.0, a.1), (&b.0, b.1))
     }
 
     fn footprint_factor(&self) -> f64 {

@@ -1,8 +1,9 @@
-//! Word Count's allocation budget: one owned key per distinct word per
-//! job (DESIGN.md §19), counted by this binary's own allocator so a key
-//! allocation that creeps back in per fragment, per chunk or per worker
-//! fails here and not only on the benchmark box. One test, so nothing else
-//! allocates while it counts.
+//! Word Count's allocation budget on the owned path: one owned key per
+//! distinct word per job (DESIGN.md §19), counted by this binary's own
+//! allocator so a key allocation that creeps back in per fragment, per
+//! chunk or per worker fails here and not only on the benchmark box. One
+//! test, so nothing else allocates while it counts; run it with
+//! `--nocapture` to print its `wc_run_file` reading.
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
@@ -60,6 +61,7 @@ fn wordcount_allocates_one_key_per_distinct_word_per_job() {
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
     std::fs::remove_file(&path).unwrap();
+    println!("wc_run_file {allocations}");
     assert_eq!(out.pairs, seq::wordcount(&text));
     assert_eq!(out.stats.fragments, 4);
     let distinct_words = out.pairs.len() as u64;

@@ -6,9 +6,10 @@
 //! [partition-size] parameter, the program will run in native way.
 //! Otherwise, the number of [partition-size] can be manually filled in by
 //! the programmer or automatically determined by the runtime system"
-//! (`auto`). Word Count and String Match share one runner for this: the
-//! native way reads the staged file whole, any `[partition-size]` streams
-//! it off the disk one fragment at a time, so it never has to fit in memory.
+//! (`auto`). Word Count and String Match share one fragment sweep for this:
+//! the native way is one fragment that spans the staged file, any
+//! `[partition-size]` streams it off the disk one fragment at a time, so it
+//! never has to fit in memory.
 //!
 //! Result payloads are simple line-oriented text (Word Count, String
 //! Match) or the binary matrix format (Matrix Multiplication), so the host
@@ -16,27 +17,30 @@
 
 use mcsd_apps::{Matrix, StringMatch, WordCount};
 use mcsd_cluster::NodeSpec;
+use mcsd_phoenix::partition::sort_output;
+use mcsd_phoenix::sort::parallel_sort_by;
 use mcsd_phoenix::{
-    Job, JobOutput, Merger, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime,
+    Job, Merger, PartitionSpec, PartitionedRuntime, PhoenixConfig, PhoenixError, Runtime,
 };
 use mcsd_smartfam::{ModuleError, ProcessingModule};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Parse the `[partition-size]` parameter: absent = native run, `auto` =
-/// runtime-determined, otherwise bytes.
+/// Parse the `[partition-size]` parameter: absent = native run, one
+/// fragment as large as any file; `auto` = runtime-determined; otherwise
+/// bytes.
 fn parse_partition(
     param: Option<&String>,
     node: &NodeSpec,
     footprint: f64,
-) -> Result<Option<PartitionSpec>, ModuleError> {
+) -> Result<PartitionSpec, ModuleError> {
     match param.map(String::as_str) {
-        None | Some("native") => Ok(None),
-        Some("auto") => Ok(Some(PartitionSpec::auto(&node.memory_model(), footprint))),
+        None | Some("native") => Ok(PartitionSpec::new(usize::MAX)),
+        Some("auto") => Ok(PartitionSpec::auto(&node.memory_model(), footprint)),
         Some(s) => {
             let bytes = mcsd_cluster::Scale::parse_label(s)
                 .ok_or_else(|| ModuleError::new(format!("bad partition size {s:?}")))?;
-            Ok(Some(PartitionSpec::new(bytes as usize)))
+            Ok(PartitionSpec::new(bytes as usize))
         }
     }
 }
@@ -103,24 +107,26 @@ impl Staged {
         Runtime::new(PhoenixConfig::with_workers(self.node.cores).memory(self.node.memory_model()))
     }
 
-    /// Run `job` over the staged file `rel`, natively or — given a
-    /// `[partition-size]` — as fragments streamed straight off the disk.
-    fn run<J: Job, M: Merger<J>>(
+    /// Fold `job` over the staged file `rel` with `merger`, fragment by
+    /// fragment off the disk. Natively the one fragment is the whole file,
+    /// which the memory model judges as [`Runtime::run`] would.
+    fn merge<J: Job, M: Merger<J>>(
         &self,
         job: &J,
         merger: &M,
         rel: &str,
         partition: Option<&String>,
-    ) -> Result<JobOutput<J::Key, J::Value>, ModuleError> {
-        let out = match parse_partition(partition, &self.node, job.footprint_factor())? {
-            None => self.runtime().run(job, &self.read(rel)?),
-            Some(spec) => PartitionedRuntime::new(self.runtime(), spec).run_file(
-                job,
-                &self.resolve(rel)?,
-                merger,
-            ),
-        };
-        out.map_err(ModuleError::new)
+    ) -> Result<M::Acc, ModuleError> {
+        let spec = parse_partition(partition, &self.node, job.footprint_factor())?;
+        let path = self.resolve(rel)?;
+        match PartitionedRuntime::new(self.runtime(), spec).merge_file(job, &path, merger) {
+            Ok((acc, _)) => Ok(acc),
+            // A read error names the staged file, as `Staged::read`'s do.
+            Err(PhoenixError::Io { detail }) => {
+                Err(ModuleError::new(format!("reading {rel:?}: {detail}")))
+            }
+            Err(e) => Err(ModuleError::new(e)),
+        }
     }
 }
 
@@ -134,11 +140,13 @@ impl WordCountModule {
     }
 
     /// Encode the output pairs as `word\tcount` lines.
-    pub fn encode(pairs: &[(String, u64)]) -> Vec<u8> {
-        let len = pairs.iter().map(|(w, c)| w.len() + decimal_len(*c) + 2);
+    pub fn encode<S: AsRef<str>>(pairs: &[(S, u64)]) -> Vec<u8> {
+        let len = pairs
+            .iter()
+            .map(|(w, c)| w.as_ref().len() + decimal_len(*c) + 2);
         let mut out = Vec::with_capacity(len.sum());
         for (w, c) in pairs {
-            out.extend_from_slice(w.as_bytes());
+            out.extend_from_slice(w.as_ref().as_bytes());
             out.push(b'\t');
             push_decimal(&mut out, *c);
             out.push(b'\n');
@@ -169,9 +177,16 @@ impl ProcessingModule for WordCountModule {
         let file = params
             .first()
             .ok_or_else(|| ModuleError::new("usage: wordcount [data-file] [partition-size]"))?;
-        let merger = WordCount::merger();
-        let out = self.0.run(&WordCount, &merger, file, params.get(1))?;
-        Ok(Self::encode(&out.pairs))
+        let run = self
+            .0
+            .merge(&WordCount, &WordCount::merger(), file, params.get(1))?;
+        // The words are sorted and encoded where the Merge function holds
+        // them: not one of them is owned on the SD (DESIGN.md §19).
+        let mut pairs: Vec<(&str, u64)> = run.texts().map(|(word, &n)| (word, n)).collect();
+        parallel_sort_by(&mut pairs, self.0.node.cores, |a, b| {
+            WordCount::order(*a, *b)
+        });
+        Ok(Self::encode(&pairs))
     }
 }
 
@@ -234,8 +249,10 @@ impl ProcessingModule for StringMatchModule {
             .collect();
         let job = StringMatch::new(&keys);
         let merger = StringMatch::merger();
-        let out = self.0.run(&job, &merger, encrypt_file, params.get(2))?;
-        Ok(Self::encode(&out.pairs))
+        let matches = self.0.merge(&job, &merger, encrypt_file, params.get(2))?;
+        let mut pairs = Merger::<StringMatch>::finish(&merger, matches);
+        sort_output(&job, &mut pairs, self.0.node.cores);
+        Ok(Self::encode(&pairs))
     }
 }
 
@@ -362,17 +379,70 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// `text` with a word after every 50th space that is not UTF-8, or is
+    /// the one valid word such bytes are repaired to: a run then holds
+    /// that word as input text and as a key emitted owned.
+    fn with_invalid_utf8(text: &[u8]) -> Vec<u8> {
+        let odd: [&[u8]; 4] = [b"caf\xe9", b"\xff", "\u{fffd}".as_bytes(), b"\xff\xfe"];
+        let mut out = Vec::with_capacity(text.len() + text.len() / 50);
+        for (i, word) in text.split(|&b| b == b' ').enumerate() {
+            if i > 0 {
+                out.push(b' ');
+            }
+            out.extend_from_slice(word);
+            if i % 50 == 49 {
+                out.push(b' ');
+                out.extend_from_slice(odd[i / 50 % odd.len()]);
+            }
+        }
+        out
+    }
+
     #[test]
     fn wordcount_module_partitioned_matches_native() {
         let root = temp_root();
-        let text = TextGen::with_seed(2).generate(20_000);
-        std::fs::write(root.join("input.txt"), &text).unwrap();
         let m = WordCountModule::new(&root, sd_node());
-        let native = m.invoke(&["input.txt".into()]).unwrap();
-        let part = m.invoke(&["input.txt".into(), "4K".into()]).unwrap();
-        let auto = m.invoke(&["input.txt".into(), "auto".into()]).unwrap();
-        assert_eq!(native, part);
-        assert_eq!(native, auto);
+        let clean = TextGen::with_seed(2).generate(20_000);
+        for text in [with_invalid_utf8(&clean), clean] {
+            std::fs::write(root.join("input.txt"), &text).unwrap();
+            let expect = WordCountModule::encode(&seq::wordcount(&text));
+            // Native, a few fragments, automatic, one fragment larger than
+            // the file, and one fragment every few words.
+            for size in [None, Some("4K"), Some("auto"), Some("1M"), Some("256")] {
+                let params: Vec<String> = std::iter::once("input.txt")
+                    .chain(size)
+                    .map(String::from)
+                    .collect();
+                assert_eq!(m.invoke(&params).unwrap(), expect, "partition {size:?}");
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn wordcount_module_native_run_is_one_fragment_of_the_whole_file() {
+        let root = temp_root();
+        std::fs::write(root.join("empty.txt"), b"").unwrap();
+        let m = WordCountModule::new(&root, sd_node());
+        assert_eq!(m.invoke(&["empty.txt".into()]).unwrap(), b"");
+        // A file over the SD's input limit overflows natively, as a whole
+        // file run by `Runtime::run` does; partitioned, it fits.
+        let node = NodeSpec::paper_sd(NodeId(1), 64 << 10);
+        let limit = node.memory_model().hard_limit_bytes();
+        let text = TextGen::with_seed(3).generate(100_000);
+        std::fs::write(root.join("big.txt"), &text).unwrap();
+        let m = WordCountModule::new(&root, node);
+        let err = m.invoke(&["big.txt".into()]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "memory overflow: input of {} bytes exceeds the Phoenix input limit of \
+                 {limit} bytes (enable partitioning to run out-of-core workloads)",
+                text.len()
+            )
+        );
+        let part = m.invoke(&["big.txt".into(), "auto".into()]).unwrap();
+        assert_eq!(part, WordCountModule::encode(&seq::wordcount(&text)));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -381,7 +451,11 @@ mod tests {
         let root = temp_root();
         let m = WordCountModule::new(&root, sd_node());
         assert!(m.invoke(&[]).is_err());
-        assert!(m.invoke(&["missing.txt".into()]).is_err());
+        let missing = m.invoke(&["missing.txt".into()]).unwrap_err().to_string();
+        assert!(
+            missing.starts_with("reading \"missing.txt\": "),
+            "{missing}"
+        );
         assert!(m.invoke(&["../escape".into()]).is_err());
         std::fs::write(root.join("f.txt"), b"x").unwrap();
         assert!(m.invoke(&["f.txt".into(), "not-a-size".into()]).is_err());

@@ -1,20 +1,29 @@
-//! The discrete-event loop's allocation budget (DESIGN.md §17): with a
-//! disabled tracer a run allocates for its set-up — the node list, the
-//! id lists, the job, placement and arrival-order vectors, the stable
-//! arrival sort's scratch, the shard queues' two vectors, the uplink
-//! clocks and the completion heap — and nothing per job, per node or per
-//! queued job. The count is one constant for every seed, job count (past
-//! the few hundred whose sort scratch fits on the stack), rack shape and
-//! queue depth, counted by this binary's own allocator so an allocation
-//! that creeps back in fails here and not only on the benchmark box. One
-//! test, so nothing else allocates while it counts; run it with
-//! `--nocapture` to print one `name value` line per reading.
+//! What the SD side allocates, counted by this binary's own allocator so
+//! an allocation that creeps back in fails here and not only on the
+//! benchmark box. One test, so nothing else allocates while it counts; run
+//! it with `--nocapture` to print one `name value` line per reading.
+//!
+//! * The discrete-event loop (DESIGN.md §17): with a disabled tracer a run
+//!   allocates for its set-up — the node list, the id lists, the job,
+//!   placement and arrival-order vectors, the stable arrival sort's
+//!   scratch, the shard queues' two vectors, the uplink clocks and the
+//!   completion heap — and nothing per job, per node or per queued job.
+//!   The count is one constant for every seed, job count (past the few
+//!   hundred whose sort scratch fits on the stack), rack shape and queue
+//!   depth.
+//! * The Word Count module (DESIGN.md §19): the words stay in the Merge
+//!   function's arena from the first fragment to the payload, so a job
+//!   allocates for its tables, runs and buffers and for no word — far
+//!   fewer times than there are distinct words.
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
-use mcsd_cluster::{RackSpec, Scale};
+use mcsd_apps::{seq, TextGen};
+use mcsd_cluster::{NodeId, NodeSpec, RackSpec, Scale};
 use mcsd_core::des::{self, DesConfig};
+use mcsd_core::modules::WordCountModule;
 use mcsd_obs::Tracer;
+use mcsd_smartfam::ProcessingModule;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,6 +66,11 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 #[test]
+fn sd_side_work_allocates_within_budget() {
+    des_run_allocates_a_constant_for_set_up();
+    wordcount_module_allocates_for_no_word();
+}
+
 fn des_run_allocates_a_constant_for_set_up() {
     let default = RackSpec::default_experiment();
     let (built, topo) = allocations(|| default.build(Scale::default_experiment()));
@@ -98,4 +112,27 @@ fn des_run_allocates_a_constant_for_set_up() {
         "allocations per run vary: {counts:?}"
     );
     assert!(run <= 12, "{run} allocations per run");
+}
+
+fn wordcount_module_allocates_for_no_word() {
+    let root = std::env::temp_dir().join(format!("mcsd-alloc-wc-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    let text = TextGen::with_seed(16).generate(1 << 20);
+    std::fs::write(root.join("f"), &text).unwrap();
+    let expect = WordCountModule::encode(&seq::wordcount(&text));
+    let distinct_words = seq::wordcount(&text).len() as u64;
+    // A paper SD node: two workers whatever the machine's core count.
+    let module = WordCountModule::new(&root, NodeSpec::paper_sd(NodeId(1), 64 << 20));
+    let params = ["f".to_string(), "256K".to_string()];
+
+    let (count, payload) = allocations(|| module.invoke(&params));
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(payload.unwrap(), expect);
+    println!("wc_module_invoke {count}");
+    // A word owned once per job, on the SD, costs one allocation per
+    // distinct word: eight times this budget.
+    assert!(
+        count < distinct_words / 8,
+        "{count} allocations for {distinct_words} distinct words"
+    );
 }

@@ -55,6 +55,15 @@ pub struct TextKey<K> {
     refill: fn(&str, &mut K),
 }
 
+// By hand: three function pointers copy whatever `K` is.
+impl<K> Clone for TextKey<K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for TextKey<K> {}
+
 impl<K: Borrow<str>> TextKey<K>
 where
     str: ToOwned<Owned = K>,
@@ -211,10 +220,10 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     /// for it when `key` is a slice of the job input (a word of the chunk
     /// being mapped): such a key is found again in the input by its
     /// address — as `bytes::Bytes::slice_ref` finds a sub-slice — and held
-    /// as that slice until the run's output or the Merge function owns it,
-    /// one allocation per distinct key per job. Any other `key` is copied
-    /// at once, as by [`Emitter::emit`]. Either way it groups with every
-    /// equal key, however emitted.
+    /// as that slice until the run's output or the Merge function keeps it
+    /// — at most one allocation per distinct key per job. Any other `key`
+    /// is copied at once, as by [`Emitter::emit`]. Either way it groups
+    /// with every equal key, however emitted.
     pub fn emit_ref(&mut self, key: &str, value: V)
     where
         K: Borrow<str>,

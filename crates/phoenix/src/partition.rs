@@ -17,7 +17,7 @@
 //! [`PartitionedRuntime`] is the same fragment sweep over one of the two.
 
 use crate::config::OutputOrder;
-use crate::emitter::InterKey;
+use crate::emitter::{InterKey, TextKey};
 use crate::error::PhoenixError;
 use crate::job::Job;
 use crate::memory::MemoryModel;
@@ -29,6 +29,7 @@ use crate::stopwatch::Stopwatch;
 use mcsd_obs::names::SPAN_PHOENIX_PARTITIONED;
 use mcsd_obs::ClockDomain;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -143,9 +144,10 @@ pub struct PlanOnFile {
 /// The Merge function is who owns a key (DESIGN.md §19): a fragment's keys
 /// arrive as [`InterKey`]s, input text still borrowed from the fragment
 /// buffer, which is refilled once `merge` returns. A key the accumulator
-/// keeps is made owned with [`InterKey::into_owned`] — its one allocation
-/// in the whole job; a key it already holds is compared
-/// ([`InterKey::cmp_key`]) and dropped without ever having been allocated.
+/// keeps must outlive that buffer — [`SumMerger`] copies its text into the
+/// run's one arena, and only `finish` makes it owned, once; a key it already
+/// holds is compared ([`InterKey::cmp_key`]) and dropped without ever having
+/// been copied.
 pub trait Merger<J: Job>: Sync {
     /// Accumulator carried across fragments.
     type Acc: Send;
@@ -164,9 +166,10 @@ pub trait Merger<J: Job>: Sync {
 
 /// Merge by key, folding values with the job's combiner semantics. The
 /// right merger for Word Count: per-fragment counts for the same word are
-/// summed. The accumulator is one key-sorted run that each fragment is
-/// merge-joined into, so only a key no earlier fragment held is allocated,
-/// and the merged pairs come out in key order on every run.
+/// summed. The accumulator is one key-sorted [`SumRun`] that each fragment
+/// is merge-joined into, so only a key no earlier fragment held is kept —
+/// input text by a copy into the run's arena, which allocates nothing per
+/// key — and the merged pairs come out in key order on every run.
 pub struct SumMerger<F> {
     fold: F,
 }
@@ -184,41 +187,161 @@ where
     J: Job,
     F: Fn(&mut J::Value, J::Value) + Sync,
 {
-    type Acc = Vec<(J::Key, J::Value)>;
+    type Acc = SumRun<J::Key, J::Value>;
 
     fn empty(&self) -> Self::Acc {
-        Vec::new()
+        SumRun {
+            pairs: Vec::new(),
+            arena: Arena {
+                text: String::new(),
+                as_text: None,
+            },
+        }
     }
 
     fn merge(&self, acc: &mut Self::Acc, mut fragment: Vec<(InterKey<'_, J::Key>, J::Value)>) {
         // Stable: the fragment's sorted runs are found and merged, not
         // sorted again.
         fragment.sort_by(|a, b| a.0.cmp(&b.0));
-        // The run holds at least the keys of its largest fragment.
-        acc.reserve(fragment.len().saturating_sub(acc.len()));
-        let held = acc.len();
+        let SumRun { pairs: run, arena } = acc;
+        // The run holds at least the keys of its largest fragment, and the
+        // arena at least their text.
+        run.reserve(fragment.len().saturating_sub(run.len()));
+        arena.reserve(&fragment);
+        let held = run.len();
         let mut at = 0;
         for (key, value) in fragment {
-            while at < held && key.cmp_key(&acc[at].0) == Ordering::Greater {
+            while at < held && arena.cmp_key(&key, &run[at].0) == Ordering::Greater {
                 at += 1;
             }
             // The key is the run's at `at`, or — a fragment may repeat a
             // key — the newest of the keys queued behind the run, or new.
-            let (run, queued) = acc.split_at_mut(held);
-            let mut candidates = run.get_mut(at).into_iter().chain(queued.last_mut());
-            match candidates.find(|(own, _)| key.cmp_key(own) == Ordering::Equal) {
+            let (old, queued) = run.split_at_mut(held);
+            let mut candidates = old.get_mut(at).into_iter().chain(queued.last_mut());
+            match candidates.find(|(own, _)| arena.cmp_key(&key, own) == Ordering::Equal) {
                 Some((_, folded)) => (self.fold)(folded, value),
-                None => acc.push((key.into_owned(), value)),
+                None => run.push((arena.hold(key), value)),
             }
         }
-        if held > 0 && acc.len() > held {
+        if held > 0 && run.len() > held {
             // Two sorted runs, merged in one pass.
-            acc.sort_by(|a, b| a.0.cmp(&b.0));
+            run.sort_by(|a, b| arena.cmp(&a.0, &b.0));
         }
     }
 
     fn finish(&self, acc: Self::Acc) -> Vec<(J::Key, J::Value)> {
-        acc
+        let SumRun { pairs, arena } = acc;
+        pairs
+            .into_iter()
+            .filter_map(|(key, value)| Some((arena.own(key)?, value)))
+            .collect()
+    }
+}
+
+/// [`SumMerger`]'s accumulator: one key-sorted run of folded pairs. A key
+/// handed over owned is moved in as it is; input text is copied into one
+/// arena per run and held as a span of it, so holding a word allocates
+/// nothing of its own — until [`Merger::finish`] owns it, or never, for a
+/// caller that reads the words through [`SumRun::texts`].
+pub struct SumRun<K, V> {
+    pairs: Vec<(Held<K>, V)>,
+    arena: Arena<K>,
+}
+
+/// A key a [`SumRun`] holds: owned, or a span of its arena — as wide as
+/// an owned `String`, so a run of `String` keys finishes in place.
+enum Held<K> {
+    Owned(K),
+    Text(Range<usize>),
+}
+
+/// The text a [`SumRun`]'s spans are cut from.
+struct Arena<K> {
+    text: String,
+    /// How `K` stands for text, taken from the first input key copied in —
+    /// so it is set whenever a span exists.
+    as_text: Option<TextKey<K>>,
+}
+
+impl<K: Borrow<str>, V> SumRun<K, V> {
+    /// The run's pairs in key order, every key as text borrowed from the
+    /// run: [`Merger::finish`] without a key made owned.
+    pub fn texts(&self) -> impl ExactSizeIterator<Item = (&str, &V)> + '_ {
+        self.pairs.iter().map(|(key, value)| {
+            let text = match key {
+                Held::Owned(own) => own.borrow(),
+                Held::Text(span) => self.arena.slice(span),
+            };
+            (text, value)
+        })
+    }
+}
+
+impl<K> Arena<K> {
+    fn slice(&self, span: &Range<usize>) -> &str {
+        &self.text[span.clone()]
+    }
+}
+
+impl<K: Ord> Arena<K> {
+    /// Room for the input text of `fragment`, once: grown key by key from
+    /// empty the arena is reallocated at every doubling.
+    fn reserve<V>(&mut self, fragment: &[(InterKey<'_, K>, V)]) {
+        let text = fragment.iter().map(|(key, _)| match key {
+            InterKey::Input(text, _) => text.len(),
+            InterKey::Owned(_) => 0,
+        });
+        self.text
+            .reserve(text.sum::<usize>().saturating_sub(self.text.len()));
+    }
+
+    /// Keep `key`: input text is copied in as a span, an owned key moved.
+    fn hold(&mut self, key: InterKey<'_, K>) -> Held<K> {
+        match key {
+            InterKey::Owned(own) => Held::Owned(own),
+            InterKey::Input(text, as_text) => {
+                let start = self.text.len();
+                self.text.push_str(text);
+                self.as_text.get_or_insert(*as_text);
+                Held::Text(start..self.text.len())
+            }
+        }
+    }
+
+    /// The owned key: for a span, its one allocation.
+    fn own(&self, key: Held<K>) -> Option<K> {
+        match key {
+            Held::Owned(own) => Some(own),
+            Held::Text(span) => {
+                Some(InterKey::Input(self.slice(&span), self.as_text.as_ref()?).into_owned())
+            }
+        }
+    }
+
+    /// How a span orders against an owned key.
+    fn cmp_text(&self, span: &Range<usize>, own: &K) -> Ordering {
+        let text = self.slice(span);
+        let as_text = self.as_text.as_ref();
+        as_text.map_or(Ordering::Less, |t| InterKey::Input(text, t).cmp_key(own))
+    }
+
+    /// How a fragment's key orders against a held one.
+    fn cmp_key(&self, key: &InterKey<'_, K>, held: &Held<K>) -> Ordering {
+        match (key, held) {
+            (_, Held::Owned(own)) => key.cmp_key(own),
+            (InterKey::Input(text, _), Held::Text(span)) => (*text).cmp(self.slice(span)),
+            (InterKey::Owned(own), Held::Text(span)) => self.cmp_text(span, own).reverse(),
+        }
+    }
+
+    /// How two held keys order.
+    fn cmp(&self, a: &Held<K>, b: &Held<K>) -> Ordering {
+        match (a, b) {
+            (Held::Owned(a), Held::Owned(b)) => a.cmp(b),
+            (Held::Text(a), Held::Owned(b)) => self.cmp_text(a, b),
+            (Held::Owned(a), Held::Text(b)) => self.cmp_text(b, a).reverse(),
+            (Held::Text(a), Held::Text(b)) => self.slice(a).cmp(self.slice(b)),
+        }
     }
 }
 
@@ -296,7 +419,8 @@ impl PartitionedRuntime {
         J: Job,
         M: Merger<J>,
     {
-        self.sweep(job, merger, || Ok(Source::Memory(input, base_offset)))
+        let (acc, stats) = self.sweep(job, merger, || Ok(Source::Memory(input, base_offset)))?;
+        Ok(self.finish(job, merger, acc, stats))
     }
 
     /// Run `job` over a *file*, fragment by fragment, never holding more
@@ -314,24 +438,63 @@ impl PartitionedRuntime {
         J: Job,
         M: Merger<J>,
     {
+        let (acc, stats) = self.merge_file(job, path, merger)?;
+        Ok(self.finish(job, merger, acc, stats))
+    }
+
+    /// [`PartitionedRuntime::run_file`] up to its Merge function's
+    /// accumulator: every fragment folded, nothing finished or ordered —
+    /// for a caller that reads the accumulator in place (a Word Count
+    /// module encodes from [`SumRun::texts`]). The stats are the run's,
+    /// bar `output_pairs`, which only a finished run knows.
+    pub fn merge_file<J, M>(
+        &self,
+        job: &J,
+        path: &Path,
+        merger: &M,
+    ) -> Result<(M::Acc, JobStats), PhoenixError>
+    where
+        J: Job,
+        M: Merger<J>,
+    {
         self.sweep(job, merger, || {
             Ok(Source::File(File::open(path)?, Vec::new()))
         })
     }
 
+    /// The end of every entry that returns pairs: the Merge function's
+    /// `finish`, then the job's order, timed as merge work.
+    fn finish<J, M>(
+        &self,
+        job: &J,
+        merger: &M,
+        acc: M::Acc,
+        mut stats: JobStats,
+    ) -> JobOutput<J::Key, J::Value>
+    where
+        J: Job,
+        M: Merger<J>,
+    {
+        let t0 = Stopwatch::start();
+        let mut pairs = merger.finish(acc);
+        sort_output(job, &mut pairs, self.runtime.config().workers);
+        stats.timings.merge += t0.elapsed();
+        stats.output_pairs = pairs.len() as u64;
+        JobOutput { pairs, stats }
+    }
+
     /// The one fragment sweep behind every entry: plan the fragments of
     /// the source `open` yields, run each on the inner runtime as far as
-    /// reduce, fold the reduced pairs — keys not yet owned, order not yet
-    /// applied: the Merge function destroys any order anyway — with
-    /// `merger`, and apply the job's order once at the end. Each fragment's
-    /// own `phoenix.job` tree nests inside one `phoenix.partitioned` span
-    /// (when traced).
+    /// reduce, and fold the reduced pairs — keys not yet owned, order not
+    /// yet applied: the Merge function destroys any order anyway — with
+    /// `merger`. Each fragment's own `phoenix.job` tree nests inside one
+    /// `phoenix.partitioned` span (when traced).
     fn sweep<'a, J, M>(
         &self,
         job: &J,
         merger: &M,
         open: impl FnOnce() -> Result<Source<'a>, PhoenixError>,
-    ) -> Result<JobOutput<J::Key, J::Value>, PhoenixError>
+    ) -> Result<(M::Acc, JobStats), PhoenixError>
     where
         J: Job,
         M: Merger<J>,
@@ -393,18 +556,8 @@ impl PartitionedRuntime {
             tracer.close(track, span);
         }
         fragment_loop?;
-
-        let t0 = Stopwatch::start();
-        let mut pairs = merger.finish(acc);
-        sort_output(job, &mut pairs, self.runtime.config().workers);
-        merge_time += t0.elapsed();
-
         agg_stats.timings.merge += merge_time;
-        agg_stats.output_pairs = pairs.len() as u64;
-        Ok(JobOutput {
-            pairs,
-            stats: agg_stats,
-        })
+        Ok((acc, agg_stats))
     }
 }
 
@@ -497,6 +650,15 @@ mod tests {
         let pieces = part.run(&Wc, &data, &merger).unwrap();
         assert_eq!(whole.pairs, pieces.pairs);
         assert!(pieces.stats.fragments > 1);
+        // The same sweep over a file, stopped at the Merge function's run:
+        // its borrowed words, ordered, are the run's pairs.
+        let path = temp_file(&data);
+        let (run, stats) = part.merge_file(&Wc, &path, &merger).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(stats.fragments, pieces.stats.fragments);
+        let mut viewed: Vec<_> = run.texts().map(|(w, &n)| (w.to_string(), n)).collect();
+        viewed.sort_by(|a, b| Wc.compare_output(a, b));
+        assert_eq!(viewed, whole.pairs);
     }
 
     #[test]
@@ -615,8 +777,28 @@ mod tests {
         let fragment = vec![input("e", 5), owned("c", 5), owned("d", 5), input("0", 5)];
         Merger::<Wc>::merge(&merger, &mut acc, fragment);
         let expect = [("0", 5), ("a", 1), ("b", 2), ("c", 5), ("d", 6), ("e", 5)];
+        let viewed: Vec<_> = acc.texts().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(viewed, expect, "the borrowed view, in key order");
         let expect: Vec<_> = expect.iter().map(|&(k, v)| (k.to_string(), v)).collect();
         assert_eq!(Merger::<Wc>::finish(&merger, acc), expect);
+    }
+
+    #[test]
+    fn a_run_of_owned_keys_finishes_in_its_own_buffer() {
+        // The multi-SD host merge hands over owned keys only: owning them
+        // again at `finish` must not cost a second vector.
+        assert_eq!(
+            std::mem::size_of::<(Held<String>, u64)>(),
+            std::mem::size_of::<(String, u64)>()
+        );
+        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
+        let mut acc = <SumMerger<_> as Merger<Wc>>::empty(&merger);
+        let owned = |k: usize| (InterKey::Owned(format!("w{k:03}")), 1);
+        Merger::<Wc>::merge(&merger, &mut acc, (0..100).map(owned).collect());
+        let buffer = acc.pairs.as_ptr() as usize;
+        let pairs = Merger::<Wc>::finish(&merger, acc);
+        assert_eq!(pairs.as_ptr() as usize, buffer);
+        assert_eq!(pairs.len(), 100);
     }
 
     #[test]
