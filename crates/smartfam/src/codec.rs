@@ -384,6 +384,22 @@ impl<'a> Params<'a> {
     pub fn to_vec(&self) -> Vec<String> {
         self.iter().map(str::to_string).collect()
     }
+
+    /// Copy the parameters into `out`, a set a reader recycles: `out` is
+    /// cut to their count, each kept `String` is refilled in its own
+    /// buffer, and only a parameter beyond `out`'s old length is new.
+    pub fn copy_into(&self, out: &mut Vec<String>) {
+        out.truncate(self.count);
+        for (i, param) in self.iter().enumerate() {
+            match out.get_mut(i) {
+                Some(kept) => {
+                    kept.clear();
+                    kept.push_str(param);
+                }
+                None => out.push(param.to_string()),
+            }
+        }
+    }
 }
 
 /// What a frame carries, borrowed from the buffer it was decoded in.

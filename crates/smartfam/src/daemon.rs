@@ -28,7 +28,7 @@ use crate::codec::{
     HeartbeatRecord, Status, ViewBody,
 };
 use crate::faults::{FaultAction, FaultInjector, FaultSite, SplitMix64, QUARANTINE_TOKEN};
-use crate::log_file::{give_back, log_path, module_of, LogFile, LogRole};
+use crate::log_file::{give_back, log_path, module_of, LogFile, LogRole, TAIL_KEEP_BYTES};
 use crate::module::{ModuleRegistry, ProcessingModule};
 use crate::replica::{recover_group, ReplicaConfig};
 use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
@@ -41,7 +41,7 @@ use mcsd_obs::names::{
 use mcsd_obs::{ClockDomain, CounterFamily, Tracer, TrackId};
 use mcsd_phoenix::{wall_clock_ms, Stopwatch};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -281,6 +281,37 @@ struct Books {
     /// Tracer handle plus the `sd.daemon` track it emits on.
     trace: (Tracer, TrackId),
     quarantine_threshold: u32,
+    spare_params: SpareParams,
+}
+
+/// Parameter sets whose requests are answered, waiting to carry the next
+/// requests' parameters: the loop takes one for each request it copies
+/// out, and a set comes back once its reply is appended. A module log has
+/// one owner at a time, so a set only ever moves loop → worker → here.
+struct SpareParams {
+    sets: Mutex<Vec<Vec<String>>>,
+    /// `max_in_flight + max_queued`: admission holds no more requests at
+    /// once, so a replay burst past it drops the extra sets.
+    keep: usize,
+}
+
+impl SpareParams {
+    fn take(&self) -> Vec<String> {
+        self.sets.lock().pop().unwrap_or_default()
+    }
+
+    /// Keep `set` unless the list is full or its strings together hold
+    /// more than [`TAIL_KEEP_BYTES`] — one huge parameter is not held for
+    /// ever.
+    fn give(&self, set: Vec<String>) {
+        if set.iter().map(String::capacity).sum::<usize>() > TAIL_KEEP_BYTES {
+            return;
+        }
+        let mut sets = self.sets.lock();
+        if sets.len() < self.keep {
+            sets.push(set);
+        }
+    }
 }
 
 impl Books {
@@ -504,9 +535,33 @@ impl ModuleLog {
 /// replay.
 type ReplayBarrier = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
 
-/// One worker bucket entry in the batched dispatch pool: the request's
-/// index within its chunk, the module to run, and its parameters.
-type BucketedRun = (usize, Arc<dyn ProcessingModule>, Vec<String>);
+/// One request of a batch between [`DaemonCtx::execute_batch`]'s phases.
+struct Planned {
+    req: QueuedRequest,
+    /// The module to run, when the gate let the request through.
+    run: Option<Arc<dyn ProcessingModule>>,
+    /// What the module returned, once its worker has run it.
+    result: Option<Result<Vec<u8>, String>>,
+    /// The answer to commit: the gate's reject or the completed result.
+    reply: Option<Reply>,
+}
+
+/// One entry of a worker's bucket: the request's slot in the batch, and
+/// the module's result once the worker has run it in place.
+type BucketedRun = (usize, Option<Result<Vec<u8>, String>>);
+
+/// What [`DaemonCtx::execute_batch`] keeps from one batch to the next,
+/// emptied after each.
+#[derive(Default)]
+struct BatchScratch {
+    /// The batch, in batch order.
+    planned: Vec<Planned>,
+    /// One per worker.
+    buckets: Vec<Vec<BucketedRun>>,
+    /// The commit order: the slots of `planned` holding a reply, by
+    /// (log path, slot).
+    order: Vec<usize>,
+}
 
 /// What [`DaemonCtx::gate`] decided about one dequeued request.
 enum Gated {
@@ -608,10 +663,13 @@ impl WorkerPool {
     fn work(&self, mut job: LiveJob) {
         let mut encoded = Vec::new();
         loop {
-            let LiveJob { module, req } = &job;
+            let LiveJob { module, req } = &mut job;
             let result = run_module(module.as_ref(), &req.params);
             let reply = self.books.complete(&req.log.name, req.id, result);
             req.log.append(&reply, &mut encoded);
+            self.books
+                .spare_params
+                .give(std::mem::take(&mut req.params));
             let mut lane = self.lane();
             self.books.in_flight.fetch_sub(1, Ordering::Relaxed);
             job = loop {
@@ -650,6 +708,7 @@ struct DaemonCtx {
     /// wire lengths of the frames a batch commit encoded into it.
     encoded: Vec<u8>,
     encoded_lens: Vec<usize>,
+    batch_scratch: BatchScratch,
     /// Daemon-side batch counters (only mutated on the batched path).
     batch_stats: Arc<BatchInner>,
     /// Monotonic batch id; starts at 0 so the first formed batch is 1
@@ -677,6 +736,10 @@ fn daemon_loop(
         in_flight: AtomicU64::new(0),
         trace: (tracer, track),
         quarantine_threshold: config.quarantine_threshold,
+        spare_params: SpareParams {
+            sets: Mutex::new(Vec::new()),
+            keep: config.max_in_flight.saturating_add(config.max_queued),
+        },
     });
     let heartbeat_tmp = config.log_dir.join("daemon.heartbeat.tmp");
     let heartbeat_file = config.log_dir.join(HEARTBEAT_FILE);
@@ -696,6 +759,7 @@ fn daemon_loop(
         fresh: Vec::new(),
         encoded: Vec::new(),
         encoded_lens: Vec::new(),
+        batch_scratch: BatchScratch::default(),
         batch_stats,
         batch_seq: 0,
     };
@@ -888,8 +952,10 @@ impl DaemonCtx {
                 .corrupt_skipped_bytes
                 .fetch_add(skipped, Ordering::Relaxed);
         }
-        // Copy out what will be admitted and nothing else, in log order.
+        // Copy out what will be admitted and nothing else, in log order,
+        // each request's parameters into a recycled set.
         let mut fresh = std::mem::take(&mut self.fresh);
+        let spares = &self.books.spare_params;
         fresh.extend(self.unanswered.drain().filter_map(|(id, offset)| {
             let ViewBody::Request {
                 params,
@@ -898,10 +964,12 @@ impl DaemonCtx {
             else {
                 return None;
             };
+            let mut set = spares.take();
+            params.copy_into(&mut set);
             let request = QueuedRequest {
                 log: Arc::clone(&state.module),
                 id,
-                params: params.to_vec(),
+                params: set,
                 expires_unix_ms,
             };
             Some((offset, request))
@@ -963,11 +1031,12 @@ impl DaemonCtx {
     /// the multi-worker batch executor.
     fn drain_queue(&mut self) {
         if let Some(bcfg) = self.config.batch {
+            let mut scratch = std::mem::take(&mut self.batch_scratch);
             while !self.stop.load(Ordering::Relaxed) && !self.queue.is_empty() {
                 let n = bcfg.max_batch.max(1).min(self.queue.len());
-                let chunk: Vec<QueuedRequest> = self.queue.drain(..n).collect();
-                self.execute_batch(bcfg, chunk);
+                self.execute_batch(bcfg, n, &mut scratch);
             }
+            self.batch_scratch = scratch;
             return;
         }
         while !self.stop.load(Ordering::Relaxed) && !self.slots_busy() {
@@ -1064,43 +1133,51 @@ impl DaemonCtx {
         }
     }
 
-    /// Run one formed batch (DESIGN.md §18): admission-class checks per
-    /// request in queue order, module execution on the seeded worker
-    /// pool, then a single-threaded commit that appends every log's
-    /// responses as one coalesced batch with one fsync.
+    /// Run the next `size` queued requests as one batch (DESIGN.md §18) in
+    /// `scratch`, kept from batch to batch: admission-class checks per
+    /// request in queue order, module execution on the seeded worker pool,
+    /// then a single-threaded commit that appends every log's responses as
+    /// one coalesced batch with one fsync.
     ///
     /// Determinism: the workers only *compute* — every trace event,
     /// health update and counter lands on this (single) thread in batch
     /// order, and module→worker assignment is a pure seeded hash, so a
     /// same-seed run over the same queued requests produces
     /// byte-identical traces regardless of worker timing.
-    fn execute_batch(&mut self, cfg: BatchConfig, chunk: Vec<QueuedRequest>) {
-        struct Planned {
-            req: QueuedRequest,
-            /// `Some` until the worker pool runs it; gate rejects go
-            /// straight to `reply`.
-            run: Option<Arc<dyn ProcessingModule>>,
-            reply: Option<Reply>,
-        }
+    fn execute_batch(&mut self, cfg: BatchConfig, size: usize, scratch: &mut BatchScratch) {
         self.batch_seq += 1;
         let batch_id = self.batch_seq;
-        let size = chunk.len();
         // Span width = requests in the batch: the batch is one decision-
         // clock unit whose extent measures coalescing, not wall time.
         let (tracer, track) = &self.books.trace;
         tracer.leaf_with(*track, SPAN_SD_BATCH, size as u64, |a| {
             a.u64("size", size as u64);
         });
+        let BatchScratch {
+            planned,
+            buckets,
+            order,
+        } = scratch;
         // Phase 1 (serial, batch order): the same per-request gate the
         // lockstep path applies.
-        let mut planned: Vec<Planned> = Vec::with_capacity(size);
-        for req in chunk {
+        while planned.len() < size {
+            let Some(req) = self.queue.pop_front() else {
+                break;
+            };
             let (run, reply) = match self.gate(&req) {
                 Gated::Run(module) => (Some(module), None),
                 Gated::Reject(reply) => (None, Some(reply)),
-                Gated::Crash => return,
+                Gated::Crash => {
+                    planned.clear();
+                    return;
+                }
             };
-            planned.push(Planned { req, run, reply });
+            planned.push(Planned {
+                req,
+                run,
+                result: None,
+                reply,
+            });
         }
         // Phase 2 (parallel): shard-per-owner execution. The seeded hash
         // pins each module to one worker, so one module's requests run
@@ -1108,65 +1185,66 @@ impl DaemonCtx {
         // thread is a worker too: it runs one bucket and starts a thread
         // for each of the others, so a one-module batch starts none.
         let workers = cfg.workers.max(1);
-        let mut buckets: Vec<Vec<BucketedRun>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, p) in planned.iter_mut().enumerate() {
-            if let Some(module) = p.run.take() {
-                let params = std::mem::take(&mut p.req.params);
-                buckets[worker_for(cfg.seed, &p.req.log.name, workers)].push((i, module, params));
+        buckets.resize_with(workers, Vec::new);
+        for (slot, p) in planned.iter().enumerate() {
+            if p.run.is_some() {
+                buckets[worker_for(cfg.seed, &p.req.log.name, workers)].push((slot, None));
             }
         }
         let running: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-        let mut results: Vec<Option<Result<Vec<u8>, String>>> =
-            planned.iter().map(|_| None).collect();
         if running > 0 {
             self.books.in_flight.fetch_add(running, Ordering::Relaxed);
-            let run_bucket = |items: Vec<BucketedRun>| -> Vec<_> {
-                items
-                    .into_iter()
-                    .map(|(i, module, params)| (i, run_module(module.as_ref(), &params)))
-                    .collect()
+            let batch = &planned[..];
+            let run_bucket = |bucket: &mut Vec<BucketedRun>| {
+                for (slot, result) in bucket {
+                    let p = &batch[*slot];
+                    if let Some(module) = &p.run {
+                        *result = Some(run_module(module.as_ref(), &p.req.params));
+                    }
+                }
             };
             std::thread::scope(|s| {
-                let mut buckets = buckets.into_iter().filter(|b| !b.is_empty());
+                let mut buckets = buckets.iter_mut().filter(|b| !b.is_empty());
                 let own = buckets.next();
                 let handles: Vec<_> = buckets
-                    .map(|items| s.spawn(move || run_bucket(items)))
+                    .map(|bucket| s.spawn(move || run_bucket(bucket)))
                     .collect();
-                let own = own.map(run_bucket).unwrap_or_default();
+                if let Some(own) = own {
+                    run_bucket(own);
+                }
                 // Barrier: the commit below must see every outcome.
-                let joined = handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_default());
-                for (i, res) in own.into_iter().chain(joined) {
-                    results[i] = Some(res);
+                for handle in handles {
+                    let _ = handle.join();
                 }
             });
+            for (slot, result) in buckets.iter_mut().flat_map(|b| b.drain(..)) {
+                planned[slot].result = result;
+            }
             self.books.in_flight.fetch_sub(running, Ordering::Relaxed);
         }
         // Phase 3 (serial, batch order): health + counters + completion
         // events — still before any response append (DESIGN.md §12) —
         // then the coalesced per-log commit.
-        for (i, p) in planned.iter_mut().enumerate() {
-            let Some(res) = results[i].take() else {
-                continue;
-            };
-            p.reply = Some(self.books.complete(&p.req.log.name, p.req.id, res));
-        }
-        // Group replies by log in canonical (sorted-path) order, each
-        // with the batch-framing word naming its batch slot.
-        let mut by_log: BTreeMap<&Path, (&ModuleLog, Vec<_>)> = BTreeMap::new();
-        for (i, p) in planned.iter().enumerate() {
-            if let Some(reply) = &p.reply {
-                let log: &ModuleLog = &p.req.log;
-                by_log
-                    .entry(&log.path)
-                    .or_insert_with(|| (log, Vec::new()))
-                    .1
-                    .push((batch_word(batch_id, i as u64), reply));
+        for p in planned.iter_mut() {
+            if let Some(result) = p.result.take() {
+                p.reply = Some(self.books.complete(&p.req.log.name, p.req.id, result));
             }
         }
-        for (log, replies) in by_log.into_values() {
-            self.commit_log_batch(log, &replies);
+        // Logs in path order, each log's replies in slot order, each with
+        // the batch-framing word naming its slot. The key is unique, so an
+        // unstable sort gives the one order without a stable sort's scratch.
+        order.extend((0..planned.len()).filter(|&slot| planned[slot].reply.is_some()));
+        order.sort_unstable_by_key(|&slot| (planned[slot].req.log.path.as_path(), slot));
+        for group in order.chunk_by(|&a, &b| planned[a].req.log.path == planned[b].req.log.path) {
+            let replies = group.iter().filter_map(|&slot| {
+                let reply = planned[slot].reply.as_ref()?;
+                Some((batch_word(batch_id, slot as u64), reply))
+            });
+            self.commit_log_batch(&planned[group[0]].req.log, replies);
+        }
+        order.clear();
+        for p in planned.drain(..) {
+            self.books.spare_params.give(p.req.params);
         }
     }
 
@@ -1175,13 +1253,17 @@ impl DaemonCtx {
     /// already on disk and must replay exactly. The share is encoded once,
     /// into the loop's kept buffer: the primary, a retry and the mirrors
     /// are all written from those bytes.
-    fn commit_log_batch(&mut self, log: &ModuleLog, replies: &[(u64, &Reply)]) {
+    fn commit_log_batch<'a>(
+        &mut self,
+        log: &ModuleLog,
+        replies: impl Iterator<Item = (u64, &'a Reply)>,
+    ) {
         let (tracer, track) = &self.books.trace;
         self.encoded.clear();
         self.encoded_lens.clear();
         for (batch, reply) in replies {
             let start = self.encoded.len();
-            reply.encode_into(&mut self.encoded, *batch);
+            reply.encode_into(&mut self.encoded, batch);
             self.encoded_lens.push(self.encoded.len() - start);
         }
         let (mut rest, mut lens) = (&self.encoded[..], &self.encoded_lens[..]);
@@ -1964,6 +2046,97 @@ mod tests {
         assert_eq!(batch.batches, 2, "{batch}");
         assert_eq!(batch.coalesced_appends, 4, "{batch}");
         assert_eq!(batch.fsyncs, 2, "{batch}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Modules that echo their parameters joined by `|`.
+    fn echo_registry(names: &[&str]) -> ModuleRegistry {
+        let r = ModuleRegistry::new();
+        for name in names {
+            r.register(Arc::new(FnModule::new(*name, |p: &[String]| {
+                Ok(p.join("|").into_bytes())
+            })));
+        }
+        r
+    }
+
+    /// The parameters of call `call` to module `m` in `round`: 3, 1, 0 and
+    /// then 2 of them, long in the first round and short after, multi-byte
+    /// UTF-8 in every one.
+    fn round_params(round: usize, m: usize, call: usize) -> Vec<String> {
+        (0..[3, 1, 0, 2][round])
+            .map(|j| {
+                let tag = format!("{round}.{m}.{call}.{j}ж");
+                if round == 0 {
+                    tag.repeat(40) + "日本語"
+                } else {
+                    tag
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_recycled_parameter_set_never_leaks_an_earlier_request() {
+        let dir = temp_dir();
+        let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry(&["echo"]))
+            .spawn()
+            .unwrap();
+        let client = HostClient::new(&dir);
+        // One call at a time: each takes the set the call before gave back.
+        for round in 0..4 {
+            for call in 0..3 {
+                let params = round_params(round, 0, call);
+                let out = client.invoke("echo", &params, TIMEOUT).unwrap();
+                assert_eq!(out.payload, params.join("|").into_bytes());
+            }
+        }
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_recycled_parameter_set_never_leaks_into_a_batch() {
+        use crate::batch::BatchConfig;
+        let cfg = BatchConfig::default();
+        // Two modules on different workers: a batch of both runs one on
+        // the daemon thread and the other on a thread of its own, and the
+        // sets of both come back for the later rounds.
+        let worker = |name: &str| worker_for(cfg.seed, name, cfg.workers);
+        let second = (1..64)
+            .map(|i| format!("echo{i}"))
+            .find(|name| worker(name) != worker("echo0"))
+            .expect("a module on another worker");
+        let modules = ["echo0", second.as_str()];
+        let dir = temp_dir();
+        let client = HostClient::new(&dir);
+        let mut daemon = None;
+        for round in 0..4 {
+            let mut calls = Vec::new();
+            for call in 0..3 {
+                for (m, name) in modules.iter().enumerate() {
+                    let params = round_params(round, m, call);
+                    calls.push((client.submit(name, &params).unwrap(), params));
+                }
+            }
+            // The first round is staged before the daemon starts, so its
+            // replay scan queues all six calls into one batch.
+            daemon.get_or_insert_with(|| {
+                Daemon::new(
+                    DaemonConfig::new(&dir).with_batching(cfg),
+                    echo_registry(&modules),
+                )
+                .spawn()
+                .unwrap()
+            });
+            for (pending, params) in calls {
+                let out = pending.wait(TIMEOUT).unwrap();
+                assert_eq!(out.payload, params.join("|").into_bytes());
+            }
+        }
+        let mut daemon = daemon.expect("spawned in the first round");
+        daemon.stop();
+        assert_eq!(daemon.stats().ok, 24);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

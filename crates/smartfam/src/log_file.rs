@@ -104,11 +104,12 @@ fn read_range_into(
 /// had to read more — a restart replaying a whole history, one huge result
 /// frame — gives the buffer back, so a handle's memory follows the traffic
 /// it is reading now, not the age of its log.
-const TAIL_KEEP_BYTES: usize = 256 * 1024;
+pub(crate) const TAIL_KEEP_BYTES: usize = 256 * 1024;
 
 /// Done with the contents of `buf`: keep it for the next use unless this
-/// one grew it past [`TAIL_KEEP_BYTES`]. The daemon's reply buffers follow
-/// the same rule, so one huge result is not held for ever either.
+/// one grew it past [`TAIL_KEEP_BYTES`]. The daemon's reply buffers and
+/// parameter sets follow the same rule, so one huge result or parameter is
+/// not held for ever either.
 pub(crate) fn give_back(buf: &mut Vec<u8>) {
     if buf.capacity() > TAIL_KEEP_BYTES {
         *buf = Vec::new();

@@ -308,6 +308,27 @@ proptest! {
     ) {
         params_round_trip(id, &params, expires)?;
     }
+
+    /// A recycled set comes out as a fresh copy would: whatever it held
+    /// before — more strings or fewer, longer or shorter — is gone.
+    #[test]
+    fn params_copied_into_a_used_set_equal_a_fresh_copy(
+        params in vec("[a-z0-9α-ωЖ日本語 /|]{0,16}", 0..6),
+        prior in vec("[a-zЖ日]{0,24}", 0..8),
+    ) {
+        let mut wire = Vec::new();
+        encode_request_into(&mut wire, 7, &params, 0);
+        let ViewStep::Complete { frame: view, .. } = decode_view(&wire) else {
+            panic!("own encoding does not decode");
+        };
+        let ViewBody::Request { params: lying, .. } = view.body else {
+            panic!("a request decoded as a response");
+        };
+        let mut set = prior;
+        lying.copy_into(&mut set);
+        prop_assert_eq!(&set, &lying.to_vec());
+        prop_assert_eq!(set, params);
+    }
 }
 
 fn params_round_trip(id: u64, params: &[String], expires: u64) -> Result<(), TestCaseError> {
