@@ -675,12 +675,19 @@ mod tests {
         // The daemon mirrored its response appends onto the replica
         // slots. The host writes requests straight into the primary log,
         // so the primary is request + response and each mirror holds the
-        // daemon-appended suffix.
+        // daemon-appended suffix. The host wakes on the primary append,
+        // before the mirror appends that follow it — wait them out.
         let log_dir = fw.sd_node().data_root().parent().unwrap().join("logs");
         let primary = std::fs::read(log_dir.join("wordcount.log")).unwrap();
         assert!(!primary.is_empty());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
         for r in 1..ReplicaConfig::default().group_size {
-            let mirror = std::fs::read(log_dir.join(format!(".replica{r}/wordcount.log"))).unwrap();
+            let read = || std::fs::read(log_dir.join(format!(".replica{r}/wordcount.log")));
+            let mirrored = |m: &[u8]| !m.is_empty() && primary.ends_with(m);
+            while !read().is_ok_and(|m| mirrored(&m)) && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let mirror = read().unwrap();
             assert!(!mirror.is_empty(), "mirror {r} saw no appends");
             assert!(
                 primary.ends_with(&mirror),

@@ -10,9 +10,9 @@
 //! exception — all measurement flows through [`Stopwatch`], so there is a
 //! single choke point to audit (and, if ever needed, to virtualize).
 //!
-//! `thread::sleep` has no shim on purpose: blocking on real time is only
-//! legitimate where real I/O pacing is the point (the smartFAM poll
-//! loops), and those few sites carry their own
+//! `thread::sleep` has no shim on purpose: no library code sleeps (the
+//! smartFAM poll loops wait on a condvar, timed by a [`Stopwatch`]), and a
+//! site where blocking on real time is the point would carry its own
 //! `#[expect(clippy::disallowed_methods, reason = "…")]` instead.
 
 #![expect(

@@ -603,8 +603,9 @@ struct QueuedRequest {
 /// A request goes to a parked worker when one is free and to a new thread
 /// otherwise, so the pool grows to the peak concurrency served — at most
 /// `max_in_flight`: a worker that is not parked still holds a unit of
-/// [`Books::in_flight`], given back under the lane lock on its way to
-/// parking, and dispatch never exceeds that bound.
+/// [`Books::in_flight`], given back under the lane lock as it counts
+/// itself parked — before its reply is appended — and dispatch never
+/// exceeds that bound.
 struct WorkerPool {
     books: Arc<Books>,
     /// A worker parks holding nothing but this lock, which the wait gives
@@ -617,6 +618,8 @@ struct WorkerPool {
 struct Lane {
     /// Handed to parked workers, not yet picked up; never longer than `parked`.
     jobs: VecDeque<LiveJob>,
+    /// Workers holding no job: waiting, or appending their last reply on
+    /// the way there.
     parked: usize,
     closed: bool,
     threads: Vec<JoinHandle<()>>,
@@ -666,22 +669,28 @@ impl WorkerPool {
             let LiveJob { module, req } = &mut job;
             let result = run_module(module.as_ref(), &req.params);
             let reply = self.books.complete(&req.log.name, req.id, result);
+            // Slot and worker are free before the reply can be seen: the
+            // host's next request is neither queued nor given a new thread.
+            {
+                let mut lane = self.lane();
+                self.books.in_flight.fetch_sub(1, Ordering::Relaxed);
+                lane.parked += 1;
+            }
             req.log.append(&reply, &mut encoded);
+            drop(reply);
             self.books
                 .spare_params
                 .give(std::mem::take(&mut req.params));
             let mut lane = self.lane();
-            self.books.in_flight.fetch_sub(1, Ordering::Relaxed);
             job = loop {
                 if let Some(next) = lane.jobs.pop_front() {
+                    lane.parked -= 1;
                     break next;
                 }
                 if lane.closed {
                     return;
                 }
-                lane.parked += 1;
                 lane = self.wake.wait(lane).unwrap_or_else(|e| e.into_inner());
-                lane.parked -= 1;
             };
         }
     }

@@ -308,9 +308,11 @@ impl LogFile {
     /// byte flipped mid-buffer, so length headers still parse but a
     /// checksum fails; torn = only a prefix is written; any other action
     /// is the caller's business) and appends them through the held
-    /// handle. Returns the bytes written, short of `bytes.len()` exactly
-    /// when the write was torn. The caller owns the occurrence accounting:
-    /// `fault` is what [`FaultInjector::fire`] returned at its site.
+    /// handle, then wakes every idle wait in the process (the append wake
+    /// of `watch.rs`). Returns the bytes written, short of `bytes.len()`
+    /// exactly when the write was torn. The caller owns the occurrence
+    /// accounting: `fault` is what [`FaultInjector::fire`] returned at its
+    /// site.
     pub(crate) fn write_faulted(
         &self,
         bytes: &[u8],
@@ -336,6 +338,7 @@ impl LogFile {
             _ => {}
         }
         (&self.file).write_all(out)?;
+        crate::watch::note_append();
         Ok(out.len())
     }
 

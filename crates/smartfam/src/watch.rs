@@ -6,15 +6,17 @@
 //! interval and synthesizes the same events: `Created`, `Modified`,
 //! `Removed`. Event *semantics* — "when the data-intensive module's log
 //! file in McSD is changed by the host, inotify informs the Daemon program"
-//! — are preserved; only the detection latency differs, bounded by the poll
-//! interval.
+//! — are preserved. An append through a [`crate::LogFile`] in this process
+//! ends every wait at once (the *append wake*); the poll interval bounds
+//! detection only of a writer in another process.
 //! A sweep is one `stat` per known file plus one for the directory, which
 //! is listed only when its own signature moved (DESIGN.md §3).
 
+use mcsd_phoenix::Stopwatch;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
@@ -55,25 +57,45 @@ impl Default for WatchConfig {
     }
 }
 
+/// How many appends this process has made through [`crate::LogFile`].
+/// A leaf lock: nothing is taken under it and no I/O runs under it.
+static APPENDS: Mutex<u64> = Mutex::new(0);
+/// Rung after every append, so every [`PollBackoff::idle`] returns.
+static APPEND_WAKE: Condvar = Condvar::new();
+
+fn appends() -> MutexGuard<'static, u64> {
+    APPENDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An append landed: every idle wait in the process ends now.
+pub(crate) fn note_append() {
+    *appends() += 1;
+    APPEND_WAKE.notify_all();
+}
+
 /// Capped exponential poll pacing shared by every real-I/O wait loop in
 /// the crate: the first re-check is ~1 ms away (never below 100 µs), each
 /// idle sweep doubles the gap, and the gap is capped at the configured
 /// poll interval — so detection latency stays bounded by the interval
 /// while an idle waiter stops burning CPU. Progress resets the schedule
-/// to the floor. Only the watcher's own poll loop has room to double
+/// to the floor. An append in this process ends a gap early (the append
+/// wake, DESIGN.md §18); the gap is what finds a writer in another
+/// process. Only the watcher's own poll loop has room to double
 /// (1 ms → its 2 ms default interval); the host's waits
 /// ([`crate::host::PendingCall::wait`] and the window's idle step, which
 /// every retried call runs through) build it from a 1 ms interval, where
-/// floor = cap, so they pace at a constant 1 ms (DESIGN.md §18).
+/// floor = cap, so their gap is a constant 1 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollBackoff {
     floor: Duration,
     cap: Duration,
     delay: Duration,
+    /// The append count sampled before the caller's latest check.
+    seen: u64,
 }
 
 impl PollBackoff {
-    /// A schedule whose sleeps never exceed `poll_interval`.
+    /// A schedule whose waits never exceed `poll_interval`.
     pub fn new(poll_interval: Duration) -> PollBackoff {
         let floor = Duration::from_millis(1).min(poll_interval.max(Duration::from_micros(100)));
         let cap = poll_interval.max(floor);
@@ -81,10 +103,11 @@ impl PollBackoff {
             floor,
             cap,
             delay: floor,
+            seen: *appends(),
         }
     }
 
-    /// The sleep to take after a sweep that made no progress; the next
+    /// The gap to wait after a sweep that made no progress; the next
     /// idle gap doubles, up to the cap.
     pub fn idle_delay(&mut self) -> Duration {
         let delay = self.delay;
@@ -92,17 +115,29 @@ impl PollBackoff {
         delay
     }
 
-    /// Sleep out one idle gap — the single place a real-I/O wait loop
-    /// (host response waits, the watcher's metadata poll) parks its thread.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "real I/O pacing: the caller polls a shared file and found nothing new; the capped backoff (1 ms floor up to poll_interval) bounds detection latency, the quantity the smartFAM experiments measure, not simulated time"
-    )]
+    /// Wait out one idle gap, or until an append lands in this process —
+    /// at once if one landed since [`PollBackoff::new`] or the previous
+    /// `idle` returned, that is, since before the caller's check. The
+    /// single place a real-I/O wait loop (host response waits, the
+    /// watcher's metadata poll) parks its thread.
     pub fn idle(&mut self) {
-        std::thread::sleep(self.idle_delay());
+        let gap = self.idle_delay();
+        let waited = Stopwatch::start();
+        let mut appends = appends();
+        while *appends == self.seen {
+            let left = gap.saturating_sub(waited.elapsed());
+            if left.is_zero() {
+                break;
+            }
+            appends = APPEND_WAKE
+                .wait_timeout(appends, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        self.seen = *appends;
     }
 
-    /// Progress observed: the next idle sleep restarts at the floor.
+    /// Progress observed: the next idle gap restarts at the floor.
     pub fn reset(&mut self) {
         self.delay = self.floor;
     }
@@ -281,10 +316,10 @@ impl Drop for FileWatcher {
 }
 
 fn poll_loop(mut table: Table, config: WatchConfig, tx: Sender<WatchEvent>, stop: Arc<AtomicBool>) {
-    // Quiet directories back off toward the configured interval (which
-    // stays the worst-case detection latency); a directory that just
-    // changed is re-polled at the ~1 ms floor, so bursts of log-file
-    // traffic are noticed at inotify-like latency.
+    // An append in this process ends the wait at once. For a writer in
+    // another process, quiet directories back off toward the configured
+    // interval (which stays the worst-case detection latency); a directory
+    // that just changed is re-polled at the ~1 ms floor.
     let mut pace = PollBackoff::new(config.poll_interval);
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
@@ -548,5 +583,76 @@ mod tests {
         // The floor never drops below 100 µs even for absurd intervals.
         let mut tiny = PollBackoff::new(Duration::from_micros(1));
         assert_eq!(tiny.idle_delay(), Duration::from_micros(100));
+    }
+
+    /// A schedule whose next gap is at least `gap`, advanced there by
+    /// `idle_delay` alone.
+    fn gap_of_at_least(gap: Duration) -> PollBackoff {
+        let mut pace = PollBackoff::new(gap * 2);
+        while pace.delay < gap {
+            pace.idle_delay();
+        }
+        pace
+    }
+
+    /// A wait that ends in well under this gap was woken, not timed out.
+    fn long_gap() -> PollBackoff {
+        gap_of_at_least(Duration::from_secs(8))
+    }
+
+    fn append_frame(dir: &Path) {
+        let log = crate::LogFile::attach_at_end(dir.join("wake.log")).unwrap();
+        log.append(&crate::Frame::request(1, Vec::new())).unwrap();
+    }
+
+    #[test]
+    fn an_append_in_this_process_ends_the_gap() {
+        let dir = temp_dir();
+        let mut pace = long_gap();
+        let waiter = std::thread::spawn(move || {
+            let waited = Stopwatch::start();
+            pace.idle();
+            waited.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        append_frame(&dir);
+        let waited = waiter.join().unwrap();
+        assert!(waited < Duration::from_secs(4), "woken after {waited:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_before_idle_is_not_lost() {
+        let dir = temp_dir();
+        let mut pace = long_gap();
+        // Between the sample and the wait: where a poll that found
+        // nothing is followed by an append, then by `idle`.
+        append_frame(&dir);
+        let waited = Stopwatch::start();
+        pace.idle();
+        let waited = waited.elapsed();
+        assert!(waited < Duration::from_secs(4), "woken after {waited:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_write_from_outside_log_file_waits_for_its_poll() {
+        let dir = temp_dir();
+        let gap = Duration::from_millis(32);
+        // Other tests in this process append through `LogFile`, and a wait
+        // one of them ended says nothing: try until a gap passes without.
+        for _ in 0..100 {
+            let mut pace = gap_of_at_least(gap);
+            let before = pace.seen;
+            append(&dir.join("outside.log"), b"x");
+            let waited = Stopwatch::start();
+            pace.idle();
+            if pace.seen == before {
+                assert!(waited.elapsed() >= gap, "{:?}", waited.elapsed());
+                std::fs::remove_dir_all(&dir).unwrap();
+                return;
+            }
+        }
+        panic!("every gap was ended by an append");
     }
 }

@@ -3,9 +3,10 @@
 use mcsd_smartfam::codec::{decode_stream, Frame};
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{Daemon, DaemonConfig, HostClient, ModuleRegistry, SmartFamError};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 static N: AtomicU64 = AtomicU64::new(0);
@@ -43,6 +44,36 @@ fn many_sequential_requests_on_one_log() {
         assert_eq!(out.payload, format!("msg-{i}").into_bytes());
     }
     daemon.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn one_slot_serves_lockstep_calls_without_shedding_on_one_thread() {
+    // No queue and one slot: a worker that gave its slot back only after
+    // its reply was visible would shed the next call, and one not yet
+    // counted as parked would hand it to a second thread.
+    let dir = temp_dir();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let registry = ModuleRegistry::new();
+    let seen = Arc::clone(&threads);
+    registry.register(Arc::new(FnModule::new("tid", move |p: &[String]| {
+        seen.lock().unwrap().insert(std::thread::current().id());
+        Ok(p.join("|").into_bytes())
+    })));
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir).with_admission(1, 0), registry)
+        .spawn()
+        .unwrap();
+    let client = HostClient::new(&dir);
+    for i in 0..2_000 {
+        let msg = format!("call-{i}");
+        let out = client
+            .invoke("tid", std::slice::from_ref(&msg), TIMEOUT)
+            .unwrap_or_else(|e| panic!("call {i}: {e}"));
+        assert_eq!(out.payload, msg.into_bytes());
+    }
+    daemon.stop();
+    assert_eq!(daemon.stats().shed, 0);
+    assert_eq!(threads.lock().unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
