@@ -21,17 +21,8 @@ fn usage() -> ! {
 }
 
 fn parse_bytes(s: &str) -> usize {
-    let (num, mult): (&str, u64) = if let Some(n) = s.strip_suffix('G') {
-        (n, 1 << 30)
-    } else if let Some(n) = s.strip_suffix('M') {
-        (n, 1 << 20)
-    } else if let Some(n) = s.strip_suffix('K') {
-        (n, 1 << 10)
-    } else {
-        (s, 1)
-    };
-    match num.parse::<f64>() {
-        Ok(v) if v > 0.0 => (v * mult as f64) as usize,
+    match mcsd_phoenix::parse_size_label(s) {
+        Some(bytes) if bytes > 0 => bytes as usize,
         _ => {
             eprintln!("bad size {s:?}");
             exit(2);

@@ -4,16 +4,17 @@
 //! file is in the line."
 //!
 //! Prints one `offset<TAB>key` line per matching line of the encrypt
-//! file.
+//! file. `[partition-size]` takes the same labels and `auto` as
+//! `wordcount`.
 
 use mcsd_apps::StringMatch;
-use mcsd_phoenix::{PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
+use mcsd_phoenix::{Job, MemoryModel, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(encrypt_file), Some(keys_file)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stringmatch [encrypt-file] [keys-file] [partition-size]");
+        eprintln!("usage: stringmatch [encrypt-file] [keys-file] [partition-size|auto]");
         exit(2);
     };
     let encrypt = match std::fs::read(encrypt_file) {
@@ -40,15 +41,20 @@ fn main() {
     }
 
     let job = StringMatch::new(&keys);
+    let spec = args.get(2).map(|size| {
+        let memory = MemoryModel::of_this_machine();
+        PartitionSpec::parse(size, &memory, job.footprint_factor()).unwrap_or_else(|| {
+            eprintln!("bad partition size {size:?} (try 600M, 64K, auto)");
+            exit(2);
+        })
+    });
     let runtime = Runtime::new(PhoenixConfig::default());
     let t0 = std::time::Instant::now();
-    let output = match args.get(2).and_then(|s| s.parse::<usize>().ok()) {
+    let output = match spec {
         None => runtime.run(&job, &encrypt),
-        Some(bytes) => PartitionedRuntime::new(runtime, PartitionSpec::new(bytes)).run(
-            &job,
-            &encrypt,
-            &StringMatch::merger(),
-        ),
+        Some(spec) => {
+            PartitionedRuntime::new(runtime, spec).run(&job, &encrypt, &StringMatch::merger())
+        }
     };
     match output {
         Ok(out) => {
@@ -62,10 +68,11 @@ fn main() {
             }
             drop(w);
             eprintln!(
-                "# {} bytes scanned for {} keys, {} matching lines, {:?}",
+                "# {} bytes scanned for {} keys, {} matching lines, {} fragments, {:?}",
                 encrypt.len(),
                 keys.len(),
                 out.pairs.len(),
+                out.stats.fragments,
                 t0.elapsed()
             );
         }

@@ -12,35 +12,6 @@ use mcsd_apps::WordCount;
 use mcsd_phoenix::{Job, MemoryModel, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 use std::process::exit;
 
-fn parse_size(s: &str) -> u64 {
-    match s {
-        "auto" => 0,
-        _ => match parse_label(s) {
-            Some(b) if b > 0 => b,
-            _ => {
-                eprintln!("bad partition size {s:?} (try 600M, 64K, auto)");
-                exit(2);
-            }
-        },
-    }
-}
-
-fn parse_label(label: &str) -> Option<u64> {
-    // Same grammar as mcsd_cluster::Scale::parse_label, inlined so the
-    // app binaries depend only on apps+phoenix.
-    let (num, mult): (&str, u64) = if let Some(n) = label.strip_suffix('G') {
-        (n, 1 << 30)
-    } else if let Some(n) = label.strip_suffix('M') {
-        (n, 1 << 20)
-    } else if let Some(n) = label.strip_suffix('K') {
-        (n, 1 << 10)
-    } else {
-        (label, 1)
-    };
-    let v: f64 = num.parse().ok()?;
-    (v >= 0.0).then_some((v * mult as f64) as u64)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(data_file) = args.first() else {
@@ -62,14 +33,13 @@ fn main() {
             }
         },
         Some(size) => {
-            let spec = match parse_size(size) {
-                0 => {
-                    // "automatically determined by the runtime system":
-                    // size fragments for this machine's memory.
-                    let memory = MemoryModel::new(estimate_machine_memory());
-                    PartitionSpec::auto(&memory, WordCount.footprint_factor())
-                }
-                bytes => PartitionSpec::new(bytes as usize),
+            // `auto` ("automatically determined by the runtime system")
+            // sizes fragments for this machine's memory.
+            let memory = MemoryModel::of_this_machine();
+            let Some(spec) = PartitionSpec::parse(size, &memory, WordCount.footprint_factor())
+            else {
+                eprintln!("bad partition size {size:?} (try 600M, 64K, auto)");
+                exit(2);
             };
             input_len = std::fs::metadata(data_file).map(|m| m.len()).unwrap_or(0);
             // Streams fragments off the disk: the file may exceed RAM.
@@ -106,22 +76,4 @@ fn main() {
             exit(1);
         }
     }
-}
-
-/// Rough physical-memory estimate for `auto` (falls back to 1 GiB).
-fn estimate_machine_memory() -> u64 {
-    std::fs::read_to_string("/proc/meminfo")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("MemTotal:")?
-                    .trim()
-                    .strip_suffix("kB")?
-                    .trim()
-                    .parse::<u64>()
-                    .ok()
-                    .map(|kb| kb * 1024)
-            })
-        })
-        .unwrap_or(1 << 30)
 }

@@ -24,14 +24,8 @@
 //! Workloads are synthetic but shaped like the paper's: Zipf-distributed
 //! text for WC, an "encrypt" file with planted keys for SM, dense random
 //! matrices for MM.
-//!
-//! Two further applications from the original Phoenix suite ([`histogram`]
-//! and [`linreg`]) demonstrate the runtime API beyond the paper's three
-//! benchmarks.
 
 pub mod datagen;
-pub mod histogram;
-pub mod linreg;
 pub mod matmul;
 pub mod search;
 pub mod seq;
@@ -40,8 +34,6 @@ pub mod textgen;
 mod util;
 pub mod wordcount;
 
-pub use histogram::Histogram;
-pub use linreg::LinearRegression;
 pub use matmul::{MatMul, Matrix};
 pub use stringmatch::{StringMatch, StringMatchInput};
 pub use textgen::TextGen;

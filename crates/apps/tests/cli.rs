@@ -102,6 +102,23 @@ fn stringmatch_cli_finds_planted_keys() {
         let (_, key) = line.split_once('\t').unwrap();
         assert!(key_set.iter().any(|k| k == key), "unknown key {key}");
     }
+    // `[partition-size]` is a size label, as for `wordcount`: the same
+    // lines from several fragments, and exit 2 on a size that is none.
+    let run = |size: &str| {
+        Command::new(env!("CARGO_BIN_EXE_stringmatch"))
+            .args([encrypt.to_str().unwrap(), keys.to_str().unwrap(), size])
+            .output()
+            .unwrap()
+    };
+    let part = run("16K");
+    assert!(part.status.success());
+    assert_eq!(String::from_utf8(part.stdout).unwrap(), stdout);
+    let stderr = String::from_utf8(part.stderr).unwrap();
+    let fragments = stderr
+        .split(", ")
+        .find_map(|f| f.strip_suffix(" fragments"));
+    assert!(fragments.unwrap().parse::<u64>().unwrap() > 1, "{stderr}");
+    assert_eq!(run("bogus").status.code(), Some(2));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

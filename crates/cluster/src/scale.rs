@@ -39,29 +39,10 @@ impl Scale {
         (paper_bytes / self.divisor).max(1)
     }
 
-    /// Parse the paper's size labels ("500M", "750M", "1G", "1.25G",
-    /// "1.5G", "2G") into paper-space bytes.
-    pub fn parse_label(label: &str) -> Option<u64> {
-        let label = label.trim();
-        let (num, mult): (&str, u64) = if let Some(n) = label.strip_suffix('G') {
-            (n, 1024 * 1024 * 1024)
-        } else if let Some(n) = label.strip_suffix('M') {
-            (n, 1024 * 1024)
-        } else if let Some(n) = label.strip_suffix('K') {
-            (n, 1024)
-        } else {
-            (label, 1)
-        };
-        let value: f64 = num.parse().ok()?;
-        if value < 0.0 {
-            return None;
-        }
-        Some((value * mult as f64) as u64)
-    }
-
-    /// Scaled bytes for a paper label, e.g. `scaled("1.25G")`.
+    /// Scaled bytes for a paper label, e.g. `scaled("1.25G")` (grammar:
+    /// [`mcsd_phoenix::parse_size_label`]).
     pub fn scaled(&self, label: &str) -> Option<u64> {
-        Scale::parse_label(label).map(|b| self.bytes(b))
+        mcsd_phoenix::parse_size_label(label).map(|b| self.bytes(b))
     }
 }
 
@@ -74,25 +55,6 @@ impl Default for Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_labels() {
-        assert_eq!(Scale::parse_label("500M"), Some(500 * 1024 * 1024));
-        assert_eq!(Scale::parse_label("1G"), Some(1024 * 1024 * 1024));
-        assert_eq!(
-            Scale::parse_label("1.25G"),
-            Some((1.25 * 1024.0 * 1024.0 * 1024.0) as u64)
-        );
-        assert_eq!(Scale::parse_label("2048"), Some(2048));
-        assert_eq!(Scale::parse_label("64K"), Some(65536));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(Scale::parse_label("abcM"), None);
-        assert_eq!(Scale::parse_label("-5G"), None);
-        assert_eq!(Scale::parse_label(""), None);
-    }
 
     #[test]
     fn scaling_divides() {

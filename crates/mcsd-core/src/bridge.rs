@@ -332,30 +332,23 @@ mod tests {
     fn modules_can_be_preloaded_into_a_running_node() {
         // §VI extensibility: a new data-intensive module registered while
         // the daemon is live is served on the next invocation, no restart.
-        use crate::modules::HistogramModule;
+        use mcsd_smartfam::module::FnModule;
         let cluster = cluster();
         let server = SdNodeServer::start(&cluster).unwrap();
         let client = server.host_client();
         // Not preloaded yet:
-        let err = client
-            .invoke("histogram", &["b.bin".into()], TIMEOUT)
-            .unwrap_err();
+        let err = client.invoke("echo", &["a".into()], TIMEOUT).unwrap_err();
         assert!(err.to_string().contains("no module registered"));
         // Preload at runtime.
-        let sd = cluster.sd().clone();
         server
             .registry()
-            .register(std::sync::Arc::new(HistogramModule::new(
-                server.data_root(),
-                sd,
-            )));
-        let data: Vec<u8> = (0..5_000u32).map(|i| (i % 7) as u8).collect();
-        server.stage_local("b.bin", &data).unwrap();
+            .register(Arc::new(FnModule::new("echo", |p: &[String]| {
+                Ok(p.join("|").into_bytes())
+            })));
         let (payload, _) = client
-            .invoke("histogram", &["b.bin".into()], TIMEOUT)
+            .invoke("echo", &["a".into(), "b".into()], TIMEOUT)
             .unwrap();
-        let bins = HistogramModule::decode(&payload).unwrap();
-        assert_eq!(bins, mcsd_apps::histogram::seq_histogram(&data));
+        assert_eq!(payload, b"a|b");
     }
 
     /// The daemon's batch-commit counters once `appends` responses were

@@ -27,8 +27,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Parse the `[partition-size]` parameter: absent = native run, one
-/// fragment as large as any file; `auto` = runtime-determined; otherwise
-/// bytes.
+/// fragment as large as any file; otherwise [`PartitionSpec::parse`] for the
+/// node's memory.
 fn parse_partition(
     param: Option<&String>,
     node: &NodeSpec,
@@ -36,12 +36,8 @@ fn parse_partition(
 ) -> Result<PartitionSpec, ModuleError> {
     match param.map(String::as_str) {
         None | Some("native") => Ok(PartitionSpec::new(usize::MAX)),
-        Some("auto") => Ok(PartitionSpec::auto(&node.memory_model(), footprint)),
-        Some(s) => {
-            let bytes = mcsd_cluster::Scale::parse_label(s)
-                .ok_or_else(|| ModuleError::new(format!("bad partition size {s:?}")))?;
-            Ok(PartitionSpec::new(bytes as usize))
-        }
+        Some(s) => PartitionSpec::parse(s, &node.memory_model(), footprint)
+            .ok_or_else(|| ModuleError::new(format!("bad partition size {s:?}"))),
     }
 }
 
@@ -287,63 +283,6 @@ impl ProcessingModule for MatMulModule {
     }
 }
 
-/// `histogram [data-file]` — a module beyond the paper's three benchmarks,
-/// demonstrating §VI's "extensibility of data-processing modules": it can
-/// be preloaded into a running SD node's registry at any time. Result: 256
-/// little-endian `u64` bin counts.
-pub struct HistogramModule(Staged);
-
-impl HistogramModule {
-    /// A module serving files under `data_root` on `node`.
-    pub fn new(data_root: impl Into<PathBuf>, node: NodeSpec) -> Self {
-        HistogramModule(Staged::new(data_root, node))
-    }
-
-    /// Encode a bin table.
-    pub fn encode(bins: &[u64; 256]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 * 8);
-        for b in bins {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode [`HistogramModule::encode`] output.
-    pub fn decode(payload: &[u8]) -> Result<[u64; 256], String> {
-        if payload.len() != 256 * 8 {
-            return Err(format!(
-                "expected 2048 payload bytes, got {}",
-                payload.len()
-            ));
-        }
-        let mut bins = [0u64; 256];
-        for (i, chunk) in payload.chunks_exact(8).enumerate() {
-            let bytes: [u8; 8] = chunk
-                .try_into()
-                .map_err(|_| "histogram payload chunk is not 8 bytes".to_string())?;
-            bins[i] = u64::from_le_bytes(bytes);
-        }
-        Ok(bins)
-    }
-}
-
-impl ProcessingModule for HistogramModule {
-    fn name(&self) -> &str {
-        "histogram"
-    }
-
-    fn invoke(&self, params: &[String]) -> Result<Vec<u8>, ModuleError> {
-        let file = params
-            .first()
-            .ok_or_else(|| ModuleError::new("usage: histogram [data-file]"))?;
-        let runtime = self.0.runtime();
-        let out = runtime
-            .run(&mcsd_apps::Histogram, &self.0.read(file)?)
-            .map_err(ModuleError::new)?;
-        Ok(Self::encode(&mcsd_apps::Histogram::to_bins(&out.pairs)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,29 +466,6 @@ mod tests {
         std::fs::write(root.join("junk.mat"), b"not a matrix").unwrap();
         assert!(m.invoke(&["junk.mat".into(), "junk.mat".into()]).is_err());
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn histogram_module_end_to_end() {
-        let root = temp_root();
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        std::fs::write(root.join("blob.bin"), &data).unwrap();
-        let m = HistogramModule::new(&root, sd_node());
-        let out = m.invoke(&["blob.bin".into()]).unwrap();
-        let bins = HistogramModule::decode(&out).unwrap();
-        assert_eq!(bins, mcsd_apps::histogram::seq_histogram(&data));
-        assert!(m.invoke(&[]).is_err());
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn histogram_codec_rejects_bad_lengths() {
-        assert!(HistogramModule::decode(&[0u8; 100]).is_err());
-        let bins = [7u64; 256];
-        assert_eq!(
-            HistogramModule::decode(&HistogramModule::encode(&bins)).unwrap(),
-            bins
-        );
     }
 
     #[test]

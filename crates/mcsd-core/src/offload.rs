@@ -59,7 +59,7 @@ pub enum OffloadDecision {
     SteeredToHost,
 }
 
-/// Offload policies (the `ablation_offload_policy` bench compares them).
+/// Offload policies (`tests/end_to_end.rs` checks they change placement, not results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OffloadPolicy {
     /// Never offload: everything on the host (the paper's "Host only"

@@ -13,8 +13,6 @@ pub enum OutputOrder {
     ByKey,
     /// Job-defined ordering via [`crate::job::Job::compare_output`].
     Custom,
-    /// No ordering guarantee; pairs appear in reduce-partition order.
-    Unsorted,
 }
 
 /// Configuration of a Phoenix [`crate::runtime::Runtime`].

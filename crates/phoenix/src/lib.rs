@@ -82,7 +82,9 @@ pub use error::PhoenixError;
 pub use integrity::{Delimiter, IntegrityCheck};
 pub use job::{InputChunk, Job, ValueIter};
 pub use memory::{MemoryModel, MemoryVerdict};
-pub use partition::{Merger, PartitionPlan, PartitionSpec, PartitionedRuntime, SumMerger, SumRun};
+pub use partition::{
+    parse_size_label, Merger, PartitionPlan, PartitionSpec, PartitionedRuntime, SumMerger, SumRun,
+};
 pub use runtime::{JobOutput, Runtime};
 pub use splitter::{SplitSpec, Splitter};
 pub use stats::{JobStats, PhaseTimings};

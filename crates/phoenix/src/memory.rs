@@ -62,6 +62,21 @@ impl MemoryModel {
         MemoryModel::new(2 * 1024 * 1024 * 1024)
     }
 
+    /// A model of the machine this process runs on, from `/proc/meminfo`
+    /// (1 GiB where that is unreadable).
+    pub fn of_this_machine() -> Self {
+        let total = std::fs::read_to_string("/proc/meminfo")
+            .ok()
+            .and_then(|s| {
+                s.lines().find_map(|l| {
+                    let kb = l.strip_prefix("MemTotal:")?.trim().strip_suffix("kB")?;
+                    kb.trim().parse::<u64>().ok()
+                })
+            })
+            .map_or(1 << 30, |kb| kb * 1024);
+        MemoryModel::new(total)
+    }
+
     /// Hard input-size limit in bytes.
     pub fn hard_limit_bytes(&self) -> u64 {
         (self.total_bytes as f64 * self.hard_limit_fraction) as u64

@@ -63,6 +63,18 @@ impl PartitionSpec {
         }
     }
 
+    /// Parse a `[partition-size]` argument: `auto` is [`PartitionSpec::auto`]
+    /// for `memory`, anything else a [`parse_size_label`] of at least one
+    /// byte.
+    pub fn parse(arg: &str, memory: &MemoryModel, footprint_factor: f64) -> Option<Self> {
+        match arg {
+            "auto" => Some(Self::auto(memory, footprint_factor)),
+            _ => parse_size_label(arg)
+                .filter(|&bytes| bytes > 0)
+                .map(|bytes| Self::new(bytes as usize)),
+        }
+    }
+
     /// Validate the spec.
     pub fn validate(&self) -> Result<(), PhoenixError> {
         if self.fragment_bytes == 0 {
@@ -73,6 +85,23 @@ impl PartitionSpec {
     }
 }
 
+/// Parse a size as the paper writes one — `600M`, `1.5G`, `64K` (binary
+/// multiples) or raw bytes — into bytes.
+pub fn parse_size_label(label: &str) -> Option<u64> {
+    let label = label.trim();
+    let (num, mult): (&str, u64) = if let Some(n) = label.strip_suffix('G') {
+        (n, 1 << 30)
+    } else if let Some(n) = label.strip_suffix('M') {
+        (n, 1 << 20)
+    } else if let Some(n) = label.strip_suffix('K') {
+        (n, 1 << 10)
+    } else {
+        (label, 1)
+    };
+    let value: f64 = num.parse().ok()?;
+    (value >= 0.0).then_some((value * mult as f64) as u64)
+}
+
 /// Final ordering of output pairs, per the job's declared [`OutputOrder`]
 /// — shared by [`Runtime::run_at`], the fragment sweep and the multi-SD
 /// host merge (which sorts with one worker).
@@ -80,7 +109,6 @@ pub fn sort_output<J: Job>(job: &J, pairs: &mut Vec<(J::Key, J::Value)>, workers
     match job.output_order() {
         OutputOrder::ByKey => parallel_sort_by(pairs, workers, |a, b| a.0.cmp(&b.0)),
         OutputOrder::Custom => parallel_sort_by(pairs, workers, |a, b| job.compare_output(a, b)),
-        OutputOrder::Unsorted => {}
     }
 }
 
@@ -732,38 +760,6 @@ mod tests {
         assert_eq!(jobs, out.stats.fragments, "one phoenix.job per fragment");
     }
 
-    /// [`Wc`] with no output order declared: what the Merge function
-    /// returns is what the caller gets.
-    struct UnorderedWc;
-    impl Job for UnorderedWc {
-        type Key = String;
-        type Value = u64;
-        fn map(&self, chunk: InputChunk<'_>, emitter: &mut Emitter<'_, String, u64>) {
-            Wc.map(chunk, emitter)
-        }
-        fn reduce(&self, k: &String, values: &mut ValueIter<'_, u64>) -> Option<u64> {
-            Wc.reduce(k, values)
-        }
-        fn output_order(&self) -> OutputOrder {
-            OutputOrder::Unsorted
-        }
-    }
-
-    #[test]
-    fn unsorted_multi_key_job_merges_in_the_same_order_every_run() {
-        let data: Vec<u8> = (0..600)
-            .flat_map(|i| format!("w{} ", (i * 7) % 200).into_bytes())
-            .collect();
-        let rt = Runtime::new(PhoenixConfig::with_workers(2).chunk_bytes(256));
-        let part = PartitionedRuntime::new(rt, PartitionSpec::new(1024));
-        let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
-        let first = part.run(&UnorderedWc, &data, &merger).unwrap();
-        let second = part.run(&UnorderedWc, &data, &merger).unwrap();
-        assert!(first.stats.fragments > 1);
-        assert_eq!(first.pairs.len(), 200);
-        assert_eq!(first.pairs, second.pairs);
-    }
-
     #[test]
     fn sum_merger_folds_owned_borrowed_and_repeated_keys_into_one_sorted_run() {
         let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
@@ -799,6 +795,35 @@ mod tests {
         let pairs = Merger::<Wc>::finish(&merger, acc);
         assert_eq!(pairs.as_ptr() as usize, buffer);
         assert_eq!(pairs.len(), 100);
+    }
+
+    #[test]
+    fn parse_labels() {
+        assert_eq!(parse_size_label("500M"), Some(500 * 1024 * 1024));
+        assert_eq!(parse_size_label("1G"), Some(1024 * 1024 * 1024));
+        assert_eq!(
+            parse_size_label("1.25G"),
+            Some((1.25 * 1024.0 * 1024.0 * 1024.0) as u64)
+        );
+        assert_eq!(parse_size_label("2048"), Some(2048));
+        assert_eq!(parse_size_label("64K"), Some(65536));
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        assert_eq!(parse_size_label("abcM"), None);
+        assert_eq!(parse_size_label("-5G"), None);
+        assert_eq!(parse_size_label(""), None);
+    }
+
+    #[test]
+    fn partition_arg_is_auto_or_a_label_of_at_least_one_byte() {
+        let memory = MemoryModel::new(1 << 20);
+        let parse = |arg| PartitionSpec::parse(arg, &memory, 3.0);
+        assert_eq!(parse("auto"), Some(PartitionSpec::auto(&memory, 3.0)));
+        assert_eq!(parse("64K"), Some(PartitionSpec::new(65_536)));
+        assert_eq!(parse("0"), None);
+        assert_eq!(parse("bogus"), None);
     }
 
     #[test]
