@@ -60,6 +60,10 @@ fn main() {
             ) else {
                 usage();
             };
+            if let Some(n) = datagen::distinct_keys(len).filter(|&n| count > n) {
+                eprintln!("only {n} distinct keys of length {len} exist; asked for {count}");
+                exit(2);
+            }
             let keys = datagen::keys_file(count, len, seed);
             write_out(out, format!("{}\n", keys.join("\n")).as_bytes());
         }

@@ -6,8 +6,14 @@ use crate::matmul::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Generate `count` distinct random keys of `len` lowercase letters.
+/// How many keys of `len` letters exist (a `len` of 0 counts as 1); `None` past `usize::MAX`.
+pub fn distinct_keys(len: usize) -> Option<usize> {
+    26usize.checked_pow(u32::try_from(len.max(1)).ok()?)
+}
+
+/// Generate `count` (at most [`distinct_keys`]) random keys of `len` lowercase letters.
 pub fn keys_file(count: usize, len: usize, seed: u64) -> Vec<String> {
+    let count = distinct_keys(len).map_or(count, |n| count.min(n));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut keys = Vec::with_capacity(count);
     let mut seen = std::collections::HashSet::new();
@@ -75,6 +81,16 @@ mod tests {
         let set: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(set.len(), 50);
         assert!(keys.iter().all(|k| k.len() == 8));
+    }
+
+    #[test]
+    fn keys_stop_at_the_distinct_keys_that_exist() {
+        assert_eq!(distinct_keys(1), Some(26));
+        assert_eq!(distinct_keys(0), Some(26));
+        assert_eq!(distinct_keys(14), None);
+        let keys = keys_file(30, 1, 7);
+        let set: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!((keys.len(), set.len()), (26, 26));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::{RngExt, SeedableRng};
 /// Deterministic Zipf text generator.
 #[derive(Debug, Clone)]
 pub struct TextGen {
-    /// Number of distinct words in the vocabulary.
+    /// Number of distinct words in the vocabulary (none: empty corpora).
     pub vocab_size: usize,
     /// Zipf exponent (1.0 ≈ natural language).
     pub exponent: f64,
@@ -44,58 +44,82 @@ impl TextGen {
     /// The `rank`-th vocabulary word (0-based): a short pronounceable
     /// token, unique per rank.
     pub fn word(&self, rank: usize) -> String {
-        // Base-26 encoding with a consonant/vowel flavour so words look
-        // plausible and never collide across ranks.
-        const C: &[u8] = b"bcdfghjklmnpqrstvwxz";
-        const V: &[u8] = b"aeiou";
-        let mut n = rank;
-        let mut out = Vec::new();
-        loop {
-            out.push(C[n % C.len()]);
-            n /= C.len();
-            out.push(V[n % V.len()]);
-            n /= V.len();
-            if n == 0 {
-                break;
-            }
-        }
-        // `out` is built only from the ASCII alphabets above.
-        String::from_utf8_lossy(&out).into_owned()
-    }
-
-    /// Cumulative Zipf weights for sampling.
-    fn cumulative(&self) -> Vec<f64> {
-        let mut cum = Vec::with_capacity(self.vocab_size);
-        let mut total = 0.0;
-        for k in 1..=self.vocab_size {
-            total += 1.0 / (k as f64).powf(self.exponent);
-            cum.push(total);
-        }
-        cum
+        let mut letters = [0; 20]; // ten base-100 digits in `usize::MAX`
+        let len = spell(rank, &mut letters);
+        letters[..len].iter().map(|&b| char::from(b)).collect()
     }
 
     /// Generate approximately `target_bytes` of text (never less; words
-    /// are whole).
+    /// are whole; none from an empty vocabulary). Words are spelled once,
+    /// and a guide table finds the first rank whose Zipf weight reaches a draw.
     pub fn generate(&self, target_bytes: usize) -> Vec<u8> {
-        let cum = self.cumulative();
-        let total = *cum.last().unwrap_or(&1.0);
+        let m = self.vocab_size;
+        if m == 0 {
+            return Vec::new();
+        }
+        let mut cum = Vec::with_capacity(m);
+        let mut words = Vec::with_capacity(m);
+        let mut total = 0.0;
+        for k in 1..=m {
+            total += 1.0 / (k as f64).powf(self.exponent);
+            cum.push(total);
+            let mut word = [b' '; 23]; // letters, a space, padding to copy
+            let len = spell(k - 1, &mut word) + 1;
+            words.push((word, len));
+        }
+        // `guide[b]`: the first rank whose cumulative weight reaches `b·total/m`.
+        let mut guide = Vec::with_capacity(m);
+        let mut r = 0;
+        for b in 0..m {
+            while r < m - 1 && cum[r] < b as f64 * total / m as f64 {
+                r += 1;
+            }
+            guide.push(r);
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::with_capacity(target_bytes + 16);
+        let mut out = Vec::with_capacity(target_bytes + 23);
         let mut line = 0usize;
         while out.len() < target_bytes {
             let x: f64 = rng.random_range(0.0..total);
-            let rank = cum.partition_point(|&c| c < x);
-            let w = self.word(rank.min(self.vocab_size - 1));
-            out.extend_from_slice(w.as_bytes());
-            line += w.len() + 1;
+            // From any start, walking back then forward finds that rank: an
+            // off-by-one bucket costs a step, never a different word.
+            let mut r = guide[((x / total * m as f64) as usize).min(m - 1)];
+            while r > 0 && cum[r - 1] >= x {
+                r -= 1;
+            }
+            while r < m - 1 && cum[r] < x {
+                r += 1;
+            }
+            let (word, len) = &words[r];
+            let end = out.len() + len;
+            out.extend_from_slice(word);
+            out.truncate(end);
+            line += len;
             if line >= self.line_len {
-                out.push(b'\n');
+                out[end - 1] = b'\n';
                 line = 0;
-            } else {
-                out.push(b' ');
             }
         }
         out
+    }
+}
+
+/// Writes word `n`'s letters to `out` and returns their count: the
+/// base-100 digits of `n`, each a consonant and a vowel, so words look
+/// plausible and never collide.
+fn spell(mut n: usize, out: &mut [u8]) -> usize {
+    const C: &[u8] = b"bcdfghjklmnpqrstvwxz";
+    const V: &[u8] = b"aeiou";
+    let mut len = 0;
+    loop {
+        out[len] = C[n % C.len()];
+        n /= C.len();
+        out[len + 1] = V[n % V.len()];
+        n /= V.len();
+        len += 2;
+        if n == 0 {
+            return len;
+        }
     }
 }
 
@@ -129,6 +153,16 @@ mod tests {
         let text = g.generate(10_000);
         assert!(text.len() >= 10_000);
         assert!(text.len() < 10_100);
+    }
+
+    #[test]
+    fn empty_vocabulary_generates_an_empty_corpus() {
+        let g = TextGen {
+            vocab_size: 0,
+            ..TextGen::with_seed(1)
+        };
+        assert!(g.generate(0).is_empty());
+        assert!(g.generate(10_000).is_empty());
     }
 
     #[test]

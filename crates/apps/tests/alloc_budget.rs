@@ -1,9 +1,12 @@
 //! Word Count's allocation budget on the owned path: one owned key per
 //! distinct word per job (DESIGN.md §19), counted by this binary's own
 //! allocator so a key allocation that creeps back in per fragment, per
-//! chunk or per worker fails here and not only on the benchmark box. One
+//! chunk or per worker fails here and not only on the benchmark box. The
+//! job's input pays per vocabulary entry and per distinct word, never per
+//! word: the Zipf generator and the sequential oracle are counted too. One
 //! test, so nothing else allocates while it counts; run it with
-//! `--nocapture` to print its `wc_run_file` reading.
+//! `--nocapture` to print its `textgen_generate`, `seq_wordcount` and
+//! `wc_run_file` readings.
 
 #![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
 
@@ -43,8 +46,33 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// `f`'s result and the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::SeqCst) - before)
+}
+
 #[test]
 fn wordcount_allocates_one_key_per_distinct_word_per_job() {
+    // The benchmark's corpus: 4 MiB of seed 42. The generator spells its
+    // vocabulary once, into one table, so its count is a constant: the same
+    // at a quarter of the size, and far under one allocation per word.
+    let (corpus, generate_4m) = counted(|| TextGen::with_seed(42).generate(4 << 20));
+    let (_, generate_1m) = counted(|| TextGen::with_seed(42).generate(1 << 20));
+    let (reference, oracle) = counted(|| seq::wordcount(&corpus));
+    println!("textgen_generate {generate_4m}");
+    println!("seq_wordcount {oracle}");
+    assert!(
+        generate_4m.abs_diff(generate_1m) <= 16 && generate_4m <= 64,
+        "generate: {generate_4m} allocations for 4 MiB, {generate_1m} for 1 MiB"
+    );
+    let distinct = reference.len() as u64;
+    assert!(
+        oracle <= 2 * distinct + 64,
+        "oracle: {oracle} allocations for {distinct} distinct words"
+    );
+
     let text = TextGen::with_seed(16).generate(1 << 20);
     let path = std::env::temp_dir().join(format!("mcsd-alloc-budget-{}", std::process::id()));
     std::fs::write(&path, &text).unwrap();

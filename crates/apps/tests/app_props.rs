@@ -4,9 +4,55 @@ use mcsd_apps::search::Pattern;
 use mcsd_apps::{datagen, seq, Matrix, StringMatch, WordCount};
 use mcsd_phoenix::{PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
+/// The oracle as it was before it counted by bytes: one repaired `String`
+/// per occurrence.
+fn wordcount_per_occurrence(text: &[u8]) -> Vec<(String, u64)> {
+    let mut counts: HashMap<String, u64> = HashMap::new();
+    for w in text
+        .split(|b| b.is_ascii_whitespace())
+        .filter(|w| !w.is_empty())
+    {
+        *counts
+            .entry(String::from_utf8_lossy(w).into_owned())
+            .or_insert(0) += 1;
+    }
+    let mut pairs: Vec<(String, u64)> = counts.into_iter().collect();
+    pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    pairs
+}
+
+/// Pieces of oracle input: the five ASCII whitespace separators, `\x0b`
+/// (not one), bytes that are never UTF-8, a two-byte letter and two ASCII
+/// letters.
+const PIECES: [&[u8]; 12] = [
+    b" ",
+    b"\t",
+    b"\n",
+    b"\r",
+    b"\x0c",
+    b"\x0b",
+    b"\xfd",
+    b"\xfe",
+    b"\xff",
+    "\u{e9}".as_bytes(),
+    b"a",
+    b"b",
+];
+
 proptest! {
+    /// The oracle counts exactly as one repaired `String` per occurrence
+    /// did, invalid UTF-8 included.
+    #[test]
+    fn wordcount_oracle_matches_per_occurrence_counting(
+        picks in proptest::collection::vec(0usize..PIECES.len(), 0..200),
+    ) {
+        let text: Vec<u8> = picks.iter().flat_map(|&i| PIECES[i].iter().copied()).collect();
+        prop_assert_eq!(seq::wordcount(&text), wordcount_per_occurrence(&text));
+    }
+
     /// Boyer–Moore–Horspool agrees with naive substring search.
     #[test]
     fn bmh_agrees_with_naive(

@@ -1,9 +1,11 @@
 //! Integration tests for the command-line tools, driven through real
 //! process invocations (cargo builds the binaries for us).
 
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 static N: AtomicU64 = AtomicU64::new(0);
 
@@ -119,6 +121,45 @@ fn stringmatch_cli_finds_planted_keys() {
         .find_map(|f| f.strip_suffix(" fragments"));
     assert!(fragments.unwrap().parse::<u64>().unwrap() > 1, "{stderr}");
     assert_eq!(run("bogus").status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn datagen_refuses_more_keys_than_exist() {
+    let dir = temp_dir();
+    let out = dir.join("k.txt");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mcsd-datagen"))
+        .args(["keys", "30", "1", "7", out.to_str().unwrap()])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("`mcsd-datagen keys 30 1 7` still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("only 26 distinct keys"), "{stderr}");
+    // Exactly as many as exist is fine.
+    assert!(Command::new(env!("CARGO_BIN_EXE_mcsd-datagen"))
+        .args(["keys", "26", "1", "7", out.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 26);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
