@@ -6,50 +6,27 @@
 
 use crate::matmul::Matrix;
 use crate::search::Pattern;
+use crate::wordcount::{Word, WordCount};
+use mcsd_phoenix::hash::WordState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Sequential word count, output ordered like
-/// [`WordCount`](crate::wordcount::WordCount): frequency descending, then
-/// word ascending; words that repair to the same text (U+FFFD) count as one.
+/// Sequential word count, output ordered like [`WordCount`]: frequency
+/// descending, then word ascending; words that repair to the same text
+/// (U+FFFD) count as one.
 pub fn wordcount(text: &[u8]) -> Vec<(String, u64)> {
-    let mut counts: HashMap<&[u8], u64, BuildHasherDefault<Fnv1a>> = HashMap::default();
-    for w in text
-        .split(|b| b.is_ascii_whitespace())
-        .filter(|w| !w.is_empty())
-    {
-        *counts.entry(w).or_insert(0) += 1;
+    let mut counts: HashMap<Word, u64, WordState> = HashMap::default();
+    for w in WordCount::words(text) {
+        *counts.entry(Word(w)).or_insert(0) += 1;
     }
-    let mut words: HashMap<String, u64> = HashMap::with_capacity(counts.len());
-    for (w, n) in counts {
+    let mut words: HashMap<String, u64, WordState> =
+        HashMap::with_capacity_and_hasher(counts.len(), WordState::default());
+    for (Word(w), n) in counts {
         let word = String::from_utf8_lossy(w).into_owned();
         *words.entry(word).or_insert(0) += n;
     }
     let mut pairs: Vec<(String, u64)> = words.into_iter().collect();
     pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     pairs
-}
-
-/// FNV-1a: fast on short words. The oracle's callers pass generated
-/// corpora, so it needs no defence against keys chosen to collide.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Sequential string match, output ordered like

@@ -6,8 +6,11 @@
 //! the words are sorted and printed out in accordance with the frequency in
 //! decreasing order."
 
+use mcsd_phoenix::hash::WordState;
 use mcsd_phoenix::prelude::*;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Working-set-to-input ratio for Word Count. The paper quotes "around
 /// three times of the input data size" (§V-C) but its own threshold data —
@@ -43,6 +46,16 @@ impl WordCount {
     }
 }
 
+/// A word keyed by its bytes alone, no length prefix: [`WordState`] mixes it.
+#[derive(PartialEq, Eq)]
+pub(crate) struct Word<'a>(pub(crate) &'a [u8]);
+
+impl Hash for Word<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.0)
+    }
+}
+
 impl Job for WordCount {
     type Key = String;
     type Value = u64;
@@ -50,22 +63,27 @@ impl Job for WordCount {
     fn map(&self, chunk: InputChunk<'_>, emitter: &mut Emitter<'_, String, u64>) {
         // Aggregate within the chunk first, so a word is emitted once per
         // chunk — `emitted_pairs` counts distinct words per chunk, not
-        // occurrences. A valid-UTF-8 word reaches the emitter as the slice
-        // of the chunk it is, and stays borrowed through reduce, until the
-        // run's output owns it or the Merge function copies it into its
-        // arena — once per job (DESIGN.md §19); only a word
-        // `from_utf8_lossy` had to repair is copied.
-        // The table is sized once, for what a default 64 KiB chunk of text
-        // holds at most: grown from empty for every chunk it was a quarter
-        // of the job's allocated bytes.
+        // occurrences. A word of a valid-UTF-8 chunk is emitted as the
+        // chunk's text it is, borrowed until the run's output or the Merge
+        // function keeps it (DESIGN.md §19); only a word `from_utf8_lossy`
+        // had to repair is copied. The table is sized once, for what a
+        // default 64 KiB chunk of text holds at most: grown from empty for
+        // every chunk it was a quarter of the job's allocated bytes.
         let distinct = (chunk.len() / 16).min(4096);
-        let mut local = std::collections::HashMap::<&[u8], u64>::with_capacity(distinct);
+        let mut local = HashMap::with_capacity_and_hasher(distinct, WordState::default());
         for word in Self::words(chunk.bytes()) {
-            *local.entry(word).or_insert(0) += 1;
+            *local.entry(Word(word)).or_insert(0) += 1;
         }
-        // tidy:allow(MCSD010) -- combiner hot path: emission order only feeds the framework's own hash partitioner and re-grouping; final output is key-sorted downstream
-        for (word, count) in local {
-            emitter.emit_ref(&String::from_utf8_lossy(word), count);
+        let text_of = |word: &[u8]| {
+            let at = word.as_ptr() as usize - chunk.bytes().as_ptr() as usize;
+            chunk.text()?.get(at..at + word.len())
+        };
+        // tidy:allow(MCSD010) -- combiner hot path: emission order only feeds the framework's own hash partitioner and re-grouping; final output is sorted downstream
+        for (Word(word), count) in local {
+            match text_of(word) {
+                Some(text) => emitter.emit_ref(text, count),
+                None => emitter.emit_ref(&String::from_utf8_lossy(word), count),
+            }
         }
     }
 

@@ -135,4 +135,19 @@ fn wordcount_module_allocates_for_no_word() {
         count < distinct_words / 8,
         "{count} allocations for {distinct_words} distinct words"
     );
+    // And within 16 of what the module read while the runtime still grouped
+    // by sorting keys: the tables' growth moves a few with the process's
+    // hash keys, but a partition copied or rehashed in reduce, or a Merge
+    // index grown key by key, costs more than that.
+    let ceiling = unsorted_ceiling(508, 546);
+    assert!(count <= ceiling, "{count} allocations, over {ceiling}");
+}
+
+/// 16 over a count pinned from the runtime that grouped by sorting keys:
+/// `printed` as `--nocapture` prints it, or `captured` when libtest
+/// captures output, which costs every thread the job spawns an allocation.
+fn unsorted_ceiling(printed: u64, captured: u64) -> u64 {
+    let nocapture = std::env::args().any(|arg| arg == "--nocapture")
+        || std::env::var_os("RUST_TEST_NOCAPTURE").is_some();
+    16 + if nocapture { printed } else { captured }
 }

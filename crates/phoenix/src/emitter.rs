@@ -1,34 +1,27 @@
 //! Intermediate pair emission.
 //!
 //! Each map worker owns one [`Emitter`]. Emitted pairs are hash-partitioned
-//! across the configured number of reduce partitions; a stable (per-build
-//! deterministic) hash is used so every worker agrees on the partition of a
-//! key. When the job declares a combiner, pairs are folded eagerly into a
-//! per-partition hash map instead of being buffered, which is what keeps
-//! Word Count's intermediate footprint bounded by the number of *distinct*
-//! words per fragment rather than the number of word occurrences.
+//! across the configured number of reduce partitions by the hash a key is
+//! given once, by [`WordState`], and carries on through reduce. When the
+//! job declares a combiner, pairs are folded eagerly into a per-partition
+//! hash map instead of being buffered, which is what keeps Word Count's
+//! intermediate footprint bounded by the number of *distinct* words per
+//! fragment rather than the number of word occurrences.
 //!
 //! From `emit` until something has to outlive the job input a key is an
 //! [`InterKey`]: owned, or — for keys that are text of the job input
 //! ([`Emitter::emit_ref`]) — a slice of that input, so that nothing is
 //! allocated per worker, per chunk or per fragment for it (DESIGN.md §19).
 
+use crate::hash::{Hashed, PassThrough, WordState};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
-/// Stable hash used for partitioning keys across reduce partitions.
-///
-/// `DefaultHasher::new()` uses fixed keys, so the value is deterministic
-/// within a build — all workers agree, and repeated runs of a binary
-/// partition identically.
-pub fn partition_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
+/// An intermediate pair as the emitter and reduce hold it.
+pub(crate) type Pair<'i, K, V> = (Hashed<InterKey<'i, K>>, V);
 
 /// Associative fold over values, implemented by jobs that declare a
 /// combiner. Object-safe so the emitter can hold a borrowed reference
@@ -155,17 +148,17 @@ impl<K: Hash> Hash for InterKey<'_, K> {
 
 enum Buffers<'i, K, V> {
     /// Plain append buffers, one per reduce partition.
-    Plain(Vec<Vec<(InterKey<'i, K>, V)>>),
+    Plain(Vec<Vec<Pair<'i, K, V>>>),
     /// Eagerly-combined maps, one per reduce partition.
-    Combining(Vec<HashMap<InterKey<'i, K>, V>>),
+    Combining(Vec<HashMap<Hashed<InterKey<'i, K>>, V, PassThrough>>),
 }
 
 /// Per-worker sink for intermediate `(key, value)` pairs.
 pub struct Emitter<'i, K, V> {
     buffers: Buffers<'i, K, V>,
     combiner: Option<&'i dyn CombineFn<V>>,
-    /// The job input [`Emitter::emit_ref`] recognises its keys in.
-    input: &'i [u8],
+    /// The job input's text [`Emitter::emit_ref`] recognises its keys in.
+    input: &'i str,
     emitted: u64,
 }
 
@@ -176,7 +169,7 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
         Emitter {
             buffers: Buffers::Plain((0..partitions).map(|_| Vec::new()).collect()),
             combiner: None,
-            input: &[],
+            input: "",
             emitted: 0,
         }
     }
@@ -185,17 +178,18 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     pub fn with_combiner(partitions: usize, combiner: &'i dyn CombineFn<V>) -> Self {
         assert!(partitions > 0, "emitter needs at least one partition");
         Emitter {
-            buffers: Buffers::Combining((0..partitions).map(|_| HashMap::new()).collect()),
+            buffers: Buffers::Combining((0..partitions).map(|_| HashMap::default()).collect()),
             combiner: Some(combiner),
-            input: &[],
+            input: "",
             emitted: 0,
         }
     }
 
-    /// The same emitter over the job input `input` — keys
-    /// [`Emitter::emit_ref`] finds inside it stay borrowed from it — with
-    /// room in each combining table for `table_keys` keys from the start.
-    pub(crate) fn over(mut self, input: &'i [u8], table_keys: usize) -> Self {
+    /// The same emitter over the job input's valid UTF-8 prefix `input` —
+    /// keys [`Emitter::emit_ref`] finds inside it stay borrowed from it —
+    /// with room in each combining table for `table_keys` keys from the
+    /// start.
+    pub(crate) fn over(mut self, input: &'i str, table_keys: usize) -> Self {
         self.input = input;
         if let Buffers::Combining(maps) = &mut self.buffers {
             maps.iter_mut().for_each(|map| map.reserve(table_keys));
@@ -231,8 +225,7 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     {
         let in_input = (key.as_ptr() as usize)
             .checked_sub(self.input.as_ptr() as usize)
-            .and_then(|start| self.input.get(start..start.checked_add(key.len())?))
-            .and_then(|bytes| std::str::from_utf8(bytes).ok());
+            .and_then(|start| self.input.get(start..start.checked_add(key.len())?));
         let key = match in_input {
             Some(text) => InterKey::Input(text, &TextKey::TABLE),
             None => InterKey::Owned(key.to_owned()),
@@ -242,8 +235,11 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
 
     fn push(&mut self, key: InterKey<'i, K>, value: V) {
         self.emitted += 1;
-        let parts = self.partitions();
-        let p = (partition_hash(&key) % parts as u64) as usize;
+        let hash = WordState::default().hash_one(&key);
+        // From bits a combining table uses for neither its bucket (the low
+        // ones) nor its 7-bit tag (the top ones).
+        let p = ((u64::from((hash >> 24) as u32) * self.partitions() as u64) >> 32) as usize;
+        let key = Hashed { hash, key };
         match &mut self.buffers {
             Buffers::Plain(bufs) => bufs[p].push((key, value)),
             Buffers::Combining(maps) => match maps[p].entry(key) {
@@ -276,7 +272,7 @@ impl<'i, K: Ord + Hash + Clone, V> Emitter<'i, K, V> {
     }
 
     /// Drain the emitter into per-partition pair vectors.
-    pub(crate) fn into_partitions(self) -> Vec<Vec<(InterKey<'i, K>, V)>> {
+    pub(crate) fn into_partitions(self) -> Vec<Vec<Pair<'i, K, V>>> {
         match self.buffers {
             Buffers::Plain(v) => v,
             Buffers::Combining(v) => v.into_iter().map(|m| m.into_iter().collect()).collect(),
@@ -297,7 +293,7 @@ mod tests {
 
     fn owned_pairs(e: Emitter<'_, String, u64>) -> Vec<(String, u64)> {
         let pairs = e.into_partitions().into_iter().flatten();
-        pairs.map(|(k, v)| (k.into_owned(), v)).collect()
+        pairs.map(|(k, v)| (k.key.into_owned(), v)).collect()
     }
 
     #[test]
@@ -344,26 +340,28 @@ mod tests {
 
     #[test]
     fn emit_ref_borrows_input_text_and_copies_anything_else() {
-        let input = b"red green red".to_vec();
-        let text = std::str::from_utf8(&input).unwrap();
-        let mut e: Emitter<'_, String, u64> = Emitter::new(1).over(&input, 0);
+        let text = "red green red";
+        let mut e: Emitter<'_, String, u64> = Emitter::new(1).over(text, 0);
         e.emit_ref(&text[..3], 1);
         e.emit_ref(&String::from("red"), 1);
         let keys: Vec<_> = e.into_partitions().remove(0);
-        assert!(matches!(keys[0].0, InterKey::Input("red", _)));
-        assert!(matches!(&keys[1].0, InterKey::Owned(k) if k == "red"));
+        assert!(matches!(keys[0].0.key, InterKey::Input("red", _)));
+        assert!(matches!(&keys[1].0.key, InterKey::Owned(k) if k == "red"));
+        assert_eq!(keys[0].0.hash, keys[1].0.hash);
         // Without an input to find it in, every key is copied.
         let mut e: Emitter<'_, String, u64> = Emitter::new(1);
         e.emit_ref(&text[..3], 1);
-        assert!(matches!(e.into_partitions()[0][0].0, InterKey::Owned(_)));
+        assert!(matches!(
+            e.into_partitions()[0][0].0.key,
+            InterKey::Owned(_)
+        ));
     }
 
     #[test]
     fn borrowed_and_owned_forms_of_a_key_are_one_key() {
-        let input = b"red green red".to_vec();
-        let text = std::str::from_utf8(&input).unwrap();
+        let text = "red green red";
         let summer = Summer;
-        let mut e: Emitter<'_, String, u64> = Emitter::with_combiner(4, &summer).over(&input, 0);
+        let mut e: Emitter<'_, String, u64> = Emitter::with_combiner(4, &summer).over(text, 0);
         e.emit("red".into(), 1);
         e.emit_ref(&text[..3], 1);
         e.emit_ref(&text[4..9], 1);
@@ -373,12 +371,10 @@ mod tests {
         let mut sorted = owned_pairs(e);
         sorted.sort();
         assert_eq!(sorted, vec![("green".into(), 2), ("red".into(), 3)]);
-        // Hash and order agree across the two forms, as partitioning and
-        // reduce's sort need.
+        // Order agrees across the two forms, as reduce's grouping needs
+        // (the hash laws are `hash.rs`' tests).
         let borrowed: InterKey<'_, String> = InterKey::Input("red", &TextKey::TABLE);
         let owned = InterKey::Owned(String::from("red"));
-        assert_eq!(partition_hash(&borrowed), partition_hash(&owned));
-        assert_eq!(partition_hash(&owned), partition_hash(&String::from("red")));
         assert_eq!(borrowed.cmp(&owned), Ordering::Equal);
         assert!(borrowed > InterKey::Owned(String::from("green")));
     }
@@ -405,11 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_hash_is_stable_across_calls() {
-        let a = partition_hash(&"hello");
-        let b = partition_hash(&"hello");
-        assert_eq!(a, b);
-        assert_ne!(partition_hash(&"hello"), partition_hash(&"world"));
+    fn keys_spread_over_every_partition() {
+        let mut e: Emitter<'_, u64, u64> = Emitter::new(5);
+        for i in 0..1000 {
+            e.emit(i, i);
+        }
+        assert!(e.into_partitions().iter().all(|p| p.len() > 100));
     }
 
     #[test]

@@ -13,16 +13,18 @@ use std::hash::Hash;
 /// A chunk of the job input handed to one map task.
 #[derive(Debug, Clone, Copy)]
 pub struct InputChunk<'a> {
-    data: &'a [u8],
-    global_offset: usize,
-    index: usize,
+    pub(crate) data: &'a [u8],
+    pub(crate) text: Option<&'a str>,
+    pub(crate) global_offset: usize,
+    pub(crate) index: usize,
 }
 
 impl<'a> InputChunk<'a> {
-    /// Construct a chunk (used by the runtime and by tests).
+    /// Construct a chunk (used by tests), validating it as UTF-8.
     pub fn new(data: &'a [u8], global_offset: usize, index: usize) -> Self {
         InputChunk {
             data,
+            text: std::str::from_utf8(data).ok(),
             global_offset,
             index,
         }
@@ -31,6 +33,11 @@ impl<'a> InputChunk<'a> {
     /// The chunk's bytes.
     pub fn bytes(&self) -> &'a [u8] {
         self.data
+    }
+
+    /// The chunk as text, if it is valid UTF-8 (checked once per input).
+    pub fn text(&self) -> Option<&'a str> {
+        self.text
     }
 
     /// Byte offset of this chunk within the whole job input.
@@ -151,7 +158,8 @@ pub trait Job: Sync {
         OutputOrder::ByKey
     }
 
-    /// Comparator used when [`Job::output_order`] is [`OutputOrder::Custom`].
+    /// Comparator used when [`Job::output_order`] is [`OutputOrder::Custom`]:
+    /// a total order, or ties come out in hash-table order, which varies.
     fn compare_output(
         &self,
         a: &(Self::Key, Self::Value),
@@ -187,6 +195,8 @@ mod tests {
         assert_eq!(c.index(), 3);
         assert_eq!(c.len(), 5);
         assert!(!c.is_empty());
+        assert_eq!(c.text(), Some("hello"));
+        assert_eq!(InputChunk::new(b"\xff", 0, 0).text(), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   `reduce`, optional `combine`), mirroring Phoenix's functional API.
 //! * [`Runtime`] — the scheduler: splits the input into chunks, runs map
 //!   workers on a capped pool of OS threads, hash-partitions intermediate
-//!   pairs, sorts/groups them, runs reduce workers, and merges the output.
+//!   pairs, groups them by hash, reduces them, and sorts the output once.
 //! * [`splitter`] — chunking of byte inputs on record or delimiter
 //!   boundaries.
 //! * [`integrity`] — the paper's integrity-check procedure (Fig. 7): a
@@ -66,6 +66,7 @@
 pub mod config;
 pub mod emitter;
 pub mod error;
+pub mod hash;
 pub mod integrity;
 pub mod job;
 pub mod memory;

@@ -19,6 +19,7 @@
 use crate::config::OutputOrder;
 use crate::emitter::{InterKey, TextKey};
 use crate::error::PhoenixError;
+use crate::hash::{PassThrough, WordState};
 use crate::job::Job;
 use crate::memory::MemoryModel;
 use crate::runtime::{JobOutput, Runtime, TRACE_TRACK};
@@ -30,8 +31,9 @@ use mcsd_obs::names::SPAN_PHOENIX_PARTITIONED;
 use mcsd_obs::ClockDomain;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fs::File;
+use std::hash::BuildHasher;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
@@ -174,8 +176,8 @@ pub struct PlanOnFile {
 /// buffer, which is refilled once `merge` returns. A key the accumulator
 /// keeps must outlive that buffer — [`SumMerger`] copies its text into the
 /// run's one arena, and only `finish` makes it owned, once; a key it already
-/// holds is compared ([`InterKey::cmp_key`]) and dropped without ever having
-/// been copied.
+/// holds is found by hash, compared ([`InterKey::cmp_key`]) and dropped
+/// without ever having been copied.
 pub trait Merger<J: Job>: Sync {
     /// Accumulator carried across fragments.
     type Acc: Send;
@@ -183,8 +185,9 @@ pub trait Merger<J: Job>: Sync {
     /// Fresh accumulator.
     fn empty(&self) -> Self::Acc;
 
-    /// Fold one fragment's output pairs — key-sorted runs, one per reduce
-    /// partition, one after another — into the accumulator.
+    /// Fold one fragment's output pairs — reduced partitions in no key
+    /// order: only `finish` + [`sort_output`], or a caller's own sort,
+    /// applies one — into the accumulator.
     fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(InterKey<'_, J::Key>, J::Value)>);
 
     /// Turn the accumulator into final output pairs (unsorted; the driver
@@ -194,10 +197,10 @@ pub trait Merger<J: Job>: Sync {
 
 /// Merge by key, folding values with the job's combiner semantics. The
 /// right merger for Word Count: per-fragment counts for the same word are
-/// summed. The accumulator is one key-sorted [`SumRun`] that each fragment
-/// is merge-joined into, so only a key no earlier fragment held is kept —
+/// summed. The accumulator is one [`SumRun`] that each fragment's keys are
+/// looked up in by hash, so only a key no earlier fragment held is kept —
 /// input text by a copy into the run's arena, which allocates nothing per
-/// key — and the merged pairs come out in key order on every run.
+/// key — in the order keys were first seen.
 pub struct SumMerger<F> {
     fold: F,
 }
@@ -224,41 +227,42 @@ where
                 text: String::new(),
                 as_text: None,
             },
+            index: HashMap::default(),
         }
     }
 
-    fn merge(&self, acc: &mut Self::Acc, mut fragment: Vec<(InterKey<'_, J::Key>, J::Value)>) {
-        // Stable: the fragment's sorted runs are found and merged, not
-        // sorted again.
-        fragment.sort_by(|a, b| a.0.cmp(&b.0));
-        let SumRun { pairs: run, arena } = acc;
-        // The run holds at least the keys of its largest fragment, and the
-        // arena at least their text.
-        run.reserve(fragment.len().saturating_sub(run.len()));
+    fn merge(&self, acc: &mut Self::Acc, fragment: Vec<(InterKey<'_, J::Key>, J::Value)>) {
+        let SumRun {
+            pairs: run,
+            arena,
+            index,
+        } = acc;
+        // The run and its index hold at least the keys of its largest
+        // fragment, and the arena at least their text.
+        let more = fragment.len().saturating_sub(run.len());
+        run.reserve(more);
+        index.reserve(more);
         arena.reserve(&fragment);
-        let held = run.len();
-        let mut at = 0;
         for (key, value) in fragment {
-            while at < held && arena.cmp_key(&key, &run[at].0) == Ordering::Greater {
-                at += 1;
+            // A key whose hash a different key holds probes on to the next
+            // hash value; no entry is ever removed, so its walk finds it.
+            let mut probe = WordState::default().hash_one(&key);
+            let other = |i: &&usize| !arena.holds(&key, &run[**i].0);
+            while index.get(&probe).filter(other).is_some() {
+                probe = probe.wrapping_add(1);
             }
-            // The key is the run's at `at`, or — a fragment may repeat a
-            // key — the newest of the keys queued behind the run, or new.
-            let (old, queued) = run.split_at_mut(held);
-            let mut candidates = old.get_mut(at).into_iter().chain(queued.last_mut());
-            match candidates.find(|(own, _)| arena.cmp_key(&key, own) == Ordering::Equal) {
-                Some((_, folded)) => (self.fold)(folded, value),
-                None => run.push((arena.hold(key), value)),
+            match index.get(&probe) {
+                Some(&i) => (self.fold)(&mut run[i].1, value),
+                None => {
+                    index.insert(probe, run.len());
+                    run.push((arena.hold(key), value));
+                }
             }
-        }
-        if held > 0 && run.len() > held {
-            // Two sorted runs, merged in one pass.
-            run.sort_by(|a, b| arena.cmp(&a.0, &b.0));
         }
     }
 
     fn finish(&self, acc: Self::Acc) -> Vec<(J::Key, J::Value)> {
-        let SumRun { pairs, arena } = acc;
+        let SumRun { pairs, arena, .. } = acc;
         pairs
             .into_iter()
             .filter_map(|(key, value)| Some((arena.own(key)?, value)))
@@ -266,14 +270,17 @@ where
     }
 }
 
-/// [`SumMerger`]'s accumulator: one key-sorted run of folded pairs. A key
-/// handed over owned is moved in as it is; input text is copied into one
-/// arena per run and held as a span of it, so holding a word allocates
-/// nothing of its own — until [`Merger::finish`] owns it, or never, for a
-/// caller that reads the words through [`SumRun::texts`].
+/// [`SumMerger`]'s accumulator: one run of folded pairs, first seen
+/// first, and a hash index over it. A key handed over owned is moved in as
+/// it is; input text is copied into one arena per run and held as a span of
+/// it, so holding a word allocates nothing of its own — until
+/// [`Merger::finish`] owns it, or never, for a caller that reads the words
+/// through [`SumRun::texts`].
 pub struct SumRun<K, V> {
     pairs: Vec<(Held<K>, V)>,
     arena: Arena<K>,
+    /// Where each key is in `pairs`, by its hash (or the next free value).
+    index: HashMap<u64, usize, PassThrough>,
 }
 
 /// A key a [`SumRun`] holds: owned, or a span of its arena — as wide as
@@ -292,8 +299,9 @@ struct Arena<K> {
 }
 
 impl<K: Borrow<str>, V> SumRun<K, V> {
-    /// The run's pairs in key order, every key as text borrowed from the
-    /// run: [`Merger::finish`] without a key made owned.
+    /// The run's pairs in the order their keys were first seen, not in key
+    /// order, every key as text borrowed from the run: [`Merger::finish`]
+    /// without a key made owned.
     pub fn texts(&self) -> impl ExactSizeIterator<Item = (&str, &V)> + '_ {
         self.pairs.iter().map(|(key, value)| {
             let text = match key {
@@ -346,29 +354,13 @@ impl<K: Ord> Arena<K> {
         }
     }
 
-    /// How a span orders against an owned key.
-    fn cmp_text(&self, span: &Range<usize>, own: &K) -> Ordering {
-        let text = self.slice(span);
-        let as_text = self.as_text.as_ref();
-        as_text.map_or(Ordering::Less, |t| InterKey::Input(text, t).cmp_key(own))
-    }
-
-    /// How a fragment's key orders against a held one.
-    fn cmp_key(&self, key: &InterKey<'_, K>, held: &Held<K>) -> Ordering {
+    /// Whether a fragment's key is a held one.
+    fn holds(&self, key: &InterKey<'_, K>, held: &Held<K>) -> bool {
         match (key, held) {
-            (_, Held::Owned(own)) => key.cmp_key(own),
-            (InterKey::Input(text, _), Held::Text(span)) => (*text).cmp(self.slice(span)),
-            (InterKey::Owned(own), Held::Text(span)) => self.cmp_text(span, own).reverse(),
-        }
-    }
-
-    /// How two held keys order.
-    fn cmp(&self, a: &Held<K>, b: &Held<K>) -> Ordering {
-        match (a, b) {
-            (Held::Owned(a), Held::Owned(b)) => a.cmp(b),
-            (Held::Text(a), Held::Owned(b)) => self.cmp_text(a, b),
-            (Held::Owned(a), Held::Text(b)) => self.cmp_text(b, a).reverse(),
-            (Held::Text(a), Held::Text(b)) => self.slice(a).cmp(self.slice(b)),
+            (_, Held::Owned(own)) => key.cmp_key(own).is_eq(),
+            (InterKey::Input(text, _), Held::Text(span)) => *text == self.slice(span),
+            (InterKey::Owned(own), Held::Text(span)) => (self.as_text.as_ref())
+                .is_some_and(|t| InterKey::Input(self.slice(span), t).cmp_key(own).is_eq()),
         }
     }
 }
@@ -761,22 +753,31 @@ mod tests {
     }
 
     #[test]
-    fn sum_merger_folds_owned_borrowed_and_repeated_keys_into_one_sorted_run() {
+    fn sum_merger_folds_owned_borrowed_and_repeated_keys_into_one_run() {
         let merger = SumMerger::new(|acc: &mut u64, v: u64| *acc += v);
         let owned = |k: &str, v| (InterKey::Owned(k.to_string()), v);
         let input = |k, v| (InterKey::Input(k, &crate::emitter::TextKey::TABLE), v);
         let mut acc = <SumMerger<_> as Merger<Wc>>::empty(&merger);
-        // Two sorted runs, as two reduce partitions leave them; `b` twice.
+        // In no key order, as reduce leaves them; `b` twice, in both forms.
         let fragment = vec![owned("b", 1), input("d", 1), input("a", 1), input("b", 1)];
         Merger::<Wc>::merge(&merger, &mut acc, fragment);
-        // Keys below, between, equal to and above the ones held.
+        // Keys new and held, in both forms.
         let fragment = vec![input("e", 5), owned("c", 5), owned("d", 5), input("0", 5)];
         Merger::<Wc>::merge(&merger, &mut acc, fragment);
+        // The borrowed view holds each key once, folded: the same multiset
+        // as the finished run.
+        let mut viewed: Vec<_> = acc.texts().map(|(k, &v)| (k.to_string(), v)).collect();
+        viewed.sort();
         let expect = [("0", 5), ("a", 1), ("b", 2), ("c", 5), ("d", 6), ("e", 5)];
-        let viewed: Vec<_> = acc.texts().map(|(k, &v)| (k, v)).collect();
-        assert_eq!(viewed, expect, "the borrowed view, in key order");
         let expect: Vec<_> = expect.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        assert_eq!(Merger::<Wc>::finish(&merger, acc), expect);
+        assert_eq!(viewed, expect);
+        // Order comes from `finish` + `sort_output` alone: count
+        // descending, then key.
+        let mut finished = Merger::<Wc>::finish(&merger, acc);
+        sort_output(&Wc, &mut finished, 1);
+        let order = [("d", 6), ("0", 5), ("c", 5), ("e", 5), ("b", 2), ("a", 1)];
+        let order: Vec<_> = order.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(finished, order);
     }
 
     #[test]

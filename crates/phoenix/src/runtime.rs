@@ -7,7 +7,7 @@
 //! Core2 Duo SD node, 4 = the Core2 Quad host.
 
 use crate::config::PhoenixConfig;
-use crate::emitter::{Emitter, InterKey};
+use crate::emitter::{Emitter, InterKey, Pair};
 use crate::error::PhoenixError;
 use crate::job::{InputChunk, Job, ValueIter};
 use crate::memory::MemoryVerdict;
@@ -47,7 +47,7 @@ impl<K, V> JobOutput<K, V> {
 }
 
 /// Intermediate pairs of one reduce partition, as per-worker runs.
-type PartitionBuckets<'i, K, V> = Vec<Vec<(InterKey<'i, K>, V)>>;
+type PartitionBuckets<'i, K, V> = Vec<Vec<Pair<'i, K, V>>>;
 
 /// Output of one worker's map phase.
 struct WorkerMapOutput<'i, K, V> {
@@ -56,9 +56,8 @@ struct WorkerMapOutput<'i, K, V> {
     buffered: u64,
 }
 
-/// A reduced partition: key-sorted output pairs plus its distinct-key
-/// count.
-type ReducedPartition<'i, K, V> = (Vec<(InterKey<'i, K>, V)>, u64);
+/// A reduced partition: output pairs plus its distinct-key count.
+type ReducedPartition<'i, K, V> = (Vec<Pair<'i, K, V>>, u64);
 /// A work cell claimed by exactly one reduce worker.
 type WorkCell<T> = Mutex<Option<T>>;
 
@@ -171,10 +170,10 @@ impl Runtime {
     /// that [`Runtime::run_at`] shares with the fragment sweep of
     /// [`PartitionedRuntime`](crate::partition::PartitionedRuntime), memory
     /// model enforced, stats complete, span tree recorded. Its pairs are the
-    /// reduced partitions one after another, each in key order, the job's
-    /// order not applied and no key owned that was emitted as text of
-    /// `input` (DESIGN.md §19). `table_keys` carries the size the combining
-    /// tables reached from one fragment to the next.
+    /// reduced partitions one after another, in no key order — only the
+    /// caller applies an order — and no key owned that was emitted as text
+    /// of `input` (DESIGN.md §19). `table_keys` carries the size the
+    /// combining tables reached from one fragment to the next.
     pub(crate) fn reduce_at<'i, J: Job>(
         &self,
         job: &'i J,
@@ -206,6 +205,10 @@ impl Runtime {
         let t0 = Stopwatch::start();
         let splitter = Splitter::new(job.split_spec());
         let chunks = splitter.split(input, self.config.chunk_bytes);
+        // Validated once: chunks and `emit_ref` slice its valid UTF-8 prefix.
+        let text = std::str::from_utf8(input)
+            .or_else(|e| std::str::from_utf8(&input[..e.valid_up_to()]))
+            .unwrap_or_default();
         timings.split = t0.elapsed();
         let map_tasks = chunks.len() as u64;
 
@@ -227,10 +230,14 @@ impl Runtime {
             } else {
                 Emitter::new(partitions)
             };
-            let mut emitter = emitter.over(input, *table_keys);
-            for idx in (w..chunks.len()).step_by(workers) {
-                let range = &chunks[idx];
-                let chunk = InputChunk::new(&input[range.clone()], base_offset + range.start, idx);
+            let mut emitter = emitter.over(text, *table_keys);
+            for (index, range) in chunks.iter().enumerate().skip(w).step_by(workers) {
+                let chunk = InputChunk {
+                    data: &input[range.clone()],
+                    text: text.get(range.clone()),
+                    global_offset: base_offset + range.start,
+                    index,
+                };
                 job.map(chunk, &mut emitter);
             }
             let emitted = emitter.emitted();
@@ -302,8 +309,9 @@ impl Runtime {
         }
 
         // ---- Merge ----
+        // The hashes stay behind: what comes next sorts, or hashes anew.
         let t0 = Stopwatch::start();
-        let pairs = concat(partition_outputs);
+        let pairs = concat(partition_outputs, |(key, value)| (key.key, value));
         timings.merge = t0.elapsed();
 
         let stats = JobStats {
@@ -358,23 +366,24 @@ impl Runtime {
     }
 }
 
-/// One part after another, in one vector sized once.
-fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+/// One part after another, through `f`, in one vector sized once.
+fn concat<T, U>(parts: Vec<Vec<T>>, f: impl FnMut(T) -> U) -> Vec<U> {
     let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    parts.into_iter().for_each(|part| all.extend(part));
+    all.extend(parts.into_iter().flatten().map(f));
     all
 }
 
-/// Sort, group and reduce the pairs of one partition. Returns the
-/// key-sorted output pairs and the number of distinct keys. No key becomes
-/// owned here: `Job::reduce` is shown an owned key as it is and input text
+/// Group and reduce the pairs of one partition. Returns the output pairs,
+/// in no key order, and the number of distinct keys. No key becomes owned
+/// here: `Job::reduce` is shown an owned key as it is and input text
 /// through `scratch`, and the key moves into the output as it came.
 fn reduce_partition<'i, J: Job>(
     job: &J,
     bufs: PartitionBuckets<'i, J::Key, J::Value>,
     scratch: &mut Option<J::Key>,
 ) -> ReducedPartition<'i, J::Key, J::Value> {
-    let mut pairs = concat(bufs);
+    let mut pairs = concat(bufs, |pair| pair);
+    // By `(hash, key)`: keys are compared only where hashes are equal.
     pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     // The sorted pairs leave the ring at the front and the reduced ones
     // join it at the back: at least one leaves for each that joins, so the
@@ -395,7 +404,7 @@ fn reduce_partition<'i, J: Job>(
         }
         unreduced -= group.len();
         distinct += 1;
-        if let Some(v) = job.reduce(key.key_in(scratch), &mut ValueIter::new(&group)) {
+        if let Some(v) = job.reduce(key.key.key_in(scratch), &mut ValueIter::new(&group)) {
             ring.push_back((key, v));
         }
     }
