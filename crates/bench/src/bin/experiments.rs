@@ -1,27 +1,27 @@
 //! `mcsd-experiments` — regenerate every table and figure of the McSD
 //! paper's evaluation (§V), plus the DESIGN.md ablations and the
-//! operational walkthroughs (faults, overload, traces, chaos, rack scale).
+//! operational walkthroughs (overload, traces, failover, chaos, rack scale).
 //!
 //! ```text
-//! mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|faults|overload|trace|failover|chaos|rack|batched]
+//! mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|overload|trace|failover|chaos|rack|batched]
 //!                  [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]
 //! ```
 //!
 //! `SUBCOMMANDS` is the one list of names: `usage()` prints it, `main`
-//! checks every positional argument against it and runs from it, and each
-//! row says what its subcommand does and why it is or is not part of `all`
-//! (the default). This file is the command line and the printing; what the
-//! subcommands run lives in the libraries (`mcsd_bench`, `mcsd_core`).
+//! checks every positional argument against it and runs from it, and the
+//! list says what each subcommand runs and why it is or is not part of
+//! `all` (the default). This file is the command line, the printing and the file
+//! writing; what the subcommands run lives in the libraries (`mcsd_bench`,
+//! `mcsd_core`).
 //!
 //! Run in release mode: debug builds inflate per-byte compute cost ~25x
 //! and distort the compute/IO balance the figures depend on.
 
-use mcsd_bench::four_phase::{FourPhaseScenario, PhaseRun};
+use mcsd_bench::demos::{self, Demo};
 use mcsd_bench::table::TextTable;
 use mcsd_bench::{ablation, fig8, pairs, ExperimentConfig};
-use mcsd_cluster::{paper_testbed, Cluster, SandiaMicroBenchmark, Scale, SmbPattern};
-use mcsd_obs::{CounterFamily, MetricSample, Tracer};
-use std::time::Duration;
+use mcsd_cluster::{paper_testbed, SandiaMicroBenchmark, Scale, SmbPattern};
+use mcsd_core::McsdError;
 
 /// What the command line selected besides the subcommand names.
 struct Options {
@@ -67,7 +67,7 @@ const fn demo(name: &'static str, run: fn(&Options)) -> Subcommand {
 }
 
 /// Every subcommand, in the order a multi-name invocation runs them.
-const SUBCOMMANDS: [Subcommand; 15] = [
+const SUBCOMMANDS: [Subcommand; 14] = [
     figure("table1", table1),
     figure("fig8a", fig8a),
     figure("fig8b", fig8b),
@@ -76,37 +76,16 @@ const SUBCOMMANDS: [Subcommand; 15] = [
     figure("fig10", fig10),
     figure("smb", smb),
     figure("ablations", ablations),
-    // Seeded fault schedules through the live SD path, printing the
-    // recovery counters — the interactive counterpart of
-    // `crates/mcsd-core/tests/faults.rs`. Fault seeds stall the real clock
-    // (crash detection, heartbeat probes) and would slow the figure run.
-    demo("faults", fault_sweep),
-    // The breaker and memory-admission phases of the four-phase scenario
-    // (`mcsd_bench::four_phase`, seeded by `--seed`): decision log,
-    // degradations and the `OverloadStats` counters — the interactive
-    // counterpart of `crates/mcsd-core/tests/overload.rs`. Breaker
-    // cooldowns and live daemons make it a demo, not a figure.
-    demo("overload", overload_run),
-    // All four phases with the DESIGN.md §12 virtual-clock tracer on,
-    // exported to `trace-<seed>.jsonl` + `trace-<seed>.chrome.json`. Same
-    // seed, same bytes, which CI asserts with a plain `diff`.
-    demo("trace", trace_run),
-    // The DESIGN.md §15 replication story on a live three-node group —
-    // the interactive counterpart of
-    // `crates/mcsd-core/tests/replication.rs`; writes
-    // `failover-<seed>.jsonl`, diffed by CI.
-    demo("failover", failover_demo),
-    // The DESIGN.md §16 fault-space sweep over the replication-rounds,
-    // four-phase and batched-echo scenarios: tens of injected re-runs, an
-    // audit rather than a figure. Writes `chaos-<seed>.json` (diffed by
-    // CI) and exits non-zero on any invariant violation.
-    demo("chaos", chaos_run),
-    // The DESIGN.md §17 discrete-event scheduler at `--racks`/`--jobs`
-    // (not `--scale`); writes `rack-<seed>.jsonl`, diffed by CI.
-    demo("rack", rack_run),
-    // The DESIGN.md §18 batched executor over twelve pre-staged requests;
-    // writes `batched-<seed>.jsonl`, diffed by CI.
-    demo("batched", batched_run),
+    // The walkthroughs, each a `mcsd_bench::demos` run whose doc says
+    // what it does. Live daemons, breaker cooldowns and files written into
+    // the working directory keep them out of `all`; `tests/golden.rs` pins
+    // every file they write.
+    demo("overload", |o| emit(demos::overload(o.seed))),
+    demo("trace", |o| emit(demos::trace(o.seed))),
+    demo("failover", |o| emit(demos::failover(o.seed))),
+    demo("chaos", |o| emit(demos::chaos(o.seed))),
+    demo("rack", |o| emit(Ok(demos::rack(o.seed, o.racks, o.jobs)))),
+    demo("batched", |o| emit(demos::batched(o.seed))),
 ];
 
 fn usage() -> ! {
@@ -127,400 +106,25 @@ fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> 
         .unwrap_or_else(|| usage())
 }
 
-/// `cluster` with 256 MiB on every node, so memory admission stays out of
-/// a walkthrough that is about something else.
-fn roomy(mut cluster: Cluster) -> Cluster {
-    for n in &mut cluster.nodes {
-        n.memory_bytes = 256 << 20;
-    }
-    cluster
-}
-
-/// Export `tracer`'s deterministic timeline (volatile records dropped)
-/// followed by the `counters` rows to `<stem>-<seed>.jsonl` in the working
-/// directory.
-fn export_trace(stem: &str, seed: u64, tracer: &Tracer, counters: &[MetricSample]) {
-    use mcsd_obs::export::{jsonl_with, JsonlOptions};
-
-    let jsonl = jsonl_with(
-        tracer,
-        JsonlOptions {
-            include_volatile: false,
-            metrics: counters,
-        },
-    );
-    let path = format!("{stem}-{seed}.jsonl");
-    std::fs::write(&path, &jsonl).expect("write trace export");
-    println!(
-        "wrote {path} ({} lines) — same seed, same bytes",
-        jsonl.lines().count()
-    );
-}
-
-/// Seeded fault sweep through the live framework: one Word Count offload
-/// per seed, with the seed's fault schedule disturbing the daemon, the
-/// log files, or the heartbeat. Prints the plan, the outcome, and the
-/// exact `ResilienceStats` the run produced (replaying a seed reproduces
-/// the same counters).
-fn fault_sweep(_: &Options) {
-    use mcsd_apps::{seq, TextGen};
-    use mcsd_core::{FaultInjector, FaultPlan, McsdFramework, OffloadPolicy, ResilienceConfig};
-
-    println!("## Fault matrix — seeded injection through the live SD path\n");
-    for seed in [0, 3, 12, 17] {
-        let plan = FaultPlan::from_seed(seed);
-        let mut resilience = ResilienceConfig {
-            injector: FaultInjector::from_seed(seed),
-            ..ResilienceConfig::default()
-        };
-        resilience.retry.heartbeat_max_age = Duration::from_millis(800);
-        resilience.call_timeout = Duration::from_secs(6);
-
-        let cluster = roomy(paper_testbed(Scale::default_experiment()));
-        let fw = McsdFramework::start_with(cluster, OffloadPolicy::AlwaysSd, resilience)
-            .expect("framework boot");
-        let text = TextGen::with_seed(1234).generate(20_000);
-        fw.stage_data_local("wc.txt", &text).expect("stage");
-        let oracle = seq::wordcount(&text);
-        // Two invocations so schedules targeting the second request
-        // (`nth == 1`) fire too.
-        let mut verdict = "output correct";
-        for _ in 0..2 {
-            verdict = match fw.wordcount("wc.txt", None) {
-                Ok((pairs, _)) if pairs == oracle => verdict,
-                Ok(_) => "OUTPUT WRONG",
-                Err(_) => "typed error",
-            };
-        }
-        let stats = fw.resilience_stats();
-        println!("seed {seed:>3}  wordcount: {verdict:<15} {stats}");
-        for f in plan.faults() {
-            println!(
-                "          scheduled: {:?} #{} {:?}",
-                f.site, f.nth, f.action
-            );
-        }
-        for d in fw.degradations() {
-            println!("          degraded: {d}");
-        }
-        fw.stop();
-    }
-    println!();
-}
-
-/// Per-call wait budget of a four-phase run that must complete (`trace`,
-/// `overload`); the sweep in `chaos_run` uses a much shorter one.
-const CLEAN_WAIT: Duration = Duration::from_secs(60);
-
-/// Run one phase under its baked plan alone and print what it did. There
-/// is no injected fault to excuse anything, so an observation that is not
-/// clean is a hard failure.
-fn clean_phase(scenario: &FourPhaseScenario, segment: usize) -> PhaseRun {
-    use mcsd_core::{chaos, ChaosScenario, FaultInjector};
-
-    let letter = char::from(b'A' + segment as u8);
-    println!(
-        "### Phase {letter} — {}\n",
-        scenario.segment_names()[segment]
-    );
-    let injector = FaultInjector::new(scenario.baked_plan(segment));
-    let run = scenario
-        .run_phase(segment, &injector)
-        .expect("phase set-up");
-    let violations = chaos::evaluate(&run.observation);
-    assert!(violations.is_empty(), "clean phase violated {violations:?}");
-    for (job, decision) in &run.decisions {
-        println!("{job}: {decision:?}");
-    }
-    for d in &run.degradations {
-        println!("degraded: {d}");
-    }
-    println!(
-        "daemon: requests={} ok={} shed={} expired={}",
-        run.daemon.requests, run.daemon.ok, run.daemon.shed, run.daemon.expired
-    );
-    println!("host: {}\n", run.resilience);
-    run
-}
-
-fn overload_run(o: &Options) {
-    let seed = o.seed;
-    println!("## Overload protection — breaker steering and memory admission (seed {seed})\n");
-    let scenario = FourPhaseScenario::new(seed, Tracer::disabled(), CLEAN_WAIT);
-    clean_phase(&scenario, 1);
-    clean_phase(&scenario, 3);
-}
-
-/// Deterministic observability walkthrough (DESIGN.md §12): one shared
-/// virtual-clock tracer follows the four seeded phases, then the whole
-/// run is exported as JSON-lines and Chrome `trace_event` files.
-fn trace_run(o: &Options) {
-    use mcsd_core::ChaosScenario;
-
-    let seed = o.seed;
-    println!("## Deterministic trace — four-phase observability walkthrough (seed {seed})\n");
-    let tracer = Tracer::enabled();
-    let scenario = FourPhaseScenario::new(seed, tracer.clone(), CLEAN_WAIT);
-    let mut daemon = mcsd_smartfam::DaemonStats::default();
-    let mut resilience = mcsd_core::ResilienceStats::default();
-    for segment in 0..scenario.segment_names().len() {
-        let run = clean_phase(&scenario, segment);
-        daemon.absorb(&run.daemon);
-        resilience.absorb(&run.resilience);
-    }
-
-    let counters = [daemon.samples(), resilience.samples()].concat();
-    export_trace("trace", seed, &tracer, &counters);
-    let chrome_path = format!("trace-{seed}.chrome.json");
-    std::fs::write(&chrome_path, mcsd_obs::export::chrome(&tracer)).expect("write chrome trace");
-    println!("wrote {chrome_path}\n");
-}
-
-/// Failover walkthrough (DESIGN.md §15): a live three-member log group
-/// loses its leader replica mid-round — after the module already ran —
-/// so the span finishes as a promotion of the most-advanced
-/// acknowledged mirror instead of a re-dispatch, and background
-/// re-protection restores full redundancy before the run returns. A
-/// seeded sweep over `FaultPlan::replication_from_seed` then replays
-/// each schedule twice and shows the `ReplicationStats` match exactly.
-///
-/// The kill-one-replica run traces onto the §12 virtual clock and is
-/// exported to `failover-<seed>.jsonl`.
-fn failover_demo(o: &Options) {
-    use mcsd_apps::{seq, TextGen, WordCount};
-    use mcsd_cluster::multi_sd_testbed;
-    use mcsd_core::{
-        ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, MultiSdRunner, ReplicationSetup,
-    };
-
-    let seed = o.seed;
-    println!("## Failover — replicated log groups, promotion, re-protection (seed {seed})\n");
-    let runner = || {
-        MultiSdRunner::new(roomy(multi_sd_testbed(Scale::default_experiment(), 3)))
-            .expect("runner boot")
-    };
-    let log_dir = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!("mcsd-failover-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("log dir");
-        dir
-    };
-    let text = TextGen::with_seed(seed).generate(60_000);
-    let oracle = seq::wordcount(&text);
-
-    println!("### Kill one replica mid-run: promotion, not re-execution\n");
-    // Replica-site occurrences advance once per (entry, member) pair, so
-    // occurrence 9 is the leader copy of span 1's response round — the
-    // crash lands after the module work is already durable on a mirror.
-    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
-    let dir = log_dir("kill");
-    let tracer = Tracer::enabled();
-    let out = runner()
-        .run_replicated(
-            &WordCount,
-            &WordCount::merger(),
-            &text,
-            ExecMode::Parallel,
-            &FaultInjector::new(plan),
-            &ReplicationSetup::new(&dir).with_tracer(tracer.clone()),
-        )
-        .expect("replicated run");
-    let verdict = if out.pairs == oracle {
-        "output correct"
-    } else {
-        "OUTPUT WRONG"
-    };
-    for (i, outcome) in out.outcomes.iter().enumerate() {
-        println!("span {i}: {outcome:?}");
-    }
-    println!(
-        "{verdict}; retries={} redispatches={}; {}",
-        out.resilience.retries, out.resilience.redispatches, out.replication
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    export_trace("failover", seed, &tracer, &out.replication.samples());
-
-    println!("\n### Seeded failover sweep — exact counter replay\n");
-    for s in seed..seed + 4 {
-        let plan = FaultPlan::replication_from_seed(s);
-        let mut runs = Vec::new();
-        for pass in 0..2 {
-            let dir = log_dir(&format!("sweep-{s}-{pass}"));
-            let out = runner()
-                .run_replicated(
-                    &WordCount,
-                    &WordCount::merger(),
-                    &text,
-                    ExecMode::Parallel,
-                    &FaultInjector::new(plan.clone()),
-                    &ReplicationSetup::new(&dir),
-                )
-                .expect("replicated run");
-            let _ = std::fs::remove_dir_all(&dir);
-            runs.push(out);
-        }
-        let verdict = if runs.iter().all(|r| r.pairs == oracle) {
-            "output correct"
-        } else {
-            "OUTPUT WRONG"
-        };
-        let replay =
-            if runs[0].replication == runs[1].replication && runs[0].outcomes == runs[1].outcomes {
-                "replayed exactly"
-            } else {
-                "REPLAY DIVERGED"
-            };
+/// Print `demo`'s report, write its files into the working directory, and
+/// exit non-zero on an error or on any violation the run saw.
+fn emit(demo: Result<Demo, McsdError>) {
+    let demo = demo.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    print!("{}", demo.text);
+    for (name, contents) in &demo.files {
+        std::fs::write(name, contents).expect("write export");
         println!(
-            "seed {s:>3}  wordcount: {verdict:<15} {replay:<16} {}",
-            runs[0].replication
+            "wrote {name} ({} lines) — same seed, same bytes",
+            contents.lines().count()
         );
-        for f in plan.faults() {
-            println!(
-                "          scheduled: {:?} #{} {:?}",
-                f.site, f.nth, f.action
-            );
-        }
     }
-    println!();
-}
-
-/// Rack-scale run (DESIGN.md §17): `--racks` racks of (4 hosts + 9 SDs)
-/// behind 4:1-oversubscribed top-of-rack uplinks, `--jobs` seeded
-/// concurrent jobs through the deterministic discrete-event loop. The
-/// arrival/dispatch/completion/shed timeline (§12 `des` track) and the
-/// `mcsd.des` counters are exported to `rack-<seed>.jsonl`.
-fn rack_run(o: &Options) {
-    use mcsd_core::des::{self, DesConfig};
-    use std::time::Instant;
-
-    let seed = o.seed;
-    println!("## Rack scale — discrete-event scheduler, DESIGN.md section 17 (seed {seed})\n");
-    let mut cfg = DesConfig::default_experiment(o.jobs, seed);
-    cfg.spec.racks = o.racks.max(1);
-    println!(
-        "topology: {} racks x ({} hosts + {} SDs) = {} nodes; uplink {}:1 oversubscribed",
-        cfg.spec.racks,
-        cfg.spec.hosts_per_rack,
-        cfg.spec.sds_per_rack,
-        cfg.spec.total_nodes(),
-        cfg.spec.uplink_oversubscription,
-    );
-    let tracer = Tracer::enabled();
-    let t0 = Instant::now();
-    let run = des::run(&cfg, &tracer);
-    let wall = t0.elapsed().as_secs_f64();
-    println!("{}", run.report);
-    assert!(
-        run.report.stats.is_conserved(),
-        "DES run must conserve jobs (arrivals == completed + shed)"
-    );
-    println!(
-        "wall-clock: {wall:.3}s ({:.0} completed jobs/sec)",
-        run.report.stats.completed_jobs as f64 / wall
-    );
-    export_trace("rack", seed, &tracer, &run.report.stats.samples());
-    println!();
-}
-
-/// The §16 chaos sweep: enumerate every counter-deterministic fault
-/// point the three scenarios cross, inject every applicable action at
-/// each, audit the invariant catalog, and write the reports to
-/// `chaos-<seed>.json`.
-fn chaos_run(o: &Options) {
-    use mcsd_core::chaos::{self, BatchedEchoScenario, ReplicationRoundsScenario};
-    use mcsd_core::ChaosScenario;
-
-    let seed = o.seed;
-    println!("## Chaos sweep — exhaustive fault-space exploration (seed {seed})\n");
-    let dir = std::env::temp_dir().join(format!("mcsd-chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("chaos scratch dir");
-    // Per-call budget of the four-phase sweep: generous against CI
-    // scheduling jitter on the clean path (which never waits anywhere near
-    // this long), tight enough that injected daemon crashes cost seconds,
-    // not minutes.
-    let wait = Duration::from_secs(2);
-    let scenarios: [&dyn ChaosScenario; 3] = [
-        &ReplicationRoundsScenario::new(seed, &dir),
-        &FourPhaseScenario::new(seed, Tracer::disabled(), wait),
-        &BatchedEchoScenario::new(seed, &dir),
-    ];
-    let mut reports = Vec::new();
-    let mut violations = 0;
-    for scenario in scenarios {
-        let report = chaos::run_sweep(scenario, seed, &Tracer::disabled()).expect("chaos sweep");
-        println!("{}", report.render_table());
-        violations += report.violations.len();
-        reports.push(report.to_json());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let path = format!("chaos-{seed}.json");
-    std::fs::write(&path, format!("[\n{}\n]\n", reports.join(",\n"))).expect("write chaos report");
-    println!("wrote {path}");
-    if violations > 0 {
-        eprintln!("chaos: {violations} invariant violation(s)");
+    if demo.violations > 0 {
+        eprintln!("{} invariant violation(s)", demo.violations);
         std::process::exit(1);
     }
-    println!();
-}
-
-/// Deterministic batched-dispatch walkthrough (DESIGN.md §18): twelve
-/// echo requests are pre-staged into the module log *before* the daemon
-/// starts, so the replay scan queues them all and the multi-worker
-/// batched executor forms exactly three four-request batches — batch
-/// formation, worker assignment, completion order, and the coalesced
-/// commits are all a pure function of the request sequence and the
-/// `BatchConfig` seed. The `sd.*` timeline and the `batch.*` counters
-/// are exported to `batched-<seed>.jsonl`.
-fn batched_run(o: &Options) {
-    use mcsd_smartfam::module::FnModule;
-    use mcsd_smartfam::{BatchConfig, Daemon, DaemonConfig, HostClient, ModuleRegistry};
-    use std::sync::Arc;
-
-    const REQUESTS: usize = 12;
-    let seed = o.seed;
-    println!("## Batched dispatch — coalesced commits and the multi-worker pool, DESIGN.md section 18 (seed {seed})\n");
-    let dir = std::env::temp_dir().join(format!("mcsd-batched-{}-{seed}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("log dir");
-    let registry = ModuleRegistry::new();
-    registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
-        Ok(p.join("|").into_bytes())
-    })));
-    let client = HostClient::new(&dir);
-    let pendings: Vec<_> = (0..REQUESTS)
-        .map(|i| {
-            client
-                .submit("echo", &[format!("r{i}-{seed}")])
-                .expect("submit request")
-        })
-        .collect();
-    let tracer = Tracer::enabled();
-    let config = DaemonConfig::new(&dir)
-        .with_tracer(tracer.clone())
-        .with_batching(BatchConfig {
-            workers: 4,
-            max_batch: 4,
-            seed,
-        });
-    let mut daemon = Daemon::new(config, registry).spawn().expect("daemon spawn");
-    for (i, pending) in pendings.into_iter().enumerate() {
-        let out = pending.wait(Duration::from_secs(60)).expect("response");
-        assert_eq!(
-            out.payload,
-            format!("r{i}-{seed}").into_bytes(),
-            "batched response diverged"
-        );
-    }
-    daemon.stop();
-    let batch = daemon.batch_stats();
-    let stats = daemon.stats();
-    println!(
-        "{REQUESTS} pre-staged echo calls through the batched executor: ok={}; {batch}",
-        stats.ok
-    );
-
-    let counters = [stats.samples(), batch.samples()].concat();
-    export_trace("batched", seed, &tracer, &counters);
-    let _ = std::fs::remove_dir_all(&dir);
     println!();
 }
 

@@ -2,9 +2,9 @@
 //! saturation, circuit-breaker steering, a torn-append retry and
 //! memory-budget admission, each on a freshly booted framework.
 //!
-//! This is the only definition of the four phases. `mcsd-experiments`
+//! This is the only definition of the four phases. [`crate::demos`]
 //! drives it three ways: `trace` runs every phase under its baked plan
-//! with the tracer on and exports the run, `overload` prints the breaker
+//! with the tracer on and exports the run, `overload` reports the breaker
 //! and admission phases, and `chaos` hands the scenario to
 //! [`mcsd_core::run_sweep`], which re-runs each phase once per discovered
 //! injection point. A phase therefore has to absorb an arbitrary injected
@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Memory of every node that is not deliberately squeezed: far above any
-/// footprint the scenario stages, so admission stays out of the way.
-const ROOMY: u64 = 256 << 20;
+/// footprint a walkthrough stages, so admission stays out of the way.
+pub(crate) const ROOMY: u64 = 256 << 20;
 
 /// The seeded four-phase scenario; one phase per [`ChaosScenario`]
 /// segment, in the order saturation, breaker, retry, admission.

@@ -17,6 +17,7 @@
 //! depend on — see `mcsd-cluster`'s [`Scale`].
 
 pub mod ablation;
+pub mod demos;
 pub mod fig8;
 pub mod four_phase;
 pub mod pairs;

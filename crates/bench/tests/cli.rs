@@ -18,10 +18,12 @@ fn experiments(tag: &str, args: &[&str]) -> (Output, PathBuf) {
 
 #[test]
 fn unknown_subcommand_is_a_usage_error_that_runs_nothing() {
-    // A typo alone, and a typo beside a name that would write files.
+    // A typo alone, a typo beside a name that would write files, and a
+    // subcommand that no longer exists.
     for (tag, args) in [
         ("typo", &["trcae", "--seed", "42"][..]),
         ("mixed", &["trace", "trcae"][..]),
+        ("faults", &["faults"][..]),
     ] {
         let (out, dir) = experiments(tag, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -340,10 +340,9 @@ impl Runtime {
             return;
         }
         let track = self.tracer.track(TRACE_TRACK, ClockDomain::Work);
-        let job = self.tracer.open_with(track, SPAN_PHOENIX_JOB, |a| {
-            a.str("job", &stats.job);
-            a.u64("workers", stats.workers as u64);
-        });
+        let job = self
+            .tracer
+            .open_with(track, SPAN_PHOENIX_JOB, |a| a.str("job", &stats.job));
         self.tracer
             .leaf_with(track, SPAN_PHOENIX_SPLIT, stats.map_tasks, |a| {
                 a.u64("map_tasks", stats.map_tasks);

@@ -42,11 +42,11 @@
 //!   [`ResilienceStats`] counters shared by every recovery layer.
 //! * [`replica`] — replicated module-log groups: quorum appends with
 //!   read-back verification, epoch-fenced replica promotion, and
-//!   background re-protection (ROADMAP item 4).
+//!   background re-protection (DESIGN.md §15).
 //! * [`batch`] — the batched/pipelined throughput mode: coalesced
 //!   one-fsync append batches, the multi-worker serial-per-module
 //!   dispatch pool, pipelined host windows, and the [`BatchStats`]
-//!   counter family (ROADMAP item 3, DESIGN.md §18).
+//!   counter family (DESIGN.md §18).
 
 pub mod batch;
 pub mod codec;

@@ -3,7 +3,7 @@
 //!
 //! The self-healing path of PR 2 recovers a dead SD by *re-executing* the
 //! span elsewhere — correct, but it throws away completed module work.
-//! This module implements the HA tier of ROADMAP item 4 (modeled on the
+//! This module implements the HA tier of DESIGN.md §15 (modeled on the
 //! CPFS data-server RAID-group design): every module-log append fans out
 //! to a small *replication group* of SD-side copies and acknowledges once
 //! a configurable *write quorum* of members holds a **verified** copy of

@@ -182,7 +182,7 @@ proptest! {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Hostile bytes (ROADMAP 3d): on a file of arbitrary bytes laced with
+    /// Hostile bytes (DESIGN.md §10, codec): on a file of arbitrary bytes laced with
     /// valid and mutated frames, arriving in arbitrary pieces,
     /// `poll_recovering` never panics, yields only frames whose exact
     /// checksummed encoding sits in the file at or past the cursor it was
@@ -224,7 +224,7 @@ proptest! {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The decoder (ROADMAP 1e): from any offset of hostile bytes, cut at
+    /// The decoder (DESIGN.md §10, codec): from any offset of hostile bytes, cut at
     /// any end, the borrowed and the owned decoder take the same step —
     /// Complete with the same frame and length, Incomplete, or Corrupt
     /// with the same reason — neither panics, and a frame either yields
