@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Stable diagnostic codes. Codes are append-only: a code is never reused
 /// or renumbered, so waivers and CI greps stay valid across versions.
-/// MCSD001–005 and MCSD007 are retired (see [`RETIRED_CODES`]).
+/// MCSD001–005, MCSD007 and MCSD008 are retired (see [`RETIRED_CODES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// A waiver comment that is malformed or matches no diagnostic.
@@ -13,10 +13,6 @@ pub enum Code {
     /// `[workspace.dependencies]`, missing `[lints] workspace = true`, or
     /// a `lib.rs` missing the agreed lint-policy header.
     Mcsd006,
-    /// Lock-order hazard: a cycle in the static lock-acquisition graph, a
-    /// lock re-acquired while already held, or a lock held across blocking
-    /// file I/O or a channel send/recv.
-    Mcsd008,
     /// Counter-ownership violation: a field of one of the counter families
     /// mutated outside the files [`crate::ownership::WRITERS`] allows, or
     /// `WRITERS` and the struct definitions disagreeing in either
@@ -30,33 +26,50 @@ pub enum Code {
 }
 
 /// Every enforceable code, in reporting order.
-pub const ALL_CODES: [Code; 5] = [
-    Code::Mcsd000,
-    Code::Mcsd006,
-    Code::Mcsd008,
-    Code::Mcsd009,
-    Code::Mcsd010,
-];
+pub const ALL_CODES: [Code; 4] = [Code::Mcsd000, Code::Mcsd006, Code::Mcsd009, Code::Mcsd010];
 
-/// Retired codes, never reused: MCSD003 became MCSD010; the per-line rules
-/// became compiler lints under the lib roots' header (DESIGN.md §9).
-pub const RETIRED_CODES: [&str; 6] = [
-    "MCSD001", "MCSD002", "MCSD003", "MCSD004", "MCSD005", "MCSD007",
+/// Retired codes, never reused, each with where its rule went: a waiver
+/// naming one is malformed (MCSD000) and says so.
+pub const RETIRED_CODES: [(&str, &str); 7] = [
+    (
+        "MCSD001",
+        "now `clippy::disallowed_methods`, waived with `#[expect]`",
+    ),
+    (
+        "MCSD002",
+        "now `clippy::{unwrap_used, expect_used, panic}`, waived with `#[expect]`",
+    ),
+    ("MCSD003", "now MCSD010, the flow-aware determinism rule"),
+    (
+        "MCSD004",
+        "no rule replaces it; the `rand` shim has no unseeded constructor to call",
+    ),
+    (
+        "MCSD005",
+        "now `clippy::print_stdout` and `dbg_macro`, waived with `#[expect]`",
+    ),
+    (
+        "MCSD007",
+        "now `clippy.toml`'s `disallowed-*` lists, waived with `#[expect]`",
+    ),
+    (
+        "MCSD008",
+        "no rule replaces it; DESIGN.md §9 states the lock order, which review holds",
+    ),
 ];
 
 impl Code {
-    /// The stable textual form, e.g. `"MCSD008"`.
+    /// The stable textual form, e.g. `"MCSD009"`.
     pub fn as_str(self) -> &'static str {
         match self {
             Code::Mcsd000 => "MCSD000",
             Code::Mcsd006 => "MCSD006",
-            Code::Mcsd008 => "MCSD008",
             Code::Mcsd009 => "MCSD009",
             Code::Mcsd010 => "MCSD010",
         }
     }
 
-    /// Parse `"MCSD008"`-style text (as written in waivers).
+    /// Parse `"MCSD009"`-style text (as written in waivers).
     pub fn parse(text: &str) -> Option<Code> {
         ALL_CODES.iter().copied().find(|c| c.as_str() == text)
     }
@@ -78,7 +91,7 @@ pub struct Diagnostic {
     /// 1-based line number; 0 for whole-file findings.
     pub line: usize,
     /// 1-based character column; 0 when the finding spans the whole line.
-    /// The token-level rules (MCSD008–010) always set it.
+    /// The token-level rules (MCSD009, MCSD010) always set it.
     pub col: usize,
     /// Human-readable explanation of this specific finding.
     pub message: String,
@@ -121,8 +134,8 @@ mod tests {
             assert_eq!(Code::parse(code.as_str()), Some(code));
         }
         assert_eq!(Code::parse("MCSD999"), None);
-        assert_eq!(Code::parse("mcsd008"), None);
-        for retired in RETIRED_CODES {
+        assert_eq!(Code::parse("mcsd009"), None);
+        for (retired, _) in RETIRED_CODES {
             assert_eq!(Code::parse(retired), None, "{retired} is retired");
         }
     }

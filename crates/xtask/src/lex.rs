@@ -5,7 +5,7 @@
 //! raw and byte forms), nested block comments, and multi-character
 //! punctuation — and records a character-indexed span for every token so
 //! findings can point at an exact line and column. It deliberately does
-//! not parse: the analysis passes ([`crate::locks`], [`crate::ownership`],
+//! not parse: the analysis passes ([`crate::ownership`],
 //! [`crate::determinism`]) pattern-match over this stream with their own
 //! small amounts of context (brace depth, statement boundaries).
 //!

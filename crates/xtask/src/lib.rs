@@ -13,9 +13,9 @@
 //! lints (the lib roots' header plus the root `clippy.toml`, DESIGN.md
 //! §9); `tidy` keeps the rules no compiler lint can state. It is token
 //! level: [`lex`] produces a full token stream per file, [`workspace`]
-//! holds every lexed library file so the rules (lock-order graph MCSD008,
-//! counter ownership MCSD009, determinism flow MCSD010) can reason across
-//! crates. Each rule's facts are the code itself, plus one table the code
+//! holds every lexed library file so the rules (counter ownership
+//! MCSD009, determinism flow MCSD010) can reason across crates. Each
+//! rule's facts are the code itself, plus one table the code
 //! cannot state: [`ownership::WRITERS`], which files may write each
 //! counter. Tidy reads no Markdown. [`manifest`] holds the workspace
 //! hygiene of MCSD006. Stable diagnostic codes and an inline waiver
@@ -39,7 +39,6 @@
 pub mod determinism;
 pub mod diag;
 pub mod lex;
-pub mod locks;
 pub mod manifest;
 pub mod ownership;
 pub mod runner;

@@ -1,6 +1,6 @@
 //! Filesystem walk and orchestration: discovers the files in scope, lexes
 //! and scans them into a [`Workspace`], runs the workspace-level analyses
-//! (MCSD008–010), applies waivers, and aggregates a [`TidyReport`].
+//! (MCSD009, MCSD010), applies waivers, and aggregates a [`TidyReport`].
 //!
 //! Scope (DESIGN.md §9): library code — `crates/*/src/**/*.rs` and root
 //! `src/**/*.rs`, minus `main.rs` and `src/bin/` — plus every
@@ -9,8 +9,8 @@
 //! third-party APIs and are deliberately out of scope too.
 //!
 //! Ordering matters: waivers are applied *last*, after the workspace
-//! analyses have run, so a `// tidy:allow(MCSD008)` on a lock-holding
-//! line suppresses the cross-file finding. A whole-file finding (line 0,
+//! analyses have run, so a `// tidy:allow(MCSD010)` on an iteration line
+//! suppresses the cross-file finding. A whole-file finding (line 0,
 //! such as a `WRITERS` entry naming no counter) is a configuration
 //! problem: no waiver covers it. Tidy reads no Markdown.
 
@@ -20,7 +20,6 @@ use std::path::{Path, PathBuf};
 
 use crate::determinism::check_determinism;
 use crate::diag::{Code, Diagnostic};
-use crate::locks::check_locks;
 use crate::manifest::{check_lib_header, check_manifest};
 use crate::ownership::{check_ownership, WRITERS};
 use crate::workspace::{SourceFile, Workspace};
@@ -79,8 +78,7 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
     let mut report = TidyReport::default();
     let ws = walk(root, &mut report)?;
 
-    let mut deep: Vec<Diagnostic> = check_locks(&ws);
-    deep.extend(check_ownership(&ws, &WRITERS));
+    let mut deep: Vec<Diagnostic> = check_ownership(&ws, &WRITERS);
     deep.extend(check_determinism(&ws));
 
     // Route every finding to its file and apply waivers last. Findings

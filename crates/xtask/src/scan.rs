@@ -146,12 +146,12 @@ fn parse_waiver(line: usize, text: &str) -> Waiver {
                 return malformed("MCSD000 cannot be waived");
             }
             Some(code) => codes.push(code),
-            None if RETIRED_CODES.contains(&part) => {
-                return malformed("retired code (DESIGN.md §14); a compiler lint is waived with `#[expect(lint, reason = \"…\")]`");
-            }
-            None => {
-                return malformed("unknown diagnostic code in waiver");
-            }
+            None => match RETIRED_CODES.iter().find(|(retired, _)| *retired == part) {
+                Some((_, now)) => {
+                    return malformed(&format!("retired code (DESIGN.md §14): {now}"))
+                }
+                None => return malformed("unknown diagnostic code in waiver"),
+            },
         }
     }
     if codes.is_empty() {
@@ -232,12 +232,12 @@ mod tests {
 
     #[test]
     fn waiver_parses() {
-        let src = "// tidy:allow(MCSD008, MCSD010) -- real I/O timing\nfoo();\n";
+        let src = "// tidy:allow(MCSD009, MCSD010) -- real I/O timing\nfoo();\n";
         let scanned = scan_source(src);
         assert_eq!(scanned.waivers.len(), 1);
         let w = &scanned.waivers[0];
         assert!(w.malformed.is_none());
-        assert_eq!(w.codes, vec![Code::Mcsd008, Code::Mcsd010]);
+        assert_eq!(w.codes, vec![Code::Mcsd009, Code::Mcsd010]);
         assert_eq!(w.line, 1);
     }
 
@@ -255,10 +255,20 @@ mod tests {
 
     #[test]
     fn waiver_with_retired_code_is_malformed() {
-        for code in RETIRED_CODES {
+        for (code, now) in RETIRED_CODES {
             let scanned = scan_source(&format!("// tidy:allow({code}) -- from before\n"));
             let why = scanned.waivers[0].malformed.as_deref().unwrap_or("");
-            assert!(why.contains("retired"), "{code}: {why}");
+            assert_eq!(
+                why,
+                format!("retired code (DESIGN.md §14): {now}"),
+                "{code}"
+            );
+            // Only a rule that became a compiler lint is waived with one.
+            assert_eq!(
+                why.contains("#[expect]"),
+                why.contains("clippy"),
+                "{code}: {why}"
+            );
         }
     }
 

@@ -1,12 +1,11 @@
 //! The workspace model shared by the token-level analysis passes.
 //!
-//! Every tidy rule reasons across files: MCSD008 builds a
-//! lock-acquisition graph across crates, MCSD009 reconciles struct
+//! Every tidy rule reasons across files: MCSD009 reconciles struct
 //! definitions with the `WRITERS` table, and MCSD010 resolves
 //! track-name constants that are declared in one file and used in
 //! another. [`Workspace`] carries every lexed library file so those passes
-//! can run after the walk completes, plus the small shared lookups (string
-//! constants, crate attribution) they all need.
+//! can run after the walk completes, plus the shared string-constant
+//! lookup.
 
 use std::collections::BTreeMap;
 
@@ -63,14 +62,6 @@ impl SourceFile {
 pub struct Workspace {
     /// The lexed files.
     pub files: Vec<SourceFile>,
-}
-
-/// The crate a workspace-relative path belongs to: `crates/foo/...` maps
-/// to `foo`, anything else (the root facade crate) to `mcsd`.
-pub fn crate_of(path: &str) -> &str {
-    path.strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("mcsd")
 }
 
 /// The inner text of a string-literal token: quotes and any `b`/`r`/`#`
@@ -141,12 +132,6 @@ pub fn string_consts(ws: &Workspace) -> BTreeMap<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crate_attribution() {
-        assert_eq!(crate_of("crates/phoenix/src/runtime.rs"), "phoenix");
-        assert_eq!(crate_of("src/lib.rs"), "mcsd");
-    }
 
     #[test]
     fn str_values_unwrap_delimiters() {

@@ -4,7 +4,6 @@
 use std::collections::BTreeSet;
 
 use xtask::determinism::check_determinism;
-use xtask::locks::check_locks;
 use xtask::manifest::{check_lib_header, check_manifest};
 use xtask::ownership::{check_ownership, counters, WRITERS};
 use xtask::runner::apply_waivers;
@@ -20,44 +19,6 @@ fn fixture_ws(path: &str, source: &str) -> Workspace {
 
 /// A library path outside every owning module.
 const PLAIN_PATH: &str = "crates/bench/src/fixture.rs";
-
-#[test]
-fn mcsd008_flags_cycle_and_blocking_io_with_exact_spans() {
-    let ws = fixture_ws(
-        "crates/fixturecrate/src/locks.rs",
-        include_str!("fixtures/mcsd008_violating.rs"),
-    );
-    let diags = check_locks(&ws);
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    for d in &diags {
-        assert_eq!(d.code, Code::Mcsd008);
-        assert_eq!(d.path, "crates/fixturecrate/src/locks.rs");
-    }
-    let cycle = diags
-        .iter()
-        .find(|d| d.message.contains("lock-order cycle"))
-        .expect("cycle finding");
-    // Anchored at the first edge site: `p.b.lock()` on line 11, at `b`.
-    assert_eq!((cycle.line, cycle.col), (11, 15), "{cycle}");
-    assert!(cycle.message.contains("fixturecrate/a"));
-    assert!(cycle.message.contains("fixturecrate/b"));
-    let blocking = diags
-        .iter()
-        .find(|d| d.message.contains("blocking operation `is_file`"))
-        .expect("blocking finding");
-    assert_eq!((blocking.line, blocking.col), (25, 24), "{blocking}");
-    assert!(blocking.message.contains("fixturecrate/a"));
-}
-
-#[test]
-fn mcsd008_clean_fixture_passes() {
-    let ws = fixture_ws(
-        "crates/fixturecrate/src/locks.rs",
-        include_str!("fixtures/mcsd008_clean.rs"),
-    );
-    let diags = check_locks(&ws);
-    assert!(diags.is_empty(), "{diags:?}");
-}
 
 /// The writers both MCSD009 fixture tests run against: `shed` is owned
 /// by `crates/smartfam/src/daemon.rs` and nowhere else.
