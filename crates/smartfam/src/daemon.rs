@@ -58,8 +58,6 @@ pub const DEFAULT_MAX_QUEUED: usize = 1024;
 pub struct DaemonConfig {
     /// The NFS-shared log-file folder.
     pub log_dir: PathBuf,
-    /// Watcher settings (poll interval).
-    pub watch: WatchConfig,
     /// How often the heartbeat file is refreshed.
     pub heartbeat_interval: Duration,
     /// A module failing this many *consecutive* invocations is
@@ -105,7 +103,6 @@ impl DaemonConfig {
     pub fn new(log_dir: impl Into<PathBuf>) -> Self {
         DaemonConfig {
             log_dir: log_dir.into(),
-            watch: WatchConfig::default(),
             heartbeat_interval: Duration::from_millis(50),
             quarantine_threshold: 3,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
@@ -733,7 +730,8 @@ fn daemon_loop(
     batch_stats: Arc<BatchInner>,
     replay_done: ReplayBarrier,
 ) {
-    let watcher = FileWatcher::spawn(&config.log_dir, config.watch);
+    let watch = WatchConfig::default();
+    let watcher = FileWatcher::spawn(&config.log_dir, watch);
     // `None` = no heartbeat written yet, so the first loop turn emits one.
     let mut last_heartbeat: Option<Stopwatch> = None;
     let mut heartbeat_seq: u64 = 0;
@@ -844,9 +842,7 @@ fn daemon_loop(
         // Dispatch queued work into freed execution slots.
         ctx.drain_queue();
         // Wait for file events.
-        let Some(event) =
-            watcher.next_event(ctx.config.watch.poll_interval.max(Duration::from_millis(1)))
-        else {
+        let Some(event) = watcher.next_event(watch.poll_interval) else {
             continue;
         };
         if event.kind == WatchEventKind::Removed {

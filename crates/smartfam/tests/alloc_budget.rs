@@ -1,5 +1,5 @@
-//! The allocation budget of one smartFAM call (EXPERIMENTS.md "Allocation
-//! budget of one lockstep call"): the transport pays per *request* — not
+//! The allocation budget of one smartFAM call (EXPERIMENTS.md "Where each
+//! workload's time goes"): the transport pays per *request* — not
 //! per millisecond of watching, per worker thread or per copy of a name —
 //! counted by this binary's own allocator so a per-sweep or per-call
 //! allocation that creeps back in fails here and not only on the

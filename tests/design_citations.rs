@@ -1,18 +1,34 @@
-//! Every `DESIGN.md §N` citation names a section DESIGN.md has.
+//! Every `DESIGN.md §N` citation names a section DESIGN.md has, and the
+//! four prose docs keep their line budget.
 //!
 //! Code, tests, CI and the other documents point at DESIGN.md by section
 //! number. This test scans them — `crates/`, `src/`, `tests/`,
-//! `examples/`, `.github/`, README, ARCHITECTURE and EXPERIMENTS — for
-//! `DESIGN §N` and `DESIGN.md §N`, and requires a `## N.` heading in
-//! DESIGN.md for each, so a section that is renumbered or removed fails
-//! here with every citation still pointing at it. `benchmark/` is not
-//! scanned: it changes only with the benchmark.
+//! `examples/`, `.github/`, README, ARCHITECTURE, EXPERIMENTS and
+//! ROADMAP — for `DESIGN §N` and `DESIGN.md §N`, and requires a `## N.`
+//! heading in DESIGN.md for each, so a section that is renumbered or
+//! removed fails here with every citation still pointing at it.
+//! `benchmark/` is not scanned: it changes only with the benchmark.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const SCANNED_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", ".github"];
-const SCANNED_DOCS: [&str; 3] = ["README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"];
+const SCANNED_DOCS: [&str; 4] = [
+    "README.md",
+    "ARCHITECTURE.md",
+    "EXPERIMENTS.md",
+    "ROADMAP.md",
+];
+/// The docs that state what the repo is, its rules and its evidence.
+const BUDGETED_DOCS: [&str; 4] = [
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "README.md",
+    "ARCHITECTURE.md",
+];
+/// Their lines together: a rule is stated once and a table kept only while
+/// it is the latest answer to its question.
+const DOC_LINE_BUDGET: usize = 2_000;
 
 /// Every file under `dir`, build output excluded.
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -88,5 +104,25 @@ fn every_design_citation_names_a_section() {
         dangling.is_empty(),
         "DESIGN.md has no `## N.` heading for:\n{}",
         dangling.join("\n")
+    );
+}
+
+#[test]
+fn prose_docs_keep_their_line_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut total = 0;
+    let mut each = Vec::new();
+    for doc in BUDGETED_DOCS {
+        let lines = std::fs::read_to_string(root.join(doc))
+            .unwrap()
+            .lines()
+            .count();
+        total += lines;
+        each.push(format!("{doc} {lines}"));
+    }
+    assert!(
+        total <= DOC_LINE_BUDGET,
+        "the prose docs are {total} lines, over the budget of {DOC_LINE_BUDGET}: {}",
+        each.join(", ")
     );
 }
