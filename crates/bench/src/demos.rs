@@ -141,7 +141,7 @@ pub fn trace(seed: u64) -> Result<Demo, McsdError> {
 /// Failover walkthrough (DESIGN.md §15): a live three-member log group
 /// loses its leader replica mid-round — after the module already ran — so
 /// the span finishes as a promotion of the most-advanced acknowledged
-/// mirror instead of a re-dispatch, and background re-protection restores
+/// member instead of a re-dispatch, and background re-protection restores
 /// full redundancy before the run returns. The run traces onto the §12
 /// virtual clock and is exported to `failover-<seed>.jsonl`.
 pub fn failover(seed: u64) -> Result<Demo, McsdError> {
@@ -157,7 +157,7 @@ pub fn failover(seed: u64) -> Result<Demo, McsdError> {
     let text = TextGen::with_seed(seed).generate(60_000);
     // Replica-site occurrences advance once per (entry, member) pair, so
     // occurrence 9 is the leader copy of span 1's response round — the
-    // crash lands after the module work is already durable on a mirror.
+    // crash lands after the module work is already durable on another member.
     let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
     let dir = scratch_dir("failover", seed)?;
     let tracer = Tracer::enabled();

@@ -40,11 +40,11 @@ pub fn effective_parallelism(workers: usize) -> f64 {
     n / (1.0 + SERIAL_FRACTION * (n - 1.0))
 }
 
-/// Physical cores of the machine running the experiments.
+/// Physical cores of the machine running the experiments: the worker
+/// count a default [`PhoenixConfig`] reads, so the machine's shape is read
+/// in one place.
 pub fn machine_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    PhoenixConfig::default().workers
 }
 
 /// Executes work "on" a modelled node.

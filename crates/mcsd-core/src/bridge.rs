@@ -152,8 +152,7 @@ impl SdNodeServer {
     /// Kill the daemon *without* answering outstanding requests, then
     /// restart it over the same log dir with the configuration it booted
     /// with. The replacement incarnation replays unanswered requests from
-    /// the log on startup (after merging mirror-only frames back into the
-    /// primary log when replicated). For scripted, seed-reproducible
+    /// the log on startup. For scripted, seed-reproducible
     /// failures install a [`FaultInjector`] schedule through
     /// [`SdNodeServer::start_with`] instead of calling this by hand; this
     /// manual restart remains useful for coarse crash-recovery tests.
@@ -403,12 +402,10 @@ mod tests {
     #[test]
     fn restart_respawns_the_daemon_from_the_config_it_booted_with() {
         use mcsd_smartfam::module::FnModule;
-        use mcsd_smartfam::ReplicaConfig;
         let cluster = cluster();
         let mut server = SdNodeServer::start_with(&cluster, |daemon| {
             daemon
                 .with_admission(1, 2)
-                .with_replication(ReplicaConfig::new(2, 1).unwrap())
                 .with_batching(BatchConfig::default())
         })
         .unwrap();
@@ -430,8 +427,6 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let mirror = server.config.log_dir.join(".replica1/echo.log");
-        assert!(!mirror.exists(), "no response has been mirrored yet");
         server.restart_daemon().unwrap();
         // Admission limits: a batched daemon queues every admitted request,
         // so the 2-deep queue takes r0 and r1 and sheds the other three.
@@ -450,8 +445,6 @@ mod tests {
         assert_eq!(server.daemon_stats().shed, 3);
         // Batching: the two served responses went out as coalesced commits.
         assert_eq!(commits_after(&server, 2).coalesced_appends, 2);
-        // Replication: the responses were mirrored onto the group.
-        assert!(std::fs::metadata(&mirror).unwrap().len() > 0);
     }
 
     #[test]

@@ -288,7 +288,7 @@ pub fn default_actions(site: FaultSite) -> Vec<FaultAction> {
         FaultAction::Fail,
         FaultAction::Stall { beats: 3 },
         // Masks 0b001 and 0b011 take down the leader alone and the
-        // leader plus one mirror; a full-group wipe (0b111) is beyond
+        // leader plus one member; a full-group wipe (0b111) is beyond
         // repair by design and not part of the canonical matrix.
         FaultAction::CrashReplicas { mask: 0b001 },
         FaultAction::CrashReplicas { mask: 0b011 },
@@ -358,6 +358,17 @@ pub struct ChaosReport {
     pub violations: Vec<Violation>,
 }
 
+/// Write the array field `key` of a report as `  "key": [` and one
+/// element a line, each rendered by `item`, up to its closing `  ]`.
+fn json_array<T>(out: &mut String, key: &str, items: &[T], item: impl Fn(&T) -> String) {
+    out.push_str(&format!("  \"{key}\": [\n"));
+    for (i, x) in items.iter().enumerate() {
+        let sep = if i + 1 < items.len() { "," } else { "" };
+        out.push_str(&format!("    {}{sep}\n", item(x)));
+    }
+    out.push_str("  ]");
+}
+
 impl ChaosReport {
     /// Total enumerated injection points across all segments.
     pub fn point_count(&self) -> u64 {
@@ -385,8 +396,7 @@ impl ChaosReport {
             Escaped(&self.scenario)
         ));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"segments\": [\n");
-        for (i, seg) in self.segments.iter().enumerate() {
+        json_array(&mut out, "segments", &self.segments, |seg| {
             let points: Vec<String> = seg
                 .points
                 .iter()
@@ -397,54 +407,50 @@ impl ChaosReport {
                     )
                 })
                 .collect();
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"points\": [{}]}}{}\n",
+            format!(
+                "{{\"name\": \"{}\", \"points\": [{}]}}",
                 Escaped(&seg.segment),
-                points.join(", "),
-                if i + 1 < self.segments.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"excluded_sites\": [\n");
-        for (i, (site, reason)) in self.excluded.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"site\": \"{}\", \"reason\": \"{}\"}}{}\n",
-                Escaped(site.label()),
-                Escaped(reason),
-                if i + 1 < self.excluded.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"shadowed\": [\n");
-        for (i, s) in self.shadowed.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}}}{}\n",
+                points.join(", ")
+            )
+        });
+        out.push_str(",\n");
+        json_array(
+            &mut out,
+            "excluded_sites",
+            &self.excluded,
+            |(site, reason)| {
+                format!(
+                    "{{\"site\": \"{}\", \"reason\": \"{}\"}}",
+                    Escaped(site.label()),
+                    Escaped(reason)
+                )
+            },
+        );
+        out.push_str(",\n");
+        json_array(&mut out, "shadowed", &self.shadowed, |s| {
+            format!(
+                "{{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}}}",
                 Escaped(&s.segment),
                 Escaped(s.site.label()),
-                s.occurrence,
-                if i + 1 < self.shadowed.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+                s.occurrence
+            )
+        });
+        out.push_str(",\n");
         out.push_str(&format!("  \"points\": {},\n", self.point_count()));
         out.push_str(&format!("  \"cases\": {},\n", self.cases));
-        out.push_str("  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}, \
-                 \"action\": \"{}\", \"invariant\": \"{}\", \"detail\": \"{}\"}}{}\n",
+        json_array(&mut out, "violations", &self.violations, |v| {
+            format!(
+                "{{\"segment\": \"{}\", \"site\": \"{}\", \"occurrence\": {}, \
+                 \"action\": \"{}\", \"invariant\": \"{}\", \"detail\": \"{}\"}}",
                 Escaped(&v.segment),
                 Escaped(&v.site),
                 v.occurrence,
                 Escaped(&v.action),
                 Escaped(v.invariant.label()),
-                Escaped(&v.detail),
-                if i + 1 < self.violations.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
+                Escaped(&v.detail)
+            )
+        });
+        out.push_str("\n}\n");
         out
     }
 

@@ -31,8 +31,8 @@ use mcsd_obs::names::{SPAN_CLUSTER_FETCH, SPAN_CLUSTER_STAGE};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::Job;
 use mcsd_smartfam::{
-    BatchConfig, BatchStats, DaemonConfig, FaultInjector, ReplicaConfig, ResilienceStats,
-    RetryPolicy, WindowConfig,
+    BatchConfig, BatchStats, DaemonConfig, FaultInjector, ResilienceStats, RetryPolicy,
+    WindowConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,11 +84,6 @@ pub struct ResilienceConfig {
     /// and the engine's decision events. Disabled by default
     /// (zero-cost); pass [`Tracer::enabled`] to record a run.
     pub tracer: Tracer,
-    /// Replicate the daemon's module logs onto a replica group of the
-    /// given shape (DESIGN.md §15): every append is mirrored, and a
-    /// restarted daemon merges mirror-only frames back into the primary
-    /// log before replay. `None` (the default) runs unreplicated.
-    pub replication: Option<ReplicaConfig>,
     /// Batched daemon dispatch (DESIGN.md §18): when set, the daemon
     /// coalesces queued responses into one-fsync append batches executed
     /// by the seeded multi-worker pool, and the framework's windowed
@@ -110,7 +105,6 @@ impl Default for ResilienceConfig {
             steer_queue_depth: 64,
             min_fragment_bytes: DEFAULT_MIN_FRAGMENT_BYTES,
             tracer: Tracer::disabled(),
-            replication: None,
             batch: None,
         }
     }
@@ -140,7 +134,6 @@ impl McsdFramework {
         resilience: ResilienceConfig,
     ) -> Result<McsdFramework, McsdError> {
         let server = SdNodeServer::start_with(&cluster, |daemon| DaemonConfig {
-            replication: resilience.replication,
             batch: resilience.batch,
             ..daemon
                 .with_faults(resilience.injector.clone())
@@ -657,43 +650,6 @@ mod tests {
         let err = fw.wordcount("t.txt", None).unwrap_err();
         assert!(err.to_string().contains("daemon"), "{err}");
         assert!(fw.degradations().is_empty());
-        fw.stop();
-    }
-
-    #[test]
-    fn replication_config_reaches_the_daemon_mirrors() {
-        use mcsd_smartfam::ReplicaConfig;
-        let resilience = ResilienceConfig {
-            replication: Some(ReplicaConfig::default()),
-            ..ResilienceConfig::default()
-        };
-        let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
-        let text = TextGen::with_seed(33).generate(5_000);
-        fw.stage_data_local("t.txt", &text).unwrap();
-        let (pairs, _) = fw.wordcount("t.txt", None).unwrap();
-        assert_eq!(pairs, seq::wordcount(&text));
-        // The daemon mirrored its response appends onto the replica
-        // slots. The host writes requests straight into the primary log,
-        // so the primary is request + response and each mirror holds the
-        // daemon-appended suffix. The host wakes on the primary append,
-        // before the mirror appends that follow it — wait them out.
-        let log_dir = fw.sd_node().data_root().parent().unwrap().join("logs");
-        let primary = std::fs::read(log_dir.join("wordcount.log")).unwrap();
-        assert!(!primary.is_empty());
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        for r in 1..ReplicaConfig::default().group_size {
-            let read = || std::fs::read(log_dir.join(format!(".replica{r}/wordcount.log")));
-            let mirrored = |m: &[u8]| !m.is_empty() && primary.ends_with(m);
-            while !read().is_ok_and(|m| mirrored(&m)) && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            let mirror = read().unwrap();
-            assert!(!mirror.is_empty(), "mirror {r} saw no appends");
-            assert!(
-                primary.ends_with(&mirror),
-                "mirror {r} is not a suffix of the primary log"
-            );
-        }
         fw.stop();
     }
 

@@ -44,7 +44,7 @@ pub struct ReplicationSetup {
     /// Group size and write quorum applied to every span's log group.
     pub replica: ReplicaConfig,
     /// Directory holding the replicated span logs (replica 0 of span *i*
-    /// is `<log_dir>/span<i>.log`, mirrors under `.replica<r>/`).
+    /// is `<log_dir>/span<i>.log`, replica *r* under `.replica<r>/`).
     pub log_dir: PathBuf,
     /// Deterministic tracer for the replication events; disabled by
     /// default.

@@ -177,20 +177,20 @@ fn corrupt_skipped_bytes_are_counted_once() {
     );
 }
 
-/// One restart-recovery run for the regression below: corrupt the first
-/// daemon response append, restart the daemon over the same logs, and
-/// report `(corrupt_skipped_bytes, replayed)` from the second
-/// incarnation once the pending call is answered.
-fn restart_recovery_run(replication: Option<mcsd_core::ReplicaConfig>) -> (u64, u64) {
+/// Regression (companion to the count-once test above): corrupt the
+/// first daemon response append, then restart the daemon over the same
+/// logs. The second incarnation's replay scan counts the corrupt
+/// response's bytes exactly once and runs its request again.
+#[test]
+fn restart_counts_a_corrupt_response_once_and_reruns_its_request() {
     use mcsd_core::bridge::SdNodeServer;
     let plan = FaultPlan::none().with(
         FaultSite::SdAppend,
         0,
         FaultAction::Corrupt { xor_mask: 0x11 },
     );
-    let mut server = SdNodeServer::start_with(&cluster(), |daemon| mcsd_smartfam::DaemonConfig {
-        replication,
-        ..daemon.with_faults(FaultInjector::new(plan))
+    let mut server = SdNodeServer::start_with(&cluster(), |daemon| {
+        daemon.with_faults(FaultInjector::new(plan))
     })
     .unwrap();
     let text = TextGen::with_seed(1234).generate(20_000);
@@ -201,19 +201,16 @@ fn restart_recovery_run(replication: Option<mcsd_core::ReplicaConfig>) -> (u64, 
         .submit("wordcount", &["t.txt".to_string()])
         .unwrap();
     // Wait for the first incarnation to execute the module and land its
-    // (corrupted) response — and, when replicated, the clean mirror copy.
-    let log_dir = server.data_root().parent().unwrap().join("logs");
-    let primary = log_dir.join("wordcount.log");
-    let len0 = std::fs::metadata(&primary).map(|m| m.len()).unwrap_or(0);
-    let mirror = log_dir.join(".replica1/wordcount.log");
+    // (corrupted) response.
+    let primary = server
+        .data_root()
+        .parent()
+        .unwrap()
+        .join("logs/wordcount.log");
+    let len = || std::fs::metadata(&primary).map(|m| m.len()).unwrap_or(0);
+    let len0 = len();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let grown = std::fs::metadata(&primary).map(|m| m.len()).unwrap_or(0) > len0;
-        let mirrored =
-            replication.is_none() || std::fs::metadata(&mirror).map(|m| m.len()).unwrap_or(0) > 0;
-        if grown && mirrored {
-            break;
-        }
+    while len() == len0 {
         assert!(
             std::time::Instant::now() < deadline,
             "first incarnation never answered"
@@ -228,42 +225,20 @@ fn restart_recovery_run(replication: Option<mcsd_core::ReplicaConfig>) -> (u64, 
         .smartfam()
         .submit("wordcount", &["t.txt".to_string()])
         .unwrap();
-    assert!(!second
-        .wait(Duration::from_secs(30))
-        .unwrap()
-        .payload
-        .is_empty());
+    let answer = second.wait(Duration::from_secs(30)).unwrap().payload;
+    assert!(!answer.is_empty());
+    // The same call over the same file: the corrupt response is as long
+    // as this clean one.
+    let corrupt_len = mcsd_smartfam::Frame::response_ok(0, answer).encoded_len() as u64;
     server.restart_daemon().unwrap();
     let outcome = pending.wait(Duration::from_secs(30)).unwrap();
     assert!(!outcome.payload.is_empty());
     let stats = server.daemon_stats();
-    (stats.corrupt_skipped_bytes, stats.replayed)
-}
-
-/// Regression (§15, companion to the count-once test above): the
-/// promote-time mirror merge scans every replica copy of the log, but
-/// corrupt-skip accounting stays with the daemon's primary replay scan —
-/// the mirror scans drop their skipped bytes. A replicated recovery must
-/// therefore count exactly the same corrupt bytes as an unreplicated one
-/// (one copy's worth, not one per replica), while answering from the
-/// clean mirror without re-executing the module.
-#[test]
-fn replicated_recovery_counts_corrupt_bytes_once() {
-    let (plain_bytes, plain_replayed) = restart_recovery_run(None);
-    assert!(plain_bytes > 0, "corrupt frame never skipped");
-    assert!(
-        plain_replayed >= 1,
-        "unreplicated recovery must re-execute the unanswered request"
-    );
-    let (rep_bytes, rep_replayed) = restart_recovery_run(Some(mcsd_core::ReplicaConfig::default()));
     assert_eq!(
-        rep_bytes, plain_bytes,
-        "mirror scans added extra corrupt-skip copies"
+        stats.corrupt_skipped_bytes, corrupt_len,
+        "the corrupt response is counted once, as the bytes it is"
     );
-    assert_eq!(
-        rep_replayed, 0,
-        "mirror merge must answer without re-executing the module"
-    );
+    assert_eq!(stats.replayed, 1, "the unanswered request runs again");
 }
 
 #[test]

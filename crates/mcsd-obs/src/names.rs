@@ -108,9 +108,6 @@ pub const EVENT_SD_REPLICA_CRASH: &str = "sd.replica_crash";
 /// A quorum-append round aborted: too few verified acknowledgements
 /// (`acked` and `needed` attrs).
 pub const EVENT_SD_QUORUM_LOST: &str = "sd.quorum_lost";
-/// A restarted daemon's promote-time recovery merged mirror-only frames
-/// back onto the primary log.
-pub const EVENT_SD_REPLICA_MERGE: &str = "sd.replica_merge";
 /// The engine promoted the most-advanced acknowledged replica after a
 /// primary failure (`node` and `epoch` attrs).
 pub const EVENT_MCSD_PROMOTE: &str = "mcsd.promote";
@@ -150,7 +147,7 @@ pub const EVENT_HOST_WINDOW_SHRINK: &str = "host.window_shrink";
 pub const EVENT_HOST_WINDOW_REFILL: &str = "host.window_refill";
 
 /// Every event type the stack may emit.
-pub const ALL_EVENTS: [&str; 39] = [
+pub const ALL_EVENTS: [&str; 38] = [
     EVENT_HOST_SUBMIT,
     EVENT_HOST_ATTEMPT,
     EVENT_HOST_RETRY,
@@ -175,7 +172,6 @@ pub const ALL_EVENTS: [&str; 39] = [
     EVENT_MCSD_BREAKER_PROBE,
     EVENT_SD_REPLICA_CRASH,
     EVENT_SD_QUORUM_LOST,
-    EVENT_SD_REPLICA_MERGE,
     EVENT_MCSD_PROMOTE,
     EVENT_MCSD_EPOCH_FENCE,
     EVENT_MCSD_GROUP_CRASH,

@@ -581,7 +581,7 @@ pub struct ResilienceStats {
     /// Multi-SD spans re-dispatched to a surviving node or the host.
     pub redispatches: u64,
     /// Provably-corrupt log bytes skipped by recovering readers. In the
-    /// framework's merged view this is the daemon-owned count, mirrored
+    /// framework's merged view this is the daemon-owned count, copied
     /// read-only (DESIGN.md §12, the corrupt-skip double-count).
     pub corrupt_skipped_bytes: u64,
     /// Overload-protection counters (admission, deadlines, breakers).

@@ -70,8 +70,5 @@ pub use faults::{
 pub use host::{HostClient, InvokeOutcome, Liveness, PendingCall, RetryPolicy, WindowRun};
 pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
-pub use replica::{
-    recover_group, AppendOutcome, GroupRecovery, ReplicaConfig, ReplicaState, ReplicatedLog,
-    ReprotectStep,
-};
+pub use replica::{AppendOutcome, ReplicaConfig, ReplicaState, ReplicatedLog, ReprotectStep};
 pub use watch::{FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};

@@ -219,8 +219,8 @@ impl LogFile {
     }
 
     /// [`LogFile::append`] for exactly one frame its caller has already
-    /// encoded — the host's submit from borrowed parameters, the daemon
-    /// once for a primary and its mirrors. One append-site occurrence.
+    /// encoded — the host's submit from borrowed parameters, the daemon's
+    /// reply from its kept buffer. One append-site occurrence.
     pub(crate) fn append_encoded(&self, bytes: &[u8]) -> Result<u64, SmartFamError> {
         let fault = self.injector.fire(self.role.append_site());
         let written = self.write_faulted(bytes, fault)?;
@@ -271,8 +271,8 @@ impl LogFile {
 
     /// [`LogFile::append_batch`] for frames its caller has already encoded
     /// back to back into `bytes`, `lens` their wire lengths in order — the
-    /// daemon encodes a batch once for the primary, a torn suffix's retry
-    /// and the mirrors. One [`FaultSite::BatchAppend`] occurrence and one
+    /// daemon encodes a batch once for the first write and a torn
+    /// suffix's retry. One [`FaultSite::BatchAppend`] occurrence and one
     /// `sync_data`; nothing of either for an empty batch.
     pub(crate) fn append_batch_encoded(
         &self,

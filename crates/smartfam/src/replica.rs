@@ -13,31 +13,22 @@
 //! background re-protect loop copies the promoted log onto the failed slot
 //! until the group is back at full redundancy.
 //!
-//! Every copy — a group member here, a daemon mirror — is a held
-//! [`LogFile`] on a disabled injector, so every byte is written by
-//! `LogFile::write_faulted` like any other log append (DESIGN.md §10) and
-//! nothing here opens, names or re-reads a whole file per append. Two
-//! layers live in this module:
-//!
-//! * [`ReplicatedLog`] — the deterministic, modelled group used by the
-//!   `mcsd-core` replication engine and the seeded fault matrix. Appends
-//!   are verified by read-back, so *acknowledged implies byte-good*: any
-//!   quorum of acknowledged replicas reconstructs byte-identical log
-//!   contents even under torn/corrupt replica faults (property-tested).
-//!   Stale writers deposed by a promotion are fenced by a group *epoch*.
-//! * [`recover_group`] — the live daemon path: the daemon mirrors its
-//!   response appends onto `.replica<r>/` copies of each module log, and a
-//!   restarting daemon merges frames that survive only in a mirror back
-//!   into the primary log (promote-time replay) **without** charging
-//!   mirror scans to `corrupt_skipped_bytes` — the daemon's primary-log
-//!   scan remains that counter's single bookkeeping site (DESIGN.md §13).
+//! Every group member is a held [`LogFile`] on a disabled injector, so
+//! every byte is written by `LogFile::write_faulted` like any other log
+//! append (DESIGN.md §10) and nothing here opens, names or re-reads a
+//! whole file per append. [`ReplicatedLog`] is the deterministic,
+//! modelled group used by the `mcsd-core` replication engine and the
+//! seeded fault matrix. Appends are verified by read-back, so
+//! *acknowledged implies byte-good*: any quorum of acknowledged replicas
+//! reconstructs byte-identical log contents even under torn/corrupt
+//! replica faults (property-tested). Stale writers deposed by a promotion
+//! are fenced by a group *epoch*.
 
-use crate::codec::{decode_stream, scan, Frame};
+use crate::codec::{decode_stream, Frame};
 use crate::error::SmartFamError;
 use crate::faults::{FaultAction, FaultInjector, FaultSite};
-use crate::log_file::{log_path, module_of, LogFile};
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use crate::log_file::{log_path, LogFile};
+use std::path::PathBuf;
 
 /// Replication-group shape: how many copies of each module log exist and
 /// how many verified acknowledgements an append needs before it commits.
@@ -144,7 +135,8 @@ pub struct ReprotectStep {
 ///
 /// Replica 0 *is* the ordinary module log (`<dir>/<module>.log`), so
 /// default readers — the host's watcher, the daemon's replay scan — see
-/// an unchanged layout; mirrors live at `<dir>/.replica<r>/<module>.log`.
+/// an unchanged layout; replica `r ≥ 1` lives at
+/// `<dir>/.replica<r>/<module>.log`.
 #[derive(Debug)]
 pub struct ReplicatedLog {
     cfg: ReplicaConfig,
@@ -414,80 +406,6 @@ impl ReplicatedLog {
     }
 }
 
-/// What promote-time recovery did for one log dir.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupRecovery {
-    /// Module logs scanned.
-    pub logs_scanned: u64,
-    /// Frames that survived only in a mirror and were appended back onto
-    /// the primary log (promoted without re-executing the module).
-    pub merged_frames: u64,
-}
-
-/// Promote-time replay for a restarting daemon: for every module log in
-/// `log_dir`, scan the primary and its mirrors and append any frame that
-/// survives only in a mirror (matched by `(id, is_request)`) onto the end
-/// of the primary log — so a response whose primary append was torn or
-/// corrupted is recovered from a replica instead of re-executed.
-///
-/// Mirror scans deliberately do **not** feed `corrupt_skipped_bytes`: the
-/// same corrupt frame can sit in several copies, and the daemon's own
-/// primary-log replay scan is that counter's single bookkeeping site
-/// (DESIGN.md §13) — charging each mirror's skip would double-count the
-/// one corruption. Frames are only ever *appended* to the primary, never
-/// compacted in place, so a host polling the log mid-recovery can never
-/// see bytes shift under its cursor.
-pub fn recover_group(log_dir: &Path, group_size: usize) -> Result<GroupRecovery, SmartFamError> {
-    let mut recovery = GroupRecovery::default();
-    let mut primaries: Vec<PathBuf> = std::fs::read_dir(log_dir)?
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    primaries.sort();
-    for path in &primaries {
-        let Some(module) = module_of(path) else {
-            continue;
-        };
-        recovery.logs_scanned += 1;
-        let primary = LogFile::attach_at_start(path)?;
-        // The recovering scan's skipped bytes are intentionally dropped
-        // here; the replay scan that follows recovery re-reads the
-        // primary from offset 0 and does the (single) accounting.
-        let mut seen: HashSet<(u64, bool)> = HashSet::new();
-        scan(
-            &primary.read_range(0, primary.len()?)?,
-            0,
-            true,
-            |_, frame| {
-                seen.insert((frame.id, frame.is_request()));
-            },
-        );
-        for r in 1..group_size {
-            let mirror = log_path(log_dir, &module, r);
-            if !mirror.exists() {
-                continue; // mirror never created — nothing to merge
-            }
-            let Ok(copy) = LogFile::attach_at_start(mirror).and_then(|m| m.read_range(0, m.len()?))
-            else {
-                continue;
-            };
-            // A frame the primary lacks moves as the bytes it is: nothing
-            // of either copy is materialised.
-            let mut missing = Vec::new();
-            scan(&copy, 0, true, |offset, frame| {
-                if seen.insert((frame.id, frame.is_request())) {
-                    missing.push(offset..offset + frame.wire_len);
-                }
-            });
-            for wire in missing {
-                primary.append_encoded(&copy[wire])?;
-                recovery.merged_frames += 1;
-            }
-        }
-    }
-    Ok(recovery)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,95 +666,6 @@ mod tests {
         // Members: 0 has 2 acked, 1 has 2 acked, 2 desynced with 1.
         let (winner, _) = log.promote(0).unwrap();
         assert_eq!(winner, 1, "replica 1 is most advanced among survivors");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Append `frames` to module `wc`'s copy `replica` under `dir`, the
-    /// way the daemon's held mirror handles do.
-    fn append_to(dir: &Path, replica: usize, frames: &[Frame]) {
-        let copy = LogFile::attach_at_start(log_path(dir, "wc", replica)).unwrap();
-        for frame in frames {
-            copy.append(frame).unwrap();
-        }
-    }
-
-    #[test]
-    fn recover_group_merges_frames_that_survive_only_in_a_mirror() {
-        let dir = temp_dir();
-        // Primary holds a request; only the mirrors hold the response
-        // (the primary response append was "lost").
-        append_to(&dir, 0, &[frame(7)]);
-        let response = Frame::response_ok(7, b"done".to_vec());
-        append_to(&dir, 1, std::slice::from_ref(&response));
-        append_to(&dir, 2, std::slice::from_ref(&response));
-        let rec = recover_group(&dir, 3).unwrap();
-        assert_eq!(rec.logs_scanned, 1);
-        assert_eq!(rec.merged_frames, 1, "response merged back exactly once");
-        let data = std::fs::read(log_path(&dir, "wc", 0)).unwrap();
-        let (frames, _) = decode_stream(&data, 0).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(frames.iter().any(|f| !f.is_request() && f.id == 7));
-        // Idempotent: a second recovery pass merges nothing.
-        let rec2 = recover_group(&dir, 3).unwrap();
-        assert_eq!(rec2.merged_frames, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recover_group_never_compacts_the_primary_or_creates_a_mirror() {
-        let dir = temp_dir();
-        // Primary: clean request, then a corrupt response copy.
-        let plan = FaultPlan::none().with(
-            FaultSite::SdAppend,
-            1,
-            FaultAction::Corrupt { xor_mask: 0x20 },
-        );
-        let primary = LogFile::attach_at_start(log_path(&dir, "wc", 0))
-            .unwrap()
-            .with_faults(FaultInjector::new(plan), crate::LogRole::Daemon);
-        primary.append(&frame(9)).unwrap();
-        primary
-            .append(&Frame::response_ok(9, b"x".to_vec()))
-            .unwrap();
-        let before = std::fs::read(primary.path()).unwrap();
-        // Mirror 1 holds the clean response; mirror 2 never existed.
-        append_to(&dir, 1, &[Frame::response_ok(9, b"x".to_vec())]);
-        let rec = recover_group(&dir, 3).unwrap();
-        assert_eq!(rec.merged_frames, 1);
-        let after = std::fs::read(primary.path()).unwrap();
-        // Strictly append-only: the old bytes are a prefix of the new.
-        assert!(after.len() > before.len());
-        assert_eq!(&after[..before.len()], &before[..]);
-        assert!(!log_path(&dir, "wc", 2).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recover_group_merges_only_the_missing_tail_of_a_long_mirror() {
-        let dir = temp_dir();
-        // 20 000 answered calls: the primary holds every request and all
-        // but the last 100 responses, the mirror every response.
-        let (mut primary, mut mirror, mut missing) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..20_000 {
-            frame(i).encode_into(&mut primary);
-            let response = Frame::response_ok(i, format!("r{i}").into_bytes()).encode();
-            mirror.extend_from_slice(&response);
-            if i < 19_900 {
-                primary.extend_from_slice(&response);
-            } else {
-                missing.extend_from_slice(&response);
-            }
-        }
-        std::fs::create_dir_all(log_path(&dir, "wc", 1).parent().unwrap()).unwrap();
-        std::fs::write(log_path(&dir, "wc", 0), &primary).unwrap();
-        std::fs::write(log_path(&dir, "wc", 1), &mirror).unwrap();
-        let rec = recover_group(&dir, 3).unwrap();
-        assert_eq!((rec.logs_scanned, rec.merged_frames), (1, 100));
-        // Append-only, in the mirror's order, as the bytes the mirror holds.
-        let merged = std::fs::read(log_path(&dir, "wc", 0)).unwrap();
-        assert!(merged == [primary, missing].concat(), "primary bytes");
-        assert_eq!(std::fs::read(log_path(&dir, "wc", 1)).unwrap(), mirror);
-        assert_eq!(recover_group(&dir, 3).unwrap().merged_frames, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,5 @@
-//! Every `DESIGN.md §N` citation names a section DESIGN.md has, and the
-//! four prose docs keep their line budget.
+//! Every `DESIGN.md §N` citation names a section DESIGN.md has, the
+//! four prose docs keep their line budget, and so does the Rust.
 //!
 //! Code, tests, CI and the other documents point at DESIGN.md by section
 //! number. This test scans them — `crates/`, `src/`, `tests/`,
@@ -29,6 +29,10 @@ const BUDGETED_DOCS: [&str; 4] = [
 /// Their lines together: a rule is stated once and a table kept only while
 /// it is the latest answer to its question.
 const DOC_LINE_BUDGET: usize = 2_000;
+/// The Rust under `crates/` and `shims/` that is not test code.
+const NON_TEST_LINE_BUDGET: usize = 22_900;
+/// All of that Rust, test code included.
+const TOTAL_LINE_BUDGET: usize = 40_467;
 
 /// Every file under `dir`, build output excluded.
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -124,5 +128,67 @@ fn prose_docs_keep_their_line_budget() {
         total <= DOC_LINE_BUDGET,
         "the prose docs are {total} lines, over the budget of {DOC_LINE_BUDGET}: {}",
         each.join(", ")
+    );
+}
+
+/// `(non-test, test)` lines of one Rust file at `rel`: a file under a
+/// `tests/`, `benches/` or `examples/` directory is all test, and any
+/// other is test from its first `#[cfg(test)]` line to its end.
+fn rust_split(rel: &Path, text: &str) -> (usize, usize) {
+    let lines: Vec<&str> = text.lines().collect();
+    let test_dir = rel.parent().is_some_and(|dir| {
+        dir.iter()
+            .any(|part| ["tests", "benches", "examples"].iter().any(|t| part == *t))
+    });
+    let first_test = if test_dir {
+        0
+    } else {
+        lines
+            .iter()
+            .position(|line| line.trim_start().starts_with("#[cfg(test)]"))
+            .unwrap_or(lines.len())
+    };
+    (first_test, lines.len() - first_test)
+}
+
+#[test]
+fn rust_split_counts_from_the_first_test_line() {
+    let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n}\n";
+    assert_eq!(rust_split(Path::new("crates/x/src/lib.rs"), src), (1, 3));
+    assert_eq!(
+        rust_split(Path::new("crates/x/src/main.rs"), "fn main() {}\n"),
+        (1, 0)
+    );
+    assert_eq!(rust_split(Path::new("crates/x/tests/t.rs"), src), (0, 4));
+    assert_eq!(rust_split(Path::new("shims/y/benches/b.rs"), src), (0, 4));
+}
+
+/// The line budget ROADMAP sets for the Rust under `crates/` + `shims/`.
+/// Run with `--nocapture` to read a change's non-test and test lines.
+#[test]
+fn rust_keeps_its_line_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "shims"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    let (mut non_test, mut test) = (0, 0);
+    for file in files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = std::fs::read_to_string(file).unwrap();
+        let (n, t) = rust_split(file.strip_prefix(root).unwrap_or(file), &text);
+        non_test += n;
+        test += t;
+    }
+    let total = non_test + test;
+    println!("rust lines: non-test {non_test}, test {test}, total {total}");
+    // A floor far above zero proves the walk reached the tree.
+    assert!(non_test >= 10_000, "found only {non_test} non-test lines");
+    assert!(
+        non_test <= NON_TEST_LINE_BUDGET && total <= TOTAL_LINE_BUDGET,
+        "the Rust is {non_test} non-test lines (budget {NON_TEST_LINE_BUDGET}) and \
+         {total} in all with {test} test lines (budget {TOTAL_LINE_BUDGET})"
     );
 }
