@@ -5,14 +5,17 @@
 //! ```text
 //! mcsd-experiments [all|table1|fig8a|fig8b|fig8c|fig9|fig10|smb|ablations|overload|trace|failover|chaos|rack|batched]
 //!                  [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]
+//! mcsd-experiments trace-diff <A> <B>
 //! ```
 //!
-//! `SUBCOMMANDS` is the one list of names: `usage()` prints it, `main`
+//! `trace-diff` is the one command that takes file arguments: `main`
+//! dispatches it first, and alone. Every other run is named from
+//! `SUBCOMMANDS`, the one list of names: `usage()` prints it, `main`
 //! checks every positional argument against it and runs from it, and the
 //! list says what each subcommand runs and why it is or is not part of
-//! `all` (the default). This file is the command line, the printing and the file
-//! writing; what the subcommands run lives in the libraries (`mcsd_bench`,
-//! `mcsd_core`).
+//! `all` (the default). This file is the command line, the printing and
+//! the file writing; what the subcommands run lives in the libraries
+//! (`mcsd_bench`, `mcsd_core`).
 //!
 //! Run in release mode: debug builds inflate per-byte compute cost ~25x
 //! and distort the compute/IO balance the figures depend on.
@@ -92,10 +95,63 @@ fn usage() -> ! {
     let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
     eprintln!(
         "usage: mcsd-experiments [all|{}] \
-         [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]",
+         [--scale N] [--seed N] [--racks N] [--jobs N] [--quick] [--csv]\n       \
+         mcsd-experiments trace-diff <A> <B>",
         names.join("|")
     );
     std::process::exit(2);
+}
+
+/// `trace-diff <A> <B>`: compare two exports line by line and name the
+/// first line that differs — for a JSON-lines record, its `track`, `at`
+/// and `name` — with the three lines before it and both versions of it.
+/// Exits 0 when the files are identical, 1 when they differ, and 2 on a
+/// usage or I/O error.
+fn trace_diff(args: &[String]) -> i32 {
+    let [a, b] = args else {
+        eprintln!("usage: mcsd-experiments trace-diff <A> <B>");
+        return 2;
+    };
+    let read =
+        |path: &String| std::fs::read_to_string(path).map_err(|e| eprintln!("error: {path}: {e}"));
+    let (Ok(left), Ok(right)) = (read(a), read(b)) else {
+        return 2;
+    };
+    // Each line keeps its terminator, so line endings compare too.
+    let left: Vec<&str> = left.split_inclusive('\n').collect();
+    let right: Vec<&str> = right.split_inclusive('\n').collect();
+    let Some(k) = (0..left.len().max(right.len())).find(|&i| left.get(i) != right.get(i)) else {
+        println!("{a} and {b} are identical");
+        return 0;
+    };
+    println!("first difference at line {}", k + 1);
+    let record = left.get(k).or(right.get(k)).copied().unwrap_or_default();
+    let fields: Vec<String> = ["track", "at", "name"]
+        .into_iter()
+        .filter_map(|key| Some(format!("{key} {}", json_field(record, key)?)))
+        .collect();
+    if !fields.is_empty() {
+        println!("record: {}", fields.join(", "));
+    }
+    for (i, line) in left.iter().enumerate().take(k).skip(k.saturating_sub(3)) {
+        println!("  {:>5}  {}", i + 1, line.trim_end_matches('\n'));
+    }
+    for (path, lines) in [(a, &left), (b, &right)] {
+        let line = lines
+            .get(k)
+            .map_or("(none: the file ends here)", |l| l.trim_end_matches('\n'));
+        println!("{path}:{}: {line}", k + 1);
+    }
+    1
+}
+
+/// The value of the first `"key":` in a one-line JSON record, unquoted.
+fn json_field<'a>(record: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &record[record.find(&format!("\"{key}\":"))? + key.len() + 3..];
+    match rest.strip_prefix('"') {
+        Some(text) => text.split('"').next(),
+        None => rest.split([',', '}']).next(),
+    }
 }
 
 /// The `N` of a `--flag N` pair; a missing or unparsable one is a usage
@@ -254,6 +310,10 @@ fn ablations(o: &Options) {
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "trace-diff") {
+        std::process::exit(trace_diff(&argv[1..]));
+    }
     let mut opts = Options {
         cfg: ExperimentConfig::default_run(),
         csv: false,
@@ -262,7 +322,7 @@ fn main() {
         jobs: 1200,
     };
     let mut which: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.cfg = ExperimentConfig::quick(),

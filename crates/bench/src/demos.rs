@@ -11,15 +11,13 @@ use mcsd_core::chaos::{self, BatchedEchoScenario, ReplicationRoundsScenario};
 use mcsd_core::des::{self, DesConfig};
 use mcsd_core::{
     ChaosScenario, ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, McsdError,
-    MultiSdRunner, ReplicationSetup, ResilienceStats,
+    MultiSdReport, MultiSdRunner, ReplicationSetup, ResilienceStats,
 };
 use mcsd_obs::export::{chrome, jsonl_with, JsonlOptions};
 use mcsd_obs::{CounterFamily, MetricSample, Tracer};
 use mcsd_phoenix::Stopwatch;
-use mcsd_smartfam::module::FnModule;
-use mcsd_smartfam::{BatchConfig, Daemon, DaemonConfig, DaemonStats, HostClient, ModuleRegistry};
+use mcsd_smartfam::{BatchConfig, DaemonStats};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What one walkthrough run produced.
@@ -138,39 +136,14 @@ pub fn trace(seed: u64) -> Result<Demo, McsdError> {
     Ok(out)
 }
 
-/// Failover walkthrough (DESIGN.md §15): a live three-member log group
-/// loses its leader replica mid-round — after the module already ran — so
-/// the span finishes as a promotion of the most-advanced acknowledged
-/// member instead of a re-dispatch, and background re-protection restores
-/// full redundancy before the run returns. The run traces onto the §12
-/// virtual clock and is exported to `failover-<seed>.jsonl`.
+/// Failover walkthrough (DESIGN.md §15): [`leader_crash`]'s outcomes and
+/// counters, its timeline exported to `failover-<seed>.jsonl`.
 pub fn failover(seed: u64) -> Result<Demo, McsdError> {
     let mut out = Demo::titled(format!(
         "## Failover — replicated log groups, promotion, re-protection (seed {seed})"
     ));
     out.text += "### Kill one replica mid-run: promotion, not re-execution\n\n";
-    let mut cluster = multi_sd_testbed(Scale::default_experiment(), 3);
-    for n in &mut cluster.nodes {
-        n.memory_bytes = ROOMY;
-    }
-    let runner = MultiSdRunner::new(cluster)?;
-    let text = TextGen::with_seed(seed).generate(60_000);
-    // Replica-site occurrences advance once per (entry, member) pair, so
-    // occurrence 9 is the leader copy of span 1's response round — the
-    // crash lands after the module work is already durable on another member.
-    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
-    let dir = scratch_dir("failover", seed)?;
-    let tracer = Tracer::enabled();
-    let run = runner.run_replicated(
-        &WordCount,
-        &WordCount::merger(),
-        &text,
-        ExecMode::Parallel,
-        &FaultInjector::new(plan),
-        &ReplicationSetup::new(&dir).with_tracer(tracer.clone()),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let run = run?;
+    let (text, run, tracer) = leader_crash(seed)?;
     for (i, outcome) in run.outcomes.iter().enumerate() {
         out.text += &format!("span {i}: {outcome:?}\n");
     }
@@ -187,6 +160,41 @@ pub fn failover(seed: u64) -> Result<Demo, McsdError> {
     let jsonl = timeline(&tracer, &run.replication.samples());
     out.files = vec![(format!("failover-{seed}.jsonl"), jsonl)];
     Ok(out)
+}
+
+/// The corpus the spans counted, the run's report and its timeline on the
+/// §12 virtual clock.
+pub type LeaderCrash = (Vec<u8>, MultiSdReport<String, u64>, Tracer);
+
+/// A live three-member log group loses span 1's leader replica in its
+/// response round — after the module already ran — so the span finishes
+/// as a promotion of the most-advanced acknowledged member instead of a
+/// re-dispatch, and re-protection restores full redundancy before the run
+/// returns.
+pub fn leader_crash(seed: u64) -> Result<LeaderCrash, McsdError> {
+    let mut cluster = multi_sd_testbed(Scale::default_experiment(), 3);
+    for n in &mut cluster.nodes {
+        n.memory_bytes = ROOMY;
+    }
+    let runner = MultiSdRunner::new(cluster)?;
+    let text = TextGen::with_seed(seed).generate(60_000);
+    // Replica-site occurrences advance once per (entry, member) pair:
+    // span 1's rounds cover occurrences 6..12, its response round
+    // 9/10/11, and occurrence 9 is replica 0 — the leader. The crash lands
+    // after the module work is already durable on another member.
+    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
+    let dir = scratch_dir("failover", seed)?;
+    let tracer = Tracer::enabled();
+    let report = runner.run_replicated(
+        &WordCount,
+        &WordCount::merger(),
+        &text,
+        ExecMode::Parallel,
+        &FaultInjector::new(plan),
+        &ReplicationSetup::new(&dir).with_tracer(tracer.clone()),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok((text, report?, tracer))
 }
 
 /// Rack-scale run (DESIGN.md §17): `racks` racks of (4 hosts + 9 SDs)
@@ -243,10 +251,15 @@ pub fn chaos(seed: u64) -> Result<Demo, McsdError> {
     // this long), tight enough that injected daemon crashes cost seconds,
     // not minutes.
     let wait = Duration::from_secs(2);
+    let batching = BatchConfig {
+        workers: 2,
+        max_batch: 3,
+        seed,
+    };
     let scenarios: [&dyn ChaosScenario; 3] = [
         &ReplicationRoundsScenario::new(seed, &dir),
         &FourPhaseScenario::new(seed, Tracer::disabled(), wait),
-        &BatchedEchoScenario::new(seed, &dir),
+        &BatchedEchoScenario::new(6, batching, Tracer::disabled(), &dir),
     ];
     let reports: Result<Vec<_>, _> = scenarios
         .into_iter()
@@ -266,56 +279,39 @@ pub fn chaos(seed: u64) -> Result<Demo, McsdError> {
     Ok(out)
 }
 
-/// Deterministic batched-dispatch walkthrough (DESIGN.md §18): twelve echo
-/// requests are pre-staged into the module log *before* the daemon
-/// starts, so the replay scan queues them all and the multi-worker batched
-/// executor forms exactly three four-request batches — batch formation,
-/// worker assignment, completion order, and the coalesced commits are all
-/// a pure function of the request sequence and the `BatchConfig` seed.
-/// The `sd.*` timeline and the `batch.*` counters are exported to
-/// `batched-<seed>.jsonl`.
+/// Deterministic batched-dispatch walkthrough (DESIGN.md §18):
+/// [`BatchedEchoScenario`] pre-stages twelve echo requests into the module
+/// log *before* the daemon starts, so the replay scan queues them all and
+/// the multi-worker batched executor forms exactly three four-request
+/// batches — batch formation, worker assignment, completion order, and the
+/// coalesced commits are all a pure function of the request sequence and
+/// the `BatchConfig` seed. The `sd.*` timeline and the `batch.*` counters
+/// are exported to `batched-<seed>.jsonl`.
 pub fn batched(seed: u64) -> Result<Demo, McsdError> {
     const REQUESTS: usize = 12;
     let mut out = Demo::titled(format!(
         "## Batched dispatch — coalesced commits and the multi-worker pool, DESIGN.md section 18 (seed {seed})"
     ));
     let dir = scratch_dir("batched", seed)?;
-    let registry = ModuleRegistry::new();
-    registry.register(Arc::new(FnModule::new("echo", |p: &[String]| {
-        Ok(p.join("|").into_bytes())
-    })));
-    let client = HostClient::new(&dir);
-    let request = |i: usize| format!("r{i}-{seed}");
-    let pendings = (0..REQUESTS)
-        .map(|i| client.submit("echo", &[request(i)]))
-        .collect::<Result<Vec<_>, _>>()?;
     let tracer = Tracer::enabled();
-    let config = DaemonConfig::new(&dir)
-        .with_tracer(tracer.clone())
-        .with_batching(BatchConfig {
-            workers: 4,
-            max_batch: 4,
-            seed,
-        });
-    let mut daemon = Daemon::new(config, registry).spawn()?;
-    let replies: Result<Vec<_>, _> = pendings
-        .into_iter()
-        .map(|pending| pending.wait(Duration::from_secs(60)))
-        .collect();
-    daemon.stop();
+    let batching = BatchConfig {
+        workers: 4,
+        max_batch: 4,
+        seed,
+    };
+    let run = BatchedEchoScenario::new(REQUESTS, batching, tracer.clone(), &dir)
+        .run(&FaultInjector::disabled());
     let _ = std::fs::remove_dir_all(&dir);
-    for (i, reply) in replies?.into_iter().enumerate() {
-        if reply.payload != request(i).into_bytes() {
-            out.text += &format!("batched response {i} diverged\n");
-            out.violations += 1;
-        }
+    let (observation, daemon, batch) = run?;
+    for (invariant, detail) in chaos::evaluate(&observation) {
+        out.text += &format!("clean run violated {invariant:?}: {detail}\n");
+        out.violations += 1;
     }
-    let (batch, stats) = (daemon.batch_stats(), daemon.stats());
     out.text += &format!(
         "{REQUESTS} pre-staged echo calls through the batched executor: ok={}; {batch}\n",
-        stats.ok
+        daemon.ok
     );
-    let counters = [stats.samples(), batch.samples()].concat();
+    let counters = [daemon.samples(), batch.samples()].concat();
     out.files = vec![(
         format!("batched-{seed}.jsonl"),
         timeline(&tracer, &counters),

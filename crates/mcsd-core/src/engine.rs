@@ -396,7 +396,7 @@ impl Engine {
     /// Batched-mode counters merged for a caller-facing report: the
     /// window-side fields the engine absorbed from pipelined dispatches
     /// plus the daemon-owned batch-commit fields (batches, coalesced
-    /// appends, fsyncs, fsyncs saved), merged at read time exactly like
+    /// appends, fsyncs), merged at read time exactly like
     /// [`Engine::resilience_report`] so neither side is double-counted.
     pub fn batch_report(&self, daemon: &BatchStats) -> BatchStats {
         let mut stats = self.with(|s| s.batch);
@@ -899,13 +899,12 @@ mod tests {
             batches: 3,
             coalesced_appends: 12,
             fsyncs: 3,
-            fsyncs_saved: 9,
             ..BatchStats::default()
         };
         let merged = e.batch_report(&daemon);
         assert_eq!(merged.batches, 3);
         assert_eq!(merged.coalesced_appends, 12);
-        assert_eq!(merged.fsyncs_saved, 9);
+        assert_eq!(merged.fsyncs, 3);
         assert_eq!(merged.window_occupancy, 20);
         assert_eq!(merged.window_shrinks, 1);
         assert_eq!(merged.reordered_completions, 2);

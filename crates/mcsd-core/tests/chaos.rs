@@ -8,6 +8,7 @@ use mcsd_core::chaos::{
 };
 use mcsd_core::{FaultInjector, FaultPlan, FaultSite, McsdError};
 use mcsd_obs::Tracer;
+use mcsd_smartfam::BatchConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +67,12 @@ fn replication_rounds_sweep_is_clean() {
 #[test]
 fn batched_echo_sweep_is_clean() {
     let dir = temp_dir("batched");
-    let scenario = BatchedEchoScenario::new(7, &dir);
+    let batching = BatchConfig {
+        workers: 2,
+        max_batch: 3,
+        seed: 7,
+    };
+    let scenario = BatchedEchoScenario::new(6, batching, Tracer::disabled(), &dir);
     let report = chaos::run_sweep(&scenario, 7, &Tracer::disabled()).unwrap();
     // Six per-request dispatch slots plus one batch-append point per
     // coalesced commit (two batches of three).

@@ -1,11 +1,9 @@
 //! Replicated scale-out integration tests (DESIGN.md §15).
 //!
 //! The contract under test, end to end through
-//! [`MultiSdRunner::run_replicated`]:
+//! [`MultiSdRunner::run_replicated`] (the leader-crash promotion is
+//! `crates/bench/tests/failover.rs`, on the failover walkthrough's run):
 //!
-//! * a span whose log leader is killed mid-round finishes as
-//!   [`SpanOutcome::Promoted`] — completed module work is never re-run
-//!   and the host is never involved;
 //! * a correlated group crash below the write quorum loses the round,
 //!   the span re-dispatches through the normal chain, and re-protection
 //!   heals the group before the retry commits;
@@ -44,62 +42,6 @@ fn runner(sd_count: usize) -> MultiSdRunner {
 
 fn text(bytes: usize) -> Vec<u8> {
     TextGen::with_seed(77).generate(bytes)
-}
-
-/// Acceptance scenario: group of 3, the leader replica of span 1 is
-/// killed during its response round. The span must finish as a
-/// promotion — module work completed, output kept, no retry, no
-/// re-dispatch, no host fallback — and re-protection must restore full
-/// redundancy (visible as exactly one rebuild copy) before run end.
-#[test]
-fn killed_leader_replica_promotes_without_reexecution() {
-    let dir = temp_dir();
-    let runner = runner(3);
-    let input = text(15_000);
-    // Replica-site occurrences advance once per (entry, member) pair:
-    // span 1's rounds cover occurrences 6..12, its response round
-    // 9/10/11, and occurrence 9 is replica 0 — the leader.
-    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
-    let injector = FaultInjector::new(plan);
-    let setup = ReplicationSetup::new(&dir);
-    let out = runner
-        .run_replicated(
-            &WordCount,
-            &WordCount::merger(),
-            &input,
-            ExecMode::Parallel,
-            &injector,
-            &setup,
-        )
-        .unwrap();
-    assert_eq!(out.pairs, seq::wordcount(&input));
-    // Span 1's group members are sd1, sd2, sd0; the most-advanced
-    // acknowledged replica is slot 1 = sd2 (deterministic tiebreak).
-    assert_eq!(
-        out.outcomes[1],
-        SpanOutcome::Promoted {
-            node: "sd2".into(),
-            epoch: 1
-        }
-    );
-    assert!(matches!(out.outcomes[0], SpanOutcome::Ok { .. }));
-    assert!(matches!(out.outcomes[2], SpanOutcome::Ok { .. }));
-    // No recovery through the span chain: one attempt per span, nothing
-    // retried, nothing re-dispatched, the host untouched.
-    assert_eq!(out.resilience.attempts, 3);
-    assert_eq!(out.resilience.retries, 0);
-    assert_eq!(out.resilience.redispatches, 0);
-    // Every round still committed; the crash cost one promotion, one
-    // fenced stale append (the split-brain probe), and one rebuild.
-    let stats = out.replication;
-    assert_eq!(stats.quorum_appends, 6);
-    assert_eq!(stats.promotions, 1);
-    assert_eq!(stats.fenced_appends, 1);
-    assert_eq!(stats.replica_crashes, 1);
-    assert_eq!(stats.group_crashes, 0);
-    assert_eq!(stats.reprotect_copies, 1, "redundancy not restored");
-    assert!(stats.reprotect_bytes > 0);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A correlated group crash that drops span 0's round below its write

@@ -134,7 +134,7 @@ pub const EVENT_DES_COMPLETE: &str = "des.complete";
 /// (`job` and `shard` attrs; no `shard` on a rack with no node to name).
 pub const EVENT_DES_SHED: &str = "des.shed";
 /// The daemon committed a coalesced append batch with one fsync (`size`
-/// and `fsyncs_saved` attrs).
+/// attr).
 pub const EVENT_SD_BATCH_COMMIT: &str = "sd.batch_commit";
 /// A torn batch tail was retried — only the frames past the durable
 /// prefix were re-appended (`retried` attr).

@@ -91,10 +91,6 @@ pub struct BatchStats {
     pub coalesced_appends: u64,
     /// fsyncs actually issued by batch commits.
     pub fsyncs: u64,
-    /// fsyncs avoided relative to a hypothetical writer that syncs every
-    /// append: `coalesced_appends - fsyncs` accumulated per commit. No
-    /// such writer exists; a lone append never syncs.
-    pub fsyncs_saved: u64,
     /// Sum of the in-flight depth observed at each pipelined submit;
     /// divide by attempts for mean window occupancy.
     pub window_occupancy: u64,
@@ -111,7 +107,6 @@ mcsd_obs::counter_family!(BatchStats {
         batches,
         coalesced_appends as "coalesced",
         fsyncs,
-        fsyncs_saved,
         window_occupancy as "occupancy",
         window_shrinks as "shrinks",
         reordered_completions as "reordered",

@@ -225,7 +225,6 @@ struct BatchInner {
     batches: AtomicU64,
     coalesced_appends: AtomicU64,
     fsyncs: AtomicU64,
-    fsyncs_saved: AtomicU64,
 }
 
 impl BatchInner {
@@ -234,7 +233,6 @@ impl BatchInner {
             batches: self.batches.load(Ordering::Relaxed),
             coalesced_appends: self.coalesced_appends.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            fsyncs_saved: self.fsyncs_saved.load(Ordering::Relaxed),
             ..BatchStats::default()
         }
     }
@@ -1218,17 +1216,14 @@ impl DaemonCtx {
                 break;
             };
             let durable = outcome.frames_durable as u64;
-            let saved = durable.saturating_sub(outcome.fsyncs);
             let batch = &self.batch_stats;
             batch.batches.fetch_add(1, Ordering::Relaxed);
             batch
                 .coalesced_appends
                 .fetch_add(durable, Ordering::Relaxed);
             batch.fsyncs.fetch_add(outcome.fsyncs, Ordering::Relaxed);
-            batch.fsyncs_saved.fetch_add(saved, Ordering::Relaxed);
             tracer.event_with(*track, EVENT_SD_BATCH_COMMIT, |a| {
                 a.u64("size", durable);
-                a.u64("fsyncs_saved", saved);
             });
             if !outcome.torn {
                 break;
@@ -1801,39 +1796,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_daemon_answers_prestaged_requests_with_coalesced_fsyncs() {
-        use crate::batch::BatchConfig;
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        // Pre-staged: all 8 requests are queued by the replay scan, so
-        // they form deterministic fixed-size chunks.
-        let pendings: Vec<_> = (0..8)
-            .map(|i| client.submit("upper", &[format!("m{i}")]).unwrap())
-            .collect();
-        let mut daemon = Daemon::new(
-            DaemonConfig::new(&dir).with_batching(BatchConfig::default()),
-            registry(),
-        )
-        .spawn()
-        .unwrap();
-        for (i, pending) in pendings.into_iter().enumerate() {
-            assert_eq!(
-                pending.wait(TIMEOUT).unwrap().payload,
-                format!("M{i}").into_bytes()
-            );
-        }
-        daemon.stop();
-        assert_eq!(daemon.stats().ok, 8);
-        let batch = daemon.batch_stats();
-        // One module log, max_batch 16 ⇒ one coalesced commit.
-        assert_eq!(batch.batches, 1, "{batch}");
-        assert_eq!(batch.coalesced_appends, 8, "{batch}");
-        assert_eq!(batch.fsyncs, 1, "{batch}");
-        assert_eq!(batch.fsyncs_saved, 7, "{batch}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn batched_responses_carry_their_batch_framing_word() {
         use crate::batch::BatchConfig;
         let dir = temp_dir();
@@ -1884,45 +1846,6 @@ mod tests {
         assert_eq!(daemon.stats().expired, 1);
         assert_eq!(daemon.stats().unknown_module, 1);
         assert_eq!(daemon.stats().ok, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_batch_commit_retries_only_the_suffix_and_answers_everyone() {
-        use crate::batch::BatchConfig;
-        use crate::faults::{FaultAction, FaultPlan, FaultSite};
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        let pendings: Vec<_> = (0..4)
-            .map(|i| client.submit("upper", &[format!("t{i}")]).unwrap())
-            .collect();
-        // Tear the first batch commit half way: the durable prefix must
-        // not be re-appended, and the suffix retry must answer the rest.
-        let plan = FaultPlan::none().with(
-            FaultSite::BatchAppend,
-            0,
-            FaultAction::Torn { keep_sixteenths: 8 },
-        );
-        let mut daemon = Daemon::new(
-            DaemonConfig::new(&dir)
-                .with_batching(BatchConfig::default())
-                .with_faults(FaultInjector::new(plan)),
-            registry(),
-        )
-        .spawn()
-        .unwrap();
-        for (i, pending) in pendings.into_iter().enumerate() {
-            assert_eq!(
-                pending.wait(TIMEOUT).unwrap().payload,
-                format!("T{i}").into_bytes()
-            );
-        }
-        daemon.stop();
-        let batch = daemon.batch_stats();
-        // Two commits (torn + suffix retry), every response exactly once.
-        assert_eq!(batch.batches, 2, "{batch}");
-        assert_eq!(batch.coalesced_appends, 4, "{batch}");
-        assert_eq!(batch.fsyncs, 2, "{batch}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

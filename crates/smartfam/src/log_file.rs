@@ -250,8 +250,8 @@ impl LogFile {
     /// batch**: the frames are encoded back to back into one buffer,
     /// written with one call, and made durable by a single `sync_data`.
     /// This is the daemon's batched-commit primitive — per-frame `append`
-    /// never fsyncs, so a batch of `n` responses costs 1 fsync instead of
-    /// the `n` a durable lockstep writer would pay.
+    /// never fsyncs, and a batch pays one fsync however many frames it
+    /// holds, so syncs per answered call fall as batches grow.
     ///
     /// Faults are counted under [`FaultSite::BatchAppend`] (one occurrence
     /// per batch). Unlike [`LogFile::append`], a torn batch is *not* an

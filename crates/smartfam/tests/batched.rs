@@ -136,42 +136,44 @@ proptest::proptest! {
 /// answered exactly once, and the counters account for both commits.
 #[test]
 fn torn_batch_tail_retries_only_the_suffix() {
-    let dir = temp_dir();
-    let client = HostClient::new(&dir);
-    let pending: Vec<_> = (0..6)
-        .map(|i| client.submit("echo", &[format!("r{i}")]).unwrap())
-        .collect();
-    // Tear the first batch commit mid-frame: 7/16 of six equal response
-    // frames lands inside frame 3, so frames 0-1 are durable and the
-    // 4-frame suffix must be retried (8/16 would tear exactly on the
-    // frame boundary and leave nothing torn).
-    let plan = FaultPlan::none().with(
-        FaultSite::BatchAppend,
-        0,
-        FaultAction::Torn { keep_sixteenths: 7 },
-    );
-    let config = DaemonConfig::new(&dir)
-        .with_faults(FaultInjector::new(plan))
-        .with_batching(BatchConfig {
-            workers: 3,
-            max_batch: 6,
-            seed: 11,
-        });
-    let mut daemon = Daemon::new(config, echo_registry()).spawn().unwrap();
-    for (i, p) in pending.into_iter().enumerate() {
-        let out = p.wait(TIMEOUT).unwrap();
-        assert_eq!(out.payload, format!("r{i}").into_bytes());
+    // Tear the first batch commit of six equal response frames: 7/16
+    // lands inside frame 3, so frames 0-1 are durable and the 4-frame
+    // suffix is retried; 8/16 tears exactly on the frame boundary, so
+    // frames 0-2 are durable, no torn bytes lie between, and the 3-frame
+    // suffix is retried.
+    for keep_sixteenths in [7, 8] {
+        let dir = temp_dir();
+        let client = HostClient::new(&dir);
+        let pending: Vec<_> = (0..6)
+            .map(|i| client.submit("echo", &[format!("r{i}")]).unwrap())
+            .collect();
+        let plan = FaultPlan::none().with(
+            FaultSite::BatchAppend,
+            0,
+            FaultAction::Torn { keep_sixteenths },
+        );
+        let config = DaemonConfig::new(&dir)
+            .with_faults(FaultInjector::new(plan))
+            .with_batching(BatchConfig {
+                workers: 3,
+                max_batch: 6,
+                seed: 11,
+            });
+        let mut daemon = Daemon::new(config, echo_registry()).spawn().unwrap();
+        for (i, p) in pending.into_iter().enumerate() {
+            let out = p.wait(TIMEOUT).unwrap();
+            assert_eq!(out.payload, format!("r{i}").into_bytes());
+        }
+        daemon.stop();
+        let batch = daemon.batch_stats();
+        // Two commits: the torn prefix and the retried suffix. Six
+        // appends total — nothing was appended twice.
+        assert_eq!(batch.batches, 2, "{keep_sixteenths}/16: {batch}");
+        assert_eq!(batch.coalesced_appends, 6, "{keep_sixteenths}/16: {batch}");
+        assert_eq!(batch.fsyncs, 2, "{keep_sixteenths}/16: {batch}");
+        assert_eq!(daemon.stats().ok, 6);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    daemon.stop();
-    let batch = daemon.batch_stats();
-    // Two commits: the torn prefix and the retried suffix. Six appends
-    // total — nothing was appended twice.
-    assert_eq!(batch.batches, 2, "{batch}");
-    assert_eq!(batch.coalesced_appends, 6, "{batch}");
-    assert_eq!(batch.fsyncs, 2, "{batch}");
-    assert_eq!(batch.fsyncs_saved, 4, "{batch}");
-    assert_eq!(daemon.stats().ok, 6);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A daemon crash at a batch boundary replays exactly the uncommitted

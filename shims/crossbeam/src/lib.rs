@@ -1,109 +1,5 @@
-//! Vendored subset of the `crossbeam` API, backed by `std::sync::mpsc`.
-//!
-//! Only the pieces the workspace uses are provided: the `channel` module
-//! with unbounded channels, timeout-aware receive, and cloneable senders.
-
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-
-/// Multi-producer channels (subset of `crossbeam-channel`).
-pub mod channel {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-
-    /// The sending half of an unbounded channel.
-    #[derive(Debug)]
-    pub struct Sender<T> {
-        inner: mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Send a message; fails only if every receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.inner.send(value)
-        }
-    }
-
-    /// The receiving half of an unbounded channel.
-    #[derive(Debug)]
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<T>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives or every sender is gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv()
-        }
-
-        /// Block until a message arrives, `timeout` elapses, or every
-        /// sender is gone.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.inner.recv_timeout(timeout)
-        }
-
-        /// Take a message if one is already queued.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv()
-        }
-
-        /// Drain every message already queued.
-        pub fn try_iter(&self) -> mpsc::TryIter<'_, T> {
-            self.inner.try_iter()
-        }
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::*;
-    use std::time::Duration;
-
-    #[test]
-    fn send_and_recv() {
-        let (tx, rx) = unbounded();
-        tx.send(7).unwrap();
-        assert_eq!(rx.recv().unwrap(), 7);
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let (_tx, rx) = unbounded::<u8>();
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        ));
-    }
-
-    #[test]
-    fn cloned_senders_share_channel() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn dropped_sender_closes_channel() {
-        let (tx, rx) = unbounded::<u8>();
-        drop(tx);
-        assert!(rx.recv().is_err());
-    }
-}
+//! An empty package: `mcsd-cluster`, `mcsd-core`, `mcsd-phoenix` and
+//! `mcsd-smartfam` still declare `crossbeam`, but no workspace code names
+//! it (every channel is `std::sync::mpsc`). The declarations, and this
+//! package, go when the benchmark's lock file next changes (ROADMAP item
+//! 3(f)).

@@ -141,7 +141,7 @@ fn report_lines_are_pinned() {
     assert_eq!(resilience.to_string(), format!("{own} {overload}"));
     assert_eq!(
         numbered::<BatchStats>(1).to_string(),
-        "batches=1 coalesced=2 fsyncs=3 fsyncs_saved=4 occupancy=5 shrinks=6 reordered=7"
+        "batches=1 coalesced=2 fsyncs=3 occupancy=4 shrinks=5 reordered=6"
     );
     assert_eq!(
         numbered::<ReplicationStats>(1).to_string(),

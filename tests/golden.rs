@@ -6,8 +6,9 @@
 //! and the flags on any machine, so CI runs this file on all cores and
 //! again on one. A change that moves an export updates its digest here in
 //! the same diff, and says why in CHANGES.md. On a mismatch the test
-//! writes the files as they now read and says how to diff them against a
-//! parent build.
+//! writes the files as they now read, prints a `GOLDEN-RUN: <args>` line
+//! (CI's follow-up step diffs those runs against the base build), and says
+//! how `mcsd-experiments trace-diff` names the first record that moved.
 
 use mcsd::cluster::{paper_testbed, Scale};
 use mcsd_bench::demos::{self, Demo};
@@ -43,10 +44,11 @@ fn check(args: &str, demo: &Demo, want: &[(&str, u64)]) {
     let dir = dir.display();
     panic!(
         "`mcsd-experiments {args}` now writes {got:#x?}, pinned {want:#x?}.\n\
-         The files as they now read are in {dir}. To see what moved, build the parent:\n  \
+         GOLDEN-RUN: {args}\n\
+         The files as they now read are in {dir}. To name the first record that moved:\n  \
          mkdir P && git archive <parent> | tar -x -C P\n  \
          (cd P && cargo run --release -p mcsd-bench --bin mcsd-experiments -- {args})\n  \
-         diff P/<file> {dir}/<file>\n\
+         cargo run --release -p mcsd-bench --bin mcsd-experiments -- trace-diff P/<file> {dir}/<file>\n\
          If the change is meant, update the digest here and say why in CHANGES.md."
     );
 }
@@ -109,7 +111,7 @@ fn batched_seed_42() {
     check(
         "batched --seed 42",
         &demo,
-        &[("batched-42.jsonl", 0xf71e_c853_9d98_a42f)],
+        &[("batched-42.jsonl", 0xb03a_d78c_839d_348e)],
     );
 }
 
