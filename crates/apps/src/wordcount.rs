@@ -78,7 +78,6 @@ impl Job for WordCount {
             let at = word.as_ptr() as usize - chunk.bytes().as_ptr() as usize;
             chunk.text()?.get(at..at + word.len())
         };
-        // tidy:allow(MCSD010) -- combiner hot path: emission order only feeds the framework's own hash partitioner and re-grouping; final output is sorted downstream
         for (Word(word), count) in local {
             match text_of(word) {
                 Some(text) => emitter.emit_ref(text, count),

@@ -1,7 +1,8 @@
 //! What the SD side allocates, counted by this binary's own allocator so
 //! an allocation that creeps back in fails here and not only on the
-//! benchmark box. One test, so nothing else allocates while it counts; run
-//! it with `--nocapture` to print one `name value` line per reading.
+//! benchmark box. A `harness = false` binary: `main` takes the readings in
+//! order and prints one `name value` line per reading; a failed gate
+//! names its reading and exits non-zero.
 //!
 //! * The discrete-event loop (DESIGN.md §17): with a disabled tracer a run
 //!   allocates for its set-up — the node list, the id lists, the job,
@@ -16,67 +17,28 @@
 //!   allocates for its tables, runs and buffers and for no word — far
 //!   fewer times than there are distinct words.
 
-#![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
+#[path = "../../smartfam/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::counted;
 use mcsd_apps::{seq, TextGen};
 use mcsd_cluster::{NodeId, NodeSpec, RackSpec, Scale};
 use mcsd_core::des::{self, DesConfig};
 use mcsd_core::modules::WordCountModule;
 use mcsd_obs::Tracer;
 use mcsd_smartfam::ProcessingModule;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is one atomic add that neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What `f` allocates.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
-}
-
-#[test]
-fn sd_side_work_allocates_within_budget() {
+fn main() {
     des_run_allocates_a_constant_for_set_up();
     wordcount_module_allocates_for_no_word();
 }
 
 fn des_run_allocates_a_constant_for_set_up() {
     let default = RackSpec::default_experiment();
-    let (built, topo) = allocations(|| default.build(Scale::default_experiment()));
+    let (topo, built) = counted(|| default.build(Scale::default_experiment()));
     assert_eq!(topo.cluster.nodes.len(), 104);
     println!("rack_build {built}");
-    assert_eq!(built, 1, "building the 104-node rack");
+    assert_eq!(built, 1, "rack_build: building the 104-node rack");
 
     let pair = RackSpec {
         racks: 1,
@@ -97,7 +59,7 @@ fn des_run_allocates_a_constant_for_set_up() {
                         arrival_spread_us: 15_000 * jobs,
                         ..DesConfig::default_experiment(jobs, seed)
                     };
-                    let (count, run) = allocations(|| des::run(&cfg, &Tracer::disabled()));
+                    let (run, count) = counted(|| des::run(&cfg, &Tracer::disabled()));
                     assert!(run.report.stats.is_conserved());
                     assert_eq!(run.report.stats.arrivals, jobs);
                     counts.push(count);
@@ -109,9 +71,9 @@ fn des_run_allocates_a_constant_for_set_up() {
     println!("des_run {run}");
     assert!(
         counts.iter().all(|&count| count == run),
-        "allocations per run vary: {counts:?}"
+        "des_run: allocations per run vary: {counts:?}"
     );
-    assert!(run <= 12, "{run} allocations per run");
+    assert!(run <= 12, "des_run: {run} allocations per run");
 }
 
 fn wordcount_module_allocates_for_no_word() {
@@ -125,7 +87,7 @@ fn wordcount_module_allocates_for_no_word() {
     let module = WordCountModule::new(&root, NodeSpec::paper_sd(NodeId(1), 64 << 20));
     let params = ["f".to_string(), "256K".to_string()];
 
-    let (count, payload) = allocations(|| module.invoke(&params));
+    let (payload, count) = counted(|| module.invoke(&params));
     std::fs::remove_dir_all(&root).unwrap();
     assert_eq!(payload.unwrap(), expect);
     println!("wc_module_invoke {count}");
@@ -133,21 +95,15 @@ fn wordcount_module_allocates_for_no_word() {
     // distinct word: eight times this budget.
     assert!(
         count < distinct_words / 8,
-        "{count} allocations for {distinct_words} distinct words"
+        "wc_module_invoke: {count} allocations for {distinct_words} distinct words"
     );
-    // And within 16 of what the module read while the runtime still grouped
-    // by sorting keys: the tables' growth moves a few with the process's
-    // hash keys, but a partition copied or rehashed in reduce, or a Merge
-    // index grown key by key, costs more than that.
-    let ceiling = unsorted_ceiling(508, 546);
-    assert!(count <= ceiling, "{count} allocations, over {ceiling}");
-}
-
-/// 16 over a count pinned from the runtime that grouped by sorting keys:
-/// `printed` as `--nocapture` prints it, or `captured` when libtest
-/// captures output, which costs every thread the job spawns an allocation.
-fn unsorted_ceiling(printed: u64, captured: u64) -> u64 {
-    let nocapture = std::env::args().any(|arg| arg == "--nocapture")
-        || std::env::var_os("RUST_TEST_NOCAPTURE").is_some();
-    16 + if nocapture { printed } else { captured }
+    // And within 16 of the 508 the module read while the runtime still
+    // grouped by sorting keys: the tables' growth moves a few with the
+    // process's hash keys, but a partition copied or rehashed in reduce,
+    // or a Merge index grown key by key, costs more than that.
+    let ceiling = 16 + 508;
+    assert!(
+        count <= ceiling,
+        "wc_module_invoke: {count} allocations, over {ceiling}"
+    );
 }

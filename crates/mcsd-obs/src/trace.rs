@@ -166,16 +166,20 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Register (or look up) a track by name. The first registration wins
-    /// the clock domain; a repeat call with the same name returns the
-    /// existing track regardless of domain. On a disabled tracer this
-    /// returns a dummy id.
+    /// Register (or look up) a track by name. A track has one clock
+    /// domain: a repeat call with the same name returns the existing
+    /// track, and debug builds assert it names the same domain. On a
+    /// disabled tracer this returns a dummy id.
     pub fn track(&self, name: &str, domain: ClockDomain) -> TrackId {
         let Some(inner) = &self.inner else {
             return TrackId(0);
         };
         let mut tracks = inner.tracks.lock();
         if let Some(i) = tracks.iter().position(|t| t.name == name) {
+            debug_assert_eq!(
+                tracks[i].domain, domain,
+                "track `{name}` has one clock domain"
+            );
             return TrackId(i);
         }
         tracks.push(TrackState {
@@ -505,9 +509,18 @@ mod tests {
         let tracer = Tracer::enabled();
         let b = tracer.track("zeta", ClockDomain::Work);
         let a = tracer.track("alpha", ClockDomain::Decision);
-        assert_eq!(tracer.track("zeta", ClockDomain::Decision), b);
+        assert_eq!(tracer.track("zeta", ClockDomain::Work), b);
         assert_ne!(a, b);
         let names: Vec<String> = tracer.snapshot().into_iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["alpha".to_string(), "zeta".to_string()]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "one clock domain")]
+    fn a_track_registered_in_a_second_domain_panics() {
+        let tracer = Tracer::enabled();
+        tracer.track("zeta", ClockDomain::Work);
+        tracer.track("zeta", ClockDomain::Decision);
     }
 }

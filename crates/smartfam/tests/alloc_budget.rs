@@ -5,84 +5,23 @@
 //! allocation that creeps back in fails here and not only on the
 //! benchmark box. The same allocator keeps the live-byte balance, which
 //! gates what a long-running and a restarted daemon hold (DESIGN.md §10:
-//! the log is the replay set). One test, so nothing else allocates while
-//! it counts; it prints every reading, one `name value` line each
-//! (`-- --nocapture`).
+//! the log is the replay set). A `harness = false` binary: `main` takes
+//! the readings in order and prints each, one `name value` line; a failed
+//! gate names its reading and exits non-zero.
 
-#![allow(unsafe_code)] // a counting `GlobalAlloc` cannot be written without it
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{allocations, live_bytes, thread_allocations};
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
     BatchConfig, Daemon, DaemonConfig, FileWatcher, Frame, HostClient, LogFile, ModuleRegistry,
     WatchConfig, WindowConfig,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed, by requested size.
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-thread_local! {
-    /// Allocations made by this thread alone: the host's share of a call
-    /// made against a live daemon, whose threads count only globally.
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-impl Counting {
-    fn count(&self, freed: usize, allocated: usize) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(allocated as i64 - freed as i64, Ordering::Relaxed);
-        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are atomic adds that neither
-// allocate nor unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.count(0, layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.count(0, layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.count(layout.size(), new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
-
-fn live_bytes() -> i64 {
-    LIVE_BYTES.load(Ordering::SeqCst)
-}
-
-fn thread_allocations() -> u64 {
-    THREAD_ALLOCATIONS.with(Cell::get)
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mcsd-budget-{}-{tag}", std::process::id()));
@@ -321,12 +260,11 @@ fn windowed(warm_up: usize, calls: usize) -> (f64, usize) {
     (per_call, ran_on)
 }
 
-#[test]
-fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
+fn main() {
     // One copy: the payload the outcome hands its caller.
     let host = host_side_per_call(200);
     println!("host {host}");
-    assert!(host <= 2.0, "{host} host-side allocations per call");
+    assert!(host <= 2.0, "host: {host} host-side allocations per call");
 
     // A resilient call is a window of one: on top of that copy, the
     // window's outcome, counter and slot vectors and the outcomes it hands
@@ -335,7 +273,7 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     println!("resilient {resilient}");
     assert!(
         resilient <= 6.0,
-        "{resilient} host-side allocations per resilient call"
+        "resilient: {resilient} host-side allocations per resilient call"
     );
 
     // A quiet sweep allocates nothing; what is left is the fallback
@@ -348,7 +286,7 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     let listings = took.as_millis() as u64 / 64 + 1;
     assert!(
         watcher <= 12 * listings,
-        "{watcher} allocations watching a quiet directory for {took:?}"
+        "watcher: {watcher} allocations watching a quiet directory for {took:?}"
     );
 
     // What is left of a call is what is passed on — the module's result
@@ -357,20 +295,26 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     let run = lockstep(1_000, 10_000);
     let (lockstep, replay) = (run.per_call, run.replay);
     println!("lockstep {lockstep}");
-    assert!(lockstep <= 3.0, "{lockstep} allocations per lockstep call");
+    assert!(
+        lockstep <= 3.0,
+        "lockstep: {lockstep} allocations per lockstep call"
+    );
     let (window, ran_on) = windowed(1_600, 16_000);
     println!("windowed {window}");
-    assert!(window <= 2.5, "{window} allocations per windowed call");
+    assert!(
+        window <= 2.5,
+        "windowed: {window} allocations per windowed call"
+    );
     assert_eq!(
         ran_on, 1,
-        "1 000 windowed calls to one module ran on {ran_on} threads"
+        "windowed: 1 000 calls to one module ran on {ran_on} threads"
     );
     // A restart reads the whole history and allocates for what is
     // unanswered in it: nothing, here.
     println!("replay {replay}");
     assert!(
         replay <= 200,
-        "{replay} allocations to replay 11 002 answered calls"
+        "replay: {replay} allocations to replay 11 002 answered calls"
     );
     // Memory is what is in flight, not what was ever served. With one
     // remembered id per call and a kept whole-log read buffer these read
@@ -382,18 +326,18 @@ fn a_call_pays_per_request_not_per_sweep_thread_or_copy() {
     );
     assert!(
         grown <= 4 << 10,
-        "{grown} B of heap grown over 10 000 calls"
+        "grown: {grown} B of heap grown over 10 000 calls"
     );
     assert!(
         after_big <= 64 << 10,
-        "{after_big} B still held after answering 1 MiB"
+        "after_big: {after_big} B still held after answering 1 MiB"
     );
     assert!(
         after_big_param <= 64 << 10,
-        "{after_big_param} B still held after a 1 MiB parameter"
+        "after_big_param: {after_big_param} B still held after a 1 MiB parameter"
     );
     assert!(
         held <= 64 << 10,
-        "{held} B held after replaying 11 002 calls"
+        "held: {held} B held after replaying 11 002 calls"
     );
 }

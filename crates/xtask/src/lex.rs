@@ -1,17 +1,16 @@
-//! A std-only Rust lexer: the token stream every tidy rule is built on.
+//! A std-only Rust lexer: the token stream MCSD009 is built on.
 //!
-//! The lexer understands exactly as much Rust surface syntax as the rules
-//! need — identifiers, lifetimes, numbers, string/char literals (including
+//! The lexer understands exactly as much Rust surface syntax as the rule
+//! needs — identifiers, lifetimes, numbers, string/char literals (including
 //! raw and byte forms), nested block comments, and multi-character
 //! punctuation — and records a character-indexed span for every token so
 //! findings can point at an exact line and column. It deliberately does
-//! not parse: the analysis passes ([`crate::ownership`],
-//! [`crate::determinism`]) pattern-match over this stream with their own
-//! small amounts of context (brace depth, statement boundaries).
+//! not parse: the rule ([`crate::ownership`]) pattern-matches over this
+//! stream with its own small amount of context (brace depth).
 //!
 //! Spans are measured in characters, not bytes, matching the scanner's
-//! char-oriented masking so line/column numbers agree between the masked
-//! line checks and the token-level rules.
+//! char-oriented masking so a token's line agrees with the test-region
+//! flag of its masked line.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +54,7 @@ pub struct Token {
 }
 
 /// True for characters that can appear in a Rust identifier.
-pub fn is_ident_char(c: char) -> bool {
+fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
@@ -427,13 +426,13 @@ mod tests {
 
     #[test]
     fn comments_carry_content() {
-        let toks = lex("code(); // tidy:allow(MCSD010) -- why\n/* block */");
+        let toks = lex("code(); // why it is so\n/* block */");
         let line: Vec<&Token> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::LineComment)
             .collect();
         assert_eq!(line.len(), 1);
-        assert_eq!(line[0].text, " tidy:allow(MCSD010) -- why");
+        assert_eq!(line[0].text, " why it is so");
         assert!(toks.iter().any(|t| t.kind == TokenKind::BlockComment));
     }
 

@@ -11,23 +11,15 @@
 //! iteration, or panics leaking into the simulation make every reproduced
 //! figure untrustworthy. The per-line half of that policy is compiler
 //! lints (the lib roots' header plus the root `clippy.toml`, DESIGN.md
-//! §9); `tidy` keeps the rules no compiler lint can state. It is token
-//! level: [`lex`] produces a full token stream per file, [`workspace`]
-//! holds every lexed library file so the rules (counter ownership
-//! MCSD009, determinism flow MCSD010) can reason across crates. Each
-//! rule's facts are the code itself, plus one table the code
-//! cannot state: [`ownership::WRITERS`], which files may write each
-//! counter. Tidy reads no Markdown. [`manifest`] holds the workspace
-//! hygiene of MCSD006. Stable diagnostic codes and an inline waiver
-//! syntax:
-//!
-//! ```text
-//! // tidy:allow(MCSD010) -- emission order only feeds a re-grouping
-//! ```
-//!
-//! A waiver covers its own line and the line below it, must name the code
-//! it waives, and must carry a `-- reason`; malformed or unused waivers
-//! are themselves diagnostics (MCSD000). Run it as:
+//! §9); hash order and clock domains are held by the golden digests and
+//! `Tracer::track`'s one-domain assertion. `tidy` keeps the two rules
+//! neither can state: workspace hygiene (MCSD006, [`manifest`]) and
+//! counter ownership (MCSD009, [`ownership`]). MCSD009 is token level:
+//! [`lex`] produces a full token stream per file and [`workspace`] holds
+//! every lexed library file, so the rule can reason across crates. Its
+//! facts are the code itself, plus one table the code cannot state:
+//! [`ownership::WRITERS`], which files may write each counter. Tidy reads
+//! no Markdown and has no waiver syntax. Run it as:
 //!
 //! ```text
 //! cargo run -p xtask -- tidy
@@ -36,7 +28,6 @@
 //! See DESIGN.md §14 "Static analysis" for the analyzer architecture and
 //! the rule catalog.
 
-pub mod determinism;
 pub mod diag;
 pub mod lex;
 pub mod manifest;

@@ -61,11 +61,10 @@ fn real_main(args: &[String]) -> Result<ExitCode, String> {
         println!("{diag}");
     }
     println!(
-        "tidy: {} files + {} manifests checked, {} diagnostic(s), {} waiver(s) honored",
+        "tidy: {} files + {} manifests checked, {} diagnostic(s)",
         report.files_scanned,
         report.manifests_checked,
-        report.diagnostics.len(),
-        report.waivers_honored
+        report.diagnostics.len()
     );
     if report.diagnostics.is_empty() {
         Ok(ExitCode::SUCCESS)

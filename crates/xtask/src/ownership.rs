@@ -11,7 +11,7 @@
 //! 1. every `u64` field of a family needs a covering entry (finding at
 //!    the field);
 //! 2. every entry must name a family or field the workspace declares (a
-//!    whole-file finding at this file, which no waiver covers);
+//!    whole-file finding at this file);
 //! 3. every `.field +=`/`-=`/`=` mutation of a family field in non-test
 //!    library code must sit in a file its entry allows. Same-named fields
 //!    across families share the union of their writers (the token stream
@@ -138,8 +138,8 @@ pub fn check_ownership(ws: &Workspace, writers: &[(&str, &[&str])]) -> Vec<Diagn
         });
     }
 
-    // Direction 2: every entry needs a real struct counter. Line 0 makes
-    // the finding whole-file, so no waiver covers it.
+    // Direction 2: every entry needs a real struct counter, reported as a
+    // whole-file finding (line 0) against `WRITERS`.
     for (entry, _) in writers {
         if !counters.iter().any(|c| c.named_by(entry)) {
             out.push(Diagnostic::new(
@@ -336,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_entry_fires_at_writers_unwaivably() {
+    fn stale_entry_fires_at_writers_as_a_whole_file_finding() {
         let ws = ws(&[("crates/a/src/stats.rs", STRUCT_SRC)]);
         let writers = [("OverloadStats", STATS), ("OverloadStats.ghost", STATS)];
         let diags = check_ownership(&ws, &writers);

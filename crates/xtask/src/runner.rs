@@ -1,25 +1,19 @@
 //! Filesystem walk and orchestration: discovers the files in scope, lexes
-//! and scans them into a [`Workspace`], runs the workspace-level analyses
-//! (MCSD009, MCSD010), applies waivers, and aggregates a [`TidyReport`].
+//! and scans them into a [`Workspace`], runs the workspace-level analysis
+//! (MCSD009), and aggregates a [`TidyReport`].
 //!
 //! Scope (DESIGN.md §9): library code — `crates/*/src/**/*.rs` and root
 //! `src/**/*.rs`, minus `main.rs` and `src/bin/` — plus every
 //! `crates/*/Cargo.toml`. Binaries, examples and tests are out of scope,
 //! as they are for the compiler lints. Shim crates under `shims/` mirror
-//! third-party APIs and are deliberately out of scope too.
-//!
-//! Ordering matters: waivers are applied *last*, after the workspace
-//! analyses have run, so a `// tidy:allow(MCSD010)` on an iteration line
-//! suppresses the cross-file finding. A whole-file finding (line 0,
-//! such as a `WRITERS` entry naming no counter) is a configuration
-//! problem: no waiver covers it. Tidy reads no Markdown.
+//! third-party APIs and are deliberately out of scope too. Tidy reads no
+//! Markdown.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::determinism::check_determinism;
-use crate::diag::{Code, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::manifest::{check_lib_header, check_manifest};
 use crate::ownership::{check_ownership, WRITERS};
 use crate::workspace::{SourceFile, Workspace};
@@ -55,17 +49,6 @@ pub struct TidyReport {
     pub files_scanned: usize,
     /// Number of manifests checked.
     pub manifests_checked: usize,
-    /// Number of well-formed waivers that suppressed at least one finding.
-    pub waivers_honored: usize,
-}
-
-/// One file's findings after waiver filtering.
-#[derive(Debug)]
-pub struct WaiverOutcome {
-    /// Findings that survived waiver filtering, plus MCSD000 findings.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Number of well-formed waivers that suppressed at least one finding.
-    pub waivers_honored: usize,
 }
 
 /// Run the full tidy pass over the workspace rooted at `root`.
@@ -77,25 +60,7 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
     }
     let mut report = TidyReport::default();
     let ws = walk(root, &mut report)?;
-
-    let mut deep: Vec<Diagnostic> = check_ownership(&ws, &WRITERS);
-    deep.extend(check_determinism(&ws));
-
-    // Route every finding to its file and apply waivers last. Findings
-    // against unscanned paths pass straight through.
-    let mut per_file: Vec<Vec<Diagnostic>> = ws.files.iter().map(|_| Vec::new()).collect();
-    for diag in deep {
-        match ws.files.iter().position(|f| f.path == diag.path) {
-            Some(i) => per_file[i].push(diag),
-            None => report.diagnostics.push(diag),
-        }
-    }
-    for (file, raw) in ws.files.iter().zip(per_file) {
-        let outcome = apply_waivers(file, raw);
-        report.diagnostics.extend(outcome.diagnostics);
-        report.waivers_honored += outcome.waivers_honored;
-    }
-
+    report.diagnostics.extend(check_ownership(&ws, &WRITERS));
     report
         .diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.code, a.col).cmp(&(&b.path, b.line, b.code, b.col)));
@@ -103,8 +68,8 @@ pub fn run_tidy(root: &Path) -> Result<TidyReport, TidyError> {
     Ok(report)
 }
 
-/// Lex every library source under `root` into the workspace the analyses
-/// run on, as [`run_tidy`] does.
+/// Lex every library source under `root` into the workspace MCSD009
+/// runs on, as [`run_tidy`] does.
 pub fn load_workspace(root: &Path) -> Result<Workspace, TidyError> {
     walk(root, &mut TidyReport::default())
 }
@@ -130,46 +95,6 @@ fn walk(root: &Path, report: &mut TidyReport) -> Result<Workspace, TidyError> {
     }
     scan_tree(root, &root.join("src"), &mut ws, report)?;
     Ok(ws)
-}
-
-/// Filter one file's findings through its waivers and report waiver
-/// hygiene (malformed or unused waivers) as MCSD000. A waiver covers its
-/// own line and the next line.
-pub fn apply_waivers(file: &SourceFile, raw: Vec<Diagnostic>) -> WaiverOutcome {
-    let waivers = &file.scanned.waivers;
-    let mut used = vec![false; waivers.len()];
-    let mut diagnostics = Vec::new();
-    for diag in raw {
-        let waiver = waivers.iter().position(|w| {
-            let covers = w.line == diag.line || w.line + 1 == diag.line;
-            w.malformed.is_none() && covers && w.codes.contains(&diag.code)
-        });
-        match waiver {
-            Some(idx) => used[idx] = true,
-            None => diagnostics.push(diag),
-        }
-    }
-    let mut waivers_honored = 0;
-    for (waiver, used) in waivers.iter().zip(used) {
-        let message = match &waiver.malformed {
-            Some(why) => format!("malformed waiver: {why}"),
-            None if used => {
-                waivers_honored += 1;
-                continue;
-            }
-            None => "waiver suppresses nothing; remove it".to_string(),
-        };
-        diagnostics.push(Diagnostic::new(
-            Code::Mcsd000,
-            &file.path,
-            waiver.line,
-            message,
-        ));
-    }
-    WaiverOutcome {
-        diagnostics,
-        waivers_honored,
-    }
 }
 
 /// Lex and scan every library `.rs` file under `dir` (tolerating its

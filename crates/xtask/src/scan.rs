@@ -1,41 +1,24 @@
-//! Source scanning: masking of strings/comments, `cfg(test)` region
-//! tracking, and waiver parsing.
+//! Source scanning: masking of strings/comments and `cfg(test)` region
+//! tracking.
 //!
-//! Since the token-level rewrite, the scanner is a thin projection of the
-//! [`crate::lex`] token stream: string/char literals and comments become
-//! runs of spaces in the masked lines (so the line-based rules can never
-//! fire inside them), waivers are parsed out of line-comment tokens, and
+//! The scanner is a thin projection of the [`crate::lex`] token stream:
+//! string/char literals and comments become runs of spaces in the masked
+//! lines (so a brace or attribute inside them never counts), and
 //! `#[cfg(test)]` / `#[test]` regions are tracked by brace depth over the
-//! masked lines. The workspace analysis pass shares the same token stream
-//! via [`scan_tokens`], so each file is lexed exactly once.
+//! masked lines. The workspace shares the same token stream via
+//! [`scan_tokens`], so each file is lexed exactly once.
 
-use crate::diag::{Code, RETIRED_CODES};
 use crate::lex::{lex, Token, TokenKind};
-
-pub use crate::lex::is_ident_char;
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
 pub struct LineInfo {
     /// The line with string/char-literal contents and comments replaced by
-    /// spaces; lint patterns match against this, never the raw text.
+    /// spaces; test-region tracking reads this, never the raw text.
     pub code: String,
     /// True when the line sits inside a `#[cfg(test)]` region or a
     /// `#[test]` function.
     pub in_test: bool,
-}
-
-/// A parsed `// tidy:allow(...)` waiver comment.
-#[derive(Debug, Clone)]
-pub struct Waiver {
-    /// 1-based line the waiver comment appears on. It suppresses matching
-    /// diagnostics on this line and the one directly below it.
-    pub line: usize,
-    /// Codes the waiver names (empty when malformed).
-    pub codes: Vec<Code>,
-    /// `Some(explanation)` when the waiver fails to parse; such waivers
-    /// suppress nothing and are reported as MCSD000.
-    pub malformed: Option<String>,
 }
 
 /// The result of scanning one file.
@@ -43,11 +26,9 @@ pub struct Waiver {
 pub struct ScannedFile {
     /// Per-line masked code plus test-region flags, in file order.
     pub lines: Vec<LineInfo>,
-    /// All waiver comments found, in file order.
-    pub waivers: Vec<Waiver>,
 }
 
-/// Scan Rust source text into masked lines and waivers.
+/// Scan Rust source text into masked lines.
 pub fn scan_source(source: &str) -> ScannedFile {
     scan_tokens(source, &lex(source))
 }
@@ -56,20 +37,12 @@ pub fn scan_source(source: &str) -> ScannedFile {
 pub fn scan_tokens(source: &str, tokens: &[Token]) -> ScannedFile {
     let chars: Vec<char> = source.chars().collect();
     let mut blank = vec![false; chars.len()];
-    let mut waivers = Vec::new();
     for tok in tokens {
-        match tok.kind {
-            TokenKind::Str | TokenKind::Char | TokenKind::LineComment | TokenKind::BlockComment => {
-                for flag in blank.iter_mut().skip(tok.start).take(tok.len) {
-                    *flag = true;
-                }
-            }
-            _ => {}
-        }
-        if tok.kind == TokenKind::LineComment {
-            let trimmed = tok.text.trim();
-            if trimmed.starts_with("tidy:allow") {
-                waivers.push(parse_waiver(tok.line, trimmed));
+        if let TokenKind::Str | TokenKind::Char | TokenKind::LineComment | TokenKind::BlockComment =
+            tok.kind
+        {
+            for flag in blank.iter_mut().skip(tok.start).take(tok.len) {
+                *flag = true;
             }
         }
     }
@@ -117,55 +90,7 @@ pub fn scan_tokens(source: &str, tokens: &[Token]) -> ScannedFile {
         lines.push(LineInfo { code, in_test });
     }
 
-    ScannedFile { lines, waivers }
-}
-
-fn parse_waiver(line: usize, text: &str) -> Waiver {
-    let malformed = |msg: &str| Waiver {
-        line,
-        codes: Vec::new(),
-        malformed: Some(msg.to_string()),
-    };
-    let Some(rest) = text.strip_prefix("tidy:allow") else {
-        return malformed("waiver must start with `tidy:allow`");
-    };
-    let rest = rest.trim_start();
-    let Some(rest) = rest.strip_prefix('(') else {
-        return malformed("expected `(` after `tidy:allow`");
-    };
-    let Some(close) = rest.find(')') else {
-        return malformed("unclosed `(` in waiver");
-    };
-    let (code_list, tail) = rest.split_at(close);
-    let tail = &tail[1..];
-    let mut codes = Vec::new();
-    for part in code_list.split(',') {
-        let part = part.trim();
-        match Code::parse(part) {
-            Some(Code::Mcsd000) => {
-                return malformed("MCSD000 cannot be waived");
-            }
-            Some(code) => codes.push(code),
-            None => match RETIRED_CODES.iter().find(|(retired, _)| *retired == part) {
-                Some((_, now)) => {
-                    return malformed(&format!("retired code (DESIGN.md §14): {now}"))
-                }
-                None => return malformed("unknown diagnostic code in waiver"),
-            },
-        }
-    }
-    if codes.is_empty() {
-        return malformed("waiver names no diagnostic codes");
-    }
-    let tail = tail.trim_start();
-    match tail.strip_prefix("--") {
-        Some(reason) if !reason.trim().is_empty() => Waiver {
-            line,
-            codes,
-            malformed: None,
-        },
-        _ => malformed("waiver must end with `-- reason`"),
-    }
+    ScannedFile { lines }
 }
 
 #[cfg(test)]
@@ -228,53 +153,5 @@ mod tests {
         let scanned = scan_source(src);
         let flags: Vec<bool> = scanned.lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn waiver_parses() {
-        let src = "// tidy:allow(MCSD009, MCSD010) -- real I/O timing\nfoo();\n";
-        let scanned = scan_source(src);
-        assert_eq!(scanned.waivers.len(), 1);
-        let w = &scanned.waivers[0];
-        assert!(w.malformed.is_none());
-        assert_eq!(w.codes, vec![Code::Mcsd009, Code::Mcsd010]);
-        assert_eq!(w.line, 1);
-    }
-
-    #[test]
-    fn waiver_without_reason_is_malformed() {
-        let scanned = scan_source("// tidy:allow(MCSD010)\n");
-        assert!(scanned.waivers[0].malformed.is_some());
-    }
-
-    #[test]
-    fn waiver_with_unknown_code_is_malformed() {
-        let scanned = scan_source("// tidy:allow(MCSD042) -- because\n");
-        assert!(scanned.waivers[0].malformed.is_some());
-    }
-
-    #[test]
-    fn waiver_with_retired_code_is_malformed() {
-        for (code, now) in RETIRED_CODES {
-            let scanned = scan_source(&format!("// tidy:allow({code}) -- from before\n"));
-            let why = scanned.waivers[0].malformed.as_deref().unwrap_or("");
-            assert_eq!(
-                why,
-                format!("retired code (DESIGN.md §14): {now}"),
-                "{code}"
-            );
-            // Only a rule that became a compiler lint is waived with one.
-            assert_eq!(
-                why.contains("#[expect]"),
-                why.contains("clippy"),
-                "{code}: {why}"
-            );
-        }
-    }
-
-    #[test]
-    fn doc_comment_does_not_become_waiver() {
-        let scanned = scan_source("/// tidy:allow(MCSD010) -- mentioned in docs\n");
-        assert!(scanned.waivers.is_empty());
     }
 }

@@ -30,9 +30,9 @@ const BUDGETED_DOCS: [&str; 4] = [
 /// it is the latest answer to its question.
 const DOC_LINE_BUDGET: usize = 2_000;
 /// The Rust under `crates/` and `shims/` that is not test code.
-const NON_TEST_LINE_BUDGET: usize = 22_900;
+const NON_TEST_LINE_BUDGET: usize = 22_200;
 /// All of that Rust, test code included.
-const TOTAL_LINE_BUDGET: usize = 40_467;
+const TOTAL_LINE_BUDGET: usize = 39_000;
 
 /// Every file under `dir`, build output excluded.
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -11,6 +11,8 @@
 //! how `mcsd-experiments trace-diff` names the first record that moved.
 
 use mcsd::cluster::{paper_testbed, Scale};
+use mcsd::framework::des::{self, DesConfig};
+use mcsd::obs::Tracer;
 use mcsd_bench::demos::{self, Demo};
 
 /// FNV-1a (64-bit) over `bytes`.
@@ -136,6 +138,19 @@ fn rack_seed_42_20000_jobs() {
         "rack --seed 42 --jobs 20000",
         &demo,
         &[("rack-42.jsonl", 0xda3d_3ce4_67aa_6afe)],
+    );
+}
+
+/// The report line `rack --seed 42` prints, which no file holds: the DES
+/// report and its counters' report line.
+#[test]
+fn rack_report_seed_42() {
+    let cfg = DesConfig::default_experiment(1_200, 42);
+    let report = des::run(&cfg, &Tracer::disabled()).report.to_string();
+    assert_eq!(
+        fnv1a(report.as_bytes()),
+        0xac54_3d6b_7047_a5c9,
+        "`mcsd-experiments rack --seed 42` prints a new report line:\n{report}"
     );
 }
 

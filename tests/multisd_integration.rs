@@ -54,6 +54,18 @@ fn heterogeneous_sd_fleet_is_bound_by_slowest() {
     if let Some(node) = cluster.nodes.iter_mut().find(|n| n.name == "sd1") {
         node.core_speed = 0.1; // a decade-old drive controller
     }
+    // The model's share of a span's compute: its input bytes over its
+    // node's core speed. Measured compute is wall time, so it is not
+    // compared across nodes.
+    let speeds: Vec<(String, f64)> = cluster
+        .nodes
+        .iter()
+        .map(|n| (n.name.to_string(), n.core_speed))
+        .collect();
+    let modelled = |r: &mcsd::framework::RunReport| {
+        let speed = speeds.iter().find(|(name, _)| *name == r.node).unwrap().1;
+        r.input_bytes as f64 / speed
+    };
     let runner = MultiSdRunner::new(cluster).unwrap();
     let input = TextGen::with_seed(4).generate(40_000);
     let out = runner
@@ -68,7 +80,7 @@ fn heterogeneous_sd_fleet_is_bound_by_slowest() {
     // And the slow node dominates its healthy peers.
     for r in &out.per_node {
         if r.node != "sd1" {
-            assert!(slow.elapsed() > r.elapsed(), "{} vs sd1", r.node);
+            assert!(modelled(slow) > modelled(r), "{} vs sd1", r.node);
         }
     }
     assert_eq!(out.pairs, mcsd::apps::seq::wordcount(&input));
