@@ -658,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn per_node_reports_are_in_node_order() {
+    fn per_node_reports_are_in_node_order_and_count_their_span() {
         let mut cluster = multi_sd_testbed(Scale::smoke(), 3);
         for n in &mut cluster.nodes {
             n.memory_bytes = 64 << 20;
@@ -670,5 +670,12 @@ mod tests {
             .unwrap();
         let names: Vec<&str> = out.per_node.iter().map(|r| r.node.as_str()).collect();
         assert_eq!(names, vec!["sd0", "sd1", "sd2"]);
+        // Each report's output is its own span's distinct words.
+        let counted: Vec<u64> = out.per_node.iter().map(|r| r.stats.output_pairs).collect();
+        let spans = runner.plan_spans(&WordCount, &input).into_iter();
+        let distinct: Vec<u64> = spans
+            .map(|s| seq::wordcount(&input[s]).len() as u64)
+            .collect();
+        assert_eq!(counted, distinct);
     }
 }

@@ -17,8 +17,8 @@
 //! promoted log until the group is back at full redundancy.
 //!
 //! This module is the **single mutation site** of the
-//! [`ReplicationStats`] counters (MCSD009's `WRITERS`, §13; merged views go
-//! through [`ReplicationStats::absorb`] in `report.rs`), and the single
+//! [`ReplicationStats`] counters (§13; merged views go through
+//! [`ReplicationStats::absorb`] in `report.rs`), and the single
 //! emitter of the replication trace vocabulary: `mcsd.promote`,
 //! `mcsd.epoch_fence`, `mcsd.group_crash` and the `mcsd.reprotect` span
 //! on the `mcsd` track; `sd.replica_crash` and `sd.quorum_lost` on the

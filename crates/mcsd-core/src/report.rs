@@ -12,8 +12,8 @@ use std::time::Duration;
 ///
 /// Single-owner rule (§13): every counter here is mutated only by the
 /// replication engine (`crates/mcsd-core/src/replication.rs`) and merged
-/// only through [`ReplicationStats::absorb`] — tidy rule MCSD009 enforces
-/// it against `WRITERS` in `crates/xtask/src/ownership.rs`.
+/// only through [`ReplicationStats::absorb`]; the golden `failover`
+/// digests hold their values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// Append rounds that gathered their write quorum and committed.
@@ -81,8 +81,8 @@ impl fmt::Display for ReplicationStats {
 ///
 /// Single-owner rule (§13): every counter here is mutated only by the
 /// discrete-event loop (`crates/mcsd-core/src/des.rs`) and merged only
-/// through [`DesStats::absorb`] — tidy rule MCSD009 enforces it against
-/// `WRITERS` in `crates/xtask/src/ownership.rs`.
+/// through [`DesStats::absorb`]; the golden `rack` digests hold their
+/// values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DesStats {
     /// Jobs injected into the event loop (one arrival event each).

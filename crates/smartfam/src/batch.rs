@@ -16,8 +16,7 @@
 //!   window halved on `Overloaded` replies and regrown additively, every
 //!   call budgeted, probed and retried under the client's retry policy.
 //!
-//! [`BatchStats`] is the seventh MCSD009-owned counter family; every
-//! field's mutation sites are pinned by tidy's `WRITERS` table.
+//! [`BatchStats`] is the seventh counter family (DESIGN.md §13).
 
 use mcsd_obs::CounterFamily;
 use std::time::Duration;
@@ -80,7 +79,7 @@ impl WindowConfig {
 }
 
 /// Counters for the batched/pipelined dispatch path — the seventh
-/// MCSD009-owned family (DESIGN.md §13). Daemon-side fields are mutated
+/// counter family (DESIGN.md §13). Daemon-side fields are mutated
 /// only by the batch committer in `daemon.rs`; window fields only by the
 /// pipelined host client in `host.rs`; `absorb` (here) merges deltas.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
