@@ -224,11 +224,6 @@ impl McsdClient {
         (outcomes.zip(run.resilience).collect(), run.stats)
     }
 
-    /// Whether the SD daemon heartbeat is fresh.
-    pub fn daemon_alive(&self, max_age: Duration) -> bool {
-        self.inner.daemon_alive(max_age)
-    }
-
     /// The underlying smartFAM client.
     pub fn smartfam(&self) -> &HostClient {
         &self.inner
@@ -241,7 +236,7 @@ mod tests {
     use crate::modules::WordCountModule;
     use mcsd_apps::{datagen, seq, Matrix, TextGen};
     use mcsd_cluster::{paper_testbed, Scale};
-    use mcsd_smartfam::BatchConfig;
+    use mcsd_smartfam::{BatchConfig, Liveness};
 
     const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -454,7 +449,7 @@ mod tests {
         let client = server.host_client();
         // Wait for the first heartbeat write.
         let deadline = std::time::Instant::now() + TIMEOUT;
-        while !client.daemon_alive(Duration::from_secs(5)) {
+        while client.smartfam().daemon_liveness(Duration::from_secs(5)) != Liveness::Alive {
             assert!(std::time::Instant::now() < deadline, "no heartbeat");
             std::thread::sleep(Duration::from_millis(5));
         }

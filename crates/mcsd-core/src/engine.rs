@@ -2,7 +2,7 @@
 //!
 //! One decision engine owns the full per-call state machine the paper's
 //! framework describes — profile → [`OffloadDecision`] via memory-budget
-//! admission ([`plan_admission`]) + per-SD [`CircuitBreaker`]s +
+//! admission ([`plan_admission`]) + per-SD circuit breakers +
 //! heartbeat-load steering → dispatch → bounded retry/re-dispatch → host
 //! fallback → stats/trace/decision-log recording — and both front-ends
 //! are thin shells over it: [`crate::framework::McsdFramework`] drives
@@ -17,19 +17,19 @@
 //! opens and probes); the daemon keeps owning sheds, expiries and
 //! replay/quarantine/skip accounting, merged at read time by
 //! [`Engine::resilience_report`]. DESIGN.md §13 has the state-machine
-//! diagram and the counter-ownership rule; `clippy.toml` disallows the
-//! policy primitives everywhere else (DESIGN.md §9), so they cannot re-leak
-//! into the front-ends.
+//! diagram and the counter-ownership rule. The breaker is this module's
+//! private `breaker` submodule, and `clippy.toml` disallows
+//! `plan_admission` everywhere else (DESIGN.md §9), so neither policy
+//! primitive can re-leak into the front-ends.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the engine owns the per-SD circuit breakers (DESIGN.md §13)"
-)]
+mod breaker;
+
+pub use breaker::{Admission, BreakerConfig, BreakerState};
 
 use crate::admission::plan_admission;
-use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::McsdError;
 use crate::offload::{JobProfile, OffloadDecision, Offloader};
+use breaker::CircuitBreaker;
 use mcsd_cluster::TimeBreakdown;
 use mcsd_obs::names::{
     EVENT_MCSD_BREAKER_OPEN, EVENT_MCSD_BREAKER_PROBE, EVENT_MCSD_FALLBACK, EVENT_MCSD_OFFLOAD,

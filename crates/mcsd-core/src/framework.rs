@@ -18,13 +18,13 @@
 //! and counting it in [`McsdFramework::resilience_stats`].
 
 use crate::admission::DEFAULT_MIN_FRAGMENT_BYTES;
-use crate::breaker::{BreakerConfig, BreakerState};
 use crate::bridge::{McsdClient, SdNodeServer};
 use crate::driver::NodeRunner;
 use crate::engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall, SdDispatch};
 use crate::error::McsdError;
 use crate::modules::{StringMatchModule, WordCountModule};
 use crate::offload::{JobProfile, OffloadDecision, OffloadPolicy, Offloader};
+use crate::{BreakerConfig, BreakerState};
 use mcsd_apps::{MatMul, Matrix, StringMatch, WordCount};
 use mcsd_cluster::{Cluster, TimeBreakdown};
 use mcsd_obs::names::{SPAN_CLUSTER_FETCH, SPAN_CLUSTER_STAGE};

@@ -27,12 +27,12 @@
 //!   node's cores, applies the memory model, charges speed-scaled compute
 //!   and swap penalties to the virtual clock.
 //! * [`offload`] — the offload policy: which node should run a job.
-//! * [`breaker`] — per-SD circuit breakers driving health-aware steering.
 //! * [`admission`] — memory-budget admission: adaptive re-partitioning of
 //!   over-footprint jobs before they are offloaded.
 //! * [`engine`] — the unified offload scheduler: the one copy of the
 //!   decide → admit → steer → dispatch → retry → fallback → record state
-//!   machine that both [`framework`] and [`multisd`] drive.
+//!   machine that both [`framework`] and [`multisd`] drive, and the sole
+//!   owner of the per-SD circuit breakers driving health-aware steering.
 //! * [`replication`] — replicated SD log groups: quorum appends, replica
 //!   promotion on primary failure, and background re-protection back to
 //!   full redundancy (DESIGN.md §15).
@@ -54,7 +54,6 @@
 //! * [`framework`] — the top-level [`framework::McsdFramework`] facade.
 
 pub mod admission;
-pub mod breaker;
 pub mod bridge;
 pub mod chaos;
 pub mod des;
@@ -71,14 +70,16 @@ pub mod report;
 pub mod scenario;
 
 pub use admission::{plan_admission, AdmissionPlan, AdmissionRefusal};
-pub use breaker::{Admission, BreakerConfig, BreakerState};
 pub use chaos::{
     run_sweep, ChaosObservation, ChaosReport, ChaosScenario, ConservationCheck, Invariant,
     ReplicationRoundsScenario, Violation,
 };
 pub use des::{synthesize_workload, DesConfig, DesJob, RackRun, DES_TRACE_TRACK};
 pub use driver::{ExecMode, NodeRunReport, NodeRunner};
-pub use engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall, SpanDisposition};
+pub use engine::{
+    Admission, BreakerConfig, BreakerState, Engine, EngineConfig, MemoryAdmission, OffloadCall,
+    SpanDisposition,
+};
 pub use error::McsdError;
 pub use footprint::FootprintOverride;
 pub use framework::{McsdFramework, ResilienceConfig};

@@ -22,12 +22,12 @@
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Milliseconds since the Unix epoch, for *absolute* deadlines that must
-/// cross a process-ish boundary (the host stamps a request's expiry, the
-/// SD daemon compares against it at dequeue time). `Instant` cannot serve
-/// here — it is process-relative — so this is the one sanctioned
-/// `SystemTime` read. Host and daemon share a machine in this
-/// reproduction, so the comparison is exact, not clock-skew-prone.
+/// Milliseconds since the Unix epoch, for *absolute* times that must
+/// cross a process-ish boundary: a request's expiry and the daemon's
+/// heartbeat stamp, both read through smartFAM's `FaultInjector::now_ms`.
+/// `Instant` cannot serve here — it is process-relative — so this is the
+/// one sanctioned `SystemTime` read. Host and daemon share a machine in
+/// this reproduction, so the comparison is exact, not clock-skew-prone.
 #[must_use]
 pub fn wall_clock_ms() -> u64 {
     SystemTime::now()

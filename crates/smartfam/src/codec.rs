@@ -297,56 +297,34 @@ pub struct HeartbeatLoad {
     pub queued: u64,
 }
 
-/// One decoded heartbeat file.
-///
-/// Wire layout is bare little-endian u64s: the legacy format is just the
-/// 8-byte beat sequence; the load-bearing format appends `in_flight` and
-/// `queued` (24 bytes total). [`HeartbeatRecord::decode`] accepts both, so
-/// new hosts read old daemons' heartbeats (and vice versa — liveness is
-/// mtime-based and never looks at content).
+/// One heartbeat file: its writer's stamp and load, three bare
+/// little-endian u64s (24 bytes). Its age is `now - stamp_ms` on the run's
+/// one clock ([`crate::FaultInjector::now_ms`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatRecord {
-    /// Monotonic beat counter.
-    pub seq: u64,
-    /// Load snapshot; `None` when the daemon wrote the legacy format.
-    pub load: Option<HeartbeatLoad>,
+    /// When the daemon wrote it, in Unix milliseconds on the run's clock.
+    pub stamp_ms: u64,
+    /// The daemon's load when it wrote it.
+    pub load: HeartbeatLoad,
 }
 
 impl HeartbeatRecord {
-    /// Encode to the 24-byte load-bearing format (or 8 bytes when
-    /// `load` is `None`).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        if let Some(load) = self.load {
-            out.extend_from_slice(&load.in_flight.to_le_bytes());
-            out.extend_from_slice(&load.queued.to_le_bytes());
-        }
+    /// Encode to the 24-byte layout.
+    pub fn encode(&self) -> [u8; 24] {
+        let mut out = [0u8; 24];
+        out[..8].copy_from_slice(&self.stamp_ms.to_le_bytes());
+        out[8..16].copy_from_slice(&self.load.in_flight.to_le_bytes());
+        out[16..].copy_from_slice(&self.load.queued.to_le_bytes());
         out
     }
 
-    /// Decode either heartbeat format; `None` for anything else (e.g. a
-    /// torn write observed mid-append).
+    /// Decode exactly 24 bytes; `None` for any other length.
     pub fn decode(bytes: &[u8]) -> Option<HeartbeatRecord> {
-        let u64_at = |i: usize| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(&bytes[i..i + 8]);
-            u64::from_le_bytes(word)
-        };
-        match bytes.len() {
-            8 => Some(HeartbeatRecord {
-                seq: u64_at(0),
-                load: None,
-            }),
-            24 => Some(HeartbeatRecord {
-                seq: u64_at(0),
-                load: Some(HeartbeatLoad {
-                    in_flight: u64_at(8),
-                    queued: u64_at(16),
-                }),
-            }),
-            _ => None,
-        }
+        let bytes: &[u8; 24] = bytes.try_into().ok()?;
+        let [stamp_ms, in_flight, queued] =
+            [0, 8, 16].map(|i| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap_or_default()));
+        let load = HeartbeatLoad { in_flight, queued };
+        Some(HeartbeatRecord { stamp_ms, load })
     }
 }
 
@@ -1119,33 +1097,21 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip_with_load() {
+    fn heartbeat_roundtrips_in_24_bytes_and_nothing_else_decodes() {
         let hb = HeartbeatRecord {
-            seq: 42,
-            load: Some(HeartbeatLoad {
+            stamp_ms: 42,
+            load: HeartbeatLoad {
                 in_flight: 3,
                 queued: 17,
-            }),
+            },
         };
         let bytes = hb.encode();
-        assert_eq!(bytes.len(), 24);
         assert_eq!(HeartbeatRecord::decode(&bytes), Some(hb));
-    }
-
-    #[test]
-    fn legacy_heartbeat_still_parses() {
-        // Old daemons wrote only the 8-byte beat counter.
-        let legacy = 7u64.to_le_bytes();
-        assert_eq!(
-            HeartbeatRecord::decode(&legacy),
-            Some(HeartbeatRecord { seq: 7, load: None })
-        );
-        // And a load-free record encodes exactly those legacy bytes.
-        let hb = HeartbeatRecord { seq: 7, load: None };
-        assert_eq!(hb.encode(), legacy.to_vec());
         // Torn / garbage lengths are rejected, not misparsed.
-        assert_eq!(HeartbeatRecord::decode(&legacy[..5]), None);
-        assert_eq!(HeartbeatRecord::decode(&[0u8; 16]), None);
+        for len in [0, 5, 8, 16, 23] {
+            assert_eq!(HeartbeatRecord::decode(&bytes[..len]), None, "{len}");
+        }
+        assert_eq!(HeartbeatRecord::decode(&[0u8; 25]), None);
     }
 
     #[test]

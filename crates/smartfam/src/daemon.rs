@@ -38,7 +38,7 @@ use mcsd_obs::names::{
     EVENT_SD_UNKNOWN_MODULE, SPAN_SD_BATCH,
 };
 use mcsd_obs::{ClockDomain, CounterFamily, Tracer, TrackId};
-use mcsd_phoenix::{wall_clock_ms, Stopwatch};
+use mcsd_phoenix::Stopwatch;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -696,7 +696,6 @@ fn daemon_loop(
     let watcher = FileWatcher::spawn(&config.log_dir, watch);
     // `None` = no heartbeat written yet, so the first loop turn emits one.
     let mut last_heartbeat: Option<Stopwatch> = None;
-    let mut heartbeat_seq: u64 = 0;
     let tracer = config.tracer.clone();
     let track = tracer.track(SD_TRACE_TRACK, ClockDomain::Decision);
     let books = Arc::new(Books {
@@ -755,23 +754,23 @@ fn daemon_loop(
 
     while !ctx.stop.load(Ordering::Relaxed) {
         // Heartbeat (an injected stall suppresses the write, so the file
-        // goes stale exactly the way a wedged daemon's would). Carries
-        // the load snapshot hosts use for pressure-aware steering.
+        // goes stale exactly the way a wedged daemon's would): a stamp on
+        // the run's clock and the load hosts steer by. Its cadence is a
+        // `Stopwatch`, so stepping the clock never stops the beats.
         if last_heartbeat
             .as_ref()
             .is_none_or(|sw| sw.expired(HEARTBEAT_INTERVAL))
         {
-            heartbeat_seq += 1;
             let (tracer, track) = &ctx.books.trace;
             tracer.volatile_event(*track, EVENT_SD_HEARTBEAT, &[]);
             // `Stall` is the only action valid at the heartbeat site.
             if ctx.config.injector.fire(FaultSite::Heartbeat).is_none() {
                 let record = HeartbeatRecord {
-                    seq: heartbeat_seq,
-                    load: Some(HeartbeatLoad {
+                    stamp_ms: ctx.config.injector.now_ms(),
+                    load: HeartbeatLoad {
                         in_flight: ctx.books.in_flight.load(Ordering::Relaxed),
                         queued: ctx.queue.len() as u64,
-                    }),
+                    },
                 };
                 // Write-then-rename so a host probing the heartbeat can
                 // never observe a torn record: `fs::write` truncates in
@@ -996,7 +995,7 @@ impl DaemonCtx {
         let books = &self.books;
         // Deadline check at dequeue: the caller has already given up, so
         // the request is dropped — counted, answered, never executed.
-        if req.expires_unix_ms != 0 && wall_clock_ms() >= req.expires_unix_ms {
+        if req.expires_unix_ms != 0 && self.config.injector.now_ms() >= req.expires_unix_ms {
             books.stats.expired.fetch_add(1, Ordering::Relaxed);
             books.event(EVENT_SD_EXPIRED, &[("module", name)]);
             return Gated::Reject(Reply::error(
@@ -1243,6 +1242,7 @@ impl DaemonCtx {
 mod tests {
     use super::*;
     use crate::codec::{Frame, FrameBody};
+    use crate::faults::FaultPlan;
     use crate::host::HostClient;
     use crate::module::{FnModule, ModuleError};
     use crate::watch::PollBackoff;
@@ -1404,34 +1404,33 @@ mod tests {
     #[test]
     fn heartbeat_file_appears_and_advances() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let t = 1_000_000;
+        let clock = FaultInjector::stepped(FaultPlan::none(), t);
+        let config = DaemonConfig::new(&dir).with_faults(clock.clone());
+        let mut daemon = Daemon::new(config, registry()).spawn().unwrap();
         let hb = dir.join(HEARTBEAT_FILE);
         let waited = Stopwatch::start();
         let mut pace = PollBackoff::new(Duration::from_millis(10));
-        while std::fs::metadata(&hb).map_or(true, |meta| meta.len() != 24) {
+        // The daemon stamps each record on the run's clock.
+        let mut beat_at = |stamp_ms: u64| loop {
+            let record = std::fs::read(&hb).ok();
+            if let Some(record) = record.and_then(|bytes| HeartbeatRecord::decode(&bytes)) {
+                if record.stamp_ms == stamp_ms {
+                    return record;
+                }
+            }
             assert!(
                 !waited.expired(TIMEOUT),
-                "no heartbeat file within {TIMEOUT:?}"
+                "no heartbeat stamped {stamp_ms} within {TIMEOUT:?}"
             );
             pace.idle();
-        }
-        let first = HeartbeatRecord::decode(&std::fs::read(&hb).unwrap()).unwrap();
-        // The next record is due one `HEARTBEAT_INTERVAL` after the first.
-        std::thread::sleep(HEARTBEAT_INTERVAL);
-        let later = loop {
-            let record = HeartbeatRecord::decode(&std::fs::read(&hb).unwrap()).unwrap();
-            if record.seq > first.seq || waited.expired(TIMEOUT) {
-                break record;
-            }
-            pace.idle();
         };
-        assert!(later.seq > first.seq, "heartbeat stuck at {}", first.seq);
+        beat_at(t);
+        clock.set_clock(t + 7);
+        let later = beat_at(t + 7);
         // An idle daemon publishes a zero load snapshot.
-        let load = later.load.expect("load field");
-        assert_eq!(load.in_flight, 0);
-        assert_eq!(load.queued, 0);
+        assert_eq!(later.load.in_flight, 0);
+        assert_eq!(later.load.queued, 0);
         // Stop before deleting the dir: a live daemon re-creating its
         // heartbeat file races `remove_dir_all`.
         daemon.stop();
@@ -1614,7 +1613,7 @@ mod tests {
 
     #[test]
     fn injected_crash_before_dispatch_is_replayed_by_next_incarnation() {
-        use crate::faults::{FaultAction, FaultPlan, FaultSite};
+        use crate::faults::{FaultAction, FaultSite};
         let dir = temp_dir();
         let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::CrashBefore);
         let cfg = DaemonConfig::new(&dir).with_faults(FaultInjector::new(plan));
@@ -1642,7 +1641,7 @@ mod tests {
 
     #[test]
     fn crash_after_execution_reexecutes_on_replay_but_answers_once() {
-        use crate::faults::{FaultAction, FaultPlan, FaultSite};
+        use crate::faults::{FaultAction, FaultSite};
         let dir = temp_dir();
         let invocations = Arc::new(TestCounter::new(0));
         let mk_registry = |counter: Arc<TestCounter>| {
@@ -1684,7 +1683,7 @@ mod tests {
 
     #[test]
     fn corrupt_response_frame_does_not_wedge_the_daemon() {
-        use crate::faults::{FaultAction, FaultPlan, FaultSite};
+        use crate::faults::{FaultAction, FaultSite};
         let dir = temp_dir();
         // The daemon's first response append is corrupted in flight; its
         // own recovering reads must skip the bad frame, and a retried
@@ -1779,19 +1778,31 @@ mod tests {
             c.fetch_add(1, Ordering::Relaxed);
             Ok(b"ran".to_vec())
         })));
-        let client = HostClient::new(&dir);
-        // expires_unix_ms = 1 is maximally in the past (0 = no deadline).
-        let expired = client.submit_with_deadline("count", &[], 1).unwrap();
-        let fresh = client.submit("count", &[]).unwrap();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
-        // The expired request is answered (typed), never executed.
-        let err = expired.wait(TIMEOUT).unwrap_err();
-        assert!(err.to_string().contains("deadline expired"), "{err}");
-        // The deadline-free request still runs normally.
-        assert_eq!(fresh.wait(TIMEOUT).unwrap().payload, b"ran");
+        // Client and daemon share one clock, stopped at `t`.
+        let t = 1_000_000;
+        let clock = FaultInjector::stepped(FaultPlan::none(), t);
+        let client = HostClient::new(&dir).with_faults(clock.clone());
+        // An expiry is passed once `now >= expires`; 0 is no deadline.
+        let calls = [1, t, t + 1, 0]
+            .map(|expires| client.submit_with_deadline("count", &[], expires).unwrap());
+        let config = DaemonConfig::new(&dir).with_faults(clock.clone());
+        let mut daemon = Daemon::new(config, r).spawn().unwrap();
+        let outcomes: Vec<_> = calls.into_iter().map(|call| call.wait(TIMEOUT)).collect();
+        for dropped in &outcomes[..2] {
+            // Answered (typed), never executed.
+            let err = dropped.as_ref().unwrap_err();
+            assert!(err.to_string().contains("deadline expired"), "{err}");
+        }
+        for ran in &outcomes[2..] {
+            assert_eq!(ran.as_ref().unwrap().payload, b"ran");
+        }
+        // After the clock steps back, an expiry of `t` is in the future.
+        clock.set_clock(t - 1);
+        let call = client.submit_with_deadline("count", &[], t).unwrap();
+        assert_eq!(call.wait(TIMEOUT).unwrap().payload, b"ran");
         daemon.stop();
-        assert_eq!(daemon.stats().expired, 1);
-        assert_eq!(invocations.load(Ordering::Relaxed), 1);
+        assert_eq!(daemon.stats().expired, 2);
+        assert_eq!(invocations.load(Ordering::Relaxed), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -383,11 +383,14 @@ struct InjectorInner {
     probe: bool,
     counters: [AtomicU64; FaultSite::ALL.len()],
     fired: Mutex<Vec<InjectedFault>>,
+    /// A stepped clock's reading; `None` reads the wall clock.
+    clock: Option<AtomicU64>,
 }
 
-/// Shared handle to a fault plan plus its per-site occurrence counters.
-/// Cloning is cheap and all clones share state, so the host client, the
-/// log files, and the daemon all see one consistent schedule.
+/// Shared handle to a fault plan plus its per-site occurrence counters,
+/// and to the run's clock. Cloning is cheap and all clones share state,
+/// so the host client, the log files, and the daemon all see one
+/// consistent schedule and one "now".
 #[derive(Clone)]
 pub struct FaultInjector {
     inner: Arc<InjectorInner>,
@@ -422,16 +425,23 @@ impl FaultInjector {
 
     /// An injector executing `plan`.
     pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector::build(plan, false)
+        FaultInjector::build(plan, false, None)
     }
 
-    fn build(plan: FaultPlan, probe: bool) -> FaultInjector {
+    /// An injector executing `plan` on a clock stopped at `now_ms`, which
+    /// moves only by [`FaultInjector::set_clock`].
+    pub fn stepped(plan: FaultPlan, now_ms: u64) -> FaultInjector {
+        FaultInjector::build(plan, false, Some(AtomicU64::new(now_ms)))
+    }
+
+    fn build(plan: FaultPlan, probe: bool, clock: Option<AtomicU64>) -> FaultInjector {
         FaultInjector {
             inner: Arc::new(InjectorInner {
                 plan,
                 probe,
                 counters: Default::default(),
                 fired: Mutex::new(Vec::new()),
+                clock,
             }),
         }
     }
@@ -443,7 +453,7 @@ impl FaultInjector {
     /// This is the discovery half of the chaos explorer; production code
     /// never uses it, so the empty-plan fast path stays intact there.
     pub fn probing(plan: FaultPlan) -> FaultInjector {
-        FaultInjector::build(plan, true)
+        FaultInjector::build(plan, true, None)
     }
 
     /// An injector executing the plan derived from `seed`.
@@ -465,6 +475,23 @@ impl FaultInjector {
     /// Every fault that has fired so far, in firing order.
     pub fn fired(&self) -> Vec<InjectedFault> {
         self.inner.fired.lock().clone()
+    }
+
+    /// The run's time in Unix ms, which a request's expiry and the
+    /// heartbeat's stamp are both read on: the wall clock, or a stepped one.
+    pub fn now_ms(&self) -> u64 {
+        match &self.inner.clock {
+            Some(clock) => clock.load(Ordering::Relaxed),
+            None => mcsd_phoenix::wall_clock_ms(),
+        }
+    }
+
+    /// Move a stepped clock to `now_ms`, backwards too. An injector on the
+    /// wall clock ignores it.
+    pub fn set_clock(&self, now_ms: u64) {
+        if let Some(clock) = &self.inner.clock {
+            clock.store(now_ms, Ordering::Relaxed);
+        }
     }
 
     /// How many times `site` has been hit so far.
