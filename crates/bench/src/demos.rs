@@ -63,7 +63,7 @@ fn scratch_dir(run: &str, seed: u64) -> Result<PathBuf, McsdError> {
 }
 
 /// Per-call wait budget of a four-phase run that must complete (`trace`,
-/// `overload`); the sweep in [`chaos`] uses a much shorter one.
+/// `overload`); the sweep in [`chaos()`] uses a much shorter one.
 const CLEAN_WAIT: Duration = Duration::from_secs(60);
 
 /// Run one phase under its baked plan alone and report what it did. There

@@ -14,15 +14,11 @@ use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
 use mcsd_smartfam::{
     BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
-    InvokeOutcome, ModuleRegistry, RetryPolicy, SmartFamError, WindowConfig,
+    ModuleRegistry, RetryPolicy, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One call's wire-level outcome: raw response payload plus the
-/// modelled network cost, or the typed error that ended it.
-pub type WireOutcome = Result<(Vec<u8>, TimeBreakdown), McsdError>;
 
 /// Subdirectory of the share holding the per-module log files.
 pub const LOG_SUBDIR: &str = "logs";
@@ -53,12 +49,11 @@ impl SdNodeServer {
     /// Like [`SdNodeServer::start`], with `configure` adjusting the
     /// daemon's configuration (already rooted at the export's log
     /// folder) before it boots: a scripted fault schedule, admission
-    /// limits, a tracer, replicated log groups (DESIGN.md §15), batched
-    /// dispatch (DESIGN.md §18). The fault injector and the tracer are
-    /// shared with every host client this server hands out, so one seeded
-    /// [`FaultInjector`] disturbs both sides of the log-file protocol
-    /// deterministically and one trace carries both sides of it
-    /// (DESIGN.md §12). The whole configuration survives
+    /// limits, a tracer, batched dispatch (DESIGN.md §18). The fault
+    /// injector and the tracer are shared with every host client this
+    /// server hands out, so one seeded [`FaultInjector`] disturbs both
+    /// sides of the log-file protocol deterministically and one trace
+    /// carries both sides of it (DESIGN.md §12). The whole configuration survives
     /// [`SdNodeServer::restart_daemon`].
     pub fn start_with(
         cluster: &Cluster,
@@ -178,50 +173,36 @@ pub struct McsdClient {
 }
 
 impl McsdClient {
-    /// Invoke a preloaded module and return its payload together with the
-    /// virtual-time cost of the invocation round trip (log-file bytes over
-    /// the network, two crossings).
-    pub fn invoke(&self, module: &str, params: &[String], timeout: Duration) -> WireOutcome {
-        self.priced(self.inner.invoke(module, params, timeout))
-    }
-
-    /// Price one finished round trip — the log-file bytes of both frames
-    /// over the network plus two fabric crossings, and the wall time the
-    /// host spent waiting as overhead — and lift a transport error into
-    /// the framework's error type.
-    fn priced(&self, outcome: Result<InvokeOutcome, SmartFamError>) -> WireOutcome {
-        let outcome = outcome?;
+    /// Invoke a preloaded module once: a window of one under the client's
+    /// [`RetryPolicy`] (DESIGN.md §10), priced as the log-file bytes of
+    /// both frames over the network plus two fabric crossings, with the
+    /// wall time the host spent waiting as overhead. The call's recovery
+    /// counters come back beside its outcome, kept when the call fails so
+    /// callers can account for degraded runs.
+    pub fn invoke(&self, module: &str, params: &[String], timeout: Duration) -> SdDispatch {
+        let lockstep = WindowConfig {
+            depth: 1,
+            call_timeout: timeout,
+        };
+        let mut run = self.inner.invoke_window(module, &[params], &lockstep);
+        // A window answers each of its calls: this one, once.
+        let stats = run.resilience.swap_remove(0);
+        let outcome = match run.outcomes.swap_remove(0) {
+            Ok(outcome) => outcome,
+            Err(e) => return (Err(e.into()), stats),
+        };
         let bytes = outcome.request_bytes + outcome.response_bytes;
         let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
         let cost = TimeBreakdown::network(self.latency * 2 + wire)
             + TimeBreakdown::overhead(outcome.elapsed);
-        Ok((outcome.payload, cost))
+        (Ok((outcome.payload, cost)), stats)
     }
 
-    /// Retry the calls of [`McsdClient::invoke_window`] under `policy`
-    /// instead of [`RetryPolicy::default`].
+    /// Retry each [`McsdClient::invoke`] under `policy` instead of
+    /// [`RetryPolicy::default`].
     pub fn with_retry(mut self, policy: RetryPolicy) -> McsdClient {
         self.inner = self.inner.with_retry(policy);
         self
-    }
-
-    /// Invoke one module once per parameter set through a pipelined,
-    /// self-healing in-flight window (DESIGN.md §10, §18) instead of
-    /// `calls.len()` lockstep round trips; a window of depth 1 is one
-    /// resilient call. Outcomes come back in submit order with the same
-    /// network-cost accounting as [`McsdClient::invoke`], each beside its
-    /// recovery counters — kept when the call fails, so callers can
-    /// account for degraded runs. The returned [`BatchStats`] carries the
-    /// window-side counters (occupancy, shrinks, reordered completions).
-    pub fn invoke_window<P: AsRef<[String]>>(
-        &self,
-        module: &str,
-        calls: &[P],
-        cfg: &WindowConfig,
-    ) -> (Vec<SdDispatch>, BatchStats) {
-        let run = self.inner.invoke_window(module, calls, cfg);
-        let outcomes = run.outcomes.into_iter().map(|outcome| self.priced(outcome));
-        (outcomes.zip(run.resilience).collect(), run.stats)
     }
 
     /// The underlying smartFAM client.
@@ -236,7 +217,7 @@ mod tests {
     use crate::modules::WordCountModule;
     use mcsd_apps::{datagen, seq, Matrix, TextGen};
     use mcsd_cluster::{paper_testbed, Scale};
-    use mcsd_smartfam::{BatchConfig, Liveness};
+    use mcsd_smartfam::{BatchConfig, Liveness, SmartFamError};
 
     const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -257,13 +238,34 @@ mod tests {
         let text = TextGen::with_seed(21).generate(8_000);
         server.stage_local("corpus.txt", &text).unwrap();
         let client = server.host_client();
-        let (payload, cost) = client
-            .invoke("wordcount", &["corpus.txt".into()], TIMEOUT)
-            .unwrap();
+        let (outcome, stats) = client.invoke("wordcount", &["corpus.txt".into()], TIMEOUT);
+        let (payload, cost) = outcome.unwrap();
         let pairs = WordCountModule::decode(&payload).unwrap();
         assert_eq!(pairs, seq::wordcount(&text));
         assert!(cost.network > Duration::ZERO);
+        assert_eq!((stats.attempts, stats.retries), (1, 0));
         assert_eq!(server.daemon_stats().ok, 1);
+    }
+
+    #[test]
+    fn the_one_priced_call_retries_and_reports() {
+        use mcsd_smartfam::{FaultAction, FaultPlan, FaultSite};
+        // The module fails its first dispatch, once; the retry answers.
+        let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::Fail);
+        let server = SdNodeServer::start_with(&cluster(), |daemon| {
+            daemon.with_faults(FaultInjector::new(plan))
+        })
+        .unwrap();
+        let text = TextGen::with_seed(22).generate(4_000);
+        server.stage_local("corpus.txt", &text).unwrap();
+        let client = server.host_client();
+        let (outcome, stats) = client.invoke("wordcount", &["corpus.txt".into()], TIMEOUT);
+        let (payload, _) = outcome.unwrap();
+        assert_eq!(
+            WordCountModule::decode(&payload).unwrap(),
+            seq::wordcount(&text)
+        );
+        assert_eq!((stats.attempts, stats.retries), (2, 1), "{stats}");
     }
 
     #[test]
@@ -276,6 +278,7 @@ mod tests {
         let client = server.host_client();
         let (payload, _) = client
             .invoke("matmul", &["a.mat".into(), "b.mat".into()], TIMEOUT)
+            .0
             .unwrap();
         let c = Matrix::from_bytes(&payload).unwrap();
         assert!(c.max_abs_diff(&seq::matmul(&a, &b)) < 1e-9);
@@ -299,6 +302,7 @@ mod tests {
         let client = server.host_client();
         let err = client
             .invoke("wordcount", &["missing.txt".into()], TIMEOUT)
+            .0
             .unwrap_err();
         assert!(err.to_string().contains("missing.txt"));
     }
@@ -331,7 +335,7 @@ mod tests {
         let server = SdNodeServer::start(&cluster).unwrap();
         let client = server.host_client();
         // Not preloaded yet:
-        let err = client.invoke("echo", &["a".into()], TIMEOUT).unwrap_err();
+        let err = client.invoke("echo", &["a".into()], TIMEOUT).0.unwrap_err();
         assert!(err.to_string().contains("no module registered"));
         // Preload at runtime.
         server
@@ -341,6 +345,7 @@ mod tests {
             })));
         let (payload, _) = client
             .invoke("echo", &["a".into(), "b".into()], TIMEOUT)
+            .0
             .unwrap();
         assert_eq!(payload, b"a|b");
     }
@@ -356,42 +361,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         server.batch_stats()
-    }
-
-    #[test]
-    fn batched_node_serves_a_pipelined_window() {
-        let cluster = cluster();
-        let server =
-            SdNodeServer::start_with(&cluster, |d| d.with_batching(BatchConfig::default()))
-                .unwrap();
-        let mut calls = Vec::new();
-        let mut expect = Vec::new();
-        for i in 0..5u64 {
-            let text = TextGen::with_seed(60 + i).generate(3_000);
-            let name = format!("w{i}.txt");
-            server.stage_local(&name, &text).unwrap();
-            expect.push(seq::wordcount(&text));
-            calls.push(vec![name]);
-        }
-        let client = server.host_client();
-        let (outcomes, window) = client.invoke_window(
-            "wordcount",
-            &calls,
-            &mcsd_smartfam::WindowConfig::with_depth(4),
-        );
-        for ((outcome, _), want) in outcomes.iter().zip(&expect) {
-            let (payload, cost) = outcome.as_ref().unwrap();
-            assert_eq!(&WordCountModule::decode(payload).unwrap(), want);
-            assert!(cost.network > Duration::ZERO);
-        }
-        // Window counters are host-side; commit counters are daemon-side.
-        assert!(window.window_occupancy >= calls.len() as u64);
-        assert_eq!(window.batches, 0);
-        let commits = commits_after(&server, 5);
-        assert_eq!(commits.coalesced_appends, 5);
-        assert!(commits.batches >= 1);
-        assert!(commits.fsyncs <= commits.coalesced_appends);
-        assert_eq!(server.daemon_stats().ok, 5);
     }
 
     #[test]

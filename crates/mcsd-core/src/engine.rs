@@ -37,12 +37,12 @@ use mcsd_obs::names::{
 };
 use mcsd_obs::{ClockDomain, CounterFamily, SpanId, Tracer, TrackId};
 use mcsd_phoenix::MemoryModel;
-use mcsd_smartfam::{BatchStats, DaemonStats, OverloadStats, ResilienceStats};
+use mcsd_smartfam::{DaemonStats, OverloadStats, ResilienceStats};
 use parking_lot::Mutex;
 use std::time::Duration;
 
 /// Logical-clock quantum ticked per scheduling decision (see
-/// [`crate::breaker`]: the breakers run on decision counts, not wall
+/// [`breaker`]: the breakers run on decision counts, not wall
 /// time, so seeded runs replay their open/probe/close transitions
 /// exactly).
 const BREAKER_QUANTUM: Duration = Duration::from_millis(1);
@@ -250,10 +250,6 @@ struct State {
     overload: OverloadStats,
     /// Host-side recovery counters absorbed from dispatch outcomes.
     stats: ResilienceStats,
-    /// Window-side batch counters absorbed from pipelined dispatches
-    /// (the daemon owns the commit-side fields; merged at read time by
-    /// [`Engine::batch_report`]).
-    batch: BatchStats,
     degradations: Vec<String>,
     decision_log: Vec<(String, OffloadDecision)>,
 }
@@ -308,7 +304,6 @@ impl Engine {
                 clock: Duration::ZERO,
                 overload: OverloadStats::default(),
                 stats: ResilienceStats::default(),
-                batch: BatchStats::default(),
                 degradations: Vec::new(),
                 decision_log: Vec::new(),
             }),
@@ -382,25 +377,6 @@ impl Engine {
         stats.overload.absorb(&overload);
         stats.overload.shed += daemon.shed;
         stats.overload.expired += daemon.expired;
-        stats
-    }
-
-    /// Absorb the window-side [`BatchStats`] of one pipelined dispatch
-    /// (occupancy, shrinks, reordered completions). The commit-side
-    /// fields are daemon-owned and must stay zero in `stats` — mixing
-    /// them in here would double-count them in [`Engine::batch_report`].
-    pub fn absorb_batch(&self, stats: &BatchStats) {
-        self.with(|s| s.batch.absorb(stats));
-    }
-
-    /// Batched-mode counters merged for a caller-facing report: the
-    /// window-side fields the engine absorbed from pipelined dispatches
-    /// plus the daemon-owned batch-commit fields (batches, coalesced
-    /// appends, fsyncs), merged at read time exactly like
-    /// [`Engine::resilience_report`] so neither side is double-counted.
-    pub fn batch_report(&self, daemon: &BatchStats) -> BatchStats {
-        let mut stats = self.with(|s| s.batch);
-        stats.absorb(daemon);
         stats
     }
 
@@ -670,70 +646,6 @@ impl Engine {
         }
     }
 
-    /// Drive a *batch* of typed calls through the same gate and settle as
-    /// [`Engine::run_call`], but with the SD dispatches grouped into one
-    /// pipelined window instead of N lockstep round trips (DESIGN.md
-    /// §18): gate each → one window → settle each.
-    ///
-    /// Every gate still applies **per request inside the batch**: each
-    /// call pays its own breaker admission + heartbeat-load check, its
-    /// own memory-budget admission, and its own breaker feedback; a call
-    /// that fails its gate is steered to the host without disturbing its
-    /// neighbours, and a call whose windowed dispatch fails degrades (or
-    /// surfaces its error) individually. Only the transport is batched —
-    /// and so every gate of the batch runs before any of its settles.
-    ///
-    /// `dispatch_window` receives the `(module, params)` pairs of every
-    /// SD-admitted call, in submit order, and must return exactly one
-    /// [`SdDispatch`] per pair, in the same order — the framework backs
-    /// it with the host client's pipelined window. Results come back in
-    /// call order regardless of the SD node's completion order.
-    pub fn run_calls<C: OffloadCall>(
-        &self,
-        calls: &mut [C],
-        queued_load: impl Fn() -> Option<u64>,
-        dispatch_window: impl FnOnce(&[(String, Vec<String>)]) -> Vec<SdDispatch>,
-    ) -> Vec<Result<(C::Output, TimeBreakdown), McsdError>> {
-        let mut window: Vec<(String, Vec<String>)> = Vec::new();
-        let mut gated = Vec::with_capacity(calls.len());
-        for call in calls.iter_mut() {
-            let mut placed = self.gate(call, &queued_load);
-            // The window takes the params; the settle needs only the rest.
-            if let Ok(Gated::Sd { params, .. }) = &mut placed {
-                window.push((call.job().to_string(), std::mem::take(params)));
-            }
-            gated.push(placed);
-        }
-        let dispatched = if window.is_empty() {
-            Vec::new()
-        } else {
-            dispatch_window(&window)
-        };
-        assert_eq!(
-            dispatched.len(),
-            window.len(),
-            "dispatch_window must answer every admitted request"
-        );
-        let mut dispatched = dispatched.into_iter();
-        calls
-            .iter_mut()
-            .zip(gated)
-            .map(|(call, placed)| match placed? {
-                Gated::Sd {
-                    sd_index, staging, ..
-                } => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "construction invariant: the loop above pushed one window entry per `Gated::Sd` and the assert matched the dispatches to the window one-to-one; running dry is a bug here that must fail loudly"
-                    )]
-                    let dispatch = dispatched.next().expect("one dispatch per admitted call");
-                    self.settle(call, sd_index, staging, dispatch)
-                }
-                Gated::Host(decision) => self.settle_on_host(call, decision),
-            })
-            .collect()
-    }
-
     /// Drive the re-dispatch chain for one multi-SD input span: primary
     /// slot, in-place retry, surviving SD slots in order, finally the
     /// host slot (= SD count), which is never breaker-gated and so
@@ -881,38 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_merges_window_and_daemon_sides_at_read_time() {
-        let e = engine(1);
-        // The engine absorbs window-side counters from two pipelined
-        // dispatches; the daemon-side snapshot arrives at read time.
-        e.absorb_batch(&BatchStats {
-            window_occupancy: 12,
-            window_shrinks: 1,
-            reordered_completions: 2,
-            ..BatchStats::default()
-        });
-        e.absorb_batch(&BatchStats {
-            window_occupancy: 8,
-            ..BatchStats::default()
-        });
-        let daemon = BatchStats {
-            batches: 3,
-            coalesced_appends: 12,
-            fsyncs: 3,
-            ..BatchStats::default()
-        };
-        let merged = e.batch_report(&daemon);
-        assert_eq!(merged.batches, 3);
-        assert_eq!(merged.coalesced_appends, 12);
-        assert_eq!(merged.fsyncs, 3);
-        assert_eq!(merged.window_occupancy, 20);
-        assert_eq!(merged.window_shrinks, 1);
-        assert_eq!(merged.reordered_completions, 2);
-        // Reading the report twice never double-counts either side.
-        assert_eq!(e.batch_report(&daemon), merged);
-    }
-
-    #[test]
     fn overload_delta_scopes_cumulative_counters_to_one_run() {
         let e = engine(1);
         let _ = e.run_span(0, 0, |slot| Ok((slot == 0, ())));
@@ -1029,19 +909,14 @@ mod tests {
         let _ = engine.degradations();
         let _ = engine.breaker_state(0);
         let _ = engine.resilience_report(&DaemonStats::default());
-        engine.absorb_batch(&BatchStats::default());
         engine.record_transfer("reenter", "f", 1, &TimeBreakdown::default());
     }
 
-    /// An [`OffloadCall`] that plays out its [`Fate`]. `profile` — the
-    /// first hook the gate calls — publishes the heartbeat load the
-    /// drivers' `queued_load` closure reads next, because that closure is
-    /// not told which call it is asked about.
+    /// An [`OffloadCall`] that plays out its [`Fate`].
     struct Scripted<'a> {
         engine: Option<&'a Engine>,
         id: usize,
         fate: Fate,
-        load: &'a std::cell::Cell<u64>,
     }
 
     impl OffloadCall for Scripted<'_> {
@@ -1053,8 +928,6 @@ mod tests {
 
         fn profile(&self) -> JobProfile {
             reenter(self.engine);
-            self.load
-                .set(if self.fate == Fate::LoadSteer { 64 } else { 0 });
             JobProfile {
                 name: self.fate.name(),
                 input_bytes: 1 << 20,
@@ -1112,7 +985,7 @@ mod tests {
         }
     }
 
-    /// The transport stub both drivers dispatch through: echoes the
+    /// The transport stub every scripted call dispatches through: echoes the
     /// params, or fails for good when they name [`Fate::DispatchError`].
     fn wire(engine: Option<&Engine>, module: &str, params: &[String]) -> SdDispatch {
         reenter(engine);
@@ -1151,105 +1024,33 @@ mod tests {
         (engine, tracer)
     }
 
-    /// Drive `fates` through `engine`: one [`Engine::run_call`] per fate
-    /// when `window` is `None`, else one [`Engine::run_calls`] per
-    /// `window`-sized chunk; `reentrant` makes every hook [`reenter`] the
-    /// engine. Returns the rendered per-call results.
-    fn drive(
-        engine: &Engine,
-        fates: &[Fate],
-        window: Option<usize>,
-        reentrant: bool,
-    ) -> Vec<String> {
+    /// Drive `fates` through `engine`, one [`Engine::run_call`] per fate,
+    /// with the heartbeat load at the steering threshold for
+    /// [`Fate::LoadSteer`]; `reentrant` makes every hook [`reenter`] the
+    /// engine.
+    fn drive(engine: &Engine, fates: &[Fate], reentrant: bool) {
         let hooked = reentrant.then_some(engine);
-        let load = std::cell::Cell::new(0);
-        let queued_load = || {
-            reenter(hooked);
-            Some(load.get())
-        };
-        let mut calls: Vec<Scripted<'_>> = fates
-            .iter()
-            .enumerate()
-            .map(|(id, &fate)| Scripted {
+        for (id, &fate) in fates.iter().enumerate() {
+            let mut call = Scripted {
                 engine: hooked,
                 id,
                 fate,
-                load: &load,
-            })
-            .collect();
-        let results: Vec<_> = match window {
-            None => calls
-                .iter_mut()
-                .map(|call| engine.run_call(call, queued_load, |m, p| wire(hooked, m, p)))
-                .collect(),
-            Some(n) => calls
-                .chunks_mut(n)
-                .flat_map(|chunk| {
-                    engine.run_calls(chunk, queued_load, |requests| {
-                        requests.iter().map(|(m, p)| wire(hooked, m, p)).collect()
-                    })
-                })
-                .collect(),
-        };
-        results.iter().map(|r| format!("{r:?}")).collect()
-    }
-
-    /// Everything a front-end can read back from an engine after a run,
-    /// bar the degradation strings (compared apart: a window records them
-    /// in phase order, like its trace).
-    fn observable(engine: &Engine) -> String {
-        format!(
-            "{:#?}",
-            (
-                engine.decision_log(),
-                engine.overload_totals(),
-                engine.resilience_report(&DaemonStats::default()),
-                engine.breaker_states(),
-            )
-        )
-    }
-
-    /// `lines` of N lockstep calls in the order one window records them:
-    /// every gate-phase line (one naming a `gate_marker`) first.
-    fn gates_first(lines: Vec<String>, gate_markers: &[&str]) -> Vec<String> {
-        let (gates, settles): (Vec<_>, Vec<_>) = lines
-            .into_iter()
-            .partition(|line| gate_markers.iter().any(|m| line.contains(m)));
-        [gates, settles].concat()
-    }
-
-    /// The decision track's event lines, ticks stripped.
-    fn events(tracer: &Tracer) -> Vec<String> {
-        mcsd_obs::export::jsonl(tracer)
-            .lines()
-            .filter(|line| line.contains("\"type\":\"event\""))
-            .map(|line| {
-                let (head, tail) = line.split_once("\"at\":").unwrap();
-                format!("{head}{}", tail.split_once(',').unwrap().1)
-            })
-            .collect()
+            };
+            let queued_load = || {
+                reenter(hooked);
+                Some(if fate == Fate::LoadSteer { 64 } else { 0 })
+            };
+            let _ = engine.run_call(&mut call, queued_load, |m, p| wire(hooked, m, p));
+        }
     }
 
     #[test]
-    fn a_window_of_one_is_run_call_to_the_byte() {
+    fn seeded_calls_cross_every_breaker_branch() {
         // A low threshold and a short cooldown: dispatch errors trip the
-        // breakers, so later calls are steered, probed and re-admitted,
-        // and both drivers must walk that timeline identically.
+        // breakers, so later calls are steered, probed and re-admitted.
         for fallback in [true, false] {
-            let fates = Fate::seeded(42, 96);
-            let (a, trace_a) = scripted_engine(2, fallback);
-            let (b, trace_b) = scripted_engine(2, fallback);
-            assert_eq!(
-                drive(&a, &fates, None, false),
-                drive(&b, &fates, Some(1), false)
-            );
-            assert_eq!(observable(&a), observable(&b));
-            assert_eq!(a.degradations(), b.degradations());
-            assert_eq!(
-                mcsd_obs::export::jsonl(&trace_a),
-                mcsd_obs::export::jsonl(&trace_b)
-            );
-            // The mix really crossed the breaker branches.
+            let (a, _) = scripted_engine(2, fallback);
+            drive(&a, &Fate::seeded(42, 96), false);
             let totals = a.overload_totals();
             assert!(totals.breaker_opens > 0 && totals.half_open_probes > 0);
             assert!(a
@@ -1262,46 +1063,14 @@ mod tests {
     }
 
     #[test]
-    fn one_window_settles_like_n_calls() {
-        // `run_calls` runs every gate of the window before any settle,
-        // so no settle may change what a later gate sees: the breakers
-        // never trip here (the window of one above covers them), and the
-        // two records kept in event order — degradation strings and the
-        // trace — agree up to that phase order.
-        for fallback in [true, false] {
-            let fates = Fate::seeded(7, 64);
-            let (a, trace_a) = scripted_engine(u32::MAX, fallback);
-            let (b, trace_b) = scripted_engine(u32::MAX, fallback);
-            assert_eq!(
-                drive(&a, &fates, None, false),
-                drive(&b, &fates, Some(fates.len()), false)
-            );
-            assert_eq!(observable(&a), observable(&b));
-            assert_eq!(
-                b.degradations(),
-                gates_first(a.degradations(), &["steered to host"])
-            );
-            assert_eq!(
-                events(&trace_b),
-                gates_first(
-                    events(&trace_a),
-                    &[EVENT_MCSD_STEER, EVENT_MCSD_REPARTITION]
-                )
-            );
-        }
-    }
-
-    #[test]
     fn hooks_may_reenter_the_engine_they_run_under() {
-        // A lock held across a hook would deadlock, not fail: run all
-        // three drivers, every hook re-entering, on a thread of their own
-        // and bound the wait.
+        // A lock held across a hook would deadlock, not fail: run both
+        // drivers, every hook re-entering, on a thread of their own and
+        // bound the wait.
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let (e, _) = scripted_engine(2, true);
-            let fates = Fate::seeded(42, 96);
-            drive(&e, &fates, None, true);
-            drive(&e, &fates, Some(8), true);
+            drive(&e, &Fate::seeded(42, 96), true);
             let span = e.run_span(0, 0, |slot| {
                 reenter(Some(&e));
                 Ok((slot == 0, ()))

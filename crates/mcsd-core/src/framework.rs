@@ -9,18 +9,18 @@
 //! spec per application; callers can also force either side via the
 //! policy.
 //!
-//! The offload path is *self-healing*: every SD invocation is a call in
-//! the host client's window, retried and probed under [`RetryPolicy`]
-//! (a lockstep call is a window of one), and when the SD side
-//! stays broken the engine degrades gracefully — it re-runs the job on
-//! the host ([`OffloadDecision::FallbackToHost`]) instead of surfacing a
-//! timeout, recording the degradation in [`McsdFramework::degradations`]
-//! and counting it in [`McsdFramework::resilience_stats`].
+//! The offload path is *self-healing*: every SD invocation is one
+//! [`McsdClient::invoke`], retried and probed under [`RetryPolicy`], and
+//! when the SD side stays broken the engine degrades gracefully — it
+//! re-runs the job on the host ([`OffloadDecision::FallbackToHost`])
+//! instead of surfacing a timeout, recording the degradation in
+//! [`McsdFramework::degradations`] and counting it in
+//! [`McsdFramework::resilience_stats`].
 
 use crate::admission::DEFAULT_MIN_FRAGMENT_BYTES;
 use crate::bridge::{McsdClient, SdNodeServer};
 use crate::driver::NodeRunner;
-use crate::engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall, SdDispatch};
+use crate::engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall};
 use crate::error::McsdError;
 use crate::modules::{StringMatchModule, WordCountModule};
 use crate::offload::{JobProfile, OffloadDecision, OffloadPolicy, Offloader};
@@ -30,16 +30,9 @@ use mcsd_cluster::{Cluster, TimeBreakdown};
 use mcsd_obs::names::{SPAN_CLUSTER_FETCH, SPAN_CLUSTER_STAGE};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::Job;
-use mcsd_smartfam::{
-    BatchConfig, BatchStats, DaemonConfig, FaultInjector, ResilienceStats, RetryPolicy,
-    WindowConfig,
-};
+use mcsd_smartfam::{FaultInjector, ResilienceStats, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One Word Count call's outcome inside a batched window: the counted
-/// pairs plus the call's virtual cost, or the typed error it degraded to.
-pub type WordcountOutcome = Result<(Vec<(String, u64)>, TimeBreakdown), McsdError>;
 
 pub use crate::engine::{CLUSTER_TRACE_TRACK, MCSD_TRACE_TRACK};
 
@@ -49,8 +42,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 /// How the framework behaves when the SD path misbehaves.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Retry/backoff/liveness policy of every offloaded call, lockstep or
-    /// windowed: the host client is built with it.
+    /// Retry/backoff/liveness policy of every offloaded call: the host
+    /// client is built with it.
     pub retry: RetryPolicy,
     /// Fault schedule shared by the daemon and the host client
     /// (disabled by default; seeded schedules make failures replayable).
@@ -84,12 +77,6 @@ pub struct ResilienceConfig {
     /// and the engine's decision events. Disabled by default
     /// (zero-cost); pass [`Tracer::enabled`] to record a run.
     pub tracer: Tracer,
-    /// Batched daemon dispatch (DESIGN.md §18): when set, the daemon
-    /// coalesces queued responses into one-fsync append batches executed
-    /// by the seeded multi-worker pool, and the framework's windowed
-    /// entry points ([`McsdFramework::wordcount_window`]) can pipeline
-    /// their calls against it. `None` (the default) runs lockstep.
-    pub batch: Option<BatchConfig>,
 }
 
 impl Default for ResilienceConfig {
@@ -105,7 +92,6 @@ impl Default for ResilienceConfig {
             steer_queue_depth: 64,
             min_fragment_bytes: DEFAULT_MIN_FRAGMENT_BYTES,
             tracer: Tracer::disabled(),
-            batch: None,
         }
     }
 }
@@ -133,9 +119,8 @@ impl McsdFramework {
         policy: OffloadPolicy,
         resilience: ResilienceConfig,
     ) -> Result<McsdFramework, McsdError> {
-        let server = SdNodeServer::start_with(&cluster, |daemon| DaemonConfig {
-            batch: resilience.batch,
-            ..daemon
+        let server = SdNodeServer::start_with(&cluster, |daemon| {
+            daemon
                 .with_faults(resilience.injector.clone())
                 .with_admission(resilience.max_in_flight, resilience.max_queued)
                 .with_tracer(resilience.tracer.clone())
@@ -185,14 +170,6 @@ impl McsdFramework {
         self.engine.resilience_report(&self.server.daemon_stats())
     }
 
-    /// Batched/pipelined counters merged at read time: the daemon's
-    /// batch-commit fields plus the window-side fields the engine
-    /// absorbed from pipelined dispatches (DESIGN.md §13/§18). All zero
-    /// for a lockstep framework.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.engine.batch_report(&self.server.batch_stats())
-    }
-
     /// Current state of the SD node's circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
         self.engine.breaker_state(0)
@@ -228,23 +205,18 @@ impl McsdFramework {
     /// Drive one typed call through the engine's state machine, wrapped
     /// in its end-to-end trace span. The closures hand the engine its
     /// transport: the daemon heartbeat's queue depth for load steering
-    /// and a smartFAM window of one for dispatch.
+    /// and one priced, retried call for dispatch.
     fn run_offloaded<C: OffloadCall>(
         &self,
         call: &mut C,
     ) -> Result<(C::Output, TimeBreakdown), McsdError> {
         let span = self.engine.open_call_span(call.job());
-        let lockstep = WindowConfig {
-            depth: 1,
-            call_timeout: self.resilience.call_timeout,
-        };
         let out = self.engine.run_call(
             call,
             || self.client.smartfam().daemon_load().map(|load| load.queued),
             |module, params| {
-                // A window answers each of its calls: this one, once.
-                let (mut one, _) = self.client.invoke_window(module, &[params], &lockstep);
-                one.swap_remove(0)
+                self.client
+                    .invoke(module, params, self.resilience.call_timeout)
             },
         );
         self.engine.close_call_span(span);
@@ -259,16 +231,7 @@ impl McsdFramework {
         file: &str,
         partition: Option<&str>,
     ) -> Result<(Vec<(String, u64)>, TimeBreakdown), McsdError> {
-        let mut call = self.wordcount_call(file, partition)?;
-        self.run_offloaded(&mut call)
-    }
-
-    fn wordcount_call<'a>(
-        &'a self,
-        file: &str,
-        partition: Option<&'a str>,
-    ) -> Result<StagedCall<'a, Vec<(String, u64)>>, McsdError> {
-        Ok(StagedCall {
+        self.run_offloaded(&mut StagedCall {
             fw: self,
             job: "wordcount",
             files: vec![file.to_string()],
@@ -279,54 +242,6 @@ impl McsdFramework {
             decode: WordCountModule::decode,
             run_host: wordcount_host,
         })
-    }
-
-    /// Run one Word Count per staged file as a *single pipelined batch*
-    /// (DESIGN.md §18): every call still pays its own placement decision,
-    /// breaker/load gate, memory admission, and breaker feedback inside
-    /// [`Engine::run_calls`], but the admitted calls share one in-flight
-    /// window instead of `files.len()` lockstep round trips — and a
-    /// batched daemon ([`ResilienceConfig::batch`]) coalesces their
-    /// response appends into one-fsync batch commits. Results come back
-    /// in `files` order; per-call failures degrade individually.
-    pub fn wordcount_window(
-        &self,
-        files: &[String],
-        partition: Option<&str>,
-        window: &WindowConfig,
-    ) -> Result<Vec<WordcountOutcome>, McsdError> {
-        let mut calls = files
-            .iter()
-            .map(|f| self.wordcount_call(f, partition))
-            .collect::<Result<Vec<_>, _>>()?;
-        let span = self.engine.open_call_span("wordcount");
-        let out = self.engine.run_calls(
-            &mut calls,
-            || self.client.smartfam().daemon_load().map(|load| load.queued),
-            |requests| self.dispatch_window(requests, window),
-        );
-        self.engine.close_call_span(span);
-        Ok(out)
-    }
-
-    /// Windowed transport behind [`Engine::run_calls`]: pipeline each
-    /// consecutive same-module run of the admitted requests through the
-    /// host client's in-flight window, absorbing the window-side batch
-    /// counters into the engine. Outcomes stay in request order, each with
-    /// its call's recovery counters.
-    fn dispatch_window(
-        &self,
-        requests: &[(String, Vec<String>)],
-        cfg: &WindowConfig,
-    ) -> Vec<SdDispatch> {
-        let mut out = Vec::with_capacity(requests.len());
-        for run in requests.chunk_by(|a, b| a.0 == b.0) {
-            let params: Vec<&[String]> = run.iter().map(|(_, p)| p.as_slice()).collect();
-            let (dispatched, stats) = self.client.invoke_window(&run[0].0, &params, cfg);
-            self.engine.absorb_batch(&stats);
-            out.extend(dispatched);
-        }
-        out
     }
 
     /// String Match over staged encrypt/keys files.
@@ -654,71 +569,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_framework_pipelines_wordcount_windows() {
-        let resilience = ResilienceConfig {
-            batch: Some(BatchConfig::default()),
-            ..ResilienceConfig::default()
-        };
-        let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
-        let mut files = Vec::new();
-        let mut expect = Vec::new();
-        for i in 0..6u64 {
-            let text = TextGen::with_seed(40 + i).generate(4_000);
-            let name = format!("t{i}.txt");
-            fw.stage_data_local(&name, &text).unwrap();
-            expect.push(seq::wordcount(&text));
-            files.push(name);
-        }
-        let out = fw
-            .wordcount_window(&files, None, &WindowConfig::with_depth(4))
-            .unwrap();
-        assert_eq!(out.len(), 6);
-        for (got, want) in out.iter().zip(&expect) {
-            let (pairs, cost) = got.as_ref().unwrap();
-            assert_eq!(pairs, want);
-            assert!(cost.network > Duration::ZERO);
-        }
-        // Every call paid its own gate and got its own decision entry.
-        assert_eq!(fw.decision_log().len(), 6);
-        assert_eq!(fw.sd_node().daemon_stats().ok, 6);
-        // The merged report carries both sides: daemon batch commits
-        // (every response rode a batch) and host window occupancy. The
-        // host sees a response as soon as its bytes are durable, a beat
-        // before the daemon bumps its commit counters — wait them out.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while fw.batch_stats().coalesced_appends < 6 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let batch = fw.batch_stats();
-        assert_eq!(batch.coalesced_appends, 6);
-        assert!(batch.batches >= 1);
-        assert!(batch.fsyncs <= batch.coalesced_appends);
-        assert!(batch.window_occupancy >= 6);
-        fw.stop();
-    }
-
-    #[test]
-    fn windowed_offloads_report_their_attempts_and_retries() {
+    fn offloads_report_their_attempts_and_retries() {
         use mcsd_smartfam::{FaultAction, FaultPlan, FaultSite};
         // The module fails its first dispatch, once.
         let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::Fail);
         let resilience = ResilienceConfig {
             injector: FaultInjector::new(plan),
-            batch: Some(BatchConfig::default()),
             ..ResilienceConfig::default()
         };
         let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
-        let mut files = Vec::new();
         for i in 0..3u64 {
             let name = format!("r{i}.txt");
-            fw.stage_data_local(&name, &TextGen::with_seed(70 + i).generate(2_000))
-                .unwrap();
-            files.push(name);
+            let text = TextGen::with_seed(70 + i).generate(2_000);
+            fw.stage_data_local(&name, &text).unwrap();
+            let (pairs, _) = fw.wordcount(&name, None).unwrap();
+            assert_eq!(pairs, seq::wordcount(&text));
         }
-        let out = fw
-            .wordcount_window(&files, None, &WindowConfig::with_depth(4))
-            .unwrap();
-        assert!(out.iter().all(Result::is_ok));
         let stats = fw.resilience_stats();
         assert_eq!(stats.attempts, 4, "{stats}");
         assert_eq!(stats.retries, 1, "{stats}");

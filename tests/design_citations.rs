@@ -31,9 +31,9 @@ const BUDGETED_DOCS: [&str; 4] = [
 /// it is the latest answer to its question.
 const DOC_LINE_BUDGET: usize = 2_000;
 /// The Rust under `crates/` and `shims/` that is not test code.
-const NON_TEST_LINE_BUDGET: usize = 20_500;
+const NON_TEST_LINE_BUDGET: usize = 20_050;
 /// All of that Rust, test code included.
-const TOTAL_LINE_BUDGET: usize = 36_800;
+const TOTAL_LINE_BUDGET: usize = 36_150;
 /// The header every lib root carries (DESIGN §9): missing docs are build
 /// breaks, and the lint policy is armed for library code outside
 /// `cfg(test)`. One line each, as rustfmt leaves them.

@@ -94,6 +94,7 @@ fn daemon_restart_mid_session_recovers() {
             &["c.txt".into()],
             std::time::Duration::from_secs(120),
         )
+        .0
         .unwrap();
     assert!(!payload.is_empty());
 
@@ -106,6 +107,7 @@ fn daemon_restart_mid_session_recovers() {
             &["c.txt".into()],
             std::time::Duration::from_secs(120),
         )
+        .0
         .unwrap();
     assert_eq!(payload, payload2);
 }
