@@ -81,7 +81,7 @@ impl WindowConfig {
 /// Counters for the batched/pipelined dispatch path — the seventh
 /// counter family (DESIGN.md §13). Daemon-side fields are mutated
 /// only by the batch committer in `daemon.rs`; window fields only by the
-/// pipelined host client in `host.rs`; `absorb` (here) merges deltas.
+/// host's window in `window.rs`; `absorb` (here) merges deltas.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     /// Coalesced append batches committed (each with exactly one fsync).

@@ -6,8 +6,8 @@
 //! (§IV-A). [`HostClient::invoke`] performs the full five-step round trip;
 //! [`HostClient::submit`] returns a [`PendingCall`] so the host can overlap
 //! its own computation with the offloaded work — the essence of the McSD
-//! multi-application scenarios. [`HostClient::invoke_window`] is the one
-//! loop that budgets, stamps, probes and retries calls under the client's
+//! multi-application scenarios. [`HostClient::invoke_window`] drives the
+//! window that budgets, stamps, probes and retries calls under the client's
 //! [`RetryPolicy`]; a lockstep resilient call is a window of one.
 
 use crate::batch::{BatchStats, WindowConfig};
@@ -15,19 +15,17 @@ use crate::codec::{
     decode_retry_after, encode_request_into, HeartbeatLoad, HeartbeatRecord, Status, ViewBody,
 };
 use crate::error::SmartFamError;
-use crate::faults::{FaultInjector, ResilienceStats, SplitMix64};
+use crate::faults::{FaultInjector, ResilienceStats};
 use crate::log_file::{give_back, log_path, LogFile, LogRole};
 use crate::watch::PollBackoff;
-use mcsd_obs::names::{
-    EVENT_HOST_ATTEMPT, EVENT_HOST_OUTCOME, EVENT_HOST_RETRY, EVENT_HOST_SUBMIT,
-    EVENT_HOST_WINDOW_REFILL, EVENT_HOST_WINDOW_SHRINK,
-};
+use crate::window::{self, Attempt, Wire};
+use mcsd_obs::names::EVENT_HOST_SUBMIT;
 use mcsd_obs::{ClockDomain, Tracer, TrackId};
 use mcsd_phoenix::Stopwatch;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,11 +159,6 @@ impl PendingCall {
         self.id
     }
 
-    /// The module being invoked.
-    pub fn module(&self) -> &str {
-        &self.log.module
-    }
-
     /// Non-blocking progress check: `Ok(Some(outcome))` once the response
     /// arrived successfully, `Ok(None)` while still pending, `Err` when
     /// the module reported failure or I/O broke.
@@ -232,6 +225,20 @@ impl PendingCall {
     }
 }
 
+impl Attempt for PendingCall {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn skipped(&self) -> u64 {
+        self.skipped_bytes
+    }
+
+    fn poll(&mut self) -> Result<Option<InvokeOutcome>, SmartFamError> {
+        self.poll_outcome()
+    }
+}
+
 /// Process-global request-id counter, seeded with the process id so two
 /// host *processes* sharing a log dir do not collide, and shared across
 /// all [`HostClient`] instances so two clients in one process do not
@@ -291,27 +298,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// The pause before a call's retry number `retry` (0-based) after
-    /// `err`: exponential, capped, stretched by up to +25 % by the call's
-    /// `retry`-th seeded jitter draw, and never shorter than the
-    /// `retry_after` a shedding daemon asked for — retrying earlier would
-    /// just be shed again.
-    fn pause(&self, retry: u32, err: &SmartFamError) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << retry.min(16))
-            .min(RETRY_BACKOFF_CAP);
-        let mut jitter = SplitMix64::new(RETRY_JITTER_SEED);
-        let draw = (0..=retry).fold(0, |_, _| jitter.next_u64());
-        let pause = exp.mul_f64(1.0 + (draw % 256) as f64 / 1024.0);
-        match err {
-            SmartFamError::Overloaded { retry_after, .. } => pause.max(*retry_after),
-            _ => pause,
-        }
-    }
-}
-
 /// Result of a pipelined window run ([`HostClient::invoke_window`]).
 #[derive(Debug)]
 pub struct WindowRun {
@@ -343,16 +329,9 @@ pub const HOST_TRACE_TRACK: &str = "host";
 /// The longest gap between two polls of a response stream that found
 /// nothing. It is [`PollBackoff`]'s floor as well as its cap, so both
 /// host-side waits (`wait` and the window, parked retries included) never
-/// back off. An answer appended in this process ends the gap at once; the
-/// gap bounds how late an answer from another process is seen.
+/// back off or reset. An answer appended in this process ends the gap at
+/// once; the gap bounds how late an answer from another process is seen.
 const HOST_POLL_INTERVAL: Duration = Duration::from_millis(1);
-
-/// Ceiling of the exponential retry backoff (before jitter).
-const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-/// Seed of the retry jitter (up to +25 % stretch): every call draws the
-/// same sequence, so retry pauses repeat run to run.
-const RETRY_JITTER_SEED: u64 = 0x6d63_7364; // "mcsd"
 
 /// The host's handle to a smartFAM log-file folder.
 pub struct HostClient {
@@ -405,11 +384,6 @@ impl HostClient {
     pub fn with_faults(mut self, injector: FaultInjector) -> HostClient {
         self.injector = injector;
         self
-    }
-
-    /// The log-file folder.
-    pub fn log_dir(&self) -> &Path {
-        &self.log_dir
     }
 
     /// Path of a module's log file.
@@ -507,212 +481,62 @@ impl HostClient {
     }
 
     /// Run calls to one module through a pipelined in-flight window
-    /// (DESIGN.md §18): the host's one retry loop, under the client's
-    /// [`RetryPolicy`]. A lockstep resilient call is a window of one. Each
-    /// call's deadline is [`WindowConfig::call_timeout`], split across its
-    /// attempts; DESIGN.md §10 states how calls are stamped, probed and
-    /// retried. Outcomes come back in submit order, whatever order the SD
-    /// node completed them in. An `Overloaded` shed halves the window and
-    /// a full window of clean completions grows it back by one (AIMD).
+    /// (DESIGN.md §18) under the client's [`RetryPolicy`]: a lockstep
+    /// resilient call is a window of one. Each call's deadline is
+    /// [`WindowConfig::call_timeout`], split across its attempts; DESIGN.md
+    /// §10 states how calls are stamped, probed and retried. Outcomes come
+    /// back in submit order, whatever order the SD node completed them in.
+    /// An `Overloaded` shed halves the window and a full window of clean
+    /// completions grows it back by one (AIMD).
     pub fn invoke_window<P: AsRef<[String]>>(
         &self,
         module: &str,
         calls: &[P],
         cfg: &WindowConfig,
     ) -> WindowRun {
-        let track = self.trace_track();
-        let (max_age, max_attempts) = (self.retry.heartbeat_max_age, self.retry.max_attempts);
-        let mut outcomes: Vec<Option<_>> = calls.iter().map(|_| None).collect();
-        let mut resilience = vec![ResilienceStats::default(); calls.len()];
-        let mut stats = BatchStats::default();
-        let (mut depth, mut next, mut clean_streak) = (cfg.depth.max(1), 0, 0);
-        // (call, its first submit, attempt budget, ticket), in submit order.
-        let mut inflight: Vec<(usize, Stopwatch, Duration, PendingCall)> = Vec::new();
-        let mut parked: VecDeque<Parked> = VecDeque::new();
-        let mut pace = PollBackoff::new(HOST_POLL_INTERVAL);
-        let mut probe = Stopwatch::start();
-        while next < calls.len() || !inflight.is_empty() || !parked.is_empty() {
-            let mut progressed = false;
-            // Refill: due retries first (the oldest calls; one whose deadline
-            // passed while parked settles instead), then fresh calls.
-            while inflight.len() < depth {
-                let due = parked.iter().position(|p| p.2.expired(p.3));
-                let (i, started) = match due.and_then(|d| parked.remove(d)) {
-                    Some((i, started, _, _, err)) if started.expired(cfg.call_timeout) => {
-                        outcomes[i] = Some(Err(err));
-                        progressed = true;
-                        continue;
-                    }
-                    Some((i, started, ..)) => (i, started),
-                    None if next < calls.len() => {
-                        next += 1;
-                        (next - 1, Stopwatch::start())
-                    }
-                    None => break,
-                };
-                progressed = true;
-                // The attempt's budget: the deadline left over the attempts left.
-                let call = &mut resilience[i];
-                let left = u64::from(max_attempts.max(1)) - call.attempts;
-                let budget = cfg.call_timeout.saturating_sub(started.elapsed()) / left as u32;
-                call.attempts += 1;
-                self.tracer.event_with(track, EVENT_HOST_ATTEMPT, |a| {
-                    a.str("module", module);
-                    a.u64("attempt", call.attempts);
-                });
-                if inflight.is_empty() {
-                    probe = Stopwatch::start();
-                }
-                // Never before the host gives up: the budget rounds up to
-                // whole ms, plus the ms the clock's reading truncates.
-                let budget_ms = budget.as_nanos().div_ceil(1_000_000) as u64;
-                let expires_unix_ms = self.injector.now_ms().saturating_add(budget_ms + 1);
-                match self.submit_with_deadline(module, calls[i].as_ref(), expires_unix_ms) {
-                    Ok(pending) => {
-                        inflight.push((i, started, budget, pending));
-                        // Summed at each submit: over submits, the mean fill.
-                        stats.window_occupancy += inflight.len() as u64;
-                    }
-                    Err(e) => match self.after_failure(module, i, started, &mut resilience[i], e) {
-                        Ok(retry) => parked.push_back(retry),
-                        Err(e) => outcomes[i] = Some(Err(e)),
-                    },
-                }
-            }
-            // One heartbeat probe per `max_age / 32` for the whole window.
-            let liveness = (!inflight.is_empty() && probe.expired(max_age / 32)).then(|| {
-                probe = Stopwatch::start();
-                self.daemon_liveness(max_age)
-            });
-            let dead_since =
-                |since: &Stopwatch| liveness.is_some_and(|l| l.is_dead(since, max_age));
-            // Poll sweep: completions leave from any slot, in any order.
-            let mut k = 0;
-            while k < inflight.len() {
-                let (_, _, budget, pending) = &mut inflight[k];
-                let result = match pending.poll_outcome() {
-                    Ok(Some(out)) => Ok(out),
-                    Ok(None) if pending.submitted.expired(*budget) => Err(SmartFamError::Timeout {
-                        module: module.to_string(),
-                        request_id: pending.id,
-                    }),
-                    Ok(None) if dead_since(&pending.submitted) => Err(SmartFamError::DaemonDead {
-                        module: module.to_string(),
-                    }),
-                    Ok(None) => {
-                        k += 1;
-                        continue;
-                    }
-                    Err(e) => Err(e),
-                };
-                let (i, started, _, pending) = inflight.remove(k);
-                progressed = true;
-                resilience[i].corrupt_skipped_bytes += pending.skipped_bytes;
-                match result {
-                    Ok(out) => {
-                        if inflight.iter().any(|(j, ..)| *j < i) {
-                            stats.reordered_completions += 1;
-                        }
-                        clean_streak += 1;
-                        // Additive increase after a full clean window.
-                        if clean_streak >= depth && depth < cfg.depth {
-                            depth += 1;
-                            clean_streak = 0;
-                            self.tracer
-                                .event_with(track, EVENT_HOST_WINDOW_REFILL, |a| {
-                                    a.u64("depth", depth as u64)
-                                });
-                        }
-                        outcomes[i] = Some(Ok(InvokeOutcome {
-                            elapsed: started.elapsed(),
-                            resilience: resilience[i],
-                            ..out
-                        }));
-                    }
-                    Err(e) => {
-                        // Multiplicative decrease, counted when it shrinks.
-                        if matches!(e, SmartFamError::Overloaded { .. }) {
-                            clean_streak = 0;
-                            if depth > 1 {
-                                depth /= 2;
-                                stats.window_shrinks += 1;
-                                self.tracer
-                                    .event_with(track, EVENT_HOST_WINDOW_SHRINK, |a| {
-                                        a.u64("depth", depth as u64)
-                                    });
-                            }
-                        }
-                        match self.after_failure(module, i, started, &mut resilience[i], e) {
-                            Ok(retry) => parked.push_back(retry),
-                            Err(e) => outcomes[i] = Some(Err(e)),
-                        }
-                    }
-                }
-            }
-            if progressed {
-                pace.reset();
-            } else {
-                pace.idle();
-            }
-        }
-        // Every call has settled (sized up front: `flatten` hints no length).
-        let mut settled = Vec::with_capacity(calls.len());
-        settled.extend(outcomes.into_iter().flatten());
-        for outcome in &settled {
-            let status = if outcome.is_ok() { "ok" } else { "error" };
-            let attrs = [("module", module), ("status", status)];
-            self.tracer.event(track, EVENT_HOST_OUTCOME, &attrs);
-        }
-        WindowRun {
-            outcomes: settled,
-            resilience,
-            stats,
-        }
-    }
-
-    /// Where a failed attempt leaves call `i`: `Ok`, parked for a retry,
-    /// or `Err` with its final error when `err` is fatal, its attempts
-    /// are spent, or the heartbeat says the daemon is gone.
-    fn after_failure(
-        &self,
-        module: &str,
-        i: usize,
-        started: Stopwatch,
-        call: &mut ResilienceStats,
-        err: SmartFamError,
-    ) -> Result<Parked, SmartFamError> {
-        let policy = &self.retry;
-        let fatal = matches!(err, SmartFamError::DaemonDead { .. }) || err.is_quarantined();
-        if fatal || call.attempts >= u64::from(policy.max_attempts.max(1)) {
-            return Err(err);
-        }
-        let liveness = self.daemon_liveness(policy.heartbeat_max_age);
-        if liveness.is_dead(&started, policy.heartbeat_max_age) {
-            let module = module.to_string();
-            return Err(SmartFamError::DaemonDead { module });
-        }
-        let pause = policy.pause(call.retries as u32, &err);
-        call.retries += 1;
-        self.tracer
-            .event(self.trace_track(), EVENT_HOST_RETRY, &[("module", module)]);
-        Ok((i, started, Stopwatch::start(), pause, err))
+        let mut wire = HostWire {
+            client: self,
+            module,
+            calls,
+            clock: Stopwatch::start(),
+            pace: PollBackoff::new(HOST_POLL_INTERVAL),
+        };
+        let trace = (&self.tracer, self.trace_track());
+        window::run(&mut wire, module, calls.len(), cfg, &self.retry, trace)
     }
 }
 
-/// A call waiting out its retry pause: (call, its first submit, parked at,
-/// pause, the error of its last attempt).
-type Parked = (usize, Stopwatch, Stopwatch, Duration, SmartFamError);
+/// The window's wire: a client's log files, a clock and its poll gap.
+struct HostWire<'a, P> {
+    client: &'a HostClient,
+    module: &'a str,
+    calls: &'a [P],
+    clock: Stopwatch,
+    pace: PollBackoff,
+}
 
-impl Liveness {
-    /// Whether this reading means the daemon is gone for a call waiting
-    /// since `since`: stale or unreadable, or still missing once
-    /// `max_age` — the grace a starting daemon gets — has run out.
-    fn is_dead(self, since: &Stopwatch, max_age: Duration) -> bool {
-        match self {
-            Liveness::Stale | Liveness::Unreadable => true,
-            Liveness::Missing => since.elapsed() > max_age,
-            Liveness::Alive => false,
-        }
+impl<P: AsRef<[String]>> Wire for HostWire<'_, P> {
+    type Ticket = PendingCall;
+
+    fn now(&self) -> Duration {
+        self.clock.elapsed()
+    }
+
+    fn idle(&mut self) {
+        self.pace.idle();
+    }
+
+    fn submit(&mut self, call: usize, budget: Duration) -> Result<PendingCall, SmartFamError> {
+        // Never before the host gives up: the budget rounds up to whole
+        // ms, plus the ms the clock's reading truncates.
+        let budget_ms = budget.as_nanos().div_ceil(1_000_000) as u64;
+        let expires = self.client.injector.now_ms().saturating_add(budget_ms + 1);
+        let (client, params) = (self.client, self.calls[call].as_ref());
+        client.submit_with_deadline(self.module, params, expires)
+    }
+
+    fn liveness(&self, max_age: Duration) -> Liveness {
+        self.client.daemon_liveness(max_age)
     }
 }
 
@@ -721,7 +545,8 @@ mod tests {
     use super::*;
     use crate::codec::{Frame, FrameBody};
     use crate::faults::FaultPlan;
-    use std::sync::atomic::{AtomicBool, AtomicU64 as TestCounter};
+    use std::path::Path;
+    use std::sync::atomic::AtomicU64 as TestCounter;
 
     static N: TestCounter = TestCounter::new(0);
 
@@ -740,7 +565,6 @@ mod tests {
         let dir = temp_dir();
         let client = HostClient::new(&dir);
         let pending = client.submit("wc", &["file.txt".into()]).unwrap();
-        assert_eq!(pending.module(), "wc");
         let mut log = LogFile::attach_at_start(client.log_path("wc")).unwrap();
         let frames = log.poll().unwrap();
         assert_eq!(frames.len(), 1);
@@ -921,6 +745,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn a_ticket_counts_the_corrupt_bytes_before_its_answer_once() {
+        let dir = temp_dir();
+        let client = HostClient::new(&dir);
+        let mut pending = client.submit("m", &[]).unwrap();
+        // The answer lands behind 24 bytes that are no frame.
+        let mut reply = vec![0xa5u8; 24];
+        Frame::response_ok(pending.id(), b"e".to_vec()).encode_into(&mut reply);
+        let log = LogFile::attach_at_end(client.log_path("m")).unwrap();
+        log.append_encoded(&reply).unwrap();
+        let out = pending.poll_outcome().unwrap().unwrap();
+        assert_eq!(out.resilience.corrupt_skipped_bytes, 24);
+        assert!(pending.poll_outcome().unwrap().is_none());
+        assert_eq!(Attempt::skipped(&pending), 24);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// PR 12's lost windowed call. A batch the daemon is still writing can
     /// be half on disk when a host samples the file length, and the byte
     /// at that length can be a stray magic followed by a large length
@@ -992,13 +833,6 @@ mod tests {
         std::fs::write(dir.join(crate::daemon::HEARTBEAT_FILE), record).unwrap();
     }
 
-    /// A client on a clock stopped at `T` whose daemon beat once at `T`:
-    /// the heartbeat stays fresh with no thread keeping it so.
-    fn client_of_a_live_daemon(dir: &Path) -> HostClient {
-        beat(dir, T);
-        HostClient::new(dir).with_faults(FaultInjector::stepped(FaultPlan::none(), T))
-    }
-
     #[test]
     fn liveness_classifies_missing_alive_and_stale() {
         let dir = temp_dir();
@@ -1050,184 +884,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Plays the daemon on one module log until dropped: the `n`-th
-    /// request (0-based, in log order) gets the bytes `script(n, request)`
-    /// returns appended in one write, or nothing when they are empty.
-    struct Responder {
-        stop: Arc<AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    }
-
-    fn respond(
-        path: PathBuf,
-        mut script: impl FnMut(u64, &Frame) -> Vec<u8> + Send + 'static,
-    ) -> Responder {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stopped = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            let mut log = LogFile::attach_at_start(&path).unwrap();
-            let mut n = 0;
-            while !stopped.load(Ordering::Relaxed) {
-                for request in log.poll().unwrap().iter().filter(|f| f.is_request()) {
-                    let reply = script(n, request);
-                    n += 1;
-                    if !reply.is_empty() {
-                        log.append_encoded(&reply).unwrap();
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        Responder {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    impl Drop for Responder {
-        fn drop(&mut self) {
-            self.stop.store(true, Ordering::Relaxed);
-            if let Some(Err(panic)) = self.thread.take().map(|t| t.join()) {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-
-    /// A call through a window of one: the lockstep resilient call.
-    struct OneCall {
-        outcome: Result<InvokeOutcome, SmartFamError>,
-        stats: ResilienceStats,
-    }
-
-    fn one_call(
-        client: HostClient,
-        module: &str,
-        deadline: Duration,
-        policy: RetryPolicy,
-    ) -> OneCall {
-        let cfg = WindowConfig {
-            depth: 1,
-            call_timeout: deadline,
-        };
-        let params = [Vec::<String>::new()];
-        let mut run = client
-            .with_retry(policy)
-            .invoke_window(module, &params, &cfg);
-        assert_eq!(run.outcomes.len(), 1);
-        OneCall {
-            outcome: run.outcomes.remove(0),
-            stats: run.resilience[0],
-        }
-    }
-
-    #[test]
-    fn resilient_call_declares_dead_daemon_without_burning_deadline() {
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            heartbeat_max_age: Duration::from_millis(60),
-            ..RetryPolicy::default()
-        };
-        let sw = Stopwatch::start();
-        let call = one_call(client, "ghost", Duration::from_secs(30), policy);
-        // No heartbeat was ever written: the probe declares the daemon
-        // dead after the grace period, far inside the 30 s deadline.
-        assert!(matches!(
-            call.outcome,
-            Err(SmartFamError::DaemonDead { .. })
-        ));
-        assert!(sw.elapsed() < Duration::from_secs(5));
-        assert!(call.stats.attempts >= 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resilient_call_retries_transient_module_failure() {
-        let dir = temp_dir();
-        let client = client_of_a_live_daemon(&dir);
-        // Answer request 1 with an error, request 2 with success.
-        let responder = respond(client.log_path("flaky"), |n, f| match n {
-            0 => Frame::response_err(f.id, "transient glitch").encode(),
-            _ => Frame::response_ok(f.id, b"recovered".to_vec()).encode(),
-        });
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        };
-        let call = one_call(client, "flaky", Duration::from_secs(30), policy);
-        drop(responder);
-        let out = call.outcome.expect("second attempt should succeed");
-        assert_eq!(out.payload, b"recovered");
-        assert_eq!(call.stats.attempts, 2);
-        assert_eq!(call.stats.retries, 1);
-        assert_eq!(out.resilience, call.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn remaining_deadline_flows_to_later_attempts() {
-        // Attempt 1 fails almost instantly; under the old fixed
-        // `deadline / max_attempts` split, attempt 2's budget would be
-        // 1 s and a response arriving after 1.2 s would time the call
-        // out. Remaining-time budgeting hands attempt 2 nearly the full
-        // 2 s, so the slow response still lands inside the deadline.
-        let dir = temp_dir();
-        let client = client_of_a_live_daemon(&dir);
-        let responder = respond(client.log_path("laggy"), |n, f| match n {
-            0 => Frame::response_err(f.id, "fast failure").encode(),
-            _ => {
-                std::thread::sleep(Duration::from_millis(1200));
-                Frame::response_ok(f.id, b"slow but in time".to_vec()).encode()
-            }
-        });
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        };
-        let call = one_call(client, "laggy", Duration::from_secs(2), policy);
-        drop(responder);
-        let out = call
-            .outcome
-            .expect("remaining-time budget must cover the slow second attempt");
-        assert_eq!(out.payload, b"slow but in time");
-        assert_eq!(call.stats.attempts, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn overloaded_reply_is_retried_after_the_suggested_delay() {
-        let dir = temp_dir();
-        let client = client_of_a_live_daemon(&dir);
-        let retry_after = Duration::from_millis(80);
-        let responder = respond(client.log_path("busy"), move |n, f| match n {
-            0 => Frame::response_overloaded(f.id, retry_after).encode(),
-            _ => Frame::response_ok(f.id, b"admitted".to_vec()).encode(),
-        });
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        };
-        let sw = Stopwatch::start();
-        let call = one_call(client, "busy", Duration::from_secs(30), policy);
-        let elapsed = sw.elapsed();
-        drop(responder);
-        let out = call.outcome.expect("retry after shed should succeed");
-        assert_eq!(out.payload, b"admitted");
-        assert_eq!(call.stats.retries, 1);
-        // The retry honoured the daemon's suggested delay.
-        assert!(
-            elapsed >= retry_after,
-            "retried after {elapsed:?}, before the suggested {retry_after:?}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn window_pipelines_many_calls_against_a_batched_daemon() {
         use crate::batch::{BatchConfig, WindowConfig};
@@ -1259,90 +915,6 @@ mod tests {
         // Twelve submits, each observing at least one call in flight.
         assert!(run.stats.window_occupancy >= 12, "{}", run.stats);
         assert_eq!(run.stats.window_shrinks, 0, "{}", run.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn window_depth_one_degenerates_to_lockstep() {
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        let responder = respond(client.log_path("echo"), |_, f| {
-            Frame::response_ok(f.id, b"e".to_vec()).encode()
-        });
-        let calls: Vec<Vec<String>> = (0..4).map(|_| Vec::new()).collect();
-        let run = client.invoke_window("echo", &calls, &WindowConfig::with_depth(1));
-        drop(responder);
-        assert!(run.all_ok(), "{:?}", run.outcomes);
-        // Depth 1: exactly one call in flight per submit, and lockstep
-        // order means nothing can complete out of order.
-        assert_eq!(run.stats.window_occupancy, 4, "{}", run.stats);
-        assert_eq!(run.stats.reordered_completions, 0, "{}", run.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn window_counts_each_completion_ahead_of_an_earlier_call() {
-        let dir = temp_dir();
-        let client = client_of_a_live_daemon(&dir);
-        // The first request, call 0's first attempt, goes unanswered and
-        // every other is answered at once: calls 1-3 complete while call 0
-        // is in flight, and call 0 completes last, on its retry. This holds
-        // while the host reads the three answers within call 0's first
-        // budget, a third of the 3 s deadline.
-        let responder = respond(client.log_path("echo"), |n, f| match n {
-            0 => Vec::new(),
-            _ => Frame::response_ok(f.id, b"e".to_vec()).encode(),
-        });
-        let calls: Vec<Vec<String>> = (0..4).map(|_| Vec::new()).collect();
-        let cfg = WindowConfig {
-            depth: 4,
-            call_timeout: Duration::from_secs(3),
-        };
-        let run = client.invoke_window("echo", &calls, &cfg);
-        drop(responder);
-        assert!(run.all_ok(), "{:?}", run.outcomes);
-        assert_eq!(run.resilience[0].attempts, 2);
-        assert_eq!(run.stats.reordered_completions, 3, "{}", run.stats);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn window_counts_the_corrupt_bytes_before_its_answer_once() {
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        // Answers the one request behind 24 bytes that are no frame.
-        let responder = respond(client.log_path("echo"), |_, f| {
-            let mut reply = vec![0xa5u8; 24];
-            Frame::response_ok(f.id, b"e".to_vec()).encode_into(&mut reply);
-            reply
-        });
-        let calls = [Vec::<String>::new()];
-        let run = client.invoke_window("echo", &calls, &WindowConfig::with_depth(1));
-        drop(responder);
-        assert!(run.all_ok(), "{:?}", run.outcomes);
-        assert_eq!(run.resilience[0].corrupt_skipped_bytes, 24);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn window_shrinks_on_overloaded_and_retries_the_shed_call() {
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        // Shed the very first request; serve the rest (including its
-        // retry).
-        let responder = respond(client.log_path("pressured"), |n, f| match n {
-            0 => Frame::response_overloaded(f.id, Duration::from_millis(10)).encode(),
-            _ => Frame::response_ok(f.id, b"served".to_vec()).encode(),
-        });
-        let calls: Vec<Vec<String>> = (0..6).map(|i| vec![format!("c{i}")]).collect();
-        let run = client.invoke_window("pressured", &calls, &WindowConfig::with_depth(4));
-        drop(responder);
-        assert!(
-            run.all_ok(),
-            "shed call must be retried: {:?}",
-            run.outcomes
-        );
-        assert_eq!(run.stats.window_shrinks, 1, "{}", run.stats);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1386,35 +958,20 @@ mod tests {
     }
 
     #[test]
-    fn window_fails_every_call_fast_when_the_daemon_stopped() {
-        use crate::batch::WindowConfig;
-        use crate::daemon::{Daemon, DaemonConfig};
-        use crate::module::ModuleRegistry;
+    fn window_fails_every_call_on_a_stale_heartbeat() {
+        // No daemon: one beat at `T`, read on a clock stopped 2 s later.
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), ModuleRegistry::new())
-            .spawn()
-            .unwrap();
-        daemon.stop();
-        // The heartbeat file stays behind, and goes stale.
-        let client = HostClient::new(&dir).with_retry(RetryPolicy {
-            heartbeat_max_age: Duration::from_millis(100),
-            ..RetryPolicy::default()
-        });
-        let cfg = WindowConfig {
-            depth: 4,
-            call_timeout: Duration::from_secs(10),
-        };
+        beat(&dir, T);
+        let clock = FaultInjector::stepped(FaultPlan::none(), T + 2_000);
+        let client = HostClient::new(&dir).with_faults(clock);
         let calls: Vec<Vec<String>> = (0..8).map(|i| vec![format!("c{i}")]).collect();
-        let sw = Stopwatch::start();
-        let run = client.invoke_window("echo", &calls, &cfg);
-        assert!(sw.elapsed() < Duration::from_secs(3), "{:?}", sw.elapsed());
-        for outcome in &run.outcomes {
-            assert!(
-                matches!(outcome, Err(SmartFamError::DaemonDead { .. })),
-                "{outcome:?}"
-            );
-        }
+        let run = client.invoke_window("echo", &calls, &WindowConfig::with_depth(4));
         assert_eq!(run.outcomes.len(), 8);
+        for outcome in &run.outcomes {
+            let dead = matches!(outcome, Err(SmartFamError::DaemonDead { .. }));
+            assert!(dead, "{outcome:?}");
+        }
+        assert!(run.resilience.iter().all(|r| r.attempts == 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

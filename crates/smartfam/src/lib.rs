@@ -58,6 +58,7 @@ pub mod log_file;
 pub mod module;
 pub mod replica;
 pub mod watch;
+mod window;
 
 pub use batch::{BatchConfig, BatchStats, WindowConfig};
 pub use codec::{Frame, FrameBody, HeartbeatLoad, HeartbeatRecord, Status};
