@@ -19,30 +19,28 @@
 //! expiry that has already passed by dequeue time are dropped (counted,
 //! never executed): the caller has given up, so burning SD CPU on the
 //! answer only deepens the overload. The heartbeat file publishes the
-//! current load ([`HeartbeatLoad`]) so hosts can observe pressure without
-//! a request round trip.
+//! current load ([`HeartbeatLoad`](crate::codec::HeartbeatLoad)) so hosts
+//! can observe pressure without a request round trip.
+//!
+//! Every decision is `SdMachine`'s (`sd.rs`); this file is its driver:
+//! the watcher, the polls, the workers, the appends and the heartbeat.
 
 use crate::batch::{BatchConfig, BatchStats};
-use crate::codec::{
-    batch_word, encode_response_into, encode_retry_after, FrameView, HeartbeatLoad,
-    HeartbeatRecord, Status, ViewBody,
-};
-use crate::faults::{FaultAction, FaultInjector, FaultSite, SplitMix64, QUARANTINE_TOKEN};
-use crate::log_file::{give_back, module_of, LogFile, LogRole, TAIL_KEEP_BYTES};
+use crate::codec::{batch_word, HeartbeatRecord, ViewBody};
+use crate::faults::{FaultInjector, FaultSite};
+use crate::log_file::{give_back, module_of, LogFile, LogRole};
 use crate::module::{ModuleRegistry, ProcessingModule};
-use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
-use mcsd_obs::names::{
-    EVENT_SD_BATCH_COMMIT, EVENT_SD_BATCH_RETRY, EVENT_SD_COMPLETE, EVENT_SD_DISPATCH,
-    EVENT_SD_EXPIRED, EVENT_SD_HEARTBEAT, EVENT_SD_POLL, EVENT_SD_QUARANTINE,
-    EVENT_SD_QUARANTINE_REJECTED, EVENT_SD_QUEUE, EVENT_SD_REPLAY, EVENT_SD_REQUEST, EVENT_SD_SHED,
-    EVENT_SD_UNKNOWN_MODULE, SPAN_SD_BATCH,
+use crate::sd::{
+    note_frame, BucketedRun, Gated, Log, Next, Planned, QueuedRequest, Reply, SdMachine,
 };
-use mcsd_obs::{ClockDomain, CounterFamily, Tracer, TrackId};
+use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
+use mcsd_obs::names::{EVENT_SD_HEARTBEAT, EVENT_SD_POLL};
+use mcsd_obs::{CounterFamily, Tracer, TrackId};
 use mcsd_phoenix::Stopwatch;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,12 +53,11 @@ pub const DEFAULT_MAX_QUEUED: usize = 1024;
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 /// A module failing this many *consecutive* invocations is quarantined:
 /// later requests get an immediate error response carrying
-/// [`QUARANTINE_TOKEN`] so hosts fail over instead of burning their
-/// deadline.
+/// [`QUARANTINE_TOKEN`](crate::faults::QUARANTINE_TOKEN) so hosts fail
+/// over instead of burning their deadline.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
 /// Retry delay suggested in shed replies.
 pub const SHED_RETRY_AFTER: Duration = Duration::from_millis(50);
-
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -186,187 +183,6 @@ impl DaemonStats {
     }
 }
 
-#[derive(Default)]
-struct StatsInner {
-    requests: AtomicU64,
-    ok: AtomicU64,
-    module_errors: AtomicU64,
-    unknown_module: AtomicU64,
-    replayed: AtomicU64,
-    quarantined: AtomicU64,
-    quarantine_rejected: AtomicU64,
-    corrupt_skipped_bytes: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-}
-
-impl StatsInner {
-    fn snapshot(&self) -> DaemonStats {
-        DaemonStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            module_errors: self.module_errors.load(Ordering::Relaxed),
-            unknown_module: self.unknown_module.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            quarantine_rejected: self.quarantine_rejected.load(Ordering::Relaxed),
-            corrupt_skipped_bytes: self.corrupt_skipped_bytes.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Daemon-side half of the [`BatchStats`] family, kept as atomics so the
-/// handle can snapshot while the dispatch loop is live. The host-side
-/// window fields stay zero here; `BatchStats::absorb` merges the halves.
-#[derive(Default)]
-struct BatchInner {
-    batches: AtomicU64,
-    coalesced_appends: AtomicU64,
-    fsyncs: AtomicU64,
-}
-
-impl BatchInner {
-    fn snapshot(&self) -> BatchStats {
-        BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            coalesced_appends: self.coalesced_appends.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            ..BatchStats::default()
-        }
-    }
-}
-
-/// Per-module failure tracking for poison-module quarantine.
-#[derive(Default)]
-struct ModuleHealth {
-    consecutive_failures: u32,
-    quarantined: bool,
-}
-
-/// What a finished invocation is booked against: one per daemon, shared
-/// by the dispatch loop and its workers.
-struct Books {
-    stats: Arc<StatsInner>,
-    health: Mutex<HashMap<String, ModuleHealth>>,
-    /// Module invocations running (or handed to a worker) right now.
-    in_flight: AtomicU64,
-    /// Tracer handle plus the `sd.daemon` track it emits on.
-    trace: (Tracer, TrackId),
-    spare_params: SpareParams,
-}
-
-/// Parameter sets whose requests are answered, waiting to carry the next
-/// requests' parameters: the loop takes one for each request it copies
-/// out, and a set comes back once its reply is appended. A module log has
-/// one owner at a time, so a set only ever moves loop → worker → here.
-struct SpareParams {
-    sets: Mutex<Vec<Vec<String>>>,
-    /// `max_in_flight + max_queued`: admission holds no more requests at
-    /// once, so a replay burst past it drops the extra sets.
-    keep: usize,
-}
-
-impl SpareParams {
-    fn take(&self) -> Vec<String> {
-        self.sets.lock().pop().unwrap_or_default()
-    }
-
-    /// Keep `set` unless the list is full or its strings together hold
-    /// more than [`TAIL_KEEP_BYTES`] — one huge parameter is not held for
-    /// ever.
-    fn give(&self, set: Vec<String>) {
-        if set.iter().map(String::capacity).sum::<usize>() > TAIL_KEEP_BYTES {
-            return;
-        }
-        let mut sets = self.sets.lock();
-        if sets.len() < self.keep {
-            sets.push(set);
-        }
-    }
-}
-
-impl Books {
-    fn event(&self, event: &'static str, attrs: &[(&'static str, &str)]) {
-        self.trace.0.event(self.trace.1, event, attrs);
-    }
-
-    /// Record one invocation result; flips the module into quarantine when
-    /// it crosses the threshold of consecutive failures.
-    fn note_result(&self, name: &str, failed: bool) {
-        let mut map = self.health.lock();
-        // Only a module's first result pays for an owned key.
-        if !map.contains_key(name) {
-            map.insert(name.to_string(), ModuleHealth::default());
-        }
-        let Some(entry) = map.get_mut(name) else {
-            return;
-        };
-        if failed {
-            entry.consecutive_failures += 1;
-            if !entry.quarantined && entry.consecutive_failures >= QUARANTINE_THRESHOLD {
-                entry.quarantined = true;
-                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.event(EVENT_SD_QUARANTINE, &[("module", name)]);
-            }
-        } else {
-            entry.consecutive_failures = 0;
-        }
-    }
-
-    /// Book one finished invocation — counters, module health, the
-    /// `sd.complete` event — and turn its result into the reply. The caller
-    /// appends the reply *after* this returns, so a host can never observe
-    /// a completion whose daemon-side trace record is still pending (the
-    /// determinism argument of DESIGN.md §12).
-    fn complete(&self, name: &str, id: u64, result: Result<Vec<u8>, String>) -> Reply {
-        let failed = result.is_err();
-        let counter = if failed {
-            &self.stats.module_errors
-        } else {
-            &self.stats.ok
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.note_result(name, failed);
-        let status = if failed { "error" } else { "ok" };
-        self.event(EVENT_SD_COMPLETE, &[("module", name), ("status", status)]);
-        match result {
-            Ok(payload) => Reply::new(id, Status::Ok, payload),
-            Err(message) => Reply::error(id, message),
-        }
-    }
-}
-
-/// One answer on its way to a log: what the daemon owns of a response. It
-/// is encoded from here into a buffer its sender keeps between answers —
-/// never built as a frame, never copied.
-struct Reply {
-    id: u64,
-    status: Status,
-    /// The module's result as it returned it, or an error's message.
-    payload: Vec<u8>,
-}
-
-impl Reply {
-    fn new(id: u64, status: Status, payload: Vec<u8>) -> Reply {
-        Reply {
-            id,
-            status,
-            payload,
-        }
-    }
-
-    fn error(id: u64, message: impl Into<String>) -> Reply {
-        Reply::new(id, Status::Error, message.into().into_bytes())
-    }
-
-    /// Append the response frame to `out`; `batch` is its framing word.
-    fn encode_into(&self, out: &mut Vec<u8>, batch: u64) {
-        encode_response_into(out, self.id, self.status, &self.payload, batch);
-    }
-}
-
 /// The daemon, ready to spawn.
 pub struct Daemon {
     config: DaemonConfig,
@@ -377,9 +193,7 @@ pub struct Daemon {
 pub struct DaemonHandle {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    stats: Arc<StatsInner>,
-    batch: Arc<BatchInner>,
-    log_dir: PathBuf,
+    sd: Arc<Mutex<Sd>>,
 }
 
 impl Daemon {
@@ -388,38 +202,21 @@ impl Daemon {
         Daemon { config, registry }
     }
 
-    /// Start the daemon thread. Returns once the startup replay scan has
-    /// finished, so requests submitted after `spawn` are always served by
-    /// the live dispatch loop — never mistaken for replay leftovers.
+    /// Start the watcher, replay on this thread, then start the dispatch
+    /// loop: requests submitted after `spawn` returns are always served
+    /// live, never mistaken for replay leftovers.
     pub fn spawn(self) -> std::io::Result<DaemonHandle> {
         std::fs::create_dir_all(&self.config.log_dir)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
-        let batch = Arc::new(BatchInner::default());
-        let log_dir = self.config.log_dir.clone();
-        let replay_done: ReplayBarrier =
-            Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let batch = Arc::clone(&batch);
-            let replay_done = Arc::clone(&replay_done);
-            std::thread::spawn(move || {
-                daemon_loop(self.config, self.registry, stop, stats, batch, replay_done)
-            })
-        };
-        let (lock, cvar) = &*replay_done;
-        let mut done = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = cvar.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(done);
+        let watch = WatchConfig::default();
+        let watcher = FileWatcher::spawn(&self.config.log_dir, watch);
+        let mut ctx = DaemonCtx::new(self.config, self.registry);
+        ctx.replay();
+        let (stop, sd) = (Arc::clone(&ctx.stop), Arc::clone(&ctx.sd));
+        let handle = std::thread::spawn(move || ctx.run(&watcher, watch.poll_interval));
         Ok(DaemonHandle {
             stop,
             handle: Some(handle),
-            stats,
-            batch,
-            log_dir,
+            sd,
         })
     }
 }
@@ -427,19 +224,14 @@ impl Daemon {
 impl DaemonHandle {
     /// Counter snapshot.
     pub fn stats(&self) -> DaemonStats {
-        self.stats.snapshot()
+        self.sd.lock().stats
     }
 
     /// Batched-dispatch counter snapshot (all zero unless
     /// [`DaemonConfig::batch`] is set). Window-side fields are always
     /// zero here — they belong to the pipelined host client.
     pub fn batch_stats(&self) -> BatchStats {
-        self.batch.snapshot()
-    }
-
-    /// The log dir this daemon serves.
-    pub fn log_dir(&self) -> &Path {
-        &self.log_dir
+        self.sd.lock().batch
     }
 
     /// Stop the daemon and wait for it to exit.
@@ -461,6 +253,9 @@ impl Drop for DaemonHandle {
         self.stop();
     }
 }
+
+/// The machine as this driver runs it: over module logs.
+type Sd = SdMachine<Arc<ModuleLog>>;
 
 struct LogState {
     /// The daemon's one read cursor on this log.
@@ -489,47 +284,23 @@ impl ModuleLog {
     }
 }
 
-/// Signalled once the startup replay scan is done, so [`Daemon::spawn`]
-/// can return a daemon that will never misattribute fresh requests to
-/// replay.
-type ReplayBarrier = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
-
-/// One request of a batch between [`DaemonCtx::execute_batch`]'s phases.
-struct Planned {
-    req: QueuedRequest,
-    /// The module to run, when the gate let the request through.
-    run: Option<Arc<dyn ProcessingModule>>,
-    /// What the module returned, once its worker has run it.
-    result: Option<Result<Vec<u8>, String>>,
-    /// The answer to commit: the gate's reject or the completed result.
-    reply: Option<Reply>,
+impl Log for Arc<ModuleLog> {
+    fn module(&self) -> &str {
+        &self.name
+    }
 }
-
-/// One entry of a worker's bucket: the request's slot in the batch, and
-/// the module's result once the worker has run it in place.
-type BucketedRun = (usize, Option<Result<Vec<u8>, String>>);
 
 /// What [`DaemonCtx::execute_batch`] keeps from one batch to the next,
 /// emptied after each.
 #[derive(Default)]
 struct BatchScratch {
     /// The batch, in batch order.
-    planned: Vec<Planned>,
+    planned: Vec<Planned<Arc<ModuleLog>>>,
     /// One per worker.
     buckets: Vec<Vec<BucketedRun>>,
     /// The commit order: the slots of `planned` holding a reply, by
     /// (log path, slot).
     order: Vec<usize>,
-}
-
-/// What [`DaemonCtx::gate`] decided about one dequeued request.
-enum Gated {
-    /// Run the module.
-    Run(Arc<dyn ProcessingModule>),
-    /// Answer with this instead of running anything.
-    Reject(Reply),
-    /// An injected crash fired: the daemon is stopping, answer nothing.
-    Crash,
 }
 
 /// Invoke a module. A panicking module must neither kill the daemon nor
@@ -549,24 +320,15 @@ fn run_module(module: &dyn ProcessingModule, params: &[String]) -> Result<Vec<u8
     }
 }
 
-/// One admitted-but-not-yet-dispatched request. The frame itself already
-/// sits in the log file; this is just the dispatch ticket.
-struct QueuedRequest {
-    log: Arc<ModuleLog>,
-    id: u64,
-    params: Vec<String>,
-    expires_unix_ms: u64,
-}
-
 /// The live path's execution slots: workers that park between requests.
 /// A request goes to a parked worker when one is free and to a new thread
 /// otherwise, so the pool grows to the peak concurrency served — at most
-/// `max_in_flight`: a worker that is not parked still holds a unit of
-/// [`Books::in_flight`], given back under the lane lock as it counts
-/// itself parked — before its reply is appended — and dispatch never
-/// exceeds that bound.
+/// `max_in_flight`: a worker that is not parked still holds one of the
+/// machine's slots, given back under the lane lock as it counts itself
+/// parked — before its reply is appended — and dispatch never exceeds
+/// that bound.
 struct WorkerPool {
-    books: Arc<Books>,
+    sd: Arc<Mutex<Sd>>,
     /// A worker parks holding nothing but this lock, which the wait gives
     /// up: no other lock, no file handle mid-write.
     lane: std::sync::Mutex<Lane>,
@@ -587,7 +349,7 @@ struct Lane {
 /// One gated request on its way to a worker.
 struct LiveJob {
     module: Arc<dyn ProcessingModule>,
-    req: QueuedRequest,
+    req: QueuedRequest<Arc<ModuleLog>>,
 }
 
 impl WorkerPool {
@@ -627,19 +389,16 @@ impl WorkerPool {
         loop {
             let LiveJob { module, req } = &mut job;
             let result = run_module(module.as_ref(), &req.params);
-            let reply = self.books.complete(&req.log.name, req.id, result);
-            // Slot and worker are free before the reply can be seen: the
-            // host's next request is neither queued nor given a new thread.
-            {
+            // Slot, parameter set and worker are free before the reply can
+            // be seen: the host's next request is neither queued nor given
+            // a new thread.
+            let reply = {
                 let mut lane = self.lane();
-                self.books.in_flight.fetch_sub(1, Ordering::Relaxed);
                 lane.parked += 1;
-            }
+                self.sd.lock().finish(req, result)
+            };
             req.log.append(&reply, &mut encoded);
             drop(reply);
-            self.books
-                .spare_params
-                .give(std::mem::take(&mut req.params));
             let mut lane = self.lane();
             job = loop {
                 if let Some(next) = lane.jobs.pop_front() {
@@ -655,186 +414,128 @@ impl WorkerPool {
     }
 }
 
-/// Everything the dispatch side of the daemon owns: log cursors, the
-/// admission queue, and the books and workers of the live path.
+/// The driver's side of the daemon: log cursors, the workers, the kept
+/// buffers, and the one lock every decision is taken under.
 struct DaemonCtx {
     config: DaemonConfig,
-    registry: ModuleRegistry,
+    /// The machine's track, copied for the polls and heartbeats: no lock.
+    track: TrackId,
     stop: Arc<AtomicBool>,
-    books: Arc<Books>,
+    sd: Arc<Mutex<Sd>>,
     pool: Arc<WorkerPool>,
     logs: HashMap<PathBuf, LogState>,
-    queue: VecDeque<QueuedRequest>,
     /// Scratch of one [`DaemonCtx::process_log`] poll — the offset of the
     /// latest request under each id no response has followed yet — and
     /// empty between polls: the daemon remembers no id it has served.
     unanswered: HashMap<u64, usize>,
     /// Scratch of the same poll: the unanswered requests, copied out, each
     /// with its offset. Empty between polls.
-    fresh: Vec<(usize, QueuedRequest)>,
+    fresh: Vec<(usize, QueuedRequest<Arc<ModuleLog>>)>,
+    /// Scratch of the same poll: the machine's decisions, carried out after.
+    decided: Vec<Next<Arc<ModuleLog>>>,
     /// The loop's kept reply buffer (rejects, sheds, batch commits) and the
     /// wire lengths of the frames a batch commit encoded into it.
     encoded: Vec<u8>,
     encoded_lens: Vec<usize>,
     batch_scratch: BatchScratch,
-    /// Daemon-side batch counters (only mutated on the batched path).
-    batch_stats: Arc<BatchInner>,
-    /// Monotonic batch id; starts at 0 so the first formed batch is 1
-    /// (the codec's batch-framing word treats 0 as "unbatched").
-    batch_seq: u64,
-}
-
-fn daemon_loop(
-    config: DaemonConfig,
-    registry: ModuleRegistry,
-    stop: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
-    batch_stats: Arc<BatchInner>,
-    replay_done: ReplayBarrier,
-) {
-    let watch = WatchConfig::default();
-    let watcher = FileWatcher::spawn(&config.log_dir, watch);
-    // `None` = no heartbeat written yet, so the first loop turn emits one.
-    let mut last_heartbeat: Option<Stopwatch> = None;
-    let tracer = config.tracer.clone();
-    let track = tracer.track(SD_TRACE_TRACK, ClockDomain::Decision);
-    let books = Arc::new(Books {
-        stats,
-        health: Mutex::new(HashMap::new()),
-        in_flight: AtomicU64::new(0),
-        trace: (tracer, track),
-        spare_params: SpareParams {
-            sets: Mutex::new(Vec::new()),
-            keep: config.max_in_flight.saturating_add(config.max_queued),
-        },
-    });
-    let heartbeat_tmp = config.log_dir.join("daemon.heartbeat.tmp");
-    let heartbeat_file = config.log_dir.join(HEARTBEAT_FILE);
-    let mut ctx = DaemonCtx {
-        config,
-        registry,
-        stop,
-        pool: Arc::new(WorkerPool {
-            books: Arc::clone(&books),
-            lane: Default::default(),
-            wake: Condvar::new(),
-        }),
-        books,
-        logs: HashMap::new(),
-        queue: VecDeque::new(),
-        unanswered: HashMap::new(),
-        fresh: Vec::new(),
-        encoded: Vec::new(),
-        encoded_lens: Vec::new(),
-        batch_scratch: BatchScratch::default(),
-        batch_stats,
-        batch_seq: 0,
-    };
-
-    // Startup replay: answer pending requests left over from a previous
-    // daemon incarnation. Sorted so multi-log replay admits in a stable
-    // order regardless of directory-iteration order.
-    if let Ok(entries) = std::fs::read_dir(&ctx.config.log_dir) {
-        let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        paths.sort();
-        for path in paths {
-            if ctx.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if module_of(&path).is_some() {
-                ctx.process_log(&path, true);
-            }
-        }
-    }
-    {
-        let (lock, cvar) = &*replay_done;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cvar.notify_all();
-    }
-
-    while !ctx.stop.load(Ordering::Relaxed) {
-        // Heartbeat (an injected stall suppresses the write, so the file
-        // goes stale exactly the way a wedged daemon's would): a stamp on
-        // the run's clock and the load hosts steer by. Its cadence is a
-        // `Stopwatch`, so stepping the clock never stops the beats.
-        if last_heartbeat
-            .as_ref()
-            .is_none_or(|sw| sw.expired(HEARTBEAT_INTERVAL))
-        {
-            let (tracer, track) = &ctx.books.trace;
-            tracer.volatile_event(*track, EVENT_SD_HEARTBEAT, &[]);
-            // `Stall` is the only action valid at the heartbeat site.
-            if ctx.config.injector.fire(FaultSite::Heartbeat).is_none() {
-                let record = HeartbeatRecord {
-                    stamp_ms: ctx.config.injector.now_ms(),
-                    load: HeartbeatLoad {
-                        in_flight: ctx.books.in_flight.load(Ordering::Relaxed),
-                        queued: ctx.queue.len() as u64,
-                    },
-                };
-                // Write-then-rename so a host probing the heartbeat can
-                // never observe a torn record: `fs::write` truncates in
-                // place, and a reader catching the file mid-rewrite would
-                // decode garbage and wrongly declare the daemon dead.
-                if std::fs::write(&heartbeat_tmp, record.encode()).is_ok() {
-                    let _ = std::fs::rename(&heartbeat_tmp, &heartbeat_file);
-                }
-            }
-            last_heartbeat = Some(Stopwatch::start());
-        }
-        // Dispatch queued work into freed execution slots.
-        ctx.drain_queue();
-        // Wait for file events.
-        let Some(event) = watcher.next_event(watch.poll_interval) else {
-            continue;
-        };
-        if event.kind == WatchEventKind::Removed {
-            // Cursor and append handles belong to the deleted inode: a log
-            // recreated under this name is attached afresh.
-            ctx.logs.remove(&*event.path);
-        } else if module_of(&event.path).is_some() {
-            ctx.process_log(&event.path, false);
-            ctx.drain_queue();
-        }
-    }
-
-    // Drain in-flight module invocations before exiting. (Queued but
-    // never-dispatched requests stay unanswered in the log; the next
-    // incarnation's replay scan picks them up.)
-    ctx.pool.close();
-}
-
-/// Stable seeded module→worker assignment: FNV-1a over the module name,
-/// folded with the configured seed through a SplitMix64 finisher. One
-/// worker owns each module (the shard-per-owner model), so a module's
-/// requests never run concurrently, and the same seed always reproduces
-/// the same assignment — never `DefaultHasher`, whose per-process random
-/// keys would break same-seed trace identity.
-fn worker_for(seed: u64, name: &str, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (SplitMix64::new(h ^ seed).next_u64() % workers.max(1) as u64) as usize
-}
-
-/// Ids first: one frame of a poll, met at `offset`. A request is open
-/// until a response follows it, and of several requests under one id only
-/// the last can stay open, since a response answers every request before
-/// it — so at the end of the poll `open` holds the offset of every request
-/// to serve and nothing was copied to find them.
-fn note_frame(open: &mut HashMap<u64, usize>, offset: usize, view: &FrameView<'_>) {
-    if view.is_request() {
-        open.insert(view.id, offset);
-    } else {
-        open.remove(&view.id);
-    }
 }
 
 impl DaemonCtx {
-    fn slots_busy(&self) -> bool {
-        self.books.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight as u64
+    fn new(config: DaemonConfig, registry: ModuleRegistry) -> DaemonCtx {
+        let sd = Arc::new(Mutex::new(SdMachine::new(config.clone(), registry)));
+        let track = sd.lock().track;
+        DaemonCtx {
+            config,
+            track,
+            stop: Arc::new(AtomicBool::new(false)),
+            pool: Arc::new(WorkerPool {
+                sd: Arc::clone(&sd),
+                lane: Default::default(),
+                wake: Condvar::new(),
+            }),
+            sd,
+            logs: HashMap::new(),
+            unanswered: HashMap::new(),
+            fresh: Vec::new(),
+            decided: Vec::new(),
+            encoded: Vec::new(),
+            encoded_lens: Vec::new(),
+            batch_scratch: BatchScratch::default(),
+        }
+    }
+
+    /// Startup replay: answer pending requests left over from a previous
+    /// daemon incarnation. Sorted so multi-log replay admits in a stable
+    /// order regardless of directory-iteration order.
+    fn replay(&mut self) {
+        let Ok(entries) = std::fs::read_dir(&self.config.log_dir) else {
+            return;
+        };
+        let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+        paths.sort();
+        for path in paths {
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            if module_of(&path).is_some() {
+                self.process_log(&path, true);
+            }
+        }
+    }
+
+    /// The dispatch loop, until the daemon stops.
+    fn run(mut self, watcher: &FileWatcher, gap: Duration) {
+        // `None` = no heartbeat written yet, so the first loop turn emits one.
+        let mut last_heartbeat: Option<Stopwatch> = None;
+        let heartbeat_tmp = self.config.log_dir.join("daemon.heartbeat.tmp");
+        let heartbeat_file = self.config.log_dir.join(HEARTBEAT_FILE);
+        while !self.stop.load(Ordering::Relaxed) {
+            // Heartbeat (an injected stall suppresses the write, so the file
+            // goes stale exactly the way a wedged daemon's would): a stamp on
+            // the run's clock and the load hosts steer by. Its cadence is a
+            // `Stopwatch`, so stepping the clock never stops the beats.
+            if last_heartbeat
+                .as_ref()
+                .is_none_or(|sw| sw.expired(HEARTBEAT_INTERVAL))
+            {
+                let injector = &self.config.injector;
+                self.config
+                    .tracer
+                    .volatile_event(self.track, EVENT_SD_HEARTBEAT, &[]);
+                // `Stall` is the only action valid at the heartbeat site.
+                if injector.fire(FaultSite::Heartbeat).is_none() {
+                    let record = HeartbeatRecord {
+                        stamp_ms: injector.now_ms(),
+                        load: self.sd.lock().load(),
+                    };
+                    // Write-then-rename so a host probing the heartbeat can
+                    // never observe a torn record: `fs::write` truncates in
+                    // place, and a reader catching the file mid-rewrite would
+                    // decode garbage and wrongly declare the daemon dead.
+                    if std::fs::write(&heartbeat_tmp, record.encode()).is_ok() {
+                        let _ = std::fs::rename(&heartbeat_tmp, &heartbeat_file);
+                    }
+                }
+                last_heartbeat = Some(Stopwatch::start());
+            }
+            // Dispatch queued work into freed execution slots.
+            self.drain_queue();
+            // Wait for file events.
+            let Some(event) = watcher.next_event(gap) else {
+                continue;
+            };
+            if event.kind == WatchEventKind::Removed {
+                // Cursor and append handles belong to the deleted inode: a log
+                // recreated under this name is attached afresh.
+                self.logs.remove(&*event.path);
+            } else if module_of(&event.path).is_some() {
+                self.process_log(&event.path, false);
+            }
+        }
+        // Drain in-flight module invocations before exiting. (Queued but
+        // never-dispatched requests stay unanswered in the log; the next
+        // incarnation's replay scan picks them up.)
+        self.pool.close();
     }
 
     /// First sight of the log at `path`. `None` for an unreadable file
@@ -857,14 +558,16 @@ impl DaemonCtx {
     }
 
     /// Poll one module log and run every unanswered request through
-    /// admission. A request is answered iff a response carrying its id
-    /// follows it in the log, and one poll decides that for every request
-    /// it reads: the replay poll reads the whole history at once, and a
-    /// live poll never meets an earlier poll's request again — the cursor
-    /// only advances (DESIGN.md §10).
+    /// admission under one lock, acting on the decisions once it is given
+    /// up. A request is answered iff a response carrying its id follows it
+    /// in the log, and one poll decides that for every request it reads:
+    /// the replay poll reads the whole history at once, and a live poll
+    /// never meets an earlier poll's request again — the cursor only
+    /// advances (DESIGN.md §10).
     fn process_log(&mut self, path: &Path, replay: bool) {
-        let (tracer, track) = &self.books.trace;
-        tracer.volatile_event(*track, EVENT_SD_POLL, &[]);
+        self.config
+            .tracer
+            .volatile_event(self.track, EVENT_SD_POLL, &[]);
         // Borrowed lookup first: an owned key is built once per log.
         if !self.logs.contains_key(path) {
             let Some(state) = self.attach(path) else {
@@ -885,289 +588,142 @@ impl DaemonCtx {
         else {
             return; // truncated or unreadable; skip this round
         };
-        if skipped > 0 {
-            self.books
-                .stats
-                .corrupt_skipped_bytes
-                .fetch_add(skipped, Ordering::Relaxed);
-        }
-        // Copy out what will be admitted and nothing else, in log order,
-        // each request's parameters into a recycled set.
+        // Copy out what will be admitted and nothing else, each request's
+        // parameters into a recycled set, and admit it in log order.
         let mut fresh = std::mem::take(&mut self.fresh);
-        let spares = &self.books.spare_params;
-        fresh.extend(self.unanswered.drain().filter_map(|(id, offset)| {
-            let ViewBody::Request {
-                params,
-                expires_unix_ms,
-            } = state.log.frame_at(offset)?.body
-            else {
-                return None;
-            };
-            let mut set = spares.take();
-            params.copy_into(&mut set);
-            let request = QueuedRequest {
-                log: Arc::clone(&state.module),
-                id,
-                params: set,
-                expires_unix_ms,
-            };
-            Some((offset, request))
-        }));
+        let mut decided = std::mem::take(&mut self.decided);
+        if skipped > 0 || !self.unanswered.is_empty() {
+            let at = self.config.injector.now_ms();
+            let mut sd = self.sd.lock();
+            sd.stats.corrupt_skipped_bytes += skipped;
+            fresh.extend(self.unanswered.drain().filter_map(|(id, offset)| {
+                let ViewBody::Request {
+                    params,
+                    expires_unix_ms,
+                } = state.log.frame_at(offset)?.body
+                else {
+                    return None;
+                };
+                let mut set = sd.spare();
+                params.copy_into(&mut set);
+                let request = QueuedRequest {
+                    log: Arc::clone(&state.module),
+                    id,
+                    params: set,
+                    expires_unix_ms,
+                };
+                Some((offset, request))
+            }));
+            fresh.sort_unstable_by_key(|(offset, _)| *offset);
+            for (_, req) in fresh.drain(..) {
+                // An injected crash ends the poll: nothing after it is read.
+                let crashed = matches!(decided.last(), Some((Gated::Crash(_), _)));
+                if crashed || self.stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                decided.extend(sd.admit(req, replay, at));
+            }
+        }
         state.log.release_poll();
-        fresh.sort_unstable_by_key(|(offset, _)| *offset);
-        for (_, req) in fresh.drain(..) {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            self.books.stats.requests.fetch_add(1, Ordering::Relaxed);
-            // No request-id attr: raw ids embed the pid and a
-            // process-global counter, which would break byte-identical
-            // traces (DESIGN.md §12).
-            let module = [("module", req.log.name.as_str())];
-            self.books.event(EVENT_SD_REQUEST, &module);
-            if replay {
-                self.books.stats.replayed.fetch_add(1, Ordering::Relaxed);
-                self.books.event(EVENT_SD_REPLAY, &module);
-            }
-            self.admit(req);
+        for next in decided.drain(..) {
+            self.act(next);
         }
         if replay {
             // A history of unanswered requests grew the scratch; live
             // polls need a handful of slots.
             self.unanswered.shrink_to_fit();
             fresh.shrink_to_fit();
+            decided.shrink_to_fit();
         }
-        self.fresh = fresh;
+        (self.fresh, self.decided) = (fresh, decided);
     }
 
-    /// Admission control: dispatch now when a slot is free and nothing is
-    /// ahead in line, queue when the queue has room, shed otherwise.
-    ///
-    /// Batched mode never takes the dispatch-now fast path: the queue
-    /// doubles as the batch former, so every admitted request waits (at
-    /// most one loop turn) for its batch to fill. The shed bound is
-    /// unchanged.
-    fn admit(&mut self, req: QueuedRequest) {
-        let batched = self.config.batch.is_some();
-        if !batched && !self.slots_busy() && self.queue.is_empty() {
-            self.dispatch(req);
-        } else if self.queue.len() < self.config.max_queued {
-            self.books
-                .event(EVENT_SD_QUEUE, &[("module", &req.log.name)]);
-            self.queue.push_back(req);
-        } else {
-            self.books.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.books
-                .event(EVENT_SD_SHED, &[("module", &req.log.name)]);
-            let retry_after = encode_retry_after(SHED_RETRY_AFTER).to_vec();
-            let reply = Reply::new(req.id, Status::Overloaded, retry_after);
-            req.log.append(&reply, &mut self.encoded);
-        }
-    }
-
-    /// Move queued requests into freed execution slots, FIFO. Batched
-    /// mode instead drains the queue in `max_batch`-sized chunks through
-    /// the multi-worker batch executor.
-    fn drain_queue(&mut self) {
-        if let Some(bcfg) = self.config.batch {
-            let mut scratch = std::mem::take(&mut self.batch_scratch);
-            while !self.stop.load(Ordering::Relaxed) && !self.queue.is_empty() {
-                let n = bcfg.max_batch.max(1).min(self.queue.len());
-                self.execute_batch(bcfg, n, &mut scratch);
-            }
-            self.batch_scratch = scratch;
-            return;
-        }
-        while !self.stop.load(Ordering::Relaxed) && !self.slots_busy() {
-            let Some(req) = self.queue.pop_front() else {
-                break;
-            };
-            self.dispatch(req);
-        }
-    }
-
-    /// The per-request checks both dispatch paths apply, in this order:
-    /// deadline, quarantine, registry lookup, the `sd.dispatch` event,
-    /// injected dispatch faults. One decision stream, so lockstep and
-    /// batched mode count, trace and refuse identically.
-    fn gate(&self, req: &QueuedRequest) -> Gated {
-        let (name, id) = (req.log.name.as_str(), req.id);
-        let books = &self.books;
-        // Deadline check at dequeue: the caller has already given up, so
-        // the request is dropped — counted, answered, never executed.
-        if req.expires_unix_ms != 0 && self.config.injector.now_ms() >= req.expires_unix_ms {
-            books.stats.expired.fetch_add(1, Ordering::Relaxed);
-            books.event(EVENT_SD_EXPIRED, &[("module", name)]);
-            return Gated::Reject(Reply::error(
-                id,
-                "deadline expired before dispatch; request dropped",
-            ));
-        }
-        // Poison-module quarantine: refuse fast with a distinguishable
-        // message so the host fails over instead of waiting out its
-        // deadline.
-        if books.health.lock().get(name).is_some_and(|h| h.quarantined) {
-            books
-                .stats
-                .quarantine_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            books.event(EVENT_SD_QUARANTINE_REJECTED, &[("module", name)]);
-            return Gated::Reject(Reply::error(
-                id,
-                format!(
-                    "module {name:?} {QUARANTINE_TOKEN} {QUARANTINE_THRESHOLD} consecutive failures"
-                ),
-            ));
-        }
-        let Some(module) = self.registry.get(name) else {
-            books.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
-            books.event(EVENT_SD_UNKNOWN_MODULE, &[("module", name)]);
-            return Gated::Reject(Reply::error(
-                id,
-                format!("no module registered under {name:?}"),
-            ));
-        };
-        books.event(EVENT_SD_DISPATCH, &[("module", name)]);
-        // Injected dispatch faults: crash (stop the daemon loop without
-        // answering — in batched mode nothing of the batch commits, so
-        // the whole chunk is replayed next incarnation) or a forced
-        // module failure.
-        match self.config.injector.fire(FaultSite::Dispatch) {
-            Some(FaultAction::CrashBefore) => {
-                self.stop.store(true, Ordering::Relaxed);
-                Gated::Crash
-            }
-            Some(FaultAction::CrashAfter) => {
-                // Execute the module, then die before the response is
-                // written — the worst crash window for replay
-                // idempotency.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    module.invoke(&req.params)
-                }));
-                self.stop.store(true, Ordering::Relaxed);
-                Gated::Crash
-            }
-            Some(FaultAction::Fail) => {
-                books.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                books.note_result(name, true);
-                books.event(EVENT_SD_COMPLETE, &[("module", name), ("status", "error")]);
-                Gated::Reject(Reply::error(id, "injected module failure"))
-            }
-            _ => Gated::Run(module),
-        }
-    }
-
-    /// Run one admitted request: the [`DaemonCtx::gate`] checks, then the
-    /// module itself, on a pool worker so concurrent requests to
-    /// different modules overlap.
-    fn dispatch(&mut self, req: QueuedRequest) {
-        match self.gate(&req) {
-            Gated::Run(module) => {
-                self.books.in_flight.fetch_add(1, Ordering::Relaxed);
-                self.pool.run(LiveJob { module, req });
-            }
-            Gated::Crash => {}
+    /// Carry out one of the machine's decisions; `false` once the daemon
+    /// is stopping.
+    fn act(&mut self, (gated, req): Next<Arc<ModuleLog>>) -> bool {
+        match gated {
+            Gated::Run(module) => self.pool.run(LiveJob { module, req }),
             Gated::Reject(reply) => req.log.append(&reply, &mut self.encoded),
+            Gated::Crash(run_first) => {
+                // A crash after execution runs the module, then dies before
+                // the response is written — the worst crash window for
+                // replay idempotency.
+                if let Some(module) = run_first {
+                    let _ = run_module(module.as_ref(), &req.params);
+                }
+                self.stop.store(true, Ordering::Relaxed);
+            }
         }
+        !self.stop.load(Ordering::Relaxed)
     }
 
-    /// Run the next `size` queued requests as one batch (DESIGN.md §18) in
-    /// `scratch`, kept from batch to batch: admission-class checks per
-    /// request in queue order, module execution on the seeded worker pool,
-    /// then a single-threaded commit that appends every log's responses as
-    /// one coalesced batch with one fsync.
-    ///
-    /// Determinism: the workers only *compute* — every trace event,
-    /// health update and counter lands on this (single) thread in batch
-    /// order, and module→worker assignment is a pure seeded hash, so a
-    /// same-seed run over the same queued requests produces
-    /// byte-identical traces regardless of worker timing.
-    fn execute_batch(&mut self, cfg: BatchConfig, size: usize, scratch: &mut BatchScratch) {
-        self.batch_seq += 1;
-        let batch_id = self.batch_seq;
-        // Span width = requests in the batch: the batch is one decision-
-        // clock unit whose extent measures coalescing, not wall time.
-        let (tracer, track) = &self.books.trace;
-        tracer.leaf_with(*track, SPAN_SD_BATCH, size as u64, |a| {
-            a.u64("size", size as u64);
-        });
+    /// Move queued requests into freed execution slots, FIFO; batched mode
+    /// runs the queue as batches instead.
+    fn drain_queue(&mut self) {
+        let mut scratch = std::mem::take(&mut self.batch_scratch);
+        while !self.stop.load(Ordering::Relaxed) {
+            let at = self.config.injector.now_ms();
+            let ran = if self.config.batch.is_some() {
+                self.execute_batch(at, &mut scratch)
+            } else {
+                let next = self.sd.lock().next_live(at);
+                next.is_some_and(|next| self.act(next))
+            };
+            if !ran {
+                break;
+            }
+        }
+        self.batch_scratch = scratch;
+    }
+
+    /// Run the next queued requests as one batch (DESIGN.md §18) in
+    /// `scratch`, kept from batch to batch: the machine's plan, the modules
+    /// on the seeded worker pool, the machine's books, then one coalesced
+    /// commit per log with one fsync. The workers only *compute*: every
+    /// event and counter lands in the machine in batch order, so a same-seed
+    /// run gives byte-identical traces whatever the workers' timing.
+    /// `false` once nothing is queued or the daemon is stopping.
+    fn execute_batch(&mut self, at: u64, scratch: &mut BatchScratch) -> bool {
         let BatchScratch {
             planned,
             buckets,
             order,
         } = scratch;
-        // Phase 1 (serial, batch order): the same per-request gate the
-        // lockstep path applies.
-        while planned.len() < size {
-            let Some(req) = self.queue.pop_front() else {
-                break;
-            };
-            let (run, reply) = match self.gate(&req) {
-                Gated::Run(module) => (Some(module), None),
-                Gated::Reject(reply) => (None, Some(reply)),
-                Gated::Crash => {
-                    planned.clear();
-                    return;
-                }
-            };
-            planned.push(Planned {
-                req,
-                run,
-                result: None,
-                reply,
-            });
-        }
+        let plan = self.sd.lock().plan_batch(at, planned, buckets);
+        let batch_id = match plan {
+            None => return false,
+            Some(Ok(batch_id)) => batch_id,
+            Some(Err(crash)) => return self.act(crash),
+        };
         // Phase 2 (parallel): shard-per-owner execution. The seeded hash
         // pins each module to one worker, so one module's requests run
         // serially in batch order while distinct modules overlap. This
         // thread is a worker too: it runs one bucket and starts a thread
         // for each of the others, so a one-module batch starts none.
-        let workers = cfg.workers.max(1);
-        buckets.resize_with(workers, Vec::new);
-        for (slot, p) in planned.iter().enumerate() {
-            if p.run.is_some() {
-                buckets[worker_for(cfg.seed, &p.req.log.name, workers)].push((slot, None));
-            }
-        }
-        let running: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-        if running > 0 {
-            self.books.in_flight.fetch_add(running, Ordering::Relaxed);
-            let batch = &planned[..];
-            let run_bucket = |bucket: &mut Vec<BucketedRun>| {
-                for (slot, result) in bucket {
-                    let p = &batch[*slot];
-                    if let Some(module) = &p.run {
-                        *result = Some(run_module(module.as_ref(), &p.req.params));
-                    }
+        let batch = &planned[..];
+        let run_bucket = |bucket: &mut Vec<BucketedRun>| {
+            for (slot, result) in bucket {
+                let p = &batch[*slot];
+                if let Some(module) = &p.run {
+                    *result = Some(run_module(module.as_ref(), &p.req.params));
                 }
-            };
-            std::thread::scope(|s| {
-                let mut buckets = buckets.iter_mut().filter(|b| !b.is_empty());
-                let own = buckets.next();
-                let handles: Vec<_> = buckets
-                    .map(|bucket| s.spawn(move || run_bucket(bucket)))
-                    .collect();
-                if let Some(own) = own {
-                    run_bucket(own);
-                }
-                // Barrier: the commit below must see every outcome.
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            });
-            for (slot, result) in buckets.iter_mut().flat_map(|b| b.drain(..)) {
-                planned[slot].result = result;
             }
-            self.books.in_flight.fetch_sub(running, Ordering::Relaxed);
-        }
-        // Phase 3 (serial, batch order): health + counters + completion
-        // events — still before any response append (DESIGN.md §12) —
-        // then the coalesced per-log commit.
-        for p in planned.iter_mut() {
-            if let Some(result) = p.result.take() {
-                p.reply = Some(self.books.complete(&p.req.log.name, p.req.id, result));
+        };
+        std::thread::scope(|s| {
+            let mut buckets = buckets.iter_mut().filter(|b| !b.is_empty());
+            let own = buckets.next();
+            let handles: Vec<_> = buckets
+                .map(|bucket| s.spawn(move || run_bucket(bucket)))
+                .collect();
+            if let Some(own) = own {
+                run_bucket(own);
             }
-        }
+            // Barrier: the commit below must see every outcome.
+            for handle in handles {
+                let _ = handle.join();
+            }
+        });
+        self.sd.lock().complete_batch(planned, buckets);
         // Logs in path order, each log's replies in slot order, each with
         // the batch-framing word naming its slot. The key is unique, so an
         // unstable sort gives the one order without a stable sort's scratch.
@@ -1181,9 +737,8 @@ impl DaemonCtx {
             self.commit_log_batch(&planned[group[0]].req.log, replies);
         }
         order.clear();
-        for p in planned.drain(..) {
-            self.books.spare_params.give(p.req.params);
-        }
+        planned.clear();
+        true
     }
 
     /// Append one log's share of a batch with a single fsync, retrying
@@ -1196,7 +751,6 @@ impl DaemonCtx {
         log: &ModuleLog,
         replies: impl Iterator<Item = (u64, &'a Reply)>,
     ) {
-        let (tracer, track) = &self.books.trace;
         self.encoded.clear();
         self.encoded_lens.clear();
         for (batch, reply) in replies {
@@ -1214,23 +768,11 @@ impl DaemonCtx {
             let Ok(outcome) = log.primary.append_batch_encoded(rest, lens.iter().copied()) else {
                 break;
             };
-            let durable = outcome.frames_durable as u64;
-            let batch = &self.batch_stats;
-            batch.batches.fetch_add(1, Ordering::Relaxed);
-            batch
-                .coalesced_appends
-                .fetch_add(durable, Ordering::Relaxed);
-            batch.fsyncs.fetch_add(outcome.fsyncs, Ordering::Relaxed);
-            tracer.event_with(*track, EVENT_SD_BATCH_COMMIT, |a| {
-                a.u64("size", durable);
-            });
+            self.sd.lock().committed(&outcome, lens.len());
             if !outcome.torn {
                 break;
             }
             let (done, retried) = lens.split_at(outcome.frames_durable);
-            tracer.event_with(*track, EVENT_SD_BATCH_RETRY, |a| {
-                a.u64("retried", retried.len() as u64);
-            });
             rest = &rest[done.iter().sum::<usize>()..];
             lens = retried;
         }
@@ -1245,21 +787,11 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::host::HostClient;
     use crate::module::{FnModule, ModuleError};
+    use crate::temp_dir;
     use crate::watch::PollBackoff;
+    use mcsd_obs::names::{EVENT_SD_COMPLETE, EVENT_SD_DISPATCH, EVENT_SD_REQUEST};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64 as TestCounter;
-
-    static N: TestCounter = TestCounter::new(0);
-
-    fn temp_dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "mcsd-daemon-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     fn registry() -> ModuleRegistry {
         let r = ModuleRegistry::new();
@@ -1269,11 +801,11 @@ mod tests {
         r.register(Arc::new(FnModule::new("fail", |_: &[String]| {
             Err(ModuleError::new("intentional failure"))
         })));
-        r.register(Arc::new(FnModule::new("slow", |p: &[String]| {
-            std::thread::sleep(Duration::from_millis(50));
-            Ok(p.join("").into_bytes())
-        })));
         r
+    }
+
+    fn spawn(config: DaemonConfig, registry: ModuleRegistry) -> DaemonHandle {
+        Daemon::new(config, registry).spawn().unwrap()
     }
 
     const TIMEOUT: Duration = Duration::from_secs(120);
@@ -1281,9 +813,7 @@ mod tests {
     #[test]
     fn end_to_end_invoke() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let client = HostClient::new(&dir);
         let out = client
             .invoke("upper", &["hello".into(), "world".into()], TIMEOUT)
@@ -1291,6 +821,14 @@ mod tests {
         assert_eq!(out.payload, b"HELLO WORLD");
         assert!(out.request_bytes > 0);
         assert!(out.response_bytes > 0);
+        // A module's failure reaches the host typed, with its message.
+        match client.invoke("fail", &[], TIMEOUT) {
+            Err(crate::error::SmartFamError::ModuleFailed { module, message }) => {
+                assert_eq!(module, "fail");
+                assert!(message.contains("intentional"));
+            }
+            other => panic!("{other:?}"),
+        }
         daemon.stop();
         assert_eq!(daemon.stats().ok, 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1300,12 +838,10 @@ mod tests {
     fn traced_invoke_emits_cataloged_lifecycle_events() {
         let dir = temp_dir();
         let tracer = Tracer::enabled();
-        let mut daemon = Daemon::new(
+        let mut daemon = spawn(
             DaemonConfig::new(&dir).with_tracer(tracer.clone()),
             registry(),
-        )
-        .spawn()
-        .unwrap();
+        );
         let client = HostClient::new(&dir).with_tracer(tracer.clone());
         let out = client.invoke("upper", &["trace".into()], TIMEOUT).unwrap();
         assert_eq!(out.payload, b"TRACE");
@@ -1332,72 +868,40 @@ mod tests {
     }
 
     #[test]
-    fn module_failure_propagates() {
-        let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
-        let client = HostClient::new(&dir);
-        match client.invoke("fail", &[], TIMEOUT) {
-            Err(crate::error::SmartFamError::ModuleFailed { module, message }) => {
-                assert_eq!(module, "fail");
-                assert!(message.contains("intentional"));
-            }
-            other => panic!("{other:?}"),
-        }
-        daemon.stop();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn unknown_module_is_answered() {
-        let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
-        let client = HostClient::new(&dir);
-        match client.invoke("nonexistent", &[], TIMEOUT) {
-            Err(crate::error::SmartFamError::ModuleFailed { message, .. }) => {
-                assert!(message.contains("no module registered"));
-            }
-            other => panic!("{other:?}"),
-        }
-        daemon.stop();
-        assert_eq!(daemon.stats().unknown_module, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn sequential_invocations_share_a_log() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let client = HostClient::new(&dir);
         for i in 0..5 {
-            let out = client
-                .invoke("upper", &[format!("msg{i}")], TIMEOUT)
-                .unwrap();
-            assert_eq!(out.payload, format!("MSG{i}").into_bytes());
+            let out = client.invoke("upper", &[format!("msg{i}")], TIMEOUT);
+            assert_eq!(out.unwrap().payload, format!("MSG{i}").into_bytes());
         }
         daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The driver reads expiry on the run's clock, which the client shares,
+    /// both at admission and at a drain: on any other clock the first two
+    /// calls would be dropped too.
     #[test]
-    fn concurrent_invocations_to_different_modules() {
+    fn expiry_is_read_on_the_clock_the_client_shares() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
-        let client = Arc::new(HostClient::new(&dir));
-        let c1 = Arc::clone(&client);
-        let t1 = std::thread::spawn(move || c1.invoke("slow", &["a".into()], TIMEOUT).unwrap());
-        let c2 = Arc::clone(&client);
-        let t2 = std::thread::spawn(move || c2.invoke("upper", &["b".into()], TIMEOUT).unwrap());
-        assert_eq!(t1.join().unwrap().payload, b"a");
-        assert_eq!(t2.join().unwrap().payload, b"B");
+        let t = 1_000_000;
+        let clock = FaultInjector::stepped(FaultPlan::none(), t);
+        let client = HostClient::new(&dir).with_faults(clock.clone());
+        // One slot: replay runs the first call from admission and queues
+        // the others for the loop's drains.
+        let params = ["x".to_string()];
+        let calls = [t + 1, t + 1, t].map(|e| client.submit_with_deadline("upper", &params, e));
+        let config = DaemonConfig::new(&dir).with_admission(1, 2);
+        let mut daemon = spawn(config.with_faults(clock), registry());
+        let [first, second, third] = calls.map(|call| call.unwrap().wait(TIMEOUT));
+        assert_eq!(first.unwrap().payload, b"X");
+        assert_eq!(second.unwrap().payload, b"X");
+        let err = third.unwrap_err();
+        assert!(err.to_string().contains("deadline expired"), "{err}");
         daemon.stop();
+        assert_eq!(daemon.stats().expired, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1407,7 +911,7 @@ mod tests {
         let t = 1_000_000;
         let clock = FaultInjector::stepped(FaultPlan::none(), t);
         let config = DaemonConfig::new(&dir).with_faults(clock.clone());
-        let mut daemon = Daemon::new(config, registry()).spawn().unwrap();
+        let mut daemon = spawn(config, registry());
         let hb = dir.join(HEARTBEAT_FILE);
         let waited = Stopwatch::start();
         let mut pace = PollBackoff::new(Duration::from_millis(10));
@@ -1444,9 +948,7 @@ mod tests {
         let client = HostClient::new(&dir);
         let pending = client.submit("upper", &["late".into()]).unwrap();
         // Start the daemon afterwards: it must replay the log and answer.
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let out = pending.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, b"LATE");
         daemon.stop();
@@ -1457,16 +959,12 @@ mod tests {
     fn restart_does_not_duplicate_answered_requests() {
         let dir = temp_dir();
         {
-            let _daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-                .spawn()
-                .unwrap();
+            let _daemon = spawn(DaemonConfig::new(&dir), registry());
             let client = HostClient::new(&dir);
             client.invoke("upper", &["once".into()], TIMEOUT).unwrap();
         }
         // Second daemon incarnation over the same log dir.
-        let mut daemon2 = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon2 = spawn(DaemonConfig::new(&dir), registry());
         std::thread::sleep(Duration::from_millis(50));
         daemon2.stop();
         // The replayed request must not be re-dispatched.
@@ -1480,9 +978,7 @@ mod tests {
     #[test]
     fn reused_request_id_is_served_again() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let mut host = LogFile::attach_at_end(dir.join("upper.log")).unwrap();
         for word in ["one", "two"] {
             host.append(&Frame::request(7, vec![word.into()])).unwrap();
@@ -1507,117 +1003,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    proptest::proptest! {
-        /// The selection against the rule read off the log directly: a
-        /// request is served iff no later frame answers it and no later
-        /// request repeats its id.
-        #[test]
-        fn unanswered_selection_matches_the_quadratic_oracle(
-            codes in proptest::collection::vec(0u64..15, 0..48),
-        ) {
-            // Five ids, so duplicates are the common case; responses come
-            // unbatched and batch-framed.
-            let log: Vec<Frame> = codes
-                .iter()
-                .enumerate()
-                .map(|(at, code)| match code / 5 {
-                    0 => Frame::request(code % 5, vec![at.to_string()]),
-                    1 => Frame::response_ok(code % 5, vec![at as u8]),
-                    _ => Frame::response_ok(code % 5, vec![at as u8]).in_batch(1, at as u64),
-                })
-                .collect();
-            let expect: Vec<Frame> = log
-                .iter()
-                .enumerate()
-                .filter(|(at, frame)| {
-                    frame.is_request() && log[at + 1..].iter().all(|later| later.id != frame.id)
-                })
-                .map(|(_, frame)| frame.clone())
-                .collect();
-            // The daemon's own steps: ids first over a poll in place, then
-            // the frames under the offsets left, in offset order.
-            let path = temp_dir().join("oracle.log");
-            let mut reader = LogFile::attach_at_start(&path).unwrap();
-            reader.append_batch(&log).unwrap();
-            let mut open = HashMap::new();
-            reader
-                .poll_each(|offset, view| note_frame(&mut open, offset, &view))
-                .unwrap();
-            let mut offsets: Vec<usize> = open.into_values().collect();
-            offsets.sort_unstable();
-            let frames: Vec<Frame> = offsets
-                .iter()
-                .map(|&offset| reader.frame_at(offset).expect("shown by the poll").to_frame())
-                .collect();
-            proptest::prop_assert_eq!(frames, expect);
-            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-        }
-    }
-
-    #[test]
-    fn failing_module_is_quarantined_with_distinguishable_message() {
-        let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
-        let client = HostClient::new(&dir);
-        // `QUARANTINE_THRESHOLD` real failures cross the threshold...
-        for _ in 0..QUARANTINE_THRESHOLD {
-            let err = client.invoke("fail", &[], TIMEOUT).unwrap_err();
-            assert!(!err.is_quarantined(), "real failure misclassified: {err}");
-        }
-        // ...after which the daemon refuses immediately with the token.
-        let err = client.invoke("fail", &[], TIMEOUT).unwrap_err();
-        assert!(err.is_quarantined(), "expected quarantine refusal: {err}");
-        daemon.stop();
-        let stats = daemon.stats();
-        assert_eq!(stats.quarantined, 1);
-        assert_eq!(stats.quarantine_rejected, 1);
-        assert_eq!(stats.module_errors, u64::from(QUARANTINE_THRESHOLD));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn success_resets_the_consecutive_failure_count() {
-        let dir = temp_dir();
-        let r = ModuleRegistry::new();
-        let calls = Arc::new(TestCounter::new(0));
-        let c = Arc::clone(&calls);
-        r.register(Arc::new(FnModule::new("blinky", move |_: &[String]| {
-            // fail, succeed, fail, succeed, ... — never two in a row.
-            if c.fetch_add(1, Ordering::Relaxed).is_multiple_of(2) {
-                Err(ModuleError::new("odd call"))
-            } else {
-                Ok(b"ok".to_vec())
-            }
-        })));
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
-        let client = HostClient::new(&dir);
-        // Without the reset, the failures alone would cross the threshold.
-        for i in 0..2 * QUARANTINE_THRESHOLD {
-            let res = client.invoke("blinky", &[], TIMEOUT);
-            if i % 2 == 0 {
-                let err = res.unwrap_err();
-                assert!(
-                    !err.is_quarantined(),
-                    "alternating module quarantined: {err}"
-                );
-            } else {
-                assert_eq!(res.unwrap().payload, b"ok");
-            }
-        }
-        daemon.stop();
-        assert_eq!(daemon.stats().quarantined, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn injected_crash_before_dispatch_is_replayed_by_next_incarnation() {
         use crate::faults::{FaultAction, FaultSite};
         let dir = temp_dir();
         let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::CrashBefore);
         let cfg = DaemonConfig::new(&dir).with_faults(FaultInjector::new(plan));
-        let daemon1 = Daemon::new(cfg, registry()).spawn().unwrap();
+        let daemon1 = spawn(cfg, registry());
         let client = HostClient::new(&dir);
         let pending = client.submit("upper", &["survivor".into()]).unwrap();
         // The daemon hits the crash fault and exits without answering.
@@ -1628,9 +1020,7 @@ mod tests {
         assert!(!daemon1.is_running(), "crash fault did not stop the daemon");
         assert_eq!(daemon1.stats().ok, 0);
         // A fresh incarnation replays the log and answers the orphan.
-        let mut daemon2 = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon2 = spawn(DaemonConfig::new(&dir), registry());
         let out = pending.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, b"SURVIVOR");
         daemon2.stop();
@@ -1654,9 +1044,7 @@ mod tests {
         };
         let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::CrashAfter);
         let cfg = DaemonConfig::new(&dir).with_faults(FaultInjector::new(plan));
-        let daemon1 = Daemon::new(cfg, mk_registry(Arc::clone(&invocations)))
-            .spawn()
-            .unwrap();
+        let daemon1 = spawn(cfg, mk_registry(Arc::clone(&invocations)));
         let client = HostClient::new(&dir);
         let pending = client.submit("count", &[]).unwrap();
         let died = Stopwatch::start();
@@ -1668,12 +1056,10 @@ mod tests {
         assert_eq!(invocations.load(Ordering::Relaxed), 1);
         // Replay re-executes (at-least-once execution) and the host gets
         // exactly one response (exactly-once answering).
-        let mut daemon2 = Daemon::new(
+        let mut daemon2 = spawn(
             DaemonConfig::new(&dir),
             mk_registry(Arc::clone(&invocations)),
-        )
-        .spawn()
-        .unwrap();
+        );
         let out = pending.wait(TIMEOUT).unwrap();
         assert_eq!(out.payload, b"done");
         assert_eq!(invocations.load(Ordering::Relaxed), 2);
@@ -1694,7 +1080,7 @@ mod tests {
             FaultAction::Corrupt { xor_mask: 0x11 },
         );
         let cfg = DaemonConfig::new(&dir).with_faults(FaultInjector::new(plan));
-        let mut daemon = Daemon::new(cfg, registry()).spawn().unwrap();
+        let mut daemon = spawn(cfg, registry());
         let client = HostClient::new(&dir);
         // First call: the response is corrupt, so the host times out.
         let res = client.invoke("upper", &["lost".into()], Duration::from_millis(300));
@@ -1710,114 +1096,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// One saturation run: 6 requests to a gated module under
-    /// `max_in_flight = 1, max_queued = 2`, all submitted *before* the
-    /// daemon starts so the (single-threaded) replay scan makes every
-    /// admission decision before any worker can finish — the shed count
-    /// is decided by arithmetic, not timing.
-    fn saturation_run() -> DaemonStats {
-        let dir = temp_dir();
-        let release = dir.join("release.gate");
-        let r = ModuleRegistry::new();
-        let gate = release.clone();
-        r.register(Arc::new(FnModule::new("gate", move |p: &[String]| {
-            let waited = Stopwatch::start();
-            while !gate.exists() && !waited.expired(TIMEOUT) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Ok(p.join("").into_bytes())
-        })));
-        let client = HostClient::new(&dir);
-        let pendings: Vec<_> = (0..6)
-            .map(|i| client.submit("gate", &[format!("r{i}")]).unwrap())
-            .collect();
-        let cfg = DaemonConfig::new(&dir).with_admission(1, 2);
-        let mut daemon = Daemon::new(cfg, r).spawn().unwrap();
-        // Every admission decision is already made; open the gate and
-        // collect the outcomes.
-        std::fs::write(&release, b"go").unwrap();
-        for (i, pending) in pendings.into_iter().enumerate() {
-            match pending.wait(TIMEOUT) {
-                Ok(out) => {
-                    assert!(i < 3, "request {i} should have been shed");
-                    assert_eq!(out.payload, format!("r{i}").into_bytes());
-                }
-                Err(crate::error::SmartFamError::Overloaded { retry_after, .. }) => {
-                    assert!(i >= 3, "request {i} should have been served");
-                    assert_eq!(retry_after, SHED_RETRY_AFTER);
-                }
-                Err(other) => panic!("request {i}: unexpected error {other}"),
-            }
-        }
-        daemon.stop();
-        let stats = daemon.stats();
-        std::fs::remove_dir_all(&dir).unwrap();
-        stats
-    }
-
-    #[test]
-    fn saturated_queue_sheds_typed_and_deterministically() {
-        let first = saturation_run();
-        assert_eq!(first.requests, 6);
-        assert_eq!(first.ok, 3);
-        assert_eq!(first.shed, 3);
-        assert_eq!(first.expired, 0);
-        // No hangs, no lost accepted requests — and the counters replay
-        // exactly on an identical run.
-        let second = saturation_run();
-        assert_eq!(first, second, "shed counts must replay exactly");
-    }
-
-    #[test]
-    fn expired_request_is_dropped_at_dequeue_without_executing() {
-        let dir = temp_dir();
-        let invocations = Arc::new(TestCounter::new(0));
-        let r = ModuleRegistry::new();
-        let c = Arc::clone(&invocations);
-        r.register(Arc::new(FnModule::new("count", move |_: &[String]| {
-            c.fetch_add(1, Ordering::Relaxed);
-            Ok(b"ran".to_vec())
-        })));
-        // Client and daemon share one clock, stopped at `t`.
-        let t = 1_000_000;
-        let clock = FaultInjector::stepped(FaultPlan::none(), t);
-        let client = HostClient::new(&dir).with_faults(clock.clone());
-        // An expiry is passed once `now >= expires`; 0 is no deadline.
-        let calls = [1, t, t + 1, 0]
-            .map(|expires| client.submit_with_deadline("count", &[], expires).unwrap());
-        let config = DaemonConfig::new(&dir).with_faults(clock.clone());
-        let mut daemon = Daemon::new(config, r).spawn().unwrap();
-        let outcomes: Vec<_> = calls.into_iter().map(|call| call.wait(TIMEOUT)).collect();
-        for dropped in &outcomes[..2] {
-            // Answered (typed), never executed.
-            let err = dropped.as_ref().unwrap_err();
-            assert!(err.to_string().contains("deadline expired"), "{err}");
-        }
-        for ran in &outcomes[2..] {
-            assert_eq!(ran.as_ref().unwrap().payload, b"ran");
-        }
-        // After the clock steps back, an expiry of `t` is in the future.
-        clock.set_clock(t - 1);
-        let call = client.submit_with_deadline("count", &[], t).unwrap();
-        assert_eq!(call.wait(TIMEOUT).unwrap().payload, b"ran");
-        daemon.stop();
-        assert_eq!(daemon.stats().expired, 2);
-        assert_eq!(invocations.load(Ordering::Relaxed), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn batched_responses_carry_their_batch_framing_word() {
         use crate::batch::BatchConfig;
         let dir = temp_dir();
         let client = HostClient::new(&dir);
         let pending = client.submit("upper", &["framed".into()]).unwrap();
-        let mut daemon = Daemon::new(
-            DaemonConfig::new(&dir).with_batching(BatchConfig::default()),
-            registry(),
-        )
-        .spawn()
-        .unwrap();
+        let config = DaemonConfig::new(&dir).with_batching(BatchConfig::default());
+        let mut daemon = spawn(config, registry());
         assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"FRAMED");
         // Re-read the log raw: the response frame names batch 1, slot 0.
         let mut log = LogFile::attach_at_start(dir.join("upper.log")).unwrap();
@@ -1829,34 +1115,6 @@ mod tests {
         assert_eq!(response.batch_id(), Some(1));
         assert_eq!(response.batch_index(), 0);
         daemon.stop();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn batched_mode_keeps_rejection_semantics_per_request_inside_a_batch() {
-        use crate::batch::BatchConfig;
-        let dir = temp_dir();
-        let client = HostClient::new(&dir);
-        // One expired, one unknown-module, one good request — all in the
-        // same batch; each must get its own typed answer.
-        let expired = client.submit_with_deadline("upper", &[], 1).unwrap();
-        let unknown = client.submit("nonexistent", &[]).unwrap();
-        let good = client.submit("upper", &["ok".into()]).unwrap();
-        let mut daemon = Daemon::new(
-            DaemonConfig::new(&dir).with_batching(BatchConfig::default()),
-            registry(),
-        )
-        .spawn()
-        .unwrap();
-        let err = expired.wait(TIMEOUT).unwrap_err();
-        assert!(err.to_string().contains("deadline expired"), "{err}");
-        let err = unknown.wait(TIMEOUT).unwrap_err();
-        assert!(err.to_string().contains("no module registered"), "{err}");
-        assert_eq!(good.wait(TIMEOUT).unwrap().payload, b"OK");
-        daemon.stop();
-        assert_eq!(daemon.stats().expired, 1);
-        assert_eq!(daemon.stats().unknown_module, 1);
-        assert_eq!(daemon.stats().ok, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1890,9 +1148,7 @@ mod tests {
     #[test]
     fn a_recycled_parameter_set_never_leaks_an_earlier_request() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), echo_registry(&["echo"]))
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), echo_registry(&["echo"]));
         let client = HostClient::new(&dir);
         // One call at a time: each takes the set the call before gave back.
         for round in 0..4 {
@@ -1913,7 +1169,7 @@ mod tests {
         // Two modules on different workers: a batch of both runs one on
         // the daemon thread and the other on a thread of its own, and the
         // sets of both come back for the later rounds.
-        let worker = |name: &str| worker_for(cfg.seed, name, cfg.workers);
+        let worker = |name: &str| crate::sd::worker_for(cfg.seed, name, cfg.workers);
         let second = (1..64)
             .map(|i| format!("echo{i}"))
             .find(|name| worker(name) != worker("echo0"))
@@ -1932,14 +1188,8 @@ mod tests {
             }
             // The first round is staged before the daemon starts, so its
             // replay scan queues all six calls into one batch.
-            daemon.get_or_insert_with(|| {
-                Daemon::new(
-                    DaemonConfig::new(&dir).with_batching(cfg),
-                    echo_registry(&modules),
-                )
-                .spawn()
-                .unwrap()
-            });
+            let config = DaemonConfig::new(&dir).with_batching(cfg);
+            daemon.get_or_insert_with(|| spawn(config, echo_registry(&modules)));
             for (pending, params) in calls {
                 let out = pending.wait(TIMEOUT).unwrap();
                 assert_eq!(out.payload, params.join("|").into_bytes());
@@ -1954,9 +1204,7 @@ mod tests {
     #[test]
     fn removed_and_recreated_log_is_served_again() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let first = HostClient::new(&dir);
         first.invoke("upper", &["one".into()], TIMEOUT).unwrap();
         std::fs::remove_file(first.log_path("upper")).unwrap();
@@ -1991,7 +1239,7 @@ mod tests {
     fn sequential_calls_run_on_a_parked_worker_not_a_thread_each() {
         let dir = temp_dir();
         let (r, seen) = thread_recording_registry();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), r);
         let client = HostClient::new(&dir);
         for _ in 0..200 {
             client.invoke("tid", &[], TIMEOUT).unwrap();
@@ -2009,22 +1257,33 @@ mod tests {
     fn concurrent_calls_overlap_on_separate_workers() {
         let dir = temp_dir();
         let r = ModuleRegistry::new();
-        // Returns only once four invocations are inside it at once.
+        // Each answers only once four invocations, of either, are inside
+        // one at once: both module logs are in flight together.
         let together = Arc::new(std::sync::Barrier::new(4));
-        r.register(Arc::new(FnModule::new("meet", move |_: &[String]| {
-            together.wait();
-            Ok(b"met".to_vec())
-        })));
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        for (name, upper) in [("meet", false), ("shout", true)] {
+            let together = Arc::clone(&together);
+            r.register(Arc::new(FnModule::new(name, move |p: &[String]| {
+                together.wait();
+                let out = p.concat();
+                Ok(if upper { out.to_uppercase() } else { out }.into_bytes())
+            })));
+        }
+        let mut daemon = spawn(DaemonConfig::new(&dir), r);
         let client = HostClient::new(&dir);
         // Twice: the second round meets on the first round's parked workers.
+        // Two host threads share the client, each calling both modules.
         for _ in 0..2 {
-            let pendings: Vec<_> = (0..4)
-                .map(|_| client.submit("meet", &[]).unwrap())
-                .collect();
-            for pending in pendings {
-                assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"met");
-            }
+            std::thread::scope(|s| {
+                for word in ["a", "b"] {
+                    let client = &client;
+                    s.spawn(move || {
+                        let calls = ["meet", "shout"].map(|m| client.submit(m, &[word.into()]));
+                        let [meet, shout] = calls.map(|c| c.unwrap().wait(TIMEOUT).unwrap());
+                        assert_eq!(meet.payload, word.as_bytes());
+                        assert_eq!(shout.payload, word.to_uppercase().into_bytes());
+                    });
+                }
+            });
         }
         daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2040,7 +1299,7 @@ mod tests {
             *record.lock() = Some(std::thread::current().id());
             panic!("module bug");
         })));
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), r).spawn().unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), r);
         let client = HostClient::new(&dir);
         let err = client.invoke("boom", &[], TIMEOUT).unwrap_err();
         assert!(err.to_string().contains("module panicked"), "{err}");
@@ -2059,9 +1318,7 @@ mod tests {
     #[test]
     fn stop_wakes_parked_workers() {
         let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
+        let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let client = HostClient::new(&dir);
         // Two requests in one sweep leave two workers parked.
         let both = [(); 2].map(|_| client.submit("upper", &["x".into()]).unwrap());
@@ -2077,16 +1334,7 @@ mod tests {
             "stop took {:?}",
             stopping.elapsed()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stop_is_idempotent() {
-        let dir = temp_dir();
-        let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry())
-            .spawn()
-            .unwrap();
-        daemon.stop();
+        // Stopping again is a no-op.
         daemon.stop();
         assert!(!daemon.is_running());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -57,6 +57,7 @@ pub mod host;
 pub mod log_file;
 pub mod module;
 pub mod replica;
+mod sd;
 pub mod watch;
 mod window;
 
@@ -73,3 +74,14 @@ pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
 pub use replica::{AppendOutcome, ReplicaConfig, ReplicaState, ReplicatedLog, ReprotectStep};
 pub use watch::{FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};
+
+#[cfg(test)]
+/// A fresh directory under the system temp dir, one per call, for the
+/// unit tests that need real files.
+fn temp_dir() -> std::path::PathBuf {
+    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mcsd-unit-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

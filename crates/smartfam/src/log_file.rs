@@ -787,11 +787,7 @@ mod tests {
 
     #[test]
     fn creates_parent_directories() {
-        let dir = std::env::temp_dir().join(format!(
-            "mcsd-log-dir-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir = crate::temp_dir();
         let path = dir.join("nested/module.log");
         let log = LogFile::attach_at_start(&path).unwrap();
         assert!(log.is_empty().unwrap());

@@ -410,19 +410,7 @@ impl ReplicatedLog {
 mod tests {
     use super::*;
     use crate::faults::{FaultAction, FaultPlan, FaultSite};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static N: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "mcsd-replica-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::temp_dir;
 
     fn frame(i: u64) -> Frame {
         Frame::request(i, vec![format!("payload-{i}")])

@@ -336,20 +336,8 @@ fn poll_loop(mut table: Table, config: WatchConfig, tx: Sender<WatchEvent>, stop
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir;
     use std::collections::BTreeMap;
-    use std::sync::atomic::AtomicU64;
-
-    static DIR_N: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "mcsd-watch-{}-{}",
-            std::process::id(),
-            DIR_N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     fn fast() -> WatchConfig {
         WatchConfig {

@@ -503,11 +503,16 @@ mod tests {
     }
 
     #[test]
-    fn the_window_owns_no_file_and_reads_no_clock() {
-        let source = include_str!("window.rs");
-        let code = &source[..source.find("#[cfg(test)]").unwrap()];
-        for word in "std::thread std::fs sleep now_ms Instant Stopwatch".split(' ') {
-            assert!(!code.contains(word), "window.rs names {word}");
+    fn the_machines_own_no_file_and_read_no_clock() {
+        for source in [include_str!("window.rs"), include_str!("sd.rs")] {
+            let code = &source[..source.find("#[cfg(test)]").unwrap()];
+            for word in "std::thread std::fs sleep now_ms Instant Stopwatch".split(' ') {
+                assert!(
+                    !code.contains(word),
+                    "{:?} names {word}",
+                    code.lines().next()
+                );
+            }
         }
     }
 }
