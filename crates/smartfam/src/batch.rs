@@ -117,11 +117,6 @@ impl BatchStats {
     pub fn absorb(&mut self, other: &BatchStats) {
         CounterFamily::absorb(self, other);
     }
-
-    /// Whether no batched or pipelined traffic was recorded at all.
-    pub fn is_clean(&self) -> bool {
-        *self == BatchStats::default()
-    }
 }
 
 impl std::fmt::Display for BatchStats {

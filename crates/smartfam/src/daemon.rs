@@ -75,9 +75,9 @@ pub struct DaemonConfig {
     /// events land on the `sd.daemon` decision-domain track in log-scan
     /// order; heartbeats and polls are recorded volatile (DESIGN.md §12).
     pub tracer: Tracer,
-    /// Batched dispatch (off by default — `None` keeps the lockstep
-    /// request/response path byte-identical to previous releases). When
-    /// set, admitted requests are drained in batches of up to
+    /// Batched dispatch, off by default: under `None` each request is
+    /// answered alone, by a reply that carries no batch word and is never
+    /// synced. When set, admitted requests are drained in batches of up to
     /// `max_batch`, executed by a seeded multi-worker pool that keeps
     /// serial-per-module order, and answered through coalesced
     /// one-fsync append batches (DESIGN.md §18).
@@ -872,10 +872,16 @@ mod tests {
         let dir = temp_dir();
         let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let client = HostClient::new(&dir);
-        for i in 0..5 {
+        for i in 0..10 {
             let out = client.invoke("upper", &[format!("msg{i}")], TIMEOUT);
             assert_eq!(out.unwrap().payload, format!("MSG{i}").into_bytes());
         }
+        // Requests and responses interleaved decode as one clean stream.
+        let data = std::fs::read(dir.join("upper.log")).unwrap();
+        let (frames, end) = crate::codec::decode_stream(&data, 0).unwrap();
+        assert_eq!(end, data.len(), "no trailing garbage");
+        assert_eq!(frames.iter().filter(|f| f.is_request()).count(), 10);
+        assert_eq!(frames.len(), 20);
         daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -981,7 +987,16 @@ mod tests {
         let mut daemon = spawn(DaemonConfig::new(&dir), registry());
         let mut host = LogFile::attach_at_end(dir.join("upper.log")).unwrap();
         for word in ["one", "two"] {
-            host.append(&Frame::request(7, vec![word.into()])).unwrap();
+            let request = Frame::request(7, vec![word.into()]);
+            if word == "one" {
+                // A foreign client's write: the file format is the protocol.
+                use std::io::Write;
+                let path = dir.join("upper.log");
+                let raw = std::fs::OpenOptions::new().append(true).open(path);
+                raw.unwrap().write_all(&request.encode()).unwrap();
+            } else {
+                host.append(&request).unwrap();
+            }
             let waited = Stopwatch::start();
             let mut pace = PollBackoff::new(Duration::from_millis(1));
             let answer = loop {
@@ -1081,6 +1096,8 @@ mod tests {
         );
         let cfg = DaemonConfig::new(&dir).with_faults(FaultInjector::new(plan));
         let mut daemon = spawn(cfg, registry());
+        // A log holding nothing but garbage is skipped too.
+        std::fs::write(dir.join("garbage.log"), b"this is not a frame").unwrap();
         let client = HostClient::new(&dir);
         // First call: the response is corrupt, so the host times out.
         let res = client.invoke("upper", &["lost".into()], Duration::from_millis(300));
@@ -1302,16 +1319,20 @@ mod tests {
         let mut daemon = spawn(DaemonConfig::new(&dir), r);
         let client = HostClient::new(&dir);
         let err = client.invoke("boom", &[], TIMEOUT).unwrap_err();
-        assert!(err.to_string().contains("module panicked"), "{err}");
+        let typed = matches!(&err, crate::SmartFamError::ModuleFailed { message, .. }
+            if message == "module panicked: module bug");
+        assert!(typed, "{err}");
         for _ in 0..4 {
             client.invoke("tid", &[], TIMEOUT).unwrap();
         }
+        assert!(daemon.is_running());
         let worker = panicked_on.lock().expect("boom ran");
         assert!(
             seen.lock().contains(&worker),
             "the worker died with its module"
         );
         daemon.stop();
+        assert_eq!(daemon.stats().module_errors, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1337,6 +1358,36 @@ mod tests {
         // Stopping again is a no-op.
         daemon.stop();
         assert!(!daemon.is_running());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Dropping the handle stops the daemon as `stop` does: a module still
+    /// running has answered by the time the drop returns.
+    #[test]
+    fn dropping_the_handle_waits_for_a_running_module() {
+        let dir = temp_dir();
+        let r = ModuleRegistry::new();
+        let (started, done) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (start, finish) = (Arc::clone(&started), Arc::clone(&done));
+        r.register(Arc::new(FnModule::new("slow", move |_: &[String]| {
+            start.store(true, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(50));
+            finish.store(true, Ordering::Relaxed);
+            Ok(b"late".to_vec())
+        })));
+        let daemon = spawn(DaemonConfig::new(&dir), r);
+        let pending = HostClient::new(&dir).submit("slow", &[]).unwrap();
+        let waited = Stopwatch::start();
+        while !started.load(Ordering::Relaxed) {
+            assert!(!waited.expired(TIMEOUT), "the module never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(daemon);
+        assert!(done.load(Ordering::Relaxed), "the drop returned first");
+        assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"late");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -405,12 +405,6 @@ impl fmt::Debug for FaultInjector {
     }
 }
 
-impl Default for FaultInjector {
-    fn default() -> Self {
-        FaultInjector::disabled()
-    }
-}
-
 impl FaultInjector {
     /// An injector that never fires (the production configuration). Every
     /// disabled injector is a clone of one process-wide instance — no
@@ -794,6 +788,13 @@ mod tests {
             assert_eq!(FaultPlan::from_seed(seed), FaultPlan::from_seed(seed));
             assert!(!FaultPlan::from_seed(seed).is_empty());
         }
+        // An injector shows its plan and what fired.
+        let shown = format!("{:?}", FaultInjector::from_seed(7));
+        assert!(
+            shown.starts_with("FaultInjector { plan: FaultPlan"),
+            "{shown}"
+        );
+        assert!(shown.ends_with("fired: [] }"), "{shown}");
     }
 
     #[test]

@@ -135,7 +135,6 @@ pub struct BatchAppendOutcome {
 /// Held handle to a module's log file with a private read cursor.
 #[derive(Debug)]
 pub struct LogFile {
-    path: PathBuf,
     /// Opened read + `O_APPEND`: writes land at the end whatever the
     /// descriptor's position, which polls (`&mut self`) are free to move.
     file: File,
@@ -177,7 +176,6 @@ impl LogFile {
             .create(true)
             .open(&path)?;
         Ok(LogFile {
-            path,
             file,
             cursor: 0,
             seen_len: 0,
@@ -195,11 +193,6 @@ impl LogFile {
         self.injector = injector;
         self.role = role;
         self
-    }
-
-    /// The log file's filesystem path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current read cursor (byte offset of the next unread frame).

@@ -615,6 +615,7 @@ mod tests {
                 },
             }
         }
+        assert!(sd.next_live(0).is_none(), "the one slot is taken");
         // Every admission decision is already made; serve the admitted.
         while let Some(next) = running.pop().or_else(|| sd.next_live(0)) {
             let i = next.1.id;
@@ -622,6 +623,17 @@ mod tests {
             assert_eq!(serve(&mut sd, next).unwrap(), format!("R{i}").into_bytes());
         }
         sd.stats
+    }
+
+    #[test]
+    fn spare_sets_are_kept_to_the_byte_and_count_limits() {
+        // Admission holds two requests at most, so two sets are kept.
+        let mut sd = machine(DaemonConfig::new("logs").with_admission(1, 1));
+        for bytes in [TAIL_KEEP_BYTES, TAIL_KEEP_BYTES + 1, 8, 8] {
+            sd.give(vec![String::with_capacity(bytes)]);
+        }
+        let kept = [(); 3].map(|_| sd.spare().iter().map(String::capacity).sum::<usize>());
+        assert_eq!(kept, [8, TAIL_KEEP_BYTES, 0]);
     }
 
     #[test]

@@ -543,6 +543,11 @@ mod tests {
         // After stopping, new files generate no events.
         std::fs::write(dir.join("after.log"), b"x").unwrap();
         assert!(w.next_event(Duration::from_millis(30)).is_none());
+        // Dropping stops too: the thread's share of the flag is gone.
+        let w = FileWatcher::spawn(&dir, fast());
+        let stop = Arc::clone(&w.stop);
+        drop(w);
+        assert_eq!(Arc::strong_count(&stop), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -411,6 +411,11 @@ mod tests {
         assert_eq!(out.payload, b"ok");
         assert_eq!((r.attempts, r.retries), (2, 1));
         assert_eq!(out.resilience, r);
+        // Allowed one attempt, the call settles with the failure.
+        let mut once = self::wire(Liveness::Alive, failed("transient glitch"), Some(0));
+        let run = run_on(&mut once, (1, 1, 30_000), policy(1, 1_000));
+        let failed = matches!(run.outcomes[0], Err(SmartFamError::ModuleFailed { .. }));
+        assert!(failed && run.resilience[0].attempts == 1, "{run:?}");
     }
 
     #[test]
@@ -434,21 +439,53 @@ mod tests {
         let run = run_on(&mut wire, (1, 1, 30_000), policy(3, 1_000));
         assert_eq!(run.outcomes[0].as_ref().unwrap().payload, b"ok");
         assert_eq!(run.resilience[0].retries, 1);
-        // The retry honoured the daemon's suggested delay.
-        let retried = wire.submits[1].0;
-        assert!(retried >= Duration::from_millis(80), "{retried:?}");
+        // The retry honoured the daemon's suggested delay, to the tick.
+        assert_eq!(wire.submits[1].0, Duration::from_millis(80));
     }
 
     #[test]
     fn a_retry_pause_past_the_deadline_settles_the_call_at_once() {
-        // A `retry_after` of u64::MAX ms would park the call for good.
-        let mut wire = wire(Liveness::Alive, shed(u64::MAX), Some(0));
-        let run = run_on(&mut wire, (1, 1, 300), RetryPolicy::default());
+        // A `retry_after` of u64::MAX ms would park the call for good, and
+        // one of exactly the 300 ms left would only wait them out.
+        for retry_ms in [u64::MAX, 300] {
+            let mut wire = wire(Liveness::Alive, shed(retry_ms), Some(0));
+            let run = run_on(&mut wire, (1, 1, 300), RetryPolicy::default());
+            let shed = matches!(run.outcomes[0], Err(SmartFamError::Overloaded { .. }));
+            assert!(shed, "{:?}", run.outcomes);
+            let r = run.resilience[0];
+            assert_eq!((r.attempts, r.retries), (1, 0));
+            assert!(clock() < Duration::from_millis(300), "{:?}", clock());
+        }
+        // A pause ending inside the last tick parks the call, which settles
+        // with its error when the tick reaches the deadline.
+        let (module, retry_after) = ("m".to_string(), Duration::from_micros(299_500));
+        let late = SmartFamError::Overloaded {
+            module,
+            retry_after,
+        };
+        let mut parked = wire(Liveness::Alive, Some((0, Err(late))), Some(0));
+        let run = run_on(&mut parked, (1, 1, 300), RetryPolicy::default());
         let shed = matches!(run.outcomes[0], Err(SmartFamError::Overloaded { .. }));
         assert!(shed, "{:?}", run.outcomes);
-        let r = run.resilience[0];
-        assert_eq!((r.attempts, r.retries), (1, 0));
-        assert!(clock() < Duration::from_millis(300), "{:?}", clock());
+        assert_eq!(clock(), Duration::from_millis(300));
+    }
+
+    /// Each bound falls on the tick it names: an attempt times out at its
+    /// budget, and a stale heartbeat is read `max_age / 32` after the
+    /// window last went busy, so a call answered sooner never meets it.
+    #[test]
+    fn timeouts_and_probes_fall_on_the_tick_they_name() {
+        let mut lost = wire(Liveness::Alive, None, None);
+        let run = run_on(&mut lost, (1, 1, 20), policy(1, 1_000));
+        let timed_out = matches!(run.outcomes[0], Err(SmartFamError::Timeout { .. }));
+        assert!(timed_out && clock() == Duration::from_millis(20), "{run:?}");
+        // Read every 3 ms: calls answered after 2 ms never meet the beat...
+        let mut quick = wire(Liveness::Stale, ok(2), Some(2));
+        assert!(run_on(&mut quick, (3, 1, 1_000), policy(1, 96)).all_ok());
+        // ...and an unanswered call meets it 3 ms after its submit.
+        let mut silent = wire(Liveness::Stale, None, None);
+        let run = run_on(&mut silent, (1, 1, 1_000), policy(1, 96));
+        assert!(dead(&run.outcomes[0]) && clock() == Duration::from_millis(3));
     }
 
     #[test]
@@ -488,9 +525,12 @@ mod tests {
     fn window_shrinks_on_overloaded_and_retries_the_shed_call() {
         // Shed the very first request; serve the rest (its retry too).
         let mut wire = wire(Liveness::Alive, shed(10), Some(0));
-        let run = run_on(&mut wire, (6, 4, 5_000), policy(3, 1_000));
+        let run = run_on(&mut wire, (20, 4, 5_000), policy(3, 1_000));
         assert!(run.all_ok(), "shed call not retried: {:?}", run.outcomes);
         assert_eq!(run.stats.window_shrinks, 1, "{}", run.stats);
+        // Halved to 2, the depth grows by one per window's worth of clean
+        // completions, 2 then 3: refills of 4 calls, 3, then 4 at a time.
+        assert_eq!(run.stats.window_occupancy, 48, "{}", run.stats);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Every `DESIGN.md §N` citation names a section DESIGN.md has, the
+//! Every `DESIGN.md §N` citation names a section DESIGN.md has, every
+//! test and function the docs, CI and the verify skill cite exists, the
 //! four prose docs keep their line budget, so does the Rust, and the
 //! member manifests and lib roots follow DESIGN §14's workspace rules.
 //!
@@ -289,4 +290,191 @@ fn workspace_manifests_and_lib_roots_follow_the_rules() {
     // A floor proves the walk reached the tree: seven crates and the facade.
     assert!(checked >= 15, "checked only {checked} files");
     assert!(broken.is_empty(), "DESIGN §14:\n{}", broken.join("\n"));
+}
+
+/// The files that tell a reader which test to run or which function to
+/// read: CI and the four prose docs, and [`verify_notes`].
+const NAMING_FILES: [&str; 5] = [
+    ".github/workflows/ci.yml",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "README.md",
+    "ARCHITECTURE.md",
+];
+
+/// A name one of [`NAMING_FILES`] cites.
+#[derive(Debug, PartialEq)]
+enum Cited {
+    /// `--test <target>`.
+    Target(String),
+    /// `<module>::tests::<prefix>`: a test fn of `module` starts with `prefix`.
+    ModuleTest(String, String),
+    /// `` `<file>.rs::<fn>` ``: `file` (a path or a file name) defines `fn`.
+    FileFn(String, String),
+}
+
+/// The verify skill's build-and-run notes, `skills/verify/SKILL.md` in a
+/// directory at the root.
+fn verify_notes(root: &Path) -> PathBuf {
+    let dirs = std::fs::read_dir(root).unwrap().flatten();
+    let mut notes = dirs.map(|dir| dir.path().join("skills/verify/SKILL.md"));
+    notes
+        .find(|path| path.is_file())
+        .expect("the verify skill's notes")
+}
+
+fn ident_len(s: &str) -> usize {
+    s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(s.len())
+}
+
+/// Every [`Cited`] name in `text`, as (line, name).
+fn cited_names(text: &str) -> Vec<(usize, Cited)> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        for (at, _) in line.match_indices("--test") {
+            let rest = &line[at + "--test".len()..];
+            let name = rest.trim_start();
+            if name.len() == rest.len() {
+                continue; // `--test-threads` and the like
+            }
+            let end = name
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+                .unwrap_or(name.len());
+            if end > 0 && !name.starts_with('-') {
+                out.push((i + 1, Cited::Target(name[..end].to_string())));
+            }
+        }
+        for (at, _) in line.match_indices("::tests::") {
+            let module_start = line[..at]
+                .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .map_or(0, |p| p + 1);
+            let rest = &line[at + "::tests::".len()..];
+            let prefix = &rest[..ident_len(rest)];
+            if module_start < at && !prefix.is_empty() {
+                let module = line[module_start..at].to_string();
+                out.push((i + 1, Cited::ModuleTest(module, prefix.to_string())));
+            }
+        }
+        for (at, _) in line.match_indices(".rs::") {
+            let Some(tick) = line[..at].rfind('`') else {
+                continue;
+            };
+            let file = &line[tick + 1..at];
+            let rest = &line[at + ".rs::".len()..];
+            let func = &rest[..ident_len(rest)];
+            let path_like = |c: char| c.is_ascii_alphanumeric() || "_-/.".contains(c);
+            if !file.is_empty() && file.chars().all(path_like) && !func.is_empty() {
+                out.push((i + 1, Cited::FileFn(format!("{file}.rs"), func.to_string())));
+            }
+        }
+    }
+    out
+}
+
+/// Whether `text` defines a `fn` whose name is `name`, or starts with it
+/// when `prefix` is set.
+fn defines_fn(text: &str, name: &str, prefix: bool) -> bool {
+    text.match_indices("fn ").any(|(at, _)| {
+        let rest = &text[at + 3..];
+        rest.starts_with(name) && (prefix || ident_len(rest) == name.len())
+    })
+}
+
+/// What in `cited` names nothing: `targets` are the test target names and
+/// `rust` every Rust file as (path from the root, text).
+fn dangling_names(
+    cited: &[(usize, Cited)],
+    targets: &BTreeSet<String>,
+    rust: &[(String, String)],
+) -> Vec<String> {
+    let stem_is = |path: &str, module: &str| {
+        path.ends_with(&format!("/{module}.rs")) || path.ends_with(&format!("/{module}/mod.rs"))
+    };
+    let file_is = |path: &str, file: &str| {
+        path == file || (!file.contains('/') && path.ends_with(&format!("/{file}")))
+    };
+    cited
+        .iter()
+        .filter(|(_, name)| match name {
+            Cited::Target(t) => !targets.contains(t),
+            Cited::ModuleTest(m, p) => !rust
+                .iter()
+                .any(|(path, text)| stem_is(path, m) && defines_fn(text, p, true)),
+            Cited::FileFn(f, g) => !rust
+                .iter()
+                .any(|(path, text)| file_is(path, f) && defines_fn(text, g, false)),
+        })
+        .map(|(line, name)| format!("{line}: {name:?}"))
+        .collect()
+}
+
+/// Each `--test`, `module::tests::` and `` `file.rs::fn` `` that CI, the
+/// verify skill or a prose doc cites resolves: a deleted or renamed test
+/// fails here with every citation of it still in place. The checker first
+/// meets a dangling name of each kind.
+#[test]
+fn cited_tests_and_functions_exist() {
+    let targets = BTreeSet::from(["stress".to_string()]);
+    let rust = [(
+        "crates/x/src/daemon.rs".to_string(),
+        "fn process_log() {}\nmod tests {\n    fn restart_replays() {}\n}\n".to_string(),
+    )];
+    let good = "cargo test --test stress -- --test-threads 1\n\
+                `daemon::tests::restart` and `daemon.rs::process_log`";
+    let cited = cited_names(good);
+    assert_eq!(cited.len(), 3, "{cited:?}");
+    assert!(dangling_names(&cited, &targets, &rust).is_empty());
+    let bad = "--test stres\ndaemon::tests::restart_replays_all `daemon.rs::process`";
+    assert_eq!(
+        dangling_names(&cited_names(bad), &targets, &rust),
+        [
+            "1: Target(\"stres\")",
+            "2: ModuleTest(\"daemon\", \"restart_replays_all\")",
+            "2: FileFn(\"daemon.rs\", \"process\")",
+        ]
+    );
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark", "shims"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    let (mut targets, mut rust) = (BTreeSet::new(), Vec::new());
+    for file in files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+    {
+        if file
+            .parent()
+            .and_then(Path::file_name)
+            .is_some_and(|d| d == "tests")
+        {
+            let stem = file
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or_default();
+            targets.insert(stem.to_string());
+        }
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        let text = std::fs::read_to_string(file).unwrap();
+        rust.push((rel.to_string_lossy().replace('\\', "/"), text));
+    }
+    let (mut count, mut dangling) = (0, Vec::new());
+    let mut docs: Vec<PathBuf> = NAMING_FILES.iter().map(|doc| root.join(doc)).collect();
+    docs.push(verify_notes(root));
+    for doc in &docs {
+        let cited = cited_names(&std::fs::read_to_string(doc).unwrap());
+        count += cited.len();
+        let at = doc.strip_prefix(root).unwrap_or(doc).display();
+        let missing = dangling_names(&cited, &targets, &rust);
+        dangling.extend(missing.into_iter().map(|m| format!("{at}:{m}")));
+    }
+    // A floor far above zero proves the scan reached the files.
+    assert!(count >= 40, "found only {count} cited names");
+    assert!(
+        dangling.is_empty(),
+        "cited names that name nothing:\n{}",
+        dangling.join("\n")
+    );
 }
