@@ -23,7 +23,8 @@
 //! can observe pressure without a request round trip.
 //!
 //! Every decision is `SdMachine`'s (`sd.rs`); this file is its driver:
-//! the watcher, the polls, the workers, the appends and the heartbeat.
+//! the log sweep (the daemon's only watcher), the polls, the workers,
+//! the appends and the heartbeat.
 
 use crate::batch::{BatchConfig, BatchStats};
 use crate::codec::{batch_word, HeartbeatRecord, ViewBody};
@@ -33,7 +34,7 @@ use crate::module::{ModuleRegistry, ProcessingModule};
 use crate::sd::{
     note_frame, BucketedRun, Gated, Log, Next, Planned, QueuedRequest, Reply, SdMachine,
 };
-use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
+use crate::watch::{PollBackoff, Table, WatchConfig, WatchEventKind};
 use mcsd_obs::names::{EVENT_SD_HEARTBEAT, EVENT_SD_POLL};
 use mcsd_obs::{CounterFamily, Tracer, TrackId};
 use mcsd_phoenix::Stopwatch;
@@ -202,17 +203,18 @@ impl Daemon {
         Daemon { config, registry }
     }
 
-    /// Start the watcher, replay on this thread, then start the dispatch
-    /// loop: requests submitted after `spawn` returns are always served
-    /// live, never mistaken for replay leftovers.
+    /// Take the census and replay it on this thread, then start the
+    /// dispatch loop: requests submitted after `spawn` returns are always
+    /// served live, never mistaken for replay leftovers.
     pub fn spawn(self) -> std::io::Result<DaemonHandle> {
         std::fs::create_dir_all(&self.config.log_dir)?;
-        let watch = WatchConfig::default();
-        let watcher = FileWatcher::spawn(&self.config.log_dir, watch);
+        // Sampled here: an append made before the loop runs ends its first wait.
+        let pace = PollBackoff::new(WatchConfig::default().poll_interval);
+        let table = Table::census(self.config.log_dir.clone());
         let mut ctx = DaemonCtx::new(self.config, self.registry);
-        ctx.replay();
+        ctx.replay(&table);
         let (stop, sd) = (Arc::clone(&ctx.stop), Arc::clone(&ctx.sd));
-        let handle = std::thread::spawn(move || ctx.run(&watcher, watch.poll_interval));
+        let handle = std::thread::spawn(move || ctx.run(table, pace));
         Ok(DaemonHandle {
             stop,
             handle: Some(handle),
@@ -465,26 +467,19 @@ impl DaemonCtx {
     }
 
     /// Startup replay: answer pending requests left over from a previous
-    /// daemon incarnation. Sorted so multi-log replay admits in a stable
-    /// order regardless of directory-iteration order.
-    fn replay(&mut self) {
-        let Ok(entries) = std::fs::read_dir(&self.config.log_dir) else {
-            return;
-        };
-        let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        paths.sort();
-        for path in paths {
+    /// daemon incarnation, in the census's path order, so multi-log replay
+    /// admits in a stable order regardless of directory-iteration order.
+    fn replay(&mut self, census: &Table) {
+        for path in census.paths().filter(|path| module_of(path).is_some()) {
             if self.stop.load(Ordering::Relaxed) {
                 break;
             }
-            if module_of(&path).is_some() {
-                self.process_log(&path, true);
-            }
+            self.process_log(path, true);
         }
     }
 
     /// The dispatch loop, until the daemon stops.
-    fn run(mut self, watcher: &FileWatcher, gap: Duration) {
+    fn run(mut self, mut table: Table, mut pace: PollBackoff) {
         // `None` = no heartbeat written yet, so the first loop turn emits one.
         let mut last_heartbeat: Option<Stopwatch> = None;
         let heartbeat_tmp = self.config.log_dir.join("daemon.heartbeat.tmp");
@@ -520,16 +515,21 @@ impl DaemonCtx {
             }
             // Dispatch queued work into freed execution slots.
             self.drain_queue();
-            // Wait for file events.
-            let Some(event) = watcher.next_event(gap) else {
-                continue;
-            };
-            if event.kind == WatchEventKind::Removed {
-                // Cursor and append handles belong to the deleted inode: a log
-                // recreated under this name is attached afresh.
-                self.logs.remove(&*event.path);
-            } else if module_of(&event.path).is_some() {
-                self.process_log(&event.path, false);
+            // Park until an append or the gap, then read each changed log.
+            pace.idle();
+            let changed = table.sweep(|path, kind| {
+                if self.stop.load(Ordering::Relaxed) {
+                    // What is left waits for the next incarnation's replay.
+                } else if kind == WatchEventKind::Removed {
+                    // Cursor and append handles belong to the deleted inode:
+                    // a log recreated under this name is attached afresh.
+                    self.logs.remove(&**path);
+                } else if module_of(path).is_some() {
+                    self.process_log(path, false);
+                }
+            });
+            if changed {
+                pace.reset();
             }
         }
         // Drain in-flight module invocations before exiting. (Queued but
@@ -539,8 +539,8 @@ impl DaemonCtx {
     }
 
     /// First sight of the log at `path`. `None` for an unreadable file
-    /// (permissions, vanished between the watch event and now): the next
-    /// event on the file retries.
+    /// (permissions, vanished between the sweep's `stat` and now): the
+    /// next change the sweep sees retries.
     fn attach(&self, path: &Path) -> Option<LogState> {
         let attach = || {
             LogFile::attach_at_start(path)
@@ -788,7 +788,6 @@ mod tests {
     use crate::host::HostClient;
     use crate::module::{FnModule, ModuleError};
     use crate::temp_dir;
-    use crate::watch::PollBackoff;
     use mcsd_obs::names::{EVENT_SD_COMPLETE, EVENT_SD_DISPATCH, EVENT_SD_REQUEST};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64 as TestCounter;

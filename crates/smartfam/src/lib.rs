@@ -34,8 +34,8 @@
 //! * [`log_file`] — append/scan access to one module's log file.
 //! * [`module`] — the [`ProcessingModule`] trait and registry of
 //!   "preloaded" data-intensive modules.
-//! * [`daemon`] — the SD-side daemon: watch log files, dispatch modules,
-//!   write results, heartbeat.
+//! * [`daemon`] — the SD-side daemon: sweep the log files on the append
+//!   wake, dispatch modules, write results, heartbeat.
 //! * [`host`] — the host-side client: write parameters, await results.
 //! * [`faults`] — seeded deterministic fault injection (torn/corrupt
 //!   appends, daemon crashes, heartbeat stalls, stale reads) plus the

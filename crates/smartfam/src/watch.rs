@@ -170,8 +170,9 @@ struct Tracked {
 }
 
 /// Every regular file directly inside `dir`, sorted by path — the order
-/// events are emitted in.
-struct Table {
+/// events are emitted in. The daemon's loop sweeps one; so does a
+/// [`FileWatcher`]'s thread.
+pub(crate) struct Table {
     dir: PathBuf,
     /// The directory's signature sampled *before* the latest listing, so
     /// an entry that appeared while the listing ran moves it.
@@ -187,7 +188,7 @@ const RELIST_EVERY: u32 = 64;
 
 impl Table {
     /// The files in `dir` now: later changes are events, this state is not.
-    fn census(dir: PathBuf) -> Table {
+    pub(crate) fn census(dir: PathBuf) -> Table {
         let mut table = Table {
             dir_sig: signature(&dir, true),
             dir,
@@ -196,6 +197,11 @@ impl Table {
         };
         table.list(false);
         table
+    }
+
+    /// The tracked files, in path order.
+    pub(crate) fn paths(&self) -> impl Iterator<Item = &Path> {
+        self.files.iter().map(|t| &*t.path)
     }
 
     /// Add every regular file in `dir` that is not yet in the table.
@@ -225,7 +231,7 @@ impl Table {
     /// One poll of the directory: `emit` gets `Created`/`Modified` in path
     /// order, then `Removed` in path order. Returns whether anything
     /// changed.
-    fn sweep(&mut self, mut emit: impl FnMut(&Arc<Path>, WatchEventKind)) -> bool {
+    pub(crate) fn sweep(&mut self, mut emit: impl FnMut(&Arc<Path>, WatchEventKind)) -> bool {
         self.sweeps = self.sweeps.wrapping_add(1);
         let dir_sig = signature(&self.dir, true);
         if dir_sig != self.dir_sig || self.sweeps.is_multiple_of(RELIST_EVERY) {
@@ -269,24 +275,20 @@ pub struct FileWatcher {
 }
 
 impl FileWatcher {
-    /// Start watching `dir`.
-    ///
-    /// The initial census — the files whose later changes will be
-    /// reported, and whose current state will not — is taken
-    /// *synchronously*, before this returns. Callers can therefore order
-    /// "start watching, then scan for pre-existing work" with no gap: any
-    /// file that appears after `spawn` returns is guaranteed to generate a
-    /// `Created` event. (The SD daemon relies on this to avoid losing
-    /// requests written exactly at startup.)
+    /// Start watching `dir`. The census — the files whose later changes
+    /// will be reported, and whose current state will not — is taken
+    /// before this returns, so any file that appears after `spawn` returns
+    /// is reported `Created`.
     pub fn spawn(dir: impl Into<PathBuf>, config: WatchConfig) -> FileWatcher {
         let (tx, rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
-        // Synchronous census: files existing now do not generate Created
-        // events (inotify semantics).
+        // On this thread: an append made before the new one runs is not
+        // missed, and files existing now are silent (inotify semantics).
+        let pace = PollBackoff::new(config.poll_interval);
         let table = Table::census(dir.into());
         let handle = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || poll_loop(table, config, tx, stop))
+            std::thread::spawn(move || poll_loop(table, pace, tx, &stop))
         };
         FileWatcher {
             events: rx,
@@ -315,12 +317,9 @@ impl Drop for FileWatcher {
     }
 }
 
-fn poll_loop(mut table: Table, config: WatchConfig, tx: Sender<WatchEvent>, stop: Arc<AtomicBool>) {
-    // An append in this process ends the wait at once. For a writer in
-    // another process, quiet directories back off toward the configured
-    // interval (which stays the worst-case detection latency); a directory
-    // that just changed is re-polled at the ~1 ms floor.
-    let mut pace = PollBackoff::new(config.poll_interval);
+fn poll_loop(mut table: Table, mut pace: PollBackoff, tx: Sender<WatchEvent>, stop: &AtomicBool) {
+    // A directory that just changed is re-polled at the ~1 ms floor; a
+    // quiet one backs off toward the interval, the worst-case latency.
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
         let changed = table.sweep(|path, kind| {

@@ -152,7 +152,7 @@ struct Lockstep {
 
 /// One lockstep run through a real daemon, read by both counters over
 /// `calls` echo calls after `warm_up`: every allocation of every thread —
-/// host, watcher, daemon loop, worker, the module itself — per call, the
+/// host, daemon loop (its sweep too), worker, the module itself — per call, the
 /// live heap daemon and host grew by, and what a second daemon does to
 /// replay the log the run left behind.
 fn lockstep(warm_up: usize, calls: usize) -> Lockstep {
@@ -290,8 +290,8 @@ fn main() {
     );
 
     // What is left of a call is what is passed on — the module's result
-    // and the host's copy of it — and the watcher's fallback listing. The
-    // request's parameters go into a recycled set (reads 2.29 and 2.08).
+    // and the host's copy of it — and the loop's fallback listing. The
+    // request's parameters go into a recycled set (reads 2.11 and 2.07).
     let run = lockstep(1_000, 10_000);
     let (lockstep, replay) = (run.per_call, run.replay);
     println!("lockstep {lockstep}");

@@ -63,11 +63,10 @@ fn one_slot_serves_lockstep_calls_without_shedding_on_one_thread() {
 #[test]
 fn requests_at_daemon_startup_are_never_lost() {
     // Regression test: a log file created in the window between the
-    // daemon's startup replay and its watcher's initial census used to be
-    // seen by neither — the request sat unanswered forever. The watcher
-    // now takes its census synchronously in spawn(), before the replay,
-    // closing the window. Race many startup+submit rounds to ensure it
-    // stays closed.
+    // daemon's startup replay and its initial census used to be seen by
+    // neither — the request sat unanswered forever. The daemon now takes
+    // its census in spawn(), before the replay, closing the window. Race
+    // many startup+submit rounds to ensure it stays closed.
     for round in 0..30 {
         let dir = temp_dir();
         let registry = echo_registry();
