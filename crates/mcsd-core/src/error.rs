@@ -125,7 +125,7 @@ mod tests {
         .into();
         assert!(e.is_memory_overflow());
 
-        let e: McsdError = SmartFamError::UnknownModule { module: "m".into() }.into();
+        let e: McsdError = SmartFamError::DaemonDead { module: "m".into() }.into();
         assert!(e.to_string().contains("smartFAM"));
 
         let e: McsdError = std::io::Error::other("disk on fire").into();

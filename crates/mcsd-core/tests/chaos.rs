@@ -8,7 +8,7 @@ use mcsd_core::chaos::{
 };
 use mcsd_core::{FaultInjector, FaultPlan, FaultSite, McsdError};
 use mcsd_obs::Tracer;
-use mcsd_smartfam::BatchConfig;
+use mcsd_smartfam::{BatchConfig, Frame};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +88,22 @@ fn batched_echo_sweep_is_clean() {
         "invariant violations:\n{}",
         report.render_table()
     );
+    // One clean run's I/O ledger (ROADMAP item 17(b)): its requests are
+    // staged before the daemon starts, so the daemon's writes are exact —
+    // one append and one `sync_data` per batch of three, each reply
+    // carrying its batch word.
+    let io = FaultInjector::new(FaultPlan::none());
+    let (observed, served, commits) = scenario.run(&io).unwrap();
+    assert!(observed.outputs_correct);
+    assert_eq!((served.ok, commits.batches, commits.fsyncs), (6, 2, 2));
+    let replies: u64 = (0..6)
+        .map(|i| {
+            let reply = Frame::response_ok(0, format!("echo:r{i}-7").into_bytes());
+            reply.in_batch(1 + i / 3, i % 3).encoded_len() as u64
+        })
+        .sum();
+    let sd = io.ledger().1;
+    assert_eq!((sd.appends, sd.appended_bytes, sd.syncs), (2, replies, 2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

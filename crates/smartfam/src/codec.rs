@@ -119,47 +119,12 @@ impl Frame {
         }
     }
 
-    /// Build an error-response frame.
-    pub fn response_err(id: u64, message: &str) -> Frame {
-        Frame {
-            id,
-            batch: 0,
-            body: FrameBody::Response {
-                status: Status::Error,
-                payload: Bytes::copy_from_slice(message.as_bytes()),
-            },
-        }
-    }
-
-    /// Build an overload-shed response: the daemon refused admission and
-    /// suggests retrying after `retry_after`.
-    pub fn response_overloaded(id: u64, retry_after: Duration) -> Frame {
-        Frame {
-            id,
-            batch: 0,
-            body: FrameBody::Response {
-                status: Status::Overloaded,
-                payload: Bytes::copy_from_slice(&encode_retry_after(retry_after)),
-            },
-        }
-    }
-
     /// Stamp this (response) frame as member `index` of batch `batch_id`.
     /// `batch_id` must be ≥ 1; the stamp is carried as an optional trailer
     /// so unbatched traffic stays byte-identical to the legacy format.
     pub fn in_batch(mut self, batch_id: u64, index: u64) -> Frame {
         self.batch = batch_word(batch_id, index);
         self
-    }
-
-    /// The batch this frame was committed in, or `None` for unbatched.
-    pub fn batch_id(&self) -> Option<u64> {
-        (self.batch != 0).then_some(self.batch >> 16)
-    }
-
-    /// Position of this frame within its batch (0 when unbatched).
-    pub fn batch_index(&self) -> u64 {
-        self.batch & 0xffff
     }
 
     /// Whether this is a request frame.
@@ -637,23 +602,11 @@ pub fn scan<'a>(
     data: &'a [u8],
     offset: usize,
     recovering: bool,
-    each: impl FnMut(usize, FrameView<'a>),
-) -> ScanEnd {
-    scan_with(decode_view, data, offset, recovering, each)
-}
-
-/// [`scan`] over what `decode` makes of a frame: a view of it, or — for
-/// callers that keep every frame — the owned frame, parsed once.
-fn scan_with<'a, F>(
-    decode: impl Fn(&'a [u8]) -> DecodeStep<F>,
-    data: &'a [u8],
-    offset: usize,
-    recovering: bool,
-    mut each: impl FnMut(usize, F),
+    mut each: impl FnMut(usize, FrameView<'a>),
 ) -> ScanEnd {
     let (mut pos, mut skipped_bytes, mut corrupt) = (offset.min(data.len()), 0, None);
     loop {
-        match decode(&data[pos..]) {
+        match decode_view(&data[pos..]) {
             DecodeStep::Complete { frame, consumed } => {
                 each(pos, frame);
                 pos += consumed;
@@ -685,38 +638,10 @@ fn scan_with<'a, F>(
 /// frame). A corrupt frame is an error ([`scan`], not recovering).
 pub fn decode_stream(data: &[u8], offset: usize) -> Result<(Vec<Frame>, usize), String> {
     let mut frames = Vec::new();
-    let end = scan_with(decode_frame, data, offset, false, |_, frame| {
-        frames.push(frame)
-    });
+    let end = scan(data, offset, false, |_, view| frames.push(view.to_frame()));
     match end.corrupt {
         Some(detail) => Err(detail),
         None => Ok((frames, end.new_pos)),
-    }
-}
-
-/// Result of a recovering stream decode: the frames salvaged, the new
-/// cursor position, and how many provably-corrupt bytes were skipped.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecoveredStream {
-    /// Every complete, valid frame found.
-    pub frames: Vec<Frame>,
-    /// Offset of the first byte not consumed.
-    pub new_pos: usize,
-    /// Corrupt bytes the scan jumped over.
-    pub skipped_bytes: usize,
-}
-
-/// Like [`decode_stream`], but corruption does not abort the decode: the
-/// owned face of a recovering [`scan`].
-pub fn decode_stream_recovering(data: &[u8], offset: usize) -> RecoveredStream {
-    let mut frames = Vec::new();
-    let end = scan_with(decode_frame, data, offset, true, |_, frame| {
-        frames.push(frame)
-    });
-    RecoveredStream {
-        frames,
-        new_pos: end.new_pos,
-        skipped_bytes: end.skipped_bytes,
     }
 }
 
@@ -756,10 +681,6 @@ mod tests {
             (
                 Frame::response_ok(id, b"ok".to_vec()),
                 "530f000000080706050403020100020000006f6b876f3142",
-            ),
-            (
-                Frame::response_err(id, "boom"),
-                "531100000008070605040302010104000000626f6f6dbb29977a",
             ),
         ] {
             let bytes = frame.encode();
@@ -838,22 +759,31 @@ mod tests {
         }
     }
 
+    /// The response frame the daemon writes, by `encode_response_into`,
+    /// and the frame the owned decoder makes of it.
+    fn written(id: u64, status: Status, payload: &[u8]) -> (Vec<u8>, Frame) {
+        let mut bytes = Vec::new();
+        encode_response_into(&mut bytes, id, status, payload, 0);
+        match decode_frame(&bytes) {
+            DecodeStep::Complete { frame, .. } => (bytes, frame),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn error_response_roundtrip() {
-        let f = Frame::response_err(9, "module exploded");
-        let bytes = f.encode();
-        match decode_frame(&bytes) {
-            DecodeStep::Complete { frame, .. } => {
-                assert_eq!(frame.id, 9);
-                match frame.body {
-                    FrameBody::Response { status, payload } => {
-                        assert_eq!(status, Status::Error);
-                        assert_eq!(&payload[..], b"module exploded");
-                    }
-                    _ => panic!("not a response"),
-                }
+        let id = 0x0102_0304_0506_0708;
+        let (bytes, _) = written(id, Status::Error, b"boom");
+        let golden = "531100000008070605040302010104000000626f6f6dbb29977a";
+        assert_eq!(hex(&bytes), golden);
+        let (_, frame) = written(9, Status::Error, b"module exploded");
+        assert_eq!(frame.id, 9);
+        match frame.body {
+            FrameBody::Response { status, payload } => {
+                assert_eq!(status, Status::Error);
+                assert_eq!(&payload[..], b"module exploded");
             }
-            other => panic!("{other:?}"),
+            _ => panic!("not a response"),
         }
     }
 
@@ -946,6 +876,14 @@ mod tests {
         assert!(decode_stream(&data, 0).is_err());
     }
 
+    /// A recovering [`scan`], every frame copied out: the frames and where
+    /// the scan ended.
+    fn recovering(data: &[u8], offset: usize) -> (Vec<Frame>, ScanEnd) {
+        let mut frames = Vec::new();
+        let end = scan(data, offset, true, |_, view| frames.push(view.to_frame()));
+        (frames, end)
+    }
+
     #[test]
     fn recovering_decode_holds_at_torn_tail_then_completes() {
         // A torn append must NOT be treated as corruption: the recovering
@@ -955,16 +893,16 @@ mod tests {
         let torn = Frame::request(2, vec!["second-parameter".into()]).encode();
         let mut data = first.clone();
         data.extend_from_slice(&torn[..torn.len() / 2]);
-        let rec = decode_stream_recovering(&data, 0);
-        assert_eq!(rec.frames.len(), 1);
+        let (frames, rec) = recovering(&data, 0);
+        assert_eq!(frames.len(), 1);
         assert_eq!(rec.new_pos, first.len());
         assert_eq!(rec.skipped_bytes, 0);
         // Complete the torn frame and rescan from the held position.
         let mut full = first.clone();
         full.extend_from_slice(&torn);
-        let rec = decode_stream_recovering(&full, rec.new_pos);
-        assert_eq!(rec.frames.len(), 1);
-        assert_eq!(rec.frames[0].id, 2);
+        let (frames, rec) = recovering(&full, rec.new_pos);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].id, 2);
         assert_eq!(rec.new_pos, full.len());
         assert_eq!(rec.skipped_bytes, 0);
     }
@@ -981,8 +919,8 @@ mod tests {
         let mut data = f1.clone();
         data.extend_from_slice(&f2);
         data.extend_from_slice(&f3);
-        let rec = decode_stream_recovering(&data, 0);
-        let ids: Vec<u64> = rec.frames.iter().map(|f| f.id).collect();
+        let (frames, rec) = recovering(&data, 0);
+        let ids: Vec<u64> = frames.iter().map(|f| f.id).collect();
         assert_eq!(ids, vec![1, 3]);
         assert_eq!(rec.skipped_bytes, f2.len());
         assert_eq!(rec.new_pos, data.len());
@@ -995,8 +933,8 @@ mod tests {
         let f1 = Frame::request(1, vec![]).encode();
         let mut data = f1.clone();
         data.extend_from_slice(b"ZZZZZZ");
-        let rec = decode_stream_recovering(&data, 0);
-        assert_eq!(rec.frames.len(), 1);
+        let (frames, rec) = recovering(&data, 0);
+        assert_eq!(frames.len(), 1);
         assert_eq!(rec.new_pos, f1.len());
         assert_eq!(rec.skipped_bytes, 0);
     }
@@ -1008,8 +946,8 @@ mod tests {
             data.extend(Frame::request(i, vec![format!("p{i}")]).encode());
         }
         let (plain, pos) = decode_stream(&data, 0).unwrap();
-        let rec = decode_stream_recovering(&data, 0);
-        assert_eq!(rec.frames, plain);
+        let (frames, rec) = recovering(&data, 0);
+        assert_eq!(frames, plain);
         assert_eq!(rec.new_pos, pos);
         assert_eq!(rec.skipped_bytes, 0);
     }
@@ -1062,23 +1000,18 @@ mod tests {
 
     #[test]
     fn overloaded_response_roundtrip() {
-        let f = Frame::response_overloaded(13, Duration::from_millis(250));
-        let bytes = f.encode();
-        match decode_frame(&bytes) {
-            DecodeStep::Complete { frame, .. } => {
-                assert_eq!(frame.id, 13);
-                match frame.body {
-                    FrameBody::Response { status, payload } => {
-                        assert_eq!(status, Status::Overloaded);
-                        assert_eq!(
-                            decode_retry_after(&payload),
-                            Some(Duration::from_millis(250))
-                        );
-                    }
-                    _ => panic!("not a response"),
-                }
+        let retry_after = encode_retry_after(Duration::from_millis(250));
+        let (_, frame) = written(13, Status::Overloaded, &retry_after);
+        assert_eq!(frame.id, 13);
+        match frame.body {
+            FrameBody::Response { status, payload } => {
+                assert_eq!(status, Status::Overloaded);
+                assert_eq!(
+                    decode_retry_after(&payload),
+                    Some(Duration::from_millis(250))
+                );
             }
-            other => panic!("{other:?}"),
+            _ => panic!("not a response"),
         }
         assert_eq!(decode_retry_after(b"short"), None);
     }

@@ -29,7 +29,7 @@
 use crate::batch::{BatchConfig, BatchStats};
 use crate::codec::{batch_word, HeartbeatRecord, ViewBody};
 use crate::faults::{FaultInjector, FaultSite};
-use crate::log_file::{give_back, module_of, LogFile, LogRole};
+use crate::log_file::{give_back, module_of, LogFile, LogRole, FRESH_LOGS};
 use crate::module::{ModuleRegistry, ProcessingModule};
 use crate::sd::{
     note_frame, BucketedRun, Gated, Log, Next, Planned, QueuedRequest, Reply, SdMachine,
@@ -208,10 +208,10 @@ impl Daemon {
     /// served live, never mistaken for replay leftovers.
     pub fn spawn(self) -> std::io::Result<DaemonHandle> {
         std::fs::create_dir_all(&self.config.log_dir)?;
-        // Sampled here: an append made before the loop runs ends its first wait.
+        // Sampled before the census: no append or fresh log since is missed.
         let pace = PollBackoff::new(WatchConfig::default().poll_interval);
-        let table = Table::census(self.config.log_dir.clone());
         let mut ctx = DaemonCtx::new(self.config, self.registry);
+        let table = Table::census(ctx.config.log_dir.clone(), ctx.config.injector.clone());
         ctx.replay(&table);
         let (stop, sd) = (Arc::clone(&ctx.stop), Arc::clone(&ctx.sd));
         let handle = std::thread::spawn(move || ctx.run(table, pace));
@@ -426,6 +426,8 @@ struct DaemonCtx {
     sd: Arc<Mutex<Sd>>,
     pool: Arc<WorkerPool>,
     logs: HashMap<PathBuf, LogState>,
+    /// `FRESH_LOGS` when the loop last listed the directory for it.
+    fresh_seen: u64,
     /// Scratch of one [`DaemonCtx::process_log`] poll — the offset of the
     /// latest request under each id no response has followed yet — and
     /// empty between polls: the daemon remembers no id it has served.
@@ -457,6 +459,7 @@ impl DaemonCtx {
             }),
             sd,
             logs: HashMap::new(),
+            fresh_seen: FRESH_LOGS.load(Ordering::Acquire),
             unanswered: HashMap::new(),
             fresh: Vec::new(),
             decided: Vec::new(),
@@ -515,20 +518,9 @@ impl DaemonCtx {
             }
             // Dispatch queued work into freed execution slots.
             self.drain_queue();
-            // Park until an append or the gap, then read each changed log.
-            pace.idle();
-            let changed = table.sweep(|path, kind| {
-                if self.stop.load(Ordering::Relaxed) {
-                    // What is left waits for the next incarnation's replay.
-                } else if kind == WatchEventKind::Removed {
-                    // Cursor and append handles belong to the deleted inode:
-                    // a log recreated under this name is attached afresh.
-                    self.logs.remove(&**path);
-                } else if module_of(path).is_some() {
-                    self.process_log(path, false);
-                }
-            });
-            if changed {
+            // Park until an append or the gap, then read what woke the loop.
+            let appended = pace.idle();
+            if self.read_logs(&mut table, appended) {
                 pace.reset();
             }
         }
@@ -536,6 +528,36 @@ impl DaemonCtx {
         // never-dispatched requests stay unanswered in the log; the next
         // incarnation's replay scan picks them up.)
         self.pool.close();
+    }
+
+    /// Read what woke the loop (DESIGN.md §3): on an append wake, each
+    /// attached log a request landed in, or a listing sweep after a fresh
+    /// log; on the gap, the sweep, which alone sees other processes' writes.
+    fn read_logs(&mut self, table: &mut Table, appended: bool) -> bool {
+        let fresh = FRESH_LOGS.load(Ordering::Acquire);
+        if appended && std::mem::replace(&mut self.fresh_seen, fresh) == fresh {
+            // In path order; no I/O for a log no request landed in.
+            let mut read = false;
+            for path in table.paths() {
+                let written = self.logs.get(path).is_some_and(|s| s.log.written());
+                if written && !self.stop.load(Ordering::Relaxed) {
+                    self.process_log(path, false);
+                    read = true;
+                }
+            }
+            return read;
+        }
+        table.sweep(appended, |path, kind| {
+            if self.stop.load(Ordering::Relaxed) {
+                // What is left waits for the next incarnation's replay.
+            } else if kind == WatchEventKind::Removed {
+                // Cursor and append handles belong to the deleted inode:
+                // a log recreated under this name is attached afresh.
+                self.logs.remove(&**path);
+            } else if module_of(path).is_some() {
+                self.process_log(path, false);
+            }
+        })
     }
 
     /// First sight of the log at `path`. `None` for an unreadable file
@@ -999,7 +1021,7 @@ mod tests {
             let waited = Stopwatch::start();
             let mut pace = PollBackoff::new(Duration::from_millis(1));
             let answer = loop {
-                let frames = host.poll().unwrap();
+                let frames = host.poll_recovering().unwrap().0;
                 if let Some(response) = frames.into_iter().find(|f| !f.is_request()) {
                     break response;
                 }
@@ -1014,6 +1036,66 @@ mod tests {
         daemon.stop();
         assert_eq!(daemon.stats().requests, 2);
         assert_eq!(daemon.stats().ok, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A daemon's driver without its thread, sharing `io`: the census
+    /// taken and replayed, the loop's reads left to the test.
+    fn driven(dir: &Path, io: &FaultInjector) -> (DaemonCtx, Table) {
+        let mut ctx = DaemonCtx::new(DaemonConfig::new(dir).with_faults(io.clone()), registry());
+        let table = Table::census(dir.to_path_buf(), io.clone());
+        ctx.replay(&table);
+        (ctx, table)
+    }
+
+    #[test]
+    fn a_request_no_wake_announces_is_answered_by_the_gap_sweep() {
+        let dir = temp_dir();
+        let io = FaultInjector::new(FaultPlan::none());
+        let mut host = LogFile::attach_at_end(dir.join("upper.log")).unwrap();
+        let (mut ctx, mut table) = driven(&dir, &io);
+        // A foreign client's write, not through a `LogFile`: no append wake.
+        let raw = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("upper.log"));
+        let request = Frame::request(7, vec!["raw".into()]);
+        std::io::Write::write_all(&mut raw.unwrap(), &request.encode()).unwrap();
+        // The gap's sweep: a `stat` of the directory and of the log, the
+        // poll's `fstat` (skipped if a request through a handle here landed
+        // in a log sharing this one's slot), and one read of the request.
+        let before = io.ledger();
+        assert!(ctx.read_logs(&mut table, false));
+        let swept = io.ledger().1.since(&before.1);
+        assert!((2..=3).contains(&swept.metadata), "{swept:?}");
+        assert_eq!(swept.reads, 1);
+        assert_eq!(swept.read_bytes, request.encoded_len() as u64);
+        ctx.pool.close();
+        let answered = [request, Frame::response_ok(7, b"RAW".to_vec())];
+        assert_eq!(host.poll_recovering().unwrap().0, answered);
+        assert_eq!(io.ledger().0.appends, 0, "nothing woke the loop");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_created_after_the_census_is_attached_on_an_append_wake() {
+        let dir = temp_dir();
+        let io = FaultInjector::new(FaultPlan::none());
+        let _upper = LogFile::attach_at_end(dir.join("upper.log")).unwrap();
+        let (mut ctx, mut table) = driven(&dir, &io);
+        // Within the directory's timestamp tick or not: the creation count
+        // moved, so the wake lists the directory.
+        let client = HostClient::new(&dir).with_faults(io.clone());
+        let pending = client.submit("fail", &[]).unwrap();
+        let before = io.ledger().1;
+        assert!(ctx.read_logs(&mut table, true));
+        assert!(ctx.logs.contains_key(&dir.join("fail.log")));
+        // The directory's `stat`, its listing and the new log's `stat`,
+        // the attached log's `stat`, and one read of the request.
+        let woke = io.ledger().1.since(&before);
+        assert_eq!((woke.metadata, woke.reads), (4, 1));
+        ctx.pool.close();
+        let answer = pending.wait(TIMEOUT).unwrap_err();
+        assert!(answer.to_string().contains("intentional"), "{answer}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1123,13 +1205,12 @@ mod tests {
         assert_eq!(pending.wait(TIMEOUT).unwrap().payload, b"FRAMED");
         // Re-read the log raw: the response frame names batch 1, slot 0.
         let mut log = LogFile::attach_at_start(dir.join("upper.log")).unwrap();
-        let frames = log.poll().unwrap();
+        let frames = log.poll_recovering().unwrap().0;
         let response = frames
             .iter()
             .find(|f| matches!(f.body, FrameBody::Response { .. }))
             .expect("response frame");
-        assert_eq!(response.batch_id(), Some(1));
-        assert_eq!(response.batch_index(), 0);
+        assert_eq!(response.batch, batch_word(1, 0));
         daemon.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -31,11 +31,6 @@ pub enum SmartFamError {
         /// The module's error message.
         message: String,
     },
-    /// The daemon has no module registered under this name.
-    UnknownModule {
-        /// The requested module name.
-        module: String,
-    },
     /// The daemon's heartbeat went stale (or the daemon never came up),
     /// so the call was abandoned without burning the full deadline.
     DaemonDead {
@@ -96,7 +91,6 @@ impl SmartFamError {
             SmartFamError::Corrupt { .. } => "corrupt",
             SmartFamError::Timeout { .. } => "timeout",
             SmartFamError::ModuleFailed { .. } => "module_failed",
-            SmartFamError::UnknownModule { .. } => "unknown_module",
             SmartFamError::DaemonDead { .. } => "daemon_dead",
             SmartFamError::FaultInjected { .. } => "fault_injected",
             SmartFamError::Overloaded { .. } => "overloaded",
@@ -118,9 +112,6 @@ impl fmt::Display for SmartFamError {
             }
             SmartFamError::ModuleFailed { module, message } => {
                 write!(f, "module {module:?} failed: {message}")
-            }
-            SmartFamError::UnknownModule { module } => {
-                write!(f, "no module registered under {module:?}")
             }
             SmartFamError::DaemonDead { module } => {
                 write!(
@@ -186,11 +177,6 @@ mod tests {
         };
         assert!(e.to_string().contains("wc"));
         assert!(e.to_string().contains('7'));
-
-        let e = SmartFamError::UnknownModule {
-            module: "nope".into(),
-        };
-        assert!(e.to_string().contains("nope"));
 
         let e = SmartFamError::Corrupt {
             offset: 99,

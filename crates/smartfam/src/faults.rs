@@ -18,6 +18,7 @@
 //! poll) so the host's and daemon's activity never race for the same
 //! counter — that separation is what makes replays byte-exact.
 
+use crate::log_file::{LogIo, LogRole};
 use mcsd_obs::CounterFamily;
 use parking_lot::Mutex;
 use std::fmt;
@@ -385,6 +386,8 @@ struct InjectorInner {
     fired: Mutex<Vec<InjectedFault>>,
     /// A stepped clock's reading; `None` reads the wall clock.
     clock: Option<AtomicU64>,
+    /// The run's I/O ledger, a row per [`LogRole`] in its order.
+    io: Option<Mutex<[LogIo<false>; 2]>>,
 }
 
 /// Shared handle to a fault plan plus its per-site occurrence counters,
@@ -413,29 +416,30 @@ impl FaultInjector {
     pub fn disabled() -> FaultInjector {
         static DISABLED: OnceLock<FaultInjector> = OnceLock::new();
         DISABLED
-            .get_or_init(|| FaultInjector::new(FaultPlan::none()))
+            .get_or_init(|| FaultInjector::build(FaultPlan::none(), false, None, false))
             .clone()
     }
 
     /// An injector executing `plan`.
     pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector::build(plan, false, None)
+        FaultInjector::build(plan, false, None, true)
     }
 
     /// An injector executing `plan` on a clock stopped at `now_ms`, which
     /// moves only by [`FaultInjector::set_clock`].
     pub fn stepped(plan: FaultPlan, now_ms: u64) -> FaultInjector {
-        FaultInjector::build(plan, false, Some(AtomicU64::new(now_ms)))
+        FaultInjector::build(plan, false, Some(now_ms), true)
     }
 
-    fn build(plan: FaultPlan, probe: bool, clock: Option<AtomicU64>) -> FaultInjector {
+    fn build(plan: FaultPlan, probe: bool, clock: Option<u64>, ledger: bool) -> FaultInjector {
         FaultInjector {
             inner: Arc::new(InjectorInner {
                 plan,
                 probe,
                 counters: Default::default(),
                 fired: Mutex::new(Vec::new()),
-                clock,
+                clock: clock.map(AtomicU64::new),
+                io: ledger.then(Default::default),
             }),
         }
     }
@@ -447,7 +451,7 @@ impl FaultInjector {
     /// This is the discovery half of the chaos explorer; production code
     /// never uses it, so the empty-plan fast path stays intact there.
     pub fn probing(plan: FaultPlan) -> FaultInjector {
-        FaultInjector::build(plan, true, None)
+        FaultInjector::build(plan, true, None, true)
     }
 
     /// An injector executing the plan derived from `seed`.
@@ -486,6 +490,21 @@ impl FaultInjector {
         if let Some(clock) = &self.inner.clock {
             clock.store(now_ms, Ordering::Relaxed);
         }
+    }
+
+    /// Count I/O of a `role` handle in the run's ledger, if it keeps one.
+    pub(crate) fn io(&self, role: LogRole, count: impl FnOnce(&mut LogIo<false>)) {
+        if let Some(rows) = &self.inner.io {
+            count(&mut rows.lock()[role as usize]);
+        }
+    }
+
+    /// The run's I/O ledger so far, the host's row and the daemon's (its
+    /// log sweep's `stat`s included); all zero on the disabled injector.
+    pub fn ledger(&self) -> (LogIo<false>, LogIo<true>) {
+        let rows = self.inner.io.as_ref().map(|rows| *rows.lock());
+        let [host, sd] = rows.unwrap_or_default();
+        (host, sd.retag())
     }
 
     /// How many times `site` has been hit so far.

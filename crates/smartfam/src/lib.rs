@@ -34,8 +34,8 @@
 //! * [`log_file`] — append/scan access to one module's log file.
 //! * [`module`] — the [`ProcessingModule`] trait and registry of
 //!   "preloaded" data-intensive modules.
-//! * [`daemon`] — the SD-side daemon: sweep the log files on the append
-//!   wake, dispatch modules, write results, heartbeat.
+//! * [`daemon`] — the SD-side daemon: read the log files the append wake
+//!   names, dispatch modules, write results, heartbeat.
 //! * [`host`] — the host-side client: write parameters, await results.
 //! * [`faults`] — seeded deterministic fault injection (torn/corrupt
 //!   appends, daemon crashes, heartbeat stalls, stale reads) plus the
@@ -70,7 +70,7 @@ pub use faults::{
     ResilienceStats, ScheduledFault,
 };
 pub use host::{HostClient, InvokeOutcome, Liveness, PendingCall, RetryPolicy, WindowRun};
-pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
+pub use log_file::{BatchAppendOutcome, LogFile, LogIo, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
 pub use replica::{AppendOutcome, ReplicaConfig, ReplicaState, ReplicatedLog, ReprotectStep};
 pub use watch::{FileWatcher, PollBackoff, WatchConfig, WatchEvent, WatchEventKind};

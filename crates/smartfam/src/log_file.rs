@@ -13,16 +13,16 @@
 //! on one descriptor), so every appended byte crosses the file boundary
 //! and the decoder exactly once per side:
 //!
-//! - **Held handle.** A poll `fstat`s the held descriptor. Unchanged
-//!   length ⇒ return at once, nothing read, nothing allocated. Grown ⇒
-//!   read only `[cursor, len)` into a reused buffer and scan it from its
-//!   start. Shrunk below the cursor ⇒ [`SmartFamError::Corrupt`]: an
-//!   in-place truncation keeps the inode, so the held handle sees it.
+//! - **Held handle.** A poll is one positional read of `[cursor, EOF)`
+//!   into a kept buffer, scanned from its start, after an `fstat` only if
+//!   the other side wrote nothing here from this process since the last
+//!   read; a file shrunk below the cursor is [`SmartFamError::Corrupt`]
+//!   (an in-place truncation keeps the inode). The ledger counts each call.
 //! - **Read in place.** [`LogFile::poll_each`] shows its caller every new
 //!   frame as a [`FrameView`] borrowed from that buffer; what the caller
-//!   passes on it copies out, nothing else is copied. [`LogFile::poll`]
-//!   and [`LogFile::poll_recovering`] copy every frame out, for callers
-//!   that keep them all.
+//!   passes on it copies out, nothing else is copied.
+//!   [`LogFile::poll_recovering`] copies every frame out, for callers that
+//!   keep them all.
 //! - **Cursor alignment.** A cursor must sit on a frame boundary. A
 //!   *sampled* file length is not one — another writer's batch may be half
 //!   on disk when the length is read, and a stray magic byte followed by a
@@ -30,13 +30,15 @@
 //!   offset of this handle's *own* append is one, and it precedes every
 //!   reply to that append ([`LogFile::append_and_rebase`]).
 
-use crate::codec::{decode_stream, decode_view, scan, DecodeStep, Frame, FrameView};
+use crate::codec::{decode_view, scan, DecodeStep, Frame, FrameView};
 use crate::error::SmartFamError;
 use crate::faults::{FaultAction, FaultInjector, FaultSite};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where module `module`'s log lives under `dir` — the crate's one
 /// spelling of `<dir>/[.replica<r>/]<module>.log`. Copy 0 is the module
@@ -67,6 +69,57 @@ pub enum LogRole {
     Daemon,
 }
 
+/// One log role's row of the run's I/O ledger ([`FaultInjector::ledger`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogIo<const DAEMON: bool> {
+    /// Writes: one per append, one per batch.
+    pub appends: u64,
+    /// Bytes those writes put on the file.
+    pub appended_bytes: u64,
+    /// `sync_data` calls.
+    pub syncs: u64,
+    /// Positional reads, an empty one included.
+    pub reads: u64,
+    /// Bytes those reads returned.
+    pub read_bytes: u64,
+    /// `stat`, `fstat`, `lseek` and directory listings.
+    pub metadata: u64,
+}
+
+mcsd_obs::counter_family!(LogIo<false> {
+    owner: "smartfam.log_file",
+    prefix: "io.host",
+    counters: [appends, appended_bytes, syncs, reads, read_bytes, metadata],
+});
+
+mcsd_obs::counter_family!(LogIo<true> {
+    owner: "smartfam.log_file",
+    prefix: "io.sd",
+    counters: [appends, appended_bytes, syncs, reads, read_bytes, metadata],
+});
+
+impl<const DAEMON: bool> LogIo<DAEMON> {
+    /// The same counts, as the other role's row.
+    pub(crate) fn retag<const TO: bool>(self) -> LogIo<TO> {
+        LogIo {
+            appends: self.appends,
+            appended_bytes: self.appended_bytes,
+            syncs: self.syncs,
+            reads: self.reads,
+            read_bytes: self.read_bytes,
+            metadata: self.metadata,
+        }
+    }
+}
+
+/// Appends made in this process per role (host, daemon), in a slot their
+/// log's inode picks: logs sharing a slot cost a read, never a miss.
+static APPENDS: [[AtomicU64; 2]; 64] = [const { [const { AtomicU64::new(0) }; 2] }; 64];
+
+/// Log files this process opened empty, each it created among them: the
+/// daemon's loop lists the directory on an append wake once this moved.
+pub(crate) static FRESH_LOGS: AtomicU64 = AtomicU64::new(0);
+
 impl LogRole {
     fn append_site(self) -> FaultSite {
         match self {
@@ -83,21 +136,20 @@ impl LogRole {
     }
 }
 
-/// Read `[from, to)` of `file` into `buf`, replacing its contents. Every
-/// append is `O_APPEND`, so moving the descriptor's position here never
-/// disturbs one.
+/// One counted positional read of `file` at `at` into `buf`: the bytes
+/// read, fewer than `buf.len()` only at the end of the file.
 fn read_range_into(
-    mut file: &File,
-    from: u64,
-    to: u64,
-    buf: &mut Vec<u8>,
-) -> Result<(), SmartFamError> {
-    let want = to.saturating_sub(from);
-    buf.clear();
-    buf.reserve(want as usize);
-    file.seek(SeekFrom::Start(from))?;
-    file.take(want).read_to_end(buf)?;
-    Ok(())
+    file: &File,
+    (io, role): (&FaultInjector, LogRole),
+    at: u64,
+    buf: &mut [u8],
+) -> Result<usize, SmartFamError> {
+    let read = file.read_at(buf, at)?;
+    io.io(role, |io| {
+        io.reads += 1;
+        io.read_bytes += read as u64;
+    });
+    Ok(read)
 }
 
 /// The largest read buffer a [`LogFile`] keeps between polls. A poll that
@@ -123,10 +175,6 @@ pub struct BatchAppendOutcome {
     /// Frames of the batch fully durable on disk. A torn batch keeps a
     /// prefix; only frames whose every byte was written count.
     pub frames_durable: usize,
-    /// Bytes actually written (including a torn tail's partial frame).
-    pub bytes: u64,
-    /// fsyncs issued — exactly one for a non-empty batch.
-    pub fsyncs: u64,
     /// Whether an injected torn write cut the batch short; the caller
     /// retries only the frames past `frames_durable`.
     pub torn: bool,
@@ -135,17 +183,20 @@ pub struct BatchAppendOutcome {
 /// Held handle to a module's log file with a private read cursor.
 #[derive(Debug)]
 pub struct LogFile {
-    /// Opened read + `O_APPEND`: writes land at the end whatever the
-    /// descriptor's position, which polls (`&mut self`) are free to move.
+    /// Opened read + `O_APPEND`: writes land at the end, and reads are
+    /// positional, so only a write moves the position, to its own end.
     file: File,
     cursor: u64,
-    /// File length at the latest poll: the cursor may hold short of it (at
-    /// an incomplete tail), and re-reading that tail before the file grows
-    /// again would decode the same bytes to the same result.
-    seen_len: u64,
-    /// The bytes `[cursor, len)` of the latest poll that had to read; kept
-    /// for reuse up to [`TAIL_KEEP_BYTES`].
+    /// The read buffer, kept for reuse up to [`TAIL_KEEP_BYTES`]; its
+    /// first `filled` bytes are what the latest poll read.
     tail: Vec<u8>,
+    filled: usize,
+    /// This file's [`APPENDS`] slot, the other side's count there and its
+    /// value before the latest read, and the length that read found.
+    slot: usize,
+    theirs: &'static AtomicU64,
+    theirs_seen: u64,
+    seen_len: u64,
     injector: FaultInjector,
     role: LogRole,
 }
@@ -159,7 +210,6 @@ impl LogFile {
     pub fn attach_at_end(path: impl Into<PathBuf>) -> Result<LogFile, SmartFamError> {
         let mut log = LogFile::attach_at_start(path)?;
         log.cursor = log.len()?;
-        log.seen_len = log.cursor;
         Ok(log)
     }
 
@@ -175,11 +225,17 @@ impl LogFile {
             .append(true)
             .create(true)
             .open(&path)?;
+        let meta = file.metadata()?;
+        FRESH_LOGS.fetch_add(u64::from(meta.len() == 0), Ordering::Release);
         Ok(LogFile {
             file,
             cursor: 0,
-            seen_len: 0,
             tail: Vec::new(),
+            filled: 0,
+            slot: meta.ino() as usize % APPENDS.len(),
+            theirs: &APPENDS[meta.ino() as usize % APPENDS.len()][1],
+            theirs_seen: 0,
+            seen_len: 0,
             injector: FaultInjector::disabled(),
             role: LogRole::Host,
         })
@@ -192,6 +248,7 @@ impl LogFile {
     pub fn with_faults(mut self, injector: FaultInjector, role: LogRole) -> LogFile {
         self.injector = injector;
         self.role = role;
+        self.theirs = &APPENDS[self.slot][usize::from(role == LogRole::Host)];
         self
     }
 
@@ -236,6 +293,7 @@ impl LogFile {
         // bytes it wrote, wherever other writers have got to since.
         self.cursor = self.file.stream_position()?;
         self.seen_len = self.cursor;
+        self.injector.io(self.role, |io| io.metadata += 1);
         Ok(written)
     }
 
@@ -278,6 +336,7 @@ impl LogFile {
         let fault = self.injector.fire(FaultSite::BatchAppend);
         let written = self.write_faulted(bytes, fault)?;
         self.file.sync_data()?;
+        self.injector.io(self.role, |io| io.syncs += 1);
         // A frame is durable only if its last byte made it to disk.
         let mut end = 0usize;
         let frames_durable = lens
@@ -289,8 +348,6 @@ impl LogFile {
             .count();
         Ok(BatchAppendOutcome {
             frames_durable,
-            bytes: written as u64,
-            fsyncs: 1,
             torn: written < bytes.len(),
         })
     }
@@ -331,6 +388,11 @@ impl LogFile {
             _ => {}
         }
         (&self.file).write_all(out)?;
+        self.injector.io(self.role, |io| {
+            io.appends += 1;
+            io.appended_bytes += out.len() as u64;
+        });
+        APPENDS[self.slot][self.role as usize].fetch_add(1, Ordering::Release);
         crate::watch::note_append();
         Ok(out.len())
     }
@@ -338,11 +400,10 @@ impl LogFile {
     /// The bytes `[from, to)` of the file (fewer when it is shorter) — how
     /// a replication group reads back the frame it just wrote, or copies
     /// a verified prefix, without re-reading the copy's whole history.
-    /// For handles with a single owner: two threads reading through one
-    /// shared handle would race on the descriptor position.
     pub(crate) fn read_range(&self, from: u64, to: u64) -> Result<Vec<u8>, SmartFamError> {
-        let mut buf = Vec::new();
-        read_range_into(&self.file, from, to, &mut buf)?;
+        let mut buf = vec![0; to.saturating_sub(from) as usize];
+        let read = read_range_into(&self.file, (&self.injector, self.role), from, &mut buf)?;
+        buf.truncate(read);
         Ok(buf)
     }
 
@@ -352,50 +413,33 @@ impl LogFile {
         Ok(self.file.set_len(len)?)
     }
 
-    /// Bring the bytes appended since the last poll, `[cursor, len)`, into
-    /// `self.tail`. `false` — without reading or allocating — when the
-    /// file has not grown since the last poll.
+    /// Read `[cursor, EOF)` into the kept buffer; `false` when there is
+    /// nothing new. Unless the other side appended here in this process
+    /// since the latest read, one `fstat` first says whether another
+    /// process did; a cut below the cursor is an error either way.
     fn read_tail(&mut self) -> Result<bool, SmartFamError> {
-        let len = self.len()?;
-        if len < self.cursor {
-            // The file shrank under us — treat as corruption.
-            return Err(SmartFamError::Corrupt {
-                offset: self.cursor,
-                detail: "log file was truncated".into(),
-            });
-        }
-        if len == self.seen_len {
+        let theirs = self.theirs.load(Ordering::Acquire);
+        let quiet = std::mem::replace(&mut self.theirs_seen, theirs) == theirs;
+        if quiet && self.len()? == self.seen_len {
             return Ok(false);
         }
-        read_range_into(&self.file, self.cursor, len, &mut self.tail)?;
-        self.seen_len = len;
-        Ok(true)
-    }
-
-    /// Read every complete frame appended since the last poll, advancing
-    /// the cursor past them. An incomplete trailing frame (a concurrent
-    /// append in progress) is left for the next poll.
-    pub fn poll(&mut self) -> Result<Vec<Frame>, SmartFamError> {
-        if !self.read_tail()? {
-            return Ok(Vec::new());
+        let io = (&self.injector, self.role);
+        if self.tail.is_empty() {
+            self.tail.resize(4096, 0);
         }
-        let decoded = decode_stream(&self.tail, 0);
-        self.release_poll();
-        match decoded {
-            Ok((frames, used)) => {
-                self.cursor += used as u64;
-                Ok(frames)
-            }
-            Err(detail) => {
-                // Corruption is never self-healing: the next poll must
-                // re-read and report it again, not see "nothing new".
-                self.seen_len = self.cursor;
-                Err(SmartFamError::Corrupt {
-                    offset: self.cursor,
-                    detail: format!("past the cursor, {detail}"),
-                })
-            }
+        let mut filled = read_range_into(&self.file, io, self.cursor, &mut self.tail)?;
+        while filled == self.tail.len() {
+            // A history or a large frame: one `fstat` sizes the rest.
+            let unread = self.len()? - self.cursor;
+            self.tail.resize(filled.max(unread as usize) + 4096, 0);
+            let at = self.cursor + filled as u64;
+            filled += read_range_into(&self.file, io, at, &mut self.tail[filled..])?;
         }
+        (self.filled, self.seen_len) = (filled, self.cursor + filled as u64);
+        if filled == 0 {
+            self.len()?; // a cut below the cursor reads as nothing
+        }
+        Ok(filled > 0)
     }
 
     /// The recovering poll, in place: show `each` every complete frame
@@ -417,7 +461,7 @@ impl LogFile {
         if hidden || !self.read_tail()? {
             return Ok(0);
         }
-        let end = scan(&self.tail, 0, true, each);
+        let end = scan(&self.tail[..self.filled], 0, true, each);
         self.cursor += end.new_pos as u64;
         Ok(end.skipped_bytes as u64)
     }
@@ -426,7 +470,7 @@ impl LogFile {
     /// again: a caller that decides from ids first comes back for the few
     /// frames it copies out.
     pub fn frame_at(&self, offset: usize) -> Option<FrameView<'_>> {
-        match decode_view(self.tail.get(offset..)?) {
+        match decode_view(self.tail[..self.filled].get(offset..)?) {
             DecodeStep::Complete { frame, .. } => Some(frame),
             _ => None,
         }
@@ -435,6 +479,7 @@ impl LogFile {
     /// Done with the bytes of the latest poll: the buffer is kept for the
     /// next one unless this poll grew it past 256 KiB.
     pub fn release_poll(&mut self) {
+        self.filled = 0;
         give_back(&mut self.tail);
     }
 
@@ -447,14 +492,22 @@ impl LogFile {
         Ok((frames, skipped))
     }
 
-    /// Current length of the log file in bytes.
-    pub fn len(&self) -> Result<u64, SmartFamError> {
-        Ok(self.file.metadata()?.len())
+    /// Whether the other side may have appended here since the latest read.
+    pub(crate) fn written(&self) -> bool {
+        self.theirs.load(Ordering::Acquire) != self.theirs_seen
     }
 
-    /// Whether the log file has no content.
-    pub fn is_empty(&self) -> Result<bool, SmartFamError> {
-        Ok(self.len()? == 0)
+    /// The file's length: one `fstat`; [`SmartFamError::Corrupt`] if cut below the cursor.
+    pub(crate) fn len(&self) -> Result<u64, SmartFamError> {
+        self.injector.io(self.role, |io| io.metadata += 1);
+        let len = self.file.metadata()?.len();
+        if len < self.cursor {
+            return Err(SmartFamError::Corrupt {
+                offset: self.cursor,
+                detail: "log file was truncated".into(),
+            });
+        }
+        Ok(len)
     }
 }
 
@@ -462,6 +515,7 @@ impl LogFile {
 mod tests {
     use super::*;
     use crate::codec::FrameBody;
+    use mcsd_obs::CounterFamily;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static N: AtomicU64 = AtomicU64::new(0);
@@ -481,12 +535,12 @@ mod tests {
         let mut reader = LogFile::attach_at_start(&path).unwrap();
         writer.append(&Frame::request(1, vec!["x".into()])).unwrap();
         writer.append(&Frame::request(2, vec!["y".into()])).unwrap();
-        let frames = reader.poll().unwrap();
+        let frames = reader.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].id, 1);
         assert_eq!(frames[1].id, 2);
         // Nothing new on a second poll.
-        assert!(reader.poll().unwrap().is_empty());
+        assert!(reader.poll_recovering().unwrap().0.is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -496,9 +550,9 @@ mod tests {
         let writer = LogFile::attach_at_start(&path).unwrap();
         writer.append(&Frame::request(1, vec![])).unwrap();
         let mut reader = LogFile::attach_at_end(&path).unwrap();
-        assert!(reader.poll().unwrap().is_empty());
+        assert!(reader.poll_recovering().unwrap().0.is_empty());
         writer.append(&Frame::request(2, vec![])).unwrap();
-        let frames = reader.poll().unwrap();
+        let frames = reader.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].id, 2);
         std::fs::remove_file(&path).unwrap();
@@ -513,7 +567,7 @@ mod tests {
             .append(&Frame::request(1, vec!["in".into()]))
             .unwrap();
         writer.append(&Frame::response_ok(1, vec![42u8])).unwrap();
-        let frames = reader.poll().unwrap();
+        let frames = reader.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 2);
         assert!(frames[0].is_request());
         assert!(matches!(frames[1].body, FrameBody::Response { .. }));
@@ -536,7 +590,7 @@ mod tests {
                 .unwrap();
             f.write_all(&bytes[..bytes.len() / 2]).unwrap();
         }
-        let frames = reader.poll().unwrap();
+        let frames = reader.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 1);
         // Complete the torn frame; the reader picks it up next poll.
         {
@@ -547,33 +601,70 @@ mod tests {
                 .unwrap();
             f.write_all(&bytes[bytes.len() / 2..]).unwrap();
         }
-        let frames = reader.poll().unwrap();
+        let frames = reader.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].id, 2);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn truncation_is_detected() {
+    fn a_history_longer_than_the_buffer_is_sized_by_one_fstat() {
         let path = temp_log();
+        let io = FaultInjector::new(crate::faults::FaultPlan::none());
+        let log = LogFile::attach_at_start(&path).unwrap();
+        let mut reader = log.with_faults(io.clone(), LogRole::Daemon);
+        let frame = Frame::request(1, vec!["x".repeat(10_000)]);
         let writer = LogFile::attach_at_start(&path).unwrap();
-        let mut reader = LogFile::attach_at_start(&path).unwrap();
-        writer.append(&Frame::request(1, vec![])).unwrap();
-        reader.poll().unwrap();
-        std::fs::write(&path, b"").unwrap();
-        assert!(matches!(reader.poll(), Err(SmartFamError::Corrupt { .. })));
+        (0..10).for_each(|_| _ = writer.append(&frame).unwrap());
+        let history = 10 * frame.encoded_len();
+        // Requests landed, so the poll reads first: the first read fills
+        // the starting buffer, one `fstat` sizes it for the rest, and the
+        // second read brings that in whole.
+        assert_eq!(reader.poll_recovering().unwrap().0, vec![frame; 10]);
+        let sd = io.ledger().1;
+        assert_eq!(
+            (sd.reads, sd.read_bytes, sd.metadata),
+            (2, history as u64, 1)
+        );
+        assert_eq!(reader.tail.len(), history + 4096);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn corruption_is_reported_by_every_plain_poll() {
+    fn truncation_is_detected() {
+        use crate::faults::FaultPlan;
         let path = temp_log();
-        let mut reader = LogFile::attach_at_start(&path).unwrap();
-        std::fs::write(&path, b"not a frame").unwrap();
+        let writer = LogFile::attach_at_start(&path).unwrap();
+        let io = FaultInjector::new(FaultPlan::none());
+        let mut reader = LogFile::attach_at_start(&path)
+            .unwrap()
+            .with_faults(io.clone(), LogRole::Daemon);
+        writer.append(&Frame::request(1, vec!["x".into()])).unwrap();
+        assert_eq!(reader.poll_each(|_, _| {}).unwrap(), 0);
+        reader.release_poll();
+        let cursor = reader.cursor();
+        // Cut one byte below the cursor, in place: the inode stays.
+        let cut = std::fs::OpenOptions::new().write(true).open(&path);
+        cut.unwrap().set_len(cursor - 1).unwrap();
         for _ in 0..2 {
-            assert!(matches!(reader.poll(), Err(SmartFamError::Corrupt { .. })));
-            assert_eq!(reader.cursor(), 0);
+            let before = io.ledger().1;
+            match reader.poll_each(|_, _| panic!("a frame past a cut")) {
+                Err(SmartFamError::Corrupt { offset, detail }) => {
+                    assert_eq!(
+                        (offset, detail.as_str()),
+                        (cursor, "log file was truncated")
+                    );
+                }
+                other => panic!("{other:?}"),
+            }
+            // Found by one `fstat`: first, as no request landed since the
+            // latest read, or after an empty read if a request through a
+            // handle here landed in a log sharing this one's slot.
+            let polled = io.ledger().1.since(&before);
+            assert_eq!((polled.read_bytes, polled.metadata), (0, 1));
+            assert!(polled.reads <= 1, "{polled:?}");
         }
+        assert_eq!(reader.cursor(), cursor);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -591,7 +682,7 @@ mod tests {
         assert_eq!(n, own.encoded_len() as u64);
         assert_eq!(log.cursor(), log.len().unwrap());
         other.append(&Frame::response_ok(3, vec![1u8])).unwrap();
-        let frames = log.poll().unwrap();
+        let frames = log.poll_recovering().unwrap().0;
         assert_eq!(frames.len(), 1);
         assert!(!frames[0].is_request());
         std::fs::remove_file(&path).unwrap();
@@ -687,33 +778,31 @@ mod tests {
 
     #[test]
     fn batch_append_coalesces_with_single_fsync() {
+        use crate::faults::FaultPlan;
         let path = temp_log();
-        let writer = LogFile::attach_at_start(&path).unwrap();
+        let io = FaultInjector::new(FaultPlan::none());
+        let writer = LogFile::attach_at_start(&path)
+            .unwrap()
+            .with_faults(io.clone(), LogRole::Daemon);
         let frames: Vec<Frame> = (0..3)
             .map(|i| Frame::response_ok(i, vec![i as u8; 16]).in_batch(1, i))
             .collect();
         let out = writer.append_batch(&frames).unwrap();
         assert_eq!(out.frames_durable, 3);
-        assert_eq!(out.fsyncs, 1);
         assert!(!out.torn);
         let total: usize = frames.iter().map(|f| f.encode().len()).sum();
-        assert_eq!(out.bytes, total as u64);
+        let sd = io.ledger().1;
+        assert_eq!(
+            (sd.appends, sd.appended_bytes, sd.syncs),
+            (1, total as u64, 1)
+        );
         let mut reader = LogFile::attach_at_start(&path).unwrap();
-        let got = reader.poll().unwrap();
+        let got = reader.poll_recovering().unwrap().0;
         assert_eq!(got, frames);
-        assert_eq!(got[2].batch_id(), Some(1));
-        assert_eq!(got[2].batch_index(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let path = temp_log();
-        let writer = LogFile::attach_at_start(&path).unwrap();
+        assert_eq!(got[2].batch, crate::codec::batch_word(1, 2));
+        // An empty batch writes and syncs nothing.
         let out = writer.append_batch(&[]).unwrap();
-        assert_eq!(out.fsyncs, 0);
-        assert_eq!(out.bytes, 0);
-        assert!(writer.is_empty().unwrap());
+        assert_eq!((out.frames_durable, io.ledger().1), (0, sd));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -747,7 +836,6 @@ mod tests {
         // makes the remaining frames readable past the torn bytes.
         let retry = writer.append_batch(&frames[out.frames_durable..]).unwrap();
         assert!(!retry.torn);
-        assert_eq!(retry.fsyncs, 1);
         let (got, skipped) = reader.poll_recovering().unwrap();
         assert_eq!(got.len(), frames.len() - out.frames_durable);
         assert!(skipped > 0, "torn tail bytes are skipped on resync");
@@ -783,7 +871,7 @@ mod tests {
         let dir = crate::temp_dir();
         let path = dir.join("nested/module.log");
         let log = LogFile::attach_at_start(&path).unwrap();
-        assert!(log.is_empty().unwrap());
+        assert_eq!(log.len().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -411,7 +411,7 @@ impl<L: Log> SdMachine<L> {
         let durable = outcome.frames_durable as u64;
         self.batch.batches += 1;
         self.batch.coalesced_appends += durable;
-        self.batch.fsyncs += outcome.fsyncs;
+        self.batch.fsyncs += 1;
         let (tracer, track) = (&self.config.tracer, self.track);
         tracer.event_with(track, EVENT_SD_BATCH_COMMIT, |a| {
             a.u64("size", durable);

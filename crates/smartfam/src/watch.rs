@@ -12,6 +12,8 @@
 //! A sweep is one `stat` per known file plus one for the directory, which
 //! is listed only when its own signature moved (DESIGN.md §3).
 
+use crate::faults::FaultInjector;
+use crate::log_file::LogRole;
 use mcsd_phoenix::Stopwatch;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,10 +119,10 @@ impl PollBackoff {
 
     /// Wait out one idle gap, or until an append lands in this process —
     /// at once if one landed since [`PollBackoff::new`] or the previous
-    /// `idle` returned, that is, since before the caller's check. The
-    /// single place a real-I/O wait loop (host response waits, the
-    /// watcher's metadata poll) parks its thread.
-    pub fn idle(&mut self) {
+    /// `idle` returned, that is, since before the caller's check — and say
+    /// whether one did. The single place a real-I/O wait loop (host
+    /// response waits, the daemon's loop, the watcher's poll) parks.
+    pub fn idle(&mut self) -> bool {
         let gap = self.idle_delay();
         let waited = Stopwatch::start();
         let mut appends = appends();
@@ -134,7 +136,7 @@ impl PollBackoff {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-        self.seen = *appends;
+        std::mem::replace(&mut self.seen, *appends) != *appends
     }
 
     /// Progress observed: the next idle gap restarts at the floor.
@@ -149,9 +151,10 @@ struct FileSig {
     mtime: Option<SystemTime>,
 }
 
-/// One `stat`: the signature of the regular file at `path` (of the
-/// directory there when `dir` is set), `None` for anything else.
-fn signature(path: &Path, dir: bool) -> Option<FileSig> {
+/// One `stat`, counted in `io`: the signature of the regular file at
+/// `path` (of the directory when `dir` is set), `None` for anything else.
+fn signature(io: &FaultInjector, path: &Path, dir: bool) -> Option<FileSig> {
+    io.io(LogRole::Daemon, |io| io.metadata += 1);
     let meta = std::fs::metadata(path).ok()?;
     let wanted = if dir { meta.is_dir() } else { meta.is_file() };
     wanted.then(|| FileSig {
@@ -174,6 +177,8 @@ struct Tracked {
 /// [`FileWatcher`]'s thread.
 pub(crate) struct Table {
     dir: PathBuf,
+    /// The ledger the sweep's calls are counted in, as the daemon's.
+    io: FaultInjector,
     /// The directory's signature sampled *before* the latest listing, so
     /// an entry that appeared while the listing ran moves it.
     dir_sig: Option<FileSig>,
@@ -188,10 +193,11 @@ const RELIST_EVERY: u32 = 64;
 
 impl Table {
     /// The files in `dir` now: later changes are events, this state is not.
-    pub(crate) fn census(dir: PathBuf) -> Table {
+    pub(crate) fn census(dir: PathBuf, io: FaultInjector) -> Table {
         let mut table = Table {
-            dir_sig: signature(&dir, true),
+            dir_sig: signature(&io, &dir, true),
             dir,
+            io,
             files: Vec::new(),
             sweeps: 0,
         };
@@ -206,6 +212,7 @@ impl Table {
 
     /// Add every regular file in `dir` that is not yet in the table.
     fn list(&mut self, fresh: bool) {
+        self.io.io(LogRole::Daemon, |io| io.metadata += 1);
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -221,20 +228,24 @@ impl Table {
                 continue;
             };
             let path: Arc<Path> = entry.path().into();
-            let sig = signature(&path, false);
+            let sig = signature(&self.io, &path, false);
             if sig.is_some() {
                 self.files.insert(at, Tracked { path, sig, fresh });
             }
         }
     }
 
-    /// One poll of the directory: `emit` gets `Created`/`Modified` in path
-    /// order, then `Removed` in path order. Returns whether anything
-    /// changed.
-    pub(crate) fn sweep(&mut self, mut emit: impl FnMut(&Arc<Path>, WatchEventKind)) -> bool {
+    /// One poll of the directory, listed if `relist`, if its signature moved
+    /// or on a quiet one's [`RELIST_EVERY`]th poll: `emit` gets `Created` and
+    /// `Modified`, then `Removed`, each in path order. Whether any changed.
+    pub(crate) fn sweep(
+        &mut self,
+        relist: bool,
+        mut emit: impl FnMut(&Arc<Path>, WatchEventKind),
+    ) -> bool {
         self.sweeps = self.sweeps.wrapping_add(1);
-        let dir_sig = signature(&self.dir, true);
-        if dir_sig != self.dir_sig || self.sweeps.is_multiple_of(RELIST_EVERY) {
+        let dir_sig = signature(&self.io, &self.dir, true);
+        if relist || dir_sig != self.dir_sig || self.sweeps.is_multiple_of(RELIST_EVERY) {
             self.dir_sig = dir_sig;
             self.list(true);
         }
@@ -245,7 +256,7 @@ impl Table {
                 changed = true;
                 continue;
             }
-            let now = signature(&t.path, false);
+            let now = signature(&self.io, &t.path, false);
             if now.is_some() && now != t.sig {
                 emit(&t.path, WatchEventKind::Modified);
                 changed = true;
@@ -285,7 +296,7 @@ impl FileWatcher {
         // On this thread: an append made before the new one runs is not
         // missed, and files existing now are silent (inotify semantics).
         let pace = PollBackoff::new(config.poll_interval);
-        let table = Table::census(dir.into());
+        let table = Table::census(dir.into(), FaultInjector::disabled());
         let handle = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || poll_loop(table, pace, tx, &stop))
@@ -322,7 +333,7 @@ fn poll_loop(mut table: Table, mut pace: PollBackoff, tx: Sender<WatchEvent>, st
     // quiet one backs off toward the interval, the worst-case latency.
     while !stop.load(Ordering::Relaxed) {
         pace.idle();
-        let changed = table.sweep(|path, kind| {
+        let changed = table.sweep(false, |path, kind| {
             let path = Arc::clone(path);
             let _ = tx.send(WatchEvent { path, kind });
         });
@@ -345,6 +356,10 @@ mod tests {
     }
 
     const WAIT: Duration = Duration::from_secs(5);
+
+    fn io() -> FaultInjector {
+        FaultInjector::disabled()
+    }
 
     #[test]
     fn detects_creation() {
@@ -402,7 +417,7 @@ mod tests {
         let seen: BTreeMap<PathBuf, FileSig> = std::fs::read_dir(dir)
             .unwrap()
             .flatten()
-            .filter_map(|e| signature(&e.path(), false).map(|sig| (e.path(), sig)))
+            .filter_map(|e| signature(&io(), &e.path(), false).map(|sig| (e.path(), sig)))
             .collect();
         let mut events = Vec::new();
         for (path, sig) in &seen {
@@ -421,7 +436,7 @@ mod tests {
 
     fn table_sweep(table: &mut Table) -> Vec<(PathBuf, WatchEventKind)> {
         let mut events = Vec::new();
-        table.sweep(|path, kind| events.push((path.to_path_buf(), kind)));
+        table.sweep(false, |path, kind| events.push((path.to_path_buf(), kind)));
         events
     }
 
@@ -449,7 +464,7 @@ mod tests {
         let dir = temp_dir();
         std::fs::write(dir.join("old.log"), b"existing").unwrap();
         std::fs::create_dir(dir.join(".replica1")).unwrap();
-        let mut table = Table::census(dir.clone());
+        let mut table = Table::census(dir.clone(), io());
         let mut known = BTreeMap::new();
         assert_eq!(
             oracle_sweep(&dir, &mut known).len(),
@@ -507,7 +522,7 @@ mod tests {
     #[test]
     fn a_moved_directory_signature_triggers_the_listing() {
         let dir = temp_dir();
-        let mut table = Table::census(dir.clone());
+        let mut table = Table::census(dir.clone(), io());
         assert_eq!(table_sweep(&mut table), []);
         // Longer than any filesystem's timestamp tick.
         std::thread::sleep(Duration::from_millis(20));
@@ -521,11 +536,11 @@ mod tests {
     #[test]
     fn a_creation_hidden_in_the_listing_tick_is_late_never_lost() {
         let dir = temp_dir();
-        let mut table = Table::census(dir.clone());
+        let mut table = Table::census(dir.clone(), io());
         std::fs::write(dir.join("late.log"), b"x").unwrap();
         // The same-tick case: the sample taken before the latest listing
         // already carried the timestamp this creation left behind.
-        table.dir_sig = signature(&dir, true);
+        table.dir_sig = signature(&io(), &dir, true);
         for sweep in 1..RELIST_EVERY {
             assert_eq!(table_sweep(&mut table), [], "sweep {sweep}");
         }

@@ -481,7 +481,8 @@ mod tests {
         assert!(timed_out && clock() == Duration::from_millis(20), "{run:?}");
         // Read every 3 ms: calls answered after 2 ms never meet the beat...
         let mut quick = wire(Liveness::Stale, ok(2), Some(2));
-        assert!(run_on(&mut quick, (3, 1, 1_000), policy(1, 96)).all_ok());
+        let run = run_on(&mut quick, (3, 1, 1_000), policy(1, 96));
+        assert!(run.outcomes.iter().all(Result::is_ok), "{run:?}");
         // ...and an unanswered call meets it 3 ms after its submit.
         let mut silent = wire(Liveness::Stale, None, None);
         let run = run_on(&mut silent, (1, 1, 1_000), policy(1, 96));
@@ -492,7 +493,7 @@ mod tests {
     fn window_depth_one_degenerates_to_lockstep() {
         let mut wire = wire(Liveness::Alive, ok(1), Some(1));
         let run = run_on(&mut wire, (4, 1, 5_000), policy(3, 1_000));
-        assert!(run.all_ok(), "{:?}", run.outcomes);
+        assert!(run.outcomes.iter().all(Result::is_ok), "{:?}", run.outcomes);
         // Depth 1: exactly one call in flight per submit, and lockstep
         // order means nothing can complete out of order.
         assert_eq!(run.stats.window_occupancy, 4, "{}", run.stats);
@@ -506,7 +507,7 @@ mod tests {
         // and call 0 completes last, on its retry.
         let mut wire = wire(Liveness::Alive, None, Some(0));
         let run = run_on(&mut wire, (4, 4, 3_000), RetryPolicy::default());
-        assert!(run.all_ok(), "{:?}", run.outcomes);
+        assert!(run.outcomes.iter().all(Result::is_ok), "{:?}", run.outcomes);
         assert_eq!(run.resilience[0].attempts, 2);
         assert_eq!(run.stats.reordered_completions, 3, "{}", run.stats);
     }
@@ -517,7 +518,7 @@ mod tests {
         let mut wire = wire(Liveness::Alive, ok(3), Some(3));
         wire.skipped = 24;
         let run = run_on(&mut wire, (1, 1, 5_000), policy(3, 1_000));
-        assert!(run.all_ok(), "{:?}", run.outcomes);
+        assert!(run.outcomes.iter().all(Result::is_ok), "{:?}", run.outcomes);
         assert_eq!(run.resilience[0].corrupt_skipped_bytes, 24);
     }
 
@@ -526,7 +527,10 @@ mod tests {
         // Shed the very first request; serve the rest (its retry too).
         let mut wire = wire(Liveness::Alive, shed(10), Some(0));
         let run = run_on(&mut wire, (20, 4, 5_000), policy(3, 1_000));
-        assert!(run.all_ok(), "shed call not retried: {:?}", run.outcomes);
+        assert!(
+            run.outcomes.iter().all(Result::is_ok),
+            "shed call not retried: {run:?}"
+        );
         assert_eq!(run.stats.window_shrinks, 1, "{}", run.stats);
         // Halved to 2, the depth grows by one per window's worth of clean
         // completions, 2 then 3: refills of 4 calls, 3, then 4 at a time.

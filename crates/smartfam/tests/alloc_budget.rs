@@ -245,7 +245,9 @@ fn windowed(warm_up: usize, calls: usize) -> (f64, usize) {
     let window = WindowConfig::with_depth(16);
     assert!(client
         .invoke_window("echo", &params[..warm_up], &window)
-        .all_ok());
+        .outcomes
+        .iter()
+        .all(Result::is_ok));
     let before = allocations();
     let run = client.invoke_window("echo", &params[warm_up..], &window);
     let per_call = (allocations() - before) as f64 / calls as f64;
@@ -253,7 +255,11 @@ fn windowed(warm_up: usize, calls: usize) -> (f64, usize) {
         assert_eq!(&outcome.as_ref().unwrap().payload, echoed);
     }
     let no_params = vec![Vec::new(); 1_000];
-    assert!(client.invoke_window("tid", &no_params, &window).all_ok());
+    assert!(client
+        .invoke_window("tid", &no_params, &window)
+        .outcomes
+        .iter()
+        .all(Result::is_ok));
     daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
     let ran_on = threads.lock().unwrap().len();

@@ -1,20 +1,19 @@
 //! The tail-reading [`LogFile`] against the whole-buffer decoders, and the
 //! borrowed decoder against the owned one.
 //!
-//! `LogFile::poll`/`poll_recovering`/`poll_each` read only the bytes past
-//! their cursor through a held handle; `codec::decode_stream` and
-//! `decode_stream_recovering` over the *whole* file are the reference
-//! they must agree with, frame for frame and byte for byte, under any
+//! `LogFile::poll_recovering`/`poll_each` read only the bytes past their
+//! cursor through a held handle; a recovering `scan` over the *whole*
+//! file is the reference they must agree with, frame for frame and byte for byte, under any
 //! interleaving of whole, torn and corrupted appends — and on files that
 //! were never written by this crate at all. Underneath, `decode_view` and
 //! `scan` are held to `decode_frame` on the same hostile bytes.
 
 use mcsd_smartfam::codec::{
-    decode_frame, decode_stream, decode_stream_recovering, decode_view, encode_request_into, scan,
-    DecodeStep, ViewBody, ViewStep,
+    decode_frame, decode_stream, decode_view, encode_request_into, scan, DecodeStep, ScanEnd,
+    ViewBody, ViewStep,
 };
 use mcsd_smartfam::{
-    FaultAction, FaultInjector, FaultPlan, FaultSite, Frame, LogFile, LogRole, SmartFamError,
+    FaultAction, FaultInjector, FaultPlan, FaultSite, Frame, FrameBody, LogFile, LogRole, Status,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -39,8 +38,24 @@ fn frame_for(word: u64) -> Frame {
         0 => Frame::request(word, vec![text]),
         1 => Frame::request_with_deadline(word, vec![text.clone(), text], word | 1),
         2 => Frame::response_ok(word, text.into_bytes()),
-        _ => Frame::response_err(word, &text).in_batch(1 + (word >> 40), word & 0xff),
+        _ => Frame {
+            id: word,
+            batch: 0,
+            body: FrameBody::Response {
+                status: Status::Error,
+                payload: text.into_bytes().into(),
+            },
+        }
+        .in_batch(1 + (word >> 40), word & 0xff),
     }
+}
+
+/// The whole-file reference of a recovering poll: a recovering `scan` of
+/// `data` from `offset`, every frame copied out.
+fn recovered(data: &[u8], offset: usize) -> (Vec<Frame>, ScanEnd) {
+    let mut frames = Vec::new();
+    let end = scan(data, offset, true, |_, view| frames.push(view.to_frame()));
+    (frames, end)
 }
 
 /// One append through the real write path, with the fault `word` selects
@@ -125,59 +140,46 @@ fn fnv1a(data: &[u8]) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential: three cursors (two recovering, one plain) polled at
-    /// random points of a random append history see exactly what the
-    /// whole-file decoders see from the same offsets.
+    /// Differential: two recovering cursors, one copying frames out and
+    /// one reading them in place, polled at random points of a random
+    /// append history see exactly what the whole-file decoder sees from
+    /// the same offsets.
     #[test]
     fn tail_polls_agree_with_the_whole_file_decoders(ops in vec(any::<u64>(), 1..40)) {
         let path = temp_log();
         let mut cursors: Vec<LogFile> =
-            (0..3).map(|_| LogFile::attach_at_start(&path).unwrap()).collect();
+            (0..2).map(|_| LogFile::attach_at_start(&path).unwrap()).collect();
         // Finish with a poll of every cursor, twice: the second must be a
-        // no-op (or the same error) on an unchanged file.
-        let polls = (0..6u64).map(|c| (c % 3) << 1);
+        // no-op on an unchanged file.
+        let polls = (0..4u64).map(|c| (c % 2) << 1);
         for op in ops.into_iter().chain(polls) {
             if op & 1 == 1 {
                 append(&path, op >> 1);
                 continue;
             }
-            let which = ((op >> 1) % 3) as usize;
+            let which = ((op >> 1) % 2) as usize;
             let data = std::fs::read(&path).unwrap();
             let before = cursors[which].cursor();
-            if which < 2 {
-                let want = decode_stream_recovering(&data, before as usize);
-                let (frames, skipped) = if which == 0 {
-                    cursors[which].poll_recovering().unwrap()
-                } else {
-                    // In place: what the poll shows, and shows again at
-                    // the same offset until the poll is released.
-                    let log = &mut cursors[which];
-                    let mut shown = Vec::new();
-                    let skipped = log.poll_each(|at, view| shown.push((at, view.to_frame()))).unwrap();
-                    for (at, frame) in &shown {
-                        let again = log.frame_at(*at).map(|view| view.to_frame());
-                        prop_assert_eq!(again.as_ref(), Some(frame));
-                        prop_assert_eq!(&data[before as usize + at..][..frame.encoded_len()], &frame.encode()[..]);
-                    }
-                    log.release_poll();
-                    (shown.into_iter().map(|(_, frame)| frame).collect(), skipped)
-                };
-                prop_assert_eq!(frames, want.frames);
-                prop_assert_eq!(skipped, want.skipped_bytes as u64);
-                prop_assert_eq!(cursors[which].cursor(), want.new_pos as u64);
+            let (want, end) = recovered(&data, before as usize);
+            let (frames, skipped) = if which == 0 {
+                cursors[which].poll_recovering().unwrap()
             } else {
-                match decode_stream(&data, before as usize) {
-                    Ok((want, new_pos)) => {
-                        prop_assert_eq!(cursors[which].poll().unwrap(), want);
-                        prop_assert_eq!(cursors[which].cursor(), new_pos as u64);
-                    }
-                    Err(_) => {
-                        let got = cursors[which].poll();
-                        prop_assert!(matches!(got, Err(SmartFamError::Corrupt { .. })), "{got:?}");
-                        prop_assert_eq!(cursors[which].cursor(), before);
-                    }
+                // In place: what the poll shows, and shows again at the
+                // same offset until the poll is released.
+                let log = &mut cursors[which];
+                let mut shown = Vec::new();
+                let skipped = log.poll_each(|at, view| shown.push((at, view.to_frame()))).unwrap();
+                for (at, frame) in &shown {
+                    let again = log.frame_at(*at).map(|view| view.to_frame());
+                    prop_assert_eq!(again.as_ref(), Some(frame));
+                    prop_assert_eq!(&data[before as usize + at..][..frame.encoded_len()], &frame.encode()[..]);
                 }
-            }
+                log.release_poll();
+                (shown.into_iter().map(|(_, frame)| frame).collect(), skipped)
+            };
+            prop_assert_eq!(frames, want);
+            prop_assert_eq!(skipped, end.skipped_bytes as u64);
+            prop_assert_eq!(cursors[which].cursor(), end.new_pos as u64);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -259,7 +261,8 @@ proptest! {
     /// The stream loop always advances or stops: frames are shown in
     /// offset order without overlap, every byte before the end is a shown
     /// frame or a counted skip, the end is not a complete frame — and the
-    /// owned wrappers are this loop with every frame copied out.
+    /// owned decoder reads the frame shown at each offset, as the owned
+    /// `decode_stream` is this loop with every frame copied out.
     #[test]
     fn scan_always_advances_or_stops(
         words in vec(any::<u64>(), 1..24),
@@ -276,7 +279,7 @@ proptest! {
             });
             let mut covered = 0;
             let mut next = start;
-            for (at, len) in shown {
+            for &(at, len) in &shown {
                 prop_assert!(at >= next && len > 0, "frame at {} after {}", at, next);
                 next = at + len;
                 covered += len;
@@ -287,9 +290,12 @@ proptest! {
             if recovering {
                 prop_assert_eq!(&end.corrupt, &None);
                 prop_assert!(!matches!(at_end, ViewStep::Complete { .. }));
-                let owned = decode_stream_recovering(&hostile, start);
-                prop_assert_eq!(owned.frames, frames);
-                prop_assert_eq!((owned.new_pos, owned.skipped_bytes), (end.new_pos, end.skipped_bytes));
+                for (&(at, _), frame) in shown.iter().zip(&frames) {
+                    match decode_frame(&hostile[at..]) {
+                        DecodeStep::Complete { frame: owned, .. } => prop_assert_eq!(&owned, frame),
+                        other => prop_assert!(false, "at {}: {:?}", at, other),
+                    }
+                }
             } else {
                 prop_assert_eq!(end.skipped_bytes, 0);
                 prop_assert_eq!(end.corrupt.is_some(), matches!(at_end, ViewStep::Corrupt { .. }));

@@ -9,7 +9,7 @@
 
 use mcsd::framework::{DesStats, ReplicationStats};
 use mcsd::obs::CounterFamily;
-use mcsd::smartfam::{BatchStats, DaemonStats, OverloadStats, ResilienceStats};
+use mcsd::smartfam::{BatchStats, DaemonStats, LogIo, OverloadStats, ResilienceStats};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -80,7 +80,7 @@ where
     }
 }
 
-fn all_families() -> [Declared; 6] {
+fn all_families() -> [Declared; 8] {
     [
         family_laws::<DaemonStats>("DaemonStats"),
         family_laws::<ResilienceStats>("ResilienceStats"),
@@ -88,6 +88,8 @@ fn all_families() -> [Declared; 6] {
         family_laws::<ReplicationStats>("ReplicationStats"),
         family_laws::<DesStats>("DesStats"),
         family_laws::<BatchStats>("BatchStats"),
+        family_laws::<LogIo<false>>("LogIo<false>"),
+        family_laws::<LogIo<true>>("LogIo<true>"),
     ]
 }
 
