@@ -13,8 +13,8 @@ use crate::error::McsdError;
 use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
 use mcsd_smartfam::{
-    BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
-    ModuleRegistry, RetryPolicy, WindowConfig,
+    BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, HostClient, ModuleRegistry,
+    RetryPolicy, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -27,8 +27,10 @@ pub const DATA_SUBDIR: &str = "data";
 
 /// A running smart-storage node.
 pub struct SdNodeServer {
-    share: NfsShare,
+    /// Declared first, so dropped first: the daemon stops before the
+    /// share's directory goes.
     daemon: Option<DaemonHandle>,
+    share: NfsShare,
     registry: ModuleRegistry,
     sd_id: NodeId,
     host_id: NodeId,
@@ -51,10 +53,10 @@ impl SdNodeServer {
     /// folder) before it boots: a scripted fault schedule, admission
     /// limits, a tracer, batched dispatch (DESIGN.md §18). The fault
     /// injector and the tracer are shared with every host client this
-    /// server hands out, so one seeded [`FaultInjector`] disturbs both
-    /// sides of the log-file protocol deterministically and one trace
-    /// carries both sides of it (DESIGN.md §12). The whole configuration survives
-    /// [`SdNodeServer::restart_daemon`].
+    /// server hands out, so one seeded [`mcsd_smartfam::FaultInjector`]
+    /// disturbs both sides of the log-file protocol deterministically and
+    /// one trace carries both sides of it (DESIGN.md §12). The whole
+    /// configuration survives [`SdNodeServer::restart_daemon`].
     pub fn start_with(
         cluster: &Cluster,
         configure: impl FnOnce(DaemonConfig) -> DaemonConfig,
@@ -79,11 +81,6 @@ impl SdNodeServer {
             host_id: cluster.host().id,
             config,
         })
-    }
-
-    /// The fault injector shared with the daemon and host clients.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.config.injector
     }
 
     /// The module registry (to preload additional modules — paper §VI:
@@ -137,7 +134,7 @@ impl SdNodeServer {
         }
     }
 
-    /// Stop the daemon and release the share. Also happens on drop.
+    /// Stop the daemon. Also happens on drop.
     pub fn stop(&mut self) {
         if let Some(mut d) = self.daemon.take() {
             d.stop();
@@ -148,19 +145,13 @@ impl SdNodeServer {
     /// restart it over the same log dir with the configuration it booted
     /// with. The replacement incarnation replays unanswered requests from
     /// the log on startup. For scripted, seed-reproducible
-    /// failures install a [`FaultInjector`] schedule through
+    /// failures install a [`mcsd_smartfam::FaultInjector`] schedule through
     /// [`SdNodeServer::start_with`] instead of calling this by hand; this
     /// manual restart remains useful for coarse crash-recovery tests.
     pub fn restart_daemon(&mut self) -> Result<(), McsdError> {
         self.stop();
         self.daemon = Some(Daemon::new(self.config.clone(), self.registry.clone()).spawn()?);
         Ok(())
-    }
-}
-
-impl Drop for SdNodeServer {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -253,7 +244,7 @@ mod tests {
         // The module fails its first dispatch, once; the retry answers.
         let plan = FaultPlan::none().with(FaultSite::Dispatch, 0, FaultAction::Fail);
         let server = SdNodeServer::start_with(&cluster(), |daemon| {
-            daemon.with_faults(FaultInjector::new(plan))
+            daemon.with_faults(mcsd_smartfam::FaultInjector::new(plan))
         })
         .unwrap();
         let text = TextGen::with_seed(22).generate(4_000);
@@ -382,6 +373,7 @@ mod tests {
         // single-threaded replay scan then makes every admission decision
         // in one sweep, so the shed count is arithmetic, not timing.
         server.stop();
+        assert!(server.daemon.is_none(), "stop drops the daemon");
         let client = server.host_client();
         let pendings: Vec<_> = (0..5)
             .map(|i| {

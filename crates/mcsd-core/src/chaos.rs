@@ -253,7 +253,10 @@ pub trait ChaosScenario {
     /// discovery run executes them so the clean occurrence stream is the
     /// scenario's real one, and enumerated points the baked plan already
     /// covers are reported as shadowed instead of double-injected.
-    fn baked_plan(&self, segment: usize) -> FaultPlan;
+    /// Defaults to none.
+    fn baked_plan(&self, _segment: usize) -> FaultPlan {
+        FaultPlan::none()
+    }
 
     /// The actions to inject at `site`, in report order. Defaults to the
     /// canonical total matrix ([`default_actions`]); scenarios narrow it
@@ -723,10 +726,6 @@ impl ChaosScenario for ReplicationRoundsScenario {
         vec!["rounds".to_string()]
     }
 
-    fn baked_plan(&self, _segment: usize) -> FaultPlan {
-        FaultPlan::none()
-    }
-
     fn run_segment(
         &self,
         _segment: usize,
@@ -792,7 +791,6 @@ impl ReplicationRoundsScenario {
                 obs.outputs_correct = false;
             }
         }
-        groups.reprotect_all()?;
         let stats = groups.stats();
         obs.committed_rounds = stats.quorum_appends;
         obs.readable_rounds = (0..self.spans)
@@ -900,10 +898,6 @@ impl ChaosScenario for BatchedEchoScenario {
 
     fn segment_names(&self) -> Vec<String> {
         vec!["batched".to_string()]
-    }
-
-    fn baked_plan(&self, _segment: usize) -> FaultPlan {
-        FaultPlan::none()
     }
 
     /// Narrowed to the batch-boundary matrix: the canonical dispatch

@@ -8,13 +8,14 @@
 //! [`TimeBreakdown`] the scenarios compose.
 
 use crate::error::McsdError;
-use crate::footprint::FootprintOverride;
 use crate::report::RunReport;
 use mcsd_cluster::{DiskModel, NodeExecutor, NodeSpec, TimeBreakdown};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::partition::{ConcatMerger, Merger};
 use mcsd_phoenix::Stopwatch;
-use mcsd_phoenix::{Job, PartitionSpec, PartitionedRuntime, PhoenixConfig, Runtime};
+use mcsd_phoenix::{
+    Job, MemoryVerdict, PartitionSpec, PartitionedRuntime, PhoenixConfig, PhoenixError, Runtime,
+};
 
 /// How a job is executed on the node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,13 +100,8 @@ impl NodeRunner {
         self.exec.spec()
     }
 
-    /// The disk model used for swap penalties.
-    pub fn disk(&self) -> &DiskModel {
-        &self.disk
-    }
-
     /// Run in [`ExecMode::Parallel`] (stock Phoenix on all cores).
-    pub fn run_parallel<J: Job + Clone>(
+    pub fn run_parallel<J: Job>(
         &self,
         job: &J,
         input: &[u8],
@@ -122,7 +118,7 @@ impl NodeRunner {
         mode: ExecMode,
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError>
     where
-        J: Job + Clone,
+        J: Job,
         M: Merger<J>,
     {
         self.run_mode_at(job, merger, input, mode, 0)
@@ -140,16 +136,30 @@ impl NodeRunner {
         base_offset: usize,
     ) -> Result<NodeRunReport<J::Key, J::Value>, McsdError>
     where
-        J: Job + Clone,
+        J: Job,
         M: Merger<J>,
     {
         let memory = self.node().memory_model();
         match mode {
             ExecMode::Sequential { footprint_factor } => {
-                let cfg = PhoenixConfig::with_workers(1).memory(memory);
-                let wrapped = FootprintOverride::new(job.clone(), footprint_factor);
-                self.measured_run(cfg, 1, input.len() as u64, mode.label(), |runtime| {
-                    runtime.run_at(&wrapped, input, base_offset)
+                // The memory verdict is the sequential footprint's, not the
+                // job's MapReduce one, so Phoenix runs without a model.
+                let input_bytes = input.len() as u64;
+                let swapped = match memory.verdict(input_bytes, footprint_factor) {
+                    MemoryVerdict::Overflow { limit_bytes } => {
+                        return Err(PhoenixError::MemoryOverflow {
+                            input_bytes,
+                            limit_bytes,
+                        }
+                        .into())
+                    }
+                    verdict => verdict.swapped_bytes(),
+                };
+                let cfg = PhoenixConfig::with_workers(1);
+                self.measured_run(cfg, 1, input_bytes, mode.label(), |runtime| {
+                    let mut out = runtime.run_at(job, input, base_offset)?;
+                    out.stats.swapped_bytes = swapped;
+                    Ok(out)
                 })
             }
             ExecMode::Parallel => self.measured_run(
@@ -270,6 +280,19 @@ mod tests {
     }
 
     #[test]
+    fn sequential_runs_under_its_own_footprint() {
+        // A 1 000-byte node: a 750-byte hard limit, 900 bytes available.
+        let runner = sd_runner(1_000);
+        let seq = |bytes, footprint_factor| {
+            let mode = ExecMode::Sequential { footprint_factor };
+            runner.run_mode(&WordCount, &WordCount::merger(), &vec![b'x'; bytes], mode)
+        };
+        assert_eq!(seq(400, 3.0).unwrap().report.stats.swapped_bytes, 300);
+        assert_eq!(seq(400, 1.2).unwrap().report.stats.swapped_bytes, 0);
+        assert!(seq(800, 1.2).unwrap_err().is_memory_overflow());
+    }
+
+    #[test]
     fn overflow_fails_parallel_but_not_partitioned() {
         let scale = Scale { divisor: 2048 };
         let memory = scale.bytes(2 << 30); // "2 GB" -> 1 MiB
@@ -313,26 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn run_mode_dispatches() {
-        let text = TextGen::with_seed(5).generate(4_000);
-        let runner = host_runner(64 << 20);
-        for mode in [
-            ExecMode::Sequential {
-                footprint_factor: 1.2,
-            },
-            ExecMode::Parallel,
-            ExecMode::Partitioned {
-                fragment_bytes: Some(1500),
-            },
-        ] {
-            let out = runner
-                .run_mode(&WordCount, &WordCount::merger(), &text, mode)
-                .unwrap();
-            assert_eq!(out.pairs, mcsd_apps::seq::wordcount(&text));
-        }
-    }
-
-    #[test]
     fn mode_labels() {
         assert_eq!(
             ExecMode::Sequential {
@@ -356,28 +359,5 @@ mod tests {
             .label(),
             "par+part(auto)"
         );
-    }
-
-    #[test]
-    fn slower_node_reports_more_compute_time() {
-        // Same work on the host (speed 1.0, 4 cores) vs SD (0.75, 2
-        // cores): SD must report ~2.5x more virtual compute time. Retry
-        // because the two wall measurements can wobble under full test
-        // load on a shared core.
-        let text = TextGen::with_seed(6).generate(400_000);
-        for attempt in 0..3 {
-            let host = host_runner(64 << 20)
-                .run_parallel(&WordCount, &text)
-                .unwrap();
-            let sd = sd_runner(64 << 20).run_parallel(&WordCount, &text).unwrap();
-            if sd.report.time.compute > host.report.time.compute {
-                return;
-            }
-            eprintln!(
-                "attempt {attempt}: sd {:?} !> host {:?}",
-                sd.report.time.compute, host.report.time.compute
-            );
-        }
-        panic!("SD never slower than host across 3 attempts");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! One decision engine owns the full per-call state machine the paper's
 //! framework describes — profile → [`OffloadDecision`] via memory-budget
-//! admission ([`plan_admission`]) + per-SD circuit breakers +
+//! admission (the private `admission` planner) + per-SD circuit breakers +
 //! heartbeat-load steering → dispatch → bounded retry/re-dispatch → host
 //! fallback → stats/trace/decision-log recording — and both front-ends
 //! are thin shells over it: [`crate::framework::McsdFramework`] drives
@@ -17,18 +17,19 @@
 //! opens and probes); the daemon keeps owning sheds, expiries and
 //! replay/quarantine/skip accounting, merged at read time by
 //! [`Engine::resilience_report`]. DESIGN.md §13 has the state-machine
-//! diagram and the counter-ownership rule. The breaker is this module's
-//! private `breaker` submodule, and `clippy.toml` disallows
-//! `plan_admission` everywhere else (DESIGN.md §9), so neither policy
-//! primitive can re-leak into the front-ends.
+//! diagram and the counter-ownership rule. The breaker and the memory
+//! planner are this module's private submodules, so neither policy
+//! primitive can re-leak into the front-ends (DESIGN.md §9).
 
+mod admission;
 mod breaker;
 
+pub use admission::DEFAULT_MIN_FRAGMENT_BYTES;
 pub use breaker::{Admission, BreakerConfig, BreakerState};
 
-use crate::admission::plan_admission;
 use crate::error::McsdError;
 use crate::offload::{JobProfile, OffloadDecision, Offloader};
+use admission::plan_admission;
 use breaker::CircuitBreaker;
 use mcsd_cluster::TimeBreakdown;
 use mcsd_obs::names::{
@@ -166,20 +167,6 @@ pub enum SpanOutcome {
         /// primary carry the old epoch and are fenced.
         epoch: u64,
     },
-}
-
-impl SpanOutcome {
-    /// The node that produced this span's output (for a promoted span:
-    /// the node now holding the authoritative log copy).
-    pub fn node(&self) -> &str {
-        match self {
-            SpanOutcome::Ok { node }
-            | SpanOutcome::Retried { node }
-            | SpanOutcome::Redispatched { node, .. }
-            | SpanOutcome::Steered { node }
-            | SpanOutcome::Promoted { node, .. } => node,
-        }
-    }
 }
 
 /// How one multi-SD span eventually produced its output; the raw
@@ -488,21 +475,12 @@ impl Engine {
         if let Some(p) = &request.caller_partition {
             return Ok(Some(p.clone()));
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the engine is plan_admission's one sanctioned caller (DESIGN.md §13)"
-        )]
         let plan = plan_admission(
             &request.model,
             request.input_bytes,
             request.footprint_factor,
             self.config.min_fragment_bytes,
-        )
-        .map_err(|refusal| McsdError::MemoryOverflow {
-            input_bytes: refusal.input_bytes,
-            limit_bytes: refusal.limit_bytes,
-            min_fragment_bytes: refusal.min_fragment_bytes,
-        })?;
+        )?;
         if plan.repartitions > 0 {
             self.config
                 .tracer
@@ -512,7 +490,7 @@ impl Engine {
                 });
         }
         self.with(|s| s.overload.repartitions += plan.repartitions);
-        Ok(plan.partition_param())
+        Ok(plan.fragment_bytes.map(|b| b.to_string()))
     }
 
     /// The gate, the first half of the per-call state machine: decide →
@@ -1053,13 +1031,29 @@ mod tests {
             drive(&a, &Fate::seeded(42, 96), false);
             let totals = a.overload_totals();
             assert!(totals.breaker_opens > 0 && totals.half_open_probes > 0);
-            assert!(a
-                .degradations()
-                .iter()
-                .any(|d| d.contains("circuit breaker open")));
+            // A load at the threshold steers (the fates' 64 == its depth).
+            for reason in ["circuit breaker open", "daemon queue saturated"] {
+                assert!(a.degradations().iter().any(|d| d.contains(reason)));
+            }
             let failovers = a.resilience_report(&DaemonStats::default()).failovers;
             assert_eq!(failovers > 0, fallback);
         }
+    }
+
+    #[test]
+    fn only_a_halving_leaves_a_repartition_event() {
+        let (e, tracer) = scripted_engine(2, true);
+        let job = |input_bytes| MemoryAdmission {
+            model: MemoryModel::new(1_000_000),
+            caller_partition: None,
+            input_bytes,
+            footprint_factor: 3.0,
+        };
+        assert_eq!(e.admit_memory("wc", &job(100_000)).unwrap(), None);
+        assert!(!mcsd_obs::export::jsonl(&tracer).contains("mcsd.repartition"));
+        let halved = e.admit_memory("wc", &job(900_000)).unwrap();
+        assert_eq!(halved.as_deref(), Some("225000"));
+        assert!(mcsd_obs::export::jsonl(&tracer).contains("mcsd.repartition"));
     }
 
     #[test]

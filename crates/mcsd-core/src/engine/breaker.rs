@@ -21,7 +21,8 @@ use std::time::Duration;
 /// Tuning for a per-SD circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive failures (while closed) that trip the breaker open.
+    /// Consecutive failures (while closed) that trip the breaker open;
+    /// 0 acts as 1, as does a `probe_quota` of 0.
     pub failure_threshold: u32,
     /// Logical time the breaker stays open before admitting a probe.
     pub cooldown: Duration,
@@ -78,11 +79,7 @@ impl CircuitBreaker {
     /// A closed breaker with the given tuning.
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
-            config: BreakerConfig {
-                failure_threshold: config.failure_threshold.max(1),
-                probe_quota: config.probe_quota.max(1),
-                ..config
-            },
+            config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             probe_successes: 0,
@@ -200,6 +197,15 @@ mod tests {
         b.on_failure(MS * 5);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.opens(), 1);
+    }
+
+    #[test]
+    fn zero_threshold_and_quota_act_as_one() {
+        let mut b = breaker(0, 5, 0);
+        b.on_failure(Duration::ZERO);
+        assert_eq!(b.admission(MS * 5), Admission::Probe);
+        b.on_success(MS * 5);
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! [`McsdFramework::degradations`] and counting it in
 //! [`McsdFramework::resilience_stats`].
 
-use crate::admission::DEFAULT_MIN_FRAGMENT_BYTES;
 use crate::bridge::{McsdClient, SdNodeServer};
 use crate::driver::NodeRunner;
+use crate::engine::DEFAULT_MIN_FRAGMENT_BYTES;
 use crate::engine::{Engine, EngineConfig, MemoryAdmission, OffloadCall};
 use crate::error::McsdError;
 use crate::modules::{StringMatchModule, WordCountModule};
@@ -157,11 +157,6 @@ impl McsdFramework {
         &self.server
     }
 
-    /// Ask the policy where a job should run.
-    pub fn decide(&self, profile: &JobProfile) -> OffloadDecision {
-        self.engine.decide(profile)
-    }
-
     /// Recovery counters accumulated so far: the host side's attempts,
     /// retries, and failovers plus the daemon's replay/quarantine/skip
     /// counters, merged at read time. The daemon side owns quarantines and
@@ -273,10 +268,8 @@ impl McsdFramework {
         self.run_offloaded(&mut MatMulCall { fw: self, a, b })
     }
 
-    /// Shut the framework down (daemon, share). Also happens on drop.
-    pub fn stop(mut self) {
-        self.server.stop();
-    }
+    /// Shut the framework down (daemon, share), as dropping it does.
+    pub fn stop(self) {}
 
     fn host_runner(&self) -> NodeRunner {
         NodeRunner::new(self.cluster.host().clone(), self.cluster.disk)

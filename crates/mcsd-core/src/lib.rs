@@ -27,12 +27,12 @@
 //!   node's cores, applies the memory model, charges speed-scaled compute
 //!   and swap penalties to the virtual clock.
 //! * [`offload`] — the offload policy: which node should run a job.
-//! * [`admission`] — memory-budget admission: adaptive re-partitioning of
-//!   over-footprint jobs before they are offloaded.
 //! * [`engine`] — the unified offload scheduler: the one copy of the
 //!   decide → admit → steer → dispatch → retry → fallback → record state
 //!   machine that both [`framework`] and [`multisd`] drive, and the sole
-//!   owner of the per-SD circuit breakers driving health-aware steering.
+//!   owner of the per-SD circuit breakers driving health-aware steering
+//!   and of memory-budget admission (adaptive re-partitioning of
+//!   over-footprint jobs before they are offloaded).
 //! * [`replication`] — replicated SD log groups: quorum appends, replica
 //!   promotion on primary failure, and background re-protection back to
 //!   full redundancy (DESIGN.md §15).
@@ -53,14 +53,12 @@
 //!   modules, plus the host-side client that offloads through it.
 //! * [`framework`] — the top-level [`framework::McsdFramework`] facade.
 
-pub mod admission;
 pub mod bridge;
 pub mod chaos;
 pub mod des;
 pub mod driver;
 pub mod engine;
 pub mod error;
-pub mod footprint;
 pub mod framework;
 pub mod modules;
 pub mod multisd;
@@ -69,7 +67,6 @@ pub mod replication;
 pub mod report;
 pub mod scenario;
 
-pub use admission::{plan_admission, AdmissionPlan, AdmissionRefusal};
 pub use chaos::{
     run_sweep, ChaosObservation, ChaosReport, ChaosScenario, ConservationCheck, Invariant,
     ReplicationRoundsScenario, Violation,
@@ -81,7 +78,6 @@ pub use engine::{
     SpanDisposition,
 };
 pub use error::McsdError;
-pub use footprint::FootprintOverride;
 pub use framework::{McsdFramework, ResilienceConfig};
 pub use multisd::{MultiSdReport, MultiSdRunner, SpanOutcome};
 pub use offload::{JobProfile, OffloadDecision, OffloadPolicy};

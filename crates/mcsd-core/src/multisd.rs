@@ -108,7 +108,7 @@ impl MultiSdRunner {
                 breaker,
                 fallback_to_host: true,
                 steer_queue_depth: u64::MAX,
-                min_fragment_bytes: crate::admission::DEFAULT_MIN_FRAGMENT_BYTES,
+                min_fragment_bytes: crate::engine::DEFAULT_MIN_FRAGMENT_BYTES,
                 tracer: Tracer::disabled(),
             },
         );
@@ -329,15 +329,9 @@ impl MultiSdRunner {
         resilience
             .overload
             .absorb(&self.engine.overload_delta(&overload_baseline));
-        // Run-end sweep: re-protection must finish before the report —
-        // a degraded group never outlives its run.
-        let replication = match groups.as_mut() {
-            Some(groups) => {
-                groups.reprotect_all()?;
-                groups.stats()
-            }
-            None => ReplicationStats::default(),
-        };
+        // Every quorum round ends in its group's re-protection, so a
+        // degraded group never outlives its run.
+        let replication = groups.map_or_else(ReplicationStats::default, |g| g.stats());
 
         Ok(MultiSdReport {
             pairs,

@@ -102,11 +102,6 @@ impl Offloader {
         Offloader::new(policy, sd_count)
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> OffloadPolicy {
-        self.policy
-    }
-
     /// Decide where `job` runs.
     pub fn decide(&mut self, job: &JobProfile) -> OffloadDecision {
         if self.sd_count == 0 {

@@ -18,7 +18,7 @@
 //!
 //! This module is the **single mutation site** of the
 //! [`ReplicationStats`] counters (§13; merged views go through
-//! [`ReplicationStats::absorb`] in `report.rs`), and the single
+//! its `CounterFamily::absorb`), and the single
 //! emitter of the replication trace vocabulary: `mcsd.promote`,
 //! `mcsd.epoch_fence`, `mcsd.group_crash` and the `mcsd.reprotect` span
 //! on the `mcsd` track; `sd.replica_crash` and `sd.quorum_lost` on the
@@ -105,7 +105,6 @@ struct SpanGroup {
 pub struct ReplicationGroups {
     groups: Vec<SpanGroup>,
     node_names: Vec<String>,
-    injector: FaultInjector,
     tracer: Tracer,
     stats: ReplicationStats,
 }
@@ -147,7 +146,6 @@ impl ReplicationGroups {
         Ok(ReplicationGroups {
             groups,
             node_names,
-            injector,
             tracer: setup.tracer.clone(),
             stats: ReplicationStats::default(),
         })
@@ -173,11 +171,6 @@ impl ReplicationGroups {
     /// promotion).
     pub fn epoch(&self, span: usize) -> u64 {
         self.groups[span].log.epoch()
-    }
-
-    /// Whether every group is back at full redundancy.
-    pub fn fully_protected(&self) -> bool {
-        self.groups.iter().all(|g| g.log.fully_protected())
     }
 
     /// Append one frame of span `span` through a quorum round at the
@@ -329,15 +322,6 @@ impl ReplicationGroups {
         Ok(())
     }
 
-    /// Final re-protection sweep across every group — called once at run
-    /// end so full redundancy is restored before the report is built.
-    pub fn reprotect_all(&mut self) -> Result<(), McsdError> {
-        for span in 0..self.groups.len() {
-            self.reprotect(span)?;
-        }
-        Ok(())
-    }
-
     /// How many replication groups this run planned (one per span).
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -364,11 +348,6 @@ impl ReplicationGroups {
             .reconstruct(leader)
             .map_err(McsdError::from)?;
         Ok(frames.len() as u64)
-    }
-
-    /// The injector shared with the replica fault sites.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// The run's replication counters.
@@ -422,7 +401,7 @@ mod tests {
         assert_eq!(stats.quorum_appends, 2);
         assert_eq!(stats.replica_acks, 6);
         assert!(stats.is_clean());
-        assert!(groups.fully_protected());
+        assert_eq!(groups.protected_group_count(), groups.group_count());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -447,7 +426,7 @@ mod tests {
         assert_eq!(stats.replica_crashes, 1);
         assert_eq!(stats.fenced_appends, 1, "stale-epoch probe must be fenced");
         assert_eq!(stats.reprotect_copies, 1, "failed slot rebuilt");
-        assert!(groups.fully_protected());
+        assert_eq!(groups.protected_group_count(), groups.group_count());
         assert_eq!(groups.epoch(0), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -472,7 +451,7 @@ mod tests {
         assert_eq!(stats.replica_crashes, 2);
         assert_eq!(stats.quorum_appends, 0);
         // Re-protection rebuilt the crashed slots from the survivor.
-        assert!(groups.fully_protected());
+        assert_eq!(groups.protected_group_count(), groups.group_count());
         // The healed group commits the span's re-dispatched round.
         let out = groups.record_span(0, &req, &resp).unwrap();
         assert_eq!(out, RoundOutcome::Committed);

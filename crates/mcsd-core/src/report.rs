@@ -52,11 +52,6 @@ mcsd_obs::counter_family!(ReplicationStats {
 });
 
 impl ReplicationStats {
-    /// Merge another set of counters into this one.
-    pub fn absorb(&mut self, other: &ReplicationStats) {
-        CounterFamily::absorb(self, other);
-    }
-
     /// Whether the run saw no replica disturbance at all (appends and
     /// acks still count on a clean replicated run).
     pub fn is_clean(&self) -> bool {
@@ -115,11 +110,6 @@ mcsd_obs::counter_family!(DesStats {
 });
 
 impl DesStats {
-    /// Merge another set of counters into this one.
-    pub fn absorb(&mut self, other: &DesStats) {
-        CounterFamily::absorb(self, other);
-    }
-
     /// Conservation invariant: every arrival either completed or was
     /// shed. Holds whenever the event loop ran to quiescence.
     pub fn is_conserved(&self) -> bool {

@@ -190,16 +190,6 @@ impl PairRunner {
         PairRunner { cluster, overhead }
     }
 
-    /// The cluster this runner models.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// The scaled smartFAM invocation overhead.
-    pub fn overhead(&self) -> Duration {
-        self.overhead
-    }
-
     fn host_runner(&self) -> NodeRunner {
         NodeRunner::new(self.cluster.host().clone(), self.cluster.disk)
     }

@@ -54,6 +54,9 @@ fn replication_rounds_sweep_is_clean() {
         "invariant violations:\n{}",
         report.render_table()
     );
+    // Convergence compares two counts a clean run reads as two groups.
+    let clean = scenario.run_segment(0, &FaultInjector::disabled()).unwrap();
+    assert_eq!((clean.groups, clean.protected_groups), (2, 2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -151,10 +154,6 @@ impl ChaosScenario for BrokenLogScenario {
         vec!["recover".to_string()]
     }
 
-    fn baked_plan(&self, _segment: usize) -> FaultPlan {
-        FaultPlan::none()
-    }
-
     fn run_segment(
         &self,
         _segment: usize,
@@ -209,10 +208,6 @@ impl ChaosScenario for ErroringScenario {
 
     fn segment_names(&self) -> Vec<String> {
         vec!["seg".to_string()]
-    }
-
-    fn baked_plan(&self, _segment: usize) -> FaultPlan {
-        FaultPlan::none()
     }
 
     fn run_segment(

@@ -198,16 +198,9 @@ fn over_budget_job_is_repartitioned_until_it_fits() {
     let (pairs, _) = fw.wordcount("big.txt", None).unwrap();
     assert_eq!(pairs, seq::wordcount(&text));
     let overload = fw.resilience_stats().overload;
-    // The exact halving count comes from the admission planner itself.
-    let expected = mcsd_core::plan_admission(
-        &fw.cluster().sd().memory_model(),
-        900_000,
-        3.0,
-        mcsd_core::admission::DEFAULT_MIN_FRAGMENT_BYTES,
-    )
-    .unwrap();
-    assert!(expected.repartitions > 0);
-    assert_eq!(overload.repartitions, expected.repartitions);
+    // Two halvings: Word Count's footprint overflows the 1 MiB node's
+    // hard limit at 900 000 B, thrashes it at 450 000 B, fits 225 000 B.
+    assert_eq!(overload.repartitions, 2);
     // The job ran offloaded, not degraded to the host.
     assert!(fw
         .decision_log()

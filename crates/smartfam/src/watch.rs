@@ -2,7 +2,7 @@
 //!
 //! The paper's smartFAM uses Linux inotify to learn that a log file
 //! changed. No inotify binding exists in the sanctioned offline crate set,
-//! so this watcher polls file metadata (length + mtime) on a configurable
+//! so this watcher polls file metadata (length, mtime, inode) on a configurable
 //! interval and synthesizes the same events: `Created`, `Modified`,
 //! `Removed`. Event *semantics* — "when the data-intensive module's log
 //! file in McSD is changed by the host, inotify informs the Daemon program"
@@ -149,6 +149,9 @@ impl PollBackoff {
 struct FileSig {
     len: u64,
     mtime: Option<SystemTime>,
+    /// The file's identity: another inode under the same name is another
+    /// file, as inotify reports a delete and a create.
+    ino: u64,
 }
 
 /// One `stat`, counted in `io`: the signature of the regular file at
@@ -160,6 +163,7 @@ fn signature(io: &FaultInjector, path: &Path, dir: bool) -> Option<FileSig> {
     wanted.then(|| FileSig {
         len: meta.len(),
         mtime: meta.modified().ok(),
+        ino: std::os::unix::fs::MetadataExt::ino(&meta),
     })
 }
 
@@ -237,7 +241,8 @@ impl Table {
 
     /// One poll of the directory, listed if `relist`, if its signature moved
     /// or on a quiet one's [`RELIST_EVERY`]th poll: `emit` gets `Created` and
-    /// `Modified`, then `Removed`, each in path order. Whether any changed.
+    /// `Modified` (a replaced file `Removed` then `Created`), then `Removed`,
+    /// each in path order. Whether any changed.
     pub(crate) fn sweep(
         &mut self,
         relist: bool,
@@ -257,8 +262,13 @@ impl Table {
                 continue;
             }
             let now = signature(&self.io, &t.path, false);
-            if now.is_some() && now != t.sig {
-                emit(&t.path, WatchEventKind::Modified);
+            if let Some(sig) = now.filter(|&sig| t.sig != Some(sig)) {
+                if t.sig.is_some_and(|old| old.ino != sig.ino) {
+                    emit(&t.path, WatchEventKind::Removed);
+                    emit(&t.path, WatchEventKind::Created);
+                } else {
+                    emit(&t.path, WatchEventKind::Modified);
+                }
                 changed = true;
             }
             t.sig = now;
@@ -423,6 +433,10 @@ mod tests {
         for (path, sig) in &seen {
             match known.get(path) {
                 None => events.push((path.clone(), WatchEventKind::Created)),
+                Some(old) if old.ino != sig.ino => events.extend([
+                    (path.clone(), WatchEventKind::Removed),
+                    (path.clone(), WatchEventKind::Created),
+                ]),
                 Some(old) if old != sig => events.push((path.clone(), WatchEventKind::Modified)),
                 _ => {}
             }
@@ -498,24 +512,32 @@ mod tests {
             ("a.log", Removed),
         ];
         assert_eq!(kinds(&events), expected.map(|(n, k)| (n.to_string(), k)));
-        // A seeded walk: every step appends to, creates or removes some of
-        // six names, then both sweeps must tell the same story.
+        // A seeded walk: every step appends to, creates, removes or
+        // replaces some of six names, then both sweeps must tell the same
+        // story. A replaced file is held open, as the daemon holds a log,
+        // so its successor cannot take its inode number.
         let mut rng = crate::faults::SplitMix64::new(21);
+        let mut replaced = 0;
         for step in 0..120 {
+            let mut held = Vec::new();
             for _ in 0..rng.next_u64() % 4 {
                 let path = dir.join(format!("w{}.log", rng.next_u64() % 6));
-                if rng.next_u64().is_multiple_of(3) {
-                    let _ = std::fs::remove_file(&path);
-                } else {
-                    append(&path, b"x");
+                match rng.next_u64() % 4 {
+                    0 => drop(std::fs::remove_file(&path)),
+                    1 => {
+                        held.extend(std::fs::File::open(&path));
+                        if std::fs::remove_file(&path).is_ok() {
+                            append(&path, b"x");
+                        }
+                    }
+                    _ => append(&path, b"x"),
                 }
             }
-            assert_eq!(
-                listing_sweep(&mut table),
-                oracle_sweep(&dir, &mut known),
-                "step {step}"
-            );
+            let events = listing_sweep(&mut table);
+            assert_eq!(events, oracle_sweep(&dir, &mut known), "step {step}");
+            replaced += events.windows(2).filter(|w| w[0].0 == w[1].0).count();
         }
+        assert!(replaced > 0, "the walk replaced no file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
